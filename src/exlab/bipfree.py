@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (BipartiteGraph, Graph, GuardError, KUniformHypergraph,
-                   RetryError, RngStream, complete_bipartite, iter_bits)
+                   RetryError, RngStream, complete_bipartite, iter_bits,
+                   mask_of)
 
 MAX_COPY_BOUND = 10 ** 9
 MAX_INSTANCE_EDGES = 10 ** 6
@@ -106,8 +107,9 @@ class KPartiteCheck:
 class ZarankiewiczResult:
     """Bracket on the maximum pattern-free subgraph size of a bipartite host.
 
-    ``rows`` holds one neighborhood bitmask over U per V vertex for the best
-    subgraph found; size == upper when the search completed.
+    ``rows`` holds one neighborhood bitmask per V vertex for the best
+    subgraph found, with bit i standing for the i-th vertex of U in id order;
+    size == upper when the search completed.
     """
 
     size: int
@@ -244,8 +246,8 @@ def _graph_round(G, r: int, stream: RngStream):
                 work[u] &= ~(1 << v)
                 work[v] &= ~(1 << u)
     if isinstance(G, BipartiteGraph):
-        return BipartiteGraph.from_adjacency(G.n1, G.n2, work, n0=G.n0,
-                                             labels=G.labels)
+        parts = (G.mask(0), G.mask(1), G.mask(2))
+        return BipartiteGraph._from_parts(work, parts, G.labels)
     return Graph.from_adjacency(n, work, labels=G.labels, _validate=False)
 
 
@@ -397,7 +399,8 @@ def zarankiewicz_oracle(instance, r: Optional[int] = None,
         raise GuardError(f"oracle limited to |U| <= {ORACLE_MAX_U}, "
                          f"|V| <= {ORACLE_MAX_V}")
     full_u = (1 << usize) - 1
-    nb = [host.adj[v] & full_u for v in host.v2]
+    rank = {u: i for i, u in enumerate(host.v1)}
+    nb = [mask_of(rank[u] for u in iter_bits(host.adj[v])) for v in host.v2]
     complete = all(row == full_u for row in nb)
 
     r_subs = [sum(1 << u for u in A)

@@ -4,7 +4,9 @@ streams, canonical generators and edge-list file I/O.
 All graph types are immutable after construction and safe to share read-only
 across workers.  Vertices are dense integer indices; generators that have a
 named ground set (hypercube labels, grid lines) store the bijection in
-``labels`` so witnesses can be reported in domain terms.
+``labels`` so witnesses can be reported in domain terms.  Bipartite parts are
+vertex masks, and an induced bipartite subgraph keeps its host's vertex ids,
+so a subgraph is never relabelled.
 """
 
 from __future__ import annotations
@@ -217,11 +219,16 @@ class Graph:
 class BipartiteGraph:
     """Bipartite graph with an optional third overlay part for tripartite hosts.
 
-    Vertex layout: V0 = [0, n0), V1 = [n0, n0+n1), V2 = [n0+n1, n). Every edge
-    joins two distinct parts.  Pure bipartite graphs have n0 = 0.
+    Vertices are ids in ``[0, n)`` and each part is a vertex mask over that id
+    space; every edge joins two distinct parts.  The public constructors lay
+    the parts out contiguously, V0 = [0, n0), V1 = [n0, n0+n1),
+    V2 = [n0+n1, n).  :meth:`induced` keeps its host's ids instead, so a
+    subgraph names its vertices exactly as the host does and ids outside
+    every part are isolated.  Pure bipartite graphs have n0 = 0.
     """
 
-    __slots__ = ("n0", "n1", "n2", "n", "adj", "m", "labels")
+    __slots__ = ("n", "adj", "m", "labels", "_parts", "n0", "n1", "n2",
+                 "v0", "v1", "v2")
 
     def __init__(self, n1: int, n2: int, edges: Iterable = (), n0: int = 0,
                  labels=None):
@@ -240,42 +247,57 @@ class BipartiteGraph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        self.n0, self.n1, self.n2, self.n = n0, n1, n2, n
+        self._set(rows, _contiguous_parts(n0, n1, n2), labels)
+
+    def _set(self, rows: Sequence[int], parts: tuple, labels) -> None:
+        self.n = len(rows)
         self.adj = tuple(rows)
         self.m = sum(r.bit_count() for r in rows) // 2
         self.labels = tuple(labels) if labels is not None else None
+        self._parts = parts
+        self.v0, self.v1, self.v2 = (tuple(iter_bits(m)) for m in parts)
+        self.n0, self.n1, self.n2 = len(self.v0), len(self.v1), len(self.v2)
+
+    @classmethod
+    def _from_parts(cls, rows: Sequence[int], parts: tuple,
+                    labels=None) -> "BipartiteGraph":
+        g = cls.__new__(cls)
+        g._set(rows, parts, labels)
+        return g
 
     @classmethod
     def from_adjacency(cls, n1: int, n2: int, rows: Sequence[int], n0: int = 0,
                        labels=None) -> "BipartiteGraph":
-        g = cls.__new__(cls)
-        g.n0, g.n1, g.n2, g.n = n0, n1, n2, n0 + n1 + n2
-        g.adj = tuple(rows)
-        g.m = sum(r.bit_count() for r in rows) // 2
-        g.labels = tuple(labels) if labels is not None else None
-        return g
+        return cls._from_parts(rows, _contiguous_parts(n0, n1, n2), labels)
+
+    @classmethod
+    def induced(cls, g, mask1: int, mask2: int) -> "BipartiteGraph":
+        """Bipartite subgraph of g between two disjoint vertex masks.
+
+        Keeps g's vertex ids and labels; each part row is g's row restricted
+        to the other part, so edges inside a part (and to V0) are dropped.
+        A row the restriction leaves unchanged is shared with g.
+        """
+        if mask1 & mask2:
+            raise ValueError("parts must be disjoint")
+        if (mask1 | mask2) >> g.n:
+            raise ValueError(f"part masks exceed the {g.n} host vertices")
+        rows = [0] * g.n
+        for part, other in ((mask1, mask2), (mask2, mask1)):
+            for v in iter_bits(part):
+                row = g.adj[v]
+                cut = row & other
+                rows[v] = row if cut == row else cut
+        return cls._from_parts(rows, (0, mask1, mask2), g.labels)
 
     def part_of(self, v: int) -> int:
-        return _part_of(v, self.n0, self.n1)
-
-    @property
-    def v0(self) -> range:
-        return range(0, self.n0)
-
-    @property
-    def v1(self) -> range:
-        return range(self.n0, self.n0 + self.n1)
-
-    @property
-    def v2(self) -> range:
-        return range(self.n0 + self.n1, self.n)
+        for part, mask in enumerate(self._parts):
+            if mask >> v & 1:
+                return part
+        raise ValueError(f"vertex {v} lies in no part")
 
     def mask(self, part: int) -> int:
-        if part == 0:
-            return (1 << self.n0) - 1
-        if part == 1:
-            return ((1 << self.n1) - 1) << self.n0
-        return ((1 << self.n2) - 1) << (self.n0 + self.n1)
+        return self._parts[part]
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -305,23 +327,13 @@ class BipartiteGraph:
         return Fraction(self.cross_m(), cells) if cells else Fraction(0)
 
     def transpose(self) -> "BipartiteGraph":
-        """Swap the roles of V1 and V2 (V0 kept in place)."""
-        remap = list(range(self.n0)) + \
-            [self.n0 + self.n2 + i for i in range(self.n1)] + \
-            [self.n0 + i for i in range(self.n2)]
-        edges = [(remap[u], remap[v]) for u, v in self.edges()]
-        labels = None
-        if self.labels is not None:
-            labels = [None] * self.n
-            for old, new in enumerate(remap):
-                labels[new] = self.labels[old]
-        return BipartiteGraph(self.n2, self.n1, edges, n0=self.n0,
-                              labels=labels)
+        """Swap the roles of V1 and V2; ids, rows and labels are kept."""
+        m0, m1, m2 = self._parts
+        return BipartiteGraph._from_parts(self.adj, (m0, m2, m1), self.labels)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BipartiteGraph)
-                and (self.n0, self.n1, self.n2) == (other.n0, other.n1, other.n2)
-                and self.adj == other.adj)
+                and self._parts == other._parts and self.adj == other.adj)
 
     __hash__ = None
 
@@ -335,6 +347,10 @@ def _part_of(v: int, n0: int, n1: int) -> int:
     if v < n0:
         return 0
     return 1 if v < n0 + n1 else 2
+
+
+def _contiguous_parts(n0: int, n1: int, n2: int) -> tuple:
+    return ((1 << n0) - 1, ((1 << n1) - 1) << n0, ((1 << n2) - 1) << (n0 + n1))
 
 
 class KUniformHypergraph:
@@ -590,35 +606,11 @@ def random_equitable_bipartition(g: Graph, stream: RngStream,
         if dens > best[0]:
             best = (dens, t)
         if dens >= base:
-            bip = _bipartite_from_split(g, side1, side2)
+            bip = BipartiteGraph.induced(g, mask_of(side1), mask2)
             return EquitablePartition(bip, tuple(side1), tuple(side2),
                                       dens, base, t)
     raise RetryError("random_equitable_bipartition", retry_cap,
                      {"best_density": float(best[0]), "target": float(base)})
-
-
-def _bipartite_from_split(g: Graph, side1: list, side2: list) -> BipartiteGraph:
-    n1, n2 = len(side1), len(side2)
-    pos = {}
-    for i, v in enumerate(side1):
-        pos[v] = i
-    for j, v in enumerate(side2):
-        pos[v] = n1 + j
-    mask1 = mask_of(side1)
-    mask2 = mask_of(side2)
-    rows = [0] * (n1 + n2)
-    for i, v in enumerate(side1):
-        r = 0
-        for w in iter_bits(g.adj[v] & mask2):
-            r |= 1 << pos[w]
-        rows[i] = r
-    for j, v in enumerate(side2):
-        r = 0
-        for w in iter_bits(g.adj[v] & mask1):
-            r |= 1 << pos[w]
-        rows[n1 + j] = r
-    return BipartiteGraph.from_adjacency(n1, n2, rows,
-                                         labels=list(side1) + list(side2))
 
 
 def try_bipartition(g: Graph):
@@ -640,22 +632,6 @@ def try_bipartition(g: Graph):
     side1 = [v for v in range(g.n) if side[v] == 0]
     side2 = [v for v in range(g.n) if side[v] == 1]
     return side1, side2
-
-
-def to_bipartite(g: Graph, side1: Sequence[int]) -> BipartiteGraph:
-    """Reindex g as a bipartite graph with the given vertices as part V1."""
-    side1 = sorted(side1)
-    s1 = set(side1)
-    side2 = [v for v in range(g.n) if v not in s1]
-    m1 = mask_of(side1)
-    for u in side1:
-        if g.adj[u] & m1:
-            raise ValueError("side1 is not independent")
-    m2 = mask_of(side2)
-    for u in side2:
-        if g.adj[u] & m2:
-            raise ValueError("side2 is not independent")
-    return _bipartite_from_split(g, side1, side2)
 
 
 # ---------------------------------------------------------------------------
@@ -684,11 +660,18 @@ def _parse_ints(line: str, no: int, want: int) -> list[int]:
         raise ParseError(f"non-integer field in {line!r}", no) from None
 
 
+def _write_header(fh, g) -> None:
+    fh.write(f"{g.n}\n")
+    if isinstance(g, BipartiteGraph):
+        layout = (g.n0 + g.n1 + g.n2, _contiguous_parts(g.n0, g.n1, g.n2))
+        if (g.n, g._parts) != layout:
+            raise ValueError("only the contiguous part layout can be written")
+        fh.write(f"{g.n1} {g.n2}\n")
+
+
 def write_graph(g, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{g.n}\n")
-        if isinstance(g, BipartiteGraph):
-            fh.write(f"{g.n1} {g.n2}\n")
+        _write_header(fh, g)
         for u, v in g.edges():
             fh.write(f"{u} {v}\n")
 
@@ -736,9 +719,7 @@ def read_bipartite(path) -> BipartiteGraph:
 def write_coloring(col: EdgeColoring, path) -> None:
     g = col.graph
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{g.n}\n")
-        if isinstance(g, BipartiteGraph):
-            fh.write(f"{g.n1} {g.n2}\n")
+        _write_header(fh, g)
         fh.write(f"# colors: {col.r}\n")
         for u, v in g.edges():
             fh.write(f"{u} {v} {col.color_of(u, v)}\n")
@@ -753,7 +734,10 @@ def read_coloring(path, bipartite: bool = False, r: int | None = None) -> EdgeCo
     (n,) = _parse_ints(head, no, 1)
     n0 = n1 = n2 = 0
     if bipartite:
-        no2, head2 = next(lines)
+        try:
+            no2, head2 = next(lines)
+        except StopIteration:
+            raise ParseError("missing part-size header", no + 1) from None
         n1, n2 = _parse_ints(head2, no2, 2)
         n0 = n - n1 - n2
         if n0 < 0:

@@ -191,7 +191,8 @@ def behrend_set(N: int) -> ApFreeSet:
         hit = _sampled_three_ap(best, RngStream(179).derive("ap-check", N),
                                 AP_SAMPLE_COUNT)
         mode = "sampled"
-    assert hit is None, f"3-term progression in output: {hit}"
+    if hit is not None:
+        raise AssertionError(f"3-term progression in output: {hit}")
     return ApFreeSet(N=N, elements=best, stats={**meta, "check": mode})
 
 
@@ -307,7 +308,9 @@ def rs_from_behrend(N: int, chunk: Optional[int] = None) -> RsDecomposition:
     dec = RsDecomposition(graph=graph, matchings=tuple(mats),
                           spanning=spanning, stats=stats)
     ok, viol = verify_rs(dec)
-    assert ok, f"constructed decomposition failed verification: {viol}"
+    if not ok:
+        raise AssertionError(
+            f"constructed decomposition failed verification: {viol}")
     return dec
 
 
@@ -337,7 +340,9 @@ def bipartite_double(g, dec: RsDecomposition) -> RsDecomposition:
                           stats={"doubled_from": n, "source_n": dec.n,
                                  "source_t": dec.t})
     ok, viol = verify_rs(out)
-    assert ok, f"doubled decomposition failed verification: {viol}"
+    if not ok:
+        raise AssertionError(
+            f"doubled decomposition failed verification: {viol}")
     return out
 
 
@@ -478,7 +483,9 @@ def greedy_decompose(g, n: int, t_target: Optional[int] = None,
         dec = RsDecomposition(graph=sub, matchings=tuple(extracted),
                               spanning=True, stats=stats)
         ok, viol = verify_rs(dec)
-        assert ok, f"extracted decomposition failed verification: {viol}"
+        if not ok:
+            raise AssertionError(
+                f"extracted decomposition failed verification: {viol}")
         return dec
     bound = 1 if t_target is None else t_target
     red = tuple(sorted(e for mt in extracted for e in mt))
@@ -490,7 +497,9 @@ def greedy_decompose(g, n: int, t_target: Optional[int] = None,
                              stats={**stats,
                                     "red_max_degree": max(deg, default=0)})
     ok, viol = verify_falsifying(g, red, bound, n, budget=budget)
-    assert ok, f"falsifying coloring failed re-verification: {viol}"
+    if not ok:
+        raise AssertionError(
+            f"falsifying coloring failed re-verification: {viol}")
     return col
 
 
@@ -539,7 +548,9 @@ def arrow_check(g, t: int, n: int, mode: str = "exhaustive",
                            "reason": "search budget exhausted"})
             red = tuple(edges[i] for i in iter_bits(cm))
             ok, viol = verify_falsifying(g, red, t, n)
-            assert ok, f"falsifying coloring failed re-verification: {viol}"
+            if not ok:
+                raise AssertionError(
+                    f"falsifying coloring failed re-verification: {viol}")
             return ArrowInstance(graph=g, t=t, n=n, verdict="falsified",
                                  red=red,
                                  stats={"mode": "exhaustive",

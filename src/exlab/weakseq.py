@@ -25,8 +25,7 @@ from importlib import resources
 from typing import Optional, Sequence, Union
 
 from .core import (BipartiteGraph, Failure, Graph, GuardError, RetryError,
-                   RngStream, iter_bits, mask_of, random_equitable_bipartition,
-                   _bipartite_from_split)
+                   RngStream, iter_bits, mask_of, random_equitable_bipartition)
 
 ORACLE_MAX_N = 12
 KTT_MAX_T = 12
@@ -244,6 +243,34 @@ def cover_partition(B: BipartiteGraph, r: int, rng: RngStream,
     return best
 
 
+def _ktt_search(adj, order: list, t: int, idx: int, chosen: list,
+                common: int):
+    """Extend chosen by vertices from order[idx:] while their common
+    neighborhood keeps at least t vertices; first K_{t,t} found or None.
+
+    Module level rather than a closure: a self-referencing closure would
+    keep its graph alive until the cycle collector runs."""
+    if len(chosen) == t:
+        right = []
+        for b in iter_bits(common):
+            right.append(b)
+            if len(right) == t:
+                break
+        return tuple(chosen), tuple(right)
+    for i in range(idx, len(order)):
+        if len(chosen) + len(order) - i < t:
+            break
+        nxt = common & adj[order[i]]
+        if nxt.bit_count() < t:
+            continue
+        chosen.append(order[i])
+        hit = _ktt_search(adj, order, t, i + 1, chosen, nxt)
+        if hit is not None:
+            return hit
+        chosen.pop()
+    return None
+
+
 def find_ktt(T: BipartiteGraph, t: int):
     """Exact search for K_{t,t}: t-subsets (L, R) with all t^2 edges.
 
@@ -257,31 +284,8 @@ def find_ktt(T: BipartiteGraph, t: int):
         raise GuardError("overlay parts are not supported here")
     if T.n1 < t or T.n2 < t:
         return None
-    mask2 = T.mask(2)
     order = sorted(T.v1, key=lambda v: (-T.degree(v), v))
-
-    def search(idx: int, chosen: list, common: int):
-        if len(chosen) == t:
-            right = []
-            for b in iter_bits(common):
-                right.append(b)
-                if len(right) == t:
-                    break
-            return tuple(chosen), tuple(right)
-        for i in range(idx, len(order)):
-            if len(chosen) + len(order) - i < t:
-                break
-            nxt = common & T.adj[order[i]]
-            if nxt.bit_count() < t:
-                continue
-            chosen.append(order[i])
-            hit = search(i + 1, chosen, nxt)
-            if hit is not None:
-                return hit
-            chosen.pop()
-        return None
-
-    wit = search(0, [], mask2)
+    wit = _ktt_search(T.adj, order, t, 0, [], T.mask(2))
     if wit is None:
         return None
     left, right = wit
@@ -350,56 +354,36 @@ def as_complete_sequence(w: WeakSequence) -> WeakSequence:
 # The bicomplete sequence pipeline
 
 
-def _sub_bipartite(B: BipartiteGraph, side1: Sequence[int],
-                   side2: Sequence[int]) -> BipartiteGraph:
-    """Induced bipartite subgraph on (side1, side2); labels follow along."""
-    lab = B.labels if B.labels is not None else tuple(range(B.n))
-    n1 = len(side1)
-    pos = {v: i for i, v in enumerate(side1)}
-    pos.update({v: n1 + j for j, v in enumerate(side2)})
-    rows = [0] * (n1 + len(side2))
-    m2 = mask_of(side2)
-    for i, v in enumerate(side1):
-        row = 0
-        for w in iter_bits(B.adj[v] & m2):
-            row |= 1 << pos[w]
-        rows[i] = row
-    m1 = mask_of(side1)
-    for j, v in enumerate(side2):
-        row = 0
-        for w in iter_bits(B.adj[v] & m1):
-            row |= 1 << pos[w]
-        rows[n1 + j] = row
-    labels = [lab[v] for v in side1] + [lab[v] for v in side2]
-    return BipartiteGraph.from_adjacency(n1, len(side2), rows, labels=labels)
-
-
-def _incidence_graph(n_left: int, left_adj, block_masks,
-                     left_labels, block_labels) -> BipartiteGraph:
-    """Bipartite graph: left vertex ~ block iff some edge lands in it."""
-    d = len(block_masks)
-    rows = [0] * (n_left + d)
-    for i, adj in enumerate(left_adj):
-        row = 0
+def _incidence_graph(B: BipartiteGraph, blocks) -> BipartiteGraph:
+    """V2 of B against fresh block vertices B.n + j: v ~ block j iff some
+    edge of v lands in blocks[j], so block j's row is the union of its
+    members' rows.  V2 keeps B's vertex ids."""
+    d = len(blocks)
+    rows = [0] * (B.n + d)
+    block_masks = [mask_of(blk) for blk in blocks]
+    for v in B.v2:
+        adj = B.adj[v]
+        hits = 0
         for j, m in enumerate(block_masks):
             if adj & m:
-                row |= 1 << (n_left + j)
-        rows[i] = row
-        for j in iter_bits(row >> n_left):
-            rows[n_left + j] |= 1 << i
-    return BipartiteGraph.from_adjacency(n_left, d, rows,
-                                         labels=list(left_labels) + list(block_labels))
+                hits |= 1 << j
+        rows[v] = hits << B.n
+    for j, blk in enumerate(blocks):
+        reach = 0
+        for u in blk:
+            reach |= B.adj[u]
+        rows[B.n + j] = reach
+    parts = (0, B.mask(2), ((1 << d) - 1) << B.n)
+    return BipartiteGraph._from_parts(rows, parts)
 
 
 def _weakseq_stages(B0: BipartiteGraph, r: int, t: int, rng: RngStream,
                     retry_cap: int, stats: dict) -> Union[WeakSequence, Failure]:
-    """Filter/partition/incidence stages on a labeled bipartite graph.
+    """Filter/partition/incidence stages on a bipartite graph.
 
-    B0's labels must carry original host-graph vertex ids; the returned
-    sequence is expressed in that label space.
+    Every stage keeps B0's vertex ids, so the returned sequence is expressed
+    in them: the host graph's ids when B0 is induced from the host.
     """
-    if B0.labels is None:
-        raise GuardError("stage input must carry vertex labels")
     p = B0.density()
     if p == 0:
         return Failure("degree_filter", "empty bipartite graph", dict(stats))
@@ -409,11 +393,10 @@ def _weakseq_stages(B0: BipartiteGraph, r: int, t: int, rng: RngStream,
     stats["filter1_size"] = len(kept)
     stats["filter1_floor"] = p * B0.n2 / 2
 
-    v1 = list(B0.v1)
-    d = len(v1) // r
+    d = B0.n1 // r
     if d == 0:
         return Failure("cover_partition", "V1 smaller than r", dict(stats))
-    B1 = _sub_bipartite(B0, v1[:d * r], list(kept))
+    B1 = BipartiteGraph.induced(B0, mask_of(B0.v1[:d * r]), mask_of(kept))
     cp1 = cover_partition(B1, r, rng, retry_cap)
     stats["fraction1"] = cp1.fraction
     stats["threshold1"] = cp1.threshold
@@ -422,13 +405,8 @@ def _weakseq_stages(B0: BipartiteGraph, r: int, t: int, rng: RngStream,
         return Failure("cover_partition", "uncovered fraction above threshold",
                        dict(stats))
 
-    # incidence graph X: filtered vertices vs first-partition blocks
-    n_b = B1.n2
-    kept_ids = list(B1.v2)
-    block_masks1 = [mask_of(blk) for blk in cp1.blocks]
-    lab1 = B1.labels
-    X1 = _incidence_graph(n_b, [B1.adj[b] for b in kept_ids], block_masks1,
-                          [lab1[b] for b in kept_ids], range(d))
+    # incidence graph X1: filtered vertices vs first-partition blocks
+    X1 = _incidence_graph(B1, cp1.blocks)
 
     if p <= Fraction(3, r):
         stats["case"] = 1
@@ -452,11 +430,11 @@ def _weakseq_stages(B0: BipartiteGraph, r: int, t: int, rng: RngStream,
         stats["filter2_floor"] = Fraction(X1.n2, 2)
     stats["s_size"] = len(s_ids)
 
-    h = n_b // r
+    h = X1.n1 // r
     if h == 0:
         return Failure("cover_partition", "filtered side smaller than r",
                        dict(stats))
-    X2 = _sub_bipartite(X1, list(range(h * r)), list(s_ids))
+    X2 = BipartiteGraph.induced(X1, mask_of(X1.v1[:h * r]), mask_of(s_ids))
     cp2 = cover_partition(X2, r, rng, retry_cap)
     stats["fraction2"] = cp2.fraction
     stats["threshold2"] = cp2.threshold
@@ -466,11 +444,7 @@ def _weakseq_stages(B0: BipartiteGraph, r: int, t: int, rng: RngStream,
                        dict(stats))
 
     # final incidence graph T: S-blocks vs second-partition blocks
-    s_vertices = list(X2.v2)
-    block_masks2 = [mask_of(blk) for blk in cp2.blocks]
-    T = _incidence_graph(len(s_vertices),
-                         [X2.adj[s] for s in s_vertices], block_masks2,
-                         [X2.labels[s] for s in s_vertices], range(h))
+    T = _incidence_graph(X2, cp2.blocks)
     delta = 1 - T.density()
     stats["t_parts"] = (T.n1, T.n2)
     stats["t_delta"] = delta
@@ -479,11 +453,8 @@ def _weakseq_stages(B0: BipartiteGraph, r: int, t: int, rng: RngStream,
     if wit is None:
         return Failure("find_ktt", "no K_{t,t} witness", dict(stats))
     left, right = wit
-    lab2 = X2.labels
-    s_sets = tuple(frozenset(lab1[v] for v in cp1.blocks[T.labels[u]])
-                   for u in left)
-    t_sets = tuple(frozenset(lab2[v] for v in cp2.blocks[T.labels[j]])
-                   for j in right)
+    s_sets = tuple(frozenset(cp1.blocks[u - B1.n]) for u in left)
+    t_sets = tuple(frozenset(cp2.blocks[j - X2.n]) for j in right)
     return WeakSequence("bicomplete", r, t, s_sets, t_sets, dict(stats))
 
 
@@ -571,7 +542,7 @@ def paths_drc(H: BipartiteGraph, rng: RngStream,
         raise GuardError("overlay parts are not supported here")
     if H.n1 != H.n2:
         raise GuardError("parts must have equal size")
-    n = H.n
+    n = H.n1 + H.n2
     p = H.density()
     if p == 0:
         raise GuardError("H has no edges")
@@ -759,7 +730,7 @@ def minor_pipeline(G: Graph, r: int, t: int, rng: RngStream,
     if split is None:
         return Failure("split", "no dense balanced split", dict(stats))
     u_side, v_side = split
-    H = _bipartite_from_split(G, u_side, v_side)
+    H = BipartiteGraph.induced(G, mask_of(u_side), mask_of(v_side))
     stats["split_sizes"] = (len(u_side), len(v_side))
     stats["split_density"] = H.density()
 
@@ -794,31 +765,28 @@ def minor_pipeline(G: Graph, r: int, t: int, rng: RngStream,
     if Fraction(e_xz, xp * xp) < p / c.z_density_div:
         return Failure("zprime", "X'-Z' density below clause", dict(stats))
 
-    # second path extraction on (Z', X') in host-vertex space
-    h_labels = H.labels
-    h1 = _bipartite_from_split(G, sorted(h_labels[v] for v in zprime),
-                               sorted(h_labels[v] for v in xprime))
+    # second path extraction on (Z', X')
+    h1 = BipartiteGraph.induced(G, zp_mask, xp_mask)
     try:
         res2 = paths_drc(h1, rng, c.paths, retry_cap)
     except GuardError as err:
         return Failure("paths_drc[2]", str(err), dict(stats))
     if isinstance(res2, Failure):
         return Failure(res2.stage + "[2]", res2.reason, res2.stats)
-    y_host = sorted(h1.labels[v] for v in res2.X)
-    stats["y_size"] = len(y_host)
+    y = res2.X
+    stats["y_size"] = len(y)
     stats["path_budget2"] = res2.budget
 
-    xprime_host = sorted(h_labels[v] for v in xprime)
-    y_mask_host = mask_of(y_host)
-    if len(y_host) > len(xprime_host):
+    y_mask = mask_of(y)
+    if len(y) > len(xprime):
         return Failure("w_select", "Y larger than X'", dict(stats))
-    w_host = _top_by_degree(xprime_host, len(y_host), y_mask_host, G.adj)
-    e_wy = sum((G.adj[u] & y_mask_host).bit_count() for u in w_host)
-    stats["w_density"] = Fraction(e_wy, len(w_host) * len(y_host))
+    w = _top_by_degree(xprime, len(y), y_mask, G.adj)
+    e_wy = sum((G.adj[u] & y_mask).bit_count() for u in w)
+    stats["w_density"] = Fraction(e_wy, len(w) * len(y))
     if stats["w_density"] < p / c.w_density_div:
         return Failure("w_select", "W-Y density below clause", dict(stats))
 
-    b_wy = _bipartite_from_split(G, w_host, y_host)
+    b_wy = BipartiteGraph.induced(G, mask_of(w), y_mask)
     seq = _weakseq_stages(b_wy, r, t, rng, max(retry_cap, 100), dict(stats))
     if isinstance(seq, Failure):
         return seq

@@ -102,6 +102,13 @@ def test_extract_k33():
     assert res.trials_used >= 1
 
 
+def test_extract_keeps_the_host_part_layout():
+    host = complete_bipartite(3, 4).transpose()  # V1 now sits at the high ids
+    res = extract_free(host, K_rr(2), RngStream(3))
+    assert (res.subgraph.v1, res.subgraph.v2) == (host.v1, host.v2)
+    assert count_pattern(res.subgraph, K_rr(2)) == 0
+
+
 def test_extract_random_graphs():
     rng = RngStream(40)
     for seed in range(5):
@@ -188,6 +195,21 @@ def test_zarankiewicz_relabel_invariance():
     relabeled = [(pu[u], 4 + pv[v - 4]) for u, v in edges]
     redo = zarankiewicz_oracle(BipartiteGraph(4, 6, relabeled), r=2, s=2)
     assert base.exact and redo.exact and base.size == redo.size
+
+
+def test_zarankiewicz_transposed_host_matches_twin():
+    # |V1| > |V2| sends the host through transpose(), whose U sits at the
+    # high ids; the answer must equal the twin with U laid out first
+    rng = RngStream(5)
+    edges = [(u, 6 + v) for u in range(6) for v in range(4)
+             if rng.random() < 0.6]
+    wide = BipartiteGraph(6, 4, edges)
+    twin = BipartiteGraph(4, 6, [(v - 6, 4 + u) for u, v in edges])
+    for r, s in [(2, 2), (2, 3)]:
+        a = zarankiewicz_oracle(wide, r=r, s=s)
+        b = zarankiewicz_oracle(twin, r=r, s=s)
+        assert (a.size, a.exact, a.rows) == (b.size, b.exact, b.rows)
+        assert a.exact and any(a.rows)
 
 
 def test_zarankiewicz_budget_bracket():

@@ -10,7 +10,7 @@ from exlab.core import (BipartiteGraph, EdgeColoring, Graph, GuardError,
                         grid_lines, hypercube, iter_bits, mask_of,
                         random_coloring, random_equitable_bipartition,
                         random_graph, read_bipartite, read_coloring,
-                        read_graph, to_bipartite, try_bipartition,
+                        read_graph, try_bipartition,
                         write_coloring, write_graph)
 
 
@@ -146,23 +146,72 @@ def test_random_equitable_bipartition():
     assert part.cross_density >= part.base_density == g.density()
     bip = part.bipartite
     assert bip.cross_m() == part.cross_density * 400
-    # labels carry the original vertex ids
-    assert set(bip.labels) == set(range(40))
+    # the parts are the host's own vertex ids
+    assert bip.v1 == part.side1 and bip.v2 == part.side2
     with pytest.raises(RetryError):
         random_equitable_bipartition(g, RngStream(13), retry_cap=0)
 
 
-def test_try_bipartition_and_to_bipartite():
+def test_try_bipartition_and_induced():
     q3 = hypercube(3)
     sides = try_bipartition(q3)
     assert sides is not None
     side1, side2 = sides
     assert len(side1) == len(side2) == 4
-    bip = to_bipartite(q3, side1)
+    bip = BipartiteGraph.induced(q3, mask_of(side1), mask_of(side2))
     assert bip.m == 12 and bip.cross_m() == 12
+    assert bip.v1 == tuple(side1) and bip.labels == q3.labels
     assert try_bipartition(complete_graph(3)) is None
     with pytest.raises(ValueError):
-        to_bipartite(q3, [0, 1])  # adjacent vertices cannot share a side
+        BipartiteGraph.induced(q3, 0b011, 0b110)  # parts share vertex 1
+    with pytest.raises(ValueError):
+        BipartiteGraph.induced(q3, 0b1, 1 << 8)  # vertex 8 is not in Q_3
+
+
+def test_induced_keeps_host_ids():
+    g = random_graph(30, 0.5, RngStream(21))
+    host = Graph.from_adjacency(g.n, g.adj, labels=[f"x{v}" for v in range(30)])
+    side1 = [v for v in range(30) if v % 3 == 0]
+    side2 = [v for v in range(30) if v % 3 == 1]
+    bip = BipartiteGraph.induced(host, mask_of(side1), mask_of(side2))
+    assert bip.n == 30 and bip.labels == host.labels
+    assert (bip.v0, bip.v1, bip.v2) == ((), tuple(side1), tuple(side2))
+    assert (bip.n0, bip.n1, bip.n2) == (0, 10, 10)
+    assert bip.part_of(3) == 1 and bip.part_of(4) == 2
+    with pytest.raises(ValueError):
+        bip.part_of(2)  # left out of both parts
+    brute = sum(host.has_edge(u, v) for u in side1 for v in side2)
+    assert bip.cross_m() == bip.m == brute
+    assert bip.density() == Fraction(brute, 100)
+    for u, v in bip.edges():
+        assert host.has_edge(u, v) and bip.part_of(u) != bip.part_of(v)
+    assert all(bip.adj[v] == 0 for v in range(2, 30, 3))
+    # an induced view of a view keeps the same ids
+    sub = BipartiteGraph.induced(bip, mask_of(side1[:4]), mask_of(side2))
+    assert sub.v1 == tuple(side1[:4]) and sub.adj[side1[0]] == bip.adj[side1[0]]
+
+
+def test_transpose_swaps_parts_and_keeps_ids():
+    g = random_graph(24, 0.5, RngStream(8))
+    bip = BipartiteGraph.induced(g, mask_of(range(0, 24, 2)),
+                                 mask_of(range(1, 17, 2)))
+    t = bip.transpose()
+    assert (t.v1, t.v2) == (bip.v2, bip.v1)
+    assert (t.n1, t.n2) == (8, 12)
+    assert t.mask(1) == bip.mask(2) and t.mask(2) == bip.mask(1)
+    assert t.adj == bip.adj and t.n == bip.n and t.labels == bip.labels
+    assert t.cross_m() == bip.cross_m()
+    assert t != bip
+    assert t.transpose() == bip
+
+
+def test_write_rejects_non_contiguous_layouts(tmp_path):
+    g = random_graph(10, 0.5, RngStream(2))
+    view = BipartiteGraph.induced(g, mask_of([0, 2, 4]), mask_of([1, 3, 5]))
+    with pytest.raises(ValueError):
+        write_graph(view, tmp_path / "view.edges")
+    with pytest.raises(ValueError):
+        write_graph(complete_bipartite(2, 3).transpose(), tmp_path / "t.edges")
 
 
 def test_edge_coloring_validation():
@@ -255,3 +304,11 @@ def test_parse_errors(tmp_path):
     negcol.write_text("3\n0 1 -1\n")
     with pytest.raises(ParseError):
         read_coloring(negcol)
+
+
+def test_read_coloring_missing_part_header(tmp_path):
+    nohead = tmp_path / "nohead.edges"
+    nohead.write_text("4\n")
+    with pytest.raises(ParseError, match="missing part-size header") as ei:
+        read_coloring(nohead, bipartite=True)
+    assert ei.value.line_no == 2

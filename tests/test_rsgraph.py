@@ -1,9 +1,14 @@
 """Tests for progression-free sets, matching decompositions, and arrowing."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from exlab import rsgraph
 from exlab.core import Failure, Graph, GuardError, RngStream, complete_graph
 from exlab.rsgraph import (
     ApFreeSet,
@@ -440,3 +445,29 @@ def test_chunk_preserves_invariants_corpus():
         dbl = bipartite_double(dec.graph, dec)
         assert verify_rs(dbl) == (True, None)
         assert dbl.n == 2 * dec.n and dbl.t == dec.t
+
+
+_REJECTING_VERIFIER = """
+import sys
+import exlab.rsgraph as rs
+rs.verify_rs = lambda dec: (False, ("patched",))
+try:
+    rs.rs_from_behrend(15)
+except AssertionError as exc:
+    print(sys.flags.optimize, "raised", exc)
+else:
+    print(sys.flags.optimize, "returned")
+"""
+
+
+def test_postconditions_survive_optimize_flag():
+    # python -O strips assert statements; the re-verification must not be one
+    src = str(Path(rsgraph.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", _REJECTING_VERIFIER],
+                         capture_output=True, text=True, env=env, check=True,
+                         timeout=60)
+    assert out.stdout.split()[:2] == ["1", "raised"], out.stdout + out.stderr
+    assert "patched" in out.stdout

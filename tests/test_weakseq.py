@@ -1,6 +1,7 @@
 """Tests for degree filters, cover partitions, K_{t,t} search, the
 bicomplete-sequence pipeline, path extraction, and minor assembly."""
 
+import gc
 import itertools
 import math
 import warnings
@@ -183,6 +184,21 @@ def test_find_ktt_guards():
     with pytest.raises(GuardError):
         find_ktt(b, 13)
     assert find_ktt(b, 4) is None
+
+
+def test_find_ktt_frees_its_graph_without_the_cycle_collector():
+    # the stage graphs are large; a reference cycle would keep each one
+    # alive until a full collection and inflate the peak memory of a run
+    b = complete_bipartite(4, 4)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert find_ktt(b, 2) == ((0, 1), (4, 5))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
