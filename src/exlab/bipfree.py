@@ -168,12 +168,16 @@ def _copies_of_matching(combo, k: int):
         yield tuple(frozenset(o[i] for o in orderings) for i in range(k))
 
 
-def _count_hyper(G: KUniformHypergraph, r: int) -> int:
-    k = G.k
-    bound = math.factorial(k) ** r * math.comb(G.m, r)
+def _hyper_copy_guard(G: KUniformHypergraph, r: int) -> None:
+    bound = math.factorial(G.k) ** r * math.comb(G.m, r)
     if bound > MAX_COPY_BOUND:
         raise GuardError(
             f"copy bound (k!)^r * C(m,r) = {bound} exceeds {MAX_COPY_BOUND}")
+
+
+def _count_hyper(G: KUniformHypergraph, r: int) -> int:
+    k = G.k
+    _hyper_copy_guard(G, r)
     edges = sorted(G.edges, key=_edge_key)
     checked: dict[frozenset, bool] = {}
     for combo in itertools.combinations(edges, r):
@@ -548,9 +552,42 @@ def _ext_binom(t: Fraction, r: int) -> Fraction:
     return num / math.factorial(r)
 
 
+def _count_aligned(table: dict, r: int) -> int:
+    """Sum over r-subsets S_1..S_j of the prefix coordinates of
+    C(|AND of table over S_1 x ... x S_j|, r).
+
+    ``table`` maps j-tuples (one vertex per part) to a last-part mask; a
+    missing tuple stands for the empty mask.  The first coordinate is
+    collapsed by AND over each r-subset S_1, dropping masks with fewer than
+    r bits, and the rest recurses.
+    """
+    if () in table:
+        return math.comb(table[()].bit_count(), r)
+    by_head: dict[int, dict] = {}
+    for key, mask in table.items():
+        if mask.bit_count() >= r:
+            by_head.setdefault(key[0], {})[key[1:]] = mask
+    total = 0
+    for S in itertools.combinations(sorted(by_head), r):
+        sub = by_head[S[0]]
+        for x in S[1:]:
+            other = by_head[x]
+            sub = {key: mask & other[key] for key, mask in sub.items()
+                   if key in other}
+        total += _count_aligned(sub, r)
+    return total
+
+
 def kpartite_count_check(H: KUniformHypergraph, parts: Sequence[Sequence[int]],
                          r: int) -> KPartiteCheck:
     """Exact pattern count versus the binomial lower bounds in H.
+
+    The count is part-aligned: since every edge takes one vertex from each
+    part, each part of a copy lies in its own host part, so the count is
+    the sum over r-subsets S_i of U_i (i <= k-1) of C(c, r), where c is the
+    number of U_k vertices completing all r^(k-1) transversals; the
+    transversal masks are ANDed as bitsets.  Inputs over count_pattern's
+    copy bound are rejected as there.
 
     a = m / prod(|U_i|, i >= 2).  The stated bound is
     C_ext(a-k+1, r) * prod(C(|U_i|, r), i <= k-1); the inductive base case
@@ -577,7 +614,16 @@ def kpartite_count_check(H: KUniformHypergraph, parts: Sequence[Sequence[int]],
     prod_binom = math.prod(math.comb(len(p), r) for p in parts[:-1])
     bound = _ext_binom(a - k + 1, r) * prod_binom
     proof_bound = _ext_binom(a - k + 2, r) * prod_binom
-    count = count_pattern(H, Pattern(k, r))
+    Pattern(k, r)  # the same rejections as count_pattern
+    _hyper_copy_guard(H, r)
+    # every edge is transversal, so each part of a copy lies inside its own
+    # host part: index edges by their (k-1)-prefix, one U_k mask per prefix
+    table: dict[tuple, int] = {}
+    for e in H.edges:
+        *prefix, last = sorted(e, key=part_of.__getitem__)
+        key = tuple(prefix)
+        table[key] = table.get(key, 0) | 1 << last
+    count = _count_aligned(table, r)
     return KPartiteCheck(count=count, a=a, bound=bound,
                          proof_bound=proof_bound, passed=count >= bound,
                          proof_passed=count >= proof_bound)

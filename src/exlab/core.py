@@ -115,6 +115,31 @@ class RngStream:
         self.position += 1
         return self._rng.getrandbits(k)
 
+    def randrange_bytes(self, n: int, count: int) -> bytes:
+        """``count`` values of ``randrange(n)``, 1 <= n < 256, as a bytes object.
+
+        Consumes exactly the Mersenne Twister words of ``count`` separate
+        :meth:`randrange` calls, so the values, the generator state and
+        ``position`` afterwards all equal theirs.  CPython's randrange(n)
+        takes the top ``n.bit_length()`` bits of one 32-bit word and redraws
+        while the value is >= n; getrandbits(32*m) returns the next m words
+        little-endian, so each word's top byte is byte 4i+3.  Rejected
+        values are deleted and exactly the shortfall is redrawn.
+        """
+        shift = 8 - n.bit_length()
+        if not 0 <= shift < 8:
+            raise ValueError(f"randrange_bytes needs 1 <= n < 256, got {n}")
+        table = bytes(b >> shift for b in range(256))
+        rejected = bytes(b for b in range(256) if b >> shift >= n)
+        out = b""
+        while len(out) < count:
+            need = count - len(out)
+            words = self._rng.getrandbits(32 * need).to_bytes(4 * need,
+                                                              "little")
+            out += words[3::4].translate(table, rejected)
+        self.position += count
+        return out
+
     def choice(self, seq: Sequence):
         self.position += 1
         return self._rng.choice(seq)
@@ -441,13 +466,47 @@ class EdgeColoring:
 
 
 def random_coloring(graph, r: int, stream: RngStream) -> EdgeColoring:
-    """Uniform random r-coloring of the host's edges."""
+    """Uniform random r-coloring of the host's edges.
+
+    Edge colors are ``stream.randrange(r)`` in ``graph.edges()`` order.  For
+    r < 256 they are drawn in bulk by :meth:`RngStream.randrange_bytes`,
+    which matches the per-edge draws exactly, and scattered into an n*n byte
+    matrix (0xFF: no edge).  Row u, read as the column above the diagonal
+    followed by the row's own upper part, turns into each color's mask of u
+    by one ``bytes.translate``.
+    """
+    if r < 1:
+        raise ValueError("need at least one color")
     n = graph.n
+    if r >= 256:
+        rows = [[0] * n for _ in range(r)]
+        for u, v in graph.edges():
+            c = stream.randrange(r)
+            rows[c][u] |= 1 << v
+            rows[c][v] |= 1 << u
+        return EdgeColoring.from_rows(graph, rows, r)
+    uppers = [graph.adj[u] >> (u + 1) for u in range(n)]
+    colors = stream.randrange_bytes(r, sum(up.bit_count() for up in uppers))
+    M = bytearray(b"\xff") * (n * n)
+    at = 0
+    for u, up in enumerate(uppers):
+        d = up.bit_count()
+        if not d:
+            continue
+        base = u * n + u + 1
+        lo = (up & -up).bit_length() - 1
+        if up >> lo == (1 << d) - 1:  # contiguous run, e.g. a complete host
+            M[base + lo:base + lo + d] = colors[at:at + d]
+        else:
+            for i, off in enumerate(iter_bits(up)):
+                M[base + off] = colors[at + i]
+        at += d
+    masks = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(r)]
     rows = [[0] * n for _ in range(r)]
-    for u, v in graph.edges():
-        c = stream.randrange(r)
-        rows[c][u] |= 1 << v
-        rows[c][v] |= 1 << u
+    for u in range(n):
+        line = (M[u::n][:u] + M[u * n + u:(u + 1) * n])[::-1]
+        for c in range(r):
+            rows[c][u] = int(line.translate(masks[c]), 2)
     return EdgeColoring.from_rows(graph, rows, r)
 
 

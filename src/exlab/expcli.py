@@ -14,8 +14,10 @@ result types, so replay comparisons are byte-exact without shipping
 full graphs.  The report command renders one row per record, sorted by
 module then operation, as JSON, CSV, or a markdown table.
 
-Trials fan out to a process pool when EXLAB_THREADS is set above 1;
-record assembly stays a single-writer aggregation keyed by trial index.
+Trials fan out to a process pool when EXLAB_THREADS is set above 1,
+capped at the CPU count and the trial count; record assembly stays a
+single-writer aggregation keyed by trial index.  A replayed record must
+carry this build's RNG algorithm name.
 """
 
 from __future__ import annotations
@@ -165,6 +167,32 @@ def read_record(path) -> dict:
         return json.load(fh)
 
 
+_SPEC_FIELDS = ("module", "operation", "params", "seed", "trials", "preset")
+_AGGREGATE_FIELDS = ("trials", "successes", "success_rate")
+
+
+def _check_record(rec, source) -> "ExperimentSpec":
+    """The spec a record echoes; ValueError unless the record has the
+    current schema and every field that replay and report read."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"record {source} is not a JSON object")
+    version = rec.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"schema version mismatch in {source}: "
+                         f"{version} != {SCHEMA_VERSION}")
+    for name, kind in (("spec", dict), ("trials", list),
+                       ("aggregate", dict)):
+        if not isinstance(rec.get(name), kind):
+            raise ValueError(f"record {source} has no {name!r} "
+                             f"{'object' if kind is dict else 'list'}")
+    missing = [f"spec.{f}" for f in _SPEC_FIELDS if f not in rec["spec"]]
+    missing += [f"aggregate.{f}" for f in _AGGREGATE_FIELDS
+                if f not in rec["aggregate"]]
+    if missing:
+        raise ValueError(f"record {source} lacks {', '.join(missing)}")
+    return _spec_from_dict(rec["spec"], source)
+
+
 # ---------------------------------------------------------------------------
 # Operation registry
 
@@ -194,7 +222,7 @@ def _resolve_params(opdef: OpDef, params: dict) -> dict:
         if name in params and params[name] is not None:
             try:
                 out[name] = cast(params[name])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise GuardError(f"parameter {name!r}: {exc}") from None
         elif default is _REQUIRED:
             raise GuardError(f"missing required parameter {name!r}")
@@ -771,7 +799,7 @@ def _run_one_trial(module: str, op: str, params: dict, seed: int,
     try:
         ok, outcome, witness, stats = OPS[(module, op)].runner(params, rng,
                                                                preset)
-    except (GuardError, RetryError, ValueError, AssertionError) as exc:
+    except Exception as exc:  # a failing trial is recorded, never lost
         ok, outcome, witness = False, f"error:{type(exc).__name__}", None
         stats = {"error": str(exc), "key": 0}
     return {"trial": index, "ok": bool(ok), "outcome": outcome,
@@ -783,14 +811,15 @@ def _pool_trial(args) -> dict:
     return _run_one_trial(*args)
 
 
-def _thread_count() -> int:
+def _thread_count(trials: int) -> int:
+    """Worker processes for a run: EXLAB_THREADS, capped at the CPU count
+    and the trial count; 1 when unset or not an integer."""
     raw = os.environ.get("EXLAB_THREADS", "").strip()
-    if not raw:
-        return 1
     try:
-        return max(1, int(raw))
+        wanted = int(raw) if raw else 1
     except ValueError:
         return 1
+    return max(1, min(wanted, os.cpu_count() or 1, trials))
 
 
 def run(spec: ExperimentSpec) -> ExperimentRecord:
@@ -799,8 +828,8 @@ def run(spec: ExperimentSpec) -> ExperimentRecord:
     t0 = time.perf_counter()
     jobs = [(spec.module, spec.operation, params, spec.seed, spec.preset, i)
             for i in range(spec.trials)]
-    workers = _thread_count()
-    if workers > 1 and spec.trials > 1:
+    workers = _thread_count(spec.trials)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             trials = list(pool.map(_pool_trial, jobs))
     else:
@@ -833,14 +862,13 @@ def run(spec: ExperimentSpec) -> ExperimentRecord:
 def replay(path) -> tuple[bool, ExperimentRecord]:
     """Re-run a record's spec and compare per-trial outcomes byte-exactly."""
     rec = read_record(path)
-    version = rec.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"schema version mismatch in {path}: "
-                         f"{version} != {SCHEMA_VERSION}")
-    echo = rec["spec"]
-    spec = ExperimentSpec(module=echo["module"], operation=echo["operation"],
-                          params=echo["params"], seed=echo["seed"],
-                          trials=echo["trials"], preset=echo["preset"])
+    spec = _check_record(rec, path)
+    rng = rec.get("rng")
+    algorithm = rng.get("algorithm") if isinstance(rng, dict) else None
+    if algorithm != RngStream.ALGORITHM:
+        raise ValueError(f"record {path} was drawn with RNG algorithm "
+                         f"{algorithm!r}; this build replays "
+                         f"{RngStream.ALGORITHM!r}")
     fresh = run(spec)
     match = (json.dumps(fresh.trials, sort_keys=True)
              == json.dumps(rec["trials"], sort_keys=True))
@@ -870,14 +898,14 @@ def _record_row(rec: dict) -> dict:
             "key_max": agg.get("key_max", "")}
 
 
-def report_rows(records) -> list:
-    """One row per record dict, sorted by module then operation."""
+def report_rows(records, sources=None) -> list:
+    """One row per record dict, sorted by module then operation.
+
+    ``sources`` names the records in error messages (default: #index).
+    """
     rows = []
-    for rec in records:
-        version = rec.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"schema version mismatch: {version} != "
-                             f"{SCHEMA_VERSION}")
+    for i, rec in enumerate(records):
+        _check_record(rec, sources[i] if sources else f"#{i}")
         rows.append(_record_row(rec))
     rows.sort(key=lambda r: (r["module"], r["op"], r["params"]))
     return rows
@@ -904,15 +932,9 @@ def render_report(rows, fmt: str) -> str:
 
 def report(paths, fmt: str = "md") -> str:
     """Render a summary table for stored records; flags version mismatches."""
-    records = []
-    for path in paths:
-        rec = read_record(path)
-        if rec.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"schema version mismatch in {path}: "
-                             f"{rec.get('schema_version')} != "
-                             f"{SCHEMA_VERSION}")
-        records.append(rec)
-    return render_report(report_rows(records), fmt)
+    paths = list(paths)
+    records = [read_record(path) for path in paths]
+    return render_report(report_rows(records, paths), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,18 +1083,32 @@ def _spec_from_args(args) -> ExperimentSpec:
                           preset=args.preset, out=args.out)
 
 
-def _spec_from_file(path, out=None) -> ExperimentSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def _spec_from_dict(data, source, out=None) -> ExperimentSpec:
+    """Spec from a spec file's or a record's JSON; GuardError on bad types."""
+    if not isinstance(data, dict):
+        raise GuardError(f"spec in {source} must be a JSON object")
     op = data.get("operation", data.get("op"))
     if not isinstance(data.get("module"), str) or not isinstance(op, str):
-        raise GuardError(f"spec file {path} needs 'module' and 'operation'")
+        raise GuardError(f"spec in {source} needs 'module' and 'operation'")
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise GuardError(f"spec in {source}: 'params' must be a JSON object")
+    try:
+        seed, trials = int(data.get("seed", 0)), int(data.get("trials", 1))
+    except (TypeError, ValueError, OverflowError):
+        raise GuardError(f"spec in {source}: 'seed' and 'trials' must be "
+                         f"integers") from None
+    out = out if out is not None else data.get("out")
+    if out is not None and not isinstance(out, str):
+        raise GuardError(f"spec in {source}: 'out' must be a path string")
     return ExperimentSpec(module=data["module"], operation=op,
-                          params=dict(data.get("params", {})),
-                          seed=int(data.get("seed", 0)),
-                          trials=int(data.get("trials", 1)),
-                          preset=data.get("preset", "desk"),
-                          out=out if out is not None else data.get("out"))
+                          params=dict(params), seed=seed, trials=trials,
+                          preset=data.get("preset", "desk"), out=out)
+
+
+def _spec_from_file(path, out=None) -> ExperimentSpec:
+    with open(path, "r", encoding="utf-8") as fh:
+        return _spec_from_dict(json.load(fh), path, out)
 
 
 def _execute_spec(spec: ExperimentSpec, fmt: str, dry_run: bool) -> int:

@@ -11,6 +11,8 @@ resampling embedder, and re-checks the returned copy edge by edge.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import warnings
@@ -26,18 +28,34 @@ MAX_ENUMERATION = 10 ** 6
 DIRECT_FALLBACK_N = 64
 
 
+@functools.lru_cache(maxsize=16)
+def _colex_columns(n: int, k: int) -> tuple:
+    """For j = k..2, the binomials C(a, j) for a in [j-1, n-k+j-1].
+
+    The j-th greedy digit of a k-subset of range(n) in the combinatorial
+    number system lies in that window, so the table has (k-1)(n-k+1)
+    entries even when k or n-k is small.
+    """
+    return tuple([math.comb(a, j) for a in range(j - 1, n - k + j)]
+                 for j in range(k, 1, -1))
+
+
 def _unrank_combination(rank: int, n: int, k: int) -> tuple:
-    """The rank-th k-subset of range(n) in lexicographic order."""
+    """The rank-th k-subset of range(n) in lexicographic order.
+
+    The lex rank maps to the colex rank C(n,k)-1-rank of the complemented
+    set {n-1-c}, whose greedy combinatorial-number-system digits a_i are
+    found by one ``bisect_right`` each over a cached column of binomials;
+    element i is n-1-a_i.  The last digit is the remainder itself.
+    """
+    rest = math.comb(n, k) - 1 - rank
     out = []
-    c = 0
-    for j in range(k, 0, -1):
-        cnt = math.comb(n - c - 1, j - 1)
-        while rank >= cnt:
-            rank -= cnt
-            c += 1
-            cnt = cnt * (n - c - j + 1) // (n - c)
-        out.append(c)
-        c += 1
+    for j, column in zip(range(k, 1, -1), _colex_columns(n, k)):
+        a = bisect.bisect_right(column, rest) + j - 2
+        rest -= column[a - j + 1]
+        out.append(n - 1 - a)
+    if k:
+        out.append(n - 1 - rest)
     return tuple(out)
 
 

@@ -7,10 +7,10 @@ import pytest
 from exlab.core import (BipartiteGraph, Graph, GuardError, KUniformHypergraph,
                         RetryError, RngStream, complete_bipartite,
                         complete_graph, random_graph)
-from exlab.bipfree import (K_k_rr, K_rr, count_pattern, extract_free,
-                           extraction_target, kpartite_count_check,
-                           kpartite_instance, tight_instance,
-                           zarankiewicz_oracle)
+from exlab.bipfree import (K_k_rr, K_rr, _count_hyper, count_pattern,
+                           extract_free, extraction_target,
+                           kpartite_count_check, kpartite_instance,
+                           tight_instance, zarankiewicz_oracle)
 
 
 def brute_count_krr2(g):
@@ -256,6 +256,34 @@ def test_kpartite_check_random_subgraphs():
             chk = kpartite_count_check(
                 KUniformHypergraph(inst.hypergraph.n, k, sub), inst.parts, 2)
             assert chk.passed
+
+
+def test_kpartite_check_part_aligned_count_matches_enumeration():
+    for k in (2, 3):
+        inst = kpartite_instance(k, 2, 2)
+        edges = sorted(inst.hypergraph.edges, key=lambda e: tuple(sorted(e)))
+        for seed in range(8):
+            s = RngStream(900 + seed).derive("sub", k)
+            keep = s.random()
+            H = KUniformHypergraph(inst.hypergraph.n, k,
+                                   [e for e in edges if s.random() < keep])
+            chk = kpartite_count_check(H, inst.parts, 2)
+            assert chk.count == _count_hyper(H, 2), (k, seed)
+    inst = kpartite_instance(2, 3, 3)  # parts of sizes 3 and 27, r = 3
+    s = RngStream(77)
+    H = KUniformHypergraph(inst.hypergraph.n, 2,
+                           [e for e in sorted(inst.hypergraph.edges, key=sorted)
+                            if s.random() < 0.6])
+    count = kpartite_count_check(H, inst.parts, 3).count
+    assert count == _count_hyper(H, 3) > 0
+    full = kpartite_instance(3, 2, 2)
+    assert kpartite_count_check(full.hypergraph, full.parts, 2).count == 720
+
+
+def test_kpartite_check_keeps_the_copy_bound_guard():
+    inst = kpartite_instance(2, 2, 29)  # m = 29^3 edges: 4*C(m,2) > 10^9
+    with pytest.raises(GuardError, match="copy bound"):
+        kpartite_count_check(inst.hypergraph, inst.parts, 2)
 
 
 def test_kpartite_check_validation():

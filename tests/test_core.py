@@ -239,6 +239,47 @@ def test_edge_coloring_callable_and_random():
         assert rnd.color_of(u, v) in (0, 1)
 
 
+def coloring_rows_per_edge(graph, r, stream):
+    """Reference coloring: one stream.randrange(r) per edge in edges() order."""
+    rows = [[0] * graph.n for _ in range(r)]
+    for u, v in graph.edges():
+        c = stream.randrange(r)
+        rows[c][u] |= 1 << v
+        rows[c][v] |= 1 << u
+    return tuple(tuple(row) for row in rows)
+
+
+def test_random_coloring_matches_per_edge_draws():
+    view = BipartiteGraph.induced(complete_graph(14), 0b10100101001,
+                                  0b1001001010010)
+    hosts = [complete_graph(30), random_graph(40, 0.2, RngStream(8)),
+             random_graph(25, 0.9, RngStream(9)), view, grid_lines(4),
+             Graph(9), complete_graph(1), complete_graph(0)]
+    for host in hosts:
+        for r in (1, 2, 3, 5, 255, 256, 257):
+            bulk, single = RngStream(1234), RngStream(1234)
+            col = random_coloring(host, r, bulk)
+            assert col.rows == coloring_rows_per_edge(host, r, single), \
+                (host, r)
+            assert bulk.position == single.position
+            assert bulk._rng.getstate() == single._rng.getstate()
+    with pytest.raises(ValueError):
+        random_coloring(complete_graph(3), 0, RngStream(1))
+
+
+def test_randrange_bytes_matches_randrange():
+    for n in (1, 2, 3, 7, 128, 200, 255):
+        bulk, single = RngStream(n), RngStream(n)
+        got = bulk.randrange_bytes(n, 300)
+        assert list(got) == [single.randrange(n) for _ in range(300)]
+        assert bulk.position == single.position == 300
+        assert bulk._rng.getstate() == single._rng.getstate()
+    assert RngStream(5).randrange_bytes(3, 0) == b""
+    for bad in (0, 256):
+        with pytest.raises(ValueError):
+            RngStream(5).randrange_bytes(bad, 4)
+
+
 def test_graph_io_round_trip(tmp_path):
     g = random_graph(12, 0.4, RngStream(3))
     path = tmp_path / "g.edges"

@@ -1,5 +1,6 @@
 """Orchestration tests: canonical forms, records, replay, reports, CLI."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -237,6 +238,63 @@ def test_replay_restores_fraction_parameters(tmp_path):
     assert match
 
 
+def _write_json(path, data):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+
+
+def test_replay_checks_rng_algorithm(tmp_path):
+    path = tmp_path / "rec.json"
+    expcli.run(ExperimentSpec("rsgraph", "behrend", {"N": 100},
+                              out=str(path)))
+    stored = expcli.read_record(path)
+    stored["rng"]["algorithm"] = "pcg64/other"
+    _write_json(path, stored)
+    with pytest.raises(ValueError, match="pcg64/other"):
+        expcli.replay(path)
+    del stored["rng"]
+    _write_json(path, stored)
+    with pytest.raises(ValueError, match="RNG algorithm None"):
+        expcli.replay(path)
+
+
+def test_failing_trial_of_any_type_is_recorded(tmp_path, monkeypatch):
+    monkeypatch.delenv("EXLAB_THREADS", raising=False)
+    key = ("setmap", "violate")
+    runner = expcli.OPS[key].runner
+    calls = []
+
+    def flaky(params, rng, preset):
+        calls.append(1)
+        if len(calls) == 2:
+            raise TypeError("runner bug")
+        return runner(params, rng, preset)
+
+    monkeypatch.setitem(expcli.OPS, key,
+                        dataclasses.replace(expcli.OPS[key], runner=flaky))
+    path = tmp_path / "rec.json"
+    rec = expcli.run(ExperimentSpec("setmap", "violate", {"k": 2, "n": 6},
+                                    seed=7, trials=4, out=str(path)))
+    assert [t["ok"] for t in rec.trials] == [True, False, True, True]
+    assert rec.trials[1]["outcome"] == "error:TypeError"
+    assert rec.trials[1]["stats"]["error"] == "runner bug"
+    assert expcli.read_record(path)["trials"] == rec.trials
+
+
+def test_thread_count_is_capped(monkeypatch):
+    monkeypatch.setattr(expcli.os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("EXLAB_THREADS", raising=False)
+    assert expcli._thread_count(10) == 1
+    for raw, trials, want in (("64", 10, 4), ("64", 3, 3), ("2", 10, 2),
+                              ("0", 10, 1), ("-5", 10, 1), ("x", 10, 1),
+                              ("3", 1, 1)):
+        monkeypatch.setenv("EXLAB_THREADS", raw)
+        assert expcli._thread_count(trials) == want, raw
+    monkeypatch.setattr(expcli.os, "cpu_count", lambda: None)
+    monkeypatch.setenv("EXLAB_THREADS", "8")
+    assert expcli._thread_count(10) == 1
+
+
 def test_parallel_pool_matches_sequential(monkeypatch):
     spec = ExperimentSpec("setmap", "violate", {"k": 2, "n": 6},
                           seed=7, trials=6)
@@ -382,6 +440,53 @@ def test_main_spec_file_needs_module_and_operation(tmp_path, capsys):
     spec_path.write_text(json.dumps({"params": {"n": 6}}))
     assert expcli.main(["run", str(spec_path)]) == 2
     assert "module" in capsys.readouterr().err
+
+
+def _assert_input_error(argv, capsys):
+    assert expcli.main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_main_spec_file_must_be_an_object(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    for data in ([1, 2], "setmap", 3, None):
+        _write_json(spec_path, data)
+        _assert_input_error(["run", str(spec_path)], capsys)
+    for bad in ({"params": [1]}, {"seed": None}, {"trials": "many"},
+                {"out": 5}, {"seed": 1e999}, {"params": {"k": 1e999}}):
+        _write_json(spec_path, {"module": "setmap", "operation": "violate",
+                                **bad})
+        _assert_input_error(["run", str(spec_path)], capsys)
+
+
+def test_main_replay_and_report_reject_incomplete_records(tmp_path, capsys):
+    path = tmp_path / "rec.json"
+    expcli.run(ExperimentSpec("setmap", "violate", {"k": 2, "n": 6},
+                              trials=2, out=str(path)))
+    good = expcli.read_record(path)
+    broken = tmp_path / "broken.json"
+    for field in ("spec", "trials", "aggregate"):
+        _write_json(broken, {k: v for k, v in good.items() if k != field})
+        _assert_input_error(["replay", str(broken)], capsys)
+        _assert_input_error(["report", str(broken)], capsys)
+    for mutate in (lambda r: r["spec"].pop("seed"),
+                   lambda r: r["aggregate"].pop("successes"),
+                   lambda r: r["spec"].update(params=[1])):
+        rec = json.loads(json.dumps(good))
+        mutate(rec)
+        _write_json(broken, rec)
+        _assert_input_error(["replay", str(broken)], capsys)
+        _assert_input_error(["report", str(broken)], capsys)
+    _write_json(broken, [good])
+    _assert_input_error(["replay", str(broken)], capsys)
+    _assert_input_error(["report", str(broken)], capsys)
+    rec = json.loads(json.dumps(good))
+    rec["rng"]["algorithm"] = "other"
+    _write_json(broken, rec)
+    _assert_input_error(["replay", str(broken)], capsys)
 
 
 def test_main_exclusive_graph_sources(capsys):

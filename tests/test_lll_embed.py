@@ -28,9 +28,43 @@ def brute_member(dch, S):
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
+def unrank_linear(rank, n, k):
+    """Reference unranking: step through the lex order one element at a time."""
+    out = []
+    c = 0
+    for j in range(k, 0, -1):
+        cnt = math.comb(n - c - 1, j - 1)
+        while rank >= cnt:
+            rank -= cnt
+            c += 1
+            cnt = cnt * (n - c - j + 1) // (n - c)
+        out.append(c)
+        c += 1
+    return tuple(out)
+
+
 def test_unrank_matches_lex_order():
-    combos = list(itertools.combinations(range(8), 3))
-    assert [_unrank_combination(r, 8, 3) for r in range(len(combos))] == combos
+    for n in range(1, 10):
+        for k in range(1, n + 1):  # includes k = 1 and k = n
+            got = [_unrank_combination(r, n, k)
+                   for r in range(math.comb(n, k))]
+            assert got == [unrank_linear(r, n, k)
+                           for r in range(math.comb(n, k))], (n, k)
+            assert got == list(itertools.combinations(range(n), k))
+
+
+def test_unrank_matches_linear_reference_at_sampled_ranks():
+    total = math.comb(128, 3)
+    stream = RngStream(31)
+    ranks = [0, 1, total - 2, total - 1] + [stream.randrange(total)
+                                            for _ in range(2000)]
+    for r in ranks:
+        assert _unrank_combination(r, 128, 3) == unrank_linear(r, 128, 3)
+    assert _unrank_combination(0, 128, 3) == (0, 1, 2)
+    assert _unrank_combination(total - 1, 128, 3) == (125, 126, 127)
+    # k = 1 over a large range and k = n - 1 need no large tables
+    assert _unrank_combination(12345, 10 ** 7, 1) == (12345,)
+    assert _unrank_combination(1, 5000, 4999) == tuple(range(4998)) + (4999,)
 
 
 def test_dch_construction_and_counts():
