@@ -39,6 +39,7 @@ from typing import Callable, Optional
 
 from . import bipfree, lll_embed, removal, rsgraph, setmap, weakseq
 from .core import (
+    MAX_HYPERCUBE_DIM,
     BipartiteGraph,
     EdgeColoring,
     Failure,
@@ -205,7 +206,15 @@ def _frac(x) -> Fraction:
 
 @dataclass(frozen=True)
 class OpDef:
-    """Runner plus parameter schema {name: (cast, default)} and checks."""
+    """Runner plus parameter schema {name: (cast, default[, help])} and checks.
+
+    The schema is the only declaration of an operation's parameters: the
+    command line offers each ``name`` as ``--name`` (underscores as dashes),
+    typed by ``cast`` when it is int or float and described by the help of
+    the module's first operation that declares ``name``.  A runner returns
+    ``(ok, outcome, witness, stats)`` or a ``Failure``, which the trial
+    records as outcome ``failure:<stage>``.
+    """
 
     runner: Callable
     schema: dict
@@ -218,11 +227,12 @@ def _resolve_params(opdef: OpDef, params: dict) -> dict:
     for name, value in params.items():
         if name not in opdef.schema:
             raise GuardError(f"unknown parameter {name!r}")
-    for name, (cast, default) in opdef.schema.items():
+    for name, (cast, default, *_) in opdef.schema.items():
         if name in params and params[name] is not None:
             try:
                 out[name] = cast(params[name])
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError, OverflowError,
+                    ZeroDivisionError) as exc:
                 raise GuardError(f"parameter {name!r}: {exc}") from None
         elif default is _REQUIRED:
             raise GuardError(f"missing required parameter {name!r}")
@@ -330,6 +340,7 @@ def _run_setmap_oracle(params, rng, preset):
 def _bipfree_check(params: dict) -> None:
     if params["r"] < 2:
         raise GuardError(f"pattern order r must be >= 2, got {params['r']}")
+    _positive(params, "retry_cap")
     _graph_source(params)
 
 
@@ -371,10 +382,19 @@ def _run_bipfree_tight(params, rng, preset):
 
 
 def _bipfree_kcheck_check(params: dict) -> None:
-    if params["k"] < 2 or params["r"] < 2 or params["n"] < 2:
+    k, r, n = params["k"], params["r"], params["n"]
+    if k < 2 or r < 2 or n < 2:
         raise GuardError("need k >= 2, r >= 2, n >= 2")
     if not 0 < params["p"] <= 1:
         raise GuardError(f"edge keep probability {params['p']} outside (0, 1]")
+    # The desk-scale guard allows n^(1 + r + ... + r^(k-1)) <= 10^5 edges,
+    # so k <= 4, r <= 15 and n <= 46; larger values are rejected before
+    # kpartite_instance computes the part sizes n^(r^i).
+    if k > 4 or r > 15 or n > 46:
+        raise GuardError(f"instance K({k}, {r}, {n}) exceeds desk scale")
+    H = bipfree.kpartite_instance(k, r, n).hypergraph
+    if params["p"] == 1:  # below 1 the copy bound depends on the draw
+        bipfree._hyper_copy_guard(H, r)
 
 
 def _run_bipfree_kcheck(params, rng, preset):
@@ -396,8 +416,18 @@ def _run_bipfree_kcheck(params, rng, preset):
 # --- embed -----------------------------------------------------------------
 
 
+def _cube_check(params: dict) -> None:
+    _positive(params, "d")
+    if params["d"] > MAX_HYPERCUBE_DIM:
+        raise GuardError(f"hypercube dimension {params['d']} exceeds guard "
+                         f"{MAX_HYPERCUBE_DIM}")
+
+
 def _embed_lemma_check(params: dict) -> None:
-    _positive(params, "N", "k", "d", "round_cap")
+    _positive(params, "N", "k", "round_cap")
+    _cube_check(params)
+    if params["k"] > params["N"]:
+        raise GuardError(f"need k <= N, got k={params['k']}, N={params['N']}")
     if not 0 <= params["delta"] < 1:
         raise GuardError(f"deletion fraction {params['delta']} outside [0, 1)")
 
@@ -409,8 +439,7 @@ def _run_embed_lemma(params, rng, preset):
     res = lll_embed.resample_embed(H, G, rng.derive("embed"),
                                    params["round_cap"])
     if isinstance(res, Failure):
-        return False, f"failure:{res.stage}", res, {"reason": res.reason,
-                                                    "key": 0}
+        return res
     return True, "embedded", res, {"rounds": res.rounds, "key": res.rounds}
 
 
@@ -448,8 +477,7 @@ def _run_embed_pipeline(params, rng, preset):
                                         params["drc_retry"],
                                         params["round_cap"])
     if isinstance(res, Failure):
-        return False, f"failure:{res.stage}", res, {"reason": res.reason,
-                                                    "key": 0}
+        return res
     stats = {"color": res.color, "drc_tries": res.drc_tries,
              "rounds": res.resample_rounds, "key": res.resample_rounds}
     return True, "embedded", res, stats
@@ -466,32 +494,29 @@ def _run_embed_cube(params, rng, preset):
 
 def _weakseq_check(params: dict) -> None:
     _positive(params, "n", "r", "t", "retry_cap")
-    p = params.get("p")
-    if p is not None and not 0 < p <= 1:
-        raise GuardError(f"edge probability {p} outside (0, 1]")
+    _graph_source(params)
+
+
+def _weakseq_sequence(params, rng):
+    """The host and its weak-sequence pipeline result (or Failure)."""
+    G = _host_graph(params, rng)
+    t = params["t"] or weakseq.regime2_order(G.n, G.density(), params["r"])
+    return G, weakseq.weak_sequence_pipeline(G, params["r"], t,
+                                             rng.derive("pipe"),
+                                             params["retry_cap"])
 
 
 def _run_weakseq_pipeline(params, rng, preset):
-    G = _host_graph(params, rng)
-    t = params["t"] or weakseq.regime2_order(G.n, G.density(), params["r"])
-    res = weakseq.weak_sequence_pipeline(G, params["r"], t,
-                                         rng.derive("pipe"),
-                                         params["retry_cap"])
+    _, res = _weakseq_sequence(params, rng)
     if isinstance(res, Failure):
-        return False, f"failure:{res.stage}", res, {"reason": res.reason,
-                                                    "key": 0}
+        return res
     return True, "sequence", res, {"t": res.t, "r": res.r, "key": res.t}
 
 
 def _run_weakseq_verify(params, rng, preset):
-    G = _host_graph(params, rng)
-    t = params["t"] or weakseq.regime2_order(G.n, G.density(), params["r"])
-    res = weakseq.weak_sequence_pipeline(G, params["r"], t,
-                                         rng.derive("pipe"),
-                                         params["retry_cap"])
+    G, res = _weakseq_sequence(params, rng)
     if isinstance(res, Failure):
-        return False, f"failure:{res.stage}", res, {"reason": res.reason,
-                                                    "key": 0}
+        return res
     ok, viol = weakseq.verify_sequence(G, res)
     stats = {"t": res.t, "violation": canonical(viol), "key": res.t}
     return ok, "verified" if ok else "violation", res, stats
@@ -507,8 +532,7 @@ def _run_weakseq_minor(params, rng, preset):
                                      bool(params["diameter_aware"]),
                                      params["retry_cap"])
     if isinstance(res, Failure):
-        return False, f"failure:{res.stage}", res, {"reason": res.reason,
-                                                    "key": 0}
+        return res
     ok, viol = weakseq.verify_minor(G, res)
     stats = {"t": len(res.branch_sets), "size_cap": res.size_cap,
              "diameter_cap": res.diameter_cap, "key": len(res.branch_sets)}
@@ -564,8 +588,7 @@ def _run_rsgraph_decompose(params, rng, preset):
     res = rsgraph.greedy_decompose(g, params["n"], params.get("t"),
                                    params.get("budget"))
     if isinstance(res, Failure):
-        return False, f"failure:{res.stage}", res, {"reason": res.reason,
-                                                    "key": 0}
+        return res
     if isinstance(res, rsgraph.FalsifyingColoring):
         stats = {"red_edges": len(res.red), "key": 0}
         return True, "falsified", res, stats
@@ -658,18 +681,27 @@ def _run_removal_grid(params, rng, preset):
 # --- registry ---------------------------------------------------------------
 
 _SETMAP_BASE = {"k": (int, 2), "n": (int, _REQUIRED),
-                "variant": (str, "full_factorial")}
-_GRAPH_SRC = {"n": (int, None), "p": (float, None), "input": (str, None)}
-_GRID_SRC = {"grid_file": (str, None), "N": (int, None), "r": (int, None)}
+                "variant": (str, "full_factorial",
+                            "one of " + ", ".join(_SETMAP_VARIANTS))}
+_GRAPH_SRC = {"n": (int, None), "p": (float, None),
+              "input": (str, None, "edge-list graph file")}
+_WEAKSEQ_SEQ = {**_GRAPH_SRC, "r": (int, 4), "t": (int, None),
+                "retry_cap": (int, 200)}
+_GRID_SRC = {"grid_file": (str, None, "grid coloring file"),
+             "N": (int, None, "random grid side"),
+             "r": (int, None, "random grid colors")}
 
 OPS = {
     ("setmap", "construct"): OpDef(_run_setmap_construct, dict(_SETMAP_BASE),
                                    _setmap_check, "ground"),
     ("setmap", "violate"): OpDef(_run_setmap_violate,
-                                 {**_SETMAP_BASE, "size": (int, None)},
+                                 {**_SETMAP_BASE,
+                                  "size": (int, None, "sampled region size")},
                                  _setmap_check, "found"),
     ("setmap", "oracle"): OpDef(_run_setmap_oracle,
-                                {**_SETMAP_BASE, "mode": (str, "disjoint"),
+                                {**_SETMAP_BASE,
+                                 "mode": (str, "disjoint",
+                                          "disjoint or not_subset"),
                                  "budget": (int, None)},
                                 _setmap_oracle_check, "size"),
     ("bipfree", "count"): OpDef(_run_bipfree_count,
@@ -681,7 +713,8 @@ OPS = {
                                   _bipfree_check, "size_over_floor"),
     ("bipfree", "tight"): OpDef(_run_bipfree_tight,
                                 {"r": (int, 2), "s": (int, 2),
-                                 "m": (int, _REQUIRED),
+                                 "m": (int, _REQUIRED,
+                                       "edge count of the tight instance"),
                                  "budget": (int, None)},
                                 _bipfree_tight_check, "size"),
     ("bipfree", "kcheck"): OpDef(_run_bipfree_kcheck,
@@ -690,8 +723,11 @@ OPS = {
                                  _bipfree_kcheck_check, "count"),
     ("embed", "lemma"): OpDef(_run_embed_lemma,
                               {"N": (int, 128), "k": (int, 3),
-                               "delta": (_frac, Fraction(9, 1000)),
-                               "d": (int, 3), "round_cap": (int, 10000)},
+                               "delta": (_frac, Fraction(9, 1000),
+                                         "host deletion fraction, e.g. "
+                                         "9/1000"),
+                               "d": (int, 3, "hypercube dimension"),
+                               "round_cap": (int, 10000)},
                               _embed_lemma_check, "rounds"),
     ("embed", "drc"): OpDef(_run_embed_drc,
                             {"N": (int, 32), "p": (float, 0.75),
@@ -703,37 +739,25 @@ OPS = {
                                  {"N": (int, 512), "d": (int, 3),
                                   "drc_retry": (int, 200),
                                   "round_cap": (int, 10000)},
-                                 lambda p: _positive(p, "N", "d"),
+                                 lambda p: (_positive(p, "N", "drc_retry",
+                                                      "round_cap"),
+                                            _cube_check(p)),
                                  "rounds"),
-    ("embed", "cube"): OpDef(_run_embed_cube, {"d": (int, 3)},
-                             lambda p: _positive(p, "d"), "edges"),
-    ("weakseq", "pipeline"): OpDef(_run_weakseq_pipeline,
-                                   {**_GRAPH_SRC, "r": (int, 4),
-                                    "t": (int, None),
-                                    "retry_cap": (int, 200)},
-                                   lambda p: (_weakseq_check(p),
-                                              _graph_source(p)),
-                                   "t"),
-    ("weakseq", "verify"): OpDef(_run_weakseq_verify,
-                                 {**_GRAPH_SRC, "r": (int, 4),
-                                  "t": (int, None),
-                                  "retry_cap": (int, 200)},
-                                 lambda p: (_weakseq_check(p),
-                                            _graph_source(p)),
-                                 "t"),
+    ("embed", "cube"): OpDef(_run_embed_cube, {"d": (int, 3)}, _cube_check,
+                             "edges"),
+    ("weakseq", "pipeline"): OpDef(_run_weakseq_pipeline, _WEAKSEQ_SEQ,
+                                   _weakseq_check, "t"),
+    ("weakseq", "verify"): OpDef(_run_weakseq_verify, _WEAKSEQ_SEQ,
+                                 _weakseq_check, "t"),
     ("weakseq", "minor"): OpDef(_run_weakseq_minor,
                                 {**_GRAPH_SRC, "r": (int, 2),
                                  "t": (int, 4),
                                  "diameter_aware": (int, 1),
                                  "retry_cap": (int, 50)},
-                                lambda p: (_weakseq_check(p),
-                                           _graph_source(p)),
-                                "t"),
+                                _weakseq_check, "t"),
     ("weakseq", "oracle"): OpDef(_run_weakseq_oracle,
                                  {**_GRAPH_SRC, "r": (int, 2)},
-                                 lambda p: (_weakseq_oracle_check(p),
-                                            _graph_source(p)),
-                                 "best"),
+                                 _weakseq_oracle_check, "best"),
     ("rsgraph", "behrend"): OpDef(_run_rsgraph_behrend,
                                   {"N": (int, _REQUIRED)},
                                   lambda p: _positive(p, "N"), "size"),
@@ -755,7 +779,8 @@ OPS = {
     ("rsgraph", "arrow"): OpDef(_run_rsgraph_arrow,
                                 {"N": (int, 4), "t": (int, _REQUIRED),
                                  "n": (int, _REQUIRED),
-                                 "mode": (str, "exhaustive")},
+                                 "mode": (str, "exhaustive",
+                                          "exhaustive or theorem")},
                                 _rsgraph_arrow_check, "arrows"),
     ("removal", "census"): OpDef(_run_removal_census, dict(_GRID_SRC),
                                  _removal_check, "total"),
@@ -797,11 +822,14 @@ def _run_one_trial(module: str, op: str, params: dict, seed: int,
                    preset: str, index: int) -> dict:
     rng = RngStream(seed).derive("trial", index)
     try:
-        ok, outcome, witness, stats = OPS[(module, op)].runner(params, rng,
-                                                               preset)
+        res = OPS[(module, op)].runner(params, rng, preset)
     except Exception as exc:  # a failing trial is recorded, never lost
-        ok, outcome, witness = False, f"error:{type(exc).__name__}", None
-        stats = {"error": str(exc), "key": 0}
+        res = (False, f"error:{type(exc).__name__}", None,
+               {"error": str(exc), "key": 0})
+    if isinstance(res, Failure):
+        res = (False, f"failure:{res.stage}", res,
+               {"reason": res.reason, "key": 0})
+    ok, outcome, witness, stats = res
     return {"trial": index, "ok": bool(ok), "outcome": outcome,
             "witness": digest(witness) if witness is not None else None,
             "stats": canonical(stats)}
@@ -941,15 +969,32 @@ def report(paths, fmt: str = "md") -> str:
 # Command line
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=1)
-    parser.add_argument("--preset", choices=PRESETS, default="desk")
-    parser.add_argument("--out", help="record path (JSON)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="stdout summary format")
-    parser.add_argument("--dry-run", action="store_true",
-                        help="validate and print resolved parameters only")
+_MODULE_HELP = {
+    "setmap": "set mappings and free-set violations",
+    "bipfree": "pattern counting and free extraction",
+    "embed": "resampled embeddings and Ramsey copies",
+    "weakseq": "weak sequences and clique minors",
+    "rsgraph": "AP-free sets and induced matchings",
+    "removal": "triangle covers and grid corners",
+}
+
+# Flags kept beside the generated ones, (module, flag) -> the parameters
+# they set.  setmap selects its operation with --mode, so its ``mode``
+# parameter is reachable only as --oracle-mode.
+_ALIASES = {("setmap", "--oracle-mode"): ("mode",),
+            ("bipfree", "--random"): ("n", "p"),
+            ("removal", "--random-grid"): ("N", "r")}
+
+
+def _module_params(module: str) -> dict:
+    """{name: (cast, help)} over the module's operations; the first
+    operation to declare a parameter gives its cast and help."""
+    params = {}
+    for (mod, _), opdef in OPS.items():
+        if mod == module:
+            for name, (cast, _default, *text) in opdef.schema.items():
+                params.setdefault(name, (cast, text[0] if text else None))
+    return params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -958,80 +1003,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Randomized extremal-combinatorics constructions with "
                     "independent verification.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # copying a parent's actions into each module subcommand costs less
+    # than adding them six times over, and build_parser runs on every main
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--trials", type=int, default=1)
+    common.add_argument("--preset", choices=PRESETS, default="desk")
+    common.add_argument("--out", help="record path (JSON)")
+    common.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="stdout summary format")
+    common.add_argument("--dry-run", action="store_true",
+                        help="validate and print resolved parameters only")
 
-    p = sub.add_parser("setmap", help="set mappings and free-set violations")
-    p.add_argument("--mode", dest="op", required=True,
-                   choices=("construct", "violate", "oracle"))
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--variant", choices=_SETMAP_VARIANTS)
-    p.add_argument("--size", type=int, help="sampled region size")
-    p.add_argument("--oracle-mode", dest="mode",
-                   choices=("disjoint", "not_subset"))
-    p.add_argument("--budget", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("bipfree", help="pattern counting and free extraction")
-    p.add_argument("--op", required=True,
-                   choices=("count", "extract", "tight", "kcheck"))
-    p.add_argument("--r", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int, help="edge count for tight instances")
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--input", help="edge-list graph file")
-    p.add_argument("--random", nargs=2, metavar=("N", "P"),
-                   help="random host G(N, P)")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--retry-cap", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("embed", help="resampled embeddings and Ramsey copies")
-    p.add_argument("--op", required=True,
-                   choices=("lemma", "drc", "pipeline", "cube"))
-    p.add_argument("--N", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--delta", help="host deletion fraction, e.g. 9/1000")
-    p.add_argument("--d", type=int, help="hypercube dimension")
-    p.add_argument("--eps")
-    p.add_argument("--b")
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--round-cap", type=int)
-    p.add_argument("--drc-retry", type=int)
-    p.add_argument("--retry-cap", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("weakseq", help="weak sequences and clique minors")
-    p.add_argument("--op", required=True,
-                   choices=("pipeline", "minor", "verify", "oracle"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--r", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--input", help="edge-list graph file")
-    p.add_argument("--retry-cap", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("rsgraph", help="AP-free sets and induced matchings")
-    p.add_argument("--op", required=True,
-                   choices=("behrend", "construct", "double", "decompose",
-                            "arrow"))
-    p.add_argument("--N", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--chunk", type=int)
-    p.add_argument("--mode", choices=("exhaustive", "theorem"))
-    p.add_argument("--budget", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("removal", help="triangle covers and grid corners")
-    p.add_argument("--op", required=True,
-                   choices=("census", "step", "iterate", "diamond", "grid"))
-    p.add_argument("--grid-file")
-    p.add_argument("--random-grid", nargs=2, type=int, metavar=("N", "R"))
-    _add_common(p)
+    for module in MODULES:
+        p = sub.add_parser(module, help=_MODULE_HELP[module],
+                           parents=[common])
+        selector = "--mode" if module == "setmap" else "--op"
+        p.add_argument(selector, dest="op", required=True,
+                       choices=[op for mod, op in OPS if mod == module])
+        params = _module_params(module)
+        for name, (cast, text) in params.items():
+            flag = "--" + name.replace("_", "-")
+            if flag != selector:
+                p.add_argument(flag, help=text, type=cast
+                               if cast in (int, float) else None)
+        for (mod, flag), names in _ALIASES.items():
+            if mod == module:
+                same = " ".join(f"--{n} {n.upper()}" for n in names)
+                p.add_argument(flag, nargs=len(names),
+                               metavar=tuple(n.upper() for n in names),
+                               help=params[names[0]][1] if len(names) == 1
+                               else f"same as {same}")
 
     p = sub.add_parser("run", help="execute a JSON experiment spec")
     p.add_argument("spec", help="spec file path")
@@ -1049,35 +1051,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_params(args, names) -> dict:
-    params = {}
-    for name in names:
-        value = getattr(args, name.replace("-", "_"), None)
-        if value is not None:
-            params[name] = value
-    return params
-
-
-_MODULE_FLAGS = {
-    "setmap": ("k", "n", "variant", "size", "mode", "budget"),
-    "bipfree": ("r", "s", "k", "m", "n", "p", "input", "budget",
-                "retry_cap"),
-    "embed": ("N", "k", "delta", "d", "eps", "b", "n", "p", "round_cap",
-              "drc_retry", "retry_cap"),
-    "weakseq": ("n", "p", "r", "t", "input", "retry_cap"),
-    "rsgraph": ("N", "n", "t", "chunk", "mode", "budget"),
-    "removal": ("grid_file",),
-}
-
-
 def _spec_from_args(args) -> ExperimentSpec:
     module = args.command
-    params = _collect_params(args, _MODULE_FLAGS[module])
-    if module == "bipfree" and getattr(args, "random", None):
-        params["n"] = int(args.random[0])
-        params["p"] = float(args.random[1])
-    if module == "removal" and getattr(args, "random_grid", None):
-        params["N"], params["r"] = args.random_grid
+    params = {name: getattr(args, name) for name in _module_params(module)
+              if getattr(args, name, None) is not None}
+    for (mod, flag), names in _ALIASES.items():
+        values = getattr(args, flag[2:].replace("-", "_"), None)
+        if mod == module and values is not None:
+            params.update(zip(names, values))
     return ExperimentSpec(module=module, operation=args.op, params=params,
                           seed=args.seed, trials=args.trials,
                           preset=args.preset, out=args.out)
@@ -1132,7 +1113,7 @@ def _execute_spec(spec: ExperimentSpec, fmt: str, dry_run: bool) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in _MODULE_FLAGS:
+        if args.command in MODULES:
             return _execute_spec(_spec_from_args(args), args.format,
                                  args.dry_run)
         if args.command == "run":

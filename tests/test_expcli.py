@@ -494,3 +494,121 @@ def test_main_exclusive_graph_sources(capsys):
                         "--input", "somefile"])
     assert code == 2
     assert "not both" in capsys.readouterr().err
+
+
+def test_main_fraction_with_zero_denominator_is_input_error(tmp_path,
+                                                            capsys):
+    _assert_input_error(["embed", "--op", "lemma", "--delta", "1/0"], capsys)
+    spec_path = tmp_path / "spec.json"
+    _write_json(spec_path, {"module": "embed", "operation": "drc",
+                            "params": {"eps": "1/0"}})
+    _assert_input_error(["run", str(spec_path)], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--op", "cube", "--d", "21"],
+    ["embed", "--op", "lemma", "--d", "21"],
+    ["embed", "--op", "pipeline", "--d", "21"],
+    ["embed", "--op", "lemma", "--N", "3", "--k", "5"],
+    ["bipfree", "--op", "kcheck", "--k", "3", "--n", "7"],
+    ["bipfree", "--op", "kcheck", "--k", "3", "--n", "5"],
+    ["bipfree", "--op", "kcheck", "--k", "5", "--n", "2", "--p", "0.5"],
+], ids=["cube-d21", "lemma-d21", "pipeline-d21", "lemma-k-above-N",
+        "kcheck-edge-guard", "kcheck-copy-bound", "kcheck-k5"])
+def test_main_parameter_guards_are_input_errors(argv, capsys):
+    _assert_input_error(argv, capsys)
+
+
+def test_main_draw_dependent_copy_bound_stays_a_trial_failure(tmp_path,
+                                                              capsys):
+    out = tmp_path / "rec.json"
+    code = expcli.main(["bipfree", "--op", "kcheck", "--k", "3", "--n", "4",
+                        "--p", "0.5", "--out", str(out)])
+    assert code == 1
+    capsys.readouterr()
+    trial, = expcli.read_record(out)["trials"]
+    assert trial["outcome"] == "error:GuardError"
+    assert "copy bound" in trial["stats"]["error"]
+
+
+def test_kcheck_sizes_past_desk_scale_never_build_the_instance(monkeypatch):
+    def build(*args):
+        raise AssertionError("kpartite_instance called")
+    monkeypatch.setattr(expcli.bipfree, "kpartite_instance", build)
+    for params in ({"k": 40}, {"r": 99}, {"n": 10 ** 9}):
+        with pytest.raises(GuardError, match="desk scale"):
+            expcli.validate_spec(ExperimentSpec("bipfree", "kcheck", params))
+
+
+@pytest.mark.parametrize("argv", [
+    ["bipfree", "--op", "extract", "--random", "20", "0.5", "--retry-cap",
+     "0"],
+    ["embed", "--op", "pipeline", "--drc-retry", "0"],
+    ["embed", "--op", "pipeline", "--round-cap", "0"],
+], ids=["extract-retry-cap", "pipeline-drc-retry", "pipeline-round-cap"])
+def test_main_caps_must_be_positive(argv, capsys):
+    assert expcli.main(argv) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The op table drives the command line
+
+
+def _cli_flag(module: str, name: str) -> str:
+    return "--oracle-mode" if (module, name) == ("setmap", "mode") \
+        else "--" + name.replace("_", "-")
+
+
+def _cli_argv(spec: ExperimentSpec) -> list:
+    argv = [spec.module, "--mode" if spec.module == "setmap" else "--op",
+            spec.operation]
+    for name, value in spec.params.items():
+        argv += [_cli_flag(spec.module, name), str(value)]
+    return argv + ["--seed", str(spec.seed), "--trials", str(spec.trials)]
+
+
+def test_every_schema_parameter_is_a_flag():
+    parser = expcli.build_parser()
+    for (module, op), opdef in expcli.OPS.items():
+        for name, (cast, *_) in opdef.schema.items():
+            value = "3" if cast in (int, float) else "1/2"
+            spec = expcli._spec_from_args(parser.parse_args(_cli_argv(
+                ExperimentSpec(module, op, {name: value}))))
+            assert spec.params == {name: cast(value) if cast in (int, float)
+                                   else value}, (module, op, name)
+
+
+def test_flags_and_spec_file_give_the_same_dry_run(tmp_path, capsys):
+    from test_record_corpus import CORPUS
+
+    spec_path = tmp_path / "spec.json"
+    for spec in CORPUS.values():
+        assert expcli.main(_cli_argv(spec) + ["--dry-run"]) == 0, spec
+        from_flags = capsys.readouterr().out
+        _write_json(spec_path, {"module": spec.module,
+                                "operation": spec.operation,
+                                "params": spec.params, "seed": spec.seed,
+                                "trials": spec.trials})
+        assert expcli.main(["run", str(spec_path), "--dry-run"]) == 0
+        assert capsys.readouterr().out == from_flags, spec
+
+
+def test_aliases_set_the_same_parameters_as_flags(capsys):
+    for alias, flags in (
+            (["bipfree", "--op", "count", "--random", "30", "0.5"],
+             ["bipfree", "--op", "count", "--n", "30", "--p", "0.5"]),
+            (["removal", "--op", "grid", "--random-grid", "8", "3"],
+             ["removal", "--op", "grid", "--N", "8", "--r", "3"])):
+        assert expcli.main(alias + ["--dry-run"]) == 0
+        via_alias = capsys.readouterr().out
+        assert expcli.main(flags + ["--dry-run"]) == 0
+        assert capsys.readouterr().out == via_alias
+
+
+def test_flag_types_agree_within_a_module():
+    casts = {}
+    for (module, _), opdef in expcli.OPS.items():
+        for name, (cast, *_) in opdef.schema.items():
+            assert casts.setdefault((module, name), cast) is cast, \
+                (module, name)
