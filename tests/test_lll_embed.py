@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from exlab import expcli
 from exlab.core import (BipartiteGraph, EdgeColoring, Failure, Graph,
                         GuardError, RetryError, RngStream, complete_bipartite,
                         complete_graph, hypercube, random_coloring,
@@ -118,6 +119,68 @@ def test_random_dense_dch_frozen_counts():
     assert all(full.member(S) for S in itertools.combinations(range(20), 2))
     again = random_dense_dch(20, 3, 0.01, RngStream(5))
     assert again.deleted == d.deleted
+
+
+def _q3_bipartite():
+    q3 = hypercube(3)
+    side1, side2 = try_bipartition(q3)
+    pos = {v: i for i, v in enumerate(side1 + side2)}
+    return BipartiteGraph(4, 4, [tuple(sorted((pos[u], pos[v])))
+                                 for u, v in q3.edges()])
+
+
+def _random_bipartite(half, p, seed):
+    rng = RngStream(seed)
+    return BipartiteGraph(half, half, [(u, half + v) for u in range(half)
+                                       for v in range(half)
+                                       if rng.random() < p])
+
+
+# SHA-256 of expcli.canonical for hosts built every public way, pinned while
+# the deleted top edges were still stored as tuples
+DCH_DIGESTS = {
+    "empty": "04cf2f6f365739d44d1654e81184adb23a7371166634c1e430aa58e5460206c2",
+    "explicit":
+        "cac6734dff36b1ac7ff99fbf7661cdab0a66e3eebcf9ce055531ed3c04134121",
+    "top_edges":
+        "23a3dd1bb0f725834f894c95758763ee0661e5587bf216c982ff31610eb9f0df",
+    "random_20_3":
+        "01ef42db5101847ca2b6885b6282192e732f33d2346a181e5709c0c97e7f4421",
+    "random_10_4":
+        "5ec7b1a13f6b8adc68984ec110f1cf083af3d8413d41142bfa40b74880bfe1e0",
+    "gate6_host":
+        "31d0216a227aaeaff1db5dafd461aca30bc1dcdcc15d06415d081433044986c9",
+    "aux_c6":
+        "45518bd7218a699fae1faeac184a00e88d69f6a208a66ee21585fedabc5c261f",
+    "aux_q3_random":
+        "c054ebf2eeaa089d41c111bdf090fd50c42fd7618d8515ec80bad41d420be7a4",
+}
+
+
+def test_dch_canonical_digests_are_pinned():
+    c6 = BipartiteGraph(3, 3, [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4),
+                               (2, 5)])
+    h = BipartiteGraph(2, 2, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    hosts = {
+        "empty": DownClosedHypergraph(8, 3),
+        "explicit": DownClosedHypergraph(6, 3, [(2, 1, 0), (5, 3, 4),
+                                                [0, 2, 5]]),
+        "top_edges": DownClosedHypergraph.from_top_edges(
+            6, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 4)]),
+        "random_20_3": random_dense_dch(20, 3, Fraction(1, 100),
+                                        RngStream(5)),
+        "random_10_4": random_dense_dch(10, 4, Fraction(35, 100),
+                                        RngStream(9)),
+        "gate6_host": random_dense_dch(128, 3, Fraction(9, 1000),
+                                       RngStream(1000)),
+        "aux_c6": build_aux_pair(h, (0, 1, 2), c6, 2).dch,
+        "aux_q3_random": build_aux_pair(_q3_bipartite(), range(24),
+                                        _random_bipartite(24, 0.5, 77),
+                                        3).dch,
+    }
+    assert hosts["aux_q3_random"].missing_count == 876
+    assert {name: expcli.digest(d) for name, d in hosts.items()} \
+        == DCH_DIGESTS
 
 
 def test_random_dense_dch_guards():
