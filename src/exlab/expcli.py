@@ -28,6 +28,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -426,8 +427,18 @@ def _cube_check(params: dict) -> None:
 def _embed_lemma_check(params: dict) -> None:
     _positive(params, "N", "k", "round_cap")
     _cube_check(params)
-    if params["k"] > params["N"]:
-        raise GuardError(f"need k <= N, got k={params['k']}, N={params['N']}")
+    N, k, d = params["N"], params["k"], params["d"]
+    if k > N:
+        raise GuardError(f"need k <= N, got k={k}, N={N}")
+    if d > k:
+        raise GuardError(f"hypercube neighbourhoods have {d} vertices, more "
+                         f"than the host uniformity k={k}")
+    # C(N, j) >= C(2j, j) >= 2^j, so a large j needs no big binomial
+    j = min(k, N - k)
+    if (j >= lll_embed.MAX_TOP_LEVEL.bit_length()
+            or math.comb(N, j) > lll_embed.MAX_TOP_LEVEL):
+        raise GuardError(f"C(N,k) for N={N}, k={k} exceeds "
+                         f"{lll_embed.MAX_TOP_LEVEL}")
     if not 0 <= params["delta"] < 1:
         raise GuardError(f"deletion fraction {params['delta']} outside [0, 1)")
 
@@ -594,6 +605,14 @@ def _run_rsgraph_decompose(params, rng, preset):
         return True, "falsified", res, stats
     return True, "decomposition", res, {"t": res.t, "n": res.n,
                                         "key": res.t}
+
+
+def _rsgraph_decompose_check(params: dict) -> None:
+    _positive(params, "N", "n", "t", "budget")
+    cap = rsgraph.DECOMPOSE_VERTEX_CAP
+    if params["budget"] is None and params["N"] > cap:
+        raise GuardError(f"host has {params['N']} > {cap} vertices; pass an "
+                         "explicit budget")
 
 
 def _rsgraph_arrow_check(params: dict) -> None:
@@ -773,9 +792,7 @@ OPS = {
                                     {"N": (int, 4), "n": (int, _REQUIRED),
                                      "t": (int, None),
                                      "budget": (int, None)},
-                                    lambda p: _positive(p, "N", "n", "t",
-                                                        "budget"),
-                                    "t"),
+                                    _rsgraph_decompose_check, "t"),
     ("rsgraph", "arrow"): OpDef(_run_rsgraph_arrow,
                                 {"N": (int, 4), "t": (int, _REQUIRED),
                                  "n": (int, _REQUIRED),

@@ -1,7 +1,9 @@
 """Down-closed hypergraphs, resampling embeddings, and dependent random choice.
 
-A down-closed hypergraph is stored through its missing top-level edges, so
-dense instances cost memory proportional to what was deleted.  Targets embed
+A down-closed hypergraph is stored through the lex ranks of its missing
+top-level edges, so dense instances cost memory proportional to what was
+deleted; random hosts keep the ranks they draw and are never unranked unless
+a lower level is queried or the deleted edges are read.  Targets embed
 by redrawing the variables of the lowest-index violated event (vertex-pair
 collisions first, then non-member edge images) until no event is violated;
 every success is re-verified.  The two-color pipeline combines the majority
@@ -12,6 +14,7 @@ resampling embedder, and re-checks the returned copy edge by edge.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
 import math
@@ -59,56 +62,93 @@ def _unrank_combination(rank: int, n: int, k: int) -> tuple:
     return tuple(out)
 
 
+def _rank_combination(t: Sequence[int], n: int, k: int) -> int:
+    """Lex rank of the sorted k-subset t of range(n); inverts
+    ``_unrank_combination``.
+
+    The complement {n-1-c} has colex rank sum_i C(n-1-t[i], k-i), and the
+    lex rank is C(n,k)-1 minus that.
+    """
+    rest = 0
+    for i, c in enumerate(t):
+        rest += math.comb(n - 1 - c, k - i)
+    return math.comb(n, k) - 1 - rest
+
+
 class DownClosedHypergraph:
     """k-uniform top level minus a deleted set; lower levels by containment.
 
     An l-subset (l <= k) is a member iff it lies inside some surviving top
-    edge, which keeps the edge set down-closed by construction.
+    edge, which keeps the edge set down-closed by construction.  The deleted
+    top edges are stored as the frozenset ``deleted_ranks`` of their lex
+    ranks (the order of ``_unrank_combination``), so a top-level query looks
+    up one rank.  A lower-level query at level l reads a count, per l-set, of
+    the deleted top edges containing it; that index is built from the
+    deleted edges on the first query at level l.
     """
 
-    __slots__ = ("N", "k", "deleted", "_deleted_sets")
+    __slots__ = ("N", "k", "deleted_ranks", "_superset_counts")
 
     def __init__(self, N: int, k: int, deleted: Iterable = ()):
         if not 1 <= k <= N:
             raise GuardError("need 1 <= k <= N")
-        dels = set()
-        for item in deleted:
-            t = tuple(sorted(item))
-            if len(t) != k or len(set(t)) != k:
-                raise ValueError(f"deleted item {t} is not a {k}-set")
-            if not (0 <= t[0] and t[-1] < N):
-                raise ValueError(f"deleted item {t} out of range")
-            dels.add(t)
         self.N = N
         self.k = k
-        self.deleted = frozenset(dels)
-        self._deleted_sets = tuple(frozenset(t) for t in sorted(dels))
+        self.deleted_ranks = frozenset(
+            _rank_combination(self._k_set(item), N, k) for item in deleted)
+        self._superset_counts = {}
+
+    @classmethod
+    def from_ranks(cls, N: int, k: int,
+                   ranks: Iterable[int]) -> "DownClosedHypergraph":
+        """The host whose deleted top edges have these lex ranks."""
+        dch = cls(N, k)
+        ranks = frozenset(ranks)
+        if ranks and (min(ranks) < 0 or max(ranks) >= math.comb(N, k)):
+            raise ValueError(f"deleted rank outside [0, C({N},{k}))")
+        dch.deleted_ranks = ranks
+        return dch
 
     @classmethod
     def from_top_edges(cls, N: int, k: int, top_edges: Iterable) -> "DownClosedHypergraph":
         if math.comb(N, k) > MAX_ENUMERATION:
             raise GuardError("explicit top-edge construction is desk-scale only")
         keep = {tuple(sorted(e)) for e in top_edges}
-        deleted = [t for t in itertools.combinations(range(N), k)
-                   if t not in keep]
-        return cls(N, k, deleted)
+        return cls.from_ranks(N, k, (
+            r for r, t in enumerate(itertools.combinations(range(N), k))
+            if t not in keep))
+
+    @property
+    def deleted(self) -> frozenset:
+        """The deleted top edges as sorted k-tuples (unranked on each read)."""
+        return frozenset(_unrank_combination(r, self.N, self.k)
+                         for r in self.deleted_ranks)
 
     @property
     def missing_count(self) -> int:
-        return len(self.deleted)
+        return len(self.deleted_ranks)
 
     @property
     def top_count(self) -> int:
-        return math.comb(self.N, self.k) - len(self.deleted)
+        return math.comb(self.N, self.k) - len(self.deleted_ranks)
 
     def density(self) -> Fraction:
         return Fraction(self.top_count, math.comb(self.N, self.k))
 
     def missing_fraction(self) -> Fraction:
-        return Fraction(len(self.deleted), math.comb(self.N, self.k))
+        return Fraction(len(self.deleted_ranks), math.comb(self.N, self.k))
+
+    def _k_set(self, S: Iterable) -> tuple:
+        t = tuple(sorted(S))
+        if len(t) != self.k or len(set(t)) != self.k:
+            raise ValueError(f"{t} is not a {self.k}-set")
+        if not (0 <= t[0] and t[-1] < self.N):
+            raise ValueError(f"{t} out of range")
+        return t
 
     def is_top(self, S: Iterable) -> bool:
-        return tuple(sorted(S)) not in self.deleted
+        return (_rank_combination(self._k_set(S), self.N, self.k)
+                not in self.deleted_ranks)
 
     def member(self, S: Iterable) -> bool:
         t = tuple(sorted(S))
@@ -118,23 +158,21 @@ class DownClosedHypergraph:
         if len(set(t)) != level or t[0] < 0 or t[-1] >= self.N:
             raise ValueError(f"{t} is not a vertex subset")
         if level == self.k:
-            return t not in self.deleted
+            return (_rank_combination(t, self.N, self.k)
+                    not in self.deleted_ranks)
         # member iff not every extension to a k-set was deleted
-        need = math.comb(self.N - level, self.k - level)
-        ss = frozenset(t)
-        hits = 0
-        for d in self._deleted_sets:
-            if ss <= d:
-                hits += 1
-                if hits == need:
-                    return False
-        return True
+        counts = self._superset_counts.get(level)
+        if counts is None:
+            counts = self._superset_counts[level] = collections.Counter(
+                s for e in self.deleted
+                for s in itertools.combinations(e, level))
+        return counts[t] < math.comb(self.N - level, self.k - level)
 
     def iter_top_edges(self):
         if math.comb(self.N, self.k) > MAX_ENUMERATION:
             raise GuardError("top-edge enumeration is desk-scale only")
-        for t in itertools.combinations(range(self.N), self.k):
-            if t not in self.deleted:
+        for r, t in enumerate(itertools.combinations(range(self.N), self.k)):
+            if r not in self.deleted_ranks:
                 yield t
 
     def non_member_count(self, level: int) -> int:
@@ -146,11 +184,14 @@ class DownClosedHypergraph:
 
     def __repr__(self) -> str:
         return (f"DownClosedHypergraph(N={self.N}, k={self.k}, "
-                f"missing={len(self.deleted)})")
+                f"missing={len(self.deleted_ranks)})")
 
 
 def random_dense_dch(N: int, k: int, delta, rng: RngStream) -> DownClosedHypergraph:
-    """All k-subsets minus exactly floor(delta * C(N,k)) uniform deletions."""
+    """All k-subsets minus exactly floor(delta * C(N,k)) uniform deletions.
+
+    The deletions are drawn as lex ranks and stored as drawn, never unranked.
+    """
     total = math.comb(N, k)
     if total > MAX_TOP_LEVEL:
         raise GuardError(f"C(N,k) = {total} exceeds {MAX_TOP_LEVEL}")
@@ -158,9 +199,8 @@ def random_dense_dch(N: int, k: int, delta, rng: RngStream) -> DownClosedHypergr
     if not 0 <= d < 1:
         raise GuardError("delta must lie in [0, 1)")
     count = int(d * total)
-    ranks = rng.sample(range(total), count)
-    return DownClosedHypergraph(N, k, (_unrank_combination(r, N, k)
-                                       for r in ranks))
+    return DownClosedHypergraph.from_ranks(N, k,
+                                           rng.sample(range(total), count))
 
 
 class TargetHypergraph:
@@ -386,6 +426,27 @@ def _common_neighbors_mask(G, vertices: Iterable[int]) -> int:
     return scope
 
 
+def _thin_k_set_ranks(rows: Sequence[int], start: int, left: int,
+                      common: int, n: int, rank: int, out: list) -> int:
+    """Append to ``out`` the lex ranks of the thin k-sets of row indices.
+
+    Walks, in lex order, every way to extend the current prefix (whose rows
+    AND to ``common``) by ``left`` indices from ``range(start, len(rows))``;
+    the first extension has lex rank ``rank``.  A k-set is thin when its
+    rows share fewer than n bits.  Each prefix's AND is taken once and
+    shared by all its extensions.  Returns the rank after the last one.
+    """
+    for i in range(start, len(rows) - left + 1):
+        mask = common & rows[i]
+        if left > 1:
+            rank = _thin_k_set_ranks(rows, i + 1, left - 1, mask, n, rank, out)
+        else:
+            if mask.bit_count() < n:
+                out.append(rank)
+            rank += 1
+    return rank
+
+
 def build_aux_pair(H: BipartiteGraph, U: Sequence[int], G, n: int) -> AuxPair:
     """Auxiliary pair: distinct V2 neighborhoods of H as target edges, and
     k-subsets of U with at least n common G-neighbors as host top edges."""
@@ -408,10 +469,9 @@ def build_aux_pair(H: BipartiteGraph, U: Sequence[int], G, n: int) -> AuxPair:
     if math.comb(len(u), k) > MAX_ENUMERATION:
         raise GuardError("U too large for top-level enumeration")
     deleted = []
-    for S in itertools.combinations(range(len(u)), k):
-        if _common_neighbors_mask(G, (u[i] for i in S)).bit_count() < n:
-            deleted.append(S)
-    return AuxPair(target, DownClosedHypergraph(len(u), k, deleted),
+    _thin_k_set_ranks([G.adj[x] for x in u], 0, k,
+                      _common_neighbors_mask(G, ()), n, 0, deleted)
+    return AuxPair(target, DownClosedHypergraph.from_ranks(len(u), k, deleted),
                    tuple(v1), u)
 
 

@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from exlab import expcli, removal, setmap
+from exlab import expcli, lll_embed, removal, setmap
 from exlab.core import (
     BipartiteGraph,
     EdgeColoring,
     Graph,
     GuardError,
     KUniformHypergraph,
+    RngStream,
 )
 from exlab.expcli import ExperimentSpec
 
@@ -513,8 +514,14 @@ def test_main_fraction_with_zero_denominator_is_input_error(tmp_path,
     ["bipfree", "--op", "kcheck", "--k", "3", "--n", "7"],
     ["bipfree", "--op", "kcheck", "--k", "3", "--n", "5"],
     ["bipfree", "--op", "kcheck", "--k", "5", "--n", "2", "--p", "0.5"],
+    ["embed", "--op", "lemma", "--d", "4", "--k", "3"],
+    ["embed", "--op", "lemma", "--N", "2000", "--k", "4"],
+    ["embed", "--op", "lemma", "--N", "100000", "--k", "50000"],
+    ["rsgraph", "--op", "decompose", "--N", "41", "--n", "2"],
 ], ids=["cube-d21", "lemma-d21", "pipeline-d21", "lemma-k-above-N",
-        "kcheck-edge-guard", "kcheck-copy-bound", "kcheck-k5"])
+        "kcheck-edge-guard", "kcheck-copy-bound", "kcheck-k5",
+        "lemma-d-above-k", "lemma-top-level-guard", "lemma-huge-binomial",
+        "decompose-vertex-cap"])
 def test_main_parameter_guards_are_input_errors(argv, capsys):
     _assert_input_error(argv, capsys)
 
@@ -538,6 +545,19 @@ def test_kcheck_sizes_past_desk_scale_never_build_the_instance(monkeypatch):
     for params in ({"k": 40}, {"r": 99}, {"n": 10 ** 9}):
         with pytest.raises(GuardError, match="desk scale"):
             expcli.validate_spec(ExperimentSpec("bipfree", "kcheck", params))
+
+
+@pytest.mark.parametrize("N, k", [(844, 3), (14142, 2), (14142, 14140)])
+def test_lemma_top_level_check_agrees_with_the_host_guard(N, k):
+    # C(N, k) <= MAX_TOP_LEVEL < C(N + 1, k) at each of these
+    expcli.validate_spec(ExperimentSpec("embed", "lemma",
+                                        {"N": N, "k": k, "d": 1}))
+    lll_embed.random_dense_dch(N, k, 0, RngStream(0))
+    with pytest.raises(GuardError, match="exceeds"):
+        expcli.validate_spec(ExperimentSpec("embed", "lemma",
+                                            {"N": N + 1, "k": k, "d": 1}))
+    with pytest.raises(GuardError, match="exceeds"):
+        lll_embed.random_dense_dch(N + 1, k, 0, RngStream(0))
 
 
 @pytest.mark.parametrize("argv", [

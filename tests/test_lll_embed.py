@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from exlab import expcli
+from exlab import expcli, lll_embed
 from exlab.core import (BipartiteGraph, EdgeColoring, Failure, Graph,
                         GuardError, RetryError, RngStream, complete_bipartite,
                         complete_graph, hypercube, random_coloring,
                         try_bipartition)
 from exlab.lll_embed import (AuxPair, DownClosedHypergraph, DrcParams,
                              DrcResult, EmbeddingResult, TargetHypergraph,
+                             _common_neighbors_mask, _rank_combination,
                              _unrank_combination, bip_ramsey_pipeline,
                              build_aux_pair, drc_subset,
                              neighborhood_hypergraph, random_dense_dch,
@@ -52,6 +53,8 @@ def test_unrank_matches_lex_order():
             assert got == [unrank_linear(r, n, k)
                            for r in range(math.comb(n, k))], (n, k)
             assert got == list(itertools.combinations(range(n), k))
+            assert [_rank_combination(t, n, k) for t in got] == \
+                list(range(math.comb(n, k)))
 
 
 def test_unrank_matches_linear_reference_at_sampled_ranks():
@@ -61,6 +64,7 @@ def test_unrank_matches_linear_reference_at_sampled_ranks():
                                             for _ in range(2000)]
     for r in ranks:
         assert _unrank_combination(r, 128, 3) == unrank_linear(r, 128, 3)
+        assert _rank_combination(unrank_linear(r, 128, 3), 128, 3) == r
     assert _unrank_combination(0, 128, 3) == (0, 1, 2)
     assert _unrank_combination(total - 1, 128, 3) == (125, 126, 127)
     # k = 1 over a large range and k = n - 1 need no large tables
@@ -75,6 +79,9 @@ def test_dch_construction_and_counts():
     assert d.missing_count == math.comb(6, 3) - 3
     assert d.density() == Fraction(3, 20)
     assert d.is_top((2, 1, 0)) and not d.is_top((0, 1, 3))
+    for bad in [(0, 1), (0, 1, 9), (0, 0, 1), (0, 1, 2, 3), (-1, 0, 1)]:
+        with pytest.raises(ValueError):
+            d.is_top(bad)
     assert sorted(d.iter_top_edges()) == kept
     with pytest.raises(ValueError):
         DownClosedHypergraph(6, 3, [(0, 1)])
@@ -84,12 +91,33 @@ def test_dch_construction_and_counts():
         DownClosedHypergraph(3, 4)
 
 
+def test_dch_from_ranks():
+    d = DownClosedHypergraph.from_ranks(6, 3, [0, 19, 7])
+    assert d.deleted == {(0, 1, 2), (3, 4, 5), _unrank_combination(7, 6, 3)}
+    assert d.deleted_ranks == {0, 7, 19}
+    assert DownClosedHypergraph(6, 3, d.deleted).deleted_ranks == {0, 7, 19}
+    assert DownClosedHypergraph.from_ranks(6, 3, []).missing_count == 0
+    for ranks in ([-1], [0, 20], [10 ** 30]):
+        with pytest.raises(ValueError):
+            DownClosedHypergraph.from_ranks(6, 3, ranks)
+    with pytest.raises(GuardError):
+        DownClosedHypergraph.from_ranks(3, 4, [])
+    with pytest.raises(GuardError):
+        DownClosedHypergraph.from_ranks(3, 0, [])
+
+
 def test_dch_membership_matches_bruteforce():
     d = random_dense_dch(10, 4, 0.35, RngStream(9))
     assert d.missing_count == int(Fraction(0.35) * math.comb(10, 4))
-    for level in range(1, 5):
-        for S in itertools.combinations(range(10), level):
-            assert d.member(S) == brute_member(d, S)
+    # hosts with non-members below the top level
+    sparse = random_dense_dch(9, 4, Fraction(4, 5), RngStream(4))
+    few = DownClosedHypergraph.from_top_edges(7, 3, [(0, 1, 2), (1, 2, 3),
+                                                     (2, 4, 6)])
+    assert sparse.non_member_count(3) > 0 and few.non_member_count(2) > 0
+    for host in (d, sparse, few):
+        for level in range(1, host.k + 1):
+            for S in itertools.combinations(range(host.N), level):
+                assert host.member(S) == brute_member(host, S)
 
 
 def test_dch_membership_monotone_exhaustive():
@@ -139,7 +167,8 @@ def _random_bipartite(half, p, seed):
 # SHA-256 of expcli.canonical for hosts built every public way, pinned while
 # the deleted top edges were still stored as tuples
 DCH_DIGESTS = {
-    "empty": "04cf2f6f365739d44d1654e81184adb23a7371166634c1e430aa58e5460206c2",
+    "empty":
+        "04cf2f6f365739d44d1654e81184adb23a7371166634c1e430aa58e5460206c2",
     "explicit":
         "cac6734dff36b1ac7ff99fbf7661cdab0a66e3eebcf9ce055531ed3c04134121",
     "top_edges":
@@ -220,6 +249,20 @@ def test_target_hypergraph_and_neighborhoods():
     assert len(lonely.edges) == 2  # the isolated vertex contributes nothing
 
 
+def test_gate6_host_and_embedding_never_unrank(monkeypatch):
+    def unrank(*args):
+        raise AssertionError("_unrank_combination called")
+    monkeypatch.setattr(lll_embed, "_unrank_combination", unrank)
+    target = neighborhood_hypergraph(hypercube(3))
+    rng = RngStream(1000)
+    host = random_dense_dch(128, 3, Fraction(9, 1000), rng)
+    assert host.missing_count == 3072
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = resample_embed(target, host, rng)
+    assert isinstance(res, EmbeddingResult)
+
+
 def test_resample_trivial_single_edge():
     host = DownClosedHypergraph(32, 2)
     target = TargetHypergraph(2, [(0, 1)])
@@ -240,9 +283,10 @@ def test_resample_q3_neighborhood_harness():
             res = resample_embed(target, host, rng)
         assert isinstance(res, EmbeddingResult)
         assert len(set(res.mapping)) == 8
+        deleted = host.deleted
         for e in target.edges:
             image = tuple(sorted(res.mapping[v] for v in e))
-            assert image not in host.deleted
+            assert image not in deleted
 
 
 def test_resample_regime_warnings():
@@ -361,6 +405,24 @@ def test_build_aux_pair_bipartite_host():
     aux2 = build_aux_pair(h, (0, 1, 2), c6, 2)
     assert aux2.dch.missing_count == 3 and aux2.dch.top_count == 0
     assert [tuple(sorted(e)) for e in aux2.target.edges] == [(0, 1)]
+
+
+@pytest.mark.parametrize("k, n", [(1, 10), (2, 5), (3, 3)])
+def test_build_aux_pair_matches_mask_oracle(k, n):
+    # V2 vertex 0 of H sees k V1 vertices, so the host uniformity is k
+    h = BipartiteGraph(4, 2, [(i, 4) for i in range(k)] + [(3, 5)])
+    rng = RngStream(40 + k)
+    graph = Graph(20, [(u, v) for u, v in itertools.combinations(range(20), 2)
+                       if rng.random() < 0.5])
+    for G in (_random_bipartite(20, 0.5, 50 + k), graph):
+        U = sorted(range(0, 20, 2)) if isinstance(G, Graph) else range(20)
+        aux = build_aux_pair(h, U, G, n)
+        u = aux.u_vertices
+        want = {S for S in itertools.combinations(range(len(u)), k)
+                if _common_neighbors_mask(G, (u[i] for i in S)).bit_count()
+                < n}
+        assert aux.dch.k == k and aux.dch.deleted == want
+        assert 0 < len(want) < math.comb(len(u), k)
 
 
 def test_build_aux_pair_guards():
