@@ -21,6 +21,7 @@ from .core import (BipartiteGraph, Graph, GuardError, KUniformHypergraph,
 
 MAX_COPY_BOUND = 10 ** 9
 MAX_INSTANCE_EDGES = 10 ** 6
+MAX_KPARTITE_EDGES = 10 ** 5
 ORACLE_MAX_U = 5
 ORACLE_MAX_V = 20
 
@@ -139,9 +140,12 @@ def count_pattern(G, pattern: Pattern) -> int:
 
 
 def _count_graph(G, r: int) -> int:
-    bound = 2 * G.m ** r
-    if bound > MAX_COPY_BOUND:
-        raise GuardError(f"copy bound 2*m^r = {bound} exceeds {MAX_COPY_BOUND}")
+    # m^r >= 2^r once m >= 2, so a large r is rejected before the power
+    m = G.m
+    if m >= 2 and (r >= MAX_COPY_BOUND.bit_length()
+                   or 2 * m ** r > MAX_COPY_BOUND):
+        raise GuardError(f"copy bound 2*m^r for m={m}, r={r} exceeds "
+                         f"{MAX_COPY_BOUND}")
     n, adj = G.n, G.adj
     total = 0
     for A in itertools.combinations(range(n), r):
@@ -168,16 +172,23 @@ def _copies_of_matching(combo, k: int):
         yield tuple(frozenset(o[i] for o in orderings) for i in range(k))
 
 
-def _hyper_copy_guard(G: KUniformHypergraph, r: int) -> None:
-    bound = math.factorial(G.k) ** r * math.comb(G.m, r)
-    if bound > MAX_COPY_BOUND:
-        raise GuardError(
-            f"copy bound (k!)^r * C(m,r) = {bound} exceeds {MAX_COPY_BOUND}")
+def hyper_copy_guard(k: int, m: int, r: int) -> None:
+    """GuardError when (k!)^r * C(m, r), the copy bound of the k-partite
+    pattern with parts of size r in an m-edge k-graph (k >= 2), exceeds
+    MAX_COPY_BOUND.
+
+    The bound is 0 below r edges and at least 2^r from r edges on, so a
+    large r is decided without the power.
+    """
+    if m >= r and (r >= MAX_COPY_BOUND.bit_length()
+                   or math.factorial(k) ** r * math.comb(m, r) > MAX_COPY_BOUND):
+        raise GuardError(f"copy bound (k!)^r * C(m,r) for k={k}, m={m}, r={r} "
+                         f"exceeds {MAX_COPY_BOUND}")
 
 
 def _count_hyper(G: KUniformHypergraph, r: int) -> int:
     k = G.k
-    _hyper_copy_guard(G, r)
+    hyper_copy_guard(k, G.m, r)
     edges = sorted(G.edges, key=_edge_key)
     checked: dict[frozenset, bool] = {}
     for combo in itertools.combinations(edges, r):
@@ -307,8 +318,10 @@ def extract_free(G, pattern: Pattern, rng: RngStream,
     a pattern-free input is returned unchanged.  Every returned subgraph is
     re-verified pattern-free by an independent count.
     """
+    # counting first applies the copy-bound guard before m^r is taken
+    pattern_free = count_pattern(G, pattern) == 0
     target = extraction_target(G.m, pattern)
-    if count_pattern(G, pattern) == 0:
+    if pattern_free:
         return ExtractionResult(G, 0, target)
     is_hyper = isinstance(G, KUniformHypergraph)
     best = None
@@ -333,23 +346,33 @@ def extract_free(G, pattern: Pattern, rng: RngStream,
 # Tight instances and the Zarankiewicz-type oracle
 
 
+def tight_instance_guard(r: int, s: int, m: int) -> tuple:
+    """The part sizes (a, a^r) of ``tight_instance(r, s, m)``; GuardError
+    unless 2 <= r <= s, m <= MAX_INSTANCE_EDGES and m = a^(r+1)."""
+    if r < 2 or s < r:
+        raise GuardError("need 2 <= r <= s")
+    if m > MAX_INSTANCE_EDGES:
+        raise GuardError(f"instance with {m} edges exceeds {MAX_INSTANCE_EDGES}")
+    # a^(r+1) >= 2^(r+1) > m unless a = 1 once r + 1 reaches m's bit length
+    a = 1
+    if 1 < m and r + 1 < m.bit_length():
+        a = max(1, round(m ** (1.0 / (r + 1))))
+        while a > 1 and a ** (r + 1) > m:
+            a -= 1
+        while (a + 1) ** (r + 1) <= m:
+            a += 1
+    if a ** (r + 1) != m:
+        raise GuardError(f"m={m} is not a perfect {r + 1}-th power")
+    return a, a ** r
+
+
 def tight_instance(r: int, s: int, m: int) -> TightInstance:
     """Complete bipartite K_{a, a^r} with m = a^(r+1) edges.
 
     Requires m to be a perfect (r+1)-th power so all part sizes stay exact.
     """
-    if r < 2 or s < r:
-        raise GuardError("need 2 <= r <= s")
-    a = max(1, round(m ** (1.0 / (r + 1))))
-    while a > 1 and a ** (r + 1) > m:
-        a -= 1
-    while (a + 1) ** (r + 1) <= m:
-        a += 1
-    if a ** (r + 1) != m:
-        raise GuardError(f"m={m} is not a perfect {r + 1}-th power")
-    if m > MAX_INSTANCE_EDGES:
-        raise GuardError(f"instance with {m} edges exceeds {MAX_INSTANCE_EDGES}")
-    return TightInstance(complete_bipartite(a, a ** r), r, s, m)
+    return TightInstance(complete_bipartite(*tight_instance_guard(r, s, m)),
+                         r, s, m)
 
 
 def _count_krs_sides(vrows: Sequence[int], usize: int, r: int, s: int) -> tuple:
@@ -370,6 +393,14 @@ def _count_krs_sides(vrows: Sequence[int], usize: int, r: int, s: int) -> tuple:
     first = oriented(r, s)
     second = first if r == s else oriented(s, r)
     return first, second
+
+
+def zarankiewicz_oracle_guard(usize: int, vsize: int) -> None:
+    """GuardError unless the host's smaller part has at most ORACLE_MAX_U
+    vertices and its larger part at most ORACLE_MAX_V."""
+    if usize > ORACLE_MAX_U or vsize > ORACLE_MAX_V:
+        raise GuardError(f"oracle limited to |U| <= {ORACLE_MAX_U}, "
+                         f"|V| <= {ORACLE_MAX_V}")
 
 
 def zarankiewicz_oracle(instance, r: Optional[int] = None,
@@ -399,9 +430,7 @@ def zarankiewicz_oracle(instance, r: Optional[int] = None,
     if host.n1 > host.n2:
         host = host.transpose()
     usize, vsize = host.n1, host.n2
-    if usize > ORACLE_MAX_U or vsize > ORACLE_MAX_V:
-        raise GuardError(f"oracle limited to |U| <= {ORACLE_MAX_U}, "
-                         f"|V| <= {ORACLE_MAX_V}")
+    zarankiewicz_oracle_guard(usize, vsize)
     full_u = (1 << usize) - 1
     rank = {u: i for i, u in enumerate(host.v1)}
     nb = [mask_of(rank[u] for u in iter_bits(host.adj[v])) for v in host.v2]
@@ -523,15 +552,33 @@ def zarankiewicz_oracle(instance, r: Optional[int] = None,
 # k-partite instances and the binomial count check
 
 
-def kpartite_instance(k: int, r: int, n: int) -> KPartiteInstance:
-    """Complete k-partite k-graph with |U_i| = n^(r^(i-1)); m = n^q edges."""
+def kpartite_instance_guard(k: int, r: int, n: int) -> int:
+    """The edge count m = n^q, q = 1 + r + ... + r^(k-1), of
+    ``kpartite_instance(k, r, n)``; GuardError unless k, r, n >= 2 and
+    m <= MAX_KPARTITE_EDGES.
+
+    n^q >= 2^q, so q is summed only while it stays below the cap's bit
+    length and a larger q is rejected without the power.
+    """
     if k < 2 or r < 2 or n < 2:
         raise GuardError("need k >= 2, r >= 2, n >= 2")
+    limit = MAX_KPARTITE_EDGES.bit_length()
+    q, term = 0, 1
+    for _ in range(k):
+        q += term
+        term *= r
+        if q >= limit:
+            break
+    if q >= limit or n ** q > MAX_KPARTITE_EDGES:
+        raise GuardError(f"instance K({k}, {r}, {n}) exceeds desk scale "
+                         f"of {MAX_KPARTITE_EDGES} edges")
+    return n ** q
+
+
+def kpartite_instance(k: int, r: int, n: int) -> KPartiteInstance:
+    """Complete k-partite k-graph with |U_i| = n^(r^(i-1)); m = n^q edges."""
+    kpartite_instance_guard(k, r, n)
     sizes = [n ** (r ** i) for i in range(k)]
-    q = (r ** k - 1) // (r - 1)
-    m = n ** q
-    if m > 10 ** 5:
-        raise GuardError(f"instance with {m} edges exceeds desk scale")
     parts = []
     offset = 0
     for size in sizes:
@@ -615,7 +662,7 @@ def kpartite_count_check(H: KUniformHypergraph, parts: Sequence[Sequence[int]],
     bound = _ext_binom(a - k + 1, r) * prod_binom
     proof_bound = _ext_binom(a - k + 2, r) * prod_binom
     Pattern(k, r)  # the same rejections as count_pattern
-    _hyper_copy_guard(H, r)
+    hyper_copy_guard(k, H.m, r)
     # every edge is transversal, so each part of a copy lies inside its own
     # host part: index edges by their (k-1)-prefix, one U_k mask per prefix
     table: dict[tuple, int] = {}

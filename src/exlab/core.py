@@ -546,12 +546,18 @@ def complete_kpartite(sizes: Sequence[int]) -> Graph:
     return Graph.from_adjacency(n, rows, labels=labels, _validate=False)
 
 
-def hypercube(d: int) -> Graph:
-    """The d-cube: vertex set {0,1}^d, adjacency = differ in one coordinate."""
+def hypercube_guard(d: int) -> None:
+    """GuardError unless 1 <= d <= MAX_HYPERCUBE_DIM, the dimensions
+    ``hypercube`` builds."""
     if d < 1:
-        raise ValueError("dimension must be >= 1")
+        raise GuardError(f"hypercube dimension must be >= 1, got {d}")
     if d > MAX_HYPERCUBE_DIM:
         raise GuardError(f"hypercube dimension {d} exceeds guard {MAX_HYPERCUBE_DIM}")
+
+
+def hypercube(d: int) -> Graph:
+    """The d-cube: vertex set {0,1}^d, adjacency = differ in one coordinate."""
+    hypercube_guard(d)
     n = 1 << d
     rows = [0] * n
     for v in range(n):

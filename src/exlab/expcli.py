@@ -28,7 +28,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -40,7 +39,6 @@ from typing import Callable, Optional
 
 from . import bipfree, lll_embed, removal, rsgraph, setmap, weakseq
 from .core import (
-    MAX_HYPERCUBE_DIM,
     BipartiteGraph,
     EdgeColoring,
     Failure,
@@ -51,6 +49,7 @@ from .core import (
     RngStream,
     complete_graph,
     hypercube,
+    hypercube_guard,
     random_coloring,
     random_graph,
     read_graph,
@@ -251,13 +250,17 @@ def _positive(params: dict, *names: str) -> None:
             raise GuardError(f"parameter {name!r} must be >= 1, got {value}")
 
 
+def _probability(params: dict) -> None:
+    if not 0 < params["p"] <= 1:
+        raise GuardError(f"edge probability {params['p']} outside (0, 1]")
+
+
 def _graph_source(params: dict) -> None:
     if params.get("input") is None:
         if params.get("n") is None or params.get("p") is None:
             raise GuardError("need --input FILE or --random N P")
         _positive(params, "n")
-        if not 0 < params["p"] <= 1:
-            raise GuardError(f"edge probability {params['p']} outside (0, 1]")
+        _probability(params)
     elif params.get("n") is not None or params.get("p") is not None:
         raise GuardError("give either --input or --random, not both")
 
@@ -280,26 +283,17 @@ def _setmap_build(params: dict):
     return setmap.eh_map(params["n"], params["k"], variant)
 
 
-def _setmap_check(params: dict) -> None:
-    if params["variant"] not in _SETMAP_VARIANTS:
-        raise GuardError(f"unknown variant {params['variant']!r}")
-    _positive(params, "k", "n", "size", "budget")
-    if params["variant"].startswith("caro"):
-        if params["n"] < 2:
-            raise GuardError("caro mappings need side n >= 2")
-    elif params["k"] < 2 or params["n"] < 2:
-        raise GuardError("need n >= 2 and k >= 2")
+def _setmap_check(params: dict) -> int:
+    """The ground-set size of the mapping the parameters build."""
+    _positive(params, "size", "budget")
+    if params["variant"] in ("caro2", "caro3"):
+        return setmap.caro_map_guard(params["n"], int(params["variant"][-1]))
+    return setmap.eh_map_guard(params["n"], params["k"], params["variant"])
 
 
 def _setmap_oracle_check(params: dict) -> None:
-    _setmap_check(params)
-    if params["mode"] not in ("disjoint", "not_subset"):
-        raise GuardError(f"unknown oracle mode {params['mode']!r}")
-    dim = int(params["variant"][-1]) if params["variant"].startswith("caro") \
-        else params["k"]
-    ground = params["n"] ** dim
-    if params["budget"] is None and ground > setmap.ORACLE_EXHAUSTIVE_LIMIT:
-        raise GuardError(f"ground set of {ground} points needs a budget")
+    setmap.free_set_oracle_guard(params["mode"], _setmap_check(params),
+                                 params["budget"])
 
 
 def _run_setmap_construct(params, rng, preset):
@@ -339,8 +333,7 @@ def _run_setmap_oracle(params, rng, preset):
 
 
 def _bipfree_check(params: dict) -> None:
-    if params["r"] < 2:
-        raise GuardError(f"pattern order r must be >= 2, got {params['r']}")
+    bipfree.K_rr(params["r"])
     _positive(params, "retry_cap")
     _graph_source(params)
 
@@ -367,9 +360,9 @@ def _run_bipfree_extract(params, rng, preset):
 
 
 def _bipfree_tight_check(params: dict) -> None:
-    if params["r"] < 2 or params["s"] < params["r"]:
-        raise GuardError("need 2 <= r <= s")
-    _positive(params, "m", "budget")
+    _positive(params, "budget")
+    bipfree.zarankiewicz_oracle_guard(*bipfree.tight_instance_guard(
+        params["r"], params["s"], params["m"]))
 
 
 def _run_bipfree_tight(params, rng, preset):
@@ -383,19 +376,11 @@ def _run_bipfree_tight(params, rng, preset):
 
 
 def _bipfree_kcheck_check(params: dict) -> None:
-    k, r, n = params["k"], params["r"], params["n"]
-    if k < 2 or r < 2 or n < 2:
-        raise GuardError("need k >= 2, r >= 2, n >= 2")
-    if not 0 < params["p"] <= 1:
-        raise GuardError(f"edge keep probability {params['p']} outside (0, 1]")
-    # The desk-scale guard allows n^(1 + r + ... + r^(k-1)) <= 10^5 edges,
-    # so k <= 4, r <= 15 and n <= 46; larger values are rejected before
-    # kpartite_instance computes the part sizes n^(r^i).
-    if k > 4 or r > 15 or n > 46:
-        raise GuardError(f"instance K({k}, {r}, {n}) exceeds desk scale")
-    H = bipfree.kpartite_instance(k, r, n).hypergraph
+    k, r = params["k"], params["r"]
+    m = bipfree.kpartite_instance_guard(k, r, params["n"])
+    _probability(params)
     if params["p"] == 1:  # below 1 the copy bound depends on the draw
-        bipfree._hyper_copy_guard(H, r)
+        bipfree.hyper_copy_guard(k, m, r)
 
 
 def _run_bipfree_kcheck(params, rng, preset):
@@ -417,30 +402,13 @@ def _run_bipfree_kcheck(params, rng, preset):
 # --- embed -----------------------------------------------------------------
 
 
-def _cube_check(params: dict) -> None:
-    _positive(params, "d")
-    if params["d"] > MAX_HYPERCUBE_DIM:
-        raise GuardError(f"hypercube dimension {params['d']} exceeds guard "
-                         f"{MAX_HYPERCUBE_DIM}")
-
-
 def _embed_lemma_check(params: dict) -> None:
-    _positive(params, "N", "k", "round_cap")
-    _cube_check(params)
-    N, k, d = params["N"], params["k"], params["d"]
-    if k > N:
-        raise GuardError(f"need k <= N, got k={k}, N={N}")
-    if d > k:
-        raise GuardError(f"hypercube neighbourhoods have {d} vertices, more "
-                         f"than the host uniformity k={k}")
-    # C(N, j) >= C(2j, j) >= 2^j, so a large j needs no big binomial
-    j = min(k, N - k)
-    if (j >= lll_embed.MAX_TOP_LEVEL.bit_length()
-            or math.comb(N, j) > lll_embed.MAX_TOP_LEVEL):
-        raise GuardError(f"C(N,k) for N={N}, k={k} exceeds "
-                         f"{lll_embed.MAX_TOP_LEVEL}")
-    if not 0 <= params["delta"] < 1:
-        raise GuardError(f"deletion fraction {params['delta']} outside [0, 1)")
+    _positive(params, "round_cap")
+    hypercube_guard(params["d"])
+    lll_embed.random_dense_dch_guard(params["N"], params["k"],
+                                     params["delta"])
+    # the target's edges are cube neighbourhoods of d vertices
+    lll_embed.resample_embed_guard(params["d"], params["k"])
 
 
 def _run_embed_lemma(params, rng, preset):
@@ -454,17 +422,15 @@ def _run_embed_lemma(params, rng, preset):
     return True, "embedded", res, {"rounds": res.rounds, "key": res.rounds}
 
 
+def _drc_params(params: dict) -> lll_embed.DrcParams:
+    return lll_embed.DrcParams(params["eps"], params["k"], params["b"],
+                               params["n"])
+
+
 def _embed_drc_check(params: dict) -> None:
-    _positive(params, "N", "k", "n", "retry_cap")
-    if not 0 < params["p"] <= 1:
-        raise GuardError(f"edge probability {params['p']} outside (0, 1]")
-    if params["eps"] <= 0 or params["b"] <= 0:
-        raise GuardError("eps and b must be positive")
-    floor = params["eps"] ** -params["k"] * max(params["b"] * params["n"],
-                                                4 * params["k"])
-    if params["N"] < floor:
-        raise GuardError(f"host side {params['N']} below eps^-k * "
-                         f"max(bn, 4k) = {floor}")
+    _positive(params, "retry_cap")
+    _probability(params)
+    lll_embed.drc_subset_guard(params["N"], _drc_params(params))
 
 
 def _run_embed_drc(params, rng, preset):
@@ -473,12 +439,16 @@ def _run_embed_drc(params, rng, preset):
     edges = [(u, N + v) for u in range(N) for v in range(N)
              if host_rng.random() < params["p"]]
     B = BipartiteGraph(N, N, edges)
-    dp = lll_embed.DrcParams(params["eps"], params["k"], params["b"],
-                             params["n"])
-    res = lll_embed.drc_subset(B, dp, rng.derive("drc"), params["retry_cap"])
+    res = lll_embed.drc_subset(B, _drc_params(params), rng.derive("drc"),
+                               params["retry_cap"])
     stats = {"u_size": len(res.U), "tries": res.tries,
              "bad_k_sets": res.bad_k_sets, "key": len(res.U)}
     return True, "subset", res, stats
+
+
+def _embed_pipeline_check(params: dict) -> None:
+    _positive(params, "N", "drc_retry", "round_cap")
+    hypercube_guard(params["d"])
 
 
 def _run_embed_pipeline(params, rng, preset):
@@ -504,8 +474,11 @@ def _run_embed_cube(params, rng, preset):
 
 
 def _weakseq_check(params: dict) -> None:
-    _positive(params, "n", "r", "t", "retry_cap")
+    _positive(params, "retry_cap")
     _graph_source(params)
+    # an unset t becomes the regime order of the drawn host, at least 1
+    t = 1 if params["t"] is None else params["t"]
+    weakseq.weak_sequence_pipeline_guard(params["r"], t, params["n"])
 
 
 def _weakseq_sequence(params, rng):
@@ -552,10 +525,15 @@ def _run_weakseq_minor(params, rng, preset):
     return ok, "minor", res, stats
 
 
+def _weakseq_minor_check(params: dict) -> None:
+    _positive(params, "retry_cap")
+    _graph_source(params)
+    weakseq.minor_pipeline_guard(params["r"], params["t"])
+
+
 def _weakseq_oracle_check(params: dict) -> None:
-    _weakseq_check(params)
-    if params["n"] is not None and params["n"] > weakseq.ORACLE_MAX_N:
-        raise GuardError(f"oracle limited to n <= {weakseq.ORACLE_MAX_N}")
+    _graph_source(params)
+    weakseq.max_weak_sequence_order_guard(params["r"], params["n"])
 
 
 def _run_weakseq_oracle(params, rng, preset):
@@ -575,9 +553,7 @@ def _run_rsgraph_behrend(params, rng, preset):
 
 
 def _rsgraph_construct_check(params: dict) -> None:
-    _positive(params, "N", "chunk")
-    if params["N"] < 15:
-        raise GuardError("construction needs N >= 15")
+    rsgraph.rs_from_behrend_guard(params["N"], params["chunk"])
 
 
 def _run_rsgraph_construct(params, rng, preset):
@@ -608,19 +584,19 @@ def _run_rsgraph_decompose(params, rng, preset):
 
 
 def _rsgraph_decompose_check(params: dict) -> None:
-    _positive(params, "N", "n", "t", "budget")
-    cap = rsgraph.DECOMPOSE_VERTEX_CAP
-    if params["budget"] is None and params["N"] > cap:
-        raise GuardError(f"host has {params['N']} > {cap} vertices; pass an "
-                         "explicit budget")
+    _positive(params, "N", "budget")
+    rsgraph.greedy_decompose_guard(params["N"], params["n"], params["t"],
+                                   params["budget"])
 
 
 def _rsgraph_arrow_check(params: dict) -> None:
-    _positive(params, "N", "t", "n")
-    if params["mode"] not in ("exhaustive", "theorem"):
-        raise GuardError(f"unknown mode {params['mode']!r}")
-    if params["mode"] == "theorem" and params["N"] < 15:
-        raise GuardError("theorem mode builds a construction; needs N >= 15")
+    _positive(params, "N")
+    N = params["N"]
+    # exhaustive mode colours the N(N-1)/2 edges of K_N
+    rsgraph.arrow_check_guard(params["t"], params["n"], params["mode"],
+                              N * (N - 1) // 2)
+    if params["mode"] == "theorem":
+        rsgraph.rs_from_behrend_guard(N)
 
 
 def _run_rsgraph_arrow(params, rng, preset):
@@ -646,8 +622,15 @@ def _removal_check(params: dict) -> None:
         if params.get("N") is None or params.get("r") is None:
             raise GuardError("need --grid-file FILE or --random-grid N R")
         _positive(params, "N", "r")
+        removal.grid_cover_guard(params["N"])
     elif params.get("N") is not None or params.get("r") is not None:
         raise GuardError("give either --grid-file or --random-grid, not both")
+
+
+def _removal_grid_check(params: dict) -> None:
+    _removal_check(params)
+    if params["N"] is not None:
+        removal.grid_pipeline_guard(params["N"])
 
 
 def _grid_input(params: dict, rng: RngStream) -> removal.GridColoring:
@@ -758,12 +741,9 @@ OPS = {
                                  {"N": (int, 512), "d": (int, 3),
                                   "drc_retry": (int, 200),
                                   "round_cap": (int, 10000)},
-                                 lambda p: (_positive(p, "N", "drc_retry",
-                                                      "round_cap"),
-                                            _cube_check(p)),
-                                 "rounds"),
-    ("embed", "cube"): OpDef(_run_embed_cube, {"d": (int, 3)}, _cube_check,
-                             "edges"),
+                                 _embed_pipeline_check, "rounds"),
+    ("embed", "cube"): OpDef(_run_embed_cube, {"d": (int, 3)},
+                             lambda p: hypercube_guard(p["d"]), "edges"),
     ("weakseq", "pipeline"): OpDef(_run_weakseq_pipeline, _WEAKSEQ_SEQ,
                                    _weakseq_check, "t"),
     ("weakseq", "verify"): OpDef(_run_weakseq_verify, _WEAKSEQ_SEQ,
@@ -773,13 +753,14 @@ OPS = {
                                  "t": (int, 4),
                                  "diameter_aware": (int, 1),
                                  "retry_cap": (int, 50)},
-                                _weakseq_check, "t"),
+                                _weakseq_minor_check, "t"),
     ("weakseq", "oracle"): OpDef(_run_weakseq_oracle,
                                  {**_GRAPH_SRC, "r": (int, 2)},
                                  _weakseq_oracle_check, "best"),
     ("rsgraph", "behrend"): OpDef(_run_rsgraph_behrend,
                                   {"N": (int, _REQUIRED)},
-                                  lambda p: _positive(p, "N"), "size"),
+                                  lambda p: rsgraph.behrend_set_guard(p["N"]),
+                                  "size"),
     ("rsgraph", "construct"): OpDef(_run_rsgraph_construct,
                                     {"N": (int, _REQUIRED),
                                      "chunk": (int, None)},
@@ -808,7 +789,7 @@ OPS = {
     ("removal", "diamond"): OpDef(_run_removal_diamond, dict(_GRID_SRC),
                                   _removal_check, "found"),
     ("removal", "grid"): OpDef(_run_removal_grid, dict(_GRID_SRC),
-                               _removal_check, "found"),
+                               _removal_grid_check, "found"),
 }
 
 MODULES = tuple(sorted({m for m, _ in OPS}))
@@ -840,16 +821,18 @@ def _run_one_trial(module: str, op: str, params: dict, seed: int,
     rng = RngStream(seed).derive("trial", index)
     try:
         res = OPS[(module, op)].runner(params, rng, preset)
-    except Exception as exc:  # a failing trial is recorded, never lost
-        res = (False, f"error:{type(exc).__name__}", None,
-               {"error": str(exc), "key": 0})
-    if isinstance(res, Failure):
-        res = (False, f"failure:{res.stage}", res,
-               {"reason": res.reason, "key": 0})
-    ok, outcome, witness, stats = res
-    return {"trial": index, "ok": bool(ok), "outcome": outcome,
-            "witness": digest(witness) if witness is not None else None,
-            "stats": canonical(stats)}
+        if isinstance(res, Failure):
+            res = (False, f"failure:{res.stage}", res,
+                   {"reason": res.reason, "key": 0})
+        ok, outcome, witness, stats = res
+        return {"trial": index, "ok": bool(ok), "outcome": outcome,
+                "witness": digest(witness) if witness is not None else None,
+                "stats": canonical(stats)}
+    except Exception as exc:  # a failing trial is recorded, never lost,
+        # also when its witness or stats cannot be serialized
+        return {"trial": index, "ok": False,
+                "outcome": f"error:{type(exc).__name__}", "witness": None,
+                "stats": {"error": str(exc), "key": 0}}
 
 
 def _pool_trial(args) -> dict:

@@ -187,18 +187,31 @@ class DownClosedHypergraph:
                 f"missing={len(self.deleted_ranks)})")
 
 
+def random_dense_dch_guard(N: int, k: int, delta) -> int:
+    """C(N, k), the top-level size of ``random_dense_dch(N, k, delta)``;
+    GuardError unless 1 <= k <= N, C(N, k) <= MAX_TOP_LEVEL and
+    0 <= delta < 1.
+
+    C(N, j) >= C(2j, j) >= 2^j for j = min(k, N - k), so a j of
+    MAX_TOP_LEVEL's bit length or more is rejected without the binomial.
+    """
+    if not 1 <= k <= N:
+        raise GuardError(f"need 1 <= k <= N, got k={k}, N={N}")
+    j = min(k, N - k)
+    if j >= MAX_TOP_LEVEL.bit_length() or math.comb(N, j) > MAX_TOP_LEVEL:
+        raise GuardError(f"C(N,k) for N={N}, k={k} exceeds {MAX_TOP_LEVEL}")
+    if not 0 <= Fraction(delta) < 1:
+        raise GuardError(f"deletion fraction {delta} outside [0, 1)")
+    return math.comb(N, j)
+
+
 def random_dense_dch(N: int, k: int, delta, rng: RngStream) -> DownClosedHypergraph:
     """All k-subsets minus exactly floor(delta * C(N,k)) uniform deletions.
 
     The deletions are drawn as lex ranks and stored as drawn, never unranked.
     """
-    total = math.comb(N, k)
-    if total > MAX_TOP_LEVEL:
-        raise GuardError(f"C(N,k) = {total} exceeds {MAX_TOP_LEVEL}")
-    d = Fraction(delta)
-    if not 0 <= d < 1:
-        raise GuardError("delta must lie in [0, 1)")
-    count = int(d * total)
+    total = random_dense_dch_guard(N, k, delta)
+    count = int(Fraction(delta) * total)
     return DownClosedHypergraph.from_ranks(N, k,
                                            rng.sample(range(total), count))
 
@@ -262,6 +275,14 @@ def _in_regime(H: TargetHypergraph, G: DownClosedHypergraph) -> bool:
     return lhs <= 1
 
 
+def resample_embed_guard(edge_size: int, k: int) -> None:
+    """GuardError when target edges of ``edge_size`` vertices cannot map
+    into members of a k-uniform down-closed host (edge_size > k)."""
+    if edge_size > k:
+        raise GuardError(f"target edge size {edge_size} exceeds host "
+                         f"uniformity {k}")
+
+
 def resample_embed(H: TargetHypergraph, G: DownClosedHypergraph,
                    rng: RngStream,
                    round_cap: int = 10000) -> Union[EmbeddingResult, Failure]:
@@ -275,8 +296,7 @@ def resample_embed(H: TargetHypergraph, G: DownClosedHypergraph,
     if H.n > G.N:
         return Failure("resample_embed", "target larger than host",
                        {"n": H.n, "N": G.N})
-    if H.max_edge_size > G.k:
-        raise GuardError("target edge size exceeds host uniformity")
+    resample_embed_guard(H.max_edge_size, G.k)
     if not _in_regime(H, G):
         warnings.warn("resample_embed outside the recommended regime; "
                       "termination is empirical", RuntimeWarning, stacklevel=2)
@@ -352,6 +372,21 @@ class DrcResult:
     bad_bound: Fraction
 
 
+def drc_subset_guard(N: int, params: DrcParams) -> None:
+    """GuardError unless eps <= 1 and the part size meets the floor
+    N >= eps^-k * max(bn, 4k) of ``drc_subset``.
+
+    The density of B is at most 1, so eps > 1 can never hold.  With
+    eps <= 1 the floor is at least 4k, which is checked before the power.
+    """
+    k, n, eps, b = params.k, params.n, params.eps, params.b
+    if eps > 1:
+        raise GuardError(f"eps {eps} above 1, the largest density")
+    if 4 * k > N or N * eps ** k < max(b * n, 4 * k):
+        raise GuardError(f"part size {N} below eps^-k * max(bn, 4k) for "
+                         f"eps={eps}, k={k}, b={b}, n={n}")
+
+
 def drc_subset(B: BipartiteGraph, params: DrcParams, rng: RngStream,
                retry_cap: int = 200) -> DrcResult:
     """Common neighborhood of k random V2 vertices, retried until it verifies.
@@ -366,11 +401,10 @@ def drc_subset(B: BipartiteGraph, params: DrcParams, rng: RngStream,
     if B.n1 != B.n2:
         raise GuardError("parts must have equal size")
     N = B.n1
+    drc_subset_guard(N, params)
     k, n, eps, b = params.k, params.n, params.eps, params.b
     if B.density() < eps:
         raise GuardError(f"density {B.density()} below eps {eps}")
-    if Fraction(N) * eps ** k < max(Fraction(b * n), Fraction(4 * k)):
-        raise GuardError("precondition N >= eps^-k * max(bn, 4k) fails")
     mask1, mask2 = B.mask(1), B.mask(2)
     v2 = list(B.v2)
     size_rhs = (eps ** k * N) ** k
@@ -386,13 +420,9 @@ def drc_subset(B: BipartiteGraph, params: DrcParams, rng: RngStream,
             if best is None or stats["size"] > best["size"]:
                 best = stats
             continue
-        bad = 0
-        for S in itertools.combinations(U, k):
-            inter = mask2
-            for u in S:
-                inter &= B.adj[u]
-            if inter.bit_count() < n:
-                bad += 1
+        thin = []
+        _thin_k_set_ranks([B.adj[u] for u in U], 0, k, mask2, n, 0, thin)
+        bad = len(thin)
         bound = Fraction(2 ** (k + 1), 1) / b ** k * math.comb(len(U), k)
         stats["bad"] = bad
         if bad < bound:

@@ -503,6 +503,15 @@ def diamond_find(arg) -> Optional[Diamond]:
 # Grid application
 
 
+def grid_cover_guard(N: int) -> None:
+    """GuardError unless the line host of the N x N grid fits the triangle
+    scans: its largest part, the 2N - 1 antidiagonals, has at most
+    CENSUS_MAX_PART vertices."""
+    if 2 * N - 1 > CENSUS_MAX_PART:
+        raise GuardError(f"grid side {N} gives {2 * N - 1} antidiagonals, "
+                         f"over the enumeration guard {CENSUS_MAX_PART}")
+
+
 def grid_cover(gc: GridColoring) -> TriangleCover:
     """Strict triangle cover of the grid line host, colored by points.
 
@@ -512,6 +521,7 @@ def grid_cover(gc: GridColoring) -> TriangleCover:
     V1-V2 edge.
     """
     N = gc.N
+    grid_cover_guard(N)
     g = grid_lines(N)
     n0 = 2 * N - 1
 
@@ -585,6 +595,14 @@ def _corner_from_diamond(gc: GridColoring, dia: Diamond) -> Corner:
     return Corner(x, y, d, ch)
 
 
+def grid_pipeline_guard(N: int) -> None:
+    """GuardError unless the grid side N is at most PIPELINE_MAX_N, which
+    keeps the exhaustive cross-check affordable."""
+    if N > PIPELINE_MAX_N:
+        raise GuardError(f"grid side {N} exceeds pipeline guard "
+                         f"{PIPELINE_MAX_N}")
+
+
 def grid_pipeline(gc: GridColoring) -> Optional[Corner]:
     """Find a monochromatic corner through the line-host reduction.
 
@@ -594,9 +612,7 @@ def grid_pipeline(gc: GridColoring) -> Optional[Corner]:
     a None verdict is only returned when the oracle list is empty, since
     any corner forces a diamond on its vertical-horizontal edge.
     """
-    if gc.N > PIPELINE_MAX_N:
-        raise GuardError(f"grid side {gc.N} exceeds pipeline guard "
-                         f"{PIPELINE_MAX_N}")
+    grid_pipeline_guard(gc.N)
     cover = grid_cover(gc)
     dia = diamond_find(cover.coloring)
     oracle = corner_oracle(gc)

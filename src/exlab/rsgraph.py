@@ -141,6 +141,12 @@ def _sampled_three_ap(elements, rng: RngStream, samples: int):
     return None
 
 
+def behrend_set_guard(N: int) -> None:
+    """GuardError unless 1 <= N <= BEHREND_MAX_N."""
+    if not 1 <= N <= BEHREND_MAX_N:
+        raise GuardError(f"N={N} outside [1, {BEHREND_MAX_N}]")
+
+
 def behrend_set(N: int) -> ApFreeSet:
     """Large 3-AP-free subset of {1..N} via the digit-shell construction.
 
@@ -153,8 +159,7 @@ def behrend_set(N: int) -> ApFreeSet:
     shell-size bound d^(j-1).  The output is certified progression-free by
     the exact quadratic oracle for N <= 10^5 and by sampling above.
     """
-    if not 1 <= N <= BEHREND_MAX_N:
-        raise GuardError(f"N={N} outside [1, {BEHREND_MAX_N}]")
+    behrend_set_guard(N)
     best = tuple(range(1, min(N, 2) + 1))
     meta = {"d": None, "j": None, "shell": None}
     cap = 2 * N - 1
@@ -253,6 +258,18 @@ def verify_rs(dec: RsDecomposition):
     return True, None
 
 
+def rs_from_behrend_guard(N: int, chunk: Optional[int] = None) -> None:
+    """GuardError unless 15 <= N <= RS_MAX_N and chunk, when given, is at
+    least 1; its upper bound, the progression-free set's size, is known
+    only once the set is built."""
+    if N < 15:
+        raise GuardError(f"N={N} below minimum 15")
+    if N > RS_MAX_N:
+        raise GuardError(f"N={N} above envelope {RS_MAX_N}")
+    if chunk is not None and chunk < 1:
+        raise GuardError(f"chunk={chunk} below 1")
+
+
 def rs_from_behrend(N: int, chunk: Optional[int] = None) -> RsDecomposition:
     """Bipartite graph on <= N vertices decomposed into induced matchings.
 
@@ -268,10 +285,7 @@ def rs_from_behrend(N: int, chunk: Optional[int] = None) -> RsDecomposition:
     returned (AssertionError on failure: an implementation bug, not an input
     condition).
     """
-    if N < 15:
-        raise GuardError(f"N={N} below minimum 15")
-    if N > RS_MAX_N:
-        raise GuardError(f"N={N} above envelope {RS_MAX_N}")
+    rs_from_behrend_guard(N, chunk)
     half = N // 3
     s_max = max(1, 2 * half // 5)
     ap = behrend_set(s_max)
@@ -296,7 +310,7 @@ def rs_from_behrend(N: int, chunk: Optional[int] = None) -> RsDecomposition:
     stats = {"n_prime": half, "s_max": s_max, "ap_size": size,
              "max_element": top, "full_matchings": len(mats)}
     if chunk is not None:
-        if not 1 <= chunk <= size:
+        if chunk > size:
             raise GuardError(f"chunk={chunk} outside [1, {size}]")
         pieces = size // chunk
         dropped = size - pieces * chunk
@@ -430,6 +444,20 @@ def verify_falsifying(g, red, t: int, n: int, budget: Optional[int] = None):
     return True, None
 
 
+def greedy_decompose_guard(vertices: int, n: int,
+                           t_target: Optional[int] = None,
+                           budget: Optional[int] = None) -> None:
+    """GuardError unless n >= 1, t_target (when given) >= 1, and a host of
+    more than DECOMPOSE_VERTEX_CAP vertices comes with a budget."""
+    if n < 1:
+        raise GuardError("matching size must be at least 1")
+    if t_target is not None and t_target < 1:
+        raise GuardError("t_target must be at least 1")
+    if budget is None and vertices > DECOMPOSE_VERTEX_CAP:
+        raise GuardError(f"host has {vertices} > {DECOMPOSE_VERTEX_CAP} "
+                         "vertices; pass an explicit budget")
+
+
 def greedy_decompose(g, n: int, t_target: Optional[int] = None,
                      budget: Optional[int] = None):
     """Extract disjoint induced matchings of size n until none remain.
@@ -446,15 +474,8 @@ def greedy_decompose(g, n: int, t_target: Optional[int] = None,
     partial extraction count.  Hosts larger than DECOMPOSE_VERTEX_CAP
     vertices require an explicit budget.
     """
-    if n < 1:
-        raise GuardError("matching size must be at least 1")
-    if t_target is not None and t_target < 1:
-        raise GuardError("t_target must be at least 1")
+    greedy_decompose_guard(g.n, n, t_target, budget)
     if budget is None:
-        if g.n > DECOMPOSE_VERTEX_CAP:
-            raise GuardError(
-                f"host has {g.n} > {DECOMPOSE_VERTEX_CAP} vertices; "
-                "pass an explicit budget")
         budget = SEARCH_BUDGET
     box = [budget]
     pool = g.edges()
@@ -503,6 +524,17 @@ def greedy_decompose(g, n: int, t_target: Optional[int] = None,
     return col
 
 
+def arrow_check_guard(t: int, n: int, mode: str, m: int) -> None:
+    """GuardError unless t, n >= 1, the mode is known and, in exhaustive
+    mode, the host's m edges are at most ARROW_EDGE_CAP."""
+    if t < 1 or n < 1:
+        raise GuardError("t and n must be at least 1")
+    if mode not in ("exhaustive", "theorem"):
+        raise GuardError(f"unknown mode {mode!r}")
+    if mode == "exhaustive" and m > ARROW_EDGE_CAP:
+        raise GuardError(f"{m} edges exceed exhaustive cap {ARROW_EDGE_CAP}")
+
+
 def arrow_check(g, t: int, n: int, mode: str = "exhaustive",
                 decomposition: Optional[RsDecomposition] = None) -> ArrowInstance:
     """Decide whether g arrows the pair (K_{1,t}, M_n).
@@ -518,13 +550,10 @@ def arrow_check(g, t: int, n: int, mode: str = "exhaustive",
     ceil(s/2) >= n and ceil(m/N) >= t (with s >= 2n, recorded as c = s/n >=
     2) imply arrowing.  Hypotheses that fail raise GuardError.
     """
-    if t < 1 or n < 1:
-        raise GuardError("t and n must be at least 1")
+    arrow_check_guard(t, n, mode, g.m)
     if mode == "exhaustive":
         edges = g.edges()
         m = len(edges)
-        if m > ARROW_EDGE_CAP:
-            raise GuardError(f"{m} edges exceed exhaustive cap {ARROW_EDGE_CAP}")
         for cm in range(1 << m):
             deg = [0] * g.n
             starred = False
@@ -558,32 +587,30 @@ def arrow_check(g, t: int, n: int, mode: str = "exhaustive",
         return ArrowInstance(graph=g, t=t, n=n, verdict="arrows", red=None,
                              stats={"mode": "exhaustive",
                                     "colorings_scanned": 1 << m})
-    if mode == "theorem":
-        if decomposition is None:
-            raise GuardError("theorem mode requires a decomposition")
-        dec = decomposition
-        if dec.graph is not g and (dec.graph.n != g.n or dec.graph.adj != g.adj):
-            raise GuardError("decomposition does not belong to the host graph")
-        if not isinstance(g, BipartiteGraph) or g.n0:
-            raise GuardError("theorem mode requires a bipartite host")
-        ok, viol = verify_rs(dec)
-        if not ok:
-            raise GuardError(f"invalid decomposition: {viol}")
-        if not dec.spanning:
-            raise GuardError("theorem mode requires a spanning decomposition")
-        s, count, verts, m = dec.n, dec.t, g.n, g.m
-        ratio = Fraction(s, n)
-        red_bound = -(-m // verts)
-        blue_bound = (s + 1) // 2
-        checks = {"c_at_least_2": ratio >= 2,
-                  "blue_half_matching": blue_bound >= n,
-                  "red_average_degree": red_bound >= t}
-        bad = [name for name, good in checks.items() if not good]
-        if bad:
-            raise GuardError("decomposition hypotheses unmet: " + ", ".join(bad))
-        return ArrowInstance(graph=g, t=t, n=n, verdict="arrows", red=None,
-                             stats={"mode": "theorem", "s": s,
-                                    "t_count": count, "m": m, "N": verts,
-                                    "c": ratio, "red_degree_bound": red_bound,
-                                    "blue_chunk_bound": blue_bound})
-    raise GuardError(f"unknown mode {mode!r}")
+    if decomposition is None:
+        raise GuardError("theorem mode requires a decomposition")
+    dec = decomposition
+    if dec.graph is not g and (dec.graph.n != g.n or dec.graph.adj != g.adj):
+        raise GuardError("decomposition does not belong to the host graph")
+    if not isinstance(g, BipartiteGraph) or g.n0:
+        raise GuardError("theorem mode requires a bipartite host")
+    ok, viol = verify_rs(dec)
+    if not ok:
+        raise GuardError(f"invalid decomposition: {viol}")
+    if not dec.spanning:
+        raise GuardError("theorem mode requires a spanning decomposition")
+    s, count, verts, m = dec.n, dec.t, g.n, g.m
+    ratio = Fraction(s, n)
+    red_bound = -(-m // verts)
+    blue_bound = (s + 1) // 2
+    checks = {"c_at_least_2": ratio >= 2,
+              "blue_half_matching": blue_bound >= n,
+              "red_average_degree": red_bound >= t}
+    bad = [name for name, good in checks.items() if not good]
+    if bad:
+        raise GuardError("decomposition hypotheses unmet: " + ", ".join(bad))
+    return ArrowInstance(graph=g, t=t, n=n, verdict="arrows", red=None,
+                         stats={"mode": "theorem", "s": s,
+                                "t_count": count, "m": m, "N": verts,
+                                "c": ratio, "red_degree_bound": red_bound,
+                                "blue_chunk_bound": blue_bound})

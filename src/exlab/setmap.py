@@ -66,6 +66,33 @@ def verify_violation(f: SetMapping, region: frozenset, vio: Violation) -> bool:
     return vio.witness == image and image <= region
 
 
+def _ground_guard(side: int, dim: int) -> int:
+    """side^dim, or GuardError when it exceeds MAX_GROUND (side >= 2).
+
+    side^dim >= 2^dim, so a dim of MAX_GROUND's bit length or more is
+    rejected before the power is taken.
+    """
+    if dim >= MAX_GROUND.bit_length() or side ** dim > MAX_GROUND:
+        raise GuardError(f"ground set of {side}^{dim} points exceeds {MAX_GROUND}")
+    return side ** dim
+
+
+def eh_map_guard(n: int, k: int, variant: str) -> int:
+    """The ground-set size n^k of ``eh_map(n, k, variant)``; GuardError
+    unless the variant is known, n, k >= 2, n^k <= MAX_GROUND, and the
+    image and its argument fit disjointly in the ground set."""
+    if variant not in ("full_factorial", "lexicographic"):
+        raise GuardError(f"unknown variant {variant!r}")
+    if n < 2 or k < 2:
+        raise GuardError("need n >= 2 and k >= 2")
+    ground_size = _ground_guard(n, k)
+    l = math.factorial(k) if variant == "full_factorial" else math.factorial(k - 1)
+    if ground_size < l + k:
+        # the image and X are disjoint, so both must fit inside the ground set
+        raise GuardError(f"image size {l} plus k={k} cannot fit in {ground_size} points")
+    return ground_size
+
+
 def eh_map(n: int, k: int, variant: str = "full_factorial") -> SetMapping:
     """Disjoint-image mapping on the grid [n]^k built from permutation tuples.
 
@@ -75,17 +102,7 @@ def eh_map(n: int, k: int, variant: str = "full_factorial") -> SetMapping:
     lexicographic variant keeps only permutations fixing the first position,
     which pins the image's first coordinate to the minimum over X.
     """
-    if variant not in ("full_factorial", "lexicographic"):
-        raise GuardError(f"unknown variant {variant!r}")
-    if n < 2 or k < 2:
-        raise GuardError("need n >= 2 and k >= 2")
-    ground_size = n ** k
-    if ground_size > MAX_GROUND:
-        raise GuardError(f"ground set of {ground_size} points exceeds {MAX_GROUND}")
-    l = math.factorial(k) if variant == "full_factorial" else math.factorial(k - 1)
-    if ground_size < l + k:
-        # the image and X are disjoint, so both must fit inside the ground set
-        raise GuardError(f"image size {l} plus k={k} cannot fit in {ground_size} points")
+    ground_size = eh_map_guard(n, k, variant)
     points = tuple(itertools.product(range(1, n + 1), repeat=k))
     point_set = frozenset(points)
     if variant == "full_factorial":
@@ -109,8 +126,19 @@ def eh_map(n: int, k: int, variant: str = "full_factorial") -> SetMapping:
             picked_set.add(t)
         return frozenset(picked)
 
-    return SetMapping(kind="eh", m=ground_size, k=k, l=l, overlap=0, side=n,
-                      variant=variant, dim=None, points=points, rule=rule)
+    return SetMapping(kind="eh", m=ground_size, k=k, l=len(perms), overlap=0,
+                      side=n, variant=variant, dim=None, points=points,
+                      rule=rule)
+
+
+def caro_map_guard(m: int, dim: int) -> int:
+    """The ground-set size m^dim of ``caro_map(m, dim)``; GuardError unless
+    dim is 2 or 3, m >= 2 and m^dim <= MAX_GROUND."""
+    if dim not in (2, 3):
+        raise GuardError("dim must be 2 or 3")
+    if m < 2:
+        raise GuardError("need m >= 2")
+    return _ground_guard(m, dim)
 
 
 def caro_map(m: int, dim: int = 2) -> SetMapping:
@@ -121,13 +149,7 @@ def caro_map(m: int, dim: int = 2) -> SetMapping:
     z != z' to {(x',y,z), (x',y,z')}, overlap bound 0.  Pairs outside the rule
     pattern fall back to the lexicographically smallest valid image pair.
     """
-    if dim not in (2, 3):
-        raise GuardError("dim must be 2 or 3")
-    if m < 2:
-        raise GuardError("need m >= 2")
-    ground_size = m ** dim
-    if ground_size > MAX_GROUND:
-        raise GuardError(f"ground set of {ground_size} points exceeds {MAX_GROUND}")
+    ground_size = caro_map_guard(m, dim)
     d = 1 if dim == 2 else 0
     points = tuple(itertools.product(range(1, m + 1), repeat=dim))
     point_set = frozenset(points)
@@ -309,6 +331,17 @@ class FreeSetResult:
     nodes: int
 
 
+def free_set_oracle_guard(mode: str, ground_size: int,
+                          budget: Optional[int]) -> None:
+    """GuardError unless the oracle mode is known and a ground set above
+    ORACLE_EXHAUSTIVE_LIMIT points comes with a node budget."""
+    if mode not in ("disjoint", "not_subset"):
+        raise GuardError(f"unknown oracle mode {mode!r}")
+    if budget is None and ground_size > ORACLE_EXHAUSTIVE_LIMIT:
+        raise GuardError(f"ground set of {ground_size} points needs an "
+                         "explicit budget")
+
+
 def free_set_oracle(f: SetMapping, mode: str = "disjoint",
                     budget: Optional[int] = None) -> FreeSetResult:
     """Maximum size of a region free of rule violations, by branch and bound.
@@ -319,12 +352,9 @@ def free_set_oracle(f: SetMapping, mode: str = "disjoint",
     node budget the result degrades to a (size, upper) bracket when the
     search is cut off.
     """
-    if mode not in ("disjoint", "not_subset"):
-        raise GuardError(f"unknown oracle mode {mode!r}")
+    free_set_oracle_guard(mode, len(f.points), budget)
     pts = list(f.points)
     g = len(pts)
-    if budget is None and g > ORACLE_EXHAUSTIVE_LIMIT:
-        raise GuardError(f"ground set of {g} points needs an explicit budget")
     if g + 100 > sys.getrecursionlimit():
         sys.setrecursionlimit(g + 200)
     k = f.k

@@ -271,6 +271,13 @@ def _ktt_search(adj, order: list, t: int, idx: int, chosen: list,
     return None
 
 
+def find_ktt_guard(t: int) -> None:
+    """GuardError unless 1 <= t <= KTT_MAX_T, the orders the exact
+    K_{t,t} search takes."""
+    if not 1 <= t <= KTT_MAX_T:
+        raise GuardError(f"t must lie in 1..{KTT_MAX_T}, got {t}")
+
+
 def find_ktt(T: BipartiteGraph, t: int):
     """Exact search for K_{t,t}: t-subsets (L, R) with all t^2 edges.
 
@@ -278,8 +285,7 @@ def find_ktt(T: BipartiteGraph, t: int):
     neighborhood size; a returned witness is re-verified edge by edge, and
     None certifies absence because the search is complete.
     """
-    if not 1 <= t <= KTT_MAX_T:
-        raise GuardError(f"t must lie in 1..{KTT_MAX_T}")
+    find_ktt_guard(t)
     if T.n0:
         raise GuardError("overlay parts are not supported here")
     if T.n1 < t or T.n2 < t:
@@ -458,13 +464,21 @@ def _weakseq_stages(B0: BipartiteGraph, r: int, t: int, rng: RngStream,
     return WeakSequence("bicomplete", r, t, s_sets, t_sets, dict(stats))
 
 
+def weak_sequence_pipeline_guard(r: int, t: int,
+                                 n: Optional[int] = None) -> None:
+    """GuardError unless r >= 1, t passes ``find_ktt_guard`` and, when the
+    vertex count n is known, 2rt <= n."""
+    if r < 1:
+        raise GuardError(f"parameter 'r' must be >= 1, got {r}")
+    find_ktt_guard(t)
+    if n is not None and 2 * r * t > n:
+        raise GuardError(f"2rt exceeds the vertex count {n} for r={r}, t={t}")
+
+
 def weak_sequence_pipeline(G: Graph, r: int, t: int, rng: RngStream,
                            retry_cap: int = 200) -> Union[WeakSequence, Failure]:
     """Find a verified weakly bi-complete r-sequence of order t in G."""
-    if r < 1 or t < 1:
-        raise GuardError("need r, t >= 1")
-    if 2 * r * t > G.n:
-        raise GuardError("2rt exceeds the vertex count")
+    weak_sequence_pipeline_guard(r, t, G.n)
     if G.m == 0:
         raise GuardError("G has no edges")
     params = seq_params(G.n, G.density(), r, t)
@@ -692,6 +706,14 @@ def _connect_into(G: Graph, members: Sequence[int], anchor: int,
     return internals, used
 
 
+def minor_pipeline_guard(r: int, t: int) -> None:
+    """GuardError unless r >= 1, t >= 2 and t passes ``find_ktt_guard``,
+    which the final bicomplete sequence needs."""
+    if r < 1 or t < 2:
+        raise GuardError(f"need r >= 1 and t >= 2, got r={r}, t={t}")
+    find_ktt_guard(t)
+
+
 def minor_pipeline(G: Graph, r: int, t: int, rng: RngStream,
                    constants: Optional[MinorConstants] = None,
                    diameter_aware: bool = True,
@@ -703,9 +725,8 @@ def minor_pipeline(G: Graph, r: int, t: int, rng: RngStream,
     the surviving pair, and branch-set assembly through fresh 4-edge paths.
     Each stage checks its measured clause and fails with its stage name.
     """
+    minor_pipeline_guard(r, t)
     c = constants or MinorConstants()
-    if r < 1 or t < 2:
-        raise GuardError("need r >= 1 and t >= 2")
     if G.m == 0:
         raise GuardError("G has no edges")
     n = G.n
@@ -883,12 +904,18 @@ def verify_minor(g: Graph, model: MinorModel):
 # Brute-force oracle
 
 
-def max_weak_sequence_order(g: Graph, r: int) -> int:
-    """Largest order of a weakly complete r-sequence, by exhaustive search."""
-    if g.n > ORACLE_MAX_N:
+def max_weak_sequence_order_guard(r: int, n: Optional[int] = None) -> None:
+    """GuardError unless r >= 1 and, when the vertex count n is known,
+    n <= ORACLE_MAX_N."""
+    if n is not None and n > ORACLE_MAX_N:
         raise GuardError(f"oracle limited to n <= {ORACLE_MAX_N}")
     if r < 1:
         raise GuardError("need r >= 1")
+
+
+def max_weak_sequence_order(g: Graph, r: int) -> int:
+    """Largest order of a weakly complete r-sequence, by exhaustive search."""
+    max_weak_sequence_order_guard(r, g.n)
     if r > g.n:
         return 0
     subsets = [(s, mask_of(s)) for s in

@@ -10,7 +10,8 @@ from exlab.core import (BipartiteGraph, Graph, GuardError, KUniformHypergraph,
 from exlab.bipfree import (K_k_rr, K_rr, _count_hyper, count_pattern,
                            extract_free, extraction_target,
                            kpartite_count_check, kpartite_instance,
-                           tight_instance, zarankiewicz_oracle)
+                           kpartite_instance_guard, tight_instance,
+                           tight_instance_guard, zarankiewicz_oracle)
 
 
 def brute_count_krr2(g):
@@ -72,6 +73,13 @@ def test_count_guard_names_estimate():
         count_pattern(big, K_k_rr(3, 3))
     with pytest.raises(GuardError):
         count_pattern(complete_graph(4), K_k_rr(3, 2))  # arity mismatch
+    # bounds of more digits than int-to-str allows are never formatted
+    with pytest.raises(GuardError, match=r"2\*m\^r"):
+        count_pattern(complete_graph(4), K_rr(100000))
+    matching = KUniformHypergraph(18000, 3, [(3 * i, 3 * i + 1, 3 * i + 2)
+                                            for i in range(6000)])
+    with pytest.raises(GuardError, match=r"\(k!\)\^r"):
+        count_pattern(matching, K_k_rr(3, 6000))
 
 
 def test_extraction_target_arithmetic():
@@ -148,6 +156,22 @@ def test_tight_instance():
         tight_instance(2, 2, 65)
     with pytest.raises(GuardError):
         tight_instance(3, 2, 16)  # s < r
+
+
+def test_tight_instance_guard_accepts_exactly_the_powers():
+    for r in (2, 3, 5):
+        powers = {a ** (r + 1) for a in range(1, 40)}
+        for m in range(-2, 1100):
+            try:
+                sides = tight_instance_guard(r, r, m)
+            except GuardError:
+                assert m not in powers, (r, m)
+            else:
+                assert sides[0] ** (r + 1) == m and sides[1] == sides[0] ** r
+    assert tight_instance_guard(100000, 100000, 1) == (1, 1)
+    for m in (2, 10 ** 6, 10 ** 6 + 1, 10 ** 400):
+        with pytest.raises(GuardError):
+            tight_instance_guard(100000, 100000, m)
 
 
 def test_zarankiewicz_k416_frozen():
@@ -234,6 +258,20 @@ def test_kpartite_instance_shapes():
     inst3 = kpartite_instance(3, 2, 2)
     assert [len(p) for p in inst3.parts] == [2, 4, 16]
     assert inst3.hypergraph.m == 128  # n^q with q = 7
+
+
+def test_kpartite_instance_guard_at_the_desk_bound():
+    # n^q <= MAX_KPARTITE_EDGES = 10^5 with q = 1 + r + ... + r^(k-1)
+    for k, r, n in [(2, 2, 46), (4, 2, 2), (2, 15, 2), (3, 3, 2)]:
+        assert kpartite_instance_guard(k, r, n) == \
+            n ** ((r ** k - 1) // (r - 1)) <= 10 ** 5
+    assert kpartite_instance_guard(2, 2, 4) == kpartite_instance(2, 2, 4) \
+        .hypergraph.m
+    for k, r, n in [(2, 2, 47), (5, 2, 2), (2, 16, 2), (3, 3, 3),
+                    (10 ** 9, 2, 2), (2, 10 ** 9, 2), (2, 2, 10 ** 400),
+                    (1, 2, 2), (2, 1, 2), (2, 2, 1)]:
+        with pytest.raises(GuardError):
+            kpartite_instance_guard(k, r, n)
 
 
 def test_kpartite_check_complete_example():

@@ -1,0 +1,150 @@
+"""Every parameter precondition is checked once, before any trial runs.
+
+The sweep takes each operation's first record-corpus spec and sets one int
+parameter of the operation at a time to 0, -1 and 13, running one trial.
+Each spec must either fail validation (``GuardError``, exit 2 on the
+command line) or record trials whose outcome is ``ok``-labelled or
+``failure:<stage>``; an ``error:*`` trial is allowed only where
+``ALLOWED_ERRORS`` gives the reason.  At 100000 the spec is only
+validated, and the parameters in ``REJECTED_AT_100000`` must be refused
+there: those sizes would run for minutes or exhaust memory.
+
+The layering check keeps each precondition behind its own module:
+``expcli`` may call a library guard, but reads no library bound and calls
+no private library function.
+"""
+
+import ast
+import dataclasses
+import re
+from pathlib import Path
+
+import pytest
+
+from exlab import expcli
+from exlab.core import GuardError
+from test_record_corpus import CORPUS
+
+_COPY_BOUND = "the copy bound 2*m^r depends on the drawn edge count m"
+_CHUNK = "chunk is bounded by the size of the progression-free set, known " \
+         "once the set is built"
+ALLOWED_ERRORS = {
+    ("bipfree", "count", "r", 13): _COPY_BOUND,
+    ("bipfree", "extract", "r", 13): _COPY_BOUND,
+    ("rsgraph", "construct", "chunk", 13): _CHUNK,
+    ("rsgraph", "double", "chunk", 13): _CHUNK,
+    ("weakseq", "pipeline", "r", 13):
+        "with t unset, t is the regime order of the drawn host's density",
+    ("removal", "iterate", "r", 13):
+        "the proof bound n^3/(4cr)^(2^(r+3)) has a 208,300-digit "
+        "denominator, past the int-to-str limit of the record",
+}
+
+REJECTED_AT_100000 = {
+    ("setmap", "construct"): ("k", "n"),
+    ("setmap", "violate"): ("k", "n"),
+    ("setmap", "oracle"): ("n",),
+    ("bipfree", "tight"): ("r", "m"),
+    ("bipfree", "kcheck"): ("k", "r", "n"),
+    ("embed", "lemma"): ("N", "k", "d"),
+    ("embed", "drc"): ("k", "n"),
+    ("embed", "pipeline"): ("d",),
+    ("embed", "cube"): ("d",),
+    ("weakseq", "pipeline"): ("r", "t"),
+    ("weakseq", "verify"): ("r", "t"),
+    ("weakseq", "minor"): ("t",),
+    ("weakseq", "oracle"): ("n",),
+    ("rsgraph", "construct"): ("N",),
+    ("rsgraph", "double"): ("N",),
+    ("rsgraph", "decompose"): ("N",),
+    ("rsgraph", "arrow"): ("N",),
+    ("removal", "census"): ("N",),
+    ("removal", "step"): ("N",),
+    ("removal", "iterate"): ("N",),
+    ("removal", "diamond"): ("N",),
+    ("removal", "grid"): ("N",),
+}
+
+
+def _first_specs() -> dict:
+    first = {}
+    for spec in CORPUS.values():
+        first.setdefault((spec.module, spec.operation), spec)
+    return first
+
+
+def _int_params(key) -> list:
+    return [name for name, (cast, *_) in expcli.OPS[key].schema.items()
+            if cast is int]
+
+
+def _with(spec, name, value):
+    return dataclasses.replace(spec, params={**spec.params, name: value},
+                               trials=1)
+
+
+def test_sweep_exits_two_or_records_clean_trials(monkeypatch):
+    monkeypatch.delenv("EXLAB_THREADS", raising=False)
+    first = _first_specs()
+    errors = {}
+    for key in expcli.OPS:
+        for name in _int_params(key):
+            for value in (0, -1, 13):
+                try:
+                    rec = expcli.run(_with(first[key], name, value))
+                except GuardError:
+                    continue
+                trial, = rec.trials
+                if trial["outcome"].startswith("error:"):
+                    errors[(*key, name, value)] = trial["stats"]["error"]
+    unexplained = {case: msg for case, msg in errors.items()
+                   if case not in ALLOWED_ERRORS}
+    assert not unexplained
+
+
+def test_sizes_past_every_cap_are_rejected_before_running():
+    first = _first_specs()
+    assert set(REJECTED_AT_100000) <= set(expcli.OPS)
+    for key, names in REJECTED_AT_100000.items():
+        for name in names:
+            assert name in _int_params(key), (key, name)
+            with pytest.raises(GuardError):
+                expcli.validate_spec(_with(first[key], name, 100000))
+
+
+_LIBRARY = {"core", "setmap", "bipfree", "lll_embed", "weakseq", "rsgraph",
+            "removal"}
+
+
+def _internal(name: str) -> bool:
+    """A private name or a module constant such as MAX_TOP_LEVEL."""
+    return name.startswith("_") or re.fullmatch(r"[A-Z][A-Z0-9_]*",
+                                                name) is not None
+
+
+def library_internals_used(source: str) -> list:
+    """Library bounds and private library names that ``source`` reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                and node.module in _LIBRARY:
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if _internal(alias.name)]
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in _LIBRARY and _internal(node.attr)):
+            found.append(f"{node.value.id}.{node.attr} "
+                         f"(line {node.lineno})")
+    return found
+
+
+def test_expcli_reads_no_library_bound_or_private_function():
+    source = Path(expcli.__file__).read_text(encoding="utf-8")
+    assert library_internals_used(source) == []
+    # the check itself sees both kinds of reference
+    assert library_internals_used(
+        "from .core import MAX_HYPERCUBE_DIM\n"
+        "lll_embed.MAX_TOP_LEVEL\n"
+        "bipfree._hyper_copy_guard(H, r)\n") == [
+        "core.MAX_HYPERCUBE_DIM", "lll_embed.MAX_TOP_LEVEL (line 2)",
+        "bipfree._hyper_copy_guard (line 3)"]

@@ -18,7 +18,7 @@ from exlab.lll_embed import (AuxPair, DownClosedHypergraph, DrcParams,
                              _unrank_combination, bip_ramsey_pipeline,
                              build_aux_pair, drc_subset,
                              neighborhood_hypergraph, random_dense_dch,
-                             resample_embed)
+                             random_dense_dch_guard, resample_embed)
 
 
 def brute_member(dch, S):
@@ -222,6 +222,14 @@ def test_random_dense_dch_guards():
         random_dense_dch(1000, 5, 0.1, rng)
 
 
+@pytest.mark.parametrize("N, k", [(844, 3), (14142, 2), (14142, 14140)])
+def test_random_dense_dch_guard_flips_at_the_top_level_bound(N, k):
+    # C(N, k) <= MAX_TOP_LEVEL < C(N + 1, k) at each of these
+    assert random_dense_dch_guard(N, k, 0) == math.comb(N, k)
+    with pytest.raises(GuardError, match="exceeds"):
+        random_dense_dch_guard(N + 1, k, 0)
+
+
 def test_member_validation():
     d = DownClosedHypergraph(8, 3)
     with pytest.raises(GuardError):
@@ -346,6 +354,14 @@ def test_drc_random_counted_clauses():
             bad += 1
     assert bad == res.bad_k_sets
     assert bad < Fraction(2 ** 3) * math.comb(len(res.U), 2)
+    # k = 3: thin triples counted over itertools.combinations
+    edges = [(u, 96 + v) for u in range(96) for v in range(96)
+             if rng.random() < 0.55]
+    B = BipartiteGraph(96, 96, edges)
+    res = drc_subset(B, DrcParams(Fraction(1, 2), 3, 1, 12), RngStream(3))
+    thin = sum(1 for S in itertools.combinations(res.U, 3)
+               if (B.adj[S[0]] & B.adj[S[1]] & B.adj[S[2]]).bit_count() < 12)
+    assert res.bad_k_sets == thin > 0
 
 
 def test_drc_guards():

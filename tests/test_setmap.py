@@ -261,6 +261,8 @@ def test_guards():
     with pytest.raises(GuardError):
         eh_map(101, 3)  # 101^3 points is past the resource guard
     with pytest.raises(GuardError):
+        eh_map(2, 100000)  # 2^100000 is rejected without being formatted
+    with pytest.raises(GuardError):
         eh_map(2, 3)  # k! + k = 9 points cannot fit in a 2^3 ground set
     with pytest.raises(GuardError):
         caro_map(1, 2)
