@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_HYPERCUBE_DIM = 20
 MAX_GRID_CELLS = 10 ** 8
@@ -324,22 +324,13 @@ class BipartiteGraph:
     def mask(self, part: int) -> int:
         return self._parts[part]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
+    # Graph's methods read only ``n`` and ``adj``, which both types share
+    has_edge = Graph.has_edge
+    degree = Graph.degree
+    edges = Graph.edges
 
     def degree_into(self, u: int, part_mask: int) -> int:
         return (self.adj[u] & part_mask).bit_count()
-
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1)
-            for off in iter_bits(row):
-                out.append((u, u + 1 + off))
-        return out
 
     def cross_m(self) -> int:
         """Number of V1-V2 edges."""
@@ -741,44 +732,48 @@ def write_graph(g, path) -> None:
             fh.write(f"{u} {v}\n")
 
 
-def read_graph(path) -> Graph:
+def _read_edge_list(path, bipartite: bool, fields: int) -> tuple:
+    """Parse an edge-list file into (n, n1, n2, lines).
+
+    ``bipartite`` files carry the "n1 n2" header line (n1 = n2 = 0
+    otherwise); each edge line has ``fields`` integers, "u v" or "u v c",
+    with 0 <= u < v < n and a color c >= 0.
+    """
     lines = _data_lines(path)
     try:
         no, head = next(lines)
     except StopIteration:
         raise ParseError("empty file", 1) from None
     (n,) = _parse_ints(head, no, 1)
-    edges = []
-    for no, line in lines:
-        u, v = _parse_ints(line, no, 2)
+    n1 = n2 = 0
+    if bipartite:
+        try:
+            no2, head2 = next(lines)
+        except StopIteration:
+            raise ParseError("missing part-size header", no + 1) from None
+        n1, n2 = _parse_ints(head2, no2, 2)
+        if n1 + n2 > n:
+            raise ParseError(f"part sizes {n1}+{n2} exceed n={n}", no2)
+    out = []
+    for no3, line in lines:
+        vals = _parse_ints(line, no3, fields)
+        u, v = vals[0], vals[1]
         if not 0 <= u < v < n:
-            raise ParseError(f"edge ({u},{v}) violates 0 <= u < v < {n}", no)
-        edges.append((u, v))
+            raise ParseError(f"edge ({u},{v}) violates 0 <= u < v < {n}", no3)
+        if fields == 3 and vals[2] < 0:
+            raise ParseError(f"negative color {vals[2]}", no3)
+        out.append(tuple(vals))
+    return n, n1, n2, out
+
+
+def read_graph(path) -> Graph:
+    n, _, _, edges = _read_edge_list(path, False, 2)
     return Graph(n, edges)
 
 
 def read_bipartite(path) -> BipartiteGraph:
-    lines = _data_lines(path)
-    try:
-        no, head = next(lines)
-    except StopIteration:
-        raise ParseError("empty file", 1) from None
-    (n,) = _parse_ints(head, no, 1)
-    try:
-        no2, head2 = next(lines)
-    except StopIteration:
-        raise ParseError("missing part-size header", no + 1) from None
-    n1, n2 = _parse_ints(head2, no2, 2)
-    n0 = n - n1 - n2
-    if n0 < 0:
-        raise ParseError(f"part sizes {n1}+{n2} exceed n={n}", no2)
-    edges = []
-    for no3, line in lines:
-        u, v = _parse_ints(line, no3, 2)
-        if not 0 <= u < v < n:
-            raise ParseError(f"edge ({u},{v}) violates 0 <= u < v < {n}", no3)
-        edges.append((u, v))
-    return BipartiteGraph(n1, n2, edges, n0=n0)
+    n, n1, n2, edges = _read_edge_list(path, True, 2)
+    return BipartiteGraph(n1, n2, edges, n0=n - n1 - n2)
 
 
 def write_coloring(col: EdgeColoring, path) -> None:
@@ -791,33 +786,11 @@ def write_coloring(col: EdgeColoring, path) -> None:
 
 
 def read_coloring(path, bipartite: bool = False, r: int | None = None) -> EdgeColoring:
-    lines = _data_lines(path)
-    try:
-        no, head = next(lines)
-    except StopIteration:
-        raise ParseError("empty file", 1) from None
-    (n,) = _parse_ints(head, no, 1)
-    n0 = n1 = n2 = 0
-    if bipartite:
-        try:
-            no2, head2 = next(lines)
-        except StopIteration:
-            raise ParseError("missing part-size header", no + 1) from None
-        n1, n2 = _parse_ints(head2, no2, 2)
-        n0 = n - n1 - n2
-        if n0 < 0:
-            raise ParseError(f"part sizes {n1}+{n2} exceed n={n}", no2)
-    edges = []
-    colors = {}
-    max_c = 0
-    for no3, line in lines:
-        u, v, c = _parse_ints(line, no3, 3)
-        if not 0 <= u < v < n:
-            raise ParseError(f"edge ({u},{v}) violates 0 <= u < v < {n}", no3)
-        if c < 0:
-            raise ParseError(f"negative color {c}", no3)
-        edges.append((u, v))
-        colors[(u, v)] = c
-        max_c = max(max_c, c)
-    host = BipartiteGraph(n1, n2, edges, n0=n0) if bipartite else Graph(n, edges)
-    return EdgeColoring(host, colors, r if r is not None else max_c + 1)
+    n, n1, n2, lines = _read_edge_list(path, bipartite, 3)
+    edges = [(u, v) for u, v, _ in lines]
+    colors = {(u, v): c for u, v, c in lines}
+    host = (BipartiteGraph(n1, n2, edges, n0=n - n1 - n2) if bipartite
+            else Graph(n, edges))
+    if r is None:
+        r = max(colors.values(), default=0) + 1
+    return EdgeColoring(host, colors, r)

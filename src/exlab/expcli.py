@@ -45,7 +45,6 @@ from .core import (
     Graph,
     GuardError,
     KUniformHypergraph,
-    RetryError,
     RngStream,
     complete_graph,
     hypercube,
@@ -633,6 +632,12 @@ def _removal_grid_check(params: dict) -> None:
         removal.grid_pipeline_guard(params["N"])
 
 
+def _removal_iterate_check(params: dict) -> None:
+    _removal_check(params)
+    if params["r"] is not None:
+        removal.removal_iterate_guard(params["r"])
+
+
 def _grid_input(params: dict, rng: RngStream) -> removal.GridColoring:
     if params.get("grid_file") is not None:
         return removal.read_grid(params["grid_file"])
@@ -785,7 +790,7 @@ OPS = {
     ("removal", "step"): OpDef(_run_removal_step, dict(_GRID_SRC),
                                _removal_check, "edges"),
     ("removal", "iterate"): OpDef(_run_removal_iterate, dict(_GRID_SRC),
-                                  _removal_check, "levels"),
+                                  _removal_iterate_check, "levels"),
     ("removal", "diamond"): OpDef(_run_removal_diamond, dict(_GRID_SRC),
                                   _removal_check, "found"),
     ("removal", "grid"): OpDef(_run_removal_grid, dict(_GRID_SRC),

@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import (BipartiteGraph, EdgeColoring, Failure, Graph, GuardError,
-                   RetryError, RngStream, iter_bits, try_bipartition)
+                   RetryError, RngStream, iter_bits, mask_of,
+                   try_bipartition)
 
 MAX_TOP_LEVEL = 10 ** 8
 MAX_ENUMERATION = 10 ** 6
@@ -630,10 +631,7 @@ def bip_ramsey_pipeline(coloring: EdgeColoring, H, rng: RngStream,
         return Failure("drc_subset", "retry cap exhausted", err.best)
 
     # orient H so its V1 side carries the larger degree bound
-    hpos = {v: i for i, v in enumerate(v1_side + v2_side)}
-    h_edges = [(hpos[u], hpos[v]) for u in v1_side
-               for v in iter_bits(hadj[u])]
-    h_bip = BipartiteGraph(len(v1_side), len(v2_side), h_edges)
+    h_bip = BipartiteGraph.induced(H, mask_of(v1_side), mask_of(v2_side))
     aux = build_aux_pair(h_bip, drc.U, b_maj, hn)
 
     emb = resample_embed(aux.target, aux.dch, rng, round_cap=round_cap)

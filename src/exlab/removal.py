@@ -45,6 +45,10 @@ CENSUS_MAX_PART = 300
 ORACLE_MAX_N = 300
 # Side guard for the reduction pipeline; keeps the cross-check affordable.
 PIPELINE_MAX_N = 100
+# Color guard for the descent: the recorded proof bound's denominator has
+# 2^(r+3) factors, at most about 4000 digits at r = 7 for parts the census
+# admits and twice that at r = 8, past the interpreter's int-to-str limit.
+ITERATE_MAX_COLORS = 7
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +204,10 @@ def triangle_cover(coloring: EdgeColoring, triangles, strict: bool = True,
         if len(t) != 4:
             raise ValueError(f"triangle {t} is not (v0, v1, v2, color)")
         v0, v1, v2, ch = t
-        if not (isinstance(v0, int) and 0 <= v0 < g.n0):
-            raise ValueError(f"apex {v0} outside V0")
-        if not (isinstance(v1, int) and g.n0 <= v1 < g.n0 + g.n1):
-            raise ValueError(f"vertex {v1} outside V1")
-        if not (isinstance(v2, int) and g.n0 + g.n1 <= v2 < g.n):
-            raise ValueError(f"vertex {v2} outside V2")
+        for part, v in enumerate(t[:3]):
+            if not (isinstance(v, int) and v >= 0 and g.mask(part) >> v & 1):
+                raise ValueError(f"{'vertex' if part else 'apex'} {v} "
+                                 f"outside V{part}")
         if not (isinstance(ch, int) and 0 <= ch < coloring.r):
             raise ValueError(f"color {ch} outside 0..{coloring.r - 1}")
         for u, v in ((v0, v1), (v0, v2), (v1, v2)):
@@ -350,45 +352,43 @@ def sparse_pair_step(cover: TriangleCover) -> SparsePair:
 def _delete_sparse_color(cover: TriangleCover, step: SparsePair) -> TriangleCover:
     """Restrict to the pair, dropping its edges of the sparse color.
 
-    Keeps all of V0 and the V0-side edges into the pair; the surviving
-    cover triangles are exactly those with both feet in the pair and a
-    different color, so the relaxed cover revalidates by construction.
+    Keeps all of V0 and the host's vertex ids: V0 keeps its edges into the
+    pair, each foot its edges to V0 and to the other side except those of
+    the sparse color.  The surviving cover triangles are exactly those with
+    both feet in the pair and a different color, so the relaxed cover
+    revalidates by construction.
     """
     g = cover.graph
     col = cover.coloring
-    q = g.n0
-    k = len(step.v1)
-    idx1 = {a: q + i for i, a in enumerate(step.v1)}
-    idx2 = {b: q + k + j for j, b in enumerate(step.v2)}
-    edges = []
-    colors = {}
-    for w in range(q):
-        row = g.adj[w]
-        for a, na in idx1.items():
-            if row >> a & 1:
-                edges.append((w, na))
-                colors[(w, na)] = col.color_of(w, a)
-        for b, nb in idx2.items():
-            if row >> b & 1:
-                edges.append((w, nb))
-                colors[(w, nb)] = col.color_of(w, b)
-    for a, na in idx1.items():
-        for b, nb in idx2.items():
-            if g.has_edge(a, b):
-                ch = col.color_of(a, b)
-                if ch != step.color:
-                    edges.append((na, nb))
-                    colors[(na, nb)] = ch
-    sub = BipartiteGraph(k, k, edges, n0=q)
-    subcol = EdgeColoring(sub, colors, col.r)
-    tris = tuple((t[0], idx1[t[1]], idx2[t[2]], t[3])
-                 for t in cover.triangles
-                 if t[1] in idx1 and t[2] in idx2 and t[3] != step.color)
+    m0 = g.mask(0)
+    sel1, sel2 = mask_of(step.v1), mask_of(step.v2)
+    sparse = col.rows[step.color]
+    rows = [0] * g.n
+    for v in g.v0:
+        rows[v] = g.adj[v] & (sel1 | sel2)
+    for part, other in ((sel1, sel2), (sel2, sel1)):
+        for v in iter_bits(part):
+            rows[v] = g.adj[v] & (m0 | (other & ~sparse[v]))
+    sub = BipartiteGraph._from_parts(rows, (m0, sel1, sel2), g.labels)
+    subcol = EdgeColoring.from_rows(
+        sub, [[cr[v] & row for v, row in enumerate(rows)] for cr in col.rows],
+        col.r)
+    tris = tuple(t for t in cover.triangles
+                 if sel1 >> t[1] & 1 and sel2 >> t[2] & 1
+                 and t[3] != step.color)
     return triangle_cover(subcol, tris, strict=False)
 
 
 # ---------------------------------------------------------------------------
 # Iterated deletion
+
+
+def removal_iterate_guard(r: int) -> None:
+    """GuardError unless r <= ITERATE_MAX_COLORS, so the exact proof bound
+    n^3/(4cr)^(2^(r+3)) stays printable."""
+    if r > ITERATE_MAX_COLORS:
+        raise GuardError(f"{r} colors exceed the descent guard "
+                         f"{ITERATE_MAX_COLORS}")
 
 
 def removal_iterate(cover: TriangleCover) -> RemovalTrace:
@@ -407,6 +407,7 @@ def removal_iterate(cover: TriangleCover) -> RemovalTrace:
     sizes n_i = n^(2^i) / (4qr)^(2^i - 1) are recorded alongside the
     measured values at every level.
     """
+    removal_iterate_guard(cover.r)
     g = cover.graph
     n0_, r0, q = cover.n, cover.r, g.n0
     c = cover.c

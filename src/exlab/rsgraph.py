@@ -23,15 +23,12 @@ from .core import (
     Failure,
     Graph,
     GuardError,
-    RngStream,
     iter_bits,
 )
 
 # Resource envelopes: the 3-AP oracle is quadratic, decomposition checks are
 # quadratic per matching, and the exhaustive arrow scan is exponential.
-AP_ORACLE_MAX_N = 10 ** 5
-AP_SAMPLE_COUNT = 10 ** 5
-BEHREND_MAX_N = 10 ** 7
+BEHREND_MAX_N = 10 ** 6
 ENUM_BUDGET = 4 * 10 ** 6
 RS_MAX_N = 2 * 10 ** 4
 ARROW_EDGE_CAP = 24
@@ -123,24 +120,6 @@ def find_three_ap(elements):
     return None
 
 
-def _sampled_three_ap(elements, rng: RngStream, samples: int):
-    """Randomized progression search for sets too large for the exact oracle."""
-    elems = tuple(elements)
-    have = set(elems)
-    k = len(elems)
-    if k < 3:
-        return None
-    for _ in range(samples):
-        x = elems[rng.randrange(k)]
-        z = elems[rng.randrange(k)]
-        if x == z or (x + z) & 1:
-            continue
-        mid = (x + z) // 2
-        if mid != x and mid in have:
-            return (min(x, z), mid, max(x, z))
-    return None
-
-
 def behrend_set_guard(N: int) -> None:
     """GuardError unless 1 <= N <= BEHREND_MAX_N."""
     if not 1 <= N <= BEHREND_MAX_N:
@@ -157,7 +136,7 @@ def behrend_set(N: int) -> ApFreeSet:
     maximize the output size, with per-pair enumeration capped at ENUM_BUDGET
     vectors and shells that cannot beat the incumbent skipped via the
     shell-size bound d^(j-1).  The output is certified progression-free by
-    the exact quadratic oracle for N <= 10^5 and by sampling above.
+    the exact quadratic oracle at every N.
     """
     behrend_set_guard(N)
     best = tuple(range(1, min(N, 2) + 1))
@@ -189,16 +168,10 @@ def behrend_set(N: int) -> ApFreeSet:
             best = tuple(sorted(vals))
             meta = {"d": d, "j": j, "shell": shell}
         d += 1
-    if N <= AP_ORACLE_MAX_N:
-        hit = find_three_ap(best)
-        mode = "exact"
-    else:
-        hit = _sampled_three_ap(best, RngStream(179).derive("ap-check", N),
-                                AP_SAMPLE_COUNT)
-        mode = "sampled"
+    hit = find_three_ap(best)
     if hit is not None:
         raise AssertionError(f"3-term progression in output: {hit}")
-    return ApFreeSet(N=N, elements=best, stats={**meta, "check": mode})
+    return ApFreeSet(N=N, elements=best, stats={**meta, "check": "exact"})
 
 
 def verify_rs(dec: RsDecomposition):

@@ -338,13 +338,26 @@ def test_parse_errors(tmp_path):
 
     badparts = tmp_path / "parts.edges"
     badparts.write_text("3\n2 2\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="exceed n=3") as ei:
         read_bipartite(badparts)
+    assert ei.value.line_no == 2
 
     negcol = tmp_path / "neg.edges"
     negcol.write_text("3\n0 1 -1\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="negative color") as ei:
         read_coloring(negcol)
+    assert ei.value.line_no == 2
+
+    short = tmp_path / "short.edges"
+    short.write_text("3\n0 1 0\n\n1 2\n")
+    with pytest.raises(ParseError, match="expected 3 fields") as ei:
+        read_coloring(short)
+    assert ei.value.line_no == 4
+
+    edgeless = tmp_path / "edgeless.edges"
+    edgeless.write_text("3\n")
+    col = read_coloring(edgeless)
+    assert (col.r, col.graph.n, col.graph.m) == (1, 3, 0)
 
 
 def test_read_coloring_missing_part_header(tmp_path):

@@ -284,20 +284,52 @@ def test_failing_trial_of_any_type_is_recorded(tmp_path, monkeypatch):
 
 def test_trial_that_cannot_be_serialized_is_recorded(tmp_path, capsys,
                                                     monkeypatch):
-    # removal_iterate's proof bound n^3/(4cr)^(2^(r+3)) has a 208,300-digit
-    # denominator at r = 13, which the canonical "p/q" form cannot print
+    # a stats Fraction with a 5001-digit denominator, which the canonical
+    # "p/q" form cannot print
     if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
         pytest.skip("this interpreter has no int-to-str digit limit")
     monkeypatch.delenv("EXLAB_THREADS", raising=False)
+    key = ("removal", "iterate")
+    runner = expcli.OPS[key].runner
+
+    def unprintable(params, rng, preset):
+        ok, outcome, witness, stats = runner(params, rng, preset)
+        return ok, outcome, witness, {**stats,
+                                      "bound": Fraction(1, 10 ** 5000)}
+
+    monkeypatch.setitem(expcli.OPS, key,
+                        dataclasses.replace(expcli.OPS[key],
+                                            runner=unprintable))
     out = tmp_path / "rec.json"
     assert expcli.main(["removal", "--op", "iterate", "--random-grid", "15",
-                        "13", "--seed", "1", "--out", str(out)]) == 1
+                        "2", "--seed", "1", "--out", str(out)]) == 1
     capsys.readouterr()
     trial, = expcli.read_record(out)["trials"]
     assert trial["outcome"] == "error:ValueError" and not trial["ok"]
     assert trial["witness"] is None and "digits" in trial["stats"]["error"]
     assert expcli.main(["replay", str(out)]) == 1
     assert json.loads(capsys.readouterr().out)["match"] is True
+
+
+def test_removal_iterate_color_cap(tmp_path, capsys):
+    spec = ExperimentSpec("removal", "iterate", {"N": 15, "r": 7})
+    assert expcli.validate_spec(spec)["r"] == 7
+    with pytest.raises(GuardError, match="descent guard 7"):
+        expcli.validate_spec(dataclasses.replace(spec,
+                                                 params={"N": 15, "r": 8}))
+    _assert_input_error(["removal", "--op", "iterate", "--random-grid", "15",
+                         "8"], capsys)
+    # a grid file's colors are known only once it is read: a trial failure
+    grid = tmp_path / "grid.txt"
+    removal.write_grid(removal.GridColoring(
+        3, 8, [[0, 1, 2], [3, 4, 5], [6, 7, 0]]), grid)
+    out = tmp_path / "rec.json"
+    assert expcli.main(["removal", "--op", "iterate", "--grid-file",
+                        str(grid), "--out", str(out)]) == 1
+    capsys.readouterr()
+    trial, = expcli.read_record(out)["trials"]
+    assert trial["outcome"] == "error:GuardError"
+    assert "descent guard 7" in trial["stats"]["error"]
 
 
 def test_thread_count_is_capped(monkeypatch):

@@ -35,9 +35,6 @@ ALLOWED_ERRORS = {
     ("rsgraph", "double", "chunk", 13): _CHUNK,
     ("weakseq", "pipeline", "r", 13):
         "with t unset, t is the regime order of the drawn host's density",
-    ("removal", "iterate", "r", 13):
-        "the proof bound n^3/(4cr)^(2^(r+3)) has a 208,300-digit "
-        "denominator, past the int-to-str limit of the record",
 }
 
 REJECTED_AT_100000 = {
@@ -60,7 +57,7 @@ REJECTED_AT_100000 = {
     ("rsgraph", "arrow"): ("N",),
     ("removal", "census"): ("N",),
     ("removal", "step"): ("N",),
-    ("removal", "iterate"): ("N",),
+    ("removal", "iterate"): ("N", "r"),
     ("removal", "diamond"): ("N",),
     ("removal", "grid"): ("N",),
 }

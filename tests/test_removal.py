@@ -10,8 +10,11 @@ from exlab.core import (
     GuardError,
     ParseError,
     RngStream,
+    iter_bits,
+    mask_of,
 )
 from exlab.removal import (
+    ITERATE_MAX_COLORS,
     Corner,
     Diamond,
     GridColoring,
@@ -25,11 +28,13 @@ from exlab.removal import (
     random_grid,
     read_grid,
     removal_iterate,
+    removal_iterate_guard,
     sparse_pair_step,
     triangle_census,
     triangle_cover,
     write_grid,
 )
+from exlab.removal import _delete_sparse_color
 
 # corner-free 2-coloring of the 4x4 grid, first in enumeration order
 WITNESS4 = ((0, 1, 0, 1), (0, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 0))
@@ -85,6 +90,49 @@ def latin_cover(ctab, r=2):
     tris = tuple((w, q + a, q + n + (a + w) % n, ctab[w][a])
                  for w in range(q) for a in range(n))
     return triangle_cover(col, tris, strict=True)
+
+
+def relabelled_delete(cover, step):
+    """The deletion that rebuilt the pair on fresh contiguous ids, kept as
+    the oracle of the mask restriction."""
+    g = cover.graph
+    col = cover.coloring
+    q = g.n0
+    k = len(step.v1)
+    idx1 = {a: q + i for i, a in enumerate(step.v1)}
+    idx2 = {b: q + k + j for j, b in enumerate(step.v2)}
+    edges = []
+    colors = {}
+    for w in range(q):
+        row = g.adj[w]
+        for a, na in idx1.items():
+            if row >> a & 1:
+                edges.append((w, na))
+                colors[(w, na)] = col.color_of(w, a)
+        for b, nb in idx2.items():
+            if row >> b & 1:
+                edges.append((w, nb))
+                colors[(w, nb)] = col.color_of(w, b)
+    for a, na in idx1.items():
+        for b, nb in idx2.items():
+            if g.has_edge(a, b):
+                ch = col.color_of(a, b)
+                if ch != step.color:
+                    edges.append((na, nb))
+                    colors[(na, nb)] = ch
+    sub = BipartiteGraph(k, k, edges, n0=q)
+    subcol = EdgeColoring(sub, colors, col.r)
+    tris = tuple((t[0], idx1[t[1]], idx2[t[2]], t[3])
+                 for t in cover.triangles
+                 if t[1] in idx1 and t[2] in idx2 and t[3] != step.color)
+    return triangle_cover(subcol, tris, strict=False)
+
+
+def three_color_grid():
+    cells = tuple(tuple(2 if (i == 3 and WITNESS4[i][j] == 1)
+                        else WITNESS4[i][j] for j in range(4))
+                  for i in range(4))
+    return GridColoring(4, 3, cells)
 
 
 def ref_census(col):
@@ -242,6 +290,23 @@ def test_cover_rejects_out_of_part():
         triangle_cover(cov.coloring, bad)
 
 
+def test_cover_checks_feet_against_non_contiguous_part_masks():
+    # one descent level keeps host ids: V1 = {4, 7}, V2 = {8, 11} of 0..11
+    cov = latin_cover(LATIN_CTAB)
+    sub = _delete_sparse_color(cov, sparse_pair_step(cov))
+    g = sub.graph
+    assert (g.mask(1), g.mask(2)) == (1 << 4 | 1 << 7, 1 << 8 | 1 << 11)
+    assert triangle_cover(sub.coloring, sub.triangles, strict=False) == sub
+    t = sub.triangles[0]
+    for foot, bad, part in ((1, 5, "V1"), (2, 10, "V2"), (1, 8, "V1"),
+                            (2, -1, "V2"), (1, 10 ** 6, "V1"),
+                            (1, "4", "V1"), (0, 4, "V0")):
+        moved = t[:foot] + (bad,) + t[foot + 1:]
+        with pytest.raises(ValueError, match=f"outside {part}"):
+            triangle_cover(sub.coloring, (moved,) + sub.triangles[1:],
+                           strict=False)
+
+
 def test_cover_rejects_missing_edge_and_bad_quadruple():
     edges = [(0, 1), (0, 3), (1, 3)]
     g = BipartiteGraph(2, 2, edges, n0=1)
@@ -373,10 +438,7 @@ def test_iterate_corner_free_witness():
 
 
 def test_iterate_three_color_proof_sizes():
-    cells = tuple(tuple(2 if (i == 3 and WITNESS4[i][j] == 1)
-                        else WITNESS4[i][j] for j in range(4))
-                  for i in range(4))
-    gc = GridColoring(4, 3, cells)
+    gc = three_color_grid()
     assert corner_oracle(gc) == ()
     tr = removal_iterate(grid_cover(gc))
     assert tr.verdict == "bound_holds"
@@ -405,6 +467,55 @@ def test_iterate_records_descending_r():
     r_effs = [lv["r_eff"] for lv in tr.levels]
     assert r_effs == sorted(r_effs, reverse=True)
     assert tr.stats["q"] == 4 and tr.stats["c"] == Fraction(1)
+
+
+@pytest.mark.parametrize("cover", [
+    latin_cover(LATIN_CTAB),
+    grid_cover(GridColoring(4, 2, WITNESS4)),
+    grid_cover(three_color_grid()),
+], ids=["latin", "witness4", "three-color"])
+def test_descent_restricts_in_host_ids_as_relabelling_did(cover):
+    steps = sum(lv["event"] == "step" for lv in removal_iterate(cover).levels)
+    assert steps >= 1
+    root = cover.graph
+    ours, oracle = cover, cover
+    for _ in range(steps):
+        step = sparse_pair_step(ours)
+        ours = _delete_sparse_color(ours, step)
+        oracle = relabelled_delete(oracle, sparse_pair_step(oracle))
+        g = ours.graph
+        assert g.n == root.n and g.labels == root.labels
+        for part in range(3):
+            assert g.mask(part) & ~root.mask(part) == 0
+        assert (g.mask(1), g.mask(2)) == (mask_of(step.v1), mask_of(step.v2))
+        # the order-preserving map from host ids to the oracle's compact ids
+        kept = sorted(g.v0 + g.v1 + g.v2)
+        pos = {v: i for i, v in enumerate(kept)}
+
+        def compact(row):
+            return mask_of(pos[v] for v in iter_bits(row))
+
+        assert all(g.adj[v] == 0 for v in range(g.n) if v not in pos)
+        assert [compact(g.adj[v]) for v in kept] == list(oracle.graph.adj)
+        assert [[compact(row[v]) for v in kept]
+                for row in ours.coloring.rows] == \
+            [list(row) for row in oracle.coloring.rows]
+        assert tuple((pos[w], pos[a], pos[b], ch)
+                     for w, a, b, ch in ours.triangles) == oracle.triangles
+        assert (g.n0, g.n1, g.n2) == (oracle.graph.n0, oracle.graph.n1,
+                                      oracle.graph.n2)
+
+
+def test_iterate_color_guard_boundary():
+    assert ITERATE_MAX_COLORS == 7
+    removal_iterate_guard(7)
+    with pytest.raises(GuardError, match="descent guard 7"):
+        removal_iterate_guard(8)
+    rng = RngStream(912).derive("colors")
+    tr = removal_iterate(grid_cover(random_grid(15, 7, rng)))
+    assert len(str(tr.bound)) > 1000
+    with pytest.raises(GuardError, match="8 colors exceed"):
+        removal_iterate(grid_cover(random_grid(15, 8, rng)))
 
 
 # ---------------------------------------------------------------------------

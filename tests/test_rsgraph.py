@@ -99,9 +99,9 @@ def test_behrend_large_frozen():
     assert len(ap.elements) == 462
     assert ap.elements[-1] == 88210
     assert ap.stats == {"d": 2, "j": 11, "shell": 5, "check": "exact"}
-    # past the exact-oracle envelope the check switches to sampling
+    # the exact oracle certifies past 10^5 as well
     big = behrend_set(2 * 10 ** 5)
-    assert big.stats["check"] == "sampled"
+    assert big.stats["check"] == "exact"
     assert find_three_ap(big.elements) is None
 
 
@@ -113,7 +113,7 @@ def test_behrend_guards():
     with pytest.raises(GuardError):
         behrend_set(0)
     with pytest.raises(GuardError):
-        behrend_set(10 ** 7 + 1)
+        behrend_set(10 ** 6 + 1)
 
 
 def test_verify_rs_accepts_construction():
