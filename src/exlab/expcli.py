@@ -1053,6 +1053,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("records", nargs="+", help="record file paths")
     p.add_argument("--format", choices=("json", "csv", "md"), default="md")
     p.add_argument("--out")
+
+    p = sub.add_parser("bench", help="time the gate workloads, the README "
+                                     "examples and the test suite")
+    p.add_argument("out", help="result file, e.g. BENCH_8.json")
     return parser
 
 
@@ -1138,6 +1142,9 @@ def main(argv=None) -> int:
                 with open(args.out, "w", encoding="utf-8") as fh:
                     fh.write(text)
             return 0
+        if args.command == "bench":
+            from . import bench  # imported here to keep start-up light
+            return bench.main(args.out)
     except (GuardError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,8 @@ reproduced byte for byte by any change that claims to keep behaviour, so a
 refactor of the graph layer or the pipelines shows up here as a digest
 mismatch.  The corpus reaches every operation, a ``Failure`` trial
 (``embed-lemma-round-cap-failure``) and a ``FalsifyingColoring`` witness
-(``rsgraph-decompose-falsified``).  Pins are keyed by
+(``rsgraph-decompose-falsified``), and two G(2000, 1/2) hosts where
+``find_ktt`` searches for a K_{t,t} with t = 4 and t = 12.  Pins are keyed by
 ``RngStream.ALGORITHM``: a new random algorithm changes every random host,
 and it must add its own pins instead of passing.
 """
@@ -28,6 +29,12 @@ CORPUS = {
     "weakseq-pipeline-n600-t3": ExperimentSpec(
         "weakseq", "pipeline", {"n": 600, "p": 0.6, "r": 3, "t": 3},
         seed=3, trials=1),
+    "weakseq-pipeline-n2000-t4": ExperimentSpec(
+        "weakseq", "pipeline", {"n": 2000, "p": 0.5, "r": 4, "t": 4},
+        seed=7, trials=1),
+    "weakseq-pipeline-n2000-t12": ExperimentSpec(
+        "weakseq", "pipeline", {"n": 2000, "p": 0.5, "r": 4, "t": 12},
+        seed=8, trials=1),
     "weakseq-pipeline-n300-sparse": ExperimentSpec(
         "weakseq", "pipeline", {"n": 300, "p": 0.3, "r": 2, "t": 2},
         seed=4, trials=2),
@@ -166,6 +173,10 @@ PINS = {
             "aa3662bc19cb193713d344499614a33e3b4be78f312e4ad9b27bcc7eaea7e2e5",
         "weakseq-pipeline-n200-regime":
             "1cac9a51d16fa28345f97e1b87ba57e3312b9bcbc364e5cf9533ca20875f52fa",
+        "weakseq-pipeline-n2000-t12":
+            "3cdc0a20500ddde9a8f8b4e711f9834b72582f665b5553c7e7bbdcd92ab3b702",
+        "weakseq-pipeline-n2000-t4":
+            "0c84ded5d29116434299867481c027bc82b70f1a55350cb7f41522154c2e08bd",
         "weakseq-pipeline-n300-sparse":
             "25d7598677f1ea50200506d38a75b7abc3e3f05cc6697d401821b4ae4a2ab69f",
         "weakseq-pipeline-n400-t2":
