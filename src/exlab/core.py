@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import ceil, comb, log
 from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_HYPERCUBE_DIM = 20
@@ -149,8 +150,40 @@ class RngStream:
         self._rng.shuffle(seq)
 
     def sample(self, population, k: int) -> list:
+        """``random.Random.sample``, drawn in bulk for ``range(n)``.
+
+        Where CPython samples ``range(n)``, n < 2^32, with a set, each value
+        is the top ``n.bit_length()`` bits of one 32-bit word, and values
+        >= n and repeats are drawn again.  This draws the words of the
+        ``need`` values still missing with one getrandbits call, all of
+        which the per-value loop would read too, keeps each new value in
+        order and draws exactly the shortfall again, so the values, the
+        generator state and ``position`` equal theirs.  Every other
+        population goes to ``random.Random.sample``.
+        """
         self.position += 1
-        return self._rng.sample(population, k)
+        if not (type(population) is range and population.start == 0
+                and population.step == 1
+                and 0 <= k <= population.stop < 1 << 32
+                and population.stop > _sample_setsize(k)):
+            return self._rng.sample(population, k)
+        n = population.stop
+        shift = 32 - n.bit_length()
+        bound = n << shift
+        chosen = {}
+        while len(chosen) < k:
+            need = k - len(chosen)
+            words = struct.unpack(f"<{need}I", self._rng.getrandbits(
+                32 * need).to_bytes(4 * need, "little"))
+            chosen.update(dict.fromkeys([w >> shift for w in words
+                                         if w < bound]))
+        return list(chosen)
+
+
+def _sample_setsize(k: int) -> int:
+    """The population size up to which ``random.Random.sample`` draws k
+    values from a list instead of a set, as CPython computes it."""
+    return 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +645,53 @@ def generate(kind: str, params: Mapping):
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
+# _BIT_AS_DIGIT[j] maps a byte to b"1" when its bit j is set, else to b"0"
+_BIT_AS_DIGIT = tuple(bytes(0x31 if b >> j & 1 else 0x30 for b in range(256))
+                      for j in range(8))
+
+
 def random_graph(n: int, p: float, stream: RngStream) -> Graph:
-    """G(n, p) with one Bernoulli draw per vertex pair, in canonical order."""
+    """G(n, p) with one Bernoulli draw per vertex pair, in canonical order.
+
+    Pair (u, v), u < v, is an edge exactly when the ``stream.random()`` call
+    it gets in row-major order is below p, and the stream ends where those
+    calls leave it.  CPython's random() is X / 2^53 with
+    X = (a >> 5) * 2^26 + (b >> 6) for two consecutive 32-bit words a, b,
+    so the draw is below p exactly when X < T = ceil(p * 2^53).  Row u
+    draws its n-u-1 word pairs with one getrandbits call.  Read big-endian,
+    byte 8i+4 is the top byte of a for the i-th pair from the row's end and
+    equals X >> 45, so one ``bytes.translate`` against T >> 45 decides 255
+    pairs in 256, and the ties are settled from both words.  The rows'
+    lower halves are the columns of their upper halves, read from a packed
+    bit matrix of n*n/8 bytes.
+    """
+    # NaN compares false, so no draw is below it; p >= 1 admits every draw
+    T = 0 if not p > 0 else 1 << 53 if p >= 1 else ceil(p * (1 << 53))
+    hi = T >> 45
+    decide = b"1" * hi + b"0" * (256 - hi)
+    nb = (n + 7) >> 3
+    bits = bytearray(n * nb)  # row u's upper half at (n-1-u)*nb, little-endian
     rows = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if stream.random() < p:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+    getrandbits = stream._rng.getrandbits
+    for u in range(n - 1):
+        pairs = n - 1 - u
+        words = getrandbits(64 * pairs).to_bytes(8 * pairs, "big")
+        tops = words[4::8]
+        up = int(tops.translate(decide), 2)
+        i = tops.find(hi) if hi < 256 else -1
+        while i >= 0:
+            at = 8 * i
+            x = (int.from_bytes(words[at + 4:at + 8], "big") >> 5 << 26
+                 | int.from_bytes(words[at:at + 4], "big") >> 6)
+            if x < T:
+                up |= 1 << (pairs - 1 - i)
+            i = tops.find(hi, i + 1)
+        rows[u] = up = up << (u + 1)
+        at = (n - 1 - u) * nb
+        bits[at:at + nb] = up.to_bytes(nb, "little")
+    stream.position += n * (n - 1) // 2
+    for v in range(1, n):
+        rows[v] |= int(bits[v >> 3::nb].translate(_BIT_AS_DIGIT[v & 7]), 2)
     return Graph.from_adjacency(n, rows, _validate=False)
 
 

@@ -1,6 +1,9 @@
 """Tests for the shared substrate: graphs, colorings, RNG streams, file I/O."""
 
+import math
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,6 +15,7 @@ from exlab.core import (BipartiteGraph, EdgeColoring, Graph, GuardError,
                         random_graph, read_bipartite, read_coloring,
                         read_graph, try_bipartition,
                         write_coloring, write_graph)
+from exlab.core import _sample_setsize
 
 
 def test_bit_helpers_round_trip():
@@ -137,6 +141,134 @@ def test_random_graph():
     assert Fraction(1, 4) < g1.density() < Fraction(3, 4)
     assert random_graph(10, 0.0, RngStream(1)).m == 0
     assert random_graph(10, 1.0, RngStream(1)) == complete_graph(10)
+
+
+def random_graph_rows_per_pair(n, p, stream):
+    """Reference G(n, p): one stream.random() per vertex pair, row-major."""
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if stream.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return tuple(rows)
+
+
+EDGE_PS = (0.0, 1.0, 0.5, 1 / 3, 0.001, 5e-324, 1 - 2 ** -53, 1.5, -0.5,
+           math.nan, math.inf)
+
+
+def test_random_graph_matches_per_pair_draws():
+    # 8 and 9 straddle a byte of the bit matrix the columns are read from
+    for n in (0, 1, 2, 7, 8, 9, 17, 300):
+        for p in EDGE_PS:
+            for seed in (1, 77, 2 ** 40 + 3):
+                bulk, single = RngStream(seed), RngStream(seed)
+                g = random_graph(n, p, bulk)
+                assert g.adj == random_graph_rows_per_pair(n, p, single), \
+                    (n, p, seed)
+                assert bulk.position == single.position == n * (n - 1) // 2
+                assert bulk._rng.getstate() == single._rng.getstate()
+                assert g.m == sum(r.bit_count() for r in g.adj) // 2
+    assert random_graph(9, math.nan, RngStream(1)).m == 0
+    assert random_graph(9, math.inf, RngStream(1)) == complete_graph(9)
+    assert random_graph(9, 1.5, RngStream(1)) == complete_graph(9)
+    assert random_graph(9, -0.5, RngStream(1)).m == 0
+
+
+def test_random_graph_settles_ties_both_ways():
+    """Pairs whose draw shares its top byte with ceil(p * 2^53) need both
+    words; at p = 1/3 such pairs fall on both sides of p."""
+    n, p, seed = 300, 1 / 3, 1
+    T = math.ceil(p * 2 ** 53)
+    words = random.Random(seed)
+    below = above = 0
+    for _ in range(n * (n - 1) // 2):
+        a, b = words.getrandbits(32), words.getrandbits(32)
+        if a >> 24 == T >> 45:
+            x = (a >> 5) * 2 ** 26 + (b >> 6)
+            below += x < T
+            above += x >= T
+    assert below and above
+    assert random_graph(n, p, RngStream(seed)).adj == \
+        random_graph_rows_per_pair(n, p, RngStream(seed))
+
+
+def test_sample_matches_random_sample():
+    cases = [(range(n), k) for k in (0, 1, 6, 3072)
+             for n in (k, _sample_setsize(k), _sample_setsize(k) + 1,
+                       4 * _sample_setsize(k) + 1) if n >= k]
+    cases += [(range(comb(128, 3)), 3072), (range(2 ** 32 - 1), 6),
+              (range(2 ** 32), 6), (range(2 ** 40), 3072),
+              (range(1, 1000), 50), (range(0, 2000, 2), 50),
+              (list(range(500)), 40), ("abcdefghij", 4)]
+    for population, k in cases:
+        for seed in (3, 2 ** 33 + 5):
+            bulk, plain = RngStream(seed), random.Random(seed)
+            assert bulk.sample(population, k) == plain.sample(population, k)
+            assert bulk._rng.getstate() == plain.getstate(), (population, k)
+            assert bulk.position == 1
+    for population, k in ((range(5), 6), (range(100), 101), (range(50), -1)):
+        with pytest.raises(ValueError):
+            RngStream(1).sample(population, k)
+
+
+def test_interpreter_keeps_the_draws_the_bulk_kernels_assume():
+    """random_graph, sample and randrange_bytes rebuild CPython's draws from
+    raw Mersenne Twister words; a change here would change hosts."""
+    rnd, raw = random.Random(11), random.Random(11)
+    for _ in range(1000):
+        a, b = raw.getrandbits(32), raw.getrandbits(32)
+        assert rnd.random() == ((a >> 5) * 2 ** 26 + (b >> 6)) / 2 ** 53, \
+            "random() is no longer (a>>5, b>>6) of two 32-bit words"
+    for m in (1, 2, 5, 64):
+        words = [raw.getrandbits(32) for _ in range(m)]
+        assert rnd.getrandbits(32 * m) == sum(
+            w << 32 * i for i, w in enumerate(words)), \
+            "getrandbits(32*m) is no longer m words little-endian"
+    for bits in (1, 7, 19, 31):
+        assert rnd.getrandbits(bits) == raw.getrandbits(32) >> (32 - bits), \
+            "getrandbits(k <= 32) is no longer the top k bits of one word"
+    for k in (2, 5, 6, 7, 50, 3072):
+        setsize = _sample_setsize(k)
+        for n, branch, other in ((setsize, sample_from_list, sample_from_set),
+                                 (setsize + 1, sample_from_set,
+                                  sample_from_list)):
+            for seed in range(100):  # until a seed tells the branches apart
+                got = random.Random(seed).sample(range(n), k)
+                assert got == branch(random.Random(seed), n, k), \
+                    f"sample(range({n}), {k}) left the branch that " \
+                    f"core._sample_setsize({k}) = {setsize} assumes"
+                if got != other(random.Random(seed), n, k):
+                    break
+            else:
+                pytest.fail(f"no seed told the branches apart at n={n}")
+
+
+def randbelow(rnd, n):
+    r = rnd.getrandbits(n.bit_length())
+    while r >= n:
+        r = rnd.getrandbits(n.bit_length())
+    return r
+
+
+def sample_from_list(rnd, n, k):
+    """CPython's sample(range(n), k) for n <= setsize: a shrinking pool."""
+    pool = list(range(n))
+    out = []
+    for i in range(k):
+        j = randbelow(rnd, n - i)
+        out.append(pool[j])
+        pool[j] = pool[n - i - 1]
+    return out
+
+
+def sample_from_set(rnd, n, k):
+    """CPython's sample(range(n), k) for n > setsize: redraw repeats."""
+    out = {}
+    while len(out) < k:
+        out.setdefault(randbelow(rnd, n))
+    return list(out)
 
 
 def test_random_equitable_bipartition():
