@@ -236,10 +236,11 @@ def previous_bench(out: Path) -> Path | None:
 
 def ratios(doc: dict, prev: dict) -> dict:
     """This run's times divided by ``prev``'s, entry by entry."""
-    out = {name: _round(e["median_s"] / prev["entries"][name]["median_s"])
-           for name, e in doc["entries"].items()
-           if prev.get("entries", {}).get(name, {}).get("median_s")}
-    if doc.get("tier1") and (prev.get("tier1") or {}).get("seconds"):
+    before = {name: e.get("median_s") for name, e
+              in (prev.get("entries") or {}).items() if isinstance(e, dict)}
+    out = {name: _round(e["median_s"] / before[name])
+           for name, e in doc["entries"].items() if before.get(name)}
+    if doc["tier1"] and (prev.get("tier1") or {}).get("seconds"):
         out["tier1"] = _round(doc["tier1"]["seconds"]
                               / prev["tier1"]["seconds"])
     return out
@@ -248,6 +249,11 @@ def ratios(doc: dict, prev: dict) -> dict:
 def run_bench(out: Path, workloads=WORKLOADS, reps: int = REPS,
               tier1: bool = True) -> dict:
     t0 = time.perf_counter()
+    prev = previous_bench(out)
+    if prev is not None:  # read first, so a bad file fails before the run
+        prev_doc = json.loads(prev.read_text(encoding="utf-8"))
+        if not isinstance(prev_doc, dict):
+            raise ValueError(f"{prev} is not an exlab bench file")
     failures = []
     with _threads_cleared():
         entries = time_workloads(workloads, reps, failures)
@@ -255,10 +261,8 @@ def run_bench(out: Path, workloads=WORKLOADS, reps: int = REPS,
            "entries": entries, "tier1": time_tier1() if tier1 else None}
     if doc["tier1"] is not None and doc["tier1"]["exit_code"] != 0:
         failures.append(f"tier-1: {doc['tier1']['summary']}")
-    prev = previous_bench(out)
     doc["ratio_to"] = None if prev is None else {
-        "file": prev.name,
-        "ratios": ratios(doc, json.loads(prev.read_text(encoding="utf-8")))}
+        "file": prev.name, "ratios": ratios(doc, prev_doc)}
     doc["failures"] = failures
     doc["total_s"] = _round(time.perf_counter() - t0)
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

@@ -12,7 +12,8 @@ Records are JSON with an explicit schema version.  Witnesses are stored
 as SHA-256 digests of a canonical JSON form covering the package's
 result types, so replay comparisons are byte-exact without shipping
 full graphs.  The report command renders one row per record, sorted by
-module then operation, as JSON, CSV, or a markdown table.
+module then operation, as JSON, CSV, or a markdown table.  The bench
+command times fixed workloads (see ``exlab.bench``).
 
 Trials fan out to a process pool when EXLAB_THREADS is set above 1,
 capped at the CPU count and the trial count; record assembly stays a

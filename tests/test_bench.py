@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from exlab import bench, expcli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -46,6 +48,15 @@ def test_bench_file_holds_medians_environment_and_ratio(tmp_path):
     assert set(second["ratio_to"]["ratios"]) == {"calibration", "tiny.sum"}
     assert json.loads((tmp_path / "BENCH_2.json").read_text()) == second
     assert bench.previous_bench(tmp_path / "out.json").name == "BENCH_3.json"
+
+
+def test_bench_refuses_a_bad_previous_file_before_running(tmp_path):
+    (tmp_path / "BENCH_1.json").write_text("[1, 2]")
+    with pytest.raises(ValueError, match="not an exlab bench file"):
+        bench.run_bench(tmp_path / "BENCH_2.json", (failing,), tier1=False)
+    (tmp_path / "BENCH_1.json").write_text("{not json")
+    assert expcli.main(["bench", str(tmp_path / "BENCH_2.json")]) == 2
+    assert not (tmp_path / "BENCH_2.json").exists()
 
 
 def test_bench_lists_failed_checks(tmp_path):
