@@ -2,6 +2,7 @@
 file and the start-up cost it must not add to the other commands."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -82,5 +83,5 @@ def test_bench_module_is_not_loaded_at_start_up():
     src = str(Path(bench.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
-                         env={"PYTHONPATH": src, "PATH": ""})
+                         env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
