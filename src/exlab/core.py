@@ -650,49 +650,68 @@ _BIT_AS_DIGIT = tuple(bytes(0x31 if b >> j & 1 else 0x30 for b in range(256))
                       for j in range(8))
 
 
-def random_graph(n: int, p: float, stream: RngStream) -> Graph:
-    """G(n, p) with one Bernoulli draw per vertex pair, in canonical order.
+def bit_columns(rows: Sequence[int], cols: int) -> list:
+    """Columns 0..cols-1 of the bit matrix whose row i is ``rows[i]``, every
+    row below 2^cols: bit i of column c is bit c of ``rows[i]``.  The rows
+    are packed little-endian, last row first, so one ``bytes.translate`` of
+    byte c >> 3 of every row spells column c as a binary numeral."""
+    nb = (cols + 7) >> 3
+    bits = b"".join([row.to_bytes(nb, "little") for row in reversed(rows)])
+    return [int(bits[c >> 3::nb].translate(_BIT_AS_DIGIT[c & 7]) or b"0", 2)
+            for c in range(cols)]
 
-    Pair (u, v), u < v, is an edge exactly when the ``stream.random()`` call
-    it gets in row-major order is below p, and the stream ends where those
-    calls leave it.  CPython's random() is X / 2^53 with
+
+def _bernoulli_rows(stream: RngStream, counts: Sequence[int], p: float) -> list:
+    """Row i holds ``counts[i]`` draws, bit k set exactly when the row's k-th
+    ``stream.random()`` call, made row after row, is below p; the stream
+    ends where those calls leave it.  CPython's random() is X / 2^53 with
     X = (a >> 5) * 2^26 + (b >> 6) for two consecutive 32-bit words a, b,
-    so the draw is below p exactly when X < T = ceil(p * 2^53).  Row u
-    draws its n-u-1 word pairs with one getrandbits call.  Read big-endian,
-    byte 8i+4 is the top byte of a for the i-th pair from the row's end and
+    so the draw is below p exactly when X < T = ceil(p * 2^53).  Each row
+    draws its word pairs with one getrandbits call.  Read big-endian, byte
+    8i+4 is the top byte of a for the i-th pair from the row's end and
     equals X >> 45, so one ``bytes.translate`` against T >> 45 decides 255
-    pairs in 256, and the ties are settled from both words.  The rows'
-    lower halves are the columns of their upper halves, read from a packed
-    bit matrix of n*n/8 bytes.
-    """
+    pairs in 256, and the ties are settled from both words."""
     # NaN compares false, so no draw is below it; p >= 1 admits every draw
     T = 0 if not p > 0 else 1 << 53 if p >= 1 else ceil(p * (1 << 53))
     hi = T >> 45
     decide = b"1" * hi + b"0" * (256 - hi)
-    nb = (n + 7) >> 3
-    bits = bytearray(n * nb)  # row u's upper half at (n-1-u)*nb, little-endian
-    rows = [0] * n
     getrandbits = stream._rng.getrandbits
-    for u in range(n - 1):
-        pairs = n - 1 - u
-        words = getrandbits(64 * pairs).to_bytes(8 * pairs, "big")
+    rows = []
+    for count in counts:
+        words = getrandbits(64 * count).to_bytes(8 * count, "big")
         tops = words[4::8]
-        up = int(tops.translate(decide), 2)
+        row = int(tops.translate(decide) or b"0", 2)
         i = tops.find(hi) if hi < 256 else -1
         while i >= 0:
             at = 8 * i
             x = (int.from_bytes(words[at + 4:at + 8], "big") >> 5 << 26
                  | int.from_bytes(words[at:at + 4], "big") >> 6)
             if x < T:
-                up |= 1 << (pairs - 1 - i)
+                row |= 1 << (count - 1 - i)
             i = tops.find(hi, i + 1)
-        rows[u] = up = up << (u + 1)
-        at = (n - 1 - u) * nb
-        bits[at:at + nb] = up.to_bytes(nb, "little")
-    stream.position += n * (n - 1) // 2
-    for v in range(1, n):
-        rows[v] |= int(bits[v >> 3::nb].translate(_BIT_AS_DIGIT[v & 7]), 2)
+        rows.append(row)
+    stream.position += sum(counts)
+    return rows
+
+
+def random_graph(n: int, p: float, stream: RngStream) -> Graph:
+    """G(n, p): pair (u, v), u < v, is an edge exactly when the
+    ``stream.random()`` call it gets in row-major order is below p.  The
+    rows' lower halves are the ``bit_columns`` of their upper halves."""
+    upper = [row << (u + 1) for u, row in
+             enumerate(_bernoulli_rows(stream, range(n - 1, -1, -1), p))]
+    rows = [up | low for up, low in zip(upper, bit_columns(upper, n))]
     return Graph.from_adjacency(n, rows, _validate=False)
+
+
+def random_bipartite(n1: int, n2: int, p: float,
+                     stream: RngStream) -> BipartiteGraph:
+    """G(n1, n2, p) on V1 = [0, n1), V2 = [n1, n1 + n2): pair (u, n1 + v) is
+    an edge exactly when the ``stream.random()`` call it gets in row-major
+    order over (u, v) is below p.  The V2 rows are the V1 rows' columns."""
+    draws = _bernoulli_rows(stream, [n2] * n1, p)
+    rows = [row << n1 for row in draws] + bit_columns(draws, n2)
+    return BipartiteGraph.from_adjacency(n1, n2, rows)
 
 
 # ---------------------------------------------------------------------------

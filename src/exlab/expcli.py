@@ -50,6 +50,7 @@ from .core import (
     complete_graph,
     hypercube,
     hypercube_guard,
+    random_bipartite,
     random_coloring,
     random_graph,
     read_graph,
@@ -434,11 +435,8 @@ def _embed_drc_check(params: dict) -> None:
 
 
 def _run_embed_drc(params, rng, preset):
-    N = params["N"]
-    host_rng = rng.derive("host")
-    edges = [(u, N + v) for u in range(N) for v in range(N)
-             if host_rng.random() < params["p"]]
-    B = BipartiteGraph(N, N, edges)
+    B = random_bipartite(params["N"], params["N"], params["p"],
+                         rng.derive("host"))
     res = lll_embed.drc_subset(B, _drc_params(params), rng.derive("drc"),
                                params["retry_cap"])
     stats = {"u_size": len(res.U), "tries": res.tries,
@@ -1057,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the gate workloads, the README "
                                      "examples and the test suite")
-    p.add_argument("out", help="result file, e.g. BENCH_8.json")
+    p.add_argument("out", help="result file, e.g. BENCH_9.json")
     return parser
 
 

@@ -25,7 +25,8 @@ from importlib import resources
 from typing import Optional, Sequence, Union
 
 from .core import (BipartiteGraph, Failure, Graph, GuardError, RetryError,
-                   RngStream, iter_bits, mask_of, random_equitable_bipartition)
+                   RngStream, bit_columns, iter_bits, mask_of,
+                   random_equitable_bipartition)
 
 ORACLE_MAX_N = 12
 KTT_MAX_T = 12
@@ -206,6 +207,18 @@ def degree_filter(B: BipartiteGraph, mode: str, value) -> tuple:
     return kept
 
 
+def _block_reach(B: BipartiteGraph, blocks) -> list:
+    """Row j holds the V2 vertices that block j sees, the OR of its members'
+    rows; no other code decides whether a block sees a vertex."""
+    reach = []
+    for blk in blocks:
+        row = 0
+        for u in blk:
+            row |= B.adj[u]
+        reach.append(row)
+    return reach
+
+
 def cover_partition(B: BipartiteGraph, r: int, rng: RngStream,
                     retry_cap: int = 200) -> CoverPartition:
     """Random partition of V1 into r-blocks, accepted when the fraction of
@@ -231,9 +244,8 @@ def cover_partition(B: BipartiteGraph, r: int, rng: RngStream,
         rng.shuffle(order)
         blocks = tuple(tuple(sorted(order[i * r:(i + 1) * r]))
                        for i in range(d))
-        masks = [mask_of(blk) for blk in blocks]
-        bad = sum(1 for m in masks for b in B.v2 if not B.adj[b] & m)
-        fraction = Fraction(bad, d * n2)
+        seen = sum(row.bit_count() for row in _block_reach(B, blocks))
+        fraction = Fraction(d * n2 - seen, d * n2)
         cand = CoverPartition(blocks, fraction, threshold, tries,
                               fraction <= threshold)
         if cand.met:
@@ -362,23 +374,11 @@ def as_complete_sequence(w: WeakSequence) -> WeakSequence:
 
 def _incidence_graph(B: BipartiteGraph, blocks) -> BipartiteGraph:
     """V2 of B against fresh block vertices B.n + j: v ~ block j iff some
-    edge of v lands in blocks[j], so block j's row is the union of its
-    members' rows.  V2 keeps B's vertex ids."""
+    edge of v lands in blocks[j].  Block j's row is its reach row, and v's
+    row is column v of the reach rows.  V2 keeps B's vertex ids."""
     d = len(blocks)
-    rows = [0] * (B.n + d)
-    block_masks = [mask_of(blk) for blk in blocks]
-    for v in B.v2:
-        adj = B.adj[v]
-        hits = 0
-        for j, m in enumerate(block_masks):
-            if adj & m:
-                hits |= 1 << j
-        rows[v] = hits << B.n
-    for j, blk in enumerate(blocks):
-        reach = 0
-        for u in blk:
-            reach |= B.adj[u]
-        rows[B.n + j] = reach
+    reach = _block_reach(B, blocks)
+    rows = [col << B.n for col in bit_columns(reach, B.n)] + reach
     parts = (0, B.mask(2), ((1 << d) - 1) << B.n)
     return BipartiteGraph._from_parts(rows, parts)
 
@@ -506,6 +506,10 @@ def weak_sequence_pipeline(G: Graph, r: int, t: int, rng: RngStream,
 # Paths by dependent random choice
 
 
+def _ceil_frac(x: Fraction) -> int:
+    return -((-x.numerator) // x.denominator)
+
+
 def _pick_two(a_cands: int, b_cands: int):
     """Distinct bits a from a_cands and b from b_cands, if any pair exists."""
     if not a_cands or not b_cands:
@@ -562,10 +566,8 @@ def paths_drc(H: BipartiteGraph, rng: RngStream,
         raise GuardError("H has no edges")
     if p * p * n < c.min_p2n:
         raise GuardError(f"p^2 n = {float(p * p * n):.1f} below {c.min_p2n}")
-    target = -((-p.numerator * n) // (p.denominator * c.x_frac_div))
-    coeff = Fraction(c.budget_coeff)
-    bf = coeff * p ** 5 * n
-    budget = max(1, -((-bf.numerator) // bf.denominator))
+    target = _ceil_frac(p * n / c.x_frac_div)
+    budget = max(1, _ceil_frac(Fraction(c.budget_coeff) * p ** 5 * n))
     v2 = list(H.v2)
     best = None
     for tries in range(1, max(retry_cap, 1) + 1):
@@ -609,10 +611,6 @@ def paths_drc(H: BipartiteGraph, rng: RngStream,
 
 # ---------------------------------------------------------------------------
 # Minor pipeline
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def _cleanup(G: Graph, threshold: Fraction) -> list:

@@ -8,13 +8,13 @@ from math import comb
 import pytest
 
 from exlab.core import (BipartiteGraph, EdgeColoring, Graph, GuardError,
-                        ParseError, RetryError, RngStream, complete_bipartite,
-                        complete_graph, complete_kpartite, generate,
-                        grid_lines, hypercube, iter_bits, mask_of,
-                        random_coloring, random_equitable_bipartition,
-                        random_graph, read_bipartite, read_coloring,
-                        read_graph, try_bipartition,
-                        write_coloring, write_graph)
+                        ParseError, RetryError, RngStream, bit_columns,
+                        complete_bipartite, complete_graph, complete_kpartite,
+                        generate, grid_lines, hypercube, iter_bits, mask_of,
+                        random_bipartite, random_coloring,
+                        random_equitable_bipartition, random_graph,
+                        read_bipartite, read_coloring, read_graph,
+                        try_bipartition, write_coloring, write_graph)
 from exlab.core import _sample_setsize
 
 
@@ -154,26 +154,61 @@ def random_graph_rows_per_pair(n, p, stream):
     return tuple(rows)
 
 
+def random_bipartite_rows_per_pair(n1, n2, p, stream):
+    """Reference G(n1, n2, p): one stream.random() per (V1, V2) pair,
+    row-major."""
+    rows = [0] * (n1 + n2)
+    for u in range(n1):
+        for v in range(n1, n1 + n2):
+            if stream.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return tuple(rows)
+
+
 EDGE_PS = (0.0, 1.0, 0.5, 1 / 3, 0.001, 5e-324, 1 - 2 ** -53, 1.5, -0.5,
            math.nan, math.inf)
 
 
 def test_random_graph_matches_per_pair_draws():
     # 8 and 9 straddle a byte of the bit matrix the columns are read from
-    for n in (0, 1, 2, 7, 8, 9, 17, 300):
+    hosts = [(random_graph, random_graph_rows_per_pair, (n,), n * (n - 1) // 2)
+             for n in (0, 1, 2, 7, 8, 9, 17, 300)]
+    hosts += [(random_bipartite, random_bipartite_rows_per_pair, (n1, n2),
+               n1 * n2)
+              for n1, n2 in ((0, 3), (3, 0), (1, 1), (7, 9), (9, 8), (17, 40))]
+    for make, per_pair, sizes, draws in hosts:
         for p in EDGE_PS:
             for seed in (1, 77, 2 ** 40 + 3):
                 bulk, single = RngStream(seed), RngStream(seed)
-                g = random_graph(n, p, bulk)
-                assert g.adj == random_graph_rows_per_pair(n, p, single), \
-                    (n, p, seed)
-                assert bulk.position == single.position == n * (n - 1) // 2
+                g = make(*sizes, p, bulk)
+                assert g.adj == per_pair(*sizes, p, single), (sizes, p, seed)
+                assert bulk.position == single.position == draws
                 assert bulk._rng.getstate() == single._rng.getstate()
                 assert g.m == sum(r.bit_count() for r in g.adj) // 2
     assert random_graph(9, math.nan, RngStream(1)).m == 0
     assert random_graph(9, math.inf, RngStream(1)) == complete_graph(9)
     assert random_graph(9, 1.5, RngStream(1)) == complete_graph(9)
     assert random_graph(9, -0.5, RngStream(1)).m == 0
+    assert random_bipartite(4, 5, 1.0, RngStream(1)) == complete_bipartite(4, 5)
+
+
+def bit_columns_per_bit(rows, cols):
+    """Reference transpose: bit i of column c is bit c of rows[i]."""
+    return [sum((row >> c & 1) << i for i, row in enumerate(rows))
+            for c in range(cols)]
+
+
+def test_bit_columns_matches_per_bit_transpose():
+    rng = random.Random(8)
+    cases = [([], 0), ([], 6), ([0, 0, 0], 0), ([0, 0, 0], 11), ([1], 1)]
+    for count, width in ((1, 1), (3, 7), (8, 8), (9, 13), (17, 64), (5, 70)):
+        rows = [rng.getrandbits(width) for _ in range(count)]
+        # the columns past the widest row read zero
+        cases += [(rows, width), (rows, width + 11)]
+    for rows, cols in cases:
+        assert bit_columns(rows, cols) == bit_columns_per_bit(rows, cols), \
+            (rows, cols)
 
 
 def test_random_graph_settles_ties_both_ways():

@@ -11,10 +11,10 @@ import pytest
 
 from exlab.core import (BipartiteGraph, Failure, Graph, GuardError, RngStream,
                         complete_bipartite, complete_graph, hypercube,
-                        random_graph)
+                        mask_of, random_bipartite, random_graph)
 from exlab.weakseq import (CoverPartition, MinorConstants, MinorModel,
                            PathsParams, PathsResult, WeakSequence,
-                           as_complete_sequence, cover_partition,
+                           _incidence_graph, as_complete_sequence, cover_partition,
                            degree_filter, find_ktt, load_preset,
                            max_weak_sequence_order, minor_pipeline, paths_drc,
                            regime2_order, seq_params, verify_sequence,
@@ -128,6 +128,54 @@ def test_cover_partition_cap_returns_best():
     assert cp.fraction == Fraction(1, 2) and cp.threshold == Fraction(1, 4)
     cp2 = cover_partition(b, 2, RngStream(5), retry_cap=50)
     assert cp2.met and cp2.tries == 3 and cp2.fraction == 0
+
+
+def incidence_rows_per_pair(B, blocks):
+    """Reference incidence rows: v ~ block j when v's row meets block j's
+    mask, one AND per (V2 vertex, block) pair."""
+    rows = [0] * (B.n + len(blocks))
+    for j, blk in enumerate(blocks):
+        m = mask_of(blk)
+        for v in B.v2:
+            if B.adj[v] & m:
+                rows[v] |= 1 << (B.n + j)
+                rows[B.n + j] |= 1 << v
+    return tuple(rows)
+
+
+def uncovered_fraction_per_pair(B, blocks):
+    """Reference cover fraction: (block, V2 vertex) pairs without an edge."""
+    bad = sum(1 for blk in blocks for v in B.v2 if not B.adj[v] & mask_of(blk))
+    return Fraction(bad, len(blocks) * B.n2)
+
+
+def test_block_relation_matches_pair_loop():
+    rng = RngStream(29)
+    hosts = []
+    # (n1, n2, r): r = 1, d = 1 (r = n1) and sizes off byte boundaries
+    for i, (n1, n2, r) in enumerate(((8, 5, 1), (12, 7, 3), (12, 9, 12),
+                                     (40, 33, 4), (9, 17, 9))):
+        B = random_bipartite(n1, n2, 0.4, rng.derive("host", i))
+        hosts.append((B, r))
+        # V2 vertex n1 loses every V1 neighbour
+        rows = [row & ~(1 << n1) for row in B.adj[:n1]] + [0] + \
+            list(B.adj[n1 + 1:])
+        hosts.append((BipartiteGraph.from_adjacency(n1, n2, rows), r))
+    # an induced subgraph keeps its host's scattered ids, as in the pipeline
+    g = random_graph(60, 0.5, rng.derive("g"))
+    ids = list(range(60))
+    rng.derive("split").shuffle(ids)
+    hosts.append((BipartiteGraph.induced(g, mask_of(ids[:24]),
+                                         mask_of(ids[24:45])), 4))
+    for k, (B, r) in enumerate(hosts):
+        for seed in range(3):
+            cp = cover_partition(B, r, RngStream(seed), retry_cap=1)
+            assert cp.fraction == uncovered_fraction_per_pair(B, cp.blocks), \
+                (k, seed)
+            X = _incidence_graph(B, cp.blocks)
+            assert X.adj == incidence_rows_per_pair(B, cp.blocks), (k, seed)
+            assert X.mask(1) == B.mask(2)
+            assert X.mask(2) == ((1 << len(cp.blocks)) - 1) << B.n
 
 
 def test_cover_partition_guards():
