@@ -14,9 +14,10 @@ from exlab.core import (BipartiteGraph, Failure, Graph, GuardError, RngStream,
                         mask_of, random_bipartite, random_graph)
 from exlab.weakseq import (CoverPartition, MinorConstants, MinorModel,
                            PathsParams, PathsResult, WeakSequence,
-                           _incidence_graph, as_complete_sequence, cover_partition,
-                           degree_filter, find_ktt, load_preset,
-                           max_weak_sequence_order, minor_pipeline, paths_drc,
+                           _incidence_graph, as_complete_sequence,
+                           cover_partition, degree_filter, find_ktt,
+                           load_preset, max_weak_sequence_order,
+                           minor_pipeline, paths_drc,
                            regime2_order, seq_params, verify_sequence,
                            verify_minor, weak_sequence_pipeline)
 
