@@ -3,7 +3,8 @@ command lines and the tier-1 suite, written as one JSON file.
 
 The gate workloads rebuild gates 5, 6 and 7 of ``tests/test_acceptance.py``
 at gate size with the gates' seeds, and time random generation apart from
-the stage that consumes it.  The README examples run in process through
+the stage that consumes it.  A fourth runs gate 7's weak sequences at
+t = 12, where the K_{t,t} search has real work, on three of its hosts.  The README examples run in process through
 ``expcli.main``, with file names moved into a temporary directory.  Each of
 these entries is the median of ``REPS`` repetitions.  Tier-1 runs once, in
 a subprocess, when pytest is importable and the checkout's ``tests/`` is
@@ -145,6 +146,21 @@ def gate7(timer: Timer) -> None:
                     f"gate 7: minor {seed}")
 
 
+def weakseq_t12(timer: Timer) -> None:
+    """Weak sequences at t = 12 on the first 3 G(2000, 1/2) hosts of gate 7;
+    there ``regime2_order`` gives t = 1."""
+    for seed in range(3):
+        rng = RngStream(7000 + seed)
+        g = timer("weakseq_t12.random_graph.n2000", random_graph, 2000, 0.5,
+                  rng.derive("gen"))
+        w = timer("weakseq_t12.weak_sequence_pipeline",
+                  weakseq.weak_sequence_pipeline, g, 4, 12, rng.derive("run"))
+        timer.check(not isinstance(w, Failure)
+                    and timer("weakseq_t12.verify_sequence",
+                              weakseq.verify_sequence, g, w) == (True, None),
+                    f"t = 12: sequence {seed}")
+
+
 def readme_examples(timer: Timer) -> None:
     workdir = timer.workdir
     (workdir / "spec.json").write_text(json.dumps(README_SPEC),
@@ -158,7 +174,7 @@ def readme_examples(timer: Timer) -> None:
         timer.check(code == 0, f"exlab {line}: exit {code}")
 
 
-WORKLOADS = (gate5, gate6, gate7, readme_examples)
+WORKLOADS = (gate5, gate6, gate7, weakseq_t12, readme_examples)
 
 
 def calibration_kernel() -> int:

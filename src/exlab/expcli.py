@@ -1055,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the gate workloads, the README "
                                      "examples and the test suite")
-    p.add_argument("out", help="result file, e.g. BENCH_9.json")
+    p.add_argument("out", help="result file, e.g. BENCH_10.json")
     return parser
 
 

@@ -524,25 +524,61 @@ def _pick_two(a_cands: int, b_cands: int):
     return None
 
 
-def _greedy_paths(H: BipartiteGraph, x: int, y: int, xmask: int,
-                  budget: int) -> list:
-    """Internally disjoint x-a-m-b-y paths, internal vertices outside X."""
-    mask1 = H.mask(1)
-    used = 0
-    paths = []
-    for m in iter_bits(mask1 & ~xmask):
-        if used >> m & 1:
-            continue
-        pick = _pick_two(H.adj[x] & H.adj[m] & ~used,
-                         H.adj[y] & H.adj[m] & ~used)
-        if pick is None:
-            continue
-        a, b = pick
-        paths.append((x, a, m, b, y))
-        used |= (1 << a) | (1 << m) | (1 << b)
-        if len(paths) == budget:
-            break
-    return paths
+def _first_short_pair(adj, X: list, middles: list, budget: int):
+    """First pair of X, in ``itertools.combinations`` order, with fewer than
+    ``budget`` greedy paths, as (pair, count); None when every pair reaches it.
+
+    A pair (x, y) walks the middles m in order and takes the path x-a-m-b-y
+    that ``_pick_two`` picks from the unused common neighbours of (x, m) and
+    of (y, m), inlined here.  Row ``rows[i][j] = adj[X[i]] & adj[middles[j]]`` is grown on
+    demand and shared by every pair that holds X[i].  Every path is
+    re-checked as it is taken, from ``adj`` and its own ``seen`` mask rather
+    than the rows and ``used``: four edges, internals outside X and disjoint
+    from the pair's earlier paths.
+    """
+    xmask = mask_of(X)
+    rows = [[] for _ in X]
+    for i, x in enumerate(X):
+        ax, rx = adj[x], rows[i]
+        for k in range(i + 1, len(X)):
+            y, ry = X[k], rows[k]
+            ay = adj[y]
+            used = seen = count = 0
+            for j, m in enumerate(middles):
+                if j == len(rx):
+                    rx.append(ax & adj[m])
+                if j == len(ry):
+                    ry.append(ay & adj[m])
+                if used >> m & 1:
+                    continue
+                ca = rx[j] & ~used
+                cb = ry[j] & ~used
+                if not ca or not cb:
+                    continue
+                a = ca & -ca
+                b = cb & ~a
+                if b:
+                    b &= -b
+                else:
+                    a = ca & ~cb
+                    if not a:
+                        continue
+                    a &= -a
+                    b = cb
+                used |= a | b | 1 << m
+                if not (ax & a and adj[a.bit_length() - 1] >> m & 1
+                        and adj[m] & b and adj[b.bit_length() - 1] >> y & 1):
+                    raise AssertionError("extracted path misses an edge")
+                inner = a | b | 1 << m
+                if inner & seen or inner & xmask:
+                    raise AssertionError("path internals collide")
+                seen |= inner
+                count += 1
+                if count == budget:
+                    break
+            else:  # the middles ran out below the budget
+                return (x, y), count
+    return None
 
 
 def paths_drc(H: BipartiteGraph, rng: RngStream,
@@ -569,10 +605,11 @@ def paths_drc(H: BipartiteGraph, rng: RngStream,
     target = _ceil_frac(p * n / c.x_frac_div)
     budget = max(1, _ceil_frac(Fraction(c.budget_coeff) * p ** 5 * n))
     v2 = list(H.v2)
+    mask1 = H.mask(1)
     best = None
     for tries in range(1, max(retry_cap, 1) + 1):
         v = rng.choice(v2)
-        nbhd = H.adj[v] & H.mask(1)
+        nbhd = H.adj[v] & mask1
         if nbhd.bit_count() < target:
             cand = {"x_size": nbhd.bit_count(), "target": target}
             if best is None or cand.get("x_size", 0) > best.get("x_size", -1):
@@ -583,25 +620,12 @@ def paths_drc(H: BipartiteGraph, rng: RngStream,
             X.append(u)
             if len(X) == target:
                 break
-        xmask = mask_of(X)
-        shortfall = None
-        for x, y in itertools.combinations(X, 2):
-            paths = _greedy_paths(H, x, y, xmask, budget)
-            if len(paths) < budget:
-                shortfall = {"pair": (x, y), "count": len(paths),
-                             "budget": budget, "x_size": len(X)}
-                break
-            seen = 0
-            for (px, a, m, b, py) in paths:
-                for u, w in ((px, a), (a, m), (m, b), (b, py)):
-                    if not H.has_edge(u, w):
-                        raise AssertionError("extracted path misses an edge")
-                inner = (1 << a) | (1 << m) | (1 << b)
-                if inner & seen or inner & xmask:
-                    raise AssertionError("path internals collide")
-                seen |= inner
-        if shortfall is None:
+        short = _first_short_pair(H.adj, X,
+                                  list(iter_bits(mask1 & ~mask_of(X))), budget)
+        if short is None:
             return PathsResult(tuple(X), budget, tries)
+        shortfall = {"pair": short[0], "count": short[1], "budget": budget,
+                     "x_size": len(X)}
         if best is None or shortfall["count"] > best.get("count", -1):
             best = shortfall
     reason = ("pair below path budget" if best and "count" in best
@@ -688,14 +712,10 @@ def _connect_into(G: Graph, members: Sequence[int], anchor: int,
         found = None
         for m in iter_bits(~used & ((1 << G.n) - 1)):
             pick = _pick_two(G.adj[u] & G.adj[m] & ~used,
-                             G.adj[anchor] & G.adj[m] & ~used & ~(1 << m))
-            if pick is None:
-                continue
-            a, b = pick
-            if a == m or b == m:
-                continue
-            found = (a, m, b)
-            break
+                             G.adj[anchor] & G.adj[m] & ~used)
+            if pick is not None:
+                found = (pick[0], m, pick[1])
+                break
         if found is None:
             return None
         internals.extend(found)

@@ -1,20 +1,26 @@
 """Tests for degree filters, cover partitions, K_{t,t} search, the
 bicomplete-sequence pipeline, path extraction, and minor assembly."""
 
+import dataclasses
 import gc
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from exlab import weakseq
 from exlab.core import (BipartiteGraph, Failure, Graph, GuardError, RngStream,
                         complete_bipartite, complete_graph, hypercube,
-                        mask_of, random_bipartite, random_graph)
+                        iter_bits, mask_of, random_bipartite, random_graph)
 from exlab.weakseq import (CoverPartition, MinorConstants, MinorModel,
                            PathsParams, PathsResult, WeakSequence,
-                           _incidence_graph, as_complete_sequence,
+                           _ceil_frac, _incidence_graph, as_complete_sequence,
                            cover_partition, degree_filter, find_ktt,
                            load_preset, max_weak_sequence_order,
                            minor_pipeline, paths_drc,
@@ -494,6 +500,161 @@ def test_paths_guards():
         paths_drc(overlay, RngStream(0))
 
 
+# The per-pair extraction paths_drc used before its pairs shared common-
+# neighbour rows, kept as the oracle: a fresh scan of V1 \ X per pair, two
+# ANDs and a pick per middle, then a re-check of every path.
+
+
+def pick_two(a_cands, b_cands):
+    if not a_cands or not b_cands:
+        return None
+    a = a_cands & -a_cands
+    rest_b = b_cands & ~a
+    if rest_b:
+        return a.bit_length() - 1, (rest_b & -rest_b).bit_length() - 1
+    rest_a = a_cands & ~b_cands
+    if rest_a:
+        return (rest_a & -rest_a).bit_length() - 1, b_cands.bit_length() - 1
+    return None
+
+
+def greedy_paths(H, x, y, xmask, budget, middle_ranks):
+    mask1 = H.mask(1)
+    used = 0
+    paths = []
+    for rank, m in enumerate(iter_bits(mask1 & ~xmask)):
+        if used >> m & 1:
+            continue
+        pick = pick_two(H.adj[x] & H.adj[m] & ~used,
+                        H.adj[y] & H.adj[m] & ~used)
+        if pick is None:
+            continue
+        a, b = pick
+        paths.append((x, a, m, b, y))
+        middle_ranks.append(rank)
+        used |= (1 << a) | (1 << m) | (1 << b)
+        if len(paths) == budget:
+            break
+    return paths
+
+
+def paths_drc_oracle(H, rng, c, retry_cap, middle_ranks):
+    n = H.n1 + H.n2
+    p = H.density()
+    target = _ceil_frac(p * n / c.x_frac_div)
+    budget = max(1, _ceil_frac(Fraction(c.budget_coeff) * p ** 5 * n))
+    v2 = list(H.v2)
+    best = None
+    for tries in range(1, max(retry_cap, 1) + 1):
+        v = rng.choice(v2)
+        nbhd = H.adj[v] & H.mask(1)
+        if nbhd.bit_count() < target:
+            cand = {"x_size": nbhd.bit_count(), "target": target}
+            if best is None or cand.get("x_size", 0) > best.get("x_size", -1):
+                best = cand
+            continue
+        X = []
+        for u in iter_bits(nbhd):
+            X.append(u)
+            if len(X) == target:
+                break
+        xmask = mask_of(X)
+        shortfall = None
+        for x, y in itertools.combinations(X, 2):
+            paths = greedy_paths(H, x, y, xmask, budget, middle_ranks)
+            if len(paths) < budget:
+                shortfall = {"pair": (x, y), "count": len(paths),
+                             "budget": budget, "x_size": len(X)}
+                break
+            seen = 0
+            for (px, a, m, b, py) in paths:
+                for u, w in ((px, a), (a, m), (m, b), (b, py)):
+                    assert H.has_edge(u, w)
+                inner = (1 << a) | (1 << m) | (1 << b)
+                assert not (inner & seen or inner & xmask)
+                seen |= inner
+        if shortfall is None:
+            return PathsResult(tuple(X), budget, tries)
+        if best is None or shortfall["count"] > best.get("count", -1):
+            best = shortfall
+    reason = ("pair below path budget" if best and "count" in best
+              else "common neighborhood below target")
+    return Failure("paths_drc", reason, best or {})
+
+
+def test_paths_drc_matches_per_pair_oracle():
+    middle_ranks = []
+    outcomes = set()
+    # (n1, budget, x_frac_div, retry_cap); the last X target exceeds most
+    # neighbourhoods, and a cap of 2-4 tries runs out on every failure
+    cases = ((40, 1, 3, 4), (120, 2, 8, 3), (30, 8, 2, 2), (50, 9, 5, 3),
+             (24, 1, 1, 2))
+    for p, seed, (case, (n1, budget, x_div, cap)) in itertools.product(
+            (0.05, 0.3, 0.7, 0.9), range(3), enumerate(cases)):
+        gen = RngStream(1000 * seed + 100 * case + int(100 * p))
+        H = random_bipartite(n1, n1, p, gen.derive("host"))
+        if H.m == 0:
+            continue
+        dens, n = H.density(), 2 * n1
+        c = PathsParams(x_frac_div=x_div, min_p2n=0,
+                        budget_coeff=Fraction(budget) / (dens ** 5 * n))
+        got_rng, want_rng = gen.derive("run"), gen.derive("run")
+        got = paths_drc(H, got_rng, c, cap)
+        want = paths_drc_oracle(H, want_rng, c, cap, middle_ranks)
+        assert got == want, (p, seed, case)
+        assert got_rng.position == want_rng.position
+        if isinstance(got, PathsResult):
+            assert got.budget == budget
+        outcomes.add(got.reason if isinstance(got, Failure) else "ok")
+    assert outcomes == {"ok", "pair below path budget",
+                        "common neighborhood below target"}
+    # some pair found a path only well past the first middles
+    assert max(middle_ranks) >= 10
+
+
+_MALFORMED_PATH_HOSTS = """
+import sys
+from exlab.core import BipartiteGraph, RngStream
+from exlab.weakseq import PathsParams, paths_drc
+
+def host(pairs):
+    rows = [0] * 6
+    for u, v in pairs:
+        rows[u] |= 1 << v
+    return BipartiteGraph.from_adjacency(3, 3, rows)
+
+full = [(u, v) for u in range(3) for v in range(3, 6)]
+full += [(v, u) for u, v in full]
+# row 3 lacks vertex 2, so the path 0-3-2-4-1 misses the edge (3, 2)
+one_way = host([e for e in full if e != (3, 2)])
+# edges 0-1 and 1-2 inside V1 make X's vertex 1 a common neighbour of 0 and 2
+inside = host(full + [(0, 1), (1, 0), (1, 2), (2, 1)])
+for H, div in ((one_way, 3), (inside, 4)):
+    try:
+        paths_drc(H, RngStream(0), PathsParams(x_frac_div=div, min_p2n=0))
+    except AssertionError as exc:
+        print(sys.flags.optimize, "raised", exc)
+    else:
+        print(sys.flags.optimize, "returned")
+"""
+
+
+def test_paths_recheck_survives_optimize_flag():
+    # BipartiteGraph.from_adjacency does not validate its rows, so a one-way
+    # row or an edge inside V1 gets a bad path past the greedy; the re-check
+    # must still refuse it when python -O strips assert statements
+    src = str(Path(weakseq.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", _MALFORMED_PATH_HOSTS],
+                         capture_output=True, text=True, env=env, check=True,
+                         timeout=60)
+    assert out.stdout.splitlines() == [
+        "1 raised extracted path misses an edge",
+        "1 raised path internals collide"], out.stdout + out.stderr
+
+
 # ---------------------------------------------------------------------------
 # minor_pipeline / verify_minor
 
@@ -588,6 +749,49 @@ def test_verify_minor_diameter_cap():
     assert verify_minor(path, whole) == (True, None)
     tight = MinorModel((frozenset(range(10)),), 10, 8)
     assert verify_minor(path, tight) == (False, ("diameter", 0))
+
+
+def test_verify_minor_rejects_mutated_pipeline_minors():
+    """Each single-set mutation of a built minor gets its own violation.
+    r = 2 gives sets of 10 vertices that every free vertex of G(240, 0.7)
+    touches, so the r = 1 pairs carry the ``disconnected`` mutations."""
+    desk = load_preset("desk")
+    rejected = {"empty": 0, "size": 0, "overlap": 0, "disconnected": 0}
+    for seed, r in itertools.product(range(7100, 7103), (1, 2)):
+        rng = RngStream(seed)
+        g = random_graph(240, 0.7, rng.derive("gen"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = minor_pipeline(g, r, 4, rng.derive("run"), desk)
+        assert verify_minor(g, model) == (True, None)
+        sets = list(model.branch_sets)
+        taken = mask_of(v for b in sets for v in b)
+        free = [v for v in range(g.n) if not taken >> v & 1]
+
+        def verdict(i, mutated):
+            mutant = dataclasses.replace(
+                model, branch_sets=tuple(sets[:i] + [mutated] + sets[i + 1:]))
+            return verify_minor(g, mutant)
+
+        for i, b in enumerate(sets):
+            assert len(b) < model.size_cap
+            mutants = [(frozenset(), ("empty", i)),
+                       (b | set(free[:model.size_cap + 1 - len(b)]),
+                        ("size", i))]
+            mutants += [(b | {v}, ("overlap", min(i, j), max(i, j)))
+                        for j, other in enumerate(sets) if j != i
+                        for v in other]
+            mutants += [(b | {v}, ("disconnected", i)) for v in free
+                        if not g.adj[v] & mask_of(b)]
+            for mutated, want in mutants:
+                assert verdict(i, mutated) == (False, want), (seed, r, want)
+                rejected[want[0]] += 1
+            for v in (-1, g.n):
+                with pytest.raises(ValueError, match="out-of-range"):
+                    verdict(i, b | {v})
+    assert rejected["empty"] == rejected["size"] == 24
+    assert rejected["overlap"] == 3 * 12 * (2 + 10)
+    assert rejected["disconnected"] >= 3 * 4 * 10
 
 
 # ---------------------------------------------------------------------------
