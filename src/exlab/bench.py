@@ -4,11 +4,12 @@ command lines and the tier-1 suite, written as one JSON file.
 The gate workloads rebuild gates 5, 6 and 7 of ``tests/test_acceptance.py``
 at gate size with the gates' seeds, and time random generation apart from
 the stage that consumes it.  A fourth runs gate 7's weak sequences at
-t = 12, where the K_{t,t} search has real work, on three of its hosts.  The README examples run in process through
-``expcli.main``, with file names moved into a temporary directory.  Each of
-these entries is the median of ``REPS`` repetitions.  Tier-1 runs once, in
-a subprocess, when pytest is importable and the checkout's ``tests/`` is
-present; the entry is ``null`` otherwise.
+t = 12, where the K_{t,t} search has real work, on three of its hosts.
+The README examples run in process through ``expcli.main``, with file
+names moved into a temporary directory.  Each of these entries is the
+median of ``REPS`` repetitions.  Tier-1 runs once, in a subprocess, when
+pytest is importable and the checkout's ``tests/`` is present; the entry
+is ``null`` otherwise.
 
 The file records the machine, the interpreter, the CPU count, the commit
 and ``RngStream.ALGORITHM``, and gives the ratio of each time to the same

@@ -529,12 +529,13 @@ def _first_short_pair(adj, X: list, middles: list, budget: int):
     ``budget`` greedy paths, as (pair, count); None when every pair reaches it.
 
     A pair (x, y) walks the middles m in order and takes the path x-a-m-b-y
-    that ``_pick_two`` picks from the unused common neighbours of (x, m) and
-    of (y, m), inlined here.  Row ``rows[i][j] = adj[X[i]] & adj[middles[j]]`` is grown on
-    demand and shared by every pair that holds X[i].  Every path is
-    re-checked as it is taken, from ``adj`` and its own ``seen`` mask rather
-    than the rows and ``used``: four edges, internals outside X and disjoint
-    from the pair's earlier paths.
+    that ``_pick_two``, inlined here, picks from the unused common
+    neighbours of (x, m) and of (y, m).  Row
+    ``rows[i][j] = adj[X[i]] & adj[middles[j]]`` is grown on demand and
+    shared by every pair that holds X[i].  Every path is re-checked as it
+    is taken, from ``adj`` and its own ``seen`` mask rather than the rows
+    and ``used``: four edges, internals outside X and disjoint from the
+    pair's earlier paths.
     """
     xmask = mask_of(X)
     rows = [[] for _ in X]
