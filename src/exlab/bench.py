@@ -4,20 +4,23 @@ command lines and the tier-1 suite, written as one JSON file.
 The gate workloads rebuild gates 5, 6 and 7 of ``tests/test_acceptance.py``
 at gate size with the gates' seeds, and time random generation apart from
 the stage that consumes it.  A fourth runs gate 7's weak sequences at
-t = 12, where the K_{t,t} search has real work, on three of its hosts.
-The README examples run in process through ``expcli.main``, with file
-names moved into a temporary directory.  Each of these entries is the
-median of ``REPS`` repetitions.  Tier-1 runs once, in a subprocess, when
-pytest is importable and the checkout's ``tests/`` is present; the entry
-is ``null`` otherwise.
+t = 12, where the K_{t,t} search has real work, on three of its hosts, and
+a fifth splits the sparse K_{2,2}-free extraction of perfbench's cli-mix
+into its counts and its deletion round.  The README examples run in
+process through ``expcli.main``, with file names moved into a temporary
+directory.  Each of these entries is the median of ``REPS`` repetitions.
+Tier-1 runs once, in a subprocess, when pytest is importable and the
+checkout's ``tests/`` is present; the entry is ``null`` otherwise.
 
 The file records the machine, the interpreter, the CPU count, the commit
 and ``RngStream.ALGORITHM``, and gives the ratio of each time to the same
-entry of the newest earlier ``BENCH_<n>.json`` beside it.  Entries are raw
-wall times.  A shared machine's speed drifts between runs, so a fixed
-kernel that calls no exlab code is timed before every workload, and an
-entry's ratio is read against the ``calibration`` ratio.  A failed check
-is listed under ``failures`` and makes the command exit 1.
+entry of the newest earlier ``BENCH_<n>.json`` beside it.  A shared
+machine's speed drifts between runs and within one, so a fixed kernel
+that calls no exlab code is timed before every workload.  Beside its raw
+median, each entry holds ``median_cal``, the median of its runs divided
+by the kernel time just before each, and the ratios compare those where
+both files have them.  A failed check is listed under ``failures`` and
+makes the command exit 1.
 """
 
 from __future__ import annotations
@@ -162,6 +165,34 @@ def weakseq_t12(timer: Timer) -> None:
                     f"t = 12: sequence {seed}")
 
 
+# perfbench's cli-mix runs its G(400, 0.05) extract job with these spec
+# seeds first at its default seed
+EXTRACT_SEEDS = (275193414, 1919547677, 1977139991)
+
+
+def bipfree_extract(timer: Timer) -> None:
+    """The cli-mix extract trial on three G(400, 0.05) hosts, each part
+    apart: the host's full count, its existence test, the deletion round
+    and the re-check count of the subgraph the round returns."""
+    pattern = bipfree.K_rr(2)
+    for seed in EXTRACT_SEEDS:
+        rng = RngStream(seed).derive("trial", 0)
+        g = timer("bipfree_extract.random_graph", random_graph, 400, 0.05,
+                  rng.derive("host"))
+        count = timer("bipfree_extract.host_count", bipfree.count_pattern,
+                      g, pattern)
+        free = timer("bipfree_extract.host_test", bipfree._pattern_free, g,
+                     pattern)
+        h = timer("bipfree_extract.graph_round", bipfree._graph_round, g, 2,
+                  rng.derive("extract").derive("extract", 1))
+        left = timer("bipfree_extract.recheck_count", bipfree.count_pattern,
+                     h, pattern)
+        res = bipfree.extract_free(g, pattern, rng.derive("extract"))
+        timer.check(count > 0 and not free and left == 0
+                    and res.trials_used == 1 and res.subgraph == h,
+                    f"bipfree extract: seed {seed}")
+
+
 def readme_examples(timer: Timer) -> None:
     workdir = timer.workdir
     (workdir / "spec.json").write_text(json.dumps(README_SPEC),
@@ -175,7 +206,8 @@ def readme_examples(timer: Timer) -> None:
         timer.check(code == 0, f"exlab {line}: exit {code}")
 
 
-WORKLOADS = (gate5, gate6, gate7, weakseq_t12, readme_examples)
+WORKLOADS = (gate5, gate6, gate7, weakseq_t12, bipfree_extract,
+             readme_examples)
 
 
 def calibration_kernel() -> int:
@@ -193,8 +225,10 @@ def calibration_kernel() -> int:
 
 
 def time_workloads(workloads, reps: int, failures: list) -> dict:
-    """Per entry, the median and the runs of ``reps`` repetitions."""
-    runs = {}
+    """Per entry, the median and the runs of ``reps`` repetitions, and
+    ``median_cal``: the median of each run divided by the calibration
+    timed just before it, which cancels the machine's drift within a run."""
+    runs, calibrated = {}, {}
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         # the gates run some stages outside their theorem regimes on purpose
         warnings.simplefilter("ignore")
@@ -202,18 +236,24 @@ def time_workloads(workloads, reps: int, failures: list) -> dict:
             for workload in workloads:
                 t0 = time.perf_counter()
                 calibration_kernel()
-                runs.setdefault("calibration", []).append(
-                    time.perf_counter() - t0)
+                cal = time.perf_counter() - t0
+                runs.setdefault("calibration", []).append(cal)
                 timer = Timer(failures, Path(tmp))
                 workload(timer)
-                for name, s in timer.times.items():
+                times = dict(timer.times)
+                if len(times) > 1:
+                    times[f"{workload.__name__}.total"] = sum(times.values())
+                for name, s in times.items():
                     runs.setdefault(name, []).append(s)
-                if len(timer.times) > 1:
-                    runs.setdefault(f"{workload.__name__}.total", []).append(
-                        sum(timer.times.values()))
-    return {name: {"median_s": _round(statistics.median(r)),
-                   "runs_s": [_round(s) for s in r]}
-            for name, r in runs.items()}
+                    calibrated.setdefault(name, []).append(s / cal)
+    entries = {}
+    for name, r in runs.items():
+        entries[name] = {"median_s": _round(statistics.median(r)),
+                         "runs_s": [_round(s) for s in r]}
+        if name in calibrated:
+            entries[name]["median_cal"] = _round(
+                statistics.median(calibrated[name]))
+    return entries
 
 
 def time_tier1() -> dict | None:
@@ -252,11 +292,17 @@ def previous_bench(out: Path) -> Path | None:
 
 
 def ratios(doc: dict, prev: dict) -> dict:
-    """This run's times divided by ``prev``'s, entry by entry."""
-    before = {name: e.get("median_s") for name, e
-              in (prev.get("entries") or {}).items() if isinstance(e, dict)}
-    out = {name: _round(e["median_s"] / before[name])
-           for name, e in doc["entries"].items() if before.get(name)}
+    """This run's times divided by ``prev``'s, entry by entry: the
+    calibrated medians where both files hold them, else the raw ones."""
+    before = {name: e for name, e in (prev.get("entries") or {}).items()
+              if isinstance(e, dict)}
+    out = {}
+    for name, e in doc["entries"].items():
+        old = before.get(name, {})
+        key = "median_cal" if e.get("median_cal") and old.get("median_cal") \
+            else "median_s"
+        if old.get(key):
+            out[name] = _round(e[key] / old[key])
     if doc["tier1"] and (prev.get("tier1") or {}).get("seconds"):
         out["tier1"] = _round(doc["tier1"]["seconds"]
                               / prev["tier1"]["seconds"])

@@ -9,15 +9,17 @@ pattern-free subgraph sizes with desk-scale branch-and-bound oracles.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (BipartiteGraph, Graph, GuardError, KUniformHypergraph,
-                   RetryError, RngStream, complete_bipartite, iter_bits,
-                   mask_of)
+                   RetryError, RngStream, _bernoulli_rows, complete_bipartite,
+                   iter_bits, mask_of)
 
 MAX_COPY_BOUND = 10 ** 9
 MAX_INSTANCE_EDGES = 10 ** 6
@@ -139,26 +141,86 @@ def count_pattern(G, pattern: Pattern) -> int:
     return _count_graph(G, pattern.r)
 
 
-def _count_graph(G, r: int) -> int:
-    # m^r >= 2^r once m >= 2, so a large r is rejected before the power
-    m = G.m
+def _graph_copy_guard(m: int, r: int) -> None:
+    """GuardError when 2*m^r, the copy bound of K_{r,r} in an m-edge graph,
+    exceeds MAX_COPY_BOUND.
+
+    m^r >= 2^r once m >= 2, so a large r is rejected before the power.
+    """
     if m >= 2 and (r >= MAX_COPY_BOUND.bit_length()
                    or 2 * m ** r > MAX_COPY_BOUND):
         raise GuardError(f"copy bound 2*m^r for m={m}, r={r} exceeds "
                          f"{MAX_COPY_BOUND}")
-    n, adj = G.n, G.adj
-    total = 0
-    for A in itertools.combinations(range(n), r):
-        common = adj[A[0]]
-        for v in A[1:]:
-            common &= adj[v]
-        c = common.bit_count()
-        if c >= r:
-            total += math.comb(c, r)
+
+
+def _rsets(adj: Sequence[int], n: int, r: int):
+    """Iterate ``(A, common)``, in lex order, over exactly the r-sets A of
+    ``range(n)`` whose rows share at least r bits; ``common`` is their AND.
+
+    Rows must be symmetric.  Each prefix's AND is taken once and shared by
+    all its extensions, as in ``lll_embed._thin_k_set_ranks``, and a prefix
+    whose AND has fewer than r bits is dropped with all its extensions.  A
+    vertex shares a bit with the AND exactly when it is adjacent to one of
+    its members, so after the first vertex the next comes only from the
+    two-hop reach: the OR of the members' rows, past the last vertex of
+    the prefix.  On a sparse graph that skips almost every r-set; on a
+    dense one the reach is nearly all of V and only costs.
+    """
+    if not 1 <= r <= n:
+        return iter(())
+    return _extend_rsets(adj, r, (), (1 << n) - 1, range(n))
+
+
+def _extend_rsets(adj, r: int, prefix: tuple, common: int, cands):
+    """The walk's r-sets that extend ``prefix``, whose rows AND to
+    ``common``, by vertices of ``cands``: a list at the last level, else a
+    lazy chain of the next level's, so no Python frame runs per r-set."""
+    if len(prefix) == r - 1:
+        # the last level is a bare AND and popcount per candidate
+        return [(prefix + (v,), c) for v in cands
+                if (c := common & adj[v]).bit_count() >= r]
+    return itertools.chain.from_iterable(
+        _extend_rsets(adj, r, prefix + (v,), c, _reach(adj, c, v))
+        for v in cands if (c := common & adj[v]).bit_count() >= r)
+
+
+def _reach(adj, common: int, last: int):
+    """The vertices past ``last`` adjacent to a vertex of ``common``."""
+    reach = functools.reduce(operator.or_, map(adj.__getitem__, _bits(common)),
+                             0)
+    return _bits(reach >> (last + 1) << (last + 1))
+
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask: int):
+    """``iter_bits(mask)``.  A mask with many bits for its length is read
+    from its binary numeral, reversed and turned into 0/1 flag bytes, by
+    ``itertools.compress``, so the loop over its bits runs in C."""
+    count = mask.bit_count()
+    if count <= 16 or count * 16 < mask.bit_length():
+        return iter_bits(mask)
+    flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+    return itertools.compress(range(len(flags)), flags)
+
+
+def _count_graph(G, r: int) -> int:
+    _graph_copy_guard(G.m, r)
+    total = sum([math.comb(c.bit_count(), r) for _, c in _rsets(G.adj, G.n, r)])
     # every copy is counted once from each of its two sides
     if total % 2:
         raise AssertionError("side-count parity broken")
     return total // 2
+
+
+def _pattern_free(G, pattern: Pattern) -> bool:
+    """``count_pattern(G, pattern) == 0`` with the same guards; a graph's
+    walk stops at the first r-set with r common neighbours."""
+    if isinstance(G, KUniformHypergraph) or pattern.k != 2:
+        return count_pattern(G, pattern) == 0
+    _graph_copy_guard(G.m, pattern.r)
+    return next(_rsets(G.adj, G.n, pattern.r), None) is None
 
 
 def _edge_key(e) -> tuple:
@@ -234,30 +296,44 @@ def extraction_target(m: int, pattern: Pattern) -> int:
     return _ceil_power_ratio(m, q - 1, q, 2 * math.factorial(pattern.k))
 
 
+def _sample_rows(G, p: float, stream: RngStream) -> list:
+    """Rows of the subgraph of G that keeps the k-th edge of ``G.edges()``
+    exactly when the k-th ``stream.random()`` call is below p.  The draws
+    are made in bulk by ``_bernoulli_rows``, which leaves the stream where
+    the per-edge calls would."""
+    n, adj = G.n, G.adj
+    kept = _bernoulli_rows(stream, [G.m], p)[0]
+    rows = [0] * n
+    for u in range(n):
+        upper = adj[u] >> (u + 1)
+        d = upper.bit_count()
+        if kept & ((1 << d) - 1):
+            for j, off in enumerate(iter_bits(upper)):
+                if kept >> j & 1:
+                    v = u + 1 + off
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+        kept >>= d
+    return rows
+
+
 def _graph_round(G, r: int, stream: RngStream):
     """One sample-then-delete round; returns a pattern-free subgraph of G."""
-    m = G.m
-    p = 0.5 * m ** (-1.0 / (r + 1))
+    p = 0.5 * G.m ** (-1.0 / (r + 1))
     n = G.n
-    rows = [0] * n
-    for u, v in G.edges():
-        if stream.random() < p:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+    rows = _sample_rows(G, p, stream)
     work = rows[:]
-    # enumerate the sampled subgraph's copies in lexicographic (A, B) order
-    # and break each still-intact copy by deleting its smallest edge
-    for A in itertools.combinations(range(n), r):
-        common = rows[A[0]]
-        for x in A[1:]:
-            common &= rows[x]
-        if common.bit_count() < r:
+    # enumerate the sampled subgraph's copies in lexicographic (A, B) order,
+    # each once from the side holding its smallest vertex A[0], and break
+    # each still-intact copy by deleting its smallest edge (A[0], B[0])
+    for A, common in _rsets(rows, n, r):
+        later = common >> (A[0] + 1) << (A[0] + 1)
+        if later.bit_count() < r:
             continue
-        cand = [w for w in iter_bits(common) if w > A[0]]
-        for B in itertools.combinations(cand, r):
-            cross = [(a, b) if a < b else (b, a) for a in A for b in B]
-            if all(work[u] >> v & 1 for u, v in cross):
-                u, v = min(cross)
+        for B in itertools.combinations(iter_bits(later), r):
+            side = mask_of(B)
+            if all(work[a] & side == side for a in A):
+                u, v = A[0], B[0]
                 work[u] &= ~(1 << v)
                 work[v] &= ~(1 << u)
     if isinstance(G, BipartiteGraph):
@@ -318,8 +394,9 @@ def extract_free(G, pattern: Pattern, rng: RngStream,
     a pattern-free input is returned unchanged.  Every returned subgraph is
     re-verified pattern-free by an independent count.
     """
-    # counting first applies the copy-bound guard before m^r is taken
-    pattern_free = count_pattern(G, pattern) == 0
+    # the copy-bound guard runs before m^r is taken; the host needs only an
+    # existence test, while every returned subgraph gets a full count
+    pattern_free = _pattern_free(G, pattern)
     target = extraction_target(G.m, pattern)
     if pattern_free:
         return ExtractionResult(G, 0, target)

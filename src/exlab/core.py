@@ -326,7 +326,28 @@ class BipartiteGraph:
     @classmethod
     def from_adjacency(cls, n1: int, n2: int, rows: Sequence[int], n0: int = 0,
                        labels=None) -> "BipartiteGraph":
-        return cls._from_parts(rows, _contiguous_parts(n0, n1, n2), labels)
+        """Build from rows over the contiguous parts, as the constructor
+        lays them out.  Rejects a row with bits past n or inside its own
+        part, and rows that are not symmetric; builders whose rows hold by
+        construction call ``_from_parts``."""
+        if min(n0, n1, n2) < 0:
+            raise ValueError("part sizes must be nonnegative")
+        n = n0 + n1 + n2
+        if len(rows) != n:
+            raise ValueError("row count mismatch")
+        parts = _contiguous_parts(n0, n1, n2)
+        for part in parts:
+            for u in iter_bits(part):
+                if rows[u] >> n:
+                    raise ValueError(f"row {u} has out-of-range bits")
+                if rows[u] & part:
+                    raise ValueError(f"row {u} has an edge inside its part")
+        # symmetric rows are their own columns
+        for u, (row, col) in enumerate(zip(rows, bit_columns(rows, n))):
+            if row != col:
+                v = ((row ^ col) & -(row ^ col)).bit_length() - 1
+                raise ValueError(f"asymmetric edge ({u},{v})")
+        return cls._from_parts(rows, parts, labels)
 
     @classmethod
     def induced(cls, g, mask1: int, mask2: int) -> "BipartiteGraph":
@@ -550,7 +571,7 @@ def complete_bipartite(a: int, b: int) -> BipartiteGraph:
     mask2 = ((1 << b) - 1) << a
     mask1 = (1 << a) - 1
     rows = [mask2] * a + [mask1] * b
-    return BipartiteGraph.from_adjacency(a, b, rows)
+    return BipartiteGraph._from_parts(rows, _contiguous_parts(0, a, b))
 
 
 def complete_kpartite(sizes: Sequence[int]) -> Graph:
@@ -627,7 +648,8 @@ def grid_lines(N: int) -> BipartiteGraph:
             vb = n0 + N + b - 1
             rows[i] |= 1 << vb
             rows[vb] |= 1 << i
-    return BipartiteGraph.from_adjacency(N, N, rows, n0=n0, labels=labels)
+    return BipartiteGraph._from_parts(rows, _contiguous_parts(n0, N, N),
+                                      labels)
 
 
 def generate(kind: str, params: Mapping):
@@ -711,7 +733,7 @@ def random_bipartite(n1: int, n2: int, p: float,
     order over (u, v) is below p.  The V2 rows are the V1 rows' columns."""
     draws = _bernoulli_rows(stream, [n2] * n1, p)
     rows = [row << n1 for row in draws] + bit_columns(draws, n2)
-    return BipartiteGraph.from_adjacency(n1, n2, rows)
+    return BipartiteGraph._from_parts(rows, _contiguous_parts(0, n1, n2))
 
 
 # ---------------------------------------------------------------------------

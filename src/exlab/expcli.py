@@ -526,7 +526,7 @@ def _run_weakseq_minor(params, rng, preset):
 def _weakseq_minor_check(params: dict) -> None:
     _positive(params, "retry_cap")
     _graph_source(params)
-    weakseq.minor_pipeline_guard(params["r"], params["t"])
+    weakseq.minor_pipeline_guard(params["r"], params["t"], params["n"])
 
 
 def _weakseq_oracle_check(params: dict) -> None:
@@ -963,10 +963,12 @@ def render_report(rows, fmt: str) -> str:
 
 
 def report(paths, fmt: str = "md") -> str:
-    """Render a summary table for stored records; flags version mismatches."""
+    """Render a summary table for stored records; flags version mismatches.
+
+    Records are read one at a time, so memory does not grow with their
+    number."""
     paths = list(paths)
-    records = [read_record(path) for path in paths]
-    return render_report(report_rows(records, paths), fmt)
+    return render_report(report_rows(map(read_record, paths), paths), fmt)
 
 
 # ---------------------------------------------------------------------------

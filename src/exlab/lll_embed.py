@@ -622,7 +622,7 @@ def bip_ramsey_pipeline(coloring: EdgeColoring, H, rng: RngStream,
                       "the host size", RuntimeWarning, stacklevel=2)
     bip_rows = [rows_maj[u] & mask_b for u in range(half)]
     bip_rows += [rows_maj[v] & mask_a for v in range(half, 2 * half)]
-    b_maj = BipartiteGraph.from_adjacency(half, half, bip_rows)
+    b_maj = BipartiteGraph._from_parts(bip_rows, (0, mask_a, mask_b))
 
     params = DrcParams(eps, k, b, hn)
     try:

@@ -29,7 +29,7 @@ from .core import (BipartiteGraph, Failure, Graph, GuardError, RetryError,
                    random_equitable_bipartition)
 
 ORACLE_MAX_N = 12
-KTT_MAX_T = 12
+KTT_BUDGET = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +255,16 @@ def cover_partition(B: BipartiteGraph, r: int, rng: RngStream,
     return best
 
 
+_EXHAUSTED = object()
+
+
 def _ktt_search(adj, order: list, t: int, idx: int, chosen: list,
-                common: int):
+                common: int, spent: list, budget: int):
     """Extend chosen by vertices from order[idx:] while their common
     neighborhood keeps at least t vertices; first K_{t,t} found or None.
+
+    Every tried extension adds 1 to ``spent[0]``; once ``budget`` would be
+    passed the search returns ``_EXHAUSTED``, which every caller passes up.
 
     Module level rather than a closure: a self-referencing closure would
     keep its graph alive until the cycle collector runs."""
@@ -272,11 +278,14 @@ def _ktt_search(adj, order: list, t: int, idx: int, chosen: list,
     for i in range(idx, len(order)):
         if len(chosen) + len(order) - i < t:
             break
+        if spent[0] == budget:
+            return _EXHAUSTED
+        spent[0] += 1
         nxt = common & adj[order[i]]
         if nxt.bit_count() < t:
             continue
         chosen.append(order[i])
-        hit = _ktt_search(adj, order, t, i + 1, chosen, nxt)
+        hit = _ktt_search(adj, order, t, i + 1, chosen, nxt, spent, budget)
         if hit is not None:
             return hit
         chosen.pop()
@@ -284,18 +293,21 @@ def _ktt_search(adj, order: list, t: int, idx: int, chosen: list,
 
 
 def find_ktt_guard(t: int) -> None:
-    """GuardError unless 1 <= t <= KTT_MAX_T, the orders the exact
-    K_{t,t} search takes."""
-    if not 1 <= t <= KTT_MAX_T:
-        raise GuardError(f"t must lie in 1..{KTT_MAX_T}, got {t}")
+    """GuardError unless t >= 1; the work budget of ``find_ktt``, not a cap
+    on t, bounds the search."""
+    if t < 1:
+        raise GuardError(f"t must be >= 1, got {t}")
 
 
-def find_ktt(T: BipartiteGraph, t: int):
+def find_ktt(T: BipartiteGraph, t: int, budget: int = KTT_BUDGET):
     """Exact search for K_{t,t}: t-subsets (L, R) with all t^2 edges.
 
     Branches over V1 in descending degree order, pruning on the common
     neighborhood size; a returned witness is re-verified edge by edge, and
-    None certifies absence because the search is complete.
+    None certifies absence because the search is complete.  The search
+    tries at most ``budget`` extensions, a count rather than a time so
+    that replay stays exact; past it the answer is
+    ``Failure("find_ktt", "search budget exhausted", ...)``.
     """
     find_ktt_guard(t)
     if T.n0:
@@ -303,7 +315,11 @@ def find_ktt(T: BipartiteGraph, t: int):
     if T.n1 < t or T.n2 < t:
         return None
     order = sorted(T.v1, key=lambda v: (-T.degree(v), v))
-    wit = _ktt_search(T.adj, order, t, 0, [], T.mask(2))
+    spent = [0]
+    wit = _ktt_search(T.adj, order, t, 0, [], T.mask(2), spent, budget)
+    if wit is _EXHAUSTED:
+        return Failure("find_ktt", "search budget exhausted",
+                       {"nodes": spent[0], "t": t})
     if wit is None:
         return None
     left, right = wit
@@ -456,6 +472,8 @@ def _weakseq_stages(B0: BipartiteGraph, r: int, t: int, rng: RngStream,
     stats["t_delta"] = delta
 
     wit = find_ktt(T, t)
+    if isinstance(wit, Failure):
+        return Failure(wit.stage, wit.reason, {**stats, **wit.stats})
     if wit is None:
         return Failure("find_ktt", "no K_{t,t} witness", dict(stats))
     left, right = wit
@@ -725,12 +743,14 @@ def _connect_into(G: Graph, members: Sequence[int], anchor: int,
     return internals, used
 
 
-def minor_pipeline_guard(r: int, t: int) -> None:
-    """GuardError unless r >= 1, t >= 2 and t passes ``find_ktt_guard``,
-    which the final bicomplete sequence needs."""
+def minor_pipeline_guard(r: int, t: int, n: Optional[int] = None) -> None:
+    """GuardError unless r >= 1, t >= 2 and, when the vertex count n is
+    known, 2rt <= n: the final bicomplete sequence holds 2t disjoint
+    r-sets."""
     if r < 1 or t < 2:
         raise GuardError(f"need r >= 1 and t >= 2, got r={r}, t={t}")
-    find_ktt_guard(t)
+    if n is not None and 2 * r * t > n:
+        raise GuardError(f"2rt exceeds the vertex count {n} for r={r}, t={t}")
 
 
 def minor_pipeline(G: Graph, r: int, t: int, rng: RngStream,
@@ -744,7 +764,7 @@ def minor_pipeline(G: Graph, r: int, t: int, rng: RngStream,
     the surviving pair, and branch-set assembly through fresh 4-edge paths.
     Each stage checks its measured clause and fails with its stage name.
     """
-    minor_pipeline_guard(r, t)
+    minor_pipeline_guard(r, t, G.n)
     c = constants or MinorConstants()
     if G.m == 0:
         raise GuardError("G has no edges")

@@ -4,6 +4,7 @@ file and the start-up cost it must not add to the other commands."""
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,28 @@ def test_bench_file_holds_medians_environment_and_ratio(tmp_path):
     assert set(second["ratio_to"]["ratios"]) == {"calibration", "tiny.sum"}
     assert json.loads((tmp_path / "BENCH_2.json").read_text()) == second
     assert bench.previous_bench(tmp_path / "out.json").name == "BENCH_3.json"
+
+
+def test_bench_calibrates_each_repetition_and_ratios_read_it(tmp_path):
+    doc = bench.run_bench(tmp_path / "BENCH_1.json", (tiny,), reps=3,
+                          tier1=False)
+    cal = doc["entries"]["calibration"]
+    entry = doc["entries"]["tiny.sum"]
+    assert "median_cal" not in cal
+    # one workload, so run i was timed right after calibration run i
+    assert entry["median_cal"] == pytest.approx(statistics.median(
+        s / c for s, c in zip(entry["runs_s"], cal["runs_s"])), rel=2e-3)
+    prev = {"entries": {"tiny.sum": {"median_s": 1.0, "median_cal": 4.0},
+                        "calibration": {"median_s": 2.0}}, "tier1": None}
+    out = bench.ratios(doc, prev)
+    assert out["tiny.sum"] == pytest.approx(entry["median_cal"] / 4.0,
+                                            rel=1e-3)
+    assert out["calibration"] == pytest.approx(cal["median_s"] / 2.0,
+                                               rel=1e-3)
+    # a file without calibrated medians is compared raw
+    del prev["entries"]["tiny.sum"]["median_cal"]
+    assert bench.ratios(doc, prev)["tiny.sum"] == pytest.approx(
+        entry["median_s"], rel=1e-3)
 
 
 def test_bench_refuses_a_bad_previous_file_before_running(tmp_path):

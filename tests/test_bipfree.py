@@ -1,13 +1,17 @@
 """Tests for pattern counting, free-subgraph extraction, and the oracles."""
 
 import itertools
+import math
 
 import pytest
 
+from exlab import bipfree
 from exlab.core import (BipartiteGraph, Graph, GuardError, KUniformHypergraph,
                         RetryError, RngStream, complete_bipartite,
-                        complete_graph, random_graph)
-from exlab.bipfree import (K_k_rr, K_rr, _count_hyper, count_pattern,
+                        complete_graph, grid_lines, iter_bits, mask_of,
+                        random_bipartite, random_graph)
+from exlab.bipfree import (K_k_rr, K_rr, _count_hyper, _graph_round,
+                           _pattern_free, _rsets, _sample_rows, count_pattern,
                            extract_free, extraction_target,
                            kpartite_count_check, kpartite_instance,
                            kpartite_instance_guard, tight_instance,
@@ -25,6 +29,153 @@ def brute_count_krr2(g):
             if all(g.has_edge(a, b) for a in split for b in other):
                 cnt += 1
     return cnt
+
+
+# ---------------------------------------------------------------------------
+# The C(n, r) loop over every r-set: the oracle for the two-hop walk
+
+
+def loop_rsets(adj, n, r):
+    out = []
+    for A in itertools.combinations(range(n), r):
+        common = adj[A[0]]
+        for v in A[1:]:
+            common &= adj[v]
+        if common.bit_count() >= r:
+            out.append((A, common))
+    return out
+
+
+def loop_count(G, r):
+    total = sum(math.comb(c.bit_count(), r) for _, c in loop_rsets(G.adj, G.n, r))
+    assert total % 2 == 0
+    return total // 2
+
+
+def loop_round(G, r, stream, p=None):
+    """The deletion round with one stream.random() call per edge and the
+    C(n, r) loop over A; p defaults to the round's keep rate."""
+    if p is None:
+        p = 0.5 * G.m ** (-1.0 / (r + 1))
+    rows = [0] * G.n
+    for u, v in G.edges():
+        if stream.random() < p:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    work = rows[:]
+    for A, common in loop_rsets(rows, G.n, r):
+        cand = [w for w in iter_bits(common) if w > A[0]]
+        for B in itertools.combinations(cand, r):
+            cross = [(a, b) if a < b else (b, a) for a in A for b in B]
+            if all(work[u] >> v & 1 for u, v in cross):
+                u, v = min(cross)
+                work[u] &= ~(1 << v)
+                work[v] &= ~(1 << u)
+    return rows, work
+
+
+def walk_hosts():
+    rng = RngStream(611)
+    dense = random_graph(40, 0.4, rng.derive("dense"))
+    # parts scattered over the host's ids, with ids outside both parts
+    odd = mask_of(v for v in range(40) if v % 3 == 1)
+    even = mask_of(v for v in range(40) if v % 3 == 2 and v != 5)
+    return {
+        "G(30, 0.3)": random_graph(30, 0.3, rng.derive("g30")),
+        "G(80, 0.06)": random_graph(80, 0.06, rng.derive("g80")),
+        "G(14, 0.8)": random_graph(14, 0.8, rng.derive("g14")),
+        "K_7": complete_graph(7),
+        "edgeless": Graph(9),
+        "one edge, n < 3": Graph(2, [(0, 1)]),
+        "n = 0": Graph(0),
+        "K_{3,4}": complete_bipartite(3, 4),
+        "G(8, 9, 0.5)": random_bipartite(8, 9, 0.5, rng.derive("bip")),
+        "grid lines, V0 overlay": grid_lines(4),
+        "induced view": BipartiteGraph.induced(dense, odd, even),
+        "transposed view": BipartiteGraph.induced(dense, even, odd)
+                                          .transpose(),
+    }
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_rset_walk_matches_the_loop_over_every_rset(r):
+    for name, G in walk_hosts().items():
+        walk = list(_rsets(G.adj, G.n, r))
+        assert walk == loop_rsets(G.adj, G.n, r), (name, r)
+        assert count_pattern(G, K_rr(r)) == loop_count(G, r), (name, r)
+        assert _pattern_free(G, K_rr(r)) == (not walk), (name, r)
+
+
+def test_rset_walk_meets_pattern_free_and_saturated_hosts():
+    path = Graph(6, [(i, i + 1) for i in range(5)])
+    assert count_pattern(path, K_rr(2)) == 0 and _pattern_free(path, K_rr(2))
+    # pairs of a path share at most one neighbour; single vertices share
+    # their own rows
+    assert list(_rsets(path.adj, path.n, 2)) == loop_rsets(path.adj, 6, 2) \
+        == []
+    assert list(_rsets(path.adj, path.n, 1)) == loop_rsets(path.adj, 6, 1) \
+        == [((v,), path.adj[v]) for v in range(6)]
+    for n in (4, 6):
+        k = complete_graph(n)
+        assert count_pattern(k, K_rr(2)) == loop_count(k, 2) == \
+            3 * math.comb(n, 4)
+        assert not _pattern_free(k, K_rr(2))
+    # the existence test keeps the copy-bound guard of the count
+    with pytest.raises(GuardError, match=r"2\*m\^r"):
+        _pattern_free(complete_graph(300), K_rr(2))
+    assert list(_rsets([0b10, 0b01], 2, 3)) == []
+
+
+def test_sampled_rows_equal_one_random_call_per_edge():
+    for name, G in walk_hosts().items():
+        if G.m == 0:
+            continue
+        for p in (0.03, 0.5, 0.97):
+            bulk, single = RngStream(7).derive(name), RngStream(7).derive(name)
+            rows = _sample_rows(G, p, bulk)
+            kept = [(u, v) for u, v in G.edges() if single.random() < p]
+            assert rows == [mask_of(v for v in range(G.n)
+                                    if (min(u, v), max(u, v)) in kept)
+                            for u in range(G.n)], (name, p)
+            assert bulk.position == single.position == G.m
+            assert bulk._rng.getstate() == single._rng.getstate()
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_graph_round_matches_the_loop_round(r):
+    hosts = walk_hosts()
+    hosts["G(40, 0.5)"] = random_graph(40, 0.5, RngStream(8))
+    for name, G in hosts.items():
+        if G.m == 0:
+            continue
+        for seed in range(4):
+            walk, loop = RngStream(seed).derive(name), \
+                RngStream(seed).derive(name)
+            H = _graph_round(G, r, walk)
+            rows, work = loop_round(G, r, loop)
+            assert list(H.adj) == work, (name, r, seed)
+            assert walk._rng.getstate() == loop._rng.getstate()
+            assert type(H) is type(G) and loop_count(H, r) == 0
+            if isinstance(G, BipartiteGraph):
+                assert (H.v0, H.v1, H.v2) == (G.v0, G.v1, G.v2)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_graph_round_breaks_copies_as_the_loop_round(r, monkeypatch):
+    # at the round's own keep rate a sample rarely holds a copy, so keep
+    # 70 % of the edges and let the deletions do real work
+    monkeypatch.setattr(bipfree, "_sample_rows",
+                        lambda G, p, stream: _sample_rows(G, 0.7, stream))
+    deleted = 0
+    for name, G in walk_hosts().items():
+        if G.m == 0:
+            continue
+        walk, loop = RngStream(5).derive(name), RngStream(5).derive(name)
+        H = _graph_round(G, r, walk)
+        rows, work = loop_round(G, r, loop, 0.7)
+        assert list(H.adj) == work and loop_count(H, r) == 0, (name, r)
+        deleted += sum(row.bit_count() for row in rows) // 2 - H.m
+    assert deleted > 10
 
 
 def test_count_small_complete_bipartite():

@@ -1,12 +1,18 @@
 """Tests for the shared substrate: graphs, colorings, RNG streams, file I/O."""
 
 import math
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from exlab import core
 from exlab.core import (BipartiteGraph, EdgeColoring, Graph, GuardError,
                         ParseError, RetryError, RngStream, bit_columns,
                         complete_bipartite, complete_graph, complete_kpartite,
@@ -77,6 +83,48 @@ def test_complete_bipartite():
     assert g.part_of(0) == 1 and g.part_of(2) == 2
     with pytest.raises(ValueError):
         BipartiteGraph(2, 2, [(0, 1)])  # edge inside part V1
+
+
+# V1 = {0, 1}, V2 = {2, 3}: each malformed row set with the error it gets
+_MALFORMED_BIPARTITE_ROWS = (
+    ([0b0100, 0, 0, 0], "asymmetric edge (0,2)"),     # one-way row
+    ([0b0010, 0b0001, 0, 0], "row 0 has an edge inside its part"),
+    ([0b10100, 0, 0b0001, 0], "row 0 has out-of-range bits"),
+)
+
+
+def test_bipartite_from_adjacency_validates_rows():
+    g = BipartiteGraph.from_adjacency(2, 2, [0b1100, 0b1000, 0b0001,
+                                             0b0011])
+    assert g == BipartiteGraph(2, 2, [(0, 2), (0, 3), (1, 3)])
+    for rows, message in _MALFORMED_BIPARTITE_ROWS:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BipartiteGraph.from_adjacency(2, 2, rows)
+    with pytest.raises(ValueError, match="inside its part"):
+        BipartiteGraph.from_adjacency(2, 2, [0b10, 0b01, 0, 0, 0, 0], n0=2)
+    with pytest.raises(ValueError, match="row count"):
+        BipartiteGraph.from_adjacency(2, 2, [0, 0, 0])
+    # the internal builders skip the check and still give valid rows
+    for b in (complete_bipartite(3, 4), grid_lines(4),
+              random_bipartite(5, 7, 0.5, RngStream(3))):
+        assert BipartiteGraph.from_adjacency(b.n1, b.n2, b.adj, n0=b.n0) == b
+
+
+def test_bipartite_from_adjacency_validates_under_optimize_flag():
+    code = ("from exlab.core import BipartiteGraph\n"
+            f"for rows, _ in {_MALFORMED_BIPARTITE_ROWS!r}:\n"
+            "    try:\n"
+            "        BipartiteGraph.from_adjacency(2, 2, rows)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    src = str(Path(core.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert out.stdout.splitlines() == [m for _, m in _MALFORMED_BIPARTITE_ROWS]
 
 
 def test_bipartite_transpose():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -427,6 +428,23 @@ def test_main_failure_exit_on_failed_trials(capsys):
     assert code == 1
     rows = json.loads(capsys.readouterr().out)
     assert rows[0]["success_rate"] == 0.0
+
+
+def test_main_ktt_search_past_its_budget_is_a_failed_trial(tmp_path, capsys):
+    # G(2000, 0.1) at r = 2 leaves a 500 x 500 incidence graph of density
+    # about 0.34, where K_{10,10} is absent but costly to rule out
+    out = tmp_path / "rec.json"
+    t0 = time.perf_counter()
+    with pytest.warns(RuntimeWarning):
+        code = expcli.main(["weakseq", "--op", "pipeline", "--n", "2000",
+                            "--p", "0.1", "--r", "2", "--t", "10",
+                            "--seed", "1", "--out", str(out)])
+    assert time.perf_counter() - t0 < 20
+    assert code == 1
+    capsys.readouterr()
+    trial, = expcli.read_record(out)["trials"]
+    assert trial["outcome"] == "failure:find_ktt"
+    assert trial["stats"]["reason"] == "search budget exhausted"
 
 
 def test_main_validation_error_exit(capsys):

@@ -7,7 +7,9 @@ command line) or record trials whose outcome is ``ok``-labelled or
 ``failure:<stage>``; an ``error:*`` trial is allowed only where
 ``ALLOWED_ERRORS`` gives the reason.  At 100000 the spec is only
 validated, and the parameters in ``REJECTED_AT_100000`` must be refused
-there: those sizes would run for minutes or exhaust memory.
+there: those sizes would run for minutes or exhaust memory.  The order t
+of the weakseq operations has no cap of its own: 2rt <= n refuses it at
+100000, and at 13 it runs, its K_{t,t} search bounded by a work budget.
 
 The layering check keeps each precondition behind its own module:
 ``expcli`` may call a library guard, but reads no library bound and calls
@@ -80,10 +82,17 @@ def _with(spec, name, value):
                                trials=1)
 
 
+# t has no cap of its own: 2rt <= n and the work budget of find_ktt bound
+# it, so an order the exact search once refused must run
+ADMITTED_AT_13 = {("weakseq", "pipeline", "t"), ("weakseq", "verify", "t"),
+                  ("weakseq", "minor", "t")}
+
+
 def test_sweep_exits_two_or_records_clean_trials(monkeypatch):
     monkeypatch.delenv("EXLAB_THREADS", raising=False)
     first = _first_specs()
     errors = {}
+    ran = set()
     for key in expcli.OPS:
         for name in _int_params(key):
             for value in (0, -1, 13):
@@ -91,12 +100,14 @@ def test_sweep_exits_two_or_records_clean_trials(monkeypatch):
                     rec = expcli.run(_with(first[key], name, value))
                 except GuardError:
                     continue
+                ran.add((*key, name, value))
                 trial, = rec.trials
                 if trial["outcome"].startswith("error:"):
                     errors[(*key, name, value)] = trial["stats"]["error"]
     unexplained = {case: msg for case, msg in errors.items()
                    if case not in ALLOWED_ERRORS}
     assert not unexplained
+    assert {(*case, 13) for case in ADMITTED_AT_13} <= ran
 
 
 def test_sizes_past_every_cap_are_rejected_before_running():

@@ -236,9 +236,23 @@ def test_find_ktt_guards():
     b = complete_bipartite(3, 3)
     with pytest.raises(GuardError):
         find_ktt(b, 0)
-    with pytest.raises(GuardError):
-        find_ktt(b, 13)
+    # no cap on t: the work budget bounds the search instead
+    assert find_ktt(b, 13) is None
+    assert find_ktt(complete_bipartite(14, 14), 13) == \
+        (tuple(range(13)), tuple(range(14, 27)))
     assert find_ktt(b, 4) is None
+
+
+def test_find_ktt_stops_at_its_work_budget():
+    # K_{3,3} minus a perfect matching has no K_{2,2}; proving it tries
+    # vertex 0, then 1 and 2 after it, then vertex 1, then 2 after it
+    b = bip(3, 3, [(u, 3 + v) for u in range(3) for v in range(3) if u != v])
+    assert find_ktt(b, 2) is None
+    assert find_ktt(b, 2, budget=5) is None
+    res = find_ktt(b, 2, budget=4)
+    assert isinstance(res, Failure)
+    assert (res.stage, res.reason) == ("find_ktt", "search budget exhausted")
+    assert res.stats == {"nodes": 4, "t": 2}
 
 
 def test_find_ktt_frees_its_graph_without_the_cycle_collector():
@@ -618,10 +632,11 @@ from exlab.core import BipartiteGraph, RngStream
 from exlab.weakseq import PathsParams, paths_drc
 
 def host(pairs):
+    # _from_parts takes the rows as given; from_adjacency would refuse them
     rows = [0] * 6
     for u, v in pairs:
         rows[u] |= 1 << v
-    return BipartiteGraph.from_adjacency(3, 3, rows)
+    return BipartiteGraph._from_parts(rows, (0, 0b000111, 0b111000))
 
 full = [(u, v) for u in range(3) for v in range(3, 6)]
 full += [(v, u) for u, v in full]
@@ -640,9 +655,9 @@ for H, div in ((one_way, 3), (inside, 4)):
 
 
 def test_paths_recheck_survives_optimize_flag():
-    # BipartiteGraph.from_adjacency does not validate its rows, so a one-way
-    # row or an edge inside V1 gets a bad path past the greedy; the re-check
-    # must still refuse it when python -O strips assert statements
+    # hosts built through BipartiteGraph._from_parts skip validation, so a
+    # one-way row or an edge inside V1 gets a bad path past the greedy; the
+    # re-check must still refuse it when python -O strips assert statements
     src = str(Path(weakseq.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
