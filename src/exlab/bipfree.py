@@ -176,7 +176,8 @@ def _extend_rsets(adj, r: int, prefix: tuple, common: int, cands):
     ``common``, by vertices of ``cands``: a list at the last level, else a
     lazy chain of the next level's, so no Python frame runs per r-set."""
     if len(prefix) == r - 1:
-        # the last level is a bare AND and popcount per candidate
+        # a bare AND and popcount per candidate: on a dense host this level
+        # is most of the work
         return [(prefix + (v,), c) for v in cands
                 if (c := common & adj[v]).bit_count() >= r]
     return itertools.chain.from_iterable(

@@ -83,7 +83,7 @@ def _with(spec, name, value):
 
 
 # t has no cap of its own: 2rt <= n and the work budget of find_ktt bound
-# it, so an order the exact search once refused must run
+# it, so these run at 13 on the corpus hosts
 ADMITTED_AT_13 = {("weakseq", "pipeline", "t"), ("weakseq", "verify", "t"),
                   ("weakseq", "minor", "t")}
 
