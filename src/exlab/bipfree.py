@@ -187,23 +187,9 @@ def _extend_rsets(adj, r: int, prefix: tuple, common: int, cands):
 
 def _reach(adj, common: int, last: int):
     """The vertices past ``last`` adjacent to a vertex of ``common``."""
-    reach = functools.reduce(operator.or_, map(adj.__getitem__, _bits(common)),
-                             0)
-    return _bits(reach >> (last + 1) << (last + 1))
-
-
-_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bits(mask: int):
-    """``iter_bits(mask)``.  A mask with many bits for its length is read
-    from its binary numeral, reversed and turned into 0/1 flag bytes, by
-    ``itertools.compress``, so the loop over its bits runs in C."""
-    count = mask.bit_count()
-    if count <= 16 or count * 16 < mask.bit_length():
-        return iter_bits(mask)
-    flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
-    return itertools.compress(range(len(flags)), flags)
+    reach = functools.reduce(operator.or_,
+                             map(adj.__getitem__, iter_bits(common)), 0)
+    return iter_bits(reach >> (last + 1) << (last + 1))
 
 
 def _count_graph(G, r: int) -> int:
@@ -393,7 +379,9 @@ def extract_free(G, pattern: Pattern, rng: RngStream,
     q = (r^k-1)/(r-1) and floor ceil(m^((q-1)/q)/(2k!)).  Rounds repeat with
     fresh derived streams until the floor is met (guaranteed in expectation);
     a pattern-free input is returned unchanged.  Every returned subgraph is
-    re-verified pattern-free by an independent count.
+    re-verified pattern-free by a full count.  For a graph that count walks
+    the same ``_rsets`` as the round, so it is no independent check of the
+    walk: the loop oracles of the tests pin that the walk misses no r-set.
     """
     # the copy-bound guard runs before m^r is taken; the host needs only an
     # existence test, while every returned subgraph gets a full count

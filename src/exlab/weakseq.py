@@ -299,13 +299,13 @@ def find_ktt_guard(t: int) -> None:
         raise GuardError(f"t must be >= 1, got {t}")
 
 
-def find_ktt(T: BipartiteGraph, t: int, budget: int = KTT_BUDGET):
+def find_ktt(T: BipartiteGraph, t: int):
     """Exact search for K_{t,t}: t-subsets (L, R) with all t^2 edges.
 
     Branches over V1 in descending degree order, pruning on the common
     neighborhood size; a returned witness is re-verified edge by edge, and
     None certifies absence because the search is complete.  The search
-    tries at most ``budget`` extensions, a count rather than a time so
+    tries at most ``KTT_BUDGET`` extensions, a count rather than a time so
     that replay stays exact; past it the answer is
     ``Failure("find_ktt", "search budget exhausted", ...)``.
     """
@@ -316,7 +316,7 @@ def find_ktt(T: BipartiteGraph, t: int, budget: int = KTT_BUDGET):
         return None
     order = sorted(T.v1, key=lambda v: (-T.degree(v), v))
     spent = [0]
-    wit = _ktt_search(T.adj, order, t, 0, [], T.mask(2), spent, budget)
+    wit = _ktt_search(T.adj, order, t, 0, [], T.mask(2), spent, KTT_BUDGET)
     if wit is _EXHAUSTED:
         return Failure("find_ktt", "search budget exhausted",
                        {"nodes": spent[0], "t": t})

@@ -243,13 +243,15 @@ def test_find_ktt_guards():
     assert find_ktt(b, 4) is None
 
 
-def test_find_ktt_stops_at_its_work_budget():
+def test_find_ktt_stops_at_its_work_budget(monkeypatch):
     # K_{3,3} minus a perfect matching has no K_{2,2}; proving it tries
     # vertex 0, then 1 and 2 after it, then vertex 1, then 2 after it
     b = bip(3, 3, [(u, 3 + v) for u in range(3) for v in range(3) if u != v])
     assert find_ktt(b, 2) is None
-    assert find_ktt(b, 2, budget=5) is None
-    res = find_ktt(b, 2, budget=4)
+    monkeypatch.setattr(weakseq, "KTT_BUDGET", 5)
+    assert find_ktt(b, 2) is None
+    monkeypatch.setattr(weakseq, "KTT_BUDGET", 4)
+    res = find_ktt(b, 2)
     assert isinstance(res, Failure)
     assert (res.stage, res.reason) == ("find_ktt", "search budget exhausted")
     assert res.stats == {"nodes": 4, "t": 2}
