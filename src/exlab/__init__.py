@@ -15,7 +15,6 @@ from .core import (
     ParseError,
     RetryError,
     RngStream,
-    generate,
     read_bipartite,
     read_coloring,
     read_graph,
@@ -35,7 +34,6 @@ __all__ = [
     "ParseError",
     "RetryError",
     "RngStream",
-    "generate",
     "read_bipartite",
     "read_coloring",
     "read_graph",

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .core import (BipartiteGraph, Graph, GuardError, KUniformHypergraph,
                    RetryError, RngStream, _bernoulli_rows, complete_bipartite,
-                   iter_bits, mask_of)
+                   iter_bits, mask_of, verified)
 
 MAX_COPY_BOUND = 10 ** 9
 MAX_INSTANCE_EDGES = 10 ** 6
@@ -236,27 +236,27 @@ def hyper_copy_guard(k: int, m: int, r: int) -> None:
 
 
 def _count_hyper(G: KUniformHypergraph, r: int) -> int:
-    k = G.k
-    hyper_copy_guard(k, G.m, r)
-    edges = sorted(G.edges, key=_edge_key)
-    checked: dict[frozenset, bool] = {}
-    for combo in itertools.combinations(edges, r):
+    hyper_copy_guard(G.k, G.m, r)
+    return sum(all(frozenset(t) in G.edges for t in itertools.product(*parts))
+               for parts in _matching_copies(G.edges, G.k, r))
+
+
+def _matching_copies(edges, k: int, r: int):
+    """Each part structure that r pairwise-disjoint edges assemble, once,
+    in the order the combinations of the sorted edges first meet it."""
+    seen: set[frozenset] = set()
+    for combo in itertools.combinations(sorted(edges, key=_edge_key), r):
         union = set()
-        disjoint = True
         for e in combo:
             if union & e:
-                disjoint = False
                 break
             union |= e
-        if not disjoint:
-            continue
-        for parts in _copies_of_matching(combo, k):
-            key = frozenset(parts)
-            if key in checked:
-                continue
-            checked[key] = all(frozenset(t) in G.edges
-                               for t in itertools.product(*parts))
-    return sum(checked.values())
+        else:
+            for parts in _copies_of_matching(combo, k):
+                key = frozenset(parts)
+                if key not in seen:
+                    seen.add(key)
+                    yield parts
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +326,7 @@ def _graph_round(G, r: int, stream: RngStream):
     if isinstance(G, BipartiteGraph):
         parts = (G.mask(0), G.mask(1), G.mask(2))
         return BipartiteGraph._from_parts(work, parts, G.labels)
-    return Graph.from_adjacency(n, work, labels=G.labels, _validate=False)
+    return Graph._from_rows(n, work, G.labels)
 
 
 def _hyper_round(G: KUniformHypergraph, r: int, stream: RngStream):
@@ -334,40 +334,32 @@ def _hyper_round(G: KUniformHypergraph, r: int, stream: RngStream):
     q = (r ** k - 1) // (r - 1)
     p = G.m ** (-1.0 / q) / math.factorial(k)
     sampled = [e for e in sorted(G.edges, key=_edge_key) if stream.random() < p]
-    sampled_set = frozenset(sampled)
     work = set(sampled)
-    confirmed: set[frozenset] = set()
-    for combo in itertools.combinations(sampled, r):
-        union = set()
-        disjoint = True
-        for e in combo:
-            if union & e:
-                disjoint = False
-                break
-            union |= e
-        if not disjoint:
-            continue
-        for parts in _copies_of_matching(combo, k):
-            key = frozenset(parts)
-            if key in confirmed:
-                continue
-            transversals = [frozenset(t) for t in itertools.product(*parts)]
-            if not all(t in sampled_set for t in transversals):
-                continue
-            confirmed.add(key)
-            if all(t in work for t in transversals):
-                work.discard(min(transversals, key=_edge_key))
+    # work only loses edges, so a copy intact in work was sampled whole
+    for parts in _matching_copies(sampled, k, r):
+        transversals = [frozenset(t) for t in itertools.product(*parts)]
+        if all(t in work for t in transversals):
+            work.discard(min(transversals, key=_edge_key))
     return KUniformHypergraph(G.n, k, work)
 
 
-def _check_subgraph(G, H) -> None:
+def verify_free_subgraph(G, pattern: Pattern, H):
+    """(ok, reason) for H as a pattern-free subgraph of G: reason is
+    ("not_subgraph", e) for the first edge e of H, sorted, that G lacks, or
+    ("copies", c) for H's c pattern copies.  A graph's count walks the same
+    ``_rsets`` as the deletion round, so it does not check the walk: the
+    loop oracles of the tests pin that the walk misses no r-set."""
     if isinstance(G, KUniformHypergraph):
-        if not H.edges <= G.edges:
-            raise AssertionError("extraction produced a non-subgraph")
-        return
-    for u in range(G.n):
-        if H.adj[u] & ~G.adj[u]:
-            raise AssertionError("extraction produced a non-subgraph")
+        extra = sorted(map(_edge_key, H.edges - G.edges))
+    else:
+        extra = [(u, v) for u in range(G.n)
+                 for v in iter_bits(H.adj[u] & ~G.adj[u])]
+    if extra:
+        return False, ("not_subgraph", extra[0])
+    count = count_pattern(H, pattern)
+    if count:
+        return False, ("copies", count)
+    return True, None
 
 
 def extract_free(G, pattern: Pattern, rng: RngStream,
@@ -378,10 +370,8 @@ def extract_free(G, pattern: Pattern, rng: RngStream,
     ceil(m^(r/(r+1))/4) edges; k-graphs use (1/k!)m^(-1/q) with
     q = (r^k-1)/(r-1) and floor ceil(m^((q-1)/q)/(2k!)).  Rounds repeat with
     fresh derived streams until the floor is met (guaranteed in expectation);
-    a pattern-free input is returned unchanged.  Every returned subgraph is
-    re-verified pattern-free by a full count.  For a graph that count walks
-    the same ``_rsets`` as the round, so it is no independent check of the
-    walk: the loop oracles of the tests pin that the walk misses no r-set.
+    a pattern-free input is returned unchanged.  Every round's subgraph is
+    re-verified by ``verify_free_subgraph``.
     """
     # the copy-bound guard runs before m^r is taken; the host needs only an
     # existence test, while every returned subgraph gets a full count
@@ -395,9 +385,7 @@ def extract_free(G, pattern: Pattern, rng: RngStream,
         stream = rng.derive("extract", t)
         H = _hyper_round(G, pattern.r, stream) if is_hyper else \
             _graph_round(G, pattern.r, stream)
-        if count_pattern(H, pattern) != 0:
-            raise AssertionError("deletion left a pattern copy")
-        _check_subgraph(G, H)
+        verified(verify_free_subgraph, G, pattern, H)
         if best is None or H.m > best.m:
             best = H
         if H.m >= target:
@@ -481,25 +469,9 @@ def zarankiewicz_oracle(instance, r: Optional[int] = None,
     consumes at least d - (r-1) units of r-subset coverage capacity.  With a
     node budget the result may degrade to a certified bracket.
     """
-    if isinstance(instance, TightInstance):
-        host, r, s = instance.graph, instance.r, instance.s
-    else:
-        host = instance
-        if r is None or s is None:
-            raise GuardError("raw bipartite hosts need explicit r and s")
-    if r > s:
-        r, s = s, r
-    if r < 2:
-        raise GuardError("need r >= 2")
-    if host.n0:
-        raise GuardError("hosts with an overlay part are not supported")
-    if host.n1 > host.n2:
-        host = host.transpose()
+    host, r, s, nb = _oracle_host(instance, r, s)
     usize, vsize = host.n1, host.n2
-    zarankiewicz_oracle_guard(usize, vsize)
     full_u = (1 << usize) - 1
-    rank = {u: i for i, u in enumerate(host.v1)}
-    nb = [mask_of(rank[u] for u in iter_bits(host.adj[v])) for v in host.v2]
     complete = all(row == full_u for row in nb)
 
     r_subs = [sum(1 << u for u in A)
@@ -603,15 +575,58 @@ def zarankiewicz_oracle(instance, r: Optional[int] = None,
         if s_active:
             upper = min(upper, vsize * (s - 1) + len(s_subs) * cap_s)
         upper = max(upper, best)
-    first, second = _count_krs_sides(best_rows, usize, r, s)
+    result = ZarankiewiczResult(size=best, upper=upper, exact=not aborted,
+                                nodes=nodes, rows=tuple(best_rows))
+    verified(verify_zarankiewicz, instance, result, r, s)
+    return result
+
+
+def _oracle_host(instance, r: Optional[int], s: Optional[int]) -> tuple:
+    """(host, r, s, nb) for the oracle's arguments: the host turned so that
+    U = V1 is its smaller part, r <= s, and nb[i] the neighbourhood of the
+    i-th V vertex as a mask over the ranks of U's vertices."""
+    if isinstance(instance, TightInstance):
+        host, r, s = instance.graph, instance.r, instance.s
+    else:
+        host = instance
+        if r is None or s is None:
+            raise GuardError("raw bipartite hosts need explicit r and s")
+    if r > s:
+        r, s = s, r
+    if r < 2:
+        raise GuardError("need r >= 2")
+    if host.n0:
+        raise GuardError("hosts with an overlay part are not supported")
+    if host.n1 > host.n2:
+        host = host.transpose()
+    zarankiewicz_oracle_guard(host.n1, host.n2)
+    rank = {u: i for i, u in enumerate(host.v1)}
+    nb = [mask_of(rank[u] for u in iter_bits(host.adj[v])) for v in host.v2]
+    return host, r, s, nb
+
+
+def verify_zarankiewicz(instance, res: ZarankiewiczResult,
+                        r: Optional[int] = None, s: Optional[int] = None):
+    """(ok, reason) for the rows of ``zarankiewicz_oracle(instance, r, s)``:
+    reason is ("not_subgraph", i) for the first V vertex i off its host
+    row, ("size", e) for e != res.size edges, ("bound", res.size) above a
+    tight instance's s*m^(r/(r+1)), or ("pattern", first, second) for the
+    K_{r,s} copies by orientation."""
+    host, r, s, nb = _oracle_host(instance, r, s)
+    if len(res.rows) != len(nb):
+        raise ValueError(f"{len(res.rows)} rows for {len(nb)} V vertices")
+    for i, (row, allowed) in enumerate(zip(res.rows, nb)):
+        if row & ~allowed:
+            return False, ("not_subgraph", i)
+    edges = sum(row.bit_count() for row in res.rows)
+    if edges != res.size:
+        return False, ("size", edges)
+    if isinstance(instance, TightInstance) and res.size > instance.kst_bound():
+        return False, ("bound", res.size)
+    first, second = _count_krs_sides(res.rows, host.n1, r, s)
     if first or second:
-        raise AssertionError("oracle witness contains a forbidden pattern")
-    if sum(row.bit_count() for row in best_rows) != best:
-        raise AssertionError("oracle witness size mismatch")
-    if isinstance(instance, TightInstance) and best > instance.kst_bound():
-        raise AssertionError("oracle exceeded the counting bound")
-    return ZarankiewiczResult(size=best, upper=upper, exact=not aborted,
-                              nodes=nodes, rows=tuple(best_rows))
+        return False, ("pattern", first, second)
+    return True, None
 
 
 # ---------------------------------------------------------------------------

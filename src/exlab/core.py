@@ -58,6 +58,17 @@ class Failure:
     stats: dict = field(default_factory=dict)
 
 
+def verified(verify, *args, **kwargs):
+    """The witness ``args[-1]`` once ``verify(*args, **kwargs)`` accepts it,
+    else ``AssertionError(reason)`` from its ``(ok, reason)`` verdict.  The
+    raise is explicit, so it runs under ``python -O``; a construction calls
+    this on its own witness, whose rejection is a bug."""
+    ok, reason = verify(*args, **kwargs)
+    if not ok:
+        raise AssertionError(reason)
+    return args[-1]
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the indices of set bits in increasing order."""
     while mask:
@@ -218,22 +229,19 @@ class Graph:
         self.labels = tuple(labels) if labels is not None else None
 
     @classmethod
-    def from_adjacency(cls, n: int, rows: Sequence[int], labels=None,
-                       _validate: bool = True) -> "Graph":
-        """Build from prevalidated rows; internal generators pass _validate=False."""
-        if _validate:
-            if len(rows) != n:
-                raise ValueError("row count mismatch")
-            full = (1 << n) - 1
-            for u, r in enumerate(rows):
-                if r >> u & 1:
-                    raise ValueError(f"loop at vertex {u}")
-                if r & ~full:
-                    raise ValueError(f"row {u} has out-of-range bits")
-            for u in range(n):
-                for v in iter_bits(rows[u]):
-                    if not rows[v] >> u & 1:
-                        raise ValueError(f"asymmetric edge ({u},{v})")
+    def from_adjacency(cls, n: int, rows: Sequence[int],
+                       labels=None) -> "Graph":
+        """Build from adjacency rows.  Rejects a row count other than n,
+        loops, bits past n and rows that are not symmetric; builders whose
+        rows hold by construction call ``_from_rows``."""
+        _check_rows(rows, n)
+        for u, r in enumerate(rows):
+            if r >> u & 1:
+                raise ValueError(f"loop at vertex {u}")
+        return cls._from_rows(n, rows, labels)
+
+    @classmethod
+    def _from_rows(cls, n: int, rows: Sequence[int], labels=None) -> "Graph":
         g = cls.__new__(cls)
         g.n = n
         g.adj = tuple(rows)
@@ -262,7 +270,7 @@ class Graph:
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
         rows = [(~self.adj[u]) & full & ~(1 << u) for u in range(self.n)]
-        return Graph.from_adjacency(self.n, rows, _validate=False)
+        return Graph._from_rows(self.n, rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
@@ -332,21 +340,12 @@ class BipartiteGraph:
         construction call ``_from_parts``."""
         if min(n0, n1, n2) < 0:
             raise ValueError("part sizes must be nonnegative")
-        n = n0 + n1 + n2
-        if len(rows) != n:
-            raise ValueError("row count mismatch")
+        _check_rows(rows, n0 + n1 + n2)
         parts = _contiguous_parts(n0, n1, n2)
         for part in parts:
             for u in iter_bits(part):
-                if rows[u] >> n:
-                    raise ValueError(f"row {u} has out-of-range bits")
                 if rows[u] & part:
                     raise ValueError(f"row {u} has an edge inside its part")
-        # symmetric rows are their own columns
-        for u, (row, col) in enumerate(zip(rows, bit_columns(rows, n))):
-            if row != col:
-                v = ((row ^ col) & -(row ^ col)).bit_length() - 1
-                raise ValueError(f"asymmetric edge ({u},{v})")
         return cls._from_parts(rows, parts, labels)
 
     @classmethod
@@ -411,6 +410,20 @@ class BipartiteGraph:
         parts = f"{self.n1}+{self.n2}" if not self.n0 else \
             f"{self.n0}+{self.n1}+{self.n2}"
         return f"BipartiteGraph({parts}, m={self.m})"
+
+
+def _check_rows(rows: Sequence[int], n: int) -> None:
+    """ValueError unless there are n rows, each below 2^n, and they are
+    symmetric: symmetric rows are their own columns."""
+    if len(rows) != n:
+        raise ValueError("row count mismatch")
+    for u, row in enumerate(rows):
+        if row >> n:
+            raise ValueError(f"row {u} has out-of-range bits")
+    for u, (row, col) in enumerate(zip(rows, bit_columns(rows, n))):
+        if row != col:
+            v = ((row ^ col) & -(row ^ col)).bit_length() - 1
+            raise ValueError(f"asymmetric edge ({u},{v})")
 
 
 def _part_of(v: int, n0: int, n1: int) -> int:
@@ -562,7 +575,7 @@ def random_coloring(graph, r: int, stream: RngStream) -> EdgeColoring:
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
     rows = [full & ~(1 << u) for u in range(n)]
-    return Graph.from_adjacency(n, rows, _validate=False)
+    return Graph._from_rows(n, rows)
 
 
 def complete_bipartite(a: int, b: int) -> BipartiteGraph:
@@ -588,7 +601,7 @@ def complete_kpartite(sizes: Sequence[int]) -> Graph:
             rows.append(full & ~part_mask)
             labels.append((pi, j))
         offset += s
-    return Graph.from_adjacency(n, rows, labels=labels, _validate=False)
+    return Graph._from_rows(n, rows, labels=labels)
 
 
 def hypercube_guard(d: int) -> None:
@@ -611,7 +624,7 @@ def hypercube(d: int) -> Graph:
             r |= 1 << (v ^ (1 << i))
         rows[v] = r
     labels = [tuple((v >> i) & 1 for i in range(d)) for v in range(n)]
-    return Graph.from_adjacency(n, rows, labels=labels, _validate=False)
+    return Graph._from_rows(n, rows, labels=labels)
 
 
 def grid_lines(N: int) -> BipartiteGraph:
@@ -650,21 +663,6 @@ def grid_lines(N: int) -> BipartiteGraph:
             rows[vb] |= 1 << i
     return BipartiteGraph._from_parts(rows, _contiguous_parts(n0, N, N),
                                       labels)
-
-
-def generate(kind: str, params: Mapping):
-    """Dispatch for the named generators used across the modules."""
-    if kind == "complete":
-        return complete_graph(int(params["n"]))
-    if kind == "complete_bipartite":
-        return complete_bipartite(int(params["a"]), int(params["b"]))
-    if kind == "complete_kpartite":
-        return complete_kpartite([int(s) for s in params["sizes"]])
-    if kind == "hypercube":
-        return hypercube(int(params["d"]))
-    if kind == "grid_lines":
-        return grid_lines(int(params["N"]))
-    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 # _BIT_AS_DIGIT[j] maps a byte to b"1" when its bit j is set, else to b"0"
@@ -723,7 +721,7 @@ def random_graph(n: int, p: float, stream: RngStream) -> Graph:
     upper = [row << (u + 1) for u, row in
              enumerate(_bernoulli_rows(stream, range(n - 1, -1, -1), p))]
     rows = [up | low for up, low in zip(upper, bit_columns(upper, n))]
-    return Graph.from_adjacency(n, rows, _validate=False)
+    return Graph._from_rows(n, rows)
 
 
 def random_bipartite(n1: int, n2: int, p: float,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import (BipartiteGraph, EdgeColoring, Failure, Graph, GuardError,
-                   RetryError, RngStream, iter_bits, mask_of,
+                   RetryError, RngStream, iter_bits, mask_of, verified,
                    try_bipartition)
 
 MAX_TOP_LEVEL = 10 ** 8
@@ -292,7 +292,7 @@ def resample_embed(H: TargetHypergraph, G: DownClosedHypergraph,
     Events, in order: one collision event per vertex pair (images equal), then
     one membership event per edge (distinct images, image not a member).
     Resampling redraws only the offending event's own vertex images.  Success
-    is re-verified: injectivity plus membership of every edge image.
+    is re-verified by ``verify_embedding``.
     """
     if H.n > G.N:
         return Failure("resample_embed", "target larger than host",
@@ -303,48 +303,65 @@ def resample_embed(H: TargetHypergraph, G: DownClosedHypergraph,
                       "termination is empirical", RuntimeWarning, stacklevel=2)
     pairs = list(itertools.combinations(range(H.n), 2))
     f = [rng.randrange(G.N) for _ in range(H.n)]
-
-    def first_violation():
-        for u, v in pairs:
-            if f[u] == f[v]:
-                return ("collision", (u, v))
-        for e in H.edges:
-            img = {f[v] for v in e}
-            if len(img) == len(e) and not G.member(img):
-                return ("non_member", e)
-        return None
-
     performed = 0
     while True:
-        viol = first_violation()
+        events = _violations(H, G, f, pairs)
+        viol = next(events, None)
         if viol is None:
-            mapping = tuple(f)
-            if len(set(mapping)) != H.n:
-                raise AssertionError("embedding lost injectivity")
-            for e in H.edges:
-                if not G.member({mapping[v] for v in e}):
-                    raise AssertionError("embedding lost edge membership")
-            return EmbeddingResult(mapping, performed)
+            return verified(verify_embedding, H, G,
+                            EmbeddingResult(tuple(f), performed))
         if performed >= round_cap:
-            labels = []
-            for u, v in pairs:
-                if f[u] == f[v]:
-                    labels.append(("collision", u, v))
-            for e in H.edges:
-                img = {f[v] for v in e}
-                if len(img) == len(e) and not G.member(img):
-                    labels.append(("non_member", tuple(sorted(e))))
             return Failure("resample_embed", "round cap exhausted",
-                           {"rounds": performed, "violated": tuple(labels)})
-        kind, what = viol
-        if kind == "collision":
-            u, v = what
-            f[u] = rng.randrange(G.N)
-            f[v] = rng.randrange(G.N)
+                           {"rounds": performed, "violated": (viol, *events)})
+        if viol[0] == "collision":
+            f[viol[1]] = rng.randrange(G.N)
+            f[viol[2]] = rng.randrange(G.N)
         else:
-            for v in sorted(what):
+            for v in viol[1]:
                 f[v] = rng.randrange(G.N)
         performed += 1
+
+
+def _violations(H: TargetHypergraph, G: DownClosedHypergraph, f, pairs):
+    """The violated events of the map f, in index order: ("collision", u, v)
+    for each pair with equal images, then ("non_member", e) for each edge,
+    as a sorted tuple, whose distinct images are not a member of G."""
+    for u, v in pairs:
+        if f[u] == f[v]:
+            yield ("collision", u, v)
+    for e in H.edges:
+        img = {f[v] for v in e}
+        if len(img) == len(e) and not G.member(img):
+            yield ("non_member", tuple(sorted(e)))
+
+
+def _injection_defect(mapping: Sequence[int], n: int, N: int):
+    """None, or ("range", v) or ("collision", u, v) for the first vertex v
+    that ``mapping`` sends out of range(N) or onto an earlier u's image."""
+    if len(mapping) != n:
+        raise ValueError(f"mapping has {len(mapping)} entries, not {n}")
+    first = {}
+    for v, x in enumerate(mapping):
+        if not 0 <= x < N:
+            return ("range", v)
+        if x in first:
+            return ("collision", first[x], v)
+        first[x] = v
+    return None
+
+
+def verify_embedding(H: TargetHypergraph, G: DownClosedHypergraph,
+                     emb: EmbeddingResult):
+    """(ok, reason) for ``emb.mapping`` as an embedding of H into G: reason
+    is an ``_injection_defect`` or ("non_member", e) for the first edge e of
+    H, as a sorted tuple, whose image is not a member of G."""
+    defect = _injection_defect(emb.mapping, H.n, G.N)
+    if defect is not None:
+        return False, defect
+    for e in H.edges:
+        if not G.member({emb.mapping[v] for v in e}):
+            return False, ("non_member", tuple(sorted(e)))
+    return True, None
 
 
 @dataclass(frozen=True)
@@ -613,9 +630,8 @@ def bip_ramsey_pipeline(coloring: EdgeColoring, H, rng: RngStream,
         if mapping is None:
             return Failure("direct_embed",
                            "no copy in the majority color", {"N": N})
-        result = PipelineResult(tuple(mapping), majority, 0, 0)
-        _verify_pipeline(coloring, hadj, result)
-        return result
+        return verified(verify_copy, coloring, H,
+                        PipelineResult(tuple(mapping), majority, 0, 0))
 
     if b < paper_b:
         warnings.warn("quality parameter b capped below 16*Delta^(1/k) to fit "
@@ -658,19 +674,20 @@ def bip_ramsey_pipeline(coloring: EdgeColoring, H, rng: RngStream,
         mapping[hv] = choice
         used.add(choice)
 
-    result = PipelineResult(tuple(mapping), majority, drc.tries, emb.rounds)
-    _verify_pipeline(coloring, hadj, result)
-    return result
+    return verified(verify_copy, coloring, H, PipelineResult(
+        tuple(mapping), majority, drc.tries, emb.rounds))
 
 
-def _verify_pipeline(coloring: EdgeColoring, hadj: Sequence[int],
-                     result: PipelineResult) -> None:
+def verify_copy(coloring: EdgeColoring, H, result: PipelineResult):
+    """(ok, reason) for ``result.mapping`` as a copy of H in colour
+    ``result.color``: reason is an ``_injection_defect`` or ("color", (u, v))
+    for the first edge u < v of H whose image has another colour."""
     mapping = result.mapping
-    if len(set(mapping)) != len(mapping):
-        raise AssertionError("pipeline mapping is not injective")
-    for u in range(len(hadj)):
-        for v in iter_bits(hadj[u]):
-            if v <= u:
-                continue
+    defect = _injection_defect(mapping, H.n, coloring.graph.n)
+    if defect is not None:
+        return False, defect
+    for u, row in enumerate(H.adj):
+        for v in iter_bits(row >> (u + 1) << (u + 1)):
             if coloring.color_of(mapping[u], mapping[v]) != result.color:
-                raise AssertionError("copy edge has the wrong color")
+                return False, ("color", (u, v))
+    return True, None

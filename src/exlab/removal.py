@@ -37,6 +37,7 @@ from .core import (
     grid_lines,
     iter_bits,
     mask_of,
+    verified,
 )
 
 # Part-size guard for the cubic triangle scans.
@@ -569,31 +570,32 @@ def _corner_from_diamond(gc: GridColoring, dia: Diamond) -> Corner:
     """Decode a diamond on the grid line host into a corner.
 
     The shared edge names the point (x, y); an apex off the point's own
-    antidiagonal gives the offset d.  Cell colors and ranges are
-    re-verified before returning.
+    antidiagonal gives the offset d (0 when there is none).  The corner is
+    re-verified by ``verify_corner`` before it is returned.
     """
     N = gc.N
     n0 = 2 * N - 1
     a, b = dia.edge
     x = a - n0 + 1
     y = b - n0 - N + 1
-    d = None
-    for apex in dia.apexes:
-        s = apex + 2
-        if s != x + y:
-            d = s - (x + y)
-            break
-    if d is None:
-        raise AssertionError("diamond apexes coincide with the point's "
-                             "antidiagonal")
-    ch = dia.color
-    if not (1 <= x + d <= N and 1 <= y + d <= N):
-        raise AssertionError(f"corner offset {d} leaves the grid at "
-                             f"({x},{y})")
-    if (gc.color_at(x, y) != ch or gc.color_at(x + d, y) != ch
-            or gc.color_at(x, y + d) != ch):
-        raise AssertionError("corner cells disagree with the diamond color")
-    return Corner(x, y, d, ch)
+    d = next((apex + 2 - (x + y) for apex in dia.apexes
+              if apex + 2 != x + y), 0)
+    return verified(verify_corner, gc, Corner(x, y, d, dia.color))
+
+
+def verify_corner(gc: GridColoring, corner: Corner):
+    """(ok, reason) for the corner (x, y), (x+d, y), (x, y+d): reason is
+    ("offset",) when d = 0, else ("off_grid", p) or ("color", p) for the
+    first of the points off the grid or not of colour ``corner.color``."""
+    x, y, d = corner.x, corner.y, corner.d
+    if d == 0:
+        return False, ("offset",)
+    for p in ((x, y), (x + d, y), (x, y + d)):
+        if not (1 <= p[0] <= gc.N and 1 <= p[1] <= gc.N):
+            return False, ("off_grid", p)
+        if gc.color_at(*p) != corner.color:
+            return False, ("color", p)
+    return True, None
 
 
 def grid_pipeline_guard(N: int) -> None:

@@ -24,6 +24,7 @@ from .core import (
     Graph,
     GuardError,
     iter_bits,
+    verified,
 )
 
 # Resource envelopes: the 3-AP oracle is quadratic, decomposition checks are
@@ -292,13 +293,17 @@ def rs_from_behrend(N: int, chunk: Optional[int] = None) -> RsDecomposition:
         spanning = dropped == 0
         stats.update({"chunk": chunk, "pieces": pieces,
                       "dropped_per_matching": dropped})
-    dec = RsDecomposition(graph=graph, matchings=tuple(mats),
-                          spanning=spanning, stats=stats)
+    return verified(verify_rs, RsDecomposition(
+        graph=graph, matchings=tuple(mats), spanning=spanning, stats=stats))
+
+
+def _check_decomposition(g, dec: RsDecomposition) -> None:
+    """GuardError unless a caller's decomposition is of g and verifies."""
+    if dec.graph is not g and (dec.graph.n != g.n or dec.graph.adj != g.adj):
+        raise GuardError("decomposition does not belong to the host graph")
     ok, viol = verify_rs(dec)
     if not ok:
-        raise AssertionError(
-            f"constructed decomposition failed verification: {viol}")
-    return dec
+        raise GuardError(f"invalid decomposition: {viol}")
 
 
 def bipartite_double(g, dec: RsDecomposition) -> RsDecomposition:
@@ -310,27 +315,18 @@ def bipartite_double(g, dec: RsDecomposition) -> RsDecomposition:
     would project to a host edge inside the original matching's vertex set,
     which inducedness forbids.  The lifted decomposition is re-verified.
     """
-    if dec.graph is not g and (dec.graph.n != g.n or dec.graph.adj != g.adj):
-        raise GuardError("decomposition does not belong to the host graph")
+    _check_decomposition(g, dec)
     if isinstance(g, BipartiteGraph) and g.n0:
         raise GuardError("overlap part not supported")
-    ok, viol = verify_rs(dec)
-    if not ok:
-        raise GuardError(f"invalid decomposition: {viol}")
     n = g.n
     rows = [g.adj[u] << n for u in range(n)] + [g.adj[u] for u in range(n)]
     doubled = BipartiteGraph.from_adjacency(n, n, rows)
     mats = tuple(
         tuple(sorted([(u, n + v) for u, v in mt] + [(v, n + u) for u, v in mt]))
         for mt in dec.matchings)
-    out = RsDecomposition(graph=doubled, matchings=mats, spanning=dec.spanning,
-                          stats={"doubled_from": n, "source_n": dec.n,
-                                 "source_t": dec.t})
-    ok, viol = verify_rs(out)
-    if not ok:
-        raise AssertionError(
-            f"doubled decomposition failed verification: {viol}")
-    return out
+    return verified(verify_rs, RsDecomposition(
+        graph=doubled, matchings=mats, spanning=dec.spanning,
+        stats={"doubled_from": n, "source_n": dec.n, "source_t": dec.t}))
 
 
 class _BudgetExhausted(Exception):
@@ -473,14 +469,9 @@ def greedy_decompose(g, n: int, t_target: Optional[int] = None,
             for u, v in mt:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-        sub = Graph.from_adjacency(g.n, rows, _validate=False)
-        dec = RsDecomposition(graph=sub, matchings=tuple(extracted),
-                              spanning=True, stats=stats)
-        ok, viol = verify_rs(dec)
-        if not ok:
-            raise AssertionError(
-                f"extracted decomposition failed verification: {viol}")
-        return dec
+        sub = Graph._from_rows(g.n, rows)
+        return verified(verify_rs, RsDecomposition(
+            graph=sub, matchings=tuple(extracted), spanning=True, stats=stats))
     bound = 1 if t_target is None else t_target
     red = tuple(sorted(e for mt in extracted for e in mt))
     deg = [0] * g.n
@@ -490,10 +481,7 @@ def greedy_decompose(g, n: int, t_target: Optional[int] = None,
     col = FalsifyingColoring(red=red, t=bound, n=n,
                              stats={**stats,
                                     "red_max_degree": max(deg, default=0)})
-    ok, viol = verify_falsifying(g, red, bound, n, budget=budget)
-    if not ok:
-        raise AssertionError(
-            f"falsifying coloring failed re-verification: {viol}")
+    verified(verify_falsifying, g, red, bound, n, budget=budget)
     return col
 
 
@@ -549,10 +537,7 @@ def arrow_check(g, t: int, n: int, mode: str = "exhaustive",
                     stats={"mode": "exhaustive", "colorings_scanned": cm,
                            "reason": "search budget exhausted"})
             red = tuple(edges[i] for i in iter_bits(cm))
-            ok, viol = verify_falsifying(g, red, t, n)
-            if not ok:
-                raise AssertionError(
-                    f"falsifying coloring failed re-verification: {viol}")
+            verified(verify_falsifying, g, red, t, n)
             return ArrowInstance(graph=g, t=t, n=n, verdict="falsified",
                                  red=red,
                                  stats={"mode": "exhaustive",
@@ -563,13 +548,9 @@ def arrow_check(g, t: int, n: int, mode: str = "exhaustive",
     if decomposition is None:
         raise GuardError("theorem mode requires a decomposition")
     dec = decomposition
-    if dec.graph is not g and (dec.graph.n != g.n or dec.graph.adj != g.adj):
-        raise GuardError("decomposition does not belong to the host graph")
+    _check_decomposition(g, dec)
     if not isinstance(g, BipartiteGraph) or g.n0:
         raise GuardError("theorem mode requires a bipartite host")
-    ok, viol = verify_rs(dec)
-    if not ok:
-        raise GuardError(f"invalid decomposition: {viol}")
     if not dec.spanning:
         raise GuardError("theorem mode requires a spanning decomposition")
     s, count, verts, m = dec.n, dec.t, g.n, g.m

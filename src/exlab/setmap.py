@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .core import GuardError
+from .core import GuardError, verified
 
 Point = tuple
 
@@ -56,14 +56,23 @@ class Violation:
     witness: object
 
 
-def verify_violation(f: SetMapping, region: frozenset, vio: Violation) -> bool:
-    """Re-evaluate the rule and confirm the certificate independently."""
+def verify_violation(f: SetMapping, region: frozenset, vio: Violation):
+    """(ok, reason) from the rule re-evaluated: reason is ("argument", p) for
+    the least point p of X off the region, ("image",) when the witness is
+    not in (eh) or not (caro) the image of X, or ("outside", p) for the
+    least witness point p off the region."""
     if not vio.X <= region:
-        return False
+        return False, ("argument", min(vio.X - region))
     image = f.rule(vio.X)
     if f.kind == "eh":
-        return vio.witness in image and vio.witness in region
-    return vio.witness == image and image <= region
+        ok, shown = vio.witness in image, {vio.witness}
+    else:
+        ok, shown = vio.witness == image, image
+    if not ok:
+        return False, ("image",)
+    if not shown <= region:
+        return False, ("outside", min(shown - region))
+    return True, None
 
 
 def _ground_guard(side: int, dim: int) -> int:
@@ -232,10 +241,8 @@ def eh_violator(f: SetMapping, P: Iterable[Point]) -> Optional[Violation]:
         q = min(s for s in planes[(i, p[i])] if s not in used)
         picks.append(q)
         used.add(q)
-    vio = Violation(X=frozenset(picks), witness=p)
-    if not verify_violation(f, region, vio):
-        raise AssertionError("violation failed re-verification")
-    return vio
+    return verified(verify_violation, f, region,
+                    Violation(X=frozenset(picks), witness=p))
 
 
 def caro_violator(f: SetMapping, Q: Iterable[Point]) -> Optional[Violation]:
@@ -253,12 +260,18 @@ def caro_violator(f: SetMapping, Q: Iterable[Point]) -> Optional[Violation]:
     region = frozenset(Q)
     if not region <= f.ground():
         raise GuardError("Q must be a subset of the ground set")
-    if f.dim == 2:
-        return _caro_violator_dim2(f, region)
-    return _caro_violator_dim3(f, region)
+    found = (_caro_pair_dim2 if f.dim == 2 else _caro_pair_dim3)(f, region)
+    if found is None:
+        return None
+    X, image = found
+    vio = Violation(X=X, witness=f.rule(X))
+    if vio.witness != image:
+        raise AssertionError("rule disagrees with the marking argument")
+    return verified(verify_violation, f, region, vio)
 
 
-def _caro_violator_dim2(f: SetMapping, region: frozenset) -> Optional[Violation]:
+def _caro_pair_dim2(f: SetMapping, region: frozenset) -> Optional[tuple]:
+    """(X, the image the marking argument predicts for X), or None."""
     col_max: dict[int, int] = {}
     row_max: dict[int, int] = {}
     for x, y in region:
@@ -274,16 +287,10 @@ def _caro_violator_dim2(f: SetMapping, region: frozenset) -> Optional[Violation]
     x, y = min(survivors)
     yp = col_max[x]  # strictly above: (x, y) survived the column marking
     xp = row_max[y]  # strictly right: (x, y) survived the row marking
-    X = frozenset({(x, yp), (xp, y)})
-    vio = Violation(X=X, witness=f.rule(X))
-    if vio.witness != frozenset({(x, y), (x, yp)}):
-        raise AssertionError("rule disagrees with the marking argument")
-    if not verify_violation(f, region, vio):
-        raise AssertionError("violation failed re-verification")
-    return vio
+    return frozenset({(x, yp), (xp, y)}), frozenset({(x, y), (x, yp)})
 
 
-def _caro_violator_dim3(f: SetMapping, region: frozenset) -> Optional[Violation]:
+def _caro_pair_dim3(f: SetMapping, region: frozenset) -> Optional[tuple]:
     m = f.side
     x_min: dict[tuple, int] = {}
     y_max: dict[tuple, int] = {}
@@ -311,13 +318,8 @@ def _caro_violator_dim3(f: SetMapping, region: frozenset) -> Optional[Violation]
     z1, z2 = sorted(groups[pair_key])[:2]
     x = x_min[(y, z1)]    # strictly left: (xp, y, z1) survived its x-line
     ypp = y_max[(xp, z2)]  # strictly above: (xp, y, z2) survived its y-line
-    X = frozenset({(x, y, z1), (xp, ypp, z2)})
-    vio = Violation(X=X, witness=f.rule(X))
-    if vio.witness != frozenset({(xp, y, z1), (xp, y, z2)}):
-        raise AssertionError("rule disagrees with the marking argument")
-    if not verify_violation(f, region, vio):
-        raise AssertionError("violation failed re-verification")
-    return vio
+    return (frozenset({(x, y, z1), (xp, ypp, z2)}),
+            frozenset({(xp, y, z1), (xp, y, z2)}))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 from .core import (BipartiteGraph, Failure, Graph, GuardError, RetryError,
                    RngStream, bit_columns, iter_bits, mask_of,
-                   random_equitable_bipartition)
+                   random_equitable_bipartition, verified)
 
 ORACLE_MAX_N = 12
 KTT_BUDGET = 10 ** 6
@@ -322,12 +322,23 @@ def find_ktt(T: BipartiteGraph, t: int):
                        {"nodes": spent[0], "t": t})
     if wit is None:
         return None
-    left, right = wit
-    for u in left:
-        for v in right:
+    return verified(verify_ktt, T, t,
+                    (tuple(sorted(wit[0])), tuple(sorted(wit[1]))))
+
+
+def verify_ktt(T: BipartiteGraph, t: int, witness):
+    """(ok, reason) for ``witness = (L, R)`` as a K_{t,t} of T: reason is
+    ("side", i) when side i (0 for L) is not t distinct vertices of part
+    V(i+1), or ("missing", (u, v)) for the first absent edge."""
+    for i, side in enumerate(witness):
+        m = mask_of(side)
+        if len(side) != t or m.bit_count() != t or m & ~T.mask(i + 1):
+            return False, ("side", i)
+    for u in witness[0]:
+        for v in witness[1]:
             if not T.has_edge(u, v):
-                raise AssertionError("K_{t,t} witness failed re-verification")
-    return tuple(sorted(left)), tuple(sorted(right))
+                return False, ("missing", (u, v))
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +525,7 @@ def weak_sequence_pipeline(G: Graph, r: int, t: int, rng: RngStream,
     result = _weakseq_stages(eq.bipartite, r, t, rng, retry_cap, stats)
     if isinstance(result, Failure):
         return result
-    ok, viol = verify_sequence(G, result)
-    if not ok:
-        raise AssertionError(f"pipeline produced an invalid sequence: {viol}")
-    return result
+    return verified(verify_sequence, G, result)
 
 
 # ---------------------------------------------------------------------------
@@ -850,9 +858,7 @@ def minor_pipeline(G: Graph, r: int, t: int, rng: RngStream,
     seq = _weakseq_stages(b_wy, r, t, rng, max(retry_cap, 100), dict(stats))
     if isinstance(seq, Failure):
         return seq
-    ok, viol = verify_sequence(G, seq)
-    if not ok:
-        raise AssertionError(f"invalid intermediate sequence: {viol}")
+    verified(verify_sequence, G, seq)
     stats = dict(seq.stats)
 
     # assembly: connect each S_i and T_i through a crossing edge
@@ -865,10 +871,9 @@ def minor_pipeline(G: Graph, r: int, t: int, rng: RngStream,
     for i in range(t):
         a_set = sorted(seq.s_sets[i])
         b_set = sorted(seq.t_sets[i])
-        edge = next(((a, b) for a in a_set for b in sorted(b_set)
-                     if G.has_edge(a, b)), None)
-        if edge is None:
-            raise AssertionError("bicomplete pair lost its crossing edge")
+        # verify_sequence's pair check gives S_i an edge to T_i
+        edge = next((a, b) for a in a_set for b in sorted(b_set)
+                    if G.has_edge(a, b))
         anchor_a, anchor_b = edge if diameter_aware else (a_set[0], b_set[0])
         members = set(a_set) | set(b_set)
         got = _connect_into(G, a_set, anchor_a, used)
@@ -882,16 +887,10 @@ def minor_pipeline(G: Graph, r: int, t: int, rng: RngStream,
                            {"branch": i, **stats})
         internals_b, used = got
         branch = frozenset(members | set(internals_a) | set(internals_b))
-        if len(branch) > 8 * r:
-            raise AssertionError("branch set exceeded its size cap")
         branch_sets.append(branch)
 
-    model = MinorModel(tuple(branch_sets), 8 * r,
-                       9 if diameter_aware else None, dict(stats))
-    ok, viol = verify_minor(G, model)
-    if not ok:
-        raise AssertionError(f"assembled minor failed verification: {viol}")
-    return model
+    return verified(verify_minor, G, MinorModel(
+        tuple(branch_sets), 8 * r, 9 if diameter_aware else None, dict(stats)))
 
 
 def _induced_distances(g: Graph, members: frozenset) -> dict:

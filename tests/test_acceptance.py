@@ -38,7 +38,7 @@ def test_gate_01_small_grid_exhaustive_violations():
     for Q in itertools.combinations(points, 7):
         vio = setmap.caro_violator(f, Q)
         assert vio is not None
-        assert setmap.verify_violation(f, frozenset(Q), vio)
+        assert setmap.verify_violation(f, frozenset(Q), vio) == (True, None)
         checked += 1
     elapsed = time.perf_counter() - t0
     assert checked == 36
@@ -59,7 +59,7 @@ def test_gate_02_sampled_regions_always_violate():
         P = rng.sample(points, 25)
         vio = setmap.eh_violator(f, P)
         assert vio is not None
-        assert setmap.verify_violation(f, frozenset(P), vio)
+        assert setmap.verify_violation(f, frozenset(P), vio) == (True, None)
         hits += 1
     elapsed = time.perf_counter() - t0
     assert hits == 10 ** 4

@@ -16,7 +16,7 @@ from exlab import core
 from exlab.core import (BipartiteGraph, EdgeColoring, Graph, GuardError,
                         ParseError, RetryError, RngStream, bit_columns,
                         complete_bipartite, complete_graph, complete_kpartite,
-                        generate, grid_lines, hypercube, iter_bits, mask_of,
+                        grid_lines, hypercube, iter_bits, mask_of,
                         random_bipartite, random_coloring,
                         random_equitable_bipartition, random_graph,
                         read_bipartite, read_coloring, read_graph,
@@ -171,15 +171,6 @@ def test_grid_lines():
     # x+y=3 passes through (1,2) and (2,1)
     assert g.degree(1) == 4
     assert grid_lines(3).m == 27
-
-
-def test_generate_dispatch():
-    assert generate("hypercube", {"d": 3}) == hypercube(3)
-    assert generate("complete", {"n": 4}) == complete_graph(4)
-    assert generate("grid_lines", {"N": 2}) == grid_lines(2)
-    assert generate("complete_bipartite", {"a": 2, "b": 2}) == complete_bipartite(2, 2)
-    with pytest.raises(ValueError):
-        generate("moebius", {})
 
 
 def test_random_graph():

@@ -137,7 +137,7 @@ def test_eh_violator_above_threshold_always_finds():
     for P in itertools.combinations(f.points, 21):
         vio = eh_violator(f, P)
         assert vio is not None
-        assert verify_violation(f, frozenset(P), vio)
+        assert verify_violation(f, frozenset(P), vio) == (True, None)
 
 
 def test_eh_violator_sampled_above_threshold():
@@ -147,7 +147,7 @@ def test_eh_violator_sampled_above_threshold():
         P = rng.sample(f.points, 25)
         vio = eh_violator(f, P)
         assert vio is not None
-        assert verify_violation(f, frozenset(P), vio)
+        assert verify_violation(f, frozenset(P), vio) == (True, None)
         assert len(vio.X) == 2 and vio.witness not in vio.X
 
 
@@ -158,7 +158,7 @@ def test_eh_violator_lexicographic_variant():
         P = rng.sample(f.points, 21)
         vio = eh_violator(f, P)
         assert vio is not None
-        assert verify_violation(f, frozenset(P), vio)
+        assert verify_violation(f, frozenset(P), vio) == (True, None)
 
 
 def test_eh_violator_trivial_and_deterministic():
@@ -175,7 +175,7 @@ def test_caro_violator_dim2_exhaustive_at_threshold():
     for Q in itertools.combinations(c.points, 7):
         vio = caro_violator(c, Q)
         assert vio is not None
-        assert verify_violation(c, frozenset(Q), vio)
+        assert verify_violation(c, frozenset(Q), vio) == (True, None)
         seen += 1
     assert seen == 36
 
@@ -188,7 +188,7 @@ def test_caro_violator_dim3_sampled_above_threshold():
         Q = rng.sample(c.points, 49)
         vio = caro_violator(c, Q)
         assert vio is not None
-        assert verify_violation(c, frozenset(Q), vio)
+        assert verify_violation(c, frozenset(Q), vio) == (True, None)
 
 
 def test_caro_violator_trivial():
