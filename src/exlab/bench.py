@@ -6,11 +6,13 @@ at gate size with the gates' seeds, and time random generation apart from
 the stage that consumes it.  A fourth runs gate 7's weak sequences at
 t = 12, where the K_{t,t} search has real work, on three of its hosts, and
 a fifth splits the sparse K_{2,2}-free extraction of perfbench's cli-mix
-into its counts and its deletion round.  The README examples run in
-process through ``expcli.main``, with file names moved into a temporary
-directory.  Each of these entries is the median of ``REPS`` repetitions.
-Tier-1 runs once, in a subprocess, when pytest is importable and the
-checkout's ``tests/`` is present; the entry is ``null`` otherwise.
+into its counts and its deletion round.  A sixth times cli-mix's N = 1000
+RS construction apart from a second check of its decomposition.  The
+README examples run in process through ``expcli.main``, with file names
+moved into a temporary directory.  Each of these entries is the median of
+``REPS`` repetitions.  Tier-1 runs once, in a subprocess, when pytest is
+importable and the checkout's ``tests/`` is present; the entry is ``null``
+otherwise.
 
 The file records the machine, the interpreter, the CPU count, the commit
 and ``RngStream.ALGORITHM``, and gives the ratio of each time to the same
@@ -43,7 +45,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-from . import bipfree, expcli, lll_embed, weakseq
+from . import bipfree, expcli, lll_embed, rsgraph, weakseq
 from .core import (Failure, RngStream, complete_graph, hypercube,
                    random_coloring, random_graph)
 
@@ -193,6 +195,17 @@ def bipfree_extract(timer: Timer) -> None:
                     f"bipfree extract: seed {seed}")
 
 
+def rsgraph_construct(timer: Timer) -> None:
+    """The cli-mix construct trial at N = 1000: the construction, which
+    verifies its decomposition before returning it, then ``verify_rs`` of
+    that decomposition alone, as replay runs it again."""
+    dec = timer("rsgraph_construct.rs_from_behrend", rsgraph.rs_from_behrend,
+                1000)
+    ok = timer("rsgraph_construct.verify_rs", rsgraph.verify_rs, dec)
+    timer.check(ok == (True, None) and (dec.n, dec.t) == (10, 224),
+                "rsgraph construct: N = 1000")
+
+
 def readme_examples(timer: Timer) -> None:
     workdir = timer.workdir
     (workdir / "spec.json").write_text(json.dumps(README_SPEC),
@@ -207,7 +220,7 @@ def readme_examples(timer: Timer) -> None:
 
 
 WORKLOADS = (gate5, gate6, gate7, weakseq_t12, bipfree_extract,
-             readme_examples)
+             rsgraph_construct, readme_examples)
 
 
 def calibration_kernel() -> int:

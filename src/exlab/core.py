@@ -484,8 +484,9 @@ class EdgeColoring:
         n = graph.n
         rows = [[0] * n for _ in range(r)]
         seen = 0
+        is_map = isinstance(colors, Mapping)
         for u, v in graph.edges():
-            if isinstance(colors, Mapping):
+            if is_map:
                 try:
                     c = colors[(u, v)]
                 except KeyError:
@@ -497,7 +498,7 @@ class EdgeColoring:
             rows[c][u] |= 1 << v
             rows[c][v] |= 1 << u
             seen += 1
-        if isinstance(colors, Mapping) and len(colors) != seen:
+        if is_map and len(colors) != seen:
             raise ValueError("color map keys do not match the edge set")
         self.graph = graph
         self.r = r

@@ -185,7 +185,10 @@ def triangle_cover(coloring: EdgeColoring, triangles, strict: bool = True,
     Checks part membership and color range per triangle, existence and
     monochromaticity of all three edges, pairwise edge-disjointness, and
     that the V1-V2 edges of the triangles exactly cover the cross edge
-    set.  With ``strict`` the cross part must also be complete.
+    set.  With ``strict`` the cross part must also be complete.  Each edge
+    is read from rows: the host row first, then the triangle's color row,
+    then the rows of edges claimed by earlier triangles; ``color_of`` only
+    names the edge's color in the monochromaticity error.
     """
     g = coloring.graph
     if not isinstance(g, BipartiteGraph):
@@ -200,7 +203,8 @@ def triangle_cover(coloring: EdgeColoring, triangles, strict: bool = True,
         raise ValueError(f"strict cover needs a complete cross part: "
                          f"{g.cross_m()} of {n * n} edges present")
     tris = tuple(tuple(t) for t in triangles)
-    used = set()
+    adj = g.adj
+    claimed = [0] * g.n
     for t in tris:
         if len(t) != 4:
             raise ValueError(f"triangle {t} is not (v0, v1, v2, color)")
@@ -211,16 +215,17 @@ def triangle_cover(coloring: EdgeColoring, triangles, strict: bool = True,
                                  f"outside V{part}")
         if not (isinstance(ch, int) and 0 <= ch < coloring.r):
             raise ValueError(f"color {ch} outside 0..{coloring.r - 1}")
+        crow = coloring.rows[ch]
         for u, v in ((v0, v1), (v0, v2), (v1, v2)):
-            if not g.has_edge(u, v):
+            if not adj[u] >> v & 1:
                 raise ValueError(f"triangle edge ({u},{v}) missing from host")
-            if coloring.color_of(u, v) != ch:
+            if not crow[u] >> v & 1:
                 raise ValueError(f"triangle {t} not monochromatic: "
                                  f"edge ({u},{v}) has color "
                                  f"{coloring.color_of(u, v)}")
-            if (u, v) in used:
+            if claimed[u] >> v & 1:
                 raise ValueError(f"edge ({u},{v}) used by two triangles")
-            used.add((u, v))
+            claimed[u] |= 1 << v
     # distinct existing cross edges, one per triangle: count fixes coverage
     if len(tris) != g.cross_m():
         raise ValueError(f"triangles cover {len(tris)} of {g.cross_m()} "
@@ -247,21 +252,25 @@ def _as_coloring(arg) -> EdgeColoring:
 def triangle_census(arg) -> tuple[tuple, int]:
     """Count monochromatic triangles (one vertex per part) per color.
 
-    Accepts a tripartite EdgeColoring or a TriangleCover.  Scans each
-    V1-V2 edge and counts apexes via one AND of the two color rows, so
-    the work is n^2 word operations.  Returns (per-color tuple, total).
+    Accepts a tripartite EdgeColoring or a TriangleCover.  One color class
+    at a time, scans each V1-V2 edge of that color and counts apexes via
+    one AND of the two color rows, so the work is n^2 word operations.
+    Returns (per-color tuple, total).
     """
     col = _as_coloring(arg)
     g = col.graph
     _census_guard(g)
     mask0 = g.mask(0)
     m2 = g.mask(2)
-    counts = [0] * col.r
-    for a in g.v1:
-        for b in iter_bits(g.adj[a] & m2):
-            ch = col.color_of(a, b)
-            counts[ch] += (col.mono_mask(ch, a) & col.mono_mask(ch, b)
-                           & mask0).bit_count()
+    counts = []
+    for rows in col.rows:
+        count = 0
+        for a in g.v1:
+            apexes = rows[a] & mask0
+            if apexes:
+                for b in iter_bits(rows[a] & m2):
+                    count += (apexes & rows[b]).bit_count()
+        counts.append(count)
     return tuple(counts), sum(counts)
 
 

@@ -90,6 +90,14 @@ def test_bench_lists_failed_checks(tmp_path):
     assert len(doc["entries"]["calibration"]["runs_s"]) == 4
 
 
+def test_bench_times_the_rs_construction_and_its_check_apart(tmp_path):
+    doc = bench.run_bench(tmp_path / "BENCH_1.json",
+                          (bench.rsgraph_construct,), reps=1, tier1=False)
+    assert doc["failures"] == []
+    assert {"rsgraph_construct.rs_from_behrend", "rsgraph_construct.verify_rs",
+            "rsgraph_construct.total"} <= set(doc["entries"])
+
+
 def test_bench_runs_the_readme_examples():
     readme = README.read_text(encoding="utf-8")
     for line in bench.README_EXAMPLES[:6]:

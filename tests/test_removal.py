@@ -151,6 +151,20 @@ def ref_census(col):
     return tuple(counts), sum(counts)
 
 
+def per_edge_census(col):
+    """The census by one color_of call per V1-V2 edge, the apexes of each
+    edge counted in its own color's rows."""
+    g = col.graph
+    mask0 = g.mask(0)
+    counts = [0] * col.r
+    for a in g.v1:
+        for b in iter_bits(g.adj[a] & g.mask(2)):
+            ch = col.color_of(a, b)
+            counts[ch] += (col.mono_mask(ch, a) & col.mono_mask(ch, b)
+                           & mask0).bit_count()
+    return tuple(counts), sum(counts)
+
+
 def ref_corners(gc):
     """Row-pair scan: same-color horizontal pair, then check the third cell."""
     found = set()
@@ -231,6 +245,17 @@ def test_census_matches_reference_on_random_tripartite():
         g = BipartiteGraph(n, n, edges, n0=q)
         col = EdgeColoring(g, {e: rng.randrange(r) for e in edges}, r)
         assert triangle_census(col) == ref_census(col)
+
+
+def test_census_by_color_class_matches_per_edge_colors():
+    for seed in range(10):
+        rng = RngStream(904).derive("classes", seed)
+        col = grid_cover(random_grid(7, 2 + seed % 2, rng)).coloring
+        assert triangle_census(col) == per_edge_census(col)
+    cov = latin_cover(LATIN_CTAB)
+    sub = _delete_sparse_color(cov, sparse_pair_step(cov))
+    assert triangle_census(sub) == per_edge_census(sub.coloring) \
+        == ref_census(sub.coloring)
 
 
 def test_census_accepts_cover_argument():
@@ -317,6 +342,16 @@ def test_cover_rejects_missing_edge_and_bad_quadruple():
         triangle_cover(col, ((0, 1, 3),), strict=False)
     with pytest.raises(ValueError, match="outside 0"):
         triangle_cover(col, ((0, 1, 3, 5),), strict=False)
+
+
+def test_cover_checks_the_host_before_the_color_rows():
+    # color 0's rows hold the complete K_{1,2,2}, the host lacks (0, 2)
+    edges = [(0, 1), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]
+    g = BipartiteGraph(2, 2, edges, n0=1)
+    full = BipartiteGraph(2, 2, edges + [(0, 2)], n0=1)
+    col = EdgeColoring.from_rows(g, [full.adj], 1)
+    with pytest.raises(ValueError, match=r"\(0,2\) missing from host"):
+        triangle_cover(col, ((0, 2, 4, 0),), strict=False)
 
 
 def test_cover_strictness_split():

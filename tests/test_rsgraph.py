@@ -1,5 +1,6 @@
 """Tests for progression-free sets, matching decompositions, and arrowing."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from exlab import rsgraph
-from exlab.core import Failure, Graph, GuardError, RngStream, complete_graph
+from exlab.core import (BipartiteGraph, Failure, Graph, GuardError, RngStream,
+                        complete_graph)
 from exlab.rsgraph import (
     ApFreeSet,
     ArrowInstance,
@@ -159,6 +161,78 @@ def test_verify_rs_malformed():
         verify_rs(RsDecomposition(graph=p5,
                                   matchings=(((0, 1), (0, 1)),),
                                   spanning=False))
+
+
+def pairwise_verify_rs(dec):
+    """verify_rs's checks on well-formed input with the inducedness test as
+    a scan over every pair of edges in each matching, kept as the oracle of
+    the row-mask test."""
+    g = dec.graph
+    mats = dec.matchings
+    for i, mt in enumerate(mats):
+        if len(mt) != len(mats[0]):
+            return False, ("size", i)
+    owner = {}
+    for i, mt in enumerate(mats):
+        for e in mt:
+            if not g.has_edge(*e):
+                return False, ("foreign_edge", i, e)
+            if e in owner:
+                return False, ("overlap", owner[e], i)
+            owner[e] = i
+    for i, mt in enumerate(mats):
+        for a in range(len(mt)):
+            for b in range(a + 1, len(mt)):
+                e, f = mt[a], mt[b]
+                shared = set(e) & set(f)
+                if shared:
+                    w = min(shared)
+                    return False, ("not_induced", i, (w, w))
+                for x in e:
+                    for y in f:
+                        if g.has_edge(x, y):
+                            return False, ("not_induced", i, (x, y))
+    if dec.spanning and g.m != len(owner):
+        return False, ("not_spanning", g.m - len(owner))
+    return True, None
+
+
+def planted_defects(dec):
+    """Defects in the first, a middle and the last matching: for each pair
+    of edges (u1, v1), (u2, v2), the host edge (u1, v2) or (u2, v1) alone,
+    and the host edge (u1, v2) replacing (u2, v2) in the matching, which
+    then shares u1 and owns an edge no other matching owns."""
+    g = dec.graph
+    mats = list(dec.matchings)
+
+    def with_edge(x, y):
+        rows = list(g.adj)
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+        return BipartiteGraph.from_adjacency(g.n1, g.n2, rows)
+
+    for i in sorted({0, len(mats) // 2, len(mats) - 1}):
+        mt = mats[i]
+        for a, b in combinations(range(len(mt)), 2):
+            (u1, v1), (u2, v2) = mt[a], mt[b]
+            yield dataclasses.replace(dec, graph=with_edge(u1, v2))
+            yield dataclasses.replace(dec, graph=with_edge(u2, v1))
+            moved = mt[:b] + ((u1, v2),) + mt[b + 1:]
+            yield dataclasses.replace(
+                dec, graph=with_edge(u1, v2),
+                matchings=tuple(mats[:i] + [moved] + mats[i + 1:]))
+
+
+@pytest.mark.parametrize("args", [(100,), (1000, 4)])
+def test_verify_rs_mask_test_matches_pairwise_scan(args):
+    dec = rs_from_behrend(*args)
+    assert pairwise_verify_rs(dec) == verify_rs(dec) == (True, None)
+    defects = list(planted_defects(dec))
+    assert len(defects) == 3 * 3 * (dec.n * (dec.n - 1) // 2)
+    for bad in defects:
+        ok, reason = verify_rs(bad)
+        assert not ok and reason[0] == "not_induced"
+        assert (ok, reason) == pairwise_verify_rs(bad)
 
 
 def test_rs_from_behrend_minimal():

@@ -203,6 +203,10 @@ def mutate_rs(instance, dec):
     host = BipartiteGraph.from_adjacency(g.n1, g.n2, rows)
     yield instance, dataclasses.replace(dec, graph=host), \
         ("not_induced", 0, (a, b))
+    # that host edge in place of the second edge: matching 0 shares vertex a
+    yield instance, dataclasses.replace(dec, graph=host, matchings=tuple(
+        [mats[0][:1] + ((a, b),) + mats[0][2:]] + mats[1:])), \
+        ("not_induced", 0, (a, a))
 
 
 C6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
