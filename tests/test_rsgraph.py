@@ -223,7 +223,8 @@ def planted_defects(dec):
                 matchings=tuple(mats[:i] + [moved] + mats[i + 1:]))
 
 
-@pytest.mark.parametrize("args", [(100,), (1000, 4)])
+@pytest.mark.parametrize("args", [(100,), (1000, 4)],
+                         ids=["N100", "N1000-chunk4"])
 def test_verify_rs_mask_test_matches_pairwise_scan(args):
     dec = rs_from_behrend(*args)
     assert pairwise_verify_rs(dec) == verify_rs(dec) == (True, None)
