@@ -7,12 +7,13 @@ the stage that consumes it.  A fourth runs gate 7's weak sequences at
 t = 12, where the K_{t,t} search has real work, on three of its hosts, and
 a fifth splits the sparse K_{2,2}-free extraction of perfbench's cli-mix
 into its counts and its deletion round.  A sixth times cli-mix's N = 1000
-RS construction apart from a second check of its decomposition.  The
-README examples run in process through ``expcli.main``, with file names
-moved into a temporary directory.  Each of these entries is the median of
-``REPS`` repetitions.  Tier-1 runs once, in a subprocess, when pytest is
-importable and the checkout's ``tests/`` is present; the entry is ``null``
-otherwise.
+RS construction apart from a second check of its decomposition, and a
+seventh its exhaustive free-set oracle on eh_map(4, 2).  The README
+examples run in process through ``expcli.main``, with file names moved
+into a temporary directory; ``main`` builds its parser on its first call
+only.  Each of these entries is the median of ``REPS`` repetitions.
+Tier-1 runs once, in a subprocess, when pytest is importable and the
+checkout's ``tests/`` is present; the entry is ``null`` otherwise.
 
 The file records the machine, the interpreter, the CPU count, the commit
 and ``RngStream.ALGORITHM``, and gives the ratio of each time to the same
@@ -45,7 +46,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-from . import bipfree, expcli, lll_embed, rsgraph, weakseq
+from . import bipfree, expcli, lll_embed, rsgraph, setmap, weakseq
 from .core import (Failure, RngStream, complete_graph, hypercube,
                    random_coloring, random_graph)
 
@@ -206,6 +207,16 @@ def rsgraph_construct(timer: Timer) -> None:
                 "rsgraph construct: N = 1000")
 
 
+def setmap_oracle(timer: Timer) -> None:
+    """The cli-mix oracle trial: the largest region of eh_map(4, 2) free of
+    disjoint-rule violations, by exhaustive branch and bound."""
+    f = timer("setmap_oracle.eh_map", setmap.eh_map, 4, 2)
+    res = timer("setmap_oracle.free_set_oracle", setmap.free_set_oracle, f,
+                "disjoint")
+    timer.check(res.exact and (res.size, res.nodes) == (6, 1741),
+                "setmap oracle: k = 2, n = 4")
+
+
 def readme_examples(timer: Timer) -> None:
     workdir = timer.workdir
     (workdir / "spec.json").write_text(json.dumps(README_SPEC),
@@ -220,7 +231,7 @@ def readme_examples(timer: Timer) -> None:
 
 
 WORKLOADS = (gate5, gate6, gate7, weakseq_t12, bipfree_extract,
-             rsgraph_construct, readme_examples)
+             rsgraph_construct, setmap_oracle, readme_examples)
 
 
 def calibration_kernel() -> int:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -63,6 +64,9 @@ PRESETS = ("paper", "desk")
 # ---------------------------------------------------------------------------
 # Canonical serialization and digests
 
+# exact types that canonical returns as they are; subclasses still recurse
+_PLAIN = frozenset({bool, int, float, str, type(None)})
+
 
 def canonical(obj):
     """JSON-safe, deterministic form of results, stats, and parameters.
@@ -72,10 +76,11 @@ def canonical(obj):
     """
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
+    # before Fraction, whose isinstance check goes through the numbers ABCs
+    if isinstance(obj, (list, tuple)):
+        return [x if type(x) in _PLAIN else canonical(x) for x in obj]
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, (list, tuple)):
-        return [canonical(x) for x in obj]
     if isinstance(obj, (set, frozenset)):
         items = [canonical(x) for x in obj]
         return sorted(items, key=lambda x: json.dumps(x, sort_keys=True))
@@ -950,7 +955,13 @@ def report_rows(records, sources=None) -> list:
 
 def render_report(rows, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(rows, indent=2, sort_keys=True)
+        # row by row, because one indented dump of every row holds all its
+        # chunks at once; the bytes are those of json.dumps(rows, indent=2)
+        if not rows:
+            return "[]"
+        return "[\n" + ",\n".join(
+            "  " + json.dumps(row, indent=2, sort_keys=True)
+            .replace("\n", "\n  ") for row in rows) + "\n]"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_REPORT_COLUMNS)
@@ -970,8 +981,8 @@ def render_report(rows, fmt: str) -> str:
 def report(paths, fmt: str = "md") -> str:
     """Render a summary table for stored records; flags version mismatches.
 
-    Records are read one at a time, so memory does not grow with their
-    number."""
+    Records are read one at a time and only their summary rows are kept,
+    so memory grows by one row per record, not by one record."""
     paths = list(paths)
     return render_report(report_rows(map(read_record, paths), paths), fmt)
 
@@ -1015,7 +1026,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "independent verification.")
     sub = parser.add_subparsers(dest="command", required=True)
     # copying a parent's actions into each module subcommand costs less
-    # than adding them six times over, and build_parser runs on every main
+    # than adding them six times over, and each process still builds one
+    # parser (``_parser``) before its first command
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--trials", type=int, default=1)
@@ -1064,6 +1076,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      "examples and the test suite")
     p.add_argument("out", help="result file, e.g. BENCH_10.json")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads with, built on its first call; parsing
+    keeps no state, so one parser serves every call in the process."""
+    return build_parser()
 
 
 def _spec_from_args(args) -> ExperimentSpec:
@@ -1126,7 +1145,7 @@ def _execute_spec(spec: ExperimentSpec, fmt: str, dry_run: bool) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command in MODULES:
             return _execute_spec(_spec_from_args(args), args.format,

@@ -370,6 +370,14 @@ def free_set_oracle(f: SetMapping, mode: str = "disjoint",
     forbidden: dict[Point, int] = {}
     missing: dict[frozenset, set] = {}
     awaiting: dict[Point, set] = {}
+    # every rule is deterministic, so one search evaluates each k-set once
+    images_of: dict[frozenset, frozenset] = {}
+
+    def image(X: frozenset) -> frozenset:
+        img = images_of.get(X)
+        if img is None:
+            img = images_of[X] = f.rule(X)
+        return img
 
     def include(q: Point):
         """Tentatively add q; return an undo token, or None if freeness breaks."""
@@ -378,7 +386,7 @@ def free_set_oracle(f: SetMapping, mode: str = "disjoint",
                 return None
             images = []
             for S in itertools.combinations(chosen, k - 1):
-                img = f.rule(frozenset(S) | {q})
+                img = image(frozenset(S) | {q})
                 if q in img or not img.isdisjoint(chosen_set):
                     return None
                 images.append(img)
@@ -399,7 +407,7 @@ def free_set_oracle(f: SetMapping, mode: str = "disjoint",
         if ok:
             for S in itertools.combinations(chosen, k - 1):
                 X = frozenset(S) | {q}
-                miss = set(f.rule(X)) - chosen_set - {q}
+                miss = set(image(X)) - chosen_set - {q}
                 if not miss:
                     ok = False
                     break

@@ -98,6 +98,14 @@ def test_bench_times_the_rs_construction_and_its_check_apart(tmp_path):
             "rsgraph_construct.total"} <= set(doc["entries"])
 
 
+def test_bench_times_the_cli_mix_oracle(tmp_path):
+    doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.setmap_oracle,),
+                          reps=1, tier1=False)
+    assert doc["failures"] == []
+    assert {"setmap_oracle.eh_map", "setmap_oracle.free_set_oracle",
+            "setmap_oracle.total"} <= set(doc["entries"])
+
+
 def test_bench_runs_the_readme_examples():
     readme = README.read_text(encoding="utf-8")
     for line in bench.README_EXAMPLES[:6]:

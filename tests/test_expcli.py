@@ -73,6 +73,64 @@ def test_canonical_rejects_unknown_objects():
         expcli.canonical(object())
 
 
+def _recursive_canonical(obj):
+    """canonical's element-by-element recursion for the types below, with
+    no shortcut for plain list and tuple elements."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, (list, tuple)):
+        return [_recursive_canonical(x) for x in obj]
+    if isinstance(obj, (set, frozenset)):
+        items = [_recursive_canonical(x) for x in obj]
+        return sorted(items, key=lambda x: json.dumps(x, sort_keys=True))
+    if isinstance(obj, dict):
+        out = {}
+        for k, v in obj.items():
+            key = k if isinstance(k, str) else json.dumps(
+                _recursive_canonical(k))
+            out[key] = _recursive_canonical(v)
+        return dict(sorted(out.items()))
+    out = {"type": type(obj).__name__}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not callable(value):
+            out[f.name] = _recursive_canonical(value)
+    return out
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class _Pair:
+    left: object
+    right: object
+
+
+def test_canonical_lists_match_element_by_element_recursion():
+    values = [
+        [True, False, None, 0, -3, 1.5, float("inf"), "", "a\"b\né"],
+        (1, (2, (3, [4, (None,)])), [], ()),
+        [Fraction(1, 3), (Fraction(-2, 7), [Fraction(5)])],
+        [frozenset({(2, 1), (1, 2)}), {3, 1}, (frozenset(), {"x"})],
+        [_Pair(1, (True, None)), (_Pair([0.25, "s"], {2: [Fraction(1, 2)]}),)],
+        [_Str("sub"), _Int(7), (_Str("x"), [_Int(0)]), True, 1, 1.0],
+        {"k": [(0, 551), (18, 533)], (1, 2): ([None], (False,))},
+    ]
+    for value in values:
+        assert expcli.canonical(value) == _recursive_canonical(value)
+        # == holds True equal to 1; the JSON tells them apart
+        assert json.dumps(expcli.canonical(value), sort_keys=True) == \
+            json.dumps(_recursive_canonical(value), sort_keys=True)
+
+
 def test_digest_is_stable_and_discriminating():
     a = expcli.digest({"x": Fraction(1, 2), "y": [1, 2]})
     b = expcli.digest({"y": [1, 2], "x": Fraction(1, 2)})
@@ -400,6 +458,16 @@ def test_report_formats_render(tmp_path):
         expcli.report([str(p1)], "xml")
 
 
+def test_json_report_has_the_bytes_of_one_dump():
+    row = {"module": "setmap", "op": "violate", "params": "k=2 n=6",
+           "trials": 3, "successes": 2, "success_rate": 2 / 3,
+           "key_name": "", "key_mean": "", "key_min": 1.5, "key_max": None}
+    odd = dict(row, params='line\none "quoted" \\ naïve ∆ ünï', key_name="é")
+    for rows in ([], [row], [row, odd, dict(row, trials=0)], [{}], [odd] * 4):
+        assert expcli.render_report(rows, "json") == \
+            json.dumps(rows, indent=2, sort_keys=True)
+
+
 def test_report_flags_schema_mismatch(tmp_path):
     p1, _ = _two_records(tmp_path)
     stored = expcli.read_record(p1)
@@ -502,6 +570,51 @@ def test_main_run_replay_report_commands(tmp_path, capsys):
                         "--out", str(report_path)]) == 0
     capsys.readouterr()
     assert report_path.read_text().startswith("| module |")
+
+
+def test_main_builds_one_parser_for_every_call(tmp_path, monkeypatch,
+                                              capsys):
+    built = []
+    build = expcli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(expcli, "build_parser", counted)
+    expcli._parser.cache_clear()
+    try:
+        rec_path = tmp_path / "rec.json"
+        assert expcli.main(["bipfree", "--op", "count", "--random", "30",
+                            "0.5", "--seed", "5", "--dry-run",
+                            "--out", str(rec_path)]) == 0
+        dry = json.loads(capsys.readouterr().out)
+        assert dry["seed"] == 5 and dry["params"]["n"] == 30
+        assert not rec_path.exists()
+
+        spec_path = tmp_path / "spec.json"
+        _write_json(spec_path, {"module": "setmap", "operation": "violate",
+                                "params": {"k": 2, "n": 6}, "trials": 2})
+        assert expcli.main(["run", str(spec_path),
+                            "--out", str(rec_path)]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert rows[0]["module"] == "setmap" and rows[0]["trials"] == 2
+        assert expcli.read_record(rec_path)["spec"]["trials"] == 2
+
+        assert expcli.main(["replay", str(rec_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["match"] is True
+
+        # --op came with the first call only
+        with pytest.raises(SystemExit) as exc:
+            expcli.main(["bipfree", "--random", "30", "0.5"])
+        assert exc.value.code == 2
+        assert "--op" in capsys.readouterr().err
+        assert len(built) == 1
+        argv = ["bipfree", "--op", "count", "--n", "30"]
+        assert vars(expcli._parser().parse_args(argv)) == \
+            vars(build().parse_args(argv))
+    finally:
+        expcli._parser.cache_clear()
 
 
 def test_main_spec_file_needs_module_and_operation(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Tests for grid set mappings, violator searches, and the free-set oracle."""
 
+import dataclasses
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -238,6 +240,43 @@ def test_free_set_oracle_budget_bracket():
     assert res.size <= res.upper == 9
     assert is_free(c, res.witness, "not_subset")
     assert res.nodes <= 6
+
+
+# (mapping, budget, mode) -> (size, upper, nodes, witness) before the oracle
+# kept its images; eh_map(4, 2) in "disjoint" mode is perfbench cli-mix's
+# oracle job
+ORACLE_PINS = {
+    ("eh", None, "disjoint"): (6, 6, 1741, [(1, 3), (2, 1), (2, 2), (2, 4),
+                                            (3, 3), (4, 3)]),
+    ("eh", None, "not_subset"): (9, 9, 4685, [
+        (1, 1), (1, 3), (1, 4), (2, 1), (2, 2), (3, 2), (3, 3), (4, 2),
+        (4, 4)]),
+    ("caro3", 2000, "disjoint"): (4, 27, 2001, [(1, 1, 1), (1, 2, 1),
+                                                (2, 1, 2), (3, 3, 3)]),
+    ("caro3", 2000, "not_subset"): (16, 27, 2001, [
+        (1, 1, 1), (1, 1, 3), (1, 2, 1), (1, 2, 2), (1, 2, 3), (1, 3, 1),
+        (1, 3, 2), (1, 3, 3), (2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 3, 1),
+        (3, 1, 1), (3, 1, 2), (3, 2, 3), (3, 3, 3)]),
+}
+
+
+@pytest.mark.parametrize("name, budget, mode", list(ORACLE_PINS))
+def test_free_set_oracle_evaluates_each_k_set_once(name, budget, mode):
+    f = eh_map(4, 2) if name == "eh" else caro_map(3, 3)
+    calls = Counter()
+
+    def counted(X):
+        calls[frozenset(X)] += 1
+        return f.rule(X)
+
+    res = free_set_oracle(dataclasses.replace(f, rule=counted), mode, budget)
+    assert calls and max(calls.values()) == 1
+    assert all(len(X) == f.k for X in calls)
+    size, upper, nodes, witness = ORACLE_PINS[name, budget, mode]
+    assert (res.size, res.upper, res.nodes) == (size, upper, nodes)
+    assert res.witness == frozenset(witness)
+    assert res.exact == (budget is None)
+    assert is_free(f, res.witness, mode)
 
 
 def test_violators_never_fire_inside_certified_free_sets():
