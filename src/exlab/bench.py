@@ -400,10 +400,17 @@ def _cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
 def _git_commit() -> str:
+    """HEAD's sha, with "-dirty" appended when tracked files differ from
+    HEAD, so numbers taken before a commit do not name its parent."""
     try:
-        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
-                              capture_output=True, text=True, check=True)
+        sha = _git("rev-parse", "HEAD")
+        dirty = _git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
-    return proc.stdout.strip()
+    return f"{sha}-dirty" if dirty else sha

@@ -474,19 +474,21 @@ def zarankiewicz_oracle(instance, r: Optional[int] = None,
     full_u = (1 << usize) - 1
     complete = all(row == full_u for row in nb)
 
-    r_subs = [sum(1 << u for u in A)
-              for A in itertools.combinations(range(usize), r)]
-    s_active = s != r and s <= usize
-    s_subs = [sum(1 << u for u in A)
-              for A in itertools.combinations(range(usize), s)] if s_active else []
-    cover_r = {msk: tuple(i for i, am in enumerate(r_subs) if am & msk == am)
-               for msk in range(full_u + 1)}
-    cover_s = {msk: tuple(i for i, am in enumerate(s_subs) if am & msk == am)
-               for msk in range(full_u + 1)}
-    cap_r, cap_s = s - 1, r - 1
-    counts_r = [0] * len(r_subs)
-    counts_s = [0] * len(s_subs)
-    res = [len(r_subs) * cap_r, len(s_subs) * cap_s]
+    # One table per forbidden orientation: an a-subset of U may lie in at
+    # most cap chosen V rows, for (a, cap) = (r, s - 1) and, unless that
+    # repeats it or U has no s-subsets, (s, r - 1).  covers[t][msk] lists
+    # table t's subsets inside msk, left[t] their unused capacity and res[t]
+    # its sum; a row of degree d uses at least d - free[t] of it.
+    free, covers, left, res = [], [], [], []
+    for a, cap in [(r, s - 1)] + ([(s, r - 1)] if s != r and s <= usize else []):
+        subs = [mask_of(A) for A in itertools.combinations(range(usize), a)]
+        free.append(a - 1)
+        covers.append({msk: tuple(i for i, am in enumerate(subs) if am & msk == am)
+                       for msk in range(full_u + 1)})
+        left.append([cap] * len(subs))
+        res.append(len(subs) * cap)
+    tables = range(len(res))
+    upper_cap = min([usize * vsize] + [vsize * f + c for f, c in zip(free, res)])
 
     desc = sorted(range(full_u + 1), key=lambda msk: (-msk.bit_count(), -msk))
     if complete:
@@ -509,37 +511,30 @@ def zarankiewicz_oracle(instance, r: Optional[int] = None,
 
     def node_bound(pos: int, pc_cap: int) -> int:
         rem = vsize - pos
-        ub = rem * (r - 1) + res[0]
-        if s_active:
-            ub = min(ub, rem * (s - 1) + res[1])
-        if complete:
-            ub = min(ub, rem * pc_cap)
-        else:
-            ub = min(ub, suffix_deg[pos])
+        ub = rem * pc_cap if complete else suffix_deg[pos]
+        for t in tables:
+            ub = min(ub, rem * free[t] + res[t])
         return ub
 
     def apply(msk: int) -> bool:
-        for i in cover_r[msk]:
-            if counts_r[i] >= cap_r:
-                return False
-        for j in cover_s[msk]:
-            if counts_s[j] >= cap_s:
-                return False
-        for i in cover_r[msk]:
-            counts_r[i] += 1
-        for j in cover_s[msk]:
-            counts_s[j] += 1
-        res[0] -= len(cover_r[msk])
-        res[1] -= len(cover_s[msk])
+        for t in tables:
+            lt = left[t]
+            for i in covers[t][msk]:
+                if not lt[i]:
+                    return False
+        for t in tables:
+            lt, cov = left[t], covers[t][msk]
+            for i in cov:
+                lt[i] -= 1
+            res[t] -= len(cov)
         return True
 
     def retract(msk: int) -> None:
-        for i in cover_r[msk]:
-            counts_r[i] -= 1
-        for j in cover_s[msk]:
-            counts_s[j] -= 1
-        res[0] += len(cover_r[msk])
-        res[1] += len(cover_s[msk])
+        for t in tables:
+            lt, cov = left[t], covers[t][msk]
+            for i in cov:
+                lt[i] += 1
+            res[t] += len(cov)
 
     def dfs(pos: int, start: int, cur: int) -> None:
         nonlocal best, best_rows, nodes, aborted
@@ -568,13 +563,7 @@ def zarankiewicz_oracle(instance, r: Optional[int] = None,
 
     dfs(0, 0, 0)
 
-    if not aborted:
-        upper = best
-    else:
-        upper = min(usize * vsize, vsize * (r - 1) + len(r_subs) * cap_r)
-        if s_active:
-            upper = min(upper, vsize * (s - 1) + len(s_subs) * cap_s)
-        upper = max(upper, best)
+    upper = max(upper_cap, best) if aborted else best
     result = ZarankiewiczResult(size=best, upper=upper, exact=not aborted,
                                 nodes=nodes, rows=tuple(best_rows))
     verified(verify_zarankiewicz, instance, result, r, s)

@@ -70,7 +70,6 @@ class TriangleCover:
     coloring: EdgeColoring
     triangles: tuple
     strict: bool = True
-    stats: Optional[dict] = None
 
     @property
     def graph(self) -> BipartiteGraph:
@@ -178,8 +177,8 @@ class Corner:
 # Cover construction and validation
 
 
-def triangle_cover(coloring: EdgeColoring, triangles, strict: bool = True,
-                   stats: Optional[dict] = None) -> TriangleCover:
+def triangle_cover(coloring: EdgeColoring, triangles,
+                   strict: bool = True) -> TriangleCover:
     """Validate and freeze a triangle cover; raises ValueError on any defect.
 
     Checks part membership and color range per triangle, existence and
@@ -230,7 +229,7 @@ def triangle_cover(coloring: EdgeColoring, triangles, strict: bool = True,
     if len(tris) != g.cross_m():
         raise ValueError(f"triangles cover {len(tris)} of {g.cross_m()} "
                          f"V1-V2 edges")
-    return TriangleCover(coloring, tris, strict, stats)
+    return TriangleCover(coloring, tris, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +420,6 @@ def removal_iterate(cover: TriangleCover) -> RemovalTrace:
     g = cover.graph
     n0_, r0, q = cover.n, cover.r, g.n0
     c = cover.c
-    per0, tot0 = triangle_census(cover.coloring)
     bound = Fraction(n0_ ** 3) / (4 * c * r0) ** (2 ** (r0 + 3))
     proof_n = [Fraction(n0_)]
     for i in range(1, r0):
@@ -478,8 +476,9 @@ def removal_iterate(cover: TriangleCover) -> RemovalTrace:
         current = _delete_sparse_color(current, step)
         r_eff -= 1
         level += 1
+    tot0 = levels[0]["census"]
     stats = {"n": n0_, "q": q, "c": c, "r": r0, "census": tot0,
-             "per_color": per0, "proof_n": tuple(proof_n)}
+             "per_color": levels[0]["per_color"], "proof_n": tuple(proof_n)}
     return RemovalTrace(verdict, tuple(levels), bound,
                         Fraction(tot0) >= bound, diamond, stats)
 

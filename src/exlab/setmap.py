@@ -357,8 +357,6 @@ def free_set_oracle(f: SetMapping, mode: str = "disjoint",
     free_set_oracle_guard(mode, len(f.points), budget)
     pts = list(f.points)
     g = len(pts)
-    if g + 100 > sys.getrecursionlimit():
-        sys.setrecursionlimit(g + 200)
     k = f.k
     # sets smaller than k are vacuously free
     best_size = min(k - 1, g)
@@ -460,8 +458,41 @@ def free_set_oracle(f: SetMapping, mode: str = "disjoint",
             undo(token)
         search(idx + 1)
 
-    search(0)
+    limit = sys.getrecursionlimit()
+    if g + 100 > limit:
+        sys.setrecursionlimit(g + 200)
+    try:
+        search(0)
+    finally:
+        sys.setrecursionlimit(limit)
     exact = not aborted
-    return FreeSetResult(size=best_size, upper=best_size if exact else g,
-                         witness=frozenset(best_witness), exact=exact,
-                         nodes=nodes)
+    return verified(verify_free_set, f, mode, FreeSetResult(
+        size=best_size, upper=best_size if exact else g,
+        witness=frozenset(best_witness), exact=exact, nodes=nodes))
+
+
+def verify_free_set(f: SetMapping, mode: str, res: FreeSetResult):
+    """(ok, reason) for ``res = free_set_oracle(f, mode, ...)``, every image
+    re-evaluated by ``f.rule``: reason is ("ground", p) for the least
+    witness point p off the ground set, ("size", w) for a witness of
+    w != res.size points, ("violation", X) for the first k-subset X of the
+    sorted witness whose image meets it (mode "disjoint") or lies inside it
+    (mode "not_subset"), ("bracket", res.upper) unless
+    size <= upper <= |ground|, or ("exact", res.upper) for an exact result
+    whose upper bound is not its size."""
+    if mode not in ("disjoint", "not_subset"):
+        raise ValueError(f"unknown oracle mode {mode!r}")
+    W = res.witness
+    if not W <= f.ground():
+        return False, ("ground", min(W - f.ground()))
+    if len(W) != res.size:
+        return False, ("size", len(W))
+    for X in itertools.combinations(sorted(W), f.k):
+        image = f.rule(X)
+        if image <= W if mode == "not_subset" else not image.isdisjoint(W):
+            return False, ("violation", X)
+    if not res.size <= res.upper <= len(f.points):
+        return False, ("bracket", res.upper)
+    if res.exact and res.upper != res.size:
+        return False, ("exact", res.upper)
+    return True, None

@@ -8,9 +8,12 @@ asserts its own counted clause; witnesses are re-verified from scratch.
 
 The minor pipeline combines the same machinery with two rounds of
 dependent random choice for 4-edge path systems, then connects each r-set
-through fresh internal vertices.  All absolute constants are configuration
-values; the published-constant preset ("paper") can be swapped for a desk
-preset that keeps the guarantees non-vacuous on small instances.
+through fresh internal vertices.  The constants that every preset shares
+are module constants: CLEANUP_DIV, SPLIT_EDGE_DIV, SPLIT_MINDEG_DIV,
+Z_DENSITY_DIV and W_DENSITY_DIV.  A preset sets the rest, ``xprime_div``
+and the path-extraction ``PathsParams`` (x_frac_div, budget_coeff,
+min_p2n): the published-constant preset ("paper") can be swapped for a
+desk preset that keeps the guarantees non-vacuous on small instances.
 """
 
 from __future__ import annotations
@@ -30,6 +33,13 @@ from .core import (BipartiteGraph, Failure, Graph, GuardError, RetryError,
 
 ORACLE_MAX_N = 12
 KTT_BUDGET = 10 ** 6
+# minor pipeline: degree cleanup at pn/8, split cross degree pn/32 and cross
+# edges pn^2/32, X'-Z' density p/64, W-Y density p/32
+CLEANUP_DIV = 8
+SPLIT_EDGE_DIV = 32
+SPLIT_MINDEG_DIV = 32
+Z_DENSITY_DIV = 64
+W_DENSITY_DIV = 32
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +107,10 @@ class PathsResult:
 
 @dataclass(frozen=True)
 class MinorConstants:
-    """Constants of the minor pipeline; defaults fit large hosts."""
+    """Preset-specific constants of the minor pipeline; defaults fit large
+    hosts."""
 
-    cleanup_div: int = 8
-    split_edge_div: int = 32
-    split_mindeg_div: int = 32
     xprime_div: int = 400
-    z_density_div: int = 64
-    w_density_div: int = 32
     paths: PathsParams = field(default_factory=PathsParams)
 
 
@@ -251,7 +257,7 @@ def cover_partition(B: BipartiteGraph, r: int, rng: RngStream,
         if cand.met:
             return cand
         if best is None or fraction < best.fraction:
-            best = CoverPartition(blocks, fraction, threshold, tries, False)
+            best = cand
     return best
 
 
@@ -442,25 +448,18 @@ def _weakseq_stages(B0: BipartiteGraph, r: int, t: int, rng: RngStream,
     X1 = _incidence_graph(B1, cp1.blocks)
 
     if p <= Fraction(3, r):
-        stats["case"] = 1
-        s_value = p * r / 4
-        try:
-            s_ids = degree_filter(X1, "sparse", s_value)
-        except GuardError as err:
-            stats["filter2_value"] = s_value
-            return Failure("degree_filter", str(err), dict(stats))
-        stats["filter2_floor"] = s_value * X1.n2 / 2
+        stats["case"], mode, value = 1, "sparse", p * r / 4
+        floor = value * X1.n2 / 2
     else:
-        stats["case"] = 2
         q = Fraction(math.exp(-float(p) * r / 2)).limit_denominator(10 ** 12)
-        if q == 0:
-            q = Fraction(1, 10 ** 12)
-        try:
-            s_ids = degree_filter(X1, "dense", q)
-        except GuardError as err:
-            stats["filter2_value"] = q
-            return Failure("degree_filter", str(err), dict(stats))
-        stats["filter2_floor"] = Fraction(X1.n2, 2)
+        stats["case"], mode, value = 2, "dense", q or Fraction(1, 10 ** 12)
+        floor = Fraction(X1.n2, 2)
+    try:
+        s_ids = degree_filter(X1, mode, value)
+    except GuardError as err:
+        stats["filter2_value"] = value
+        return Failure("degree_filter", str(err), dict(stats))
+    stats["filter2_floor"] = floor
     stats["s_size"] = len(s_ids)
 
     h = X1.n1 // r
@@ -689,18 +688,11 @@ def _balanced_split(G: Graph, alive: list, threshold: Fraction,
         v_side = set(order[half:2 * half])
         while True:
             mu, mv = mask_of(u_side), mask_of(v_side)
-            cut = None
-            for v in sorted(u_side):
-                if (G.adj[v] & mv).bit_count() < threshold:
-                    cut = ("u", v)
-                    break
-            if cut is None:
-                for v in sorted(v_side):
-                    if (G.adj[v] & mu).bit_count() < threshold:
-                        cut = ("v", v)
-                        break
+            cut = next(((side, v) for side, other in ((u_side, mv), (v_side, mu))
+                        for v in sorted(side)
+                        if (G.adj[v] & other).bit_count() < threshold), None)
             if cut is not None:
-                (u_side if cut[0] == "u" else v_side).discard(cut[1])
+                cut[0].discard(cut[1])
                 continue
             if len(u_side) != len(v_side):
                 big, other_mask = (u_side, mv) if len(u_side) > len(v_side) \
@@ -711,7 +703,6 @@ def _balanced_split(G: Graph, alive: list, threshold: Fraction,
             break
         if not u_side:
             continue
-        mu, mv = mask_of(u_side), mask_of(v_side)
         cross = sum((G.adj[v] & mv).bit_count() for v in u_side)
         if cross >= edge_floor:
             return sorted(u_side), sorted(v_side)
@@ -787,14 +778,14 @@ def minor_pipeline(G: Graph, r: int, t: int, rng: RngStream,
                       RuntimeWarning, stacklevel=2)
     stats = {"n": n, "p": p, "r": r, "t": t, "in_regime": in_regime}
 
-    alive = _cleanup(G, p * n / c.cleanup_div)
+    alive = _cleanup(G, p * n / CLEANUP_DIV)
     stats["cleanup_size"] = len(alive)
     if len(alive) < 4:
         return Failure("cleanup", "graph vanished under degree cleanup",
                        dict(stats))
 
-    split = _balanced_split(G, alive, p * n / c.split_mindeg_div,
-                            p * n * n / c.split_edge_div, rng, retry_cap)
+    split = _balanced_split(G, alive, p * n / SPLIT_MINDEG_DIV,
+                            p * n * n / SPLIT_EDGE_DIV, rng, retry_cap)
     if split is None:
         return Failure("split", "no dense balanced split", dict(stats))
     u_side, v_side = split
@@ -819,7 +810,7 @@ def minor_pipeline(G: Graph, r: int, t: int, rng: RngStream,
     xp_mask = mask_of(xprime)
 
     v_count = len(alive)
-    z_cut = (p * n / (c.split_mindeg_div * v_count)) * xp
+    z_cut = (p * n / (SPLIT_MINDEG_DIV * v_count)) * xp
     mask2 = H.mask(2)
     z = [w for w in iter_bits(mask2) if (H.adj[w] & xp_mask).bit_count() >= z_cut]
     stats["z_size"] = len(z)
@@ -830,7 +821,7 @@ def minor_pipeline(G: Graph, r: int, t: int, rng: RngStream,
     zp_mask = mask_of(zprime)
     e_xz = sum((H.adj[u] & zp_mask).bit_count() for u in xprime)
     stats["zprime_density"] = Fraction(e_xz, xp * xp)
-    if Fraction(e_xz, xp * xp) < p / c.z_density_div:
+    if Fraction(e_xz, xp * xp) < p / Z_DENSITY_DIV:
         return Failure("zprime", "X'-Z' density below clause", dict(stats))
 
     # second path extraction on (Z', X')
@@ -851,7 +842,7 @@ def minor_pipeline(G: Graph, r: int, t: int, rng: RngStream,
     w = _top_by_degree(xprime, len(y), y_mask, G.adj)
     e_wy = sum((G.adj[u] & y_mask).bit_count() for u in w)
     stats["w_density"] = Fraction(e_wy, len(w) * len(y))
-    if stats["w_density"] < p / c.w_density_div:
+    if stats["w_density"] < p / W_DENSITY_DIV:
         return Failure("w_select", "W-Y density below clause", dict(stats))
 
     b_wy = BipartiteGraph.induced(G, mask_of(w), y_mask)
@@ -862,32 +853,23 @@ def minor_pipeline(G: Graph, r: int, t: int, rng: RngStream,
     stats = dict(seq.stats)
 
     # assembly: connect each S_i and T_i through a crossing edge
-    used = 0
-    for s in seq.s_sets:
-        used |= mask_of(s)
-    for s in seq.t_sets:
-        used |= mask_of(s)
+    used = mask_of(v for s in seq.s_sets + seq.t_sets for v in s)
     branch_sets = []
     for i in range(t):
         a_set = sorted(seq.s_sets[i])
         b_set = sorted(seq.t_sets[i])
         # verify_sequence's pair check gives S_i an edge to T_i
-        edge = next((a, b) for a in a_set for b in sorted(b_set)
-                    if G.has_edge(a, b))
-        anchor_a, anchor_b = edge if diameter_aware else (a_set[0], b_set[0])
-        members = set(a_set) | set(b_set)
-        got = _connect_into(G, a_set, anchor_a, used)
-        if got is None:
-            return Failure("assembly", "no unused connecting path",
-                           {"branch": i, **stats})
-        internals_a, used = got
-        got = _connect_into(G, b_set, anchor_b, used)
-        if got is None:
-            return Failure("assembly", "no unused connecting path",
-                           {"branch": i, **stats})
-        internals_b, used = got
-        branch = frozenset(members | set(internals_a) | set(internals_b))
-        branch_sets.append(branch)
+        edge = next((a, b) for a in a_set for b in b_set if G.has_edge(a, b))
+        anchors = edge if diameter_aware else (a_set[0], b_set[0])
+        branch = set(a_set) | set(b_set)
+        for members, anchor in zip((a_set, b_set), anchors):
+            got = _connect_into(G, members, anchor, used)
+            if got is None:
+                return Failure("assembly", "no unused connecting path",
+                               {"branch": i, **stats})
+            internals, used = got
+            branch.update(internals)
+        branch_sets.append(frozenset(branch))
 
     return verified(verify_minor, G, MinorModel(
         tuple(branch_sets), 8 * r, 9 if diameter_aware else None, dict(stats)))

@@ -106,6 +106,27 @@ def test_bench_times_the_cli_mix_oracle(tmp_path):
             "setmap_oracle.total"} <= set(doc["entries"])
 
 
+def test_bench_commit_is_marked_dirty_when_tracked_files_change(
+        tmp_path, monkeypatch):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=tmp_path, check=True,
+                       capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "first")
+    sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path,
+                         capture_output=True, text=True,
+                         check=True).stdout.strip()
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    (tmp_path / "untracked.txt").write_text("ignored\n")
+    assert bench._git_commit() == sha
+    (tmp_path / "a.txt").write_text("two\n")
+    assert bench._git_commit() == f"{sha}-dirty"
+
+
 def test_bench_runs_the_readme_examples():
     readme = README.read_text(encoding="utf-8")
     for line in bench.README_EXAMPLES[:6]:

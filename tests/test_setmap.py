@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import sys
 from collections import Counter
 
 import pytest
@@ -242,6 +243,14 @@ def test_free_set_oracle_budget_bracket():
     assert res.nodes <= 6
 
 
+def test_free_set_oracle_restores_the_recursion_limit():
+    # 1600 points need a limit above the default for the depth-first search
+    limit = sys.getrecursionlimit()
+    res = free_set_oracle(eh_map(40, 2), budget=3000)
+    assert sys.getrecursionlimit() == limit
+    assert (res.size, res.nodes) == (40, 3001)
+
+
 # (mapping, budget, mode) -> (size, upper, nodes, witness) before the oracle
 # kept its images; eh_map(4, 2) in "disjoint" mode is perfbench cli-mix's
 # oracle job
@@ -270,7 +279,9 @@ def test_free_set_oracle_evaluates_each_k_set_once(name, budget, mode):
         return f.rule(X)
 
     res = free_set_oracle(dataclasses.replace(f, rule=counted), mode, budget)
-    assert calls and max(calls.values()) == 1
+    # the search evaluates each k-set once, and verify_free_set each k-subset
+    # of the witness once more
+    assert calls and all(n == 1 + (X <= res.witness) for X, n in calls.items())
     assert all(len(X) == f.k for X in calls)
     size, upper, nodes, witness = ORACLE_PINS[name, budget, mode]
     assert (res.size, res.upper, res.nodes) == (size, upper, nodes)

@@ -69,6 +69,52 @@ def mutate_violation(instance, vio):
         yield (f, region - {p}), vio, reason
 
 
+# --- setmap: free sets -----------------------------------------------------
+
+
+def build_free_set_exact():
+    # the parameters of perfbench cli-mix's oracle job: eh_map(4, 2)
+    f = setmap.eh_map(4, 2)
+    return (f, "disjoint"), setmap.free_set_oracle(f, "disjoint")
+
+
+def build_free_set_bracket():
+    f = setmap.caro_map(3, 2)
+    return (f, "not_subset"), setmap.free_set_oracle(f, "not_subset", 5)
+
+
+def first_rule_violation(f, mode, S):
+    for X in itertools.combinations(sorted(S), f.k):
+        image = f.rule(X)
+        if (image <= S) if mode == "not_subset" else (image & S):
+            return X
+    return None
+
+
+def mutate_free_set(instance, res):
+    f, mode = instance
+    W = res.witness
+    off = (0,) * len(f.points[0])
+    yield instance, dataclasses.replace(res, witness=W | {off},
+                                        size=res.size + 1), ("ground", off)
+    for size in (res.size - 1, res.size + 1):
+        yield instance, dataclasses.replace(res, size=size), \
+            ("size", res.size)
+    for q in sorted(set(f.points) - W):
+        X = first_rule_violation(f, mode, W | {q})
+        # a maximum free set takes no further point
+        assert X is not None or not res.exact
+        if X is not None:
+            yield instance, dataclasses.replace(
+                res, witness=W | {q}, size=res.size + 1), ("violation", X)
+    for upper in (res.size - 1, len(f.points) + 1):
+        yield instance, dataclasses.replace(res, upper=upper), \
+            ("bracket", upper)
+    wrong = dataclasses.replace(res, upper=res.size + 1) if res.exact \
+        else dataclasses.replace(res, exact=True)
+    yield instance, wrong, ("exact", wrong.upper)
+
+
 # --- weakseq: sequences, minors, K_{t,t} ---------------------------------
 
 
@@ -404,6 +450,10 @@ ROWS = {
                      mutate_violation),
     "violation-caro": (build_caro_violation, setmap.verify_violation,
                        mutate_violation),
+    "free-set-exact": (build_free_set_exact, setmap.verify_free_set,
+                       mutate_free_set),
+    "free-set-bracket": (build_free_set_bracket, setmap.verify_free_set,
+                         mutate_free_set),
     "sequence": (build_sequence, weakseq.verify_sequence, mutate_sequence),
     "minor": (build_minor, weakseq.verify_minor, mutate_minor),
     "ktt": (build_ktt, weakseq.verify_ktt, mutate_ktt),
@@ -449,6 +499,7 @@ grid = removal.GridColoring(3, 2, ((0, 0, 1), (0, 1, 1), (1, 1, 1)))
 eh = setmap.eh_map(3, 2)
 cases = [
     (setmap, "verify_violation", lambda: setmap.eh_violator(eh, eh.points)),
+    (setmap, "verify_free_set", lambda: setmap.free_set_oracle(eh)),
     (weakseq, "verify_ktt", lambda: weakseq.find_ktt(
         BipartiteGraph(2, 2, [(0, 2), (0, 3), (1, 2), (1, 3)]), 2)),
     (lll_embed, "verify_embedding", lambda: lll_embed.resample_embed(
@@ -485,7 +536,7 @@ def test_rejecting_verifiers_raise_under_optimize_flag():
                          capture_output=True, text=True, env=env, check=True,
                          timeout=60)
     lines = out.stdout.splitlines()
-    assert len(lines) == 7, out.stdout + out.stderr
+    assert len(lines) == 8, out.stdout + out.stderr
     for line in lines:
         assert line.split()[0] == "1" and line.split()[2] == "raised" \
             and "patched" in line, line

@@ -701,8 +701,8 @@ def test_minor_desk_random():
         assert all(len(b) <= 16 for b in m.branch_sets)
         assert verify_minor(g, m) == (True, None)
         s = m.stats
-        assert s["zprime_density"] >= s["p"] / desk.z_density_div
-        assert s["w_density"] >= s["p"] / desk.w_density_div
+        assert s["zprime_density"] >= s["p"] / weakseq.Z_DENSITY_DIV
+        assert s["w_density"] >= s["p"] / weakseq.W_DENSITY_DIV
 
 
 def test_minor_diameter_flag_and_determinism():
@@ -873,9 +873,11 @@ def test_load_preset():
     assert load_preset("paper") == MinorConstants()
     desk = load_preset("desk")
     assert desk == MinorConstants(
-        cleanup_div=8, split_edge_div=32, split_mindeg_div=32, xprime_div=4,
-        z_density_div=64, w_density_div=32,
+        xprime_div=4,
         paths=PathsParams(x_frac_div=3, budget_coeff=Fraction(1, 100),
                           min_p2n=30))
+    assert (weakseq.CLEANUP_DIV, weakseq.SPLIT_EDGE_DIV,
+            weakseq.SPLIT_MINDEG_DIV, weakseq.Z_DENSITY_DIV,
+            weakseq.W_DENSITY_DIV) == (8, 32, 32, 64, 32)
     with pytest.raises(FileNotFoundError):
         load_preset("closet")
