@@ -13,7 +13,6 @@ from .core import (
     GuardError,
     KUniformHypergraph,
     ParseError,
-    RetryError,
     RngStream,
     read_bipartite,
     read_coloring,
@@ -32,7 +31,6 @@ __all__ = [
     "GuardError",
     "KUniformHypergraph",
     "ParseError",
-    "RetryError",
     "RngStream",
     "read_bipartite",
     "read_coloring",

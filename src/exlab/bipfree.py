@@ -15,11 +15,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from .core import (BipartiteGraph, Graph, GuardError, KUniformHypergraph,
-                   RetryError, RngStream, _bernoulli_rows, complete_bipartite,
-                   iter_bits, mask_of, verified)
+from .core import (BipartiteGraph, Failure, Graph, GuardError,
+                   KUniformHypergraph, RngStream, _bernoulli_rows,
+                   complete_bipartite, iter_bits, mask_of, verified)
 
 MAX_COPY_BOUND = 10 ** 9
 MAX_INSTANCE_EDGES = 10 ** 6
@@ -44,10 +44,6 @@ def K_rr(r: int) -> Pattern:
     return Pattern(2, r)
 
 
-def K_k_rr(k: int, r: int) -> Pattern:
-    return Pattern(k, r)
-
-
 @dataclass(frozen=True)
 class ExtractionResult:
     """A verified pattern-free subgraph meeting the guaranteed size floor."""
@@ -65,14 +61,6 @@ class TightInstance:
     r: int
     s: int
     m: int
-
-    @property
-    def u_size(self) -> int:
-        return self.graph.n1
-
-    @property
-    def v_size(self) -> int:
-        return self.graph.n2
 
     def kst_bound(self) -> int:
         """s * m^(r/(r+1)), integral because the part sizes are exact powers."""
@@ -363,7 +351,7 @@ def verify_free_subgraph(G, pattern: Pattern, H):
 
 
 def extract_free(G, pattern: Pattern, rng: RngStream,
-                 retry_cap: int = 400) -> ExtractionResult:
+                 retry_cap: int = 400) -> Union[ExtractionResult, Failure]:
     """Pattern-free subgraph with at least the guaranteed number of edges.
 
     Graphs keep each edge with probability (1/2)m^(-1/(r+1)) and must reach
@@ -390,10 +378,9 @@ def extract_free(G, pattern: Pattern, rng: RngStream,
             best = H
         if H.m >= target:
             return ExtractionResult(H, t, target)
-    raise RetryError("extract_free", retry_cap,
-                     {"target": target,
-                      "best_edges": best.m if best is not None else 0,
-                      "best_subgraph": best})
+    return Failure("extract_free", "retry cap exhausted", {
+        "target": target, "best_edges": best.m if best is not None else 0,
+        "best_subgraph": best})
 
 
 # ---------------------------------------------------------------------------

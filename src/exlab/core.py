@@ -17,7 +17,7 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb, log
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 MAX_HYPERCUBE_DIM = 20
 MAX_GRID_CELLS = 10 ** 8
@@ -33,20 +33,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-class RetryError(RuntimeError):
-    """A Las Vegas retry loop exhausted its cap.
-
-    ``best`` holds the statistics of the best attempt seen, so callers can
-    produce a structured failure report instead of losing the work.
-    """
-
-    def __init__(self, stage: str, tries: int, best: dict):
-        super().__init__(f"{stage}: retry cap exhausted after {tries} tries")
-        self.stage = stage
-        self.tries = tries
-        self.best = best
 
 
 @dataclass(frozen=True)
@@ -118,10 +104,6 @@ class RngStream:
     def randrange(self, n: int) -> int:
         self.position += 1
         return self._rng.randrange(n)
-
-    def randint(self, a: int, b: int) -> int:
-        self.position += 1
-        return self._rng.randint(a, b)
 
     def getrandbits(self, k: int) -> int:
         self.position += 1
@@ -266,11 +248,6 @@ class Graph:
     def density(self) -> Fraction:
         pairs = comb(self.n, 2)
         return Fraction(self.m, pairs) if pairs else Fraction(0)
-
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        rows = [(~self.adj[u]) & full & ~(1 << u) for u in range(self.n)]
-        return Graph._from_rows(self.n, rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
@@ -588,23 +565,6 @@ def complete_bipartite(a: int, b: int) -> BipartiteGraph:
     return BipartiteGraph._from_parts(rows, _contiguous_parts(0, a, b))
 
 
-def complete_kpartite(sizes: Sequence[int]) -> Graph:
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError("all part sizes must be >= 1")
-    n = sum(sizes)
-    full = (1 << n) - 1
-    rows = []
-    labels = []
-    offset = 0
-    for pi, s in enumerate(sizes):
-        part_mask = ((1 << s) - 1) << offset
-        for j in range(s):
-            rows.append(full & ~part_mask)
-            labels.append((pi, j))
-        offset += s
-    return Graph._from_rows(n, rows, labels=labels)
-
-
 def hypercube_guard(d: int) -> None:
     """GuardError unless 1 <= d <= MAX_HYPERCUBE_DIM, the dimensions
     ``hypercube`` builds."""
@@ -752,11 +712,12 @@ class EquitablePartition:
 
 
 def random_equitable_bipartition(g: Graph, stream: RngStream,
-                                 retry_cap: int = 1000) -> EquitablePartition:
+                                 retry_cap: int = 1000
+                                 ) -> Union[EquitablePartition, Failure]:
     """Split V(G) into halves whose cross density is at least density(G).
 
     Achievable in expectation, so the draw is retried; exceeding the cap
-    raises :class:`RetryError` with the best density seen.
+    returns a :class:`Failure` with the best density seen.
     """
     n = g.n
     base = g.density()
@@ -777,8 +738,8 @@ def random_equitable_bipartition(g: Graph, stream: RngStream,
             bip = BipartiteGraph.induced(g, mask_of(side1), mask2)
             return EquitablePartition(bip, tuple(side1), tuple(side2),
                                       dens, base, t)
-    raise RetryError("random_equitable_bipartition", retry_cap,
-                     {"best_density": float(best[0]), "target": float(base)})
+    return Failure("random_equitable_bipartition", "retry cap exhausted",
+                   {"best_density": float(best[0]), "target": float(base)})
 
 
 def try_bipartition(g: Graph):

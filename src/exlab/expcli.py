@@ -362,6 +362,8 @@ def _run_bipfree_extract(params, rng, preset):
     G = _host_graph(params, rng)
     res = bipfree.extract_free(G, bipfree.K_rr(params["r"]),
                                rng.derive("extract"), params["retry_cap"])
+    if isinstance(res, Failure):
+        return res
     size = res.subgraph.m
     floor = res.target_size
     ok = size >= floor
@@ -450,6 +452,8 @@ def _run_embed_drc(params, rng, preset):
                          rng.derive("host"))
     res = lll_embed.drc_subset(B, _drc_params(params), rng.derive("drc"),
                                params["retry_cap"])
+    if isinstance(res, Failure):
+        return res
     stats = {"u_size": len(res.U), "tries": res.tries,
              "bad_k_sets": res.bad_k_sets, "key": len(res.U)}
     return True, "subset", res, stats
@@ -490,29 +494,14 @@ def _weakseq_check(params: dict) -> None:
     weakseq.weak_sequence_pipeline_guard(params["r"], t, params["n"])
 
 
-def _weakseq_sequence(params, rng):
-    """The host and its weak-sequence pipeline result (or Failure)."""
+def _run_weakseq_pipeline(params, rng, preset):
     G = _host_graph(params, rng)
     t = params["t"] or weakseq.regime2_order(G.n, G.density(), params["r"])
-    return G, weakseq.weak_sequence_pipeline(G, params["r"], t,
-                                             rng.derive("pipe"),
-                                             params["retry_cap"])
-
-
-def _run_weakseq_pipeline(params, rng, preset):
-    _, res = _weakseq_sequence(params, rng)
+    res = weakseq.weak_sequence_pipeline(G, params["r"], t, rng.derive("pipe"),
+                                         params["retry_cap"])
     if isinstance(res, Failure):
         return res
     return True, "sequence", res, {"t": res.t, "r": res.r, "key": res.t}
-
-
-def _run_weakseq_verify(params, rng, preset):
-    G, res = _weakseq_sequence(params, rng)
-    if isinstance(res, Failure):
-        return res
-    ok, viol = weakseq.verify_sequence(G, res)
-    stats = {"t": res.t, "violation": canonical(viol), "key": res.t}
-    return ok, "verified" if ok else "violation", res, stats
 
 
 def _run_weakseq_minor(params, rng, preset):
@@ -695,8 +684,6 @@ _SETMAP_BASE = {"k": (int, 2), "n": (int, _REQUIRED),
                             "one of " + ", ".join(_SETMAP_VARIANTS))}
 _GRAPH_SRC = {"n": (int, None), "p": (float, None),
               "input": (str, None, "edge-list graph file")}
-_WEAKSEQ_SEQ = {**_GRAPH_SRC, "r": (int, 4), "t": (int, None),
-                "retry_cap": (int, 200)}
 _GRID_SRC = {"grid_file": (str, None, "grid coloring file"),
              "N": (int, None, "random grid side"),
              "r": (int, None, "random grid colors")}
@@ -752,10 +739,10 @@ OPS = {
                                  _embed_pipeline_check, "rounds"),
     ("embed", "cube"): OpDef(_run_embed_cube, {"d": (int, 3)},
                              lambda p: hypercube_guard(p["d"]), "edges"),
-    ("weakseq", "pipeline"): OpDef(_run_weakseq_pipeline, _WEAKSEQ_SEQ,
+    ("weakseq", "pipeline"): OpDef(_run_weakseq_pipeline,
+                                   {**_GRAPH_SRC, "r": (int, 4),
+                                    "t": (int, None), "retry_cap": (int, 200)},
                                    _weakseq_check, "t"),
-    ("weakseq", "verify"): OpDef(_run_weakseq_verify, _WEAKSEQ_SEQ,
-                                 _weakseq_check, "t"),
     ("weakseq", "minor"): OpDef(_run_weakseq_minor,
                                 {**_GRAPH_SRC, "r": (int, 2),
                                  "t": (int, 4),

@@ -24,8 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import (BipartiteGraph, EdgeColoring, Failure, Graph, GuardError,
-                   RetryError, RngStream, iter_bits, mask_of, verified,
-                   try_bipartition)
+                   RngStream, iter_bits, mask_of, verified, try_bipartition)
 
 MAX_TOP_LEVEL = 10 ** 8
 MAX_ENUMERATION = 10 ** 6
@@ -110,24 +109,11 @@ class DownClosedHypergraph:
         dch.deleted_ranks = ranks
         return dch
 
-    @classmethod
-    def from_top_edges(cls, N: int, k: int, top_edges: Iterable) -> "DownClosedHypergraph":
-        if math.comb(N, k) > MAX_ENUMERATION:
-            raise GuardError("explicit top-edge construction is desk-scale only")
-        keep = {tuple(sorted(e)) for e in top_edges}
-        return cls.from_ranks(N, k, (
-            r for r, t in enumerate(itertools.combinations(range(N), k))
-            if t not in keep))
-
     @property
     def deleted(self) -> frozenset:
         """The deleted top edges as sorted k-tuples (unranked on each read)."""
         return frozenset(_unrank_combination(r, self.N, self.k)
                          for r in self.deleted_ranks)
-
-    @property
-    def missing_count(self) -> int:
-        return len(self.deleted_ranks)
 
     @property
     def top_count(self) -> int:
@@ -147,10 +133,6 @@ class DownClosedHypergraph:
             raise ValueError(f"{t} out of range")
         return t
 
-    def is_top(self, S: Iterable) -> bool:
-        return (_rank_combination(self._k_set(S), self.N, self.k)
-                not in self.deleted_ranks)
-
     def member(self, S: Iterable) -> bool:
         t = tuple(sorted(S))
         level = len(t)
@@ -168,20 +150,6 @@ class DownClosedHypergraph:
                 s for e in self.deleted
                 for s in itertools.combinations(e, level))
         return counts[t] < math.comb(self.N - level, self.k - level)
-
-    def iter_top_edges(self):
-        if math.comb(self.N, self.k) > MAX_ENUMERATION:
-            raise GuardError("top-edge enumeration is desk-scale only")
-        for r, t in enumerate(itertools.combinations(range(self.N), self.k)):
-            if r not in self.deleted_ranks:
-                yield t
-
-    def non_member_count(self, level: int) -> int:
-        """Exact number of non-member level-sets by enumeration."""
-        if math.comb(self.N, level) > MAX_ENUMERATION:
-            raise GuardError("level enumeration is desk-scale only")
-        return sum(1 for t in itertools.combinations(range(self.N), level)
-                   if not self.member(t))
 
     def __repr__(self) -> str:
         return (f"DownClosedHypergraph(N={self.N}, k={self.k}, "
@@ -406,7 +374,7 @@ def drc_subset_guard(N: int, params: DrcParams) -> None:
 
 
 def drc_subset(B: BipartiteGraph, params: DrcParams, rng: RngStream,
-               retry_cap: int = 200) -> DrcResult:
+               retry_cap: int = 200) -> Union[DrcResult, Failure]:
     """Common neighborhood of k random V2 vertices, retried until it verifies.
 
     Clause 1: 2|U|^k >= (eps^k N)^k, i.e. |U| >= 2^(-1/k) eps^k N.  Clause 2:
@@ -447,7 +415,7 @@ def drc_subset(B: BipartiteGraph, params: DrcParams, rng: RngStream,
             return DrcResult(tuple(U), t, bad, bound)
         if best is None or stats["size"] > best["size"]:
             best = stats
-    raise RetryError("drc_subset", retry_cap, best or {})
+    return Failure("drc_subset", "retry cap exhausted", best or {})
 
 
 @dataclass(frozen=True)
@@ -641,10 +609,9 @@ def bip_ramsey_pipeline(coloring: EdgeColoring, H, rng: RngStream,
     b_maj = BipartiteGraph._from_parts(bip_rows, (0, mask_a, mask_b))
 
     params = DrcParams(eps, k, b, hn)
-    try:
-        drc = drc_subset(b_maj, params, rng, retry_cap=drc_retry)
-    except RetryError as err:
-        return Failure("drc_subset", "retry cap exhausted", err.best)
+    drc = drc_subset(b_maj, params, rng, retry_cap=drc_retry)
+    if isinstance(drc, Failure):
+        return drc
 
     # orient H so its V1 side carries the larger degree bound
     h_bip = BipartiteGraph.induced(H, mask_of(v1_side), mask_of(v2_side))

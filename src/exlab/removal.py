@@ -649,19 +649,6 @@ def random_grid(N: int, r: int, stream: RngStream) -> GridColoring:
     return GridColoring(N, r, cells)
 
 
-def write_grid(gc: GridColoring, path) -> None:
-    """Write side length, then one row of color indices per line.
-
-    The color count is appended to the first line only when it exceeds
-    the largest cell value plus one, which is what reading infers.
-    """
-    top = max(max(row) for row in gc.cells) + 1
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{gc.N}\n" if gc.r == top else f"{gc.N} {gc.r}\n")
-        for row in gc.cells:
-            fh.write(" ".join(str(ch) for ch in row) + "\n")
-
-
 def read_grid(path) -> GridColoring:
     """Parse a grid file: N (optionally with r), then N rows of colors."""
     lines = _data_lines(path)

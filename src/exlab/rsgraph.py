@@ -23,6 +23,7 @@ from .core import (
     Failure,
     Graph,
     GuardError,
+    _contiguous_parts,
     iter_bits,
     verified,
 )
@@ -182,11 +183,13 @@ def verify_rs(dec: RsDecomposition):
     Returns (True, None) or (False, descriptor) with descriptor one of
     ("size", i), ("foreign_edge", i, edge), ("overlap", i, j),
     ("not_induced", i, (a, b)) where (a, b) is a shared vertex or a host edge
-    joining two matching edges, and ("not_spanning", missing_edge_count).
-    A matching is induced when its vertex mask ``span`` has 2|M| bits and
-    each edge (u, v) has adj[u] & span == 1 << v and adj[v] & span == 1 << u;
-    that mask test decides, and only for a matching that fails it does the
-    pairwise scan over its edges run, to name the first offending pair.
+    joining two matching edges, ("one_way", i) and ("not_spanning",
+    missing_edge_count).  A matching is induced when its vertex mask
+    ``span`` has 2|M| bits and each edge (u, v) has adj[u] & span == 1 << v
+    and adj[v] & span == 1 << u; that mask test decides, and only for a
+    matching that fails it does the pairwise scan over its edges run, to
+    name the first offending pair.  The scan reads one row per pair, so a
+    failing matching where it names none has a one-way row bit or a loop.
     Malformed input (bad vertex ids, non-canonical or duplicated edges,
     empty lists) raises ValueError.
     """
@@ -239,6 +242,7 @@ def verify_rs(dec: RsDecomposition):
                     for y in f:
                         if g.has_edge(x, y):
                             return False, ("not_induced", i, (x, y))
+        return False, ("one_way", i)
     if dec.spanning:
         missing = g.m - len(owner)
         if missing:
@@ -293,7 +297,7 @@ def rs_from_behrend(N: int, chunk: Optional[int] = None) -> RsDecomposition:
             rows[v] |= 1 << u
         mt.sort()
         mats.append(tuple(mt))
-    graph = BipartiteGraph.from_adjacency(n1, n2, rows)
+    graph = BipartiteGraph._from_parts(rows, _contiguous_parts(0, n1, n2))
     spanning = True
     stats = {"n_prime": half, "s_max": s_max, "ap_size": size,
              "max_element": top, "full_matchings": len(mats)}
@@ -334,7 +338,7 @@ def bipartite_double(g, dec: RsDecomposition) -> RsDecomposition:
         raise GuardError("overlap part not supported")
     n = g.n
     rows = [g.adj[u] << n for u in range(n)] + [g.adj[u] for u in range(n)]
-    doubled = BipartiteGraph.from_adjacency(n, n, rows)
+    doubled = BipartiteGraph._from_parts(rows, _contiguous_parts(0, n, n))
     mats = tuple(
         tuple(sorted([(u, n + v) for u, v in mt] + [(v, n + u) for u, v in mt]))
         for mt in dec.matchings)

@@ -27,8 +27,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional, Sequence, Union
 
-from .core import (BipartiteGraph, Failure, Graph, GuardError, RetryError,
-                   RngStream, bit_columns, iter_bits, mask_of,
+from .core import (BipartiteGraph, Failure, Graph, GuardError, RngStream,
+                   bit_columns, iter_bits, mask_of,
                    random_equitable_bipartition, verified)
 
 ORACLE_MAX_N = 12
@@ -392,15 +392,6 @@ def verify_sequence(g: Graph, w: WeakSequence):
     return True, None
 
 
-def as_complete_sequence(w: WeakSequence) -> WeakSequence:
-    """Merge S_i with T_i: a bicomplete r-sequence is a complete 2r-sequence."""
-    if w.kind != "bicomplete":
-        raise ValueError("only bicomplete sequences can be merged")
-    merged = tuple(frozenset(s) | frozenset(t)
-                   for s, t in zip(w.s_sets, w.t_sets))
-    return WeakSequence("complete", 2 * w.r, w.t, merged)
-
-
 # ---------------------------------------------------------------------------
 # The bicomplete sequence pipeline
 
@@ -515,10 +506,9 @@ def weak_sequence_pipeline(G: Graph, r: int, t: int, rng: RngStream,
                       RuntimeWarning, stacklevel=2)
     stats = {"n": G.n, "p": G.density(), "r": r, "t": t,
              "regime": params.regime, "delta_target": params.delta_target}
-    try:
-        eq = random_equitable_bipartition(G, rng, retry_cap)
-    except RetryError as err:
-        return Failure("bipartition", "no dense equitable split", err.best or {})
+    eq = random_equitable_bipartition(G, rng, retry_cap)
+    if isinstance(eq, Failure):
+        return Failure("bipartition", "no dense equitable split", eq.stats)
     stats["cross_density"] = eq.cross_density
     stats["bipartition_tries"] = eq.tries
     result = _weakseq_stages(eq.bipartite, r, t, rng, retry_cap, stats)

@@ -6,11 +6,11 @@ import math
 import pytest
 
 from exlab import bipfree
-from exlab.core import (BipartiteGraph, Graph, GuardError, KUniformHypergraph,
-                        RetryError, RngStream, complete_bipartite,
+from exlab.core import (BipartiteGraph, Failure, Graph, GuardError,
+                        KUniformHypergraph, RngStream, complete_bipartite,
                         complete_graph, grid_lines, iter_bits, mask_of,
                         random_bipartite, random_graph)
-from exlab.bipfree import (K_k_rr, K_rr, _count_hyper, _graph_round,
+from exlab.bipfree import (K_rr, Pattern, _count_hyper, _graph_round,
                            _pattern_free, _rsets, _sample_rows, count_pattern,
                            extract_free, extraction_target,
                            kpartite_count_check, kpartite_instance,
@@ -194,7 +194,7 @@ def test_count_dual_route_graph_vs_hypergraph():
     for seed in (5, 13):
         g = random_graph(12, 0.5, RngStream(seed))
         h = KUniformHypergraph(12, 2, [frozenset(e) for e in g.edges()])
-        assert count_pattern(g, K_rr(2)) == count_pattern(h, K_k_rr(2, 2))
+        assert count_pattern(g, K_rr(2)) == count_pattern(h, Pattern(2, 2))
 
 
 def test_count_lemma_bound_on_corpus():
@@ -212,7 +212,7 @@ def test_count_complete_tripartite_hypergraph():
                                   for a in range(3) for b in range(3)
                                   for c in range(3)])
     # one copy per choice of 2 vertices from each part
-    assert count_pattern(h, K_k_rr(3, 2)) == 27
+    assert count_pattern(h, Pattern(3, 2)) == 27
 
 
 def test_count_guard_names_estimate():
@@ -221,23 +221,23 @@ def test_count_guard_names_estimate():
     big = KUniformHypergraph(30, 3, [frozenset(e) for e in
                                      itertools.combinations(range(30), 3)])
     with pytest.raises(GuardError, match=r"\(k!\)\^r"):
-        count_pattern(big, K_k_rr(3, 3))
+        count_pattern(big, Pattern(3, 3))
     with pytest.raises(GuardError):
-        count_pattern(complete_graph(4), K_k_rr(3, 2))  # arity mismatch
+        count_pattern(complete_graph(4), Pattern(3, 2))  # arity mismatch
     # bounds of more digits than int-to-str allows are never formatted
     with pytest.raises(GuardError, match=r"2\*m\^r"):
         count_pattern(complete_graph(4), K_rr(100000))
     matching = KUniformHypergraph(18000, 3, [(3 * i, 3 * i + 1, 3 * i + 2)
                                             for i in range(6000)])
     with pytest.raises(GuardError, match=r"\(k!\)\^r"):
-        count_pattern(matching, K_k_rr(3, 6000))
+        count_pattern(matching, Pattern(3, 6000))
 
 
 def test_extraction_target_arithmetic():
     assert extraction_target(9, K_rr(2)) == 2   # ceil(9^(2/3)/4)
     assert extraction_target(64, K_rr(2)) == 4  # 16/4 exactly
     assert extraction_target(100, K_rr(2)) == 6
-    assert extraction_target(27, K_k_rr(3, 2)) == 2  # q=7, ceil(27^(6/7)/12)
+    assert extraction_target(27, Pattern(3, 2)) == 2  # q=7, ceil(27^(6/7)/12)
 
 
 def test_extract_single_edge_short_circuit():
@@ -284,23 +284,22 @@ def test_extract_hypergraph():
     h = KUniformHypergraph(9, 3, [frozenset((a, 3 + b, 6 + c))
                                   for a in range(3) for b in range(3)
                                   for c in range(3)])
-    res = extract_free(h, K_k_rr(3, 2), RngStream(6))
+    res = extract_free(h, Pattern(3, 2), RngStream(6))
     assert res.subgraph.m >= res.target_size == 2
-    assert count_pattern(res.subgraph, K_k_rr(3, 2)) == 0
+    assert count_pattern(res.subgraph, Pattern(3, 2)) == 0
     assert res.subgraph.edges <= h.edges
 
 
 def test_extract_retry_cap_reports_best():
-    with pytest.raises(RetryError) as ei:
-        extract_free(complete_bipartite(3, 3), K_rr(2), RngStream(3),
-                     retry_cap=0)
-    assert ei.value.stage == "extract_free"
-    assert ei.value.best["target"] == 2
+    assert extract_free(complete_bipartite(3, 3), K_rr(2), RngStream(3),
+                        retry_cap=0) == \
+        Failure("extract_free", "retry cap exhausted",
+                {"target": 2, "best_edges": 0, "best_subgraph": None})
 
 
 def test_tight_instance():
     inst = tight_instance(2, 2, 64)
-    assert (inst.u_size, inst.v_size) == (4, 16)
+    assert (inst.graph.n1, inst.graph.n2) == (4, 16)
     assert inst.graph.m == 64
     assert inst.kst_bound() == 32
     with pytest.raises(GuardError):

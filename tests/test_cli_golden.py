@@ -44,7 +44,6 @@ INVOCATIONS = [
     "embed --op pipeline --N 256 --d 2 --drc-retry 5 --round-cap 100",
     "embed --op cube --d 4",
     "weakseq --op pipeline --n 200 --p 0.5 --r 2 --t 3 --retry-cap 20",
-    "weakseq --op verify --n 300 --p 0.5 --r 3",
     "weakseq --op minor --n 200 --p 0.7 --t 3",
     "weakseq --op minor --input host.txt --r 3 --t 2 --retry-cap 5",
     "weakseq --op oracle --n 10 --p 0.5",

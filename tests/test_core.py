@@ -13,14 +13,14 @@ from pathlib import Path
 import pytest
 
 from exlab import core
-from exlab.core import (BipartiteGraph, EdgeColoring, Graph, GuardError,
-                        ParseError, RetryError, RngStream, bit_columns,
-                        complete_bipartite, complete_graph, complete_kpartite,
-                        grid_lines, hypercube, iter_bits, mask_of,
-                        random_bipartite, random_coloring,
-                        random_equitable_bipartition, random_graph,
-                        read_bipartite, read_coloring, read_graph,
-                        try_bipartition, write_coloring, write_graph)
+from exlab.core import (BipartiteGraph, EdgeColoring, Failure, Graph,
+                        GuardError, ParseError, RngStream, bit_columns,
+                        complete_bipartite, complete_graph, grid_lines,
+                        hypercube, iter_bits, mask_of, random_bipartite,
+                        random_coloring, random_equitable_bipartition,
+                        random_graph, read_bipartite, read_coloring,
+                        read_graph, try_bipartition, write_coloring,
+                        write_graph)
 from exlab.core import _sample_setsize
 
 
@@ -66,13 +66,10 @@ def test_graph_validation():
         Graph.from_adjacency(2, [0b10, 0b00])  # asymmetric
 
 
-def test_complete_graph_and_complement():
+def test_complete_graph():
     k5 = complete_graph(5)
     assert k5.m == 10
     assert k5.density() == Fraction(1)
-    empty = k5.complement()
-    assert empty.m == 0
-    assert empty.complement() == k5
 
 
 def test_complete_bipartite():
@@ -136,14 +133,6 @@ def test_bipartite_transpose():
     # edge (0,2)=a-c survives as c-a under the swapped layout
     assert t.labels.index("a") in [v for v in t.v2]
     assert t.has_edge(t.labels.index("a"), t.labels.index("c"))
-
-
-def test_complete_kpartite():
-    g = complete_kpartite([2, 2, 2])
-    assert g.n == 6
-    assert g.m == 12  # 15 pairs minus 3 intra-part pairs
-    assert g.labels[0] == (0, 0) and g.labels[5] == (2, 1)
-    assert not g.has_edge(0, 1) and g.has_edge(0, 2)
 
 
 def test_hypercube():
@@ -354,8 +343,9 @@ def test_random_equitable_bipartition():
     assert bip.cross_m() == part.cross_density * 400
     # the parts are the host's own vertex ids
     assert bip.v1 == part.side1 and bip.v2 == part.side2
-    with pytest.raises(RetryError):
-        random_equitable_bipartition(g, RngStream(13), retry_cap=0)
+    assert random_equitable_bipartition(g, RngStream(13), retry_cap=0) == \
+        Failure("random_equitable_bipartition", "retry cap exhausted",
+                {"best_density": 0.0, "target": float(g.density())})
 
 
 def test_try_bipartition_and_induced():

@@ -15,8 +15,11 @@ from exlab.core import (
     Graph,
     GuardError,
     KUniformHypergraph,
+    RngStream,
 )
 from exlab.expcli import ExperimentSpec
+from test_record_corpus import CORPUS
+from test_removal import write_grid
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +383,7 @@ def test_removal_iterate_color_cap(tmp_path, capsys):
                          "8"], capsys)
     # a grid file's colors are known only once it is read: a trial failure
     grid = tmp_path / "grid.txt"
-    removal.write_grid(removal.GridColoring(
+    write_grid(removal.GridColoring(
         3, 8, [[0, 1, 2], [3, 4, 5], [6, 7, 0]]), grid)
     out = tmp_path / "rec.json"
     assert expcli.main(["removal", "--op", "iterate", "--grid-file",
@@ -498,6 +501,22 @@ def test_main_failure_exit_on_failed_trials(capsys):
     assert rows[0]["success_rate"] == 0.0
 
 
+@pytest.mark.parametrize("name, stage", [
+    ("bipfree-extract-retry-cap-failure", "extract_free"),
+    ("embed-drc-retry-cap-failure", "drc_subset")])
+def test_main_exhausted_retry_cap_is_a_failed_trial(name, stage, tmp_path):
+    spec = CORPUS[name]
+    out = tmp_path / "rec.json"
+    assert expcli.main(_cli_argv(spec) + ["--out", str(out)]) == 1
+    trial, = expcli.read_record(out)["trials"]
+    assert trial["outcome"] == f"failure:{stage}"
+    # the best attempt's stats reach the record through the witness digest
+    failure = expcli.OPS[(spec.module, spec.operation)].runner(
+        expcli.validate_spec(spec), RngStream(spec.seed).derive("trial", 0),
+        spec.preset)
+    assert failure.stats and trial["witness"] == expcli.digest(failure)
+
+
 def test_main_ktt_search_past_its_budget_is_a_failed_trial(tmp_path, capsys):
     # G(2000, 0.1) at r = 2 leaves a 500 x 500 incidence graph of density
     # about 0.34, where K_{10,10} is absent but costly to rule out
@@ -546,7 +565,7 @@ def test_main_random_grid_and_record(tmp_path, capsys):
 def test_main_grid_file_census(tmp_path, capsys):
     gc = removal.GridColoring(3, 2, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     path = tmp_path / "grid.txt"
-    removal.write_grid(gc, path)
+    write_grid(gc, path)
     code = expcli.main(["removal", "--op", "census", "--grid-file",
                         str(path)])
     assert code == 0
@@ -770,8 +789,6 @@ def test_every_schema_parameter_is_a_flag():
 
 
 def test_flags_and_spec_file_give_the_same_dry_run(tmp_path, capsys):
-    from test_record_corpus import CORPUS
-
     spec_path = tmp_path / "spec.json"
     for spec in CORPUS.values():
         assert expcli.main(_cli_argv(spec) + ["--dry-run"]) == 0, spec

@@ -10,6 +10,9 @@ validated, and the parameters in ``REJECTED_AT_100000`` must be refused
 there: those sizes would run for minutes or exhaust memory.  The order t
 of the weakseq operations has no cap of its own: 2rt <= n refuses it at
 100000, and at 13 it runs, its K_{t,t} search bounded by a work budget.
+A second sweep sets each retry or round cap to 1 on every corpus spec that
+takes it, at the spec's seed and seeds 0-2: a loop that runs out of tries
+records ``failure:<stage>``.
 
 The layering check keeps each precondition behind its own module:
 ``expcli`` may call a library guard, but reads no library bound and calls
@@ -50,7 +53,6 @@ REJECTED_AT_100000 = {
     ("embed", "pipeline"): ("d",),
     ("embed", "cube"): ("d",),
     ("weakseq", "pipeline"): ("r", "t"),
-    ("weakseq", "verify"): ("r", "t"),
     ("weakseq", "minor"): ("t",),
     ("weakseq", "oracle"): ("n",),
     ("rsgraph", "construct"): ("N",),
@@ -84,8 +86,7 @@ def _with(spec, name, value):
 
 # t has no cap of its own: 2rt <= n and the work budget of find_ktt bound
 # it, so these run at 13 on the corpus hosts
-ADMITTED_AT_13 = {("weakseq", "pipeline", "t"), ("weakseq", "verify", "t"),
-                  ("weakseq", "minor", "t")}
+ADMITTED_AT_13 = {("weakseq", "pipeline", "t"), ("weakseq", "minor", "t")}
 
 
 def test_sweep_exits_two_or_records_clean_trials(monkeypatch):
@@ -108,6 +109,19 @@ def test_sweep_exits_two_or_records_clean_trials(monkeypatch):
                    if case not in ALLOWED_ERRORS}
     assert not unexplained
     assert {(*case, 13) for case in ADMITTED_AT_13} <= ran
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exhausted_caps_record_failures_not_errors(monkeypatch):
+    monkeypatch.delenv("EXLAB_THREADS", raising=False)
+    outcomes = [expcli.run(dataclasses.replace(_with(spec, cap, 1), seed=seed))
+                .trials[0]["outcome"] for spec in CORPUS.values()
+                for cap in ("retry_cap", "round_cap", "drc_retry")
+                if cap in expcli.OPS[(spec.module, spec.operation)].schema
+                for seed in {spec.seed, 0, 1, 2}]
+    assert [o for o in outcomes if o.startswith("error:")] == []
+    assert {"failure:bipartition", "failure:drc_subset",
+            "failure:extract_free"} <= set(outcomes)
 
 
 def test_sizes_past_every_cap_are_rejected_before_running():

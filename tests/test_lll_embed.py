@@ -9,11 +9,12 @@ import pytest
 
 from exlab import expcli, lll_embed
 from exlab.core import (BipartiteGraph, EdgeColoring, Failure, Graph,
-                        GuardError, RetryError, RngStream, complete_bipartite,
+                        GuardError, RngStream, complete_bipartite,
                         complete_graph, hypercube, random_coloring,
                         try_bipartition)
-from exlab.lll_embed import (AuxPair, DownClosedHypergraph, DrcParams,
-                             DrcResult, EmbeddingResult, TargetHypergraph,
+from exlab.lll_embed import (MAX_ENUMERATION, AuxPair,
+                             DownClosedHypergraph, DrcParams, DrcResult,
+                             EmbeddingResult, TargetHypergraph,
                              _common_neighbors_mask, _rank_combination,
                              _unrank_combination, bip_ramsey_pipeline,
                              build_aux_pair, drc_subset,
@@ -21,10 +22,35 @@ from exlab.lll_embed import (AuxPair, DownClosedHypergraph, DrcParams,
                              random_dense_dch_guard, resample_embed)
 
 
+def from_top_edges(N: int, k: int, top_edges) -> DownClosedHypergraph:
+    if math.comb(N, k) > MAX_ENUMERATION:
+        raise GuardError("explicit top-edge construction is desk-scale only")
+    keep = {tuple(sorted(e)) for e in top_edges}
+    return DownClosedHypergraph.from_ranks(N, k, (
+        r for r, t in enumerate(itertools.combinations(range(N), k))
+        if t not in keep))
+
+
+def iter_top_edges(dch):
+    if math.comb(dch.N, dch.k) > MAX_ENUMERATION:
+        raise GuardError("top-edge enumeration is desk-scale only")
+    for r, t in enumerate(itertools.combinations(range(dch.N), dch.k)):
+        if r not in dch.deleted_ranks:
+            yield t
+
+
+def non_member_count(dch, level: int) -> int:
+    """Exact number of non-member level-sets by enumeration."""
+    if math.comb(dch.N, level) > MAX_ENUMERATION:
+        raise GuardError("level enumeration is desk-scale only")
+    return sum(1 for t in itertools.combinations(range(dch.N), level)
+               if not dch.member(t))
+
+
 def brute_member(dch, S):
     """Reference membership: containment in some explicitly listed top edge."""
     ss = set(S)
-    return any(ss <= set(t) for t in dch.iter_top_edges())
+    return any(ss <= set(t) for t in iter_top_edges(dch))
 
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -74,19 +100,15 @@ def test_unrank_matches_linear_reference_at_sampled_ranks():
 
 def test_dch_construction_and_counts():
     kept = [(0, 1, 2), (1, 2, 3), (2, 3, 4)]
-    d = DownClosedHypergraph.from_top_edges(6, 3, kept)
+    d = from_top_edges(6, 3, kept)
     assert d.top_count == 3
-    assert d.missing_count == math.comb(6, 3) - 3
+    assert len(d.deleted_ranks) == math.comb(6, 3) - 3
     assert d.density() == Fraction(3, 20)
-    assert d.is_top((2, 1, 0)) and not d.is_top((0, 1, 3))
+    assert d.member((2, 1, 0)) and not d.member((0, 1, 3))
     for bad in [(0, 1), (0, 1, 9), (0, 0, 1), (0, 1, 2, 3), (-1, 0, 1)]:
         with pytest.raises(ValueError):
-            d.is_top(bad)
-    assert sorted(d.iter_top_edges()) == kept
-    with pytest.raises(ValueError):
-        DownClosedHypergraph(6, 3, [(0, 1)])
-    with pytest.raises(ValueError):
-        DownClosedHypergraph(6, 3, [(0, 1, 6)])
+            DownClosedHypergraph(6, 3, [bad])
+    assert sorted(iter_top_edges(d)) == kept
     with pytest.raises(GuardError):
         DownClosedHypergraph(3, 4)
 
@@ -96,7 +118,7 @@ def test_dch_from_ranks():
     assert d.deleted == {(0, 1, 2), (3, 4, 5), _unrank_combination(7, 6, 3)}
     assert d.deleted_ranks == {0, 7, 19}
     assert DownClosedHypergraph(6, 3, d.deleted).deleted_ranks == {0, 7, 19}
-    assert DownClosedHypergraph.from_ranks(6, 3, []).missing_count == 0
+    assert not DownClosedHypergraph.from_ranks(6, 3, []).deleted_ranks
     for ranks in ([-1], [0, 20], [10 ** 30]):
         with pytest.raises(ValueError):
             DownClosedHypergraph.from_ranks(6, 3, ranks)
@@ -108,12 +130,11 @@ def test_dch_from_ranks():
 
 def test_dch_membership_matches_bruteforce():
     d = random_dense_dch(10, 4, 0.35, RngStream(9))
-    assert d.missing_count == int(Fraction(0.35) * math.comb(10, 4))
+    assert len(d.deleted_ranks) == int(Fraction(0.35) * math.comb(10, 4))
     # hosts with non-members below the top level
     sparse = random_dense_dch(9, 4, Fraction(4, 5), RngStream(4))
-    few = DownClosedHypergraph.from_top_edges(7, 3, [(0, 1, 2), (1, 2, 3),
-                                                     (2, 4, 6)])
-    assert sparse.non_member_count(3) > 0 and few.non_member_count(2) > 0
+    few = from_top_edges(7, 3, [(0, 1, 2), (1, 2, 3), (2, 4, 6)])
+    assert non_member_count(sparse, 3) > 0 and non_member_count(few, 2) > 0
     for host in (d, sparse, few):
         for level in range(1, host.k + 1):
             for S in itertools.combinations(range(host.N), level):
@@ -134,16 +155,16 @@ def test_dch_level_nonmember_bound():
     d = random_dense_dch(12, 4, 0.3, RngStream(11))
     delta = d.missing_fraction()
     for level in (1, 2, 3):
-        assert d.non_member_count(level) <= delta * math.comb(12, level)
+        assert non_member_count(d, level) <= delta * math.comb(12, level)
 
 
 def test_random_dense_dch_frozen_counts():
     d = random_dense_dch(20, 3, 0.01, RngStream(5))
-    assert d.missing_count == 11
+    assert len(d.deleted_ranks) == 11
     assert d.top_count == 1129
     assert d.density() == Fraction(1129, 1140)
     full = random_dense_dch(20, 3, 0, RngStream(5))
-    assert full.missing_count == 0
+    assert len(full.deleted_ranks) == 0
     assert all(full.member(S) for S in itertools.combinations(range(20), 2))
     again = random_dense_dch(20, 3, 0.01, RngStream(5))
     assert again.deleted == d.deleted
@@ -194,8 +215,8 @@ def test_dch_canonical_digests_are_pinned():
         "empty": DownClosedHypergraph(8, 3),
         "explicit": DownClosedHypergraph(6, 3, [(2, 1, 0), (5, 3, 4),
                                                 [0, 2, 5]]),
-        "top_edges": DownClosedHypergraph.from_top_edges(
-            6, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 4)]),
+        "top_edges": from_top_edges(6, 3, [(0, 1, 2), (1, 2, 3),
+                                           (2, 3, 4)]),
         "random_20_3": random_dense_dch(20, 3, Fraction(1, 100),
                                         RngStream(5)),
         "random_10_4": random_dense_dch(10, 4, Fraction(35, 100),
@@ -207,7 +228,7 @@ def test_dch_canonical_digests_are_pinned():
                                         _random_bipartite(24, 0.5, 77),
                                         3).dch,
     }
-    assert hosts["aux_q3_random"].missing_count == 876
+    assert len(hosts["aux_q3_random"].deleted_ranks) == 876
     assert {name: expcli.digest(d) for name, d in hosts.items()} \
         == DCH_DIGESTS
 
@@ -264,7 +285,7 @@ def test_gate6_host_and_embedding_never_unrank(monkeypatch):
     target = neighborhood_hypergraph(hypercube(3))
     rng = RngStream(1000)
     host = random_dense_dch(128, 3, Fraction(9, 1000), rng)
-    assert host.missing_count == 3072
+    assert len(host.deleted_ranks) == 3072
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = resample_embed(target, host, rng)
@@ -314,7 +335,7 @@ def test_resample_failures():
     res = resample_embed(big, DownClosedHypergraph(4, 2), RngStream(1))
     assert isinstance(res, Failure) and res.stage == "resample_embed"
     assert res.stats == {"n": 5, "N": 4}
-    empty = DownClosedHypergraph.from_top_edges(6, 2, [])
+    empty = from_top_edges(6, 2, [])
     target = TargetHypergraph(2, [(0, 1)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -382,10 +403,9 @@ def test_drc_guards():
 
 def test_drc_retry_cap():
     params = DrcParams(Fraction(1, 2), 2, 1, 2)
-    with pytest.raises(RetryError) as err:
-        drc_subset(complete_bipartite(32, 32), params, RngStream(1),
-                   retry_cap=0)
-    assert err.value.stage == "drc_subset" and err.value.tries == 0
+    assert drc_subset(complete_bipartite(32, 32), params, RngStream(1),
+                      retry_cap=0) == \
+        Failure("drc_subset", "retry cap exhausted", {})
 
 
 def test_build_aux_pair_matching():
@@ -394,7 +414,7 @@ def test_build_aux_pair_matching():
     assert sorted(tuple(sorted(e)) for e in aux.target.edges) == \
         [(0,), (1,), (2,), (3,)]
     assert aux.target.max_degree == 1
-    assert aux.dch.k == 1 and aux.dch.missing_count == 0
+    assert aux.dch.k == 1 and len(aux.dch.deleted_ranks) == 0
     assert aux.u_vertices == tuple(range(10))
 
 
@@ -409,7 +429,7 @@ def test_build_aux_pair_q3():
     assert sorted(tuple(sorted(e)) for e in aux.target.edges) == \
         list(itertools.combinations(range(4), 3))
     assert aux.target.max_degree == 3
-    assert aux.dch.missing_count == 0  # complete host: 13 common neighbors
+    assert not aux.dch.deleted_ranks  # complete host: 13 common neighbors
 
 
 def test_build_aux_pair_bipartite_host():
@@ -417,9 +437,9 @@ def test_build_aux_pair_bipartite_host():
     c6 = BipartiteGraph(3, 3, [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5)])
     h = BipartiteGraph(2, 2, [(0, 2), (0, 3), (1, 2), (1, 3)])
     aux1 = build_aux_pair(h, (0, 1, 2), c6, 1)
-    assert aux1.dch.missing_count == 0 and aux1.dch.top_count == 3
+    assert len(aux1.dch.deleted_ranks) == 0 and aux1.dch.top_count == 3
     aux2 = build_aux_pair(h, (0, 1, 2), c6, 2)
-    assert aux2.dch.missing_count == 3 and aux2.dch.top_count == 0
+    assert len(aux2.dch.deleted_ranks) == 3 and aux2.dch.top_count == 0
     assert [tuple(sorted(e)) for e in aux2.target.edges] == [(0, 1)]
 
 

@@ -4,12 +4,12 @@ Each spec runs through ``expcli.run`` and its trial list is reduced to the
 SHA-256 of its canonical JSON.  The pins were computed once and must be
 reproduced byte for byte by any change that claims to keep behaviour, so a
 refactor of the graph layer or the pipelines shows up here as a digest
-mismatch.  The corpus reaches every operation, a ``Failure`` trial
-(``embed-lemma-round-cap-failure``) and a ``FalsifyingColoring`` witness
-(``rsgraph-decompose-falsified``), and two G(2000, 1/2) hosts where
-``find_ktt`` searches for a K_{t,t} with t = 4 and t = 12.  Pins are keyed by
-``RngStream.ALGORITHM``: a new random algorithm changes every random host,
-and it must add its own pins instead of passing.
+mismatch.  The corpus reaches every operation, ``Failure`` trials of a
+round cap and of two retry caps (``*-cap-failure``), a
+``FalsifyingColoring`` witness (``rsgraph-decompose-falsified``), and two
+G(2000, 1/2) hosts where ``find_ktt`` searches for a K_{t,t} with t = 4 and
+t = 12.  Pins are keyed by ``RngStream.ALGORITHM``: a new random algorithm
+changes every random host, and it must add its own pins instead of passing.
 """
 
 import hashlib
@@ -41,9 +41,6 @@ CORPUS = {
     "weakseq-pipeline-ktt-absent": ExperimentSpec(
         "weakseq", "pipeline", {"n": 200, "p": 0.1, "r": 2, "t": 12},
         seed=1, trials=2),
-    "weakseq-verify-n300": ExperimentSpec(
-        "weakseq", "verify", {"n": 300, "p": 0.5, "r": 3, "t": 3},
-        seed=1, trials=2),
     "weakseq-minor-n200-t3": ExperimentSpec(
         "weakseq", "minor", {"n": 200, "p": 0.7, "t": 3}, seed=5, trials=2),
     "weakseq-minor-n200-t3-plain": ExperimentSpec(
@@ -69,6 +66,8 @@ CORPUS = {
         "bipfree", "count", {"n": 30, "p": 0.5}, seed=2, trials=2),
     "bipfree-extract-n40": ExperimentSpec(
         "bipfree", "extract", {"n": 40, "p": 0.5}, seed=3, trials=2),
+    "bipfree-extract-retry-cap-failure": ExperimentSpec(
+        "bipfree", "extract", {"n": 12, "p": 0.5, "retry_cap": 1}, seed=8),
     "bipfree-kcheck-k3-half": ExperimentSpec(
         "bipfree", "kcheck", {"k": 3, "r": 2, "n": 2, "p": 0.5},
         seed=4, trials=2),
@@ -79,6 +78,9 @@ CORPUS = {
                            "round_cap": 1}, seed=1, trials=2),
     "embed-drc-defaults": ExperimentSpec(
         "embed", "drc", {}, seed=1, trials=2),
+    "embed-drc-retry-cap-failure": ExperimentSpec(
+        "embed", "drc", {"N": 64, "p": 0.6, "k": 2, "eps": "1/2", "n": 8,
+                         "retry_cap": 1}, seed=27),
     "embed-pipeline-n256": ExperimentSpec(
         "embed", "pipeline", {"N": 256}, seed=1, trials=1),
     "embed-cube-d3": ExperimentSpec(
@@ -115,6 +117,8 @@ PINS = {
             "940c6d593433b711828b0477f4b957d8853b2559ca566728405c5a60df6df8fb",
         "bipfree-extract-n40":
             "e045bd03abd4bb3dbb4198aa5ba3f661cfc904688ed7440565437dd069440b2a",
+        "bipfree-extract-retry-cap-failure":
+            "7e73ea54a6fe3194726b284fc5922d12c9846e015353c3e55ce8a26b07d74bea",
         "bipfree-kcheck-k3-half":
             "93de8dd00bd9f41bb303be7387a5ab0330d598d0155adc3c66e31b03cb88fe25",
         "bipfree-tight-m27-s3":
@@ -125,6 +129,8 @@ PINS = {
             "9aa350458925550512d324c44b034bb06b8715f7e300af0c0b4d26e49e3b7946",
         "embed-drc-defaults":
             "004219cbeabb14d32c5e7af8c535758c71ccaa4b53b0cd4a05a5304619961ad1",
+        "embed-drc-retry-cap-failure":
+            "051959ee19a2b44ef4781169dd7370dc047250d9d8d0d461c9838b1f7e6b1a50",
         "embed-lemma-n64-d2":
             "7bcb3b0f71551ccd1827c5aeb8ff881aad5f2a9ac8202955489de96d5b89f21a",
         "embed-lemma-round-cap-failure":
@@ -183,8 +189,6 @@ PINS = {
             "1fd1d2c5eeb5a7c8edbddbac11ba1f3a11709178c649d52be4c12ff9ba1eb9ff",
         "weakseq-pipeline-n600-t3":
             "e85054b0c2008f0fc963ed3ef10fda15f3a144750e5794019340615172967216",
-        "weakseq-verify-n300":
-            "d37e96eb0d95191e3c86f4fed1b12d26157e4a3793011d888a4ffa66acc39a31",
     },
 }
 

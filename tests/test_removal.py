@@ -32,9 +32,22 @@ from exlab.removal import (
     sparse_pair_step,
     triangle_census,
     triangle_cover,
-    write_grid,
 )
 from exlab.removal import _delete_sparse_color
+
+
+def write_grid(gc: GridColoring, path) -> None:
+    """Write side length, then one row of color indices per line.
+
+    The color count is appended to the first line only when it exceeds
+    the largest cell value plus one, which is what reading infers.
+    """
+    top = max(max(row) for row in gc.cells) + 1
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{gc.N}\n" if gc.r == top else f"{gc.N} {gc.r}\n")
+        for row in gc.cells:
+            fh.write(" ".join(str(ch) for ch in row) + "\n")
+
 
 # corner-free 2-coloring of the 4x4 grid, first in enumeration order
 WITNESS4 = ((0, 1, 0, 1), (0, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 0))

@@ -520,6 +520,9 @@ def test_chunk_preserves_invariants_corpus():
         dbl = bipartite_double(dec.graph, dec)
         assert verify_rs(dbl) == (True, None)
         assert dbl.n == 2 * dec.n and dbl.t == dec.t
+        # built unchecked, on rows that the checked constructor accepts
+        for g in (base.graph, dec.graph, dbl.graph):
+            assert BipartiteGraph.from_adjacency(g.n1, g.n2, g.adj) == g
 
 
 _REJECTING_VERIFIER = """

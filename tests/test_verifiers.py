@@ -6,8 +6,8 @@ construction run on a small fixture or on the parameters of a pinned record
 corpus spec; the verifier, called as ``verify(*instance, witness)``, must
 accept it.  The mutator yields ``(instance, witness, reason)`` for each
 single-element mutation: one member, edge, field or host edge changed.  The
-verifier must reject every one with exactly that reason.  Gate 9 keeps its
-own triangle-cover mutator.
+verifier must reject every one with exactly that reason, also under
+``python -O``.  Gate 9 keeps its own triangle-cover mutator.
 """
 
 import dataclasses
@@ -119,7 +119,7 @@ def mutate_free_set(instance, res):
 
 
 def build_sequence():
-    # the parameters of the "weakseq-verify-n300" corpus spec
+    # G(300, 1/2) with r = t = 3
     g = random_graph(300, 0.5, RngStream(1).derive("host"))
     with pytest.warns(RuntimeWarning):
         w = weakseq.weak_sequence_pipeline(g, 3, 3, RngStream(1).derive("run"))
@@ -253,6 +253,17 @@ def mutate_rs(instance, dec):
     yield instance, dataclasses.replace(dec, graph=host, matchings=tuple(
         [mats[0][:1] + ((a, b),) + mats[0][2:]] + mats[1:])), \
         ("not_induced", 0, (a, a))
+    # one-way rows, which only the unchecked constructor builds: a bit from
+    # the second edge's v to the first edge's u, and the first edge kept in
+    # u's row alone; neither is a pair the scan names
+    (u1, v1), (_, v2) = mats[0][:2]
+    for row in (v2, v1):
+        rows = list(g.adj)
+        rows[row] ^= 1 << u1
+        host = BipartiteGraph._from_parts(rows, tuple(map(g.mask, range(3))))
+        for spanning in (True, False):
+            yield instance, dataclasses.replace(
+                dec, graph=host, spanning=spanning), ("one_way", 0)
 
 
 C6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
@@ -362,7 +373,7 @@ K222 = KUniformHypergraph(6, 3, itertools.product(*PARTS3))
 
 def build_free_hyper():
     H = KUniformHypergraph(6, 3, K222.edges - {frozenset({1, 3, 5})})
-    return (K222, bipfree.K_k_rr(3, 2)), H
+    return (K222, bipfree.Pattern(3, 2)), H
 
 
 def mutate_free_hyper(instance, H):
@@ -486,14 +497,21 @@ def test_verifier_rejects_every_single_element_mutation(name):
         assert verify(*mutant_instance, mutant) == (False, reason), reason
 
 
-# Each construction with its verifier patched to reject; the rejection must
-# raise under python -O, which strips assert statements.
+# Under python -O, which strips assert statements: every row of ROWS, and
+# each construction with its verifier patched to reject, which must raise.
 _REJECTING_VERIFIERS = """
 import sys, warnings
 from fractions import Fraction
 from exlab import bipfree, lll_embed, removal, setmap, weakseq
 from exlab.core import (BipartiteGraph, RngStream, complete_graph, hypercube,
                         random_coloring, random_graph)
+import test_verifiers
+for name, (build, verify, mutate) in sorted(test_verifiers.ROWS.items()):
+    instance, witness = build()
+    print(sys.flags.optimize, name,
+          verify(*instance, witness) == (True, None) and all(
+              verify(*inst, bad) == (False, reason)
+              for inst, bad, reason in mutate(instance, witness)))
 warnings.simplefilter("ignore", RuntimeWarning)
 grid = removal.GridColoring(3, 2, ((0, 0, 1), (0, 1, 1), (1, 1, 1)))
 eh = setmap.eh_map(3, 2)
@@ -528,14 +546,17 @@ for module, name, construct in cases:
 
 
 def test_rejecting_verifiers_raise_under_optimize_flag():
-    src = str(Path(weakseq.__file__).resolve().parents[1])
+    paths = (str(Path(weakseq.__file__).resolve().parents[1]),
+             str(Path(__file__).resolve().parent))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+        p for p in (*paths, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-O", "-c", _REJECTING_VERIFIERS],
                          capture_output=True, text=True, env=env, check=True,
                          timeout=60)
     lines = out.stdout.splitlines()
+    assert lines[:len(ROWS)] == [f"1 {name} True" for name in sorted(ROWS)]
+    lines = lines[len(ROWS):]
     assert len(lines) == 8, out.stdout + out.stderr
     for line in lines:
         assert line.split()[0] == "1" and line.split()[2] == "raised" \

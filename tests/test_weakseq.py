@@ -20,8 +20,8 @@ from exlab.core import (BipartiteGraph, Failure, Graph, GuardError, RngStream,
                         iter_bits, mask_of, random_bipartite, random_graph)
 from exlab.weakseq import (CoverPartition, MinorConstants, MinorModel,
                            PathsParams, PathsResult, WeakSequence,
-                           _ceil_frac, _incidence_graph, as_complete_sequence,
-                           cover_partition, degree_filter, find_ktt,
+                           _ceil_frac, _incidence_graph, cover_partition,
+                           degree_filter, find_ktt,
                            load_preset, max_weak_sequence_order,
                            minor_pipeline, paths_drc,
                            regime2_order, seq_params, verify_sequence,
@@ -273,7 +273,7 @@ def test_find_ktt_frees_its_graph_without_the_cycle_collector():
 
 
 # ---------------------------------------------------------------------------
-# verify_sequence / as_complete_sequence
+# verify_sequence
 
 
 def test_verify_sequence_complete_kind():
@@ -316,18 +316,6 @@ def test_verify_sequence_validation_errors():
         verify_sequence(g, WeakSequence("bicomplete", 1, 1, (frozenset({0}),)))
     with pytest.raises(ValueError):
         verify_sequence(g, WeakSequence("complete", 1, 1, (frozenset({9}),)))
-
-
-def test_as_complete_sequence():
-    g = complete_graph(16)
-    with pytest.warns(RuntimeWarning):
-        w = weak_sequence_pipeline(g, 2, 2, RngStream(11))
-    assert isinstance(w, WeakSequence)
-    merged = as_complete_sequence(w)
-    assert merged.kind == "complete" and merged.r == 4 and merged.t == 2
-    assert verify_sequence(g, merged) == (True, None)
-    with pytest.raises(ValueError):
-        as_complete_sequence(merged)
 
 
 def test_padding_preserves_verification():
