@@ -8,7 +8,8 @@ t = 12, where the K_{t,t} search has real work, on three of its hosts, and
 a fifth splits the sparse K_{2,2}-free extraction of perfbench's cli-mix
 into its counts and its deletion round.  A sixth times cli-mix's N = 1000
 RS construction apart from a second check of its decomposition, and a
-seventh its exhaustive free-set oracle on eh_map(4, 2).  The README
+seventh its exhaustive free-set oracle on eh_map(4, 2).  An eighth times
+perfbench's start-up code (``setup_s``) in a fresh interpreter.  The README
 examples run in process through ``expcli.main``, with file names moved
 into a temporary directory; ``main`` builds its parser on its first call
 only.  Each of these entries is the median of ``REPS`` repetitions.
@@ -83,9 +84,11 @@ class Timer:
     def __call__(self, name: str, fn, *args):
         t0 = time.perf_counter()
         out = fn(*args)
-        self.times[name] = self.times.get(name, 0.0) + \
-            time.perf_counter() - t0
+        self.add(name, time.perf_counter() - t0)
         return out
+
+    def add(self, name: str, seconds: float) -> None:
+        self.times[name] = self.times.get(name, 0.0) + seconds
 
     def check(self, ok: bool, what: str) -> None:
         if not ok and what not in self.failures:
@@ -192,6 +195,7 @@ def bipfree_extract(timer: Timer) -> None:
                      h, pattern)
         res = bipfree.extract_free(g, pattern, rng.derive("extract"))
         timer.check(count > 0 and not free and left == 0
+                    and not isinstance(res, Failure)
                     and res.trials_used == 1 and res.subgraph == h,
                     f"bipfree extract: seed {seed}")
 
@@ -217,6 +221,31 @@ def setmap_oracle(timer: Timer) -> None:
                 "setmap oracle: k = 2, n = 4")
 
 
+# perfbench's setup_s code: what every exlab command pays before its op runs
+COLD_START = """
+import sys, time
+sys.path.insert(0, {src!r})
+t0 = time.perf_counter()
+import exlab.expcli
+from exlab import weakseq
+exlab.expcli.build_parser()
+weakseq.load_preset("desk")
+print(time.perf_counter() - t0)
+"""
+
+
+def cold_start(timer: Timer) -> None:
+    """Import ``exlab.expcli``, build the parser and load the desk preset in
+    a fresh ``python -I``, timed inside it.  An untimed interpreter runs
+    first to write the bytecode caches: ``-I`` writes them even where
+    PYTHONDONTWRITEBYTECODE is set."""
+    code = COLD_START.format(src=str(Path(__file__).resolve().parents[1]))
+    for _ in range(2):
+        out = subprocess.run([sys.executable, "-I", "-c", code],
+                             capture_output=True, text=True, check=True)
+    timer.add("cold_start", float(out.stdout))
+
+
 def readme_examples(timer: Timer) -> None:
     workdir = timer.workdir
     (workdir / "spec.json").write_text(json.dumps(README_SPEC),
@@ -231,7 +260,7 @@ def readme_examples(timer: Timer) -> None:
 
 
 WORKLOADS = (gate5, gate6, gate7, weakseq_t12, bipfree_extract,
-             rsgraph_construct, setmap_oracle, readme_examples)
+             rsgraph_construct, setmap_oracle, cold_start, readme_examples)
 
 
 def calibration_kernel() -> int:

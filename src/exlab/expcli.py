@@ -28,18 +28,17 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import importlib.util
 import io
 import json
 import os
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import bipfree, lll_embed, removal, rsgraph, setmap, weakseq
 from .core import (
     BipartiteGraph,
     EdgeColoring,
@@ -59,6 +58,26 @@ from .core import (
 
 SCHEMA_VERSION = 1
 PRESETS = ("paper", "desk")
+
+
+def _lazy(name: str):
+    """The op module ``exlab.<name>``, whose body runs on first attribute
+    access: building its dataclasses is most of the package's import time,
+    and a command runs at most one op module."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+bipfree, lll_embed, removal, rsgraph, setmap, weakseq = map(
+    _lazy, ("bipfree", "lll_embed", "removal", "rsgraph", "setmap", "weakseq"))
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +122,6 @@ def canonical(obj):
         return {"type": "EdgeColoring", "graph": canonical(obj.graph),
                 "r": obj.r, "colors": [[u, v, obj.color_of(u, v)]
                                        for u, v in obj.graph.edges()]}
-    if isinstance(obj, lll_embed.DownClosedHypergraph):
-        return {"type": "DownClosedHypergraph", "N": obj.N, "k": obj.k,
-                "deleted": sorted(sorted(t) for t in obj.deleted)}
-    if isinstance(obj, lll_embed.TargetHypergraph):
-        return {"type": "TargetHypergraph", "n": obj.n,
-                "edges": sorted(sorted(e) for e in obj.edges)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {"type": type(obj).__name__}
         for f in dataclasses.fields(obj):
@@ -117,6 +130,14 @@ def canonical(obj):
                 continue
             out[f.name] = canonical(value)
         return out
+    # after the dataclass branch, so that only lll_embed's own (plain-class)
+    # witnesses load lll_embed
+    if isinstance(obj, lll_embed.DownClosedHypergraph):
+        return {"type": "DownClosedHypergraph", "N": obj.N, "k": obj.k,
+                "deleted": sorted(sorted(t) for t in obj.deleted)}
+    if isinstance(obj, lll_embed.TargetHypergraph):
+        return {"type": "TargetHypergraph", "n": obj.n,
+                "edges": sorted(sorted(e) for e in obj.edges)}
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
@@ -853,6 +874,7 @@ def run(spec: ExperimentSpec) -> ExperimentRecord:
             for i in range(spec.trials)]
     workers = _thread_count(spec.trials)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             trials = list(pool.map(_pool_trial, jobs))
     else:

@@ -24,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
+from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .core import (BipartiteGraph, Failure, Graph, GuardError, RngStream,
@@ -48,10 +48,11 @@ W_DENSITY_DIV = 32
 
 @dataclass(frozen=True)
 class WeakSequence:
-    """Disjoint r-sets with an edge between every required pair of sets.
+    """Disjoint r-sets with an edge between every pair (s_sets[i],
+    t_sets[j]).
 
-    kind "complete": every pair (s_sets[i], s_sets[j]), i < j, is joined.
-    kind "bicomplete": every pair (s_sets[i], t_sets[j]) is joined.
+    ``kind`` is always "bicomplete"; it stays a field because it enters
+    every sequence digest.
     """
 
     kind: str
@@ -128,8 +129,8 @@ def load_preset(name: str) -> MinorConstants:
     """Named constant sets: "paper" is the default, others ship as JSON."""
     if name == "paper":
         return MinorConstants()
-    data = json.loads(resources.files("exlab").joinpath(
-        f"presets/{name}.json").read_text())
+    data = json.loads((Path(__file__).parent / "presets" / f"{name}.json")
+                      .read_text(encoding="utf-8"))
     paths = data.pop("paths", {})
     if "budget_coeff" in paths:
         paths["budget_coeff"] = Fraction(paths["budget_coeff"]).limit_denominator(10 ** 12)
@@ -358,20 +359,15 @@ def _sets_joined(g: Graph, a, b) -> bool:
 
 def verify_sequence(g: Graph, w: WeakSequence):
     """Exhaustive invariant check; returns (ok, first violation or None)."""
-    if w.kind == "complete":
-        families = [("S", w.s_sets)]
-        if w.t_sets is not None:
-            raise ValueError("complete sequences carry no T-sets")
-    elif w.kind == "bicomplete":
-        if w.t_sets is None or len(w.t_sets) != len(w.s_sets):
-            raise ValueError("bicomplete sequences need matching T-sets")
-        families = [("S", w.s_sets), ("T", w.t_sets)]
-    else:
+    if w.kind != "bicomplete":
         raise ValueError(f"unknown kind {w.kind!r}")
+    if w.t_sets is None or len(w.t_sets) != len(w.s_sets):
+        raise ValueError("bicomplete sequences need matching T-sets")
     if len(w.s_sets) != w.t:
         return False, ("order", len(w.s_sets))
     labeled = [((name, i), frozenset(s))
-               for name, sets in families for i, s in enumerate(sets)]
+               for name, sets in (("S", w.s_sets), ("T", w.t_sets))
+               for i, s in enumerate(sets)]
     for tag, s in labeled:
         if len(s) != w.r:
             return False, ("size", tag)
@@ -380,15 +376,10 @@ def verify_sequence(g: Graph, w: WeakSequence):
     for (tag1, s1), (tag2, s2) in itertools.combinations(labeled, 2):
         if s1 & s2:
             return False, ("overlap", tag1, tag2)
-    if w.kind == "complete":
-        for i, j in itertools.combinations(range(w.t), 2):
-            if not _sets_joined(g, w.s_sets[i], w.s_sets[j]):
+    for i in range(w.t):
+        for j in range(w.t):
+            if not _sets_joined(g, w.s_sets[i], w.t_sets[j]):
                 return False, ("pair", i, j)
-    else:
-        for i in range(w.t):
-            for j in range(w.t):
-                if not _sets_joined(g, w.s_sets[i], w.t_sets[j]):
-                    return False, ("pair", i, j)
     return True, None
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from exlab import bench, expcli
+from exlab.core import Failure
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -104,6 +105,25 @@ def test_bench_times_the_cli_mix_oracle(tmp_path):
     assert doc["failures"] == []
     assert {"setmap_oracle.eh_map", "setmap_oracle.free_set_oracle",
             "setmap_oracle.total"} <= set(doc["entries"])
+
+
+def test_bench_lists_an_extraction_that_exhausts_its_retry_cap(
+        tmp_path, monkeypatch):
+    failure = Failure("extract_free", "retry cap exhausted", {"best": 1})
+    monkeypatch.setattr(bench.bipfree, "extract_free",
+                        lambda *args, **kwargs: failure)
+    doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.bipfree_extract,),
+                          reps=1, tier1=False)
+    assert doc["failures"] == [f"bipfree extract: seed {seed}"
+                               for seed in bench.EXTRACT_SEEDS]
+
+
+def test_bench_times_start_up_in_a_fresh_interpreter(tmp_path):
+    doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.cold_start,),
+                          reps=2, tier1=False)
+    assert doc["failures"] == []
+    entry = doc["entries"]["cold_start"]
+    assert len(entry["runs_s"]) == 2 and entry["median_cal"] > 0
 
 
 def test_bench_commit_is_marked_dirty_when_tracked_files_change(

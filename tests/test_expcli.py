@@ -2,9 +2,12 @@
 
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -415,6 +418,47 @@ def test_parallel_pool_matches_sequential(monkeypatch):
     monkeypatch.setenv("EXLAB_THREADS", "3")
     par = expcli.run(spec)
     assert json.dumps(seq.trials) == json.dumps(par.trials)
+
+
+# the op modules, and what the start-up test prints after import and after
+# one setmap command: which of them ran their body and which heavy stdlib
+# modules came with them
+START_UP = """
+import contextlib, io, json, sys
+import exlab.expcli
+
+OP_MODULES = ("bipfree", "lll_embed", "removal", "rsgraph", "setmap",
+              "weakseq")
+HEAVY = ("concurrent.futures.process", "importlib.resources")
+
+
+def ran():
+    # a lazily bound module holds only dunder names until its body runs;
+    # object.__getattribute__ reads its namespace without running it
+    modules = [(name, sys.modules.get("exlab." + name)) for name in OP_MODULES]
+    return [name for name, m in modules if m is not None and any(
+        not key.startswith("_")
+        for key in object.__getattribute__(m, "__dict__"))]
+
+
+exlab.expcli.build_parser()
+at_start = ran(), [name for name in HEAVY if name in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = exlab.expcli.main(["setmap", "--mode", "violate", "--k", "2",
+                              "--n", "6"])
+print(json.dumps([at_start, code, ran()]))
+"""
+
+
+def test_start_up_runs_only_the_op_module_a_command_uses():
+    src = str(Path(expcli.__file__).resolve().parents[1])
+    # -S: no site hook may preload what exlab should not
+    out = subprocess.run([sys.executable, "-S", "-c", START_UP],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    (ran, heavy), code, after = json.loads(out.stdout)
+    assert (ran, heavy) == ([], [])
+    assert code == 0 and after == ["setmap"]
 
 
 # ---------------------------------------------------------------------------

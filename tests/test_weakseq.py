@@ -276,20 +276,25 @@ def test_find_ktt_frees_its_graph_without_the_cycle_collector():
 # verify_sequence
 
 
-def test_verify_sequence_complete_kind():
-    g = complete_graph(8)
-    w = WeakSequence("complete", 2, 3,
-                     (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})))
-    assert verify_sequence(g, w) == (True, None)
-    overlap = WeakSequence("complete", 2, 2,
-                           (frozenset({0, 1}), frozenset({1, 2})))
-    ok, viol = verify_sequence(g, overlap)
-    assert not ok and viol == ("overlap", ("S", 0), ("S", 1))
-    short = WeakSequence("complete", 2, 2, (frozenset({0, 1}), frozenset({2})))
-    assert verify_sequence(g, short) == (False, ("size", ("S", 1)))
-    wrong_order = WeakSequence("complete", 2, 3,
-                               (frozenset({0, 1}), frozenset({2, 3})))
+def test_verify_sequence_reasons():
+    g = complete_graph(12)
+    S = (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5}))
+    T = (frozenset({6, 7}), frozenset({8, 9}), frozenset({10, 11}))
+    assert verify_sequence(g, WeakSequence("bicomplete", 2, 3, S, T)) == \
+        (True, None)
+    overlap = WeakSequence("bicomplete", 2, 2, S[:2],
+                           (frozenset({3, 6}), frozenset({7, 8})))
+    assert verify_sequence(g, overlap) == \
+        (False, ("overlap", ("S", 1), ("T", 0)))
+    short = WeakSequence("bicomplete", 2, 2, S[:2], (T[0], frozenset({8})))
+    assert verify_sequence(g, short) == (False, ("size", ("T", 1)))
+    wrong_order = WeakSequence("bicomplete", 2, 3, S[:2], T[:2])
     assert verify_sequence(g, wrong_order) == (False, ("order", 2))
+    # no edge joins S[2] = {4, 5} to T[0] = {6, 7}
+    cut = graph(12, [(u, v) for u, v in itertools.combinations(range(12), 2)
+                     if not (u in S[2] and v in T[0])])
+    assert verify_sequence(cut, WeakSequence("bicomplete", 2, 3, S, T)) == \
+        (False, ("pair", 2, 0))
 
 
 def test_verify_sequence_names_broken_pair():
@@ -309,13 +314,15 @@ def test_verify_sequence_validation_errors():
     g = complete_graph(4)
     with pytest.raises(ValueError):
         verify_sequence(g, WeakSequence("ring", 1, 1, (frozenset({0}),)))
-    with pytest.raises(ValueError):
+    # no construction builds the all-S-pairs kind any more
+    with pytest.raises(ValueError, match="unknown kind"):
         verify_sequence(g, WeakSequence("complete", 1, 1, (frozenset({0}),),
                                         (frozenset({1}),)))
     with pytest.raises(ValueError):
         verify_sequence(g, WeakSequence("bicomplete", 1, 1, (frozenset({0}),)))
-    with pytest.raises(ValueError):
-        verify_sequence(g, WeakSequence("complete", 1, 1, (frozenset({9}),)))
+    with pytest.raises(ValueError, match="out-of-range"):
+        verify_sequence(g, WeakSequence("bicomplete", 1, 1, (frozenset({9}),),
+                                        (frozenset({0}),)))
 
 
 def test_padding_preserves_verification():
@@ -662,6 +669,13 @@ def test_paths_recheck_survives_optimize_flag():
 
 # ---------------------------------------------------------------------------
 # minor_pipeline / verify_minor
+
+
+def test_presets_hold_their_constants():
+    assert load_preset("paper") == MinorConstants(
+        400, PathsParams(50, Fraction(1, 10 ** 9), 1600))
+    assert load_preset("desk") == MinorConstants(
+        4, PathsParams(3, Fraction(1, 100), 30))
 
 
 def test_minor_complete_r1():
