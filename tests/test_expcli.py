@@ -420,9 +420,8 @@ def test_parallel_pool_matches_sequential(monkeypatch):
     assert json.dumps(seq.trials) == json.dumps(par.trials)
 
 
-# the op modules, and what the start-up test prints after import and after
-# one setmap command: which of them ran their body and which heavy stdlib
-# modules came with them
+# prints which op modules ran their body, and which heavy stdlib modules
+# loaded, after start-up; then which ran after one setmap command
 START_UP = """
 import contextlib, io, json, sys
 import exlab.expcli
