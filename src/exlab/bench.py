@@ -371,8 +371,7 @@ def run_bench(out: Path, workloads=WORKLOADS, reps: int = REPS,
         if not isinstance(prev_doc, dict):
             raise ValueError(f"{prev} is not an exlab bench file")
     failures = []
-    with _threads_cleared():
-        entries = time_workloads(workloads, reps, failures)
+    entries = time_workloads(workloads, reps, failures)
     doc = {"environment": environment(), "repetitions": reps,
            "entries": entries, "tier1": time_tier1() if tier1 else None}
     if doc["tier1"] is not None and doc["tier1"]["exit_code"] != 0:
@@ -396,17 +395,6 @@ def main(out) -> int:
     for what in doc["failures"]:
         print(f"failed: {what}", file=sys.stderr)
     return 1 if doc["failures"] else 0
-
-
-@contextlib.contextmanager
-def _threads_cleared():
-    """Run trials in this process, as perfbench does."""
-    saved = os.environ.pop("EXLAB_THREADS", None)
-    try:
-        yield
-    finally:
-        if saved is not None:
-            os.environ["EXLAB_THREADS"] = saved
 
 
 def _round(x: float) -> float:

@@ -1,12 +1,11 @@
 """Shared substrate: bitset graphs, hypergraphs, edge colorings, seeded RNG
 streams, canonical generators and edge-list file I/O.
 
-All graph types are immutable after construction and safe to share read-only
-across workers.  Vertices are dense integer indices; generators that have a
-named ground set (hypercube labels, grid lines) store the bijection in
-``labels`` so witnesses can be reported in domain terms.  Bipartite parts are
-vertex masks, and an induced bipartite subgraph keeps its host's vertex ids,
-so a subgraph is never relabelled.
+All graph types are immutable after construction.  Vertices are dense
+integer indices; generators that have a named ground set (hypercube labels,
+grid lines) store the bijection in ``labels`` so witnesses can be reported in
+domain terms.  Bipartite parts are vertex masks, and an induced bipartite
+subgraph keeps its host's vertex ids, so a subgraph is never relabelled.
 """
 
 from __future__ import annotations

@@ -13,12 +13,8 @@ as SHA-256 digests of a canonical JSON form covering the package's
 result types, so replay comparisons are byte-exact without shipping
 full graphs.  The report command renders one row per record, sorted by
 module then operation, as JSON, CSV, or a markdown table.  The bench
-command times fixed workloads (see ``exlab.bench``).
-
-Trials fan out to a process pool when EXLAB_THREADS is set above 1,
-capped at the CPU count and the trial count; record assembly stays a
-single-writer aggregation keyed by trial index.  A replayed record must
-carry this build's RNG algorithm name.
+command times fixed workloads (see ``exlab.bench``).  A replayed record
+must carry this build's RNG algorithm name.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ import hashlib
 import importlib.util
 import io
 import json
-import os
 import sys
 import time
 import warnings
@@ -612,7 +607,7 @@ def _rsgraph_arrow_check(params: dict) -> None:
     rsgraph.arrow_check_guard(params["t"], params["n"], params["mode"],
                               N * (N - 1) // 2)
     if params["mode"] == "theorem":
-        rsgraph.rs_from_behrend_guard(N)
+        rsgraph.behrend_arrow_guard(N, params["t"], params["n"])
 
 
 def _run_rsgraph_arrow(params, rng, preset):
@@ -832,11 +827,11 @@ def validate_spec(spec: ExperimentSpec) -> dict:
 # Execution
 
 
-def _run_one_trial(module: str, op: str, params: dict, seed: int,
-                   preset: str, index: int) -> dict:
+def _run_one_trial(runner: Callable, params: dict, seed: int, preset: str,
+                   index: int) -> dict:
     rng = RngStream(seed).derive("trial", index)
     try:
-        res = OPS[(module, op)].runner(params, rng, preset)
+        res = runner(params, rng, preset)
         if isinstance(res, Failure):
             res = (False, f"failure:{res.stage}", res,
                    {"reason": res.reason, "key": 0})
@@ -851,42 +846,20 @@ def _run_one_trial(module: str, op: str, params: dict, seed: int,
                 "stats": {"error": str(exc), "key": 0}}
 
 
-def _pool_trial(args) -> dict:
-    return _run_one_trial(*args)
-
-
-def _thread_count(trials: int) -> int:
-    """Worker processes for a run: EXLAB_THREADS, capped at the CPU count
-    and the trial count; 1 when unset or not an integer."""
-    raw = os.environ.get("EXLAB_THREADS", "").strip()
-    try:
-        wanted = int(raw) if raw else 1
-    except ValueError:
-        return 1
-    return max(1, min(wanted, os.cpu_count() or 1, trials))
-
-
 def run(spec: ExperimentSpec) -> ExperimentRecord:
     """Validate, execute all trials, aggregate, and write the record."""
     params = validate_spec(spec)
+    opdef = OPS[(spec.module, spec.operation)]
     t0 = time.perf_counter()
-    jobs = [(spec.module, spec.operation, params, spec.seed, spec.preset, i)
-            for i in range(spec.trials)]
-    workers = _thread_count(spec.trials)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(_pool_trial, jobs))
-    else:
-        trials = [_run_one_trial(*job) for job in jobs]
-    trials.sort(key=lambda t: t["trial"])
+    trials = [_run_one_trial(opdef.runner, params, spec.seed, spec.preset, i)
+              for i in range(spec.trials)]
     successes = sum(1 for t in trials if t["ok"])
     keys = [t["stats"]["key"] for t in trials
             if isinstance(t["stats"], dict)
             and isinstance(t["stats"].get("key"), (int, float))]
     aggregate = {"trials": spec.trials, "successes": successes,
                  "success_rate": successes / spec.trials,
-                 "key_name": OPS[(spec.module, spec.operation)].key_name}
+                 "key_name": opdef.key_name}
     if keys:
         aggregate.update({"key_mean": sum(keys) / len(keys),
                           "key_min": min(keys), "key_max": max(keys)})

@@ -262,6 +262,12 @@ def rs_from_behrend_guard(N: int, chunk: Optional[int] = None) -> None:
         raise GuardError(f"chunk={chunk} below 1")
 
 
+def _behrend_offsets(N: int):
+    """N' = N // 3 and the offset set S in {1..2N'/5} of rs_from_behrend."""
+    half = N // 3
+    return half, behrend_set(max(1, 2 * half // 5))
+
+
 def rs_from_behrend(N: int, chunk: Optional[int] = None) -> RsDecomposition:
     """Bipartite graph on <= N vertices decomposed into induced matchings.
 
@@ -278,9 +284,7 @@ def rs_from_behrend(N: int, chunk: Optional[int] = None) -> RsDecomposition:
     condition).
     """
     rs_from_behrend_guard(N, chunk)
-    half = N // 3
-    s_max = max(1, 2 * half // 5)
-    ap = behrend_set(s_max)
+    half, ap = _behrend_offsets(N)
     diffs = ap.elements
     top = diffs[-1]
     size = len(diffs)
@@ -299,7 +303,7 @@ def rs_from_behrend(N: int, chunk: Optional[int] = None) -> RsDecomposition:
         mats.append(tuple(mt))
     graph = BipartiteGraph._from_parts(rows, _contiguous_parts(0, n1, n2))
     spanning = True
-    stats = {"n_prime": half, "s_max": s_max, "ap_size": size,
+    stats = {"n_prime": half, "s_max": ap.N, "ap_size": size,
              "max_element": top, "full_matchings": len(mats)}
     if chunk is not None:
         if chunk > size:
@@ -572,17 +576,30 @@ def arrow_check(g, t: int, n: int, mode: str = "exhaustive",
     if not dec.spanning:
         raise GuardError("theorem mode requires a spanning decomposition")
     s, count, verts, m = dec.n, dec.t, g.n, g.m
-    ratio = Fraction(s, n)
-    red_bound = -(-m // verts)
-    blue_bound = (s + 1) // 2
-    checks = {"c_at_least_2": ratio >= 2,
-              "blue_half_matching": blue_bound >= n,
-              "red_average_degree": red_bound >= t}
-    bad = [name for name, good in checks.items() if not good]
-    if bad:
-        raise GuardError("decomposition hypotheses unmet: " + ", ".join(bad))
     return ArrowInstance(graph=g, t=t, n=n, verdict="arrows", red=None,
                          stats={"mode": "theorem", "s": s,
                                 "t_count": count, "m": m, "N": verts,
-                                "c": ratio, "red_degree_bound": red_bound,
-                                "blue_chunk_bound": blue_bound})
+                                **_theorem_bounds(s, m, verts, t, n)})
+
+
+def _theorem_bounds(s: int, m: int, verts: int, t: int, n: int) -> dict:
+    """Theorem mode's bounds for matchings of size s in a host with m edges
+    on verts vertices; GuardError naming each hypothesis they miss."""
+    bounds = {"c": Fraction(s, n), "red_degree_bound": -(-m // verts),
+              "blue_chunk_bound": (s + 1) // 2}
+    checks = {"c_at_least_2": bounds["c"] >= 2,
+              "blue_half_matching": bounds["blue_chunk_bound"] >= n,
+              "red_average_degree": bounds["red_degree_bound"] >= t}
+    bad = [name for name, good in checks.items() if not good]
+    if bad:
+        raise GuardError("decomposition hypotheses unmet: " + ", ".join(bad))
+    return bounds
+
+
+def behrend_arrow_guard(N: int, t: int, n: int) -> None:
+    """GuardError unless theorem mode's hypotheses hold on the unbuilt double
+    of rs_from_behrend(N): N' - max S matchings of size 2|S|, 6N' vertices."""
+    rs_from_behrend_guard(N)
+    half, ap = _behrend_offsets(N)
+    s = 2 * len(ap.elements)
+    _theorem_bounds(s, s * (half - ap.elements[-1]), 6 * half, t, n)

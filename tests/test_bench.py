@@ -147,12 +147,18 @@ def test_bench_commit_is_marked_dirty_when_tracked_files_change(
     assert bench._git_commit() == f"{sha}-dirty"
 
 
-def test_bench_runs_the_readme_examples():
+def test_bench_runs_the_readme_examples(tmp_path):
     readme = README.read_text(encoding="utf-8")
     for line in bench.README_EXAMPLES[:6]:
         assert f"exlab {line}" in readme
     spec = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
     assert json.loads(spec) == bench.README_SPEC
+    doc = bench.run_bench(tmp_path / "BENCH_1.json",
+                          (bench.gate5, bench.readme_examples), reps=1,
+                          tier1=False)
+    assert doc["failures"] == []
+    assert [e for e in doc["entries"] if e.startswith("exlab ")] == [
+        "exlab " + line for line in bench.README_EXAMPLES]
     assert expcli.build_parser().parse_args(["bench", "B.json"]).out == \
         "B.json"
 

@@ -52,7 +52,7 @@ INVOCATIONS = [
     "rsgraph --op double --N 200",
     "rsgraph --op decompose --N 5 --n 2 --t 3 --budget 1000",
     "rsgraph --op arrow --N 4 --t 2 --n 2",
-    "rsgraph --op arrow --N 20 --t 2 --n 2 --mode theorem",
+    "rsgraph --op arrow --N 1000 --t 3 --n 10 --mode theorem",
     "removal --op census --random-grid 6 2",
     "removal --op step --grid-file grid.txt",
     "removal --op iterate --random-grid 15 2 --trials 5 --preset paper",
@@ -80,6 +80,7 @@ INVOCATIONS = [
     "bipfree --op count --random 30 1.5",
     "embed --op lemma --delta 1",
     "rsgraph --op arrow --N 4 --t 2 --n 2 --mode guess",
+    "rsgraph --op arrow --N 20 --t 2 --n 2 --mode theorem",
     "removal --op census",
     "removal --op census --random-grid 4 2 --grid-file grid.txt",
 ]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from exlab import expcli, removal, setmap
+from exlab import bipfree, expcli, removal, setmap
 from exlab.core import (
     BipartiteGraph,
     EdgeColoring,
@@ -19,6 +19,9 @@ from exlab.core import (
     GuardError,
     KUniformHypergraph,
     RngStream,
+    random_graph,
+    read_graph,
+    write_graph,
 )
 from exlab.expcli import ExperimentSpec
 from test_record_corpus import CORPUS
@@ -325,7 +328,6 @@ def test_replay_checks_rng_algorithm(tmp_path):
 
 
 def test_failing_trial_of_any_type_is_recorded(tmp_path, monkeypatch):
-    monkeypatch.delenv("EXLAB_THREADS", raising=False)
     key = ("setmap", "violate")
     runner = expcli.OPS[key].runner
     calls = []
@@ -353,7 +355,6 @@ def test_trial_that_cannot_be_serialized_is_recorded(tmp_path, capsys,
     # "p/q" form cannot print
     if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
         pytest.skip("this interpreter has no int-to-str digit limit")
-    monkeypatch.delenv("EXLAB_THREADS", raising=False)
     key = ("removal", "iterate")
     runner = expcli.OPS[key].runner
 
@@ -397,31 +398,8 @@ def test_removal_iterate_color_cap(tmp_path, capsys):
     assert "descent guard 7" in trial["stats"]["error"]
 
 
-def test_thread_count_is_capped(monkeypatch):
-    monkeypatch.setattr(expcli.os, "cpu_count", lambda: 4)
-    monkeypatch.delenv("EXLAB_THREADS", raising=False)
-    assert expcli._thread_count(10) == 1
-    for raw, trials, want in (("64", 10, 4), ("64", 3, 3), ("2", 10, 2),
-                              ("0", 10, 1), ("-5", 10, 1), ("x", 10, 1),
-                              ("3", 1, 1)):
-        monkeypatch.setenv("EXLAB_THREADS", raw)
-        assert expcli._thread_count(trials) == want, raw
-    monkeypatch.setattr(expcli.os, "cpu_count", lambda: None)
-    monkeypatch.setenv("EXLAB_THREADS", "8")
-    assert expcli._thread_count(10) == 1
-
-
-def test_parallel_pool_matches_sequential(monkeypatch):
-    spec = ExperimentSpec("setmap", "violate", {"k": 2, "n": 6},
-                          seed=7, trials=6)
-    seq = expcli.run(spec)
-    monkeypatch.setenv("EXLAB_THREADS", "3")
-    par = expcli.run(spec)
-    assert json.dumps(seq.trials) == json.dumps(par.trials)
-
-
 # prints which op modules ran their body, and which heavy stdlib modules
-# loaded, after start-up; then which ran after one setmap command
+# loaded, after start-up and again after one three-trial setmap command
 START_UP = """
 import contextlib, io, json, sys
 import exlab.expcli
@@ -431,33 +409,36 @@ OP_MODULES = ("bipfree", "lll_embed", "removal", "rsgraph", "setmap",
 HEAVY = ("concurrent.futures.process", "importlib.resources")
 
 
-def ran():
+def loaded():
     # a lazily bound module holds only dunder names until its body runs;
     # object.__getattribute__ reads its namespace without running it
     modules = [(name, sys.modules.get("exlab." + name)) for name in OP_MODULES]
     return [name for name, m in modules if m is not None and any(
         not key.startswith("_")
-        for key in object.__getattribute__(m, "__dict__"))]
+        for key in object.__getattribute__(m, "__dict__"))], [
+        name for name in HEAVY if name in sys.modules]
 
 
 exlab.expcli.build_parser()
-at_start = ran(), [name for name in HEAVY if name in sys.modules]
+at_start = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     code = exlab.expcli.main(["setmap", "--mode", "violate", "--k", "2",
-                              "--n", "6"])
-print(json.dumps([at_start, code, ran()]))
+                              "--n", "6", "--trials", "3"])
+print(json.dumps([at_start, code, loaded()]))
 """
 
 
 def test_start_up_runs_only_the_op_module_a_command_uses():
     src = str(Path(expcli.__file__).resolve().parents[1])
-    # -S: no site hook may preload what exlab should not
+    # -S: no site hook may preload what exlab should not; the variable that
+    # once sent trials to a process pool must not start one
     out = subprocess.run([sys.executable, "-S", "-c", START_UP],
                          capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    (ran, heavy), code, after = json.loads(out.stdout)
-    assert (ran, heavy) == ([], [])
-    assert code == 0 and after == ["setmap"]
+                         env={**os.environ, "PYTHONPATH": src,
+                              "EXLAB_THREADS": "2"})
+    at_start, code, after = json.loads(out.stdout)
+    assert at_start == [[], []]
+    assert code == 0 and after == [["setmap"], []]
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +556,35 @@ def test_main_ktt_search_past_its_budget_is_a_failed_trial(tmp_path, capsys):
     trial, = expcli.read_record(out)["trials"]
     assert trial["outcome"] == "failure:find_ktt"
     assert trial["stats"]["reason"] == "search budget exhausted"
+
+
+@pytest.mark.parametrize("line, code, outcome", [
+    ("rsgraph --op arrow --N 1000 --t 3 --n 10 --mode theorem", 0, "arrows"),
+    ("rsgraph --op decompose --N 8 --n 2 --budget 3", 1,
+     "failure:greedy_decompose"),
+    # 2rt <= n is checked once the file is read: a trial failure
+    ("weakseq --op pipeline --input {host} --r 4 --t 5", 1,
+     "error:GuardError")])
+def test_main_records_and_replays_the_outcome(line, code, outcome, tmp_path,
+                                              capsys):
+    host, out = tmp_path / "host.txt", tmp_path / "rec.json"
+    write_graph(random_graph(30, 0.5, RngStream(5)), host)
+    argv = line.format(host=host).split() + ["--out", str(out)]
+    assert expcli.main(argv) == code
+    capsys.readouterr()
+    trial, = expcli.read_record(out)["trials"]
+    assert trial["outcome"] == outcome
+    assert expcli.main(["replay", str(out)]) == code
+    assert json.loads(capsys.readouterr().out)["match"] is True
+
+
+def test_main_counts_a_host_graph_file(tmp_path, capsys):
+    host = tmp_path / "host.txt"
+    write_graph(random_graph(30, 0.5, RngStream(5)), host)
+    assert expcli.main(["bipfree", "--op", "count", "--input", str(host)]) == 0
+    row, = json.loads(capsys.readouterr().out)
+    assert row["key_mean"] == bipfree.count_pattern(read_graph(host),
+                                                    bipfree.K_rr(2))
 
 
 def test_main_validation_error_exit(capsys):

@@ -89,8 +89,7 @@ def _with(spec, name, value):
 ADMITTED_AT_13 = {("weakseq", "pipeline", "t"), ("weakseq", "minor", "t")}
 
 
-def test_sweep_exits_two_or_records_clean_trials(monkeypatch):
-    monkeypatch.delenv("EXLAB_THREADS", raising=False)
+def test_sweep_exits_two_or_records_clean_trials():
     first = _first_specs()
     errors = {}
     ran = set()
@@ -112,8 +111,7 @@ def test_sweep_exits_two_or_records_clean_trials(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_exhausted_caps_record_failures_not_errors(monkeypatch):
-    monkeypatch.delenv("EXLAB_THREADS", raising=False)
+def test_exhausted_caps_record_failures_not_errors():
     outcomes = [expcli.run(dataclasses.replace(_with(spec, cap, 1), seed=seed))
                 .trials[0]["outcome"] for spec in CORPUS.values()
                 for cap in ("retry_cap", "round_cap", "drc_retry")

@@ -208,8 +208,7 @@ def trials_digest(spec: ExperimentSpec) -> str:
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(CORPUS))
-def test_corpus_digest(name, monkeypatch):
-    monkeypatch.delenv("EXLAB_THREADS", raising=False)
+def test_corpus_digest(name):
     pins = corpus_pins(RngStream.ALGORITHM)
     assert name in pins, f"corpus spec {name!r} has no pin"
     assert trials_digest(CORPUS[name]) == pins[name]

@@ -483,6 +483,7 @@ def test_arrow_theorem_mode():
     dbl = bipartite_double(dec.graph, dec)
     out = arrow_check(dbl.graph, 1, 3, mode="theorem", decomposition=dbl)
     assert out.verdict == "arrows"
+    rsgraph.behrend_arrow_guard(300, 1, 3)
     assert out.stats["c"] == 2
     assert out.stats["s"] == 6 and out.stats["t_count"] == 90
     assert out.stats["red_degree_bound"] == 1
@@ -492,10 +493,12 @@ def test_arrow_theorem_mode():
 def test_arrow_theorem_hypothesis_failures():
     dec = rs_from_behrend(300)
     dbl = bipartite_double(dec.graph, dec)
-    with pytest.raises(GuardError, match="red_average_degree"):
-        arrow_check(dbl.graph, 2, 3, mode="theorem", decomposition=dbl)
-    with pytest.raises(GuardError, match="c_at_least_2"):
-        arrow_check(dbl.graph, 1, 4, mode="theorem", decomposition=dbl)
+    for t, n, unmet in ((2, 3, "red_average_degree"), (1, 4, "c_at_least_2")):
+        with pytest.raises(GuardError, match=unmet):
+            arrow_check(dbl.graph, t, n, mode="theorem", decomposition=dbl)
+        # the guard finds the same without building the double
+        with pytest.raises(GuardError, match=unmet):
+            rsgraph.behrend_arrow_guard(300, t, n)
     with pytest.raises(GuardError):
         arrow_check(dbl.graph, 1, 3, mode="theorem")
     # non-spanning decompositions are rejected
