@@ -51,8 +51,7 @@ from .core import (
     read_graph,
 )
 
-SCHEMA_VERSION = 1
-PRESETS = ("paper", "desk")
+SCHEMA_VERSION = 2
 
 
 def _lazy(name: str):
@@ -154,7 +153,6 @@ class ExperimentSpec:
     params: dict
     seed: int = 0
     trials: int = 1
-    preset: str = "desk"
     out: Optional[str] = None
 
 
@@ -190,7 +188,7 @@ def read_record(path) -> dict:
         return json.load(fh)
 
 
-_SPEC_FIELDS = ("module", "operation", "params", "seed", "trials", "preset")
+_SPEC_FIELDS = ("module", "operation", "params", "seed", "trials")
 _AGGREGATE_FIELDS = ("trials", "successes", "success_rate")
 
 
@@ -240,8 +238,8 @@ class OpDef:
 
     runner: Callable
     schema: dict
-    check: Optional[Callable] = None
-    key_name: Optional[str] = None
+    check: Callable
+    key_name: str
 
 
 def _resolve_params(opdef: OpDef, params: dict) -> dict:
@@ -260,8 +258,7 @@ def _resolve_params(opdef: OpDef, params: dict) -> dict:
             raise GuardError(f"missing required parameter {name!r}")
         else:
             out[name] = default
-    if opdef.check is not None:
-        opdef.check(out)
+    opdef.check(out)
     return out
 
 
@@ -327,14 +324,14 @@ def _setmap_oracle_check(params: dict) -> None:
                                  params["budget"])
 
 
-def _run_setmap_construct(params, rng, preset):
+def _run_setmap_construct(params, rng):
     f = _setmap_build(params)
     stats = {"kind": f.kind, "ground": len(f.points), "k": f.k, "l": f.l,
              "overlap": f.overlap, "side": f.side, "key": len(f.points)}
     return True, "mapping", f, stats
 
 
-def _run_setmap_violate(params, rng, preset):
+def _run_setmap_violate(params, rng):
     f = _setmap_build(params)
     size = params["size"]
     if size is None:
@@ -349,7 +346,7 @@ def _run_setmap_violate(params, rng, preset):
     return True, "violation" if vio else "none", vio, stats
 
 
-def _run_setmap_oracle(params, rng, preset):
+def _run_setmap_oracle(params, rng):
     f = _setmap_build(params)
     res = setmap.free_set_oracle(f, params["mode"], params["budget"])
     stats = {"size": res.size, "upper": res.upper, "exact": res.exact,
@@ -366,7 +363,7 @@ def _bipfree_check(params: dict) -> None:
     _graph_source(params)
 
 
-def _run_bipfree_count(params, rng, preset):
+def _run_bipfree_count(params, rng):
     G = _host_graph(params, rng)
     count = bipfree.count_pattern(G, bipfree.K_rr(params["r"]))
     ok = params["r"] != 2 or count <= 2 * G.m * G.m
@@ -374,7 +371,7 @@ def _run_bipfree_count(params, rng, preset):
     return ok, "count", None, stats
 
 
-def _run_bipfree_extract(params, rng, preset):
+def _run_bipfree_extract(params, rng):
     G = _host_graph(params, rng)
     res = bipfree.extract_free(G, bipfree.K_rr(params["r"]),
                                rng.derive("extract"), params["retry_cap"])
@@ -395,7 +392,7 @@ def _bipfree_tight_check(params: dict) -> None:
         params["r"], params["s"], params["m"]))
 
 
-def _run_bipfree_tight(params, rng, preset):
+def _run_bipfree_tight(params, rng):
     inst = bipfree.tight_instance(params["r"], params["s"], params["m"])
     res = bipfree.zarankiewicz_oracle(inst, budget=params["budget"])
     stats = {"m": params["m"], "size": res.size, "upper": res.upper,
@@ -413,7 +410,7 @@ def _bipfree_kcheck_check(params: dict) -> None:
         bipfree.hyper_copy_guard(k, m, r)
 
 
-def _run_bipfree_kcheck(params, rng, preset):
+def _run_bipfree_kcheck(params, rng):
     inst = bipfree.kpartite_instance(params["k"], params["r"], params["n"])
     H = inst.hypergraph
     if params["p"] < 1:
@@ -441,7 +438,7 @@ def _embed_lemma_check(params: dict) -> None:
     lll_embed.resample_embed_guard(params["d"], params["k"])
 
 
-def _run_embed_lemma(params, rng, preset):
+def _run_embed_lemma(params, rng):
     H = lll_embed.neighborhood_hypergraph(hypercube(params["d"]))
     G = lll_embed.random_dense_dch(params["N"], params["k"], params["delta"],
                                    rng.derive("host"))
@@ -463,7 +460,7 @@ def _embed_drc_check(params: dict) -> None:
     lll_embed.drc_subset_guard(params["N"], _drc_params(params))
 
 
-def _run_embed_drc(params, rng, preset):
+def _run_embed_drc(params, rng):
     B = random_bipartite(params["N"], params["N"], params["p"],
                          rng.derive("host"))
     res = lll_embed.drc_subset(B, _drc_params(params), rng.derive("drc"),
@@ -480,7 +477,7 @@ def _embed_pipeline_check(params: dict) -> None:
     hypercube_guard(params["d"])
 
 
-def _run_embed_pipeline(params, rng, preset):
+def _run_embed_pipeline(params, rng):
     col = random_coloring(complete_graph(params["N"]), 2, rng.derive("color"))
     res = lll_embed.bip_ramsey_pipeline(col, hypercube(params["d"]),
                                         rng.derive("pipe"),
@@ -493,7 +490,7 @@ def _run_embed_pipeline(params, rng, preset):
     return True, "embedded", res, stats
 
 
-def _run_embed_cube(params, rng, preset):
+def _run_embed_cube(params, rng):
     H = lll_embed.neighborhood_hypergraph(hypercube(params["d"]))
     stats = {"n": H.n, "edges": len(H.edges), "key": len(H.edges)}
     return True, "target", H, stats
@@ -510,7 +507,7 @@ def _weakseq_check(params: dict) -> None:
     weakseq.weak_sequence_pipeline_guard(params["r"], t, params["n"])
 
 
-def _run_weakseq_pipeline(params, rng, preset):
+def _run_weakseq_pipeline(params, rng):
     G = _host_graph(params, rng)
     t = params["t"] or weakseq.regime2_order(G.n, G.density(), params["r"])
     res = weakseq.weak_sequence_pipeline(G, params["r"], t, rng.derive("pipe"),
@@ -520,9 +517,9 @@ def _run_weakseq_pipeline(params, rng, preset):
     return True, "sequence", res, {"t": res.t, "r": res.r, "key": res.t}
 
 
-def _run_weakseq_minor(params, rng, preset):
+def _run_weakseq_minor(params, rng):
     G = _host_graph(params, rng)
-    constants = weakseq.load_preset(preset)
+    constants = weakseq.load_preset(params["preset"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         res = weakseq.minor_pipeline(G, params["r"], params["t"],
@@ -539,6 +536,7 @@ def _run_weakseq_minor(params, rng, preset):
 def _weakseq_minor_check(params: dict) -> None:
     _positive(params, "retry_cap")
     _graph_source(params)
+    weakseq.load_preset(params["preset"])
     weakseq.minor_pipeline_guard(params["r"], params["t"], params["n"])
 
 
@@ -547,7 +545,7 @@ def _weakseq_oracle_check(params: dict) -> None:
     weakseq.max_weak_sequence_order_guard(params["r"], params["n"])
 
 
-def _run_weakseq_oracle(params, rng, preset):
+def _run_weakseq_oracle(params, rng):
     G = _host_graph(params, rng)
     best = weakseq.max_weak_sequence_order(G, params["r"])
     return True, "oracle", None, {"best": best, "key": best}
@@ -556,7 +554,7 @@ def _run_weakseq_oracle(params, rng, preset):
 # --- rsgraph ---------------------------------------------------------------
 
 
-def _run_rsgraph_behrend(params, rng, preset):
+def _run_rsgraph_behrend(params, rng):
     res = rsgraph.behrend_set(params["N"])
     stats = dict(res.stats or {})
     stats.update({"size": len(res.elements), "key": len(res.elements)})
@@ -567,21 +565,21 @@ def _rsgraph_construct_check(params: dict) -> None:
     rsgraph.rs_from_behrend_guard(params["N"], params["chunk"])
 
 
-def _run_rsgraph_construct(params, rng, preset):
+def _run_rsgraph_construct(params, rng):
     dec = rsgraph.rs_from_behrend(params["N"], params.get("chunk"))
     stats = {"n": dec.n, "t": dec.t, "m": dec.graph.m,
              "spanning": dec.spanning, "key": dec.t}
     return True, "decomposition", dec, stats
 
 
-def _run_rsgraph_double(params, rng, preset):
+def _run_rsgraph_double(params, rng):
     dec = rsgraph.rs_from_behrend(params["N"], params.get("chunk"))
     dd = rsgraph.bipartite_double(dec.graph, dec)
     stats = {"n": dd.n, "t": dd.t, "m": dd.graph.m, "key": dd.t}
     return True, "doubled", dd, stats
 
 
-def _run_rsgraph_decompose(params, rng, preset):
+def _run_rsgraph_decompose(params, rng):
     g = complete_graph(params["N"])
     res = rsgraph.greedy_decompose(g, params["n"], params.get("t"),
                                    params.get("budget"))
@@ -610,7 +608,7 @@ def _rsgraph_arrow_check(params: dict) -> None:
         rsgraph.behrend_arrow_guard(N, params["t"], params["n"])
 
 
-def _run_rsgraph_arrow(params, rng, preset):
+def _run_rsgraph_arrow(params, rng):
     if params["mode"] == "theorem":
         dec = rsgraph.rs_from_behrend(params["N"])
         dd = rsgraph.bipartite_double(dec.graph, dec)
@@ -652,7 +650,7 @@ def _grid_input(params: dict, rng: RngStream) -> removal.GridColoring:
     return removal.random_grid(params["N"], params["r"], rng.derive("grid"))
 
 
-def _run_removal_census(params, rng, preset):
+def _run_removal_census(params, rng):
     gc = _grid_input(params, rng)
     per, total = removal.triangle_census(removal.grid_cover(gc))
     stats = {"N": gc.N, "r": gc.r, "per_color": list(per), "total": total,
@@ -660,7 +658,7 @@ def _run_removal_census(params, rng, preset):
     return True, "census", None, stats
 
 
-def _run_removal_step(params, rng, preset):
+def _run_removal_step(params, rng):
     gc = _grid_input(params, rng)
     sp = removal.sparse_pair_step(removal.grid_cover(gc))
     stats = {"N": gc.N, "color": sp.color, "pair_size": len(sp.v1),
@@ -668,7 +666,7 @@ def _run_removal_step(params, rng, preset):
     return True, "pair", sp, stats
 
 
-def _run_removal_iterate(params, rng, preset):
+def _run_removal_iterate(params, rng):
     gc = _grid_input(params, rng)
     tr = removal.removal_iterate(removal.grid_cover(gc))
     stats = {"N": gc.N, "verdict": tr.verdict, "levels": len(tr.levels),
@@ -677,7 +675,7 @@ def _run_removal_iterate(params, rng, preset):
     return True, tr.verdict, tr, stats
 
 
-def _run_removal_diamond(params, rng, preset):
+def _run_removal_diamond(params, rng):
     gc = _grid_input(params, rng)
     dia = removal.diamond_find(removal.grid_cover(gc))
     stats = {"N": gc.N, "found": dia is not None,
@@ -685,7 +683,7 @@ def _run_removal_diamond(params, rng, preset):
     return True, "diamond" if dia else "none", dia, stats
 
 
-def _run_removal_grid(params, rng, preset):
+def _run_removal_grid(params, rng):
     gc = _grid_input(params, rng)
     corner = removal.grid_pipeline(gc)
     stats = {"N": gc.N, "found": corner is not None,
@@ -763,7 +761,8 @@ OPS = {
                                 {**_GRAPH_SRC, "r": (int, 2),
                                  "t": (int, 4),
                                  "diameter_aware": (int, 1),
-                                 "retry_cap": (int, 50)},
+                                 "retry_cap": (int, 50),
+                                 "preset": (str, "desk", "paper or desk")},
                                 _weakseq_minor_check, "t"),
     ("weakseq", "oracle"): OpDef(_run_weakseq_oracle,
                                  {**_GRAPH_SRC, "r": (int, 2)},
@@ -818,8 +817,6 @@ def validate_spec(spec: ExperimentSpec) -> dict:
                          f"{list(MODULES)}")
     if spec.trials < 1:
         raise GuardError(f"trial count must be >= 1, got {spec.trials}")
-    if spec.preset not in PRESETS:
-        raise GuardError(f"unknown preset {spec.preset!r}")
     return _resolve_params(OPS[key], spec.params)
 
 
@@ -827,11 +824,11 @@ def validate_spec(spec: ExperimentSpec) -> dict:
 # Execution
 
 
-def _run_one_trial(runner: Callable, params: dict, seed: int, preset: str,
+def _run_one_trial(runner: Callable, params: dict, seed: int,
                    index: int) -> dict:
     rng = RngStream(seed).derive("trial", index)
     try:
-        res = runner(params, rng, preset)
+        res = runner(params, rng)
         if isinstance(res, Failure):
             res = (False, f"failure:{res.stage}", res,
                    {"reason": res.reason, "key": 0})
@@ -851,7 +848,7 @@ def run(spec: ExperimentSpec) -> ExperimentRecord:
     params = validate_spec(spec)
     opdef = OPS[(spec.module, spec.operation)]
     t0 = time.perf_counter()
-    trials = [_run_one_trial(opdef.runner, params, spec.seed, spec.preset, i)
+    trials = [_run_one_trial(opdef.runner, params, spec.seed, i)
               for i in range(spec.trials)]
     successes = sum(1 for t in trials if t["ok"])
     keys = [t["stats"]["key"] for t in trials
@@ -867,7 +864,7 @@ def run(spec: ExperimentSpec) -> ExperimentRecord:
         schema_version=SCHEMA_VERSION,
         spec={"module": spec.module, "operation": spec.operation,
               "params": canonical(params), "seed": spec.seed,
-              "trials": spec.trials, "preset": spec.preset},
+              "trials": spec.trials},
         rng={"algorithm": RngStream.ALGORITHM, "seed": spec.seed},
         trials=trials,
         aggregate=aggregate,
@@ -1007,7 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--trials", type=int, default=1)
-    common.add_argument("--preset", choices=PRESETS, default="desk")
     common.add_argument("--out", help="record path (JSON)")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="stdout summary format")
@@ -1070,15 +1066,17 @@ def _spec_from_args(args) -> ExperimentSpec:
         if mod == module and values is not None:
             params.update(zip(names, values))
     return ExperimentSpec(module=module, operation=args.op, params=params,
-                          seed=args.seed, trials=args.trials,
-                          preset=args.preset, out=args.out)
+                          seed=args.seed, trials=args.trials, out=args.out)
 
 
 def _spec_from_dict(data, source, out=None) -> ExperimentSpec:
     """Spec from a spec file's or a record's JSON; GuardError on bad types."""
     if not isinstance(data, dict):
         raise GuardError(f"spec in {source} must be a JSON object")
-    op = data.get("operation", data.get("op"))
+    unknown = sorted(set(data).difference(_SPEC_FIELDS, ["out"]))
+    if unknown:
+        raise GuardError(f"spec in {source} has unknown keys {unknown}")
+    op = data.get("operation")
     if not isinstance(data.get("module"), str) or not isinstance(op, str):
         raise GuardError(f"spec in {source} needs 'module' and 'operation'")
     params = data.get("params", {})
@@ -1094,7 +1092,7 @@ def _spec_from_dict(data, source, out=None) -> ExperimentSpec:
         raise GuardError(f"spec in {source}: 'out' must be a path string")
     return ExperimentSpec(module=data["module"], operation=op,
                           params=dict(params), seed=seed, trials=trials,
-                          preset=data.get("preset", "desk"), out=out)
+                          out=out)
 
 
 def _spec_from_file(path, out=None) -> ExperimentSpec:
@@ -1107,7 +1105,7 @@ def _execute_spec(spec: ExperimentSpec, fmt: str, dry_run: bool) -> int:
         resolved = validate_spec(spec)
         print(json.dumps({"module": spec.module, "operation": spec.operation,
                           "params": canonical(resolved), "seed": spec.seed,
-                          "trials": spec.trials, "preset": spec.preset},
+                          "trials": spec.trials},
                          indent=2, sort_keys=True))
         return 0
     record = run(spec)

@@ -6,8 +6,8 @@ doubling, chunk splitting, and greedy extraction transform such decompositions,
 and arrow_check decides whether every red/blue edge coloring of a host leaves
 a red star K_{1,t} or a blue induced matching M_n.
 
-Every decomposition is re-verified by the row-mask inducedness test before it
-is returned, and every falsifying coloring is re-checked by the independent
+Every progression-free set and decomposition is re-verified before it is
+returned, and every falsifying coloring is re-checked by the independent
 degree-scan / exact-search pair.  Failed verification of a constructed object
 raises AssertionError; misuse raises GuardError; search-budget exhaustion in
 greedy extraction returns a Failure.
@@ -171,10 +171,22 @@ def behrend_set(N: int) -> ApFreeSet:
             best = tuple(sorted(vals))
             meta = {"d": d, "j": j, "shell": shell}
         d += 1
-    hit = find_three_ap(best)
-    if hit is not None:
-        raise AssertionError(f"3-term progression in output: {hit}")
-    return ApFreeSet(N=N, elements=best, stats={**meta, "check": "exact"})
+    ap = ApFreeSet(N=N, elements=best, stats={**meta, "check": "exact"})
+    return verified(verify_ap_free, ap)
+
+
+def verify_ap_free(ap: ApFreeSet):
+    """(True, None), or (False, ("range", x)) for the least element outside
+    {1..N}, or (False, ("three_ap", (x, y, z))) for the first progression
+    of ``find_three_ap``; ValueError unless the elements strictly increase."""
+    elems = ap.elements
+    if any(a >= b for a, b in zip(elems, elems[1:])):
+        raise ValueError("elements do not strictly increase")
+    for x in elems:
+        if not 1 <= x <= ap.N:
+            return False, ("range", x)
+    hit = find_three_ap(elems)
+    return (True, None) if hit is None else (False, ("three_ap", hit))
 
 
 def verify_rs(dec: RsDecomposition):

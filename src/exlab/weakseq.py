@@ -10,21 +10,19 @@ The minor pipeline combines the same machinery with two rounds of
 dependent random choice for 4-edge path systems, then connects each r-set
 through fresh internal vertices.  The constants that every preset shares
 are module constants: CLEANUP_DIV, SPLIT_EDGE_DIV, SPLIT_MINDEG_DIV,
-Z_DENSITY_DIV and W_DENSITY_DIV.  A preset sets the rest, ``xprime_div``
-and the path-extraction ``PathsParams`` (x_frac_div, budget_coeff,
-min_p2n): the published-constant preset ("paper") can be swapped for a
-desk preset that keeps the guarantees non-vacuous on small instances.
+Z_DENSITY_DIV and W_DENSITY_DIV.  A preset of ``PRESETS`` sets the rest,
+``xprime_div`` and the path-extraction ``PathsParams`` (x_frac_div,
+budget_coeff, min_p2n): "paper" holds the published constants, and "desk"
+keeps the guarantees non-vacuous on small instances.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .core import (BipartiteGraph, Failure, Graph, GuardError, RngStream,
@@ -125,16 +123,17 @@ class MinorModel:
     stats: Optional[dict] = None
 
 
+PRESETS = {
+    "paper": MinorConstants(),
+    "desk": MinorConstants(4, PathsParams(3, Fraction(1, 100), 30)),
+}
+
+
 def load_preset(name: str) -> MinorConstants:
-    """Named constant sets: "paper" is the default, others ship as JSON."""
-    if name == "paper":
-        return MinorConstants()
-    data = json.loads((Path(__file__).parent / "presets" / f"{name}.json")
-                      .read_text(encoding="utf-8"))
-    paths = data.pop("paths", {})
-    if "budget_coeff" in paths:
-        paths["budget_coeff"] = Fraction(paths["budget_coeff"]).limit_denominator(10 ** 12)
-    return MinorConstants(paths=PathsParams(**paths), **data)
+    """The named constant set of ``PRESETS``; GuardError for another name."""
+    if name not in PRESETS:
+        raise GuardError(f"unknown preset {name!r}")
+    return PRESETS[name]
 
 
 # ---------------------------------------------------------------------------

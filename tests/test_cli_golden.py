@@ -3,9 +3,9 @@
 Every invocation below runs through ``expcli.main`` with ``--dry-run``
 appended, and its exit code and stdout must equal the entry stored in
 ``golden/cli_dry_run.json``.  The list holds one invocation per operation,
-every example of the README's "Command line" section, and every command
-line that ``tests/test_expcli.py`` passes to ``main``, so a change to how
-flags become parameters shows up here byte for byte.
+every example of the README's "Command line" section, some of the command
+lines that ``tests/test_expcli.py`` passes to ``main``, and rejected input,
+so a change to how flags become parameters shows up here byte for byte.
 
 To rewrite the golden file after an intended change of output, run
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -45,6 +45,7 @@ INVOCATIONS = [
     "embed --op cube --d 4",
     "weakseq --op pipeline --n 200 --p 0.5 --r 2 --t 3 --retry-cap 20",
     "weakseq --op minor --n 200 --p 0.7 --t 3",
+    "weakseq --op minor --n 200 --p 0.7 --t 3 --preset paper",
     "weakseq --op minor --input host.txt --r 3 --t 2 --retry-cap 5",
     "weakseq --op oracle --n 10 --p 0.5",
     "rsgraph --op behrend --N 100",
@@ -55,7 +56,6 @@ INVOCATIONS = [
     "rsgraph --op arrow --N 1000 --t 3 --n 10 --mode theorem",
     "removal --op census --random-grid 6 2",
     "removal --op step --grid-file grid.txt",
-    "removal --op iterate --random-grid 15 2 --trials 5 --preset paper",
     "removal --op diamond --random-grid 5 2 --seed 3",
     "removal --op grid --random-grid 8 3 --format csv",
     # README "Command line" examples
@@ -65,7 +65,7 @@ INVOCATIONS = [
     "weakseq --op pipeline --n 2000 --p 0.5 --r 4 --seed 1",
     "rsgraph --op construct --N 3000",
     "removal --op iterate --random-grid 15 2 --trials 5",
-    # tests/test_expcli.py
+    # some command lines of tests/test_expcli.py
     "setmap --mode violate --k 2 --n 6 --trials 3 --seed 7",
     "weakseq --op pipeline --n 40 --p 0.5 --r 4 --t 50",
     "weakseq --op pipeline --n 100 --p 0.5 --r 0",
@@ -83,9 +83,12 @@ INVOCATIONS = [
     "rsgraph --op arrow --N 20 --t 2 --n 2 --mode theorem",
     "removal --op census",
     "removal --op census --random-grid 4 2 --grid-file grid.txt",
+    "removal --op iterate --random-grid 15 2 --trials 5 --preset paper",
+    "weakseq --op minor --n 200 --p 0.7 --t 3 --preset lab",
+    "weakseq --op pipeline --n 200 --p 0.5 --preset paper",
 ]
 
-# spec files for ``run SPEC --dry-run``: the README example, the specs of
+# spec files for ``run SPEC --dry-run``: the README example, some specs of
 # tests/test_expcli.py, and malformed ones
 SPEC_FILES = [
     {"module": "setmap", "operation": "violate",
@@ -100,6 +103,8 @@ SPEC_FILES = [
     {"module": "setmap", "operation": "violate", "params": [1]},
     {"module": "setmap", "operation": "violate", "trials": "many"},
     {"module": "setmap", "operation": "violate", "params": {"k": 2, "n": 0}},
+    {"module": "setmap", "operation": "violate", "params": {"k": 2, "n": 6},
+     "sead": 5, "trails": 9},
 ]
 
 

@@ -163,8 +163,13 @@ def test_validate_rejects_bad_counts_and_presets():
     spec = ExperimentSpec("setmap", "violate", {"n": 6}, trials=0)
     with pytest.raises(GuardError, match="trial count"):
         expcli.validate_spec(spec)
-    spec = ExperimentSpec("setmap", "violate", {"n": 6}, preset="lab")
-    with pytest.raises(GuardError, match="preset"):
+    spec = ExperimentSpec("weakseq", "minor",
+                          {"n": 200, "p": 0.7, "preset": "lab"})
+    with pytest.raises(GuardError, match="unknown preset 'lab'"):
+        expcli.validate_spec(spec)
+    spec = ExperimentSpec("weakseq", "pipeline",
+                          {"n": 200, "p": 0.5, "preset": "paper"})
+    with pytest.raises(GuardError, match="unknown parameter 'preset'"):
         expcli.validate_spec(spec)
 
 
@@ -251,9 +256,11 @@ def test_record_roundtrip_and_rng_field(tmp_path):
                           out=str(path))
     rec = expcli.run(spec)
     assert rec.rng["algorithm"] == "mt19937/sha256-derive"
-    assert rec.schema_version == 1
+    assert rec.schema_version == 2
     stored = expcli.read_record(path)
     assert stored["trials"] == rec.trials
+    assert sorted(stored["spec"]) == ["module", "operation", "params",
+                                      "seed", "trials"]
     assert stored["spec"]["params"]["N"] == 500
 
 
@@ -332,11 +339,11 @@ def test_failing_trial_of_any_type_is_recorded(tmp_path, monkeypatch):
     runner = expcli.OPS[key].runner
     calls = []
 
-    def flaky(params, rng, preset):
+    def flaky(params, rng):
         calls.append(1)
         if len(calls) == 2:
             raise TypeError("runner bug")
-        return runner(params, rng, preset)
+        return runner(params, rng)
 
     monkeypatch.setitem(expcli.OPS, key,
                         dataclasses.replace(expcli.OPS[key], runner=flaky))
@@ -358,8 +365,8 @@ def test_trial_that_cannot_be_serialized_is_recorded(tmp_path, capsys,
     key = ("removal", "iterate")
     runner = expcli.OPS[key].runner
 
-    def unprintable(params, rng, preset):
-        ok, outcome, witness, stats = runner(params, rng, preset)
+    def unprintable(params, rng):
+        ok, outcome, witness, stats = runner(params, rng)
         return ok, outcome, witness, {**stats,
                                       "bound": Fraction(1, 10 ** 5000)}
 
@@ -536,8 +543,7 @@ def test_main_exhausted_retry_cap_is_a_failed_trial(name, stage, tmp_path):
     assert trial["outcome"] == f"failure:{stage}"
     # the best attempt's stats reach the record through the witness digest
     failure = expcli.OPS[(spec.module, spec.operation)].runner(
-        expcli.validate_spec(spec), RngStream(spec.seed).derive("trial", 0),
-        spec.preset)
+        expcli.validate_spec(spec), RngStream(spec.seed).derive("trial", 0))
     assert failure.stats and trial["witness"] == expcli.digest(failure)
 
 
@@ -710,7 +716,10 @@ def test_main_spec_file_must_be_an_object(tmp_path, capsys):
         _write_json(spec_path, data)
         _assert_input_error(["run", str(spec_path)], capsys)
     for bad in ({"params": [1]}, {"seed": None}, {"trials": "many"},
-                {"out": 5}, {"seed": 1e999}, {"params": {"k": 1e999}}):
+                {"out": 5}, {"seed": 1e999}, {"params": {"k": 1e999}},
+                {"params": {"k": 2, "n": 6}, "sead": 5, "trails": 9},
+                {"params": {"k": 2, "n": 6}, "preset": "paper"},
+                {"op": "violate"}):
         _write_json(spec_path, {"module": "setmap", "operation": "violate",
                                 **bad})
         _assert_input_error(["run", str(spec_path)], capsys)
@@ -741,6 +750,40 @@ def test_main_replay_and_report_reject_incomplete_records(tmp_path, capsys):
     rec["rng"]["algorithm"] = "other"
     _write_json(broken, rec)
     _assert_input_error(["replay", str(broken)], capsys)
+    # schema 1 kept the preset in the spec
+    rec = json.loads(json.dumps(good))
+    rec["schema_version"] = 1
+    rec["spec"]["preset"] = "desk"
+    _write_json(broken, rec)
+    _assert_input_error(["replay", str(broken)], capsys)
+    _assert_input_error(["report", str(broken)], capsys)
+
+
+def test_preset_is_a_parameter_of_weakseq_minor_alone(capsys):
+    first = {}
+    for spec in CORPUS.values():
+        first.setdefault((spec.module, spec.operation), spec)
+    for key, spec in first.items():
+        argv = _cli_argv(spec) + ["--preset", "paper", "--dry-run"]
+        try:
+            code = expcli.main(argv)
+        except SystemExit as exc:  # a module without the flag
+            code = exc.code
+        assert code == (0 if key == ("weakseq", "minor") else 2), key
+    assert json.loads(capsys.readouterr().out)["params"]["preset"] == "paper"
+
+
+def test_report_row_shows_the_preset(tmp_path, capsys):
+    rows = []
+    for preset in ("desk", "paper"):
+        out = tmp_path / f"{preset}.json"
+        expcli.main(["weakseq", "--op", "minor", "--n", "200", "--p", "0.7",
+                     "--t", "3", "--preset", preset, "--out", str(out)])
+        rows += expcli.report_rows([expcli.read_record(out)])
+    capsys.readouterr()
+    assert [r["params"] for r in rows] == [
+        f"diameter_aware=1 n=200 p=0.7 preset={preset} r=2 retry_cap=50 t=3"
+        for preset in ("desk", "paper")]
 
 
 def test_main_exclusive_graph_sources(capsys):

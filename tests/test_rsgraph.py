@@ -96,6 +96,12 @@ def test_behrend_outputs_verified():
         assert ap.stats["check"] == "exact"
 
 
+def test_verify_ap_free_rejects_malformed_elements():
+    for elements in ((3, 1, 5), (1, 1, 5)):
+        with pytest.raises(ValueError, match="strictly increase"):
+            rsgraph.verify_ap_free(ApFreeSet(10, elements))
+
+
 def test_behrend_large_frozen():
     ap = behrend_set(10 ** 5)
     assert len(ap.elements) == 462

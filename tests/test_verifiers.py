@@ -213,7 +213,34 @@ def mutate_ktt(instance, witness):
                 yield instance, tuple(put), reason
 
 
-# --- rsgraph: decompositions and falsifying colorings ----------------------
+# --- rsgraph: progression-free sets, decompositions, falsifying colorings --
+
+
+def build_ap_free():
+    # (5, 11, 13, 29, 31, 37)
+    return (), rsgraph.behrend_set(41)
+
+
+def first_three_ap(elements):
+    """The progression x < y < z of the set with the least (x, z), by brute
+    force over all triples."""
+    return min(((x, y, z) for x, y, z in itertools.combinations(elements, 3)
+                if x + z == 2 * y), key=lambda t: (t[0], t[2]), default=None)
+
+
+def mutate_ap_free(instance, ap):
+    for i in range(len(ap.elements)):
+        for v in range(ap.N + 2):
+            if v in ap.elements:
+                continue
+            elements = tuple(sorted(ap.elements[:i] + (v,)
+                                    + ap.elements[i + 1:]))
+            hit = first_three_ap(elements)
+            reason = ("range", v) if not 1 <= v <= ap.N \
+                else ("three_ap", hit) if hit else None
+            if reason:
+                yield instance, dataclasses.replace(ap, elements=elements), \
+                    reason
 
 
 def build_rs():
@@ -468,6 +495,7 @@ ROWS = {
     "sequence": (build_sequence, weakseq.verify_sequence, mutate_sequence),
     "minor": (build_minor, weakseq.verify_minor, mutate_minor),
     "ktt": (build_ktt, weakseq.verify_ktt, mutate_ktt),
+    "ap-free-set": (build_ap_free, rsgraph.verify_ap_free, mutate_ap_free),
     "rs-decomposition": (build_rs, rsgraph.verify_rs, mutate_rs),
     "falsifying-coloring": (build_falsifying, check_falsifying,
                             mutate_falsifying),
@@ -502,7 +530,7 @@ def test_verifier_rejects_every_single_element_mutation(name):
 _REJECTING_VERIFIERS = """
 import sys, warnings
 from fractions import Fraction
-from exlab import bipfree, lll_embed, removal, setmap, weakseq
+from exlab import bipfree, lll_embed, removal, rsgraph, setmap, weakseq
 from exlab.core import (BipartiteGraph, RngStream, complete_graph, hypercube,
                         random_coloring, random_graph)
 import test_verifiers
@@ -533,6 +561,7 @@ cases = [
     (bipfree, "verify_zarankiewicz", lambda: bipfree.zarankiewicz_oracle(
         bipfree.tight_instance(2, 2, 8))),
     (removal, "verify_corner", lambda: removal.grid_pipeline(grid)),
+    (rsgraph, "verify_ap_free", lambda: rsgraph.behrend_set(41)),
 ]
 for module, name, construct in cases:
     setattr(module, name, lambda *args, **kwargs: (False, ("patched",)))
@@ -557,7 +586,7 @@ def test_rejecting_verifiers_raise_under_optimize_flag():
     lines = out.stdout.splitlines()
     assert lines[:len(ROWS)] == [f"1 {name} True" for name in sorted(ROWS)]
     lines = lines[len(ROWS):]
-    assert len(lines) == 8, out.stdout + out.stderr
+    assert len(lines) == 9, out.stdout + out.stderr
     for line in lines:
         assert line.split()[0] == "1" and line.split()[2] == "raised" \
             and "patched" in line, line

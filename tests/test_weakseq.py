@@ -667,13 +667,6 @@ def test_paths_recheck_survives_optimize_flag():
 # minor_pipeline / verify_minor
 
 
-def test_presets_hold_their_constants():
-    assert load_preset("paper") == MinorConstants(
-        400, PathsParams(50, Fraction(1, 10 ** 9), 1600))
-    assert load_preset("desk") == MinorConstants(
-        4, PathsParams(3, Fraction(1, 100), 30))
-
-
 def test_minor_complete_r1():
     g = complete_graph(64)
     desk = load_preset("desk")
@@ -868,14 +861,16 @@ def test_sequence_oracle_guards():
 
 
 def test_load_preset():
-    assert load_preset("paper") == MinorConstants()
-    desk = load_preset("desk")
-    assert desk == MinorConstants(
+    assert load_preset("paper") == MinorConstants(
+        xprime_div=400,
+        paths=PathsParams(x_frac_div=50, budget_coeff=Fraction(1, 10 ** 9),
+                          min_p2n=1600))
+    assert load_preset("desk") == MinorConstants(
         xprime_div=4,
         paths=PathsParams(x_frac_div=3, budget_coeff=Fraction(1, 100),
                           min_p2n=30))
     assert (weakseq.CLEANUP_DIV, weakseq.SPLIT_EDGE_DIV,
             weakseq.SPLIT_MINDEG_DIV, weakseq.Z_DENSITY_DIV,
             weakseq.W_DENSITY_DIV) == (8, 32, 32, 64, 32)
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(GuardError, match="unknown preset 'closet'"):
         load_preset("closet")
