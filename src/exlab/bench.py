@@ -58,12 +58,12 @@ TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 # The README "Command line" examples in order; the last three run the spec
 # file example through run, replay and report.
 README_EXAMPLES = (
-    "setmap --mode violate --k 2 --n 6 --trials 100 --seed 7",
-    "bipfree --op extract --random 40 0.5 --trials 5 --out extract.json",
+    "setmap --op violate --k 2 --n 6 --trials 100 --seed 7",
+    "bipfree --op extract --n 40 --p 0.5 --trials 5 --out extract.json",
     "embed --op lemma --trials 10 --seed 3",
     "weakseq --op pipeline --n 2000 --p 0.5 --r 4 --seed 1",
     "rsgraph --op construct --N 3000",
-    "removal --op iterate --random-grid 15 2 --trials 5",
+    "removal --op iterate --N 15 --r 2 --trials 5",
     "run spec.json --out record.json",
     "replay record.json",
     "report record.json --format md",

@@ -224,14 +224,39 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(str(x))
 
 
+def _int(x) -> int:
+    """An int, or decimal text that spells one exactly; a bool, a float or
+    any other text is refused, so no value is truncated or read loosely."""
+    if isinstance(x, str) and x.isascii() and x.removeprefix("-").isdigit():
+        return int(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
+    raise ValueError(f"{x!r} is not an integer")
+
+
+def _count(x) -> int:
+    n = _int(x)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
+
+def _prob(x) -> float:
+    if isinstance(x, bool) or not 0 < float(x) <= 1:
+        raise ValueError(f"edge probability {x} outside (0, 1]")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class OpDef:
     """Runner plus parameter schema {name: (cast, default[, help])} and checks.
 
     The schema is the only declaration of an operation's parameters: the
     command line offers each ``name`` as ``--name`` (underscores as dashes),
-    typed by ``cast`` when it is int or float and described by the help of
-    the module's first operation that declares ``name``.  A runner returns
+    described by the help of the module's first operation that declares
+    ``name``.  ``cast`` types a flag's text and a spec file's JSON value
+    alike, and refuses a value it would truncate or, for ``_count`` and
+    ``_prob``, one out of range.  A runner returns
     ``(ok, outcome, witness, stats)`` or a ``Failure``, which the trial
     records as outcome ``failure:<stage>``.
     """
@@ -262,35 +287,17 @@ def _resolve_params(opdef: OpDef, params: dict) -> dict:
     return out
 
 
-def _positive(params: dict, *names: str) -> None:
-    for name in names:
-        value = params.get(name)
-        if value is not None and value < 1:
-            raise GuardError(f"parameter {name!r} must be >= 1, got {value}")
-
-
-def _probability(params: dict) -> None:
-    if not 0 < params["p"] <= 1:
-        raise GuardError(f"edge probability {params['p']} outside (0, 1]")
-
-
-def _random_source(params: dict, file: str, flag: str, names: tuple) -> bool:
-    """Whether the random source ``flag`` (parameters ``names``) is given;
+def _random_source(params: dict, file: str, names: tuple) -> bool:
+    """Whether the random source (parameters ``names``) is given;
     GuardError unless exactly one of it and the file parameter is."""
     given = [params.get(name) is not None for name in names]
     file_flag = "--" + file.replace("_", "-")
+    flags = " ".join(f"--{name} {name.upper()}" for name in names)
     if params.get(file) is not None and any(given):
-        raise GuardError(f"give either {file_flag} or {flag}, not both")
+        raise GuardError(f"give either {file_flag} or {flags}, not both")
     if params.get(file) is None and not all(given):
-        raise GuardError(f"need {file_flag} FILE or {flag} "
-                         + " ".join(names).upper())
+        raise GuardError(f"need {file_flag} FILE or {flags}")
     return params.get(file) is None
-
-
-def _graph_source(params: dict) -> None:
-    if _random_source(params, "input", "--random", ("n", "p")):
-        _positive(params, "n")
-        _probability(params)
 
 
 def _host_graph(params: dict, rng: RngStream) -> Graph:
@@ -313,7 +320,6 @@ def _setmap_build(params: dict):
 
 def _setmap_check(params: dict) -> int:
     """The ground-set size of the mapping the parameters build."""
-    _positive(params, "size", "budget")
     if params["variant"] in ("caro2", "caro3"):
         return setmap.caro_map_guard(params["n"], int(params["variant"][-1]))
     return setmap.eh_map_guard(params["n"], params["k"], params["variant"])
@@ -359,8 +365,7 @@ def _run_setmap_oracle(params, rng):
 
 def _bipfree_check(params: dict) -> None:
     bipfree.K_rr(params["r"])
-    _positive(params, "retry_cap")
-    _graph_source(params)
+    _random_source(params, "input", ("n", "p"))
 
 
 def _run_bipfree_count(params, rng):
@@ -387,7 +392,6 @@ def _run_bipfree_extract(params, rng):
 
 
 def _bipfree_tight_check(params: dict) -> None:
-    _positive(params, "budget")
     bipfree.zarankiewicz_oracle_guard(*bipfree.tight_instance_guard(
         params["r"], params["s"], params["m"]))
 
@@ -405,7 +409,6 @@ def _run_bipfree_tight(params, rng):
 def _bipfree_kcheck_check(params: dict) -> None:
     k, r = params["k"], params["r"]
     m = bipfree.kpartite_instance_guard(k, r, params["n"])
-    _probability(params)
     if params["p"] == 1:  # below 1 the copy bound depends on the draw
         bipfree.hyper_copy_guard(k, m, r)
 
@@ -430,7 +433,6 @@ def _run_bipfree_kcheck(params, rng):
 
 
 def _embed_lemma_check(params: dict) -> None:
-    _positive(params, "round_cap")
     hypercube_guard(params["d"])
     lll_embed.random_dense_dch_guard(params["N"], params["k"],
                                      params["delta"])
@@ -454,12 +456,6 @@ def _drc_params(params: dict) -> lll_embed.DrcParams:
                                params["n"])
 
 
-def _embed_drc_check(params: dict) -> None:
-    _positive(params, "retry_cap")
-    _probability(params)
-    lll_embed.drc_subset_guard(params["N"], _drc_params(params))
-
-
 def _run_embed_drc(params, rng):
     B = random_bipartite(params["N"], params["N"], params["p"],
                          rng.derive("host"))
@@ -470,11 +466,6 @@ def _run_embed_drc(params, rng):
     stats = {"u_size": len(res.U), "tries": res.tries,
              "bad_k_sets": res.bad_k_sets, "key": len(res.U)}
     return True, "subset", res, stats
-
-
-def _embed_pipeline_check(params: dict) -> None:
-    _positive(params, "N", "drc_retry", "round_cap")
-    hypercube_guard(params["d"])
 
 
 def _run_embed_pipeline(params, rng):
@@ -500,8 +491,7 @@ def _run_embed_cube(params, rng):
 
 
 def _weakseq_check(params: dict) -> None:
-    _positive(params, "retry_cap")
-    _graph_source(params)
+    _random_source(params, "input", ("n", "p"))
     # an unset t becomes the regime order of the drawn host, at least 1
     t = 1 if params["t"] is None else params["t"]
     weakseq.weak_sequence_pipeline_guard(params["r"], t, params["n"])
@@ -534,14 +524,16 @@ def _run_weakseq_minor(params, rng):
 
 
 def _weakseq_minor_check(params: dict) -> None:
-    _positive(params, "retry_cap")
-    _graph_source(params)
+    if params["diameter_aware"] not in (0, 1):
+        raise GuardError(f"parameter 'diameter_aware': must be 0 or 1, got "
+                         f"{params['diameter_aware']}")
+    _random_source(params, "input", ("n", "p"))
     weakseq.load_preset(params["preset"])
     weakseq.minor_pipeline_guard(params["r"], params["t"], params["n"])
 
 
 def _weakseq_oracle_check(params: dict) -> None:
-    _graph_source(params)
+    _random_source(params, "input", ("n", "p"))
     weakseq.max_weak_sequence_order_guard(params["r"], params["n"])
 
 
@@ -593,13 +585,11 @@ def _run_rsgraph_decompose(params, rng):
 
 
 def _rsgraph_decompose_check(params: dict) -> None:
-    _positive(params, "N", "budget")
     rsgraph.greedy_decompose_guard(params["N"], params["n"], params["t"],
                                    params["budget"])
 
 
 def _rsgraph_arrow_check(params: dict) -> None:
-    _positive(params, "N")
     N = params["N"]
     # exhaustive mode colours the N(N-1)/2 edges of K_N
     rsgraph.arrow_check_guard(params["t"], params["n"], params["mode"],
@@ -627,8 +617,7 @@ def _run_rsgraph_arrow(params, rng):
 
 
 def _removal_check(params: dict) -> None:
-    if _random_source(params, "grid_file", "--random-grid", ("N", "r")):
-        _positive(params, "N", "r")
+    if _random_source(params, "grid_file", ("N", "r")):
         removal.grid_cover_guard(params["N"])
 
 
@@ -693,100 +682,103 @@ def _run_removal_grid(params, rng):
 
 # --- registry ---------------------------------------------------------------
 
-_SETMAP_BASE = {"k": (int, 2), "n": (int, _REQUIRED),
+_SETMAP_BASE = {"k": (_int, 2), "n": (_int, _REQUIRED),
                 "variant": (str, "full_factorial",
                             "one of " + ", ".join(_SETMAP_VARIANTS))}
-_GRAPH_SRC = {"n": (int, None), "p": (float, None),
+_GRAPH_SRC = {"n": (_count, None), "p": (_prob, None),
               "input": (str, None, "edge-list graph file")}
 _GRID_SRC = {"grid_file": (str, None, "grid coloring file"),
-             "N": (int, None, "random grid side"),
-             "r": (int, None, "random grid colors")}
+             "N": (_count, None, "random grid side"),
+             "r": (_count, None, "random grid colors")}
 
 OPS = {
     ("setmap", "construct"): OpDef(_run_setmap_construct, dict(_SETMAP_BASE),
                                    _setmap_check, "ground"),
     ("setmap", "violate"): OpDef(_run_setmap_violate,
-                                 {**_SETMAP_BASE,
-                                  "size": (int, None, "sampled region size")},
+                                 {**_SETMAP_BASE, "size": (
+                                     _count, None, "sampled region size")},
                                  _setmap_check, "found"),
     ("setmap", "oracle"): OpDef(_run_setmap_oracle,
                                 {**_SETMAP_BASE,
                                  "mode": (str, "disjoint",
                                           "disjoint or not_subset"),
-                                 "budget": (int, None)},
+                                 "budget": (_count, None)},
                                 _setmap_oracle_check, "size"),
     ("bipfree", "count"): OpDef(_run_bipfree_count,
-                                {**_GRAPH_SRC, "r": (int, 2)},
+                                {**_GRAPH_SRC, "r": (_int, 2)},
                                 _bipfree_check, "count"),
     ("bipfree", "extract"): OpDef(_run_bipfree_extract,
-                                  {**_GRAPH_SRC, "r": (int, 2),
-                                   "retry_cap": (int, 400)},
+                                  {**_GRAPH_SRC, "r": (_int, 2),
+                                   "retry_cap": (_count, 400)},
                                   _bipfree_check, "size_over_floor"),
     ("bipfree", "tight"): OpDef(_run_bipfree_tight,
-                                {"r": (int, 2), "s": (int, 2),
-                                 "m": (int, _REQUIRED,
+                                {"r": (_int, 2), "s": (_int, 2),
+                                 "m": (_int, _REQUIRED,
                                        "edge count of the tight instance"),
-                                 "budget": (int, None)},
+                                 "budget": (_count, None)},
                                 _bipfree_tight_check, "size"),
     ("bipfree", "kcheck"): OpDef(_run_bipfree_kcheck,
-                                 {"k": (int, 2), "r": (int, 2),
-                                  "n": (int, 2), "p": (float, 1.0)},
+                                 {"k": (_int, 2), "r": (_int, 2),
+                                  "n": (_int, 2), "p": (_prob, 1.0)},
                                  _bipfree_kcheck_check, "count"),
     ("embed", "lemma"): OpDef(_run_embed_lemma,
-                              {"N": (int, 128), "k": (int, 3),
+                              {"N": (_int, 128), "k": (_int, 3),
                                "delta": (_frac, Fraction(9, 1000),
                                          "host deletion fraction, e.g. "
                                          "9/1000"),
-                               "d": (int, 3, "hypercube dimension"),
-                               "round_cap": (int, 10000)},
+                               "d": (_int, 3, "hypercube dimension"),
+                               "round_cap": (_count, 10000)},
                               _embed_lemma_check, "rounds"),
     ("embed", "drc"): OpDef(_run_embed_drc,
-                            {"N": (int, 32), "p": (float, 0.75),
+                            {"N": (_int, 32), "p": (_prob, 0.75),
                              "eps": (_frac, Fraction(1, 2)),
-                             "k": (int, 2), "b": (_frac, Fraction(1, 1)),
-                             "n": (int, 2), "retry_cap": (int, 200)},
-                            _embed_drc_check, "u_size"),
+                             "k": (_int, 2), "b": (_frac, Fraction(1, 1)),
+                             "n": (_int, 2), "retry_cap": (_count, 200)},
+                            lambda p: lll_embed.drc_subset_guard(
+                                p["N"], _drc_params(p)), "u_size"),
     ("embed", "pipeline"): OpDef(_run_embed_pipeline,
-                                 {"N": (int, 512), "d": (int, 3),
-                                  "drc_retry": (int, 200),
-                                  "round_cap": (int, 10000)},
-                                 _embed_pipeline_check, "rounds"),
-    ("embed", "cube"): OpDef(_run_embed_cube, {"d": (int, 3)},
+                                 {"N": (_count, 512), "d": (_int, 3),
+                                  "drc_retry": (_count, 200),
+                                  "round_cap": (_count, 10000)},
+                                 lambda p: hypercube_guard(p["d"]), "rounds"),
+    ("embed", "cube"): OpDef(_run_embed_cube, {"d": (_int, 3)},
                              lambda p: hypercube_guard(p["d"]), "edges"),
     ("weakseq", "pipeline"): OpDef(_run_weakseq_pipeline,
-                                   {**_GRAPH_SRC, "r": (int, 4),
-                                    "t": (int, None), "retry_cap": (int, 200)},
+                                   {**_GRAPH_SRC, "r": (_int, 4),
+                                    "t": (_int, None),
+                                    "retry_cap": (_count, 200)},
                                    _weakseq_check, "t"),
     ("weakseq", "minor"): OpDef(_run_weakseq_minor,
-                                {**_GRAPH_SRC, "r": (int, 2),
-                                 "t": (int, 4),
-                                 "diameter_aware": (int, 1),
-                                 "retry_cap": (int, 50),
+                                {**_GRAPH_SRC, "r": (_int, 2),
+                                 "t": (_int, 4),
+                                 "diameter_aware": (_int, 1),
+                                 "retry_cap": (_count, 50),
                                  "preset": (str, "desk", "paper or desk")},
                                 _weakseq_minor_check, "t"),
     ("weakseq", "oracle"): OpDef(_run_weakseq_oracle,
-                                 {**_GRAPH_SRC, "r": (int, 2)},
+                                 {**_GRAPH_SRC, "r": (_int, 2)},
                                  _weakseq_oracle_check, "best"),
     ("rsgraph", "behrend"): OpDef(_run_rsgraph_behrend,
-                                  {"N": (int, _REQUIRED)},
+                                  {"N": (_int, _REQUIRED)},
                                   lambda p: rsgraph.behrend_set_guard(p["N"]),
                                   "size"),
     ("rsgraph", "construct"): OpDef(_run_rsgraph_construct,
-                                    {"N": (int, _REQUIRED),
-                                     "chunk": (int, None)},
+                                    {"N": (_int, _REQUIRED),
+                                     "chunk": (_int, None)},
                                     _rsgraph_construct_check, "t"),
     ("rsgraph", "double"): OpDef(_run_rsgraph_double,
-                                 {"N": (int, _REQUIRED),
-                                  "chunk": (int, None)},
+                                 {"N": (_int, _REQUIRED),
+                                  "chunk": (_int, None)},
                                  _rsgraph_construct_check, "t"),
     ("rsgraph", "decompose"): OpDef(_run_rsgraph_decompose,
-                                    {"N": (int, 4), "n": (int, _REQUIRED),
-                                     "t": (int, None),
-                                     "budget": (int, None)},
+                                    {"N": (_count, 4),
+                                     "n": (_int, _REQUIRED),
+                                     "t": (_int, None),
+                                     "budget": (_count, None)},
                                     _rsgraph_decompose_check, "t"),
     ("rsgraph", "arrow"): OpDef(_run_rsgraph_arrow,
-                                {"N": (int, 4), "t": (int, _REQUIRED),
-                                 "n": (int, _REQUIRED),
+                                {"N": (_count, 4), "t": (_int, _REQUIRED),
+                                 "n": (_int, _REQUIRED),
                                  "mode": (str, "exhaustive",
                                           "exhaustive or theorem")},
                                 _rsgraph_arrow_check, "arrows"),
@@ -973,22 +965,15 @@ _MODULE_HELP = {
     "removal": "triangle covers and grid corners",
 }
 
-# Flags kept beside the generated ones, (module, flag) -> the parameters
-# they set.  setmap selects its operation with --mode, so its ``mode``
-# parameter is reachable only as --oracle-mode.
-_ALIASES = {("setmap", "--oracle-mode"): ("mode",),
-            ("bipfree", "--random"): ("n", "p"),
-            ("removal", "--random-grid"): ("N", "r")}
-
 
 def _module_params(module: str) -> dict:
-    """{name: (cast, help)} over the module's operations; the first
-    operation to declare a parameter gives its cast and help."""
+    """{name: help} over the module's operations; the first operation to
+    declare a parameter gives its help."""
     params = {}
     for (mod, _), opdef in OPS.items():
         if mod == module:
-            for name, (cast, _default, *text) in opdef.schema.items():
-                params.setdefault(name, (cast, text[0] if text else None))
+            for name, (_cast, _default, *text) in opdef.schema.items():
+                params.setdefault(name, text[0] if text else None)
     return params
 
 
@@ -1013,22 +998,11 @@ def build_parser() -> argparse.ArgumentParser:
     for module in MODULES:
         p = sub.add_parser(module, help=_MODULE_HELP[module],
                            parents=[common])
-        selector = "--mode" if module == "setmap" else "--op"
-        p.add_argument(selector, dest="op", required=True,
+        p.add_argument("--op", required=True,
                        choices=[op for mod, op in OPS if mod == module])
-        params = _module_params(module)
-        for name, (cast, text) in params.items():
-            flag = "--" + name.replace("_", "-")
-            if flag != selector:
-                p.add_argument(flag, help=text, type=cast
-                               if cast in (int, float) else None)
-        for (mod, flag), names in _ALIASES.items():
-            if mod == module:
-                same = " ".join(f"--{n} {n.upper()}" for n in names)
-                p.add_argument(flag, nargs=len(names),
-                               metavar=tuple(n.upper() for n in names),
-                               help=params[names[0]][1] if len(names) == 1
-                               else f"same as {same}")
+        # untyped: the schema cast reads the text, as it reads spec files
+        for name, text in _module_params(module).items():
+            p.add_argument("--" + name.replace("_", "-"), help=text)
 
     p = sub.add_parser("run", help="execute a JSON experiment spec")
     p.add_argument("spec", help="spec file path")
@@ -1060,11 +1034,7 @@ def _parser() -> argparse.ArgumentParser:
 def _spec_from_args(args) -> ExperimentSpec:
     module = args.command
     params = {name: getattr(args, name) for name in _module_params(module)
-              if getattr(args, name, None) is not None}
-    for (mod, flag), names in _ALIASES.items():
-        values = getattr(args, flag[2:].replace("-", "_"), None)
-        if mod == module and values is not None:
-            params.update(zip(names, values))
+              if getattr(args, name) is not None}
     return ExperimentSpec(module=module, operation=args.op, params=params,
                           seed=args.seed, trials=args.trials, out=args.out)
 
@@ -1083,8 +1053,8 @@ def _spec_from_dict(data, source, out=None) -> ExperimentSpec:
     if not isinstance(params, dict):
         raise GuardError(f"spec in {source}: 'params' must be a JSON object")
     try:
-        seed, trials = int(data.get("seed", 0)), int(data.get("trials", 1))
-    except (TypeError, ValueError, OverflowError):
+        seed, trials = _int(data.get("seed", 0)), _int(data.get("trials", 1))
+    except ValueError:
         raise GuardError(f"spec in {source}: 'seed' and 'trials' must be "
                          f"integers") from None
     out = out if out is not None else data.get("out")

@@ -24,16 +24,16 @@ GOLDEN = Path(__file__).with_name("golden") / "cli_dry_run.json"
 
 INVOCATIONS = [
     # one per operation
-    "setmap --mode construct --k 2 --n 4",
-    "setmap --mode construct --n 3 --variant caro3",
-    "setmap --mode violate --k 3 --n 4 --size 20 --variant lexicographic",
-    "setmap --mode oracle --k 2 --n 3",
-    "setmap --mode oracle --n 3 --variant caro3 --oracle-mode not_subset "
+    "setmap --op construct --k 2 --n 4",
+    "setmap --op construct --n 3 --variant caro3",
+    "setmap --op violate --k 3 --n 4 --size 20 --variant lexicographic",
+    "setmap --op oracle --k 2 --n 3",
+    "setmap --op oracle --n 3 --variant caro3 --mode not_subset "
     "--budget 500",
-    "bipfree --op count --random 30 0.5 --r 3",
+    "bipfree --op count --n 30 --p 0.5 --r 3",
     "bipfree --op count --n 30 --p 0.5",
     "bipfree --op count --input host.txt",
-    "bipfree --op extract --random 40 0.5 --retry-cap 50",
+    "bipfree --op extract --n 40 --p 0.5 --retry-cap 50",
     "bipfree --op tight --m 64",
     "bipfree --op tight --r 2 --s 3 --m 27 --budget 1000",
     "bipfree --op kcheck --k 3 --r 2 --n 2 --p 0.5",
@@ -54,42 +54,46 @@ INVOCATIONS = [
     "rsgraph --op decompose --N 5 --n 2 --t 3 --budget 1000",
     "rsgraph --op arrow --N 4 --t 2 --n 2",
     "rsgraph --op arrow --N 1000 --t 3 --n 10 --mode theorem",
-    "removal --op census --random-grid 6 2",
+    "removal --op census --N 6 --r 2",
     "removal --op step --grid-file grid.txt",
-    "removal --op diamond --random-grid 5 2 --seed 3",
-    "removal --op grid --random-grid 8 3 --format csv",
+    "removal --op diamond --N 5 --r 2 --seed 3",
+    "removal --op grid --N 8 --r 3 --format csv",
     # README "Command line" examples
-    "setmap --mode violate --k 2 --n 6 --trials 100 --seed 7",
-    "bipfree --op extract --random 40 0.5 --trials 5 --out extract.json",
+    "setmap --op violate --k 2 --n 6 --trials 100 --seed 7",
+    "bipfree --op extract --n 40 --p 0.5 --trials 5 --out extract.json",
     "embed --op lemma --trials 10 --seed 3",
     "weakseq --op pipeline --n 2000 --p 0.5 --r 4 --seed 1",
     "rsgraph --op construct --N 3000",
-    "removal --op iterate --random-grid 15 2 --trials 5",
+    "removal --op iterate --N 15 --r 2 --trials 5",
     # some command lines of tests/test_expcli.py
-    "setmap --mode violate --k 2 --n 6 --trials 3 --seed 7",
+    "setmap --op violate --k 2 --n 6 --trials 3 --seed 7",
     "weakseq --op pipeline --n 40 --p 0.5 --r 4 --t 50",
     "weakseq --op pipeline --n 100 --p 0.5 --r 0",
-    "bipfree --op count --random 30 0.5 --out rec.json",
-    "removal --op diamond --random-grid 4 2 --trials 2 --out rec.json",
+    "bipfree --op count --n 30 --p 0.5 --out rec.json",
+    "removal --op diamond --N 4 --r 2 --trials 2 --out rec.json",
     "removal --op census --grid-file grid.txt",
-    "bipfree --op count --random 30 0.5 --input somefile",
+    "bipfree --op count --n 30 --p 0.5 --input somefile",
     # rejected input keeps exit code 2
-    "setmap --mode construct --n 4 --size 3",
-    "setmap --mode construct --n 4 --variant bogus",
+    "setmap --op construct --n 4 --size 3",
+    "setmap --op construct --n 4 --variant bogus",
     "bipfree --op tight",
-    "bipfree --op count --random 30 1.5",
+    "bipfree --op count --n 30 --p 1.5",
     "embed --op lemma --delta 1",
     "rsgraph --op arrow --N 4 --t 2 --n 2 --mode guess",
     "rsgraph --op arrow --N 20 --t 2 --n 2 --mode theorem",
     "removal --op census",
-    "removal --op census --random-grid 4 2 --grid-file grid.txt",
-    "removal --op iterate --random-grid 15 2 --trials 5 --preset paper",
+    "removal --op census --N 4 --r 2 --grid-file grid.txt",
+    "removal --op iterate --N 15 --r 2 --trials 5 --preset paper",
     "weakseq --op minor --n 200 --p 0.7 --t 3 --preset lab",
     "weakseq --op pipeline --n 200 --p 0.5 --preset paper",
+    "weakseq --op minor --n 200 --p 0.7 --t 3 --diameter-aware 7",
+    "setmap --op violate --k 2 --n 6.9",
 ]
 
 # spec files for ``run SPEC --dry-run``: the README example, some specs of
-# tests/test_expcli.py, and malformed ones
+# tests/test_expcli.py, malformed ones, and values that the schema casts
+# refuse rather than truncate (an integer's exact decimal text is accepted,
+# since it is what the command line passes)
 SPEC_FILES = [
     {"module": "setmap", "operation": "violate",
      "params": {"k": 2, "n": 6}, "seed": 7, "trials": 100},
@@ -105,6 +109,14 @@ SPEC_FILES = [
     {"module": "setmap", "operation": "violate", "params": {"k": 2, "n": 0}},
     {"module": "setmap", "operation": "violate", "params": {"k": 2, "n": 6},
      "sead": 5, "trails": 9},
+    {"module": "setmap", "operation": "violate",
+     "params": {"k": 2, "n": 6.9}, "seed": 7.9, "trials": "3"},
+    {"module": "setmap", "operation": "violate",
+     "params": {"k": True, "n": 6}},
+    {"module": "setmap", "operation": "violate", "params": {"k": 2, "n": 6},
+     "trials": 2.5},
+    {"module": "bipfree", "operation": "count", "params": {"n": 30, "p": 1.5}},
+    {"module": "setmap", "operation": "violate", "params": {"k": 2, "n": "6"}},
 ]
 
 

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -24,7 +26,7 @@ from exlab.core import (
     write_graph,
 )
 from exlab.expcli import ExperimentSpec
-from test_record_corpus import CORPUS
+from test_record_corpus import CORPUS, first_specs
 from test_removal import write_grid
 
 
@@ -197,6 +199,18 @@ def test_validate_resolves_defaults_and_casts():
         "embed", "lemma", {"delta": "9/1000", "N": "128"}))
     assert params["delta"] == Fraction(9, 1000)
     assert params["N"] == 128 and params["k"] == 3
+
+
+def test_casts_refuse_what_they_would_truncate():
+    def resolve(**params):
+        return expcli.validate_spec(ExperimentSpec(
+            "bipfree", "extract", {"n": 30, "p": 0.5, **params}))
+    assert resolve(n="30", p="1")["n"] == 30 == resolve(n=30)["n"]
+    for params in ({"n": True}, {"n": 30.0}, {"n": "30.5"}, {"n": " 30"},
+                   {"n": "1_000"}, {"r": False}, {"n": 0}, {"retry_cap": 0},
+                   {"p": True}, {"p": 0}, {"p": "1.5"}, {"p": "nan"}):
+        with pytest.raises(GuardError, match="parameter"):
+            resolve(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +388,7 @@ def test_trial_that_cannot_be_serialized_is_recorded(tmp_path, capsys,
                         dataclasses.replace(expcli.OPS[key],
                                             runner=unprintable))
     out = tmp_path / "rec.json"
-    assert expcli.main(["removal", "--op", "iterate", "--random-grid", "15",
+    assert expcli.main(["removal", "--op", "iterate", "--N", "15", "--r",
                         "2", "--seed", "1", "--out", str(out)]) == 1
     capsys.readouterr()
     trial, = expcli.read_record(out)["trials"]
@@ -390,7 +404,7 @@ def test_removal_iterate_color_cap(tmp_path, capsys):
     with pytest.raises(GuardError, match="descent guard 7"):
         expcli.validate_spec(dataclasses.replace(spec,
                                                  params={"N": 15, "r": 8}))
-    _assert_input_error(["removal", "--op", "iterate", "--random-grid", "15",
+    _assert_input_error(["removal", "--op", "iterate", "--N", "15", "--r",
                          "8"], capsys)
     # a grid file's colors are known only once it is read: a trial failure
     grid = tmp_path / "grid.txt"
@@ -429,7 +443,7 @@ def loaded():
 exlab.expcli.build_parser()
 at_start = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
-    code = exlab.expcli.main(["setmap", "--mode", "violate", "--k", "2",
+    code = exlab.expcli.main(["setmap", "--op", "violate", "--k", "2",
                               "--n", "6", "--trials", "3"])
 print(json.dumps([at_start, code, loaded()]))
 """
@@ -517,7 +531,7 @@ def test_report_flags_schema_mismatch(tmp_path):
 
 
 def test_main_success_exit_and_json_row(capsys):
-    code = expcli.main(["setmap", "--mode", "violate", "--k", "2",
+    code = expcli.main(["setmap", "--op", "violate", "--k", "2",
                         "--n", "6", "--trials", "3", "--seed", "7"])
     assert code == 0
     rows = json.loads(capsys.readouterr().out)
@@ -602,7 +616,7 @@ def test_main_validation_error_exit(capsys):
 
 def test_main_dry_run_prints_resolved_params(tmp_path, capsys):
     out = tmp_path / "rec.json"
-    code = expcli.main(["bipfree", "--op", "count", "--random", "30", "0.5",
+    code = expcli.main(["bipfree", "--op", "count", "--n", "30", "--p", "0.5",
                         "--dry-run", "--out", str(out)])
     assert code == 0
     resolved = json.loads(capsys.readouterr().out)
@@ -612,8 +626,8 @@ def test_main_dry_run_prints_resolved_params(tmp_path, capsys):
 
 def test_main_random_grid_and_record(tmp_path, capsys):
     out = tmp_path / "rec.json"
-    code = expcli.main(["removal", "--op", "diamond", "--random-grid",
-                        "4", "2", "--trials", "2", "--out", str(out)])
+    code = expcli.main(["removal", "--op", "diamond", "--N", "4", "--r",
+                        "2", "--trials", "2", "--out", str(out)])
     assert code == 0
     capsys.readouterr()
     stored = expcli.read_record(out)
@@ -663,7 +677,7 @@ def test_main_builds_one_parser_for_every_call(tmp_path, monkeypatch,
     expcli._parser.cache_clear()
     try:
         rec_path = tmp_path / "rec.json"
-        assert expcli.main(["bipfree", "--op", "count", "--random", "30",
+        assert expcli.main(["bipfree", "--op", "count", "--n", "30", "--p",
                             "0.5", "--seed", "5", "--dry-run",
                             "--out", str(rec_path)]) == 0
         dry = json.loads(capsys.readouterr().out)
@@ -684,7 +698,7 @@ def test_main_builds_one_parser_for_every_call(tmp_path, monkeypatch,
 
         # --op came with the first call only
         with pytest.raises(SystemExit) as exc:
-            expcli.main(["bipfree", "--random", "30", "0.5"])
+            expcli.main(["bipfree", "--n", "30", "--p", "0.5"])
         assert exc.value.code == 2
         assert "--op" in capsys.readouterr().err
         assert len(built) == 1
@@ -760,10 +774,7 @@ def test_main_replay_and_report_reject_incomplete_records(tmp_path, capsys):
 
 
 def test_preset_is_a_parameter_of_weakseq_minor_alone(capsys):
-    first = {}
-    for spec in CORPUS.values():
-        first.setdefault((spec.module, spec.operation), spec)
-    for key, spec in first.items():
+    for key, spec in first_specs().items():
         argv = _cli_argv(spec) + ["--preset", "paper", "--dry-run"]
         try:
             code = expcli.main(argv)
@@ -787,7 +798,7 @@ def test_report_row_shows_the_preset(tmp_path, capsys):
 
 
 def test_main_exclusive_graph_sources(capsys):
-    code = expcli.main(["bipfree", "--op", "count", "--random", "30", "0.5",
+    code = expcli.main(["bipfree", "--op", "count", "--n", "30", "--p", "0.5",
                         "--input", "somefile"])
     assert code == 2
     assert "not both" in capsys.readouterr().err
@@ -846,7 +857,7 @@ def test_kcheck_sizes_past_desk_scale_never_build_the_instance(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["bipfree", "--op", "extract", "--random", "20", "0.5", "--retry-cap",
+    ["bipfree", "--op", "extract", "--n", "20", "--p", "0.5", "--retry-cap",
      "0"],
     ["embed", "--op", "pipeline", "--drc-retry", "0"],
     ["embed", "--op", "pipeline", "--round-cap", "0"],
@@ -860,28 +871,28 @@ def test_main_caps_must_be_positive(argv, capsys):
 # The op table drives the command line
 
 
-def _cli_flag(module: str, name: str) -> str:
-    return "--oracle-mode" if (module, name) == ("setmap", "mode") \
-        else "--" + name.replace("_", "-")
-
-
 def _cli_argv(spec: ExperimentSpec) -> list:
-    argv = [spec.module, "--mode" if spec.module == "setmap" else "--op",
-            spec.operation]
+    argv = [spec.module, "--op", spec.operation]
     for name, value in spec.params.items():
-        argv += [_cli_flag(spec.module, name), str(value)]
+        argv += ["--" + name.replace("_", "-"), str(value)]
     return argv + ["--seed", str(spec.seed), "--trials", str(spec.trials)]
 
 
 def test_every_schema_parameter_is_a_flag():
     parser = expcli.build_parser()
-    for (module, op), opdef in expcli.OPS.items():
-        for name, (cast, *_) in opdef.schema.items():
-            value = "3" if cast in (int, float) else "1/2"
-            spec = expcli._spec_from_args(parser.parse_args(_cli_argv(
-                ExperimentSpec(module, op, {name: value}))))
-            assert spec.params == {name: cast(value) if cast in (int, float)
-                                   else value}, (module, op, name)
+    for key, spec in first_specs().items():
+        resolved = expcli.validate_spec(spec)
+        for name, (cast, *_) in expcli.OPS[key].schema.items():
+            # the flag carries the text; validation types it by the cast
+            value = resolved[name]
+            text = "3" if value is None else str(expcli.canonical(value))
+            from_flags = expcli._spec_from_args(parser.parse_args(_cli_argv(
+                dataclasses.replace(spec, params={**spec.params,
+                                                  name: text}))))
+            assert from_flags.params[name] == text, (key, name)
+            if value is not None:
+                assert expcli.validate_spec(from_flags)[name] \
+                    == cast(text) == value, (key, name)
 
 
 def test_flags_and_spec_file_give_the_same_dry_run(tmp_path, capsys):
@@ -897,21 +908,29 @@ def test_flags_and_spec_file_give_the_same_dry_run(tmp_path, capsys):
         assert capsys.readouterr().out == from_flags, spec
 
 
-def test_aliases_set_the_same_parameters_as_flags(capsys):
-    for alias, flags in (
-            (["bipfree", "--op", "count", "--random", "30", "0.5"],
-             ["bipfree", "--op", "count", "--n", "30", "--p", "0.5"]),
-            (["removal", "--op", "grid", "--random-grid", "8", "3"],
-             ["removal", "--op", "grid", "--N", "8", "--r", "3"])):
-        assert expcli.main(alias + ["--dry-run"]) == 0
-        via_alias = capsys.readouterr().out
-        assert expcli.main(flags + ["--dry-run"]) == 0
-        assert capsys.readouterr().out == via_alias
+def _readme_command_lines() -> list:
+    """The argv of every ``exlab <module> ...`` line of README.md: code
+    block lines, and backtick spans with their line wraps joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = re.findall(r"```[^\n]*\n(.*?)```", text, re.S)
+    spans = re.findall(r"`([^`]+)`",
+                       re.sub(r"```.*?```", "", text, flags=re.S))
+    lines = [line for block in blocks for line in block.splitlines()]
+    lines += [" ".join(span.split()) for span in spans]
+    argvs = [shlex.split(line, comments=True) for line in lines
+             if line.startswith("exlab ")]
+    return [argv[1:] for argv in argvs if argv[1] in expcli.MODULES]
 
 
-def test_flag_types_agree_within_a_module():
-    casts = {}
-    for (module, _), opdef in expcli.OPS.items():
-        for name, (cast, *_) in opdef.schema.items():
-            assert casts.setdefault((module, name), cast) is cast, \
-                (module, name)
+def test_readme_command_lines_parse(capsys):
+    parser = expcli.build_parser()
+    lines = _readme_command_lines()
+    assert len(lines) >= 10
+    stale = []
+    for argv in lines:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            stale.append(shlex.join(argv))
+    assert stale == []

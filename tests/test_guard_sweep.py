@@ -28,7 +28,7 @@ import pytest
 
 from exlab import expcli
 from exlab.core import GuardError
-from test_record_corpus import CORPUS
+from test_record_corpus import CORPUS, first_specs
 
 _COPY_BOUND = "the copy bound 2*m^r depends on the drawn edge count m"
 _CHUNK = "chunk is bounded by the size of the progression-free set, known " \
@@ -67,16 +67,14 @@ REJECTED_AT_100000 = {
 }
 
 
-def _first_specs() -> dict:
-    first = {}
-    for spec in CORPUS.values():
-        first.setdefault((spec.module, spec.operation), spec)
-    return first
-
-
 def _int_params(key) -> list:
     return [name for name, (cast, *_) in expcli.OPS[key].schema.items()
-            if cast is int]
+            if cast in (expcli._int, expcli._count)]
+
+
+# the (operation, int parameter) pairs the sweep reaches; a renamed cast
+# would shrink the sweep without failing it
+SWEPT_PAIRS = 66
 
 
 def _with(spec, name, value):
@@ -90,7 +88,8 @@ ADMITTED_AT_13 = {("weakseq", "pipeline", "t"), ("weakseq", "minor", "t")}
 
 
 def test_sweep_exits_two_or_records_clean_trials():
-    first = _first_specs()
+    first = first_specs()
+    assert sum(len(_int_params(key)) for key in expcli.OPS) == SWEPT_PAIRS
     errors = {}
     ran = set()
     for key in expcli.OPS:
@@ -123,7 +122,7 @@ def test_exhausted_caps_record_failures_not_errors():
 
 
 def test_sizes_past_every_cap_are_rejected_before_running():
-    first = _first_specs()
+    first = first_specs()
     assert set(REJECTED_AT_100000) <= set(expcli.OPS)
     for key, names in REJECTED_AT_100000.items():
         for name in names:

@@ -193,6 +193,14 @@ PINS = {
 }
 
 
+def first_specs() -> dict:
+    """The first corpus spec of each operation, keyed (module, operation)."""
+    first = {}
+    for spec in CORPUS.values():
+        first.setdefault((spec.module, spec.operation), spec)
+    return first
+
+
 def corpus_pins(algorithm: str) -> dict:
     pins = PINS.get(algorithm)
     if pins is None:
