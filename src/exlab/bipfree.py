@@ -313,8 +313,8 @@ def _graph_round(G, r: int, stream: RngStream):
                 work[v] &= ~(1 << u)
     if isinstance(G, BipartiteGraph):
         parts = (G.mask(0), G.mask(1), G.mask(2))
-        return BipartiteGraph._from_parts(work, parts, G.labels)
-    return Graph._from_rows(n, work, G.labels)
+        return BipartiteGraph._from_parts(work, parts)
+    return Graph._from_rows(n, work)
 
 
 def _hyper_round(G: KUniformHypergraph, r: int, stream: RngStream):

@@ -2,10 +2,10 @@
 streams, canonical generators and edge-list file I/O.
 
 All graph types are immutable after construction.  Vertices are dense
-integer indices; generators that have a named ground set (hypercube labels,
-grid lines) store the bijection in ``labels`` so witnesses can be reported in
-domain terms.  Bipartite parts are vertex masks, and an induced bipartite
-subgraph keeps its host's vertex ids, so a subgraph is never relabelled.
+integer indices, and an id is the only name a vertex has; generators with a
+named ground set (hypercube, grid lines) document how their ids encode it.
+Bipartite parts are vertex masks, and an induced bipartite subgraph keeps
+its host's vertex ids, so a subgraph is never relabelled.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import ceil, comb, log
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-MAX_HYPERCUBE_DIM = 20
+MAX_HYPERCUBE_DIM = 16
 MAX_GRID_CELLS = 10 ** 8
 
 
@@ -188,9 +188,9 @@ class Graph:
     Constructors reject loops, duplicate edges and out-of-range endpoints.
     """
 
-    __slots__ = ("n", "adj", "m", "labels")
+    __slots__ = ("n", "adj", "m")
 
-    def __init__(self, n: int, edges: Iterable = (), labels=None):
+    def __init__(self, n: int, edges: Iterable = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         rows = [0] * n
@@ -207,11 +207,9 @@ class Graph:
         self.n = n
         self.adj = tuple(rows)
         self.m = sum(r.bit_count() for r in rows) // 2
-        self.labels = tuple(labels) if labels is not None else None
 
     @classmethod
-    def from_adjacency(cls, n: int, rows: Sequence[int],
-                       labels=None) -> "Graph":
+    def from_adjacency(cls, n: int, rows: Sequence[int]) -> "Graph":
         """Build from adjacency rows.  Rejects a row count other than n,
         loops, bits past n and rows that are not symmetric; builders whose
         rows hold by construction call ``_from_rows``."""
@@ -219,15 +217,14 @@ class Graph:
         for u, r in enumerate(rows):
             if r >> u & 1:
                 raise ValueError(f"loop at vertex {u}")
-        return cls._from_rows(n, rows, labels)
+        return cls._from_rows(n, rows)
 
     @classmethod
-    def _from_rows(cls, n: int, rows: Sequence[int], labels=None) -> "Graph":
+    def _from_rows(cls, n: int, rows: Sequence[int]) -> "Graph":
         g = cls.__new__(cls)
         g.n = n
         g.adj = tuple(rows)
         g.m = sum(r.bit_count() for r in rows) // 2
-        g.labels = tuple(labels) if labels is not None else None
         return g
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -269,11 +266,9 @@ class BipartiteGraph:
     every part are isolated.  Pure bipartite graphs have n0 = 0.
     """
 
-    __slots__ = ("n", "adj", "m", "labels", "_parts", "n0", "n1", "n2",
-                 "v0", "v1", "v2")
+    __slots__ = ("n", "adj", "m", "_parts", "n0", "n1", "n2", "v0", "v1", "v2")
 
-    def __init__(self, n1: int, n2: int, edges: Iterable = (), n0: int = 0,
-                 labels=None):
+    def __init__(self, n1: int, n2: int, edges: Iterable = (), n0: int = 0):
         if min(n0, n1, n2) < 0:
             raise ValueError("part sizes must be nonnegative")
         n = n0 + n1 + n2
@@ -289,27 +284,25 @@ class BipartiteGraph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        self._set(rows, _contiguous_parts(n0, n1, n2), labels)
+        self._set(rows, _contiguous_parts(n0, n1, n2))
 
-    def _set(self, rows: Sequence[int], parts: tuple, labels) -> None:
+    def _set(self, rows: Sequence[int], parts: tuple) -> None:
         self.n = len(rows)
         self.adj = tuple(rows)
         self.m = sum(r.bit_count() for r in rows) // 2
-        self.labels = tuple(labels) if labels is not None else None
         self._parts = parts
         self.v0, self.v1, self.v2 = (tuple(iter_bits(m)) for m in parts)
         self.n0, self.n1, self.n2 = len(self.v0), len(self.v1), len(self.v2)
 
     @classmethod
-    def _from_parts(cls, rows: Sequence[int], parts: tuple,
-                    labels=None) -> "BipartiteGraph":
+    def _from_parts(cls, rows: Sequence[int], parts: tuple) -> "BipartiteGraph":
         g = cls.__new__(cls)
-        g._set(rows, parts, labels)
+        g._set(rows, parts)
         return g
 
     @classmethod
-    def from_adjacency(cls, n1: int, n2: int, rows: Sequence[int], n0: int = 0,
-                       labels=None) -> "BipartiteGraph":
+    def from_adjacency(cls, n1: int, n2: int, rows: Sequence[int],
+                       n0: int = 0) -> "BipartiteGraph":
         """Build from rows over the contiguous parts, as the constructor
         lays them out.  Rejects a row with bits past n or inside its own
         part, and rows that are not symmetric; builders whose rows hold by
@@ -322,13 +315,13 @@ class BipartiteGraph:
             for u in iter_bits(part):
                 if rows[u] & part:
                     raise ValueError(f"row {u} has an edge inside its part")
-        return cls._from_parts(rows, parts, labels)
+        return cls._from_parts(rows, parts)
 
     @classmethod
     def induced(cls, g, mask1: int, mask2: int) -> "BipartiteGraph":
         """Bipartite subgraph of g between two disjoint vertex masks.
 
-        Keeps g's vertex ids and labels; each part row is g's row restricted
+        Keeps g's vertex ids; each part row is g's row restricted
         to the other part, so edges inside a part (and to V0) are dropped.
         A row the restriction leaves unchanged is shared with g.
         """
@@ -342,7 +335,7 @@ class BipartiteGraph:
                 row = g.adj[v]
                 cut = row & other
                 rows[v] = row if cut == row else cut
-        return cls._from_parts(rows, (0, mask1, mask2), g.labels)
+        return cls._from_parts(rows, (0, mask1, mask2))
 
     def part_of(self, v: int) -> int:
         for part, mask in enumerate(self._parts):
@@ -372,9 +365,9 @@ class BipartiteGraph:
         return Fraction(self.cross_m(), cells) if cells else Fraction(0)
 
     def transpose(self) -> "BipartiteGraph":
-        """Swap the roles of V1 and V2; ids, rows and labels are kept."""
+        """Swap the roles of V1 and V2; ids and rows are kept."""
         m0, m1, m2 = self._parts
-        return BipartiteGraph._from_parts(self.adj, (m0, m2, m1), self.labels)
+        return BipartiteGraph._from_parts(self.adj, (m0, m2, m1))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BipartiteGraph)
@@ -574,7 +567,8 @@ def hypercube_guard(d: int) -> None:
 
 
 def hypercube(d: int) -> Graph:
-    """The d-cube: vertex set {0,1}^d, adjacency = differ in one coordinate."""
+    """The d-cube: vertex v is the point of {0,1}^d whose coordinate i is
+    bit i of v, and two vertices are adjacent when they differ in one bit."""
     hypercube_guard(d)
     n = 1 << d
     rows = [0] * n
@@ -583,8 +577,7 @@ def hypercube(d: int) -> Graph:
         for i in range(d):
             r |= 1 << (v ^ (1 << i))
         rows[v] = r
-    labels = [tuple((v >> i) & 1 for i in range(d)) for v in range(n)]
-    return Graph._from_rows(n, rows, labels=labels)
+    return Graph._from_rows(n, rows)
 
 
 def grid_lines(N: int) -> BipartiteGraph:
@@ -592,7 +585,9 @@ def grid_lines(N: int) -> BipartiteGraph:
 
     V0 holds the 2N-1 slope -1 lines, V1 the N vertical lines and V2 the N
     horizontal lines; two lines are adjacent iff they meet in a grid point,
-    so V1 is complete to V2.  Grid coordinates are 1-based in the labels.
+    so V1 is complete to V2.  With 1-based grid coordinates, antidiagonal
+    x + y = s is id s - 2, vertical x = a is id 2N - 2 + a and horizontal
+    y = b is id 3N - 2 + b.
     """
     if N < 1:
         raise ValueError("grid side must be >= 1")
@@ -601,9 +596,6 @@ def grid_lines(N: int) -> BipartiteGraph:
     n0 = 2 * N - 1
     n = n0 + 2 * N
     rows = [0] * n
-    labels = [("antidiag", s) for s in range(2, 2 * N + 1)] + \
-             [("vert", a) for a in range(1, N + 1)] + \
-             [("horiz", b) for b in range(1, N + 1)]
     mask1 = ((1 << N) - 1) << n0
     mask2 = ((1 << N) - 1) << (n0 + N)
     for a in range(1, N + 1):
@@ -621,8 +613,7 @@ def grid_lines(N: int) -> BipartiteGraph:
             vb = n0 + N + b - 1
             rows[i] |= 1 << vb
             rows[vb] |= 1 << i
-    return BipartiteGraph._from_parts(rows, _contiguous_parts(n0, N, N),
-                                      labels)
+    return BipartiteGraph._from_parts(rows, _contiguous_parts(n0, N, N))
 
 
 # _BIT_AS_DIGIT[j] maps a byte to b"1" when its bit j is set, else to b"0"
@@ -700,13 +691,11 @@ def random_bipartite(n1: int, n2: int, p: float,
 
 @dataclass(frozen=True)
 class EquitablePartition:
-    """A vertex bipartition of a graph together with its measured densities."""
+    """A vertex bipartition of a graph, its sides ``bipartite.v1`` and
+    ``bipartite.v2``, with the measured cross density."""
 
     bipartite: BipartiteGraph
-    side1: tuple
-    side2: tuple
     cross_density: Fraction
-    base_density: Fraction
     tries: int
 
 
@@ -721,22 +710,20 @@ def random_equitable_bipartition(g: Graph, stream: RngStream,
     n = g.n
     base = g.density()
     half = (n + 1) // 2
+    cells = half * (n - half)
     perm = list(range(n))
     best = (Fraction(0), 0)
     for t in range(1, retry_cap + 1):
         stream.shuffle(perm)
-        side1 = sorted(perm[:half])
-        side2 = sorted(perm[half:])
-        mask2 = mask_of(side2)
+        side1 = perm[:half]
+        mask2 = mask_of(perm[half:])
         cross = sum((g.adj[u] & mask2).bit_count() for u in side1)
-        cells = len(side1) * len(side2)
         dens = Fraction(cross, cells) if cells else Fraction(0)
         if dens > best[0]:
             best = (dens, t)
         if dens >= base:
             bip = BipartiteGraph.induced(g, mask_of(side1), mask2)
-            return EquitablePartition(bip, tuple(side1), tuple(side2),
-                                      dens, base, t)
+            return EquitablePartition(bip, dens, t)
     return Failure("random_equitable_bipartition", "retry cap exhausted",
                    {"best_density": float(best[0]), "target": float(base)})
 

@@ -184,8 +184,17 @@ def write_record(record: ExperimentRecord, path) -> None:
 
 
 def read_record(path) -> dict:
+    return _read_json(path)
+
+
+def _read_json(path):
+    """The JSON value in a spec or record file; ValueError, not
+    RecursionError, when it nests too deeply to parse."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 _SPEC_FIELDS = ("module", "operation", "params", "seed", "trials")
@@ -220,8 +229,24 @@ def _check_record(rec, source) -> "ExperimentSpec":
 _REQUIRED = object()
 
 
+_FRAC_DIGITS = 1000
+
+
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(str(x))
+    """x as a Fraction whose numerator and denominator have at most
+    _FRAC_DIGITS digits, so that the "p/q" a record writes reads back.
+    ``Fraction`` expands a decimal exponent in full, so one of more than
+    four digits is refused before it runs; a longer digit string stops at
+    CPython's int-to-text limit."""
+    if isinstance(x, Fraction):
+        return x
+    exponent = str(x).lower().partition("e")[2].lstrip("+-")
+    value = Fraction(str(x)) if len(exponent) <= 4 else None
+    if value is None or max(abs(value.numerator),
+                            value.denominator) >= 10 ** _FRAC_DIGITS:
+        raise ValueError(f"numerator or denominator over {_FRAC_DIGITS} "
+                         f"digits")
+    return value
 
 
 def _int(x) -> int:
@@ -987,8 +1012,8 @@ def build_parser() -> argparse.ArgumentParser:
     # than adding them six times over, and each process still builds one
     # parser (``_parser``) before its first command
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--trials", type=int, default=1)
+    common.add_argument("--seed", default=0)
+    common.add_argument("--trials", default=1)
     common.add_argument("--out", help="record path (JSON)")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="stdout summary format")
@@ -1035,8 +1060,10 @@ def _spec_from_args(args) -> ExperimentSpec:
     module = args.command
     params = {name: getattr(args, name) for name in _module_params(module)
               if getattr(args, name) is not None}
-    return ExperimentSpec(module=module, operation=args.op, params=params,
-                          seed=args.seed, trials=args.trials, out=args.out)
+    return _spec_from_dict({"module": module, "operation": args.op,
+                            "params": params, "seed": args.seed,
+                            "trials": args.trials}, "the command line",
+                           args.out)
 
 
 def _spec_from_dict(data, source, out=None) -> ExperimentSpec:
@@ -1066,8 +1093,7 @@ def _spec_from_dict(data, source, out=None) -> ExperimentSpec:
 
 
 def _spec_from_file(path, out=None) -> ExperimentSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return _spec_from_dict(json.load(fh), path, out)
+    return _spec_from_dict(_read_json(path), path, out)
 
 
 def _execute_spec(spec: ExperimentSpec, fmt: str, dry_run: bool) -> int:

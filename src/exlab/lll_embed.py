@@ -422,13 +422,12 @@ def drc_subset(B: BipartiteGraph, params: DrcParams, rng: RngStream,
 class AuxPair:
     """Embedding target over H's V1 side and host hypergraph over U.
 
-    ``v1_vertices[i]`` is the H vertex behind target index i; ``u_vertices[j]``
-    the G vertex behind host index j.
+    Target index i is the H vertex ``H.v1[i]``; ``u_vertices[j]`` is the G
+    vertex behind host index j.
     """
 
     target: TargetHypergraph
     dch: DownClosedHypergraph
-    v1_vertices: tuple
     u_vertices: tuple
 
 
@@ -468,17 +467,15 @@ def build_aux_pair(H: BipartiteGraph, U: Sequence[int], G, n: int) -> AuxPair:
     k-subsets of U with at least n common G-neighbors as host top edges."""
     if H.n0:
         raise GuardError("H must be purely bipartite")
-    v1 = list(H.v1)
-    v2 = list(H.v2)
-    k = max((H.degree(w) for w in v2), default=0)
+    k = max(map(H.degree, H.v2), default=0)
     if k < 1:
         raise GuardError("the V2 side of H has no edges")
-    pos = {v: i for i, v in enumerate(v1)}
+    pos = {v: i for i, v in enumerate(H.v1)}
     mask1 = H.mask(1)
     edges = {frozenset(pos[x] for x in iter_bits(H.adj[w] & mask1))
-             for w in v2}
+             for w in H.v2}
     edges.discard(frozenset())
-    target = TargetHypergraph(len(v1), edges)
+    target = TargetHypergraph(H.n1, edges)
     u = tuple(sorted(U))
     if len(u) < k:
         raise GuardError("U smaller than the uniformity k")
@@ -488,7 +485,7 @@ def build_aux_pair(H: BipartiteGraph, U: Sequence[int], G, n: int) -> AuxPair:
     _thin_k_set_ranks([G.adj[x] for x in u], 0, k,
                       _common_neighbors_mask(G, ()), n, 0, deleted)
     return AuxPair(target, DownClosedHypergraph.from_ranks(len(u), k, deleted),
-                   tuple(v1), u)
+                   u)
 
 
 @dataclass(frozen=True)
@@ -501,16 +498,16 @@ class PipelineResult:
     resample_rounds: int
 
 
-def _bipartite_sides(H) -> tuple:
-    """Adjacency rows plus the two independent sides of a bipartite target."""
+def _as_bipartite(H) -> BipartiteGraph:
+    """A bipartite target as a BipartiteGraph on its own vertex ids."""
     if isinstance(H, BipartiteGraph):
         if H.n0:
             raise GuardError("H must be purely bipartite")
-        return H.adj, list(H.v1), list(H.v2)
+        return H
     sides = try_bipartition(H)
     if sides is None:
         raise GuardError("H is not bipartite")
-    return H.adj, sides[0], sides[1]
+    return BipartiteGraph.induced(H, mask_of(sides[0]), mask_of(sides[1]))
 
 
 def _direct_embed(rows_maj: Sequence[int], N: int, hadj: Sequence[int],
@@ -559,18 +556,16 @@ def bip_ramsey_pipeline(coloring: EdgeColoring, H, rng: RngStream,
     if not isinstance(host, Graph) or host.m != math.comb(host.n, 2):
         raise GuardError("pipeline needs a complete host graph")
     N = host.n
-    hadj, side_a, side_b = _bipartite_sides(H)
-    hn = len(hadj)
+    h_bip = _as_bipartite(H)
+    hadj, hn = h_bip.adj, h_bip.n
     if hn > N:
         return Failure("params", "target larger than host", {"n": hn, "N": N})
-    deg = [hadj[v].bit_count() for v in range(hn)]
-    da = max((deg[v] for v in side_a), default=0)
-    db = max((deg[v] for v in side_b), default=0)
-    # V2 is the side with the smaller maximum degree
-    if db <= da:
-        v1_side, v2_side, k, big = side_a, side_b, max(db, 1), max(da, 1)
-    else:
-        v1_side, v2_side, k, big = side_b, side_a, max(da, 1), max(db, 1)
+    da = max(map(h_bip.degree, h_bip.v1), default=0)
+    db = max(map(h_bip.degree, h_bip.v2), default=0)
+    # orient H so that V2 is the side with the smaller maximum degree
+    if db > da:
+        h_bip, da, db = h_bip.transpose(), db, da
+    k, big = max(db, 1), max(da, 1)
 
     half = N // 2
     mask_a = (1 << half) - 1
@@ -613,8 +608,6 @@ def bip_ramsey_pipeline(coloring: EdgeColoring, H, rng: RngStream,
     if isinstance(drc, Failure):
         return drc
 
-    # orient H so its V1 side carries the larger degree bound
-    h_bip = BipartiteGraph.induced(H, mask_of(v1_side), mask_of(v2_side))
     aux = build_aux_pair(h_bip, drc.U, b_maj, hn)
 
     emb = resample_embed(aux.target, aux.dch, rng, round_cap=round_cap)
@@ -623,10 +616,10 @@ def bip_ramsey_pipeline(coloring: EdgeColoring, H, rng: RngStream,
 
     mapping = [-1] * hn
     used = set()
-    for i, hv in enumerate(v1_side):
+    for i, hv in enumerate(h_bip.v1):
         mapping[hv] = aux.u_vertices[emb.mapping[i]]
         used.add(mapping[hv])
-    for hv in v2_side:
+    for hv in h_bip.v2:
         nbrs = [mapping[w] for w in iter_bits(hadj[hv])]
         if nbrs:
             cand = mask_b

@@ -378,7 +378,7 @@ def _delete_sparse_color(cover: TriangleCover, step: SparsePair) -> TriangleCove
     for part, other in ((sel1, sel2), (sel2, sel1)):
         for v in iter_bits(part):
             rows[v] = g.adj[v] & (m0 | (other & ~sparse[v]))
-    sub = BipartiteGraph._from_parts(rows, (m0, sel1, sel2), g.labels)
+    sub = BipartiteGraph._from_parts(rows, (m0, sel1, sel2))
     subcol = EdgeColoring.from_rows(
         sub, [[cr[v] & row for v, row in enumerate(rows)] for cr in col.rows],
         col.r)
@@ -525,33 +525,24 @@ def grid_cover_guard(N: int) -> None:
 def grid_cover(gc: GridColoring) -> TriangleCover:
     """Strict triangle cover of the grid line host, colored by points.
 
-    Each edge of the line host corresponds to a unique grid point; the
-    point triangles (antidiagonal, vertical, horizontal through one
-    point) are monochromatic by construction and edge-disjoint, one per
-    V1-V2 edge.
+    Point (x, y) gives the triangle of the lines through it (antidiagonal,
+    vertical, horizontal) in the point's color.  Each edge of the line host
+    is the meeting of its two lines in a unique grid point, so it lies in
+    exactly one point triangle: the triangles color every edge, are
+    monochromatic by construction and edge-disjoint, one per V1-V2 edge.
     """
     N = gc.N
     grid_cover_guard(N)
     g = grid_lines(N)
     n0 = 2 * N - 1
-
-    def point_color(u: int, v: int) -> int:
-        if u < n0:
-            s = u + 2
-            if v < n0 + N:
-                x = v - n0 + 1
-                y = s - x
-            else:
-                y = v - n0 - N + 1
-                x = s - y
-        else:
-            x = u - n0 + 1
-            y = v - n0 - N + 1
-        return gc.color_at(x, y)
-
-    col = EdgeColoring(g, point_color, gc.r)
     tris = tuple((x + y - 2, n0 + x - 1, n0 + N + y - 1, gc.color_at(x, y))
                  for x in range(1, N + 1) for y in range(1, N + 1))
+    rows = [[0] * g.n for _ in range(gc.r)]
+    for s, a, b, c in tris:
+        rows[c][s] |= 1 << a | 1 << b
+        rows[c][a] |= 1 << s | 1 << b
+        rows[c][b] |= 1 << s | 1 << a
+    col = EdgeColoring.from_rows(g, rows, gc.r)
     return triangle_cover(col, tris, strict=True)
 
 

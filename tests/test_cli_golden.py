@@ -88,6 +88,10 @@ INVOCATIONS = [
     "weakseq --op pipeline --n 200 --p 0.5 --preset paper",
     "weakseq --op minor --n 200 --p 0.7 --t 3 --diameter-aware 7",
     "setmap --op violate --k 2 --n 6.9",
+    "setmap --op violate --k 2 --n 6 --seed 1_000",
+    "embed --op drc --eps 1e-10000000",
+    "embed --op drc --eps 1e100000",
+    "embed --op cube --d 17",
 ]
 
 # spec files for ``run SPEC --dry-run``: the README example, some specs of

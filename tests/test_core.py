@@ -16,11 +16,11 @@ from exlab import core
 from exlab.core import (BipartiteGraph, EdgeColoring, Failure, Graph,
                         GuardError, ParseError, RngStream, bit_columns,
                         complete_bipartite, complete_graph, grid_lines,
-                        hypercube, iter_bits, mask_of, random_bipartite,
-                        random_coloring, random_equitable_bipartition,
-                        random_graph, read_bipartite, read_coloring,
-                        read_graph, try_bipartition, write_coloring,
-                        write_graph)
+                        hypercube, hypercube_guard, iter_bits, mask_of,
+                        random_bipartite, random_coloring,
+                        random_equitable_bipartition, random_graph,
+                        read_bipartite, read_coloring, read_graph,
+                        try_bipartition, write_coloring, write_graph)
 from exlab.core import _sample_setsize
 
 
@@ -125,14 +125,14 @@ def test_bipartite_from_adjacency_validates_under_optimize_flag():
 
 
 def test_bipartite_transpose():
-    g = BipartiteGraph(2, 3, [(0, 2), (0, 3), (1, 4)], labels="abcde")
+    g = BipartiteGraph(2, 3, [(0, 2), (0, 3), (1, 4)])
     t = g.transpose()
     assert (t.n1, t.n2) == (3, 2)
     assert t.m == g.m
     assert t.transpose() == g
-    # edge (0,2)=a-c survives as c-a under the swapped layout
-    assert t.labels.index("a") in [v for v in t.v2]
-    assert t.has_edge(t.labels.index("a"), t.labels.index("c"))
+    # edge (0,2) survives, its ends now in the swapped parts
+    assert 0 in t.v2 and 2 in t.v1
+    assert t.has_edge(0, 2)
 
 
 def test_hypercube():
@@ -140,9 +140,14 @@ def test_hypercube():
     assert (q3.n, q3.m) == (8, 12)
     assert all(q3.degree(v) == 3 for v in range(8))
     for u, v in q3.edges():
-        assert sum(a != b for a, b in zip(q3.labels[u], q3.labels[v])) == 1
+        assert (u ^ v).bit_count() == 1
     with pytest.raises(GuardError):
         hypercube(21)
+    # 2^17 rows of 2^17 bits would take 2 GiB
+    with pytest.raises(GuardError):
+        hypercube_guard(17)
+    with pytest.raises(GuardError):
+        hypercube(17)
 
 
 def test_grid_lines():
@@ -155,7 +160,7 @@ def test_grid_lines():
             assert g.has_edge(a, b)
     # the antidiagonal x+y=2 passes only through (1,1)
     s2 = 0
-    assert g.labels[s2] == ("antidiag", 2)
+    assert g.part_of(s2) == 0
     assert g.degree(s2) == 2
     # x+y=3 passes through (1,2) and (2,1)
     assert g.degree(1) == 4
@@ -337,12 +342,13 @@ def sample_from_set(rnd, n, k):
 def test_random_equitable_bipartition():
     g = random_graph(40, 0.5, RngStream(12))
     part = random_equitable_bipartition(g, RngStream(13))
-    assert len(part.side1) == len(part.side2) == 20
-    assert part.cross_density >= part.base_density == g.density()
     bip = part.bipartite
+    assert bip.n1 == bip.n2 == 20
+    assert part.cross_density >= g.density()
     assert bip.cross_m() == part.cross_density * 400
     # the parts are the host's own vertex ids
-    assert bip.v1 == part.side1 and bip.v2 == part.side2
+    assert sorted(bip.v1 + bip.v2) == list(range(40))
+    assert all(bip.adj[v] == g.adj[v] & bip.mask(2) for v in bip.v1)
     assert random_equitable_bipartition(g, RngStream(13), retry_cap=0) == \
         Failure("random_equitable_bipartition", "retry cap exhausted",
                 {"best_density": 0.0, "target": float(g.density())})
@@ -356,7 +362,7 @@ def test_try_bipartition_and_induced():
     assert len(side1) == len(side2) == 4
     bip = BipartiteGraph.induced(q3, mask_of(side1), mask_of(side2))
     assert bip.m == 12 and bip.cross_m() == 12
-    assert bip.v1 == tuple(side1) and bip.labels == q3.labels
+    assert bip.v1 == tuple(side1) and bip.n == q3.n
     assert try_bipartition(complete_graph(3)) is None
     with pytest.raises(ValueError):
         BipartiteGraph.induced(q3, 0b011, 0b110)  # parts share vertex 1
@@ -366,11 +372,11 @@ def test_try_bipartition_and_induced():
 
 def test_induced_keeps_host_ids():
     g = random_graph(30, 0.5, RngStream(21))
-    host = Graph.from_adjacency(g.n, g.adj, labels=[f"x{v}" for v in range(30)])
+    host = Graph.from_adjacency(g.n, g.adj)
     side1 = [v for v in range(30) if v % 3 == 0]
     side2 = [v for v in range(30) if v % 3 == 1]
     bip = BipartiteGraph.induced(host, mask_of(side1), mask_of(side2))
-    assert bip.n == 30 and bip.labels == host.labels
+    assert bip.n == 30
     assert (bip.v0, bip.v1, bip.v2) == ((), tuple(side1), tuple(side2))
     assert (bip.n0, bip.n1, bip.n2) == (0, 10, 10)
     assert bip.part_of(3) == 1 and bip.part_of(4) == 2
@@ -395,7 +401,7 @@ def test_transpose_swaps_parts_and_keeps_ids():
     assert (t.v1, t.v2) == (bip.v2, bip.v1)
     assert (t.n1, t.n2) == (8, 12)
     assert t.mask(1) == bip.mask(2) and t.mask(2) == bip.mask(1)
-    assert t.adj == bip.adj and t.n == bip.n and t.labels == bip.labels
+    assert t.adj == bip.adj and t.n == bip.n
     assert t.cross_m() == bip.cross_m()
     assert t != bip
     assert t.transpose() == bip

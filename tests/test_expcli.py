@@ -813,6 +813,28 @@ def test_main_fraction_with_zero_denominator_is_input_error(tmp_path,
     _assert_input_error(["run", str(spec_path)], capsys)
 
 
+@pytest.mark.parametrize("eps", ["1e-10000000", "1e100000"])
+def test_main_fraction_digits_are_bounded_before_the_fraction_is_built(
+        eps, capsys):
+    start = time.perf_counter()
+    assert expcli.main(["embed", "--op", "drc", "--eps", eps]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == \
+        "error: parameter 'eps': numerator or denominator over 1000 digits\n"
+    # the bound admits what a record writes back: "p/q" with 1000 digits each
+    top = "9" * 1000
+    assert expcli._frac(f"{top}/{top[:-1]}8") == Fraction(int(top),
+                                                          int(top) - 1)
+
+
+@pytest.mark.parametrize("command", ["run", "replay", "report"])
+def test_main_json_nested_too_deeply_is_an_input_error(command, tmp_path,
+                                                       capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    _assert_input_error([command, str(path)], capsys)
+
+
 @pytest.mark.parametrize("argv", [
     ["embed", "--op", "cube", "--d", "21"],
     ["embed", "--op", "lemma", "--d", "21"],

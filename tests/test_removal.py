@@ -10,6 +10,7 @@ from exlab.core import (
     GuardError,
     ParseError,
     RngStream,
+    grid_lines,
     iter_bits,
     mask_of,
 )
@@ -532,7 +533,7 @@ def test_descent_restricts_in_host_ids_as_relabelling_did(cover):
         ours = _delete_sparse_color(ours, step)
         oracle = relabelled_delete(oracle, sparse_pair_step(oracle))
         g = ours.graph
-        assert g.n == root.n and g.labels == root.labels
+        assert g.n == root.n
         for part in range(3):
             assert g.mask(part) & ~root.mask(part) == 0
         assert (g.mask(1), g.mask(2)) == (mask_of(step.v1), mask_of(step.v2))
@@ -619,6 +620,38 @@ def test_grid_cover_edge_colors_decode_points():
     assert col.color_of(2, n0 + 0) == gc.color_at(1, 3)
     # antidiagonal x+y=4 meets horizontal 1 at (3, 1)
     assert col.color_of(2, n0 + 3 + 0) == gc.color_at(3, 1)
+
+
+def point_color(gc: GridColoring):
+    """Reference edge coloring of ``grid_lines(gc.N)``: edge (u, v), u < v,
+    decoded from the ids to the grid point where its two lines meet."""
+    N = gc.N
+    n0 = 2 * N - 1
+
+    def color(u: int, v: int) -> int:
+        if u < n0:
+            s = u + 2
+            if v < n0 + N:
+                x = v - n0 + 1
+                y = s - x
+            else:
+                y = v - n0 - N + 1
+                x = s - y
+        else:
+            x = u - n0 + 1
+            y = v - n0 - N + 1
+        return gc.color_at(x, y)
+
+    return color
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 15])
+@pytest.mark.parametrize("r", [1, 2, 3, 7])
+def test_grid_cover_rows_match_point_color_reference(N, r):
+    gc = random_grid(N, r, RngStream(907).derive(N, r))
+    col = grid_cover(gc).coloring
+    ref = EdgeColoring(grid_lines(N), point_color(gc), r)
+    assert col.rows == ref.rows and col.graph == ref.graph
 
 
 def test_corner_oracle_frozen_cases():
