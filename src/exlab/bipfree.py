@@ -273,9 +273,8 @@ def extraction_target(m: int, pattern: Pattern) -> int:
 
 def _sample_rows(G, p: float, stream: RngStream) -> list:
     """Rows of the subgraph of G that keeps the k-th edge of ``G.edges()``
-    exactly when the k-th ``stream.random()`` call is below p.  The draws
-    are made in bulk by ``_bernoulli_rows``, which leaves the stream where
-    the per-edge calls would."""
+    exactly when bit k of one ``_bernoulli_rows`` row of length ``G.m`` is
+    set, so each edge is kept independently with probability p."""
     n, adj = G.n, G.adj
     kept = _bernoulli_rows(stream, [G.m], p)[0]
     rows = [0] * n

@@ -79,10 +79,14 @@ class RngStream:
     The core generator is CPython's Mersenne Twister; equal seeds plus equal
     call sequences give equal outputs.  Child streams are derived from
     ``(seed, *path)`` through SHA-256 so that per-trial streams are
-    reproducible and decoupled from the parent's position.
+    reproducible and decoupled from the parent's position.  The scalar
+    methods and :meth:`sample` are those of ``random.Random``; the bulk
+    draws ``randrange_bytes`` and ``_bernoulli_rows`` have rules of their
+    own, which ``ALGORITHM`` names: "digits" is the digit rule of
+    ``_bernoulli_rows`` and the one-byte values of ``randrange_bytes``.
     """
 
-    ALGORITHM = "mt19937/sha256-derive"
+    ALGORITHM = "mt19937-digits/sha256-derive"
 
     __slots__ = ("seed", "position", "_rng")
 
@@ -109,27 +113,23 @@ class RngStream:
         return self._rng.getrandbits(k)
 
     def randrange_bytes(self, n: int, count: int) -> bytes:
-        """``count`` values of ``randrange(n)``, 1 <= n < 256, as a bytes object.
+        """``count`` values uniform on [0, n), 1 <= n < 256, as a bytes object.
 
-        Consumes exactly the Mersenne Twister words of ``count`` separate
-        :meth:`randrange` calls, so the values, the generator state and
-        ``position`` afterwards all equal theirs.  CPython's randrange(n)
-        takes the top ``n.bit_length()`` bits of one 32-bit word and redraws
-        while the value is >= n; getrandbits(32*m) returns the next m words
-        little-endian, so each word's top byte is byte 4i+3.  Rejected
-        values are deleted and exactly the shortfall is redrawn.
+        Each value is the top ``(n - 1).bit_length()`` bits of one byte of
+        ``getrandbits(8 * need)`` (byte i is bits 8i..8i+7), so a power of
+        two rejects nothing; values >= n are deleted and exactly the
+        shortfall is redrawn.  ``position`` advances by ``count``.
         """
-        shift = 8 - n.bit_length()
-        if not 0 <= shift < 8:
+        if not 1 <= n < 256:
             raise ValueError(f"randrange_bytes needs 1 <= n < 256, got {n}")
+        shift = 8 - (n - 1).bit_length()
         table = bytes(b >> shift for b in range(256))
         rejected = bytes(b for b in range(256) if b >> shift >= n)
         out = b""
         while len(out) < count:
             need = count - len(out)
-            words = self._rng.getrandbits(32 * need).to_bytes(4 * need,
-                                                              "little")
-            out += words[3::4].translate(table, rejected)
+            out += self._rng.getrandbits(8 * need).to_bytes(
+                need, "little").translate(table, rejected)
         self.position += count
         return out
 
@@ -496,12 +496,12 @@ class EdgeColoring:
 def random_coloring(graph, r: int, stream: RngStream) -> EdgeColoring:
     """Uniform random r-coloring of the host's edges.
 
-    Edge colors are ``stream.randrange(r)`` in ``graph.edges()`` order.  For
-    r < 256 they are drawn in bulk by :meth:`RngStream.randrange_bytes`,
-    which matches the per-edge draws exactly, and scattered into an n*n byte
-    matrix (0xFF: no edge).  Row u, read as the column above the diagonal
-    followed by the row's own upper part, turns into each color's mask of u
-    by one ``bytes.translate``.
+    Edge colors are drawn in ``graph.edges()`` order: for r < 256 by one
+    :meth:`RngStream.randrange_bytes` call, one byte per edge, scattered
+    into an n*n byte matrix (0xFF: no edge); for r >= 256 by one
+    ``stream.randrange(r)`` per edge.  Row u, read as the column above the
+    diagonal followed by the row's own upper part, turns into each color's
+    mask of u by one ``bytes.translate``.
     """
     if r < 1:
         raise ValueError("need at least one color")
@@ -633,42 +633,49 @@ def bit_columns(rows: Sequence[int], cols: int) -> list:
 
 
 def _bernoulli_rows(stream: RngStream, counts: Sequence[int], p: float) -> list:
-    """Row i holds ``counts[i]`` draws, bit k set exactly when the row's k-th
-    ``stream.random()`` call, made row after row, is below p; the stream
-    ends where those calls leave it.  CPython's random() is X / 2^53 with
-    X = (a >> 5) * 2^26 + (b >> 6) for two consecutive 32-bit words a, b,
-    so the draw is below p exactly when X < T = ceil(p * 2^53).  Each row
-    draws its word pairs with one getrandbits call.  Read big-endian, byte
-    8i+4 is the top byte of a for the i-th pair from the row's end and
-    equals X >> 45, so one ``bytes.translate`` against T >> 45 decides 255
-    pairs in 256, and the ties are settled from both words."""
+    """Row i holds ``counts[i]`` positions, bit k set (an edge) with
+    probability exactly T / 2^53, T = ceil(p * 2^53), independently.
+
+    The digit rule: position k stands for a 53-bit number X whose binary
+    digits, most significant first, are bit k of successive
+    ``getrandbits(count)`` rounds of its row, and it is an edge exactly
+    when X < T.  A position is decided in the first round whose bit differs
+    from T's digit, as an edge when that digit is 1; positions still
+    undecided after T's lowest 1 digit equal T's prefix and are non-edges.
+    A row stops drawing once every position is decided, so p = 1/2 takes
+    one round.  p <= 0 and NaN give empty rows and p >= 1 full ones, with
+    no draw; ``position`` advances by ``sum(counts)`` either way.
+    """
     # NaN compares false, so no draw is below it; p >= 1 admits every draw
     T = 0 if not p > 0 else 1 << 53 if p >= 1 else ceil(p * (1 << 53))
-    hi = T >> 45
-    decide = b"1" * hi + b"0" * (256 - hi)
+    stream.position += sum(counts)
+    if T >> 53:
+        return [(1 << count) - 1 for count in counts]
+    low = (T & -T).bit_length() - 1  # T's lowest 1 digit
+    digits = [T >> j & 1 for j in range(52, low - 1, -1)] if T else []
     getrandbits = stream._rng.getrandbits
     rows = []
     for count in counts:
-        words = getrandbits(64 * count).to_bytes(8 * count, "big")
-        tops = words[4::8]
-        row = int(tops.translate(decide) or b"0", 2)
-        i = tops.find(hi) if hi < 256 else -1
-        while i >= 0:
-            at = 8 * i
-            x = (int.from_bytes(words[at + 4:at + 8], "big") >> 5 << 26
-                 | int.from_bytes(words[at:at + 4], "big") >> 6)
-            if x < T:
-                row |= 1 << (count - 1 - i)
-            i = tops.find(hi, i + 1)
+        undecided = (1 << count) - 1
+        row = 0
+        for digit in digits:
+            if not undecided:
+                break
+            ones = undecided & getrandbits(count)
+            if digit:
+                row |= undecided ^ ones
+                undecided = ones
+            else:
+                undecided ^= ones
         rows.append(row)
-    stream.position += sum(counts)
     return rows
 
 
 def random_graph(n: int, p: float, stream: RngStream) -> Graph:
-    """G(n, p): pair (u, v), u < v, is an edge exactly when the
-    ``stream.random()`` call it gets in row-major order is below p.  The
-    rows' lower halves are the ``bit_columns`` of their upper halves."""
+    """G(n, p): row u's pairs (u, v), u < v, are one ``_bernoulli_rows``
+    row of length n - 1 - u, bit k standing for v = u + 1 + k, drawn in
+    order u = 0, 1, ...  The rows' lower halves are the ``bit_columns`` of
+    their upper halves."""
     upper = [row << (u + 1) for u, row in
              enumerate(_bernoulli_rows(stream, range(n - 1, -1, -1), p))]
     rows = [up | low for up, low in zip(upper, bit_columns(upper, n))]
@@ -677,9 +684,10 @@ def random_graph(n: int, p: float, stream: RngStream) -> Graph:
 
 def random_bipartite(n1: int, n2: int, p: float,
                      stream: RngStream) -> BipartiteGraph:
-    """G(n1, n2, p) on V1 = [0, n1), V2 = [n1, n1 + n2): pair (u, n1 + v) is
-    an edge exactly when the ``stream.random()`` call it gets in row-major
-    order over (u, v) is below p.  The V2 rows are the V1 rows' columns."""
+    """G(n1, n2, p) on V1 = [0, n1), V2 = [n1, n1 + n2): the pairs
+    (u, n1 + v) of u in V1 are one ``_bernoulli_rows`` row of length n2,
+    bit v standing for n1 + v, drawn in order u = 0, 1, ...  The V2 rows
+    are the V1 rows' columns."""
     draws = _bernoulli_rows(stream, [n2] * n1, p)
     rows = [row << n1 for row in draws] + bit_columns(draws, n2)
     return BipartiteGraph._from_parts(rows, _contiguous_parts(0, n1, n2))

@@ -363,14 +363,73 @@ def drc_subset_guard(N: int, params: DrcParams) -> None:
     N >= eps^-k * max(bn, 4k) of ``drc_subset``.
 
     The density of B is at most 1, so eps > 1 can never hold.  With
-    eps <= 1 the floor is at least 4k, which is checked before the power.
+    eps <= 1 the floor is at least 4k, which is checked first;
+    ``_scaled_below`` then compares N * eps^k with the floor exactly,
+    without writing eps^k out unless the two sides nearly tie.
     """
     k, n, eps, b = params.k, params.n, params.eps, params.b
     if eps > 1:
         raise GuardError(f"eps {eps} above 1, the largest density")
-    if 4 * k > N or N * eps ** k < max(b * n, 4 * k):
+    if 4 * k > N or _scaled_below(N, eps, k, Fraction(max(b * n, 4 * k))):
         raise GuardError(f"part size {N} below eps^-k * max(bn, 4k) for "
                          f"eps={eps}, k={k}, b={b}, n={n}")
+
+
+def _scaled_below(N: int, eps: Fraction, k: int, floor: Fraction) -> bool:
+    """Whether N * eps^k < floor, exactly, without taking eps^k in full
+    while its bounds decide.  With eps = a/c this compares N * d * a^k with
+    f * c^k for floor = f/d, bounding each power between two floats of
+    ``bits`` bits; the bounds are compared by bit length first.  Squaring
+    doubles a bound's relative error, so ``bits`` starts past the bit
+    length of k, where one round decides unless the sides nearly tie.
+    Each undecided round doubles ``bits``; once the powers fit in ``bits``
+    the bounds are exact, so the loop ends."""
+    left, right = N * floor.denominator, floor.numerator
+    bits = 64 + k.bit_length()
+    while True:
+        alo, ahi, ae = _pow_bounds(eps.numerator, k, bits)
+        clo, chi, ce = _pow_bounds(eps.denominator, k, bits)
+        if _less(left * ahi, ae, right * clo, ce):
+            return True
+        if not _less(left * alo, ae, right * chi, ce):
+            return False
+        bits *= 2
+
+
+def _pow_bounds(x: int, k: int, bits: int) -> tuple:
+    """(lo, hi, e) with lo * 2^e <= x^k <= hi * 2^e, k >= 1, by squaring
+    with lo rounded down and hi rounded up to ``bits`` bits."""
+    lo = hi = 1
+    base_lo = base_hi = x
+    e = base_e = 0
+    while k:
+        if k & 1:
+            lo, hi, e = _round_bounds(lo * base_lo, hi * base_hi,
+                                      e + base_e, bits)
+        k >>= 1
+        if k:
+            base_lo, base_hi, base_e = _round_bounds(
+                base_lo * base_lo, base_hi * base_hi, 2 * base_e, bits)
+    return lo, hi, e
+
+
+def _round_bounds(lo: int, hi: int, e: int, bits: int) -> tuple:
+    shift = hi.bit_length() - bits
+    if shift <= 0:
+        return lo, hi, e
+    return lo >> shift, -(-hi >> shift), e + shift
+
+
+def _less(m1: int, e1: int, m2: int, e2: int) -> bool:
+    """m1 * 2^e1 < m2 * 2^e2 for m1, m2 >= 0, shifting only when the two
+    sides have equal bit lengths."""
+    if not m1 or not m2:
+        return m1 < m2
+    l1, l2 = m1.bit_length() + e1, m2.bit_length() + e2
+    if l1 != l2:
+        return l1 < l2
+    e = min(e1, e2)
+    return m1 << (e1 - e) < m2 << (e2 - e)
 
 
 def drc_subset(B: BipartiteGraph, params: DrcParams, rng: RngStream,

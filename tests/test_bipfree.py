@@ -16,6 +16,7 @@ from exlab.bipfree import (K_rr, Pattern, _count_hyper, _graph_round,
                            kpartite_count_check, kpartite_instance,
                            kpartite_instance_guard, tight_instance,
                            tight_instance_guard, zarankiewicz_oracle)
+from test_core import bernoulli_row_per_position
 
 
 def brute_count_krr2(g):
@@ -52,16 +53,24 @@ def loop_count(G, r):
     return total // 2
 
 
-def loop_round(G, r, stream, p=None):
-    """The deletion round with one stream.random() call per edge and the
-    C(n, r) loop over A; p defaults to the round's keep rate."""
-    if p is None:
-        p = 0.5 * G.m ** (-1.0 / (r + 1))
+def sampled_rows_per_edge(G, p, stream):
+    """Reference sample: edge j of G.edges() is kept when position j of one
+    per-position digit-rule row of length G.m is an edge."""
+    kept = bernoulli_row_per_position(stream, G.m, p)
     rows = [0] * G.n
-    for u, v in G.edges():
-        if stream.random() < p:
+    for j, (u, v) in enumerate(G.edges()):
+        if kept >> j & 1:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
+    return rows
+
+
+def loop_round(G, r, stream, p=None):
+    """The deletion round with the per-position digit rule over the edges
+    and the C(n, r) loop over A; p defaults to the round's keep rate."""
+    if p is None:
+        p = 0.5 * G.m ** (-1.0 / (r + 1))
+    rows = sampled_rows_per_edge(G, p, stream)
     work = rows[:]
     for A, common in loop_rsets(rows, G.n, r):
         cand = [w for w in iter_bits(common) if w > A[0]]
@@ -126,17 +135,14 @@ def test_rset_walk_meets_pattern_free_and_saturated_hosts():
     assert list(_rsets([0b10, 0b01], 2, 3)) == []
 
 
-def test_sampled_rows_equal_one_random_call_per_edge():
+def test_sampled_rows_equal_the_per_edge_digit_rule():
     for name, G in walk_hosts().items():
         if G.m == 0:
             continue
         for p in (0.03, 0.5, 0.97):
             bulk, single = RngStream(7).derive(name), RngStream(7).derive(name)
             rows = _sample_rows(G, p, bulk)
-            kept = [(u, v) for u, v in G.edges() if single.random() < p]
-            assert rows == [mask_of(v for v in range(G.n)
-                                    if (min(u, v), max(u, v)) in kept)
-                            for u in range(G.n)], (name, p)
+            assert rows == sampled_rows_per_edge(G, p, single), (name, p)
             assert bulk.position == single.position == G.m
             assert bulk._rng.getstate() == single._rng.getstate()
 

@@ -91,6 +91,7 @@ INVOCATIONS = [
     "setmap --op violate --k 2 --n 6 --seed 1_000",
     "embed --op drc --eps 1e-10000000",
     "embed --op drc --eps 1e100000",
+    "embed --op drc --N 40000004 --k 10000000 --eps 1/3",
     "embed --op cube --d 17",
 ]
 

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -21,7 +22,7 @@ from exlab.core import (BipartiteGraph, EdgeColoring, Failure, Graph,
                         random_equitable_bipartition, random_graph,
                         read_bipartite, read_coloring, read_graph,
                         try_bipartition, write_coloring, write_graph)
-from exlab.core import _sample_setsize
+from exlab.core import _bernoulli_rows, _sample_setsize
 
 
 def test_bit_helpers_round_trip():
@@ -176,31 +177,126 @@ def test_random_graph():
     assert random_graph(10, 1.0, RngStream(1)) == complete_graph(10)
 
 
+def bernoulli_row_per_position(stream, count, p, decided_in=None):
+    """Reference digit rule, one position at a time: position k is an edge
+    exactly when the 53-bit number whose digits are bit k of the row's
+    successive getrandbits(count) rounds is below T = ceil(p * 2^53).  A
+    position is decided in the first round whose bit differs from T's
+    digit; the row stops once every position is decided or T has no 1 digit
+    left.  ``decided_in[k]`` gets the 1-based round that decided k."""
+    T = 0 if not p > 0 else 2 ** 53 if p >= 1 else math.ceil(p * 2 ** 53)
+    stream.position += count
+    if T == 2 ** 53:
+        return (1 << count) - 1
+    digits = format(T, "053b")
+    undecided = set(range(count))
+    row = 0
+    for i, digit in enumerate(digits):
+        if not undecided or "1" not in digits[i:]:
+            break
+        word = stream._rng.getrandbits(count)
+        for k in sorted(undecided):
+            if word >> k & 1 != int(digit):
+                undecided.remove(k)
+                row |= int(digit) << k
+                if decided_in is not None:
+                    decided_in[k] = i + 1
+    return row
+
+
 def random_graph_rows_per_pair(n, p, stream):
-    """Reference G(n, p): one stream.random() per vertex pair, row-major."""
+    """Reference G(n, p): row u's pairs (u, u + 1 + k) by the per-position
+    digit rule, rows in order."""
     rows = [0] * n
     for u in range(n):
-        for v in range(u + 1, n):
-            if stream.random() < p:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+        row = bernoulli_row_per_position(stream, n - 1 - u, p)
+        for k in iter_bits(row):
+            rows[u] |= 1 << (u + 1 + k)
+            rows[u + 1 + k] |= 1 << u
     return tuple(rows)
 
 
 def random_bipartite_rows_per_pair(n1, n2, p, stream):
-    """Reference G(n1, n2, p): one stream.random() per (V1, V2) pair,
-    row-major."""
+    """Reference G(n1, n2, p): row u's pairs (u, n1 + k) by the
+    per-position digit rule, rows in order."""
     rows = [0] * (n1 + n2)
     for u in range(n1):
-        for v in range(n1, n1 + n2):
-            if stream.random() < p:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+        row = bernoulli_row_per_position(stream, n2, p)
+        for k in iter_bits(row):
+            rows[u] |= 1 << (n1 + k)
+            rows[n1 + k] |= 1 << u
     return tuple(rows)
 
 
-EDGE_PS = (0.0, 1.0, 0.5, 1 / 3, 0.001, 5e-324, 1 - 2 ** -53, 1.5, -0.5,
-           math.nan, math.inf)
+# p = 1/2 takes one round, 3/8 = 0.011b stops after three, 2^-60 rounds to
+# T = 1, whose only 1 digit is the last of 53
+EDGE_PS = (0.0, 1.0, 0.5, 1 / 3, 3 / 8, 0.7, 0.001, 2 ** -60, 5e-324,
+           1 - 2 ** -53, 1.5, -0.5, math.nan, math.inf)
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts its getrandbits calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+class ScriptedBits:
+    """Stands in for a stream's generator: getrandbits returns the next
+    scripted word."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.calls = []
+
+    def getrandbits(self, k):
+        self.calls.append(k)
+        return self.words.pop(0) & ((1 << k) - 1)
+
+
+def test_bernoulli_rows_match_the_per_position_rule():
+    counts = [0, 5, 0, 64, 200, 1, 0]
+    for p in EDGE_PS:
+        for seed in (1, 77, 2 ** 40 + 3):
+            bulk, single = RngStream(seed), RngStream(seed)
+            rows = _bernoulli_rows(bulk, counts, p)
+            assert rows == [bernoulli_row_per_position(single, c, p)
+                            for c in counts], (p, seed)
+            assert bulk.position == single.position == sum(counts)
+            assert bulk._rng.getstate() == single._rng.getstate()
+    assert _bernoulli_rows(RngStream(1), [], 0.5) == []
+
+
+def test_bernoulli_rows_round_counts():
+    """One round per nonempty row at p = 1/2, three for a long row at
+    p = 3/8, none for an empty row or at p <= 0, NaN or p >= 1."""
+    def rounds(counts, p):
+        stream = RngStream(4)
+        stream._rng = CountingRandom(4)
+        _bernoulli_rows(stream, counts, p)
+        return stream._rng.calls
+
+    assert rounds([7, 0, 300, 1], 0.5) == 3
+    assert rounds([300], 3 / 8) == 3
+    assert rounds([0, 0], 0.7) == 0
+    for p in (0.0, -0.5, math.nan, 1.0, 1.5):
+        assert rounds([7, 0, 300, 1], p) == 0, p
+
+
+def test_bernoulli_rows_have_the_exact_law():
+    """At p = 5/16, T / 2^53 = 0.0101b: a row of 16 positions whose four
+    rounds spell every 4-bit string once has exactly 5 edges, the strings
+    below 0101, and the row stops after T's last 1 digit."""
+    words = [sum((k >> (3 - i) & 1) << k for k in range(16))
+             for i in range(4)]
+    stream = RngStream(0)
+    stream._rng = ScriptedBits(words)
+    row, = _bernoulli_rows(stream, [16], 5 / 16)
+    assert row == 0b11111
+    assert stream._rng.calls == [16] * 4 and stream.position == 16
 
 
 def test_random_graph_matches_per_pair_draws():
@@ -245,19 +341,18 @@ def test_bit_columns_matches_per_bit_transpose():
 
 
 def test_random_graph_settles_ties_both_ways():
-    """Pairs whose draw shares its top byte with ceil(p * 2^53) need both
-    words; at p = 1/3 such pairs fall on both sides of p."""
+    """Positions whose first bit equals T's first digit are settled in later
+    rounds; at p = 1/3 such positions fall on both sides of p."""
     n, p, seed = 300, 1 / 3, 1
-    T = math.ceil(p * 2 ** 53)
-    words = random.Random(seed)
-    below = above = 0
-    for _ in range(n * (n - 1) // 2):
-        a, b = words.getrandbits(32), words.getrandbits(32)
-        if a >> 24 == T >> 45:
-            x = (a >> 5) * 2 ** 26 + (b >> 6)
-            below += x < T
-            above += x >= T
-    assert below and above
+    stream = RngStream(seed)
+    later = {True: 0, False: 0}
+    for u in range(n):
+        decided_in = {}
+        row = bernoulli_row_per_position(stream, n - 1 - u, p, decided_in)
+        for k, i in decided_in.items():
+            if i > 1:
+                later[bool(row >> k & 1)] += 1
+    assert later[True] and later[False]
     assert random_graph(n, p, RngStream(seed)).adj == \
         random_graph_rows_per_pair(n, p, RngStream(seed))
 
@@ -282,13 +377,9 @@ def test_sample_matches_random_sample():
 
 
 def test_interpreter_keeps_the_draws_the_bulk_kernels_assume():
-    """random_graph, sample and randrange_bytes rebuild CPython's draws from
-    raw Mersenne Twister words; a change here would change hosts."""
+    """sample rebuilds CPython's draws from raw Mersenne Twister words; a
+    change here would change its samples."""
     rnd, raw = random.Random(11), random.Random(11)
-    for _ in range(1000):
-        a, b = raw.getrandbits(32), raw.getrandbits(32)
-        assert rnd.random() == ((a >> 5) * 2 ** 26 + (b >> 6)) / 2 ** 53, \
-            "random() is no longer (a>>5, b>>6) of two 32-bit words"
     for m in (1, 2, 5, 64):
         words = [raw.getrandbits(32) for _ in range(m)]
         assert rnd.getrandbits(32 * m) == sum(
@@ -441,11 +532,31 @@ def test_edge_coloring_callable_and_random():
         assert rnd.color_of(u, v) in (0, 1)
 
 
+def randrange_bytes_per_value(stream, n, count):
+    """Reference one-byte draw: each value is the top (n - 1).bit_length()
+    bits of the next byte of getrandbits(8 * need), kept when below n; the
+    shortfall is drawn again."""
+    shift = 8 - (n - 1).bit_length()
+    out = []
+    while len(out) < count:
+        need = count - len(out)
+        word = stream._rng.getrandbits(8 * need)
+        for i in range(need):
+            value = (word >> 8 * i & 0xFF) >> shift
+            if value < n:
+                out.append(value)
+    stream.position += count
+    return out
+
+
 def coloring_rows_per_edge(graph, r, stream):
-    """Reference coloring: one stream.randrange(r) per edge in edges() order."""
+    """Reference coloring: edge colors in edges() order, one per-value byte
+    draw each for r < 256, else one stream.randrange(r) each."""
+    edges = graph.edges()
+    colors = randrange_bytes_per_value(stream, r, len(edges)) if r < 256 \
+        else [stream.randrange(r) for _ in edges]
     rows = [[0] * graph.n for _ in range(r)]
-    for u, v in graph.edges():
-        c = stream.randrange(r)
+    for (u, v), c in zip(edges, colors):
         rows[c][u] |= 1 << v
         rows[c][v] |= 1 << u
     return tuple(tuple(row) for row in rows)
@@ -458,7 +569,7 @@ def test_random_coloring_matches_per_edge_draws():
              random_graph(25, 0.9, RngStream(9)), view, grid_lines(4),
              Graph(9), complete_graph(1), complete_graph(0)]
     for host in hosts:
-        for r in (1, 2, 3, 5, 255, 256, 257):
+        for r in (1, 2, 3, 5, 7, 255, 256, 257):
             bulk, single = RngStream(1234), RngStream(1234)
             col = random_coloring(host, r, bulk)
             assert col.rows == coloring_rows_per_edge(host, r, single), \
@@ -469,17 +580,31 @@ def test_random_coloring_matches_per_edge_draws():
         random_coloring(complete_graph(3), 0, RngStream(1))
 
 
-def test_randrange_bytes_matches_randrange():
+def test_randrange_bytes_matches_per_value_draws():
     for n in (1, 2, 3, 7, 128, 200, 255):
         bulk, single = RngStream(n), RngStream(n)
         got = bulk.randrange_bytes(n, 300)
-        assert list(got) == [single.randrange(n) for _ in range(300)]
+        assert list(got) == randrange_bytes_per_value(single, n, 300)
         assert bulk.position == single.position == 300
         assert bulk._rng.getstate() == single._rng.getstate()
     assert RngStream(5).randrange_bytes(3, 0) == b""
     for bad in (0, 256):
         with pytest.raises(ValueError):
             RngStream(5).randrange_bytes(bad, 4)
+
+
+def test_randrange_bytes_has_the_exact_law():
+    """Fed each byte value once, the kept values hit every residue below n
+    equally often, and a power of two rejects nothing."""
+    every_byte = int.from_bytes(bytes(range(256)), "little")
+    for n in (1, 2, 3, 7, 128, 255):
+        stream = RngStream(0)
+        stream._rng = ScriptedBits([every_byte, 0])
+        got = stream.randrange_bytes(n, 256)
+        kept = n << (8 - (n - 1).bit_length())
+        assert Counter(got[:kept]) == {v: kept // n for v in range(n)}, n
+        assert got[kept:] == bytes(256 - kept)
+        assert len(stream._rng.calls) == (1 if kept == 256 else 2)
 
 
 def test_graph_io_round_trip(tmp_path):

@@ -269,7 +269,7 @@ def test_record_roundtrip_and_rng_field(tmp_path):
     spec = ExperimentSpec("rsgraph", "behrend", {"N": 500}, seed=3,
                           out=str(path))
     rec = expcli.run(spec)
-    assert rec.rng["algorithm"] == "mt19937/sha256-derive"
+    assert rec.rng["algorithm"] == "mt19937-digits/sha256-derive"
     assert rec.schema_version == 2
     stored = expcli.read_record(path)
     assert stored["trials"] == rec.trials
@@ -346,6 +346,18 @@ def test_replay_checks_rng_algorithm(tmp_path):
     _write_json(path, stored)
     with pytest.raises(ValueError, match="RNG algorithm None"):
         expcli.replay(path)
+
+
+def test_replay_refuses_records_of_the_old_algorithm(tmp_path, capsys):
+    # records written before the digit-rule draws name the old algorithm
+    path = tmp_path / "rec.json"
+    expcli.run(ExperimentSpec("bipfree", "count", {"n": 30, "p": 0.5},
+                              seed=2, out=str(path)))
+    stored = expcli.read_record(path)
+    assert stored["schema_version"] == 2
+    stored["rng"]["algorithm"] = "mt19937/sha256-derive"
+    _write_json(path, stored)
+    _assert_input_error(["replay", str(path)], capsys)
 
 
 def test_failing_trial_of_any_type_is_recorded(tmp_path, monkeypatch):

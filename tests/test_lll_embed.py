@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from exlab.lll_embed import (MAX_ENUMERATION, AuxPair,
                              _common_neighbors_mask, _rank_combination,
                              _unrank_combination, bip_ramsey_pipeline,
                              build_aux_pair, drc_subset,
+                             drc_subset_guard,
                              neighborhood_hypergraph, random_dense_dch,
                              random_dense_dch_guard, resample_embed)
 
@@ -399,6 +401,58 @@ def test_drc_guards():
         drc_subset(overlay, params, RngStream(0))
     with pytest.raises(GuardError):
         DrcParams(Fraction(1, 2), 0, 1, 2)
+
+
+def test_drc_guard_keeps_the_exact_floor():
+    """The guard accepts exactly when N * eps^k >= max(bn, 4k), also where
+    the two sides tie or differ in the last unit."""
+    def exact_accepts(N, params):
+        k, n, eps, b = params.k, params.n, params.eps, params.b
+        return 4 * k <= N and N * eps ** k >= max(b * n, 4 * k)
+
+    near_one = 1 - Fraction(1, 10 ** 40)
+    checked = 0
+    for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
+                Fraction(7, 8), Fraction(999, 1000), near_one,
+                Fraction(1, 10 ** 40)):
+        for k in (1, 2, 3, 5, 8, 50, 400):
+            for b, n in ((1, 2), (Fraction(3, 2), 7), (5, 10 ** 6 + 3)):
+                params = DrcParams(eps, k, b, n)
+                edge = math.ceil(max(b * n, 4 * k) / eps ** k)
+                if edge.bit_length() > 10000:  # past int-to-text in messages
+                    continue
+                for N in {edge - 1, edge, edge + 1, 4 * k - 1, 4 * k}:
+                    try:
+                        drc_subset_guard(N, params)
+                        accepted = True
+                    except GuardError:
+                        accepted = False
+                    assert accepted == exact_accepts(N, params), \
+                        (N, eps, k, b, n)
+                    checked += 1
+    assert checked > 500
+    # eps^k within 10^-20 of 1 at k = 10^20: N = 4k + 1 falls short and
+    # N = 4k + 10 meets the floor, decided without writing eps^k out
+    k = 10 ** 20
+    with pytest.raises(GuardError):
+        drc_subset_guard(4 * k + 1, DrcParams(near_one, k, 1, 2))
+    drc_subset_guard(4 * k + 10, DrcParams(near_one, k, 1, 2))
+    # k = 10^300 squares its bounds about 1000 times; eps^k is near e^-10,
+    # so the floor 4k needs N between 22000 and 22100 times 4k
+    k = 10 ** 300
+    params = DrcParams(1 - Fraction(1, 10 ** 299), k, 1, 2)
+    with pytest.raises(GuardError):
+        drc_subset_guard(4 * k * 22000, params)
+    drc_subset_guard(4 * k * 22100, params)
+
+
+def test_drc_guard_rejects_a_huge_k_at_once(capsys):
+    t0 = time.perf_counter()
+    code = expcli.main(["embed", "--op", "drc", "--N", "40000004",
+                        "--k", "10000000", "--eps", "1/3", "--dry-run"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "below eps^-k" in capsys.readouterr().err
 
 
 def test_drc_retry_cap():

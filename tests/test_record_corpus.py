@@ -67,7 +67,7 @@ CORPUS = {
     "bipfree-extract-n40": ExperimentSpec(
         "bipfree", "extract", {"n": 40, "p": 0.5}, seed=3, trials=2),
     "bipfree-extract-retry-cap-failure": ExperimentSpec(
-        "bipfree", "extract", {"n": 12, "p": 0.5, "retry_cap": 1}, seed=8),
+        "bipfree", "extract", {"n": 5, "p": 1.0, "retry_cap": 1}),
     "bipfree-kcheck-k3-half": ExperimentSpec(
         "bipfree", "kcheck", {"k": 3, "r": 2, "n": 2, "p": 0.5},
         seed=4, trials=2),
@@ -79,8 +79,8 @@ CORPUS = {
     "embed-drc-defaults": ExperimentSpec(
         "embed", "drc", {}, seed=1, trials=2),
     "embed-drc-retry-cap-failure": ExperimentSpec(
-        "embed", "drc", {"N": 64, "p": 0.6, "k": 2, "eps": "1/2", "n": 8,
-                         "retry_cap": 1}, seed=27),
+        "embed", "drc", {"N": 72, "p": 0.37, "k": 2, "eps": "1/3",
+                         "retry_cap": 1}, seed=17),
     "embed-pipeline-n256": ExperimentSpec(
         "embed", "pipeline", {"N": 256}, seed=1, trials=1),
     "embed-cube-d3": ExperimentSpec(
@@ -112,13 +112,13 @@ CORPUS = {
 }
 
 PINS = {
-    "mt19937/sha256-derive": {
+    "mt19937-digits/sha256-derive": {
         "bipfree-count-n30":
-            "940c6d593433b711828b0477f4b957d8853b2559ca566728405c5a60df6df8fb",
+            "0880391cfe38482f9709187b39037e7d093411fda0d3faef1954b39e5bf82c0e",
         "bipfree-extract-n40":
-            "e045bd03abd4bb3dbb4198aa5ba3f661cfc904688ed7440565437dd069440b2a",
+            "23fb81fa3b65ee0af53e09e1ce4907c36c76a64118e77e5063121c094d718336",
         "bipfree-extract-retry-cap-failure":
-            "7e73ea54a6fe3194726b284fc5922d12c9846e015353c3e55ce8a26b07d74bea",
+            "67f04e746c0b5af73e7d0c6ea40070beb02adbd91a55a2431fbae36e8af8c408",
         "bipfree-kcheck-k3-half":
             "93de8dd00bd9f41bb303be7387a5ab0330d598d0155adc3c66e31b03cb88fe25",
         "bipfree-tight-m27-s3":
@@ -128,15 +128,15 @@ PINS = {
         "embed-cube-d3":
             "9aa350458925550512d324c44b034bb06b8715f7e300af0c0b4d26e49e3b7946",
         "embed-drc-defaults":
-            "004219cbeabb14d32c5e7af8c535758c71ccaa4b53b0cd4a05a5304619961ad1",
+            "70b74e8511703a1f7b2cf8a2e8b5ae810eb706cd59c063b603b858b162aba480",
         "embed-drc-retry-cap-failure":
-            "051959ee19a2b44ef4781169dd7370dc047250d9d8d0d461c9838b1f7e6b1a50",
+            "f6d83b6c05f501657911f7b538a212aaf5fefbe03842be744b720895fe6c2366",
         "embed-lemma-n64-d2":
             "7bcb3b0f71551ccd1827c5aeb8ff881aad5f2a9ac8202955489de96d5b89f21a",
         "embed-lemma-round-cap-failure":
             "d7d7d1a5ac3f77253705fcd1cc5516e703f4961d0ee5eecea9d24e9653c301cf",
         "embed-pipeline-n256":
-            "57a3000e4f0b6a0291cade4a8de9d746cd5fe314b344e93b150a447065d3d3cf",
+            "aed800df26fd18f1a90372caa1ddf8228c8bad18d6e6a47aca35ccc9d927d682",
         "removal-census-n6":
             "e9495d84e03318e52c258f24f06fd80d72b4fb2a0baeba4be21168ad3a2e5ffe",
         "removal-diamond-n5":
@@ -166,29 +166,29 @@ PINS = {
         "setmap-violate-k2-n6":
             "5a03769fbba7b62361ba2b876ad3999508f20952adb391522bcbb8b31118f931",
         "weakseq-minor-n200-t3":
-            "b22b7e57ccab36ac654246f3d97cc3081d0bca5fa1a9edb4b56985066687aab5",
+            "ee060012b943af0527d7e6e6767b9b92996a66e96190b00f930c218a95c5080b",
         "weakseq-minor-n200-t3-plain":
-            "f0e179747abe39921f734c106f16b071d558880b1a8d3c3c7e3d06d491f14991",
+            "584a420c6e6f51370bdba10a4be78e153fb6c1c76fa2ef6e758162f328f37830",
         "weakseq-minor-n600-t4":
-            "40c25a4f551bc11e3d3a7199aee1d4dd88d555fd1515554096d95cb39fb749a3",
+            "dd4bc2371362c0f4caf11d5887f0f867ba84d15dbad95d41d43e183122683e76",
         "weakseq-minor-sparse-failure":
-            "815453c1b658a5365af2e46e8f6a0cd903181a04f9cc41818b930fa1375eda3d",
+            "cebd67b4118a25f80c18d22d5c4b5db21a792c6f14702ecbd7e221d77e83df2d",
         "weakseq-oracle-n10":
             "f58f9fb55a87bb965b8bf2c1cb4697a6b920d413c0da84eb4bbb52c8cb201b95",
         "weakseq-pipeline-ktt-absent":
-            "aa3662bc19cb193713d344499614a33e3b4be78f312e4ad9b27bcc7eaea7e2e5",
+            "dbfa7183d3d7b3824e5bc73368c9110bbc40095dae5c1e49983ce495045aaf97",
         "weakseq-pipeline-n200-regime":
-            "1cac9a51d16fa28345f97e1b87ba57e3312b9bcbc364e5cf9533ca20875f52fa",
+            "833a33a1807e35f6f510f31974ac92f8f96a1dd98c3399d9fedb06d9fedf2c0a",
         "weakseq-pipeline-n2000-t12":
-            "3cdc0a20500ddde9a8f8b4e711f9834b72582f665b5553c7e7bbdcd92ab3b702",
+            "d6b9970b3a899e3ccbd2561faa772a5744113598b5624a2036b88ad1f7e9370f",
         "weakseq-pipeline-n2000-t4":
-            "0c84ded5d29116434299867481c027bc82b70f1a55350cb7f41522154c2e08bd",
+            "54ad2e549eba393b1d4988c60fce5906a756151d263008c622aa509ab12dd60a",
         "weakseq-pipeline-n300-sparse":
-            "25d7598677f1ea50200506d38a75b7abc3e3f05cc6697d401821b4ae4a2ab69f",
+            "236411f0f061ed66d38ed9b395a114ccf33dab99813dafa929ae75832e4505dd",
         "weakseq-pipeline-n400-t2":
-            "1fd1d2c5eeb5a7c8edbddbac11ba1f3a11709178c649d52be4c12ff9ba1eb9ff",
+            "97ea074e3b2343998eb990f94f194c89d0a43aa7c8f18222a4f165ec24195788",
         "weakseq-pipeline-n600-t3":
-            "e85054b0c2008f0fc963ed3ef10fda15f3a144750e5794019340615172967216",
+            "aa40b488a36504a54fb7493f8ef7656e4f702c813e6daa9415399652cd0f148e",
     },
 }
 
@@ -224,6 +224,15 @@ def test_corpus_digest(name):
 
 def test_corpus_pins_cover_the_corpus():
     assert sorted(corpus_pins(RngStream.ALGORITHM)) == sorted(CORPUS)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(n for n in CORPUS
+                                        if n.endswith("-cap-failure")))
+def test_cap_failure_specs_record_only_failures(name):
+    outcomes = [t["outcome"] for t in run(CORPUS[name]).trials]
+    assert outcomes and all(o.startswith("failure:") for o in outcomes), \
+        outcomes
 
 
 def test_corpus_covers_every_operation():
