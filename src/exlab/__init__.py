@@ -14,11 +14,7 @@ from .core import (
     KUniformHypergraph,
     ParseError,
     RngStream,
-    read_bipartite,
-    read_coloring,
     read_graph,
-    write_coloring,
-    write_graph,
 )
 
 __version__ = "0.1.0"
@@ -32,10 +28,6 @@ __all__ = [
     "KUniformHypergraph",
     "ParseError",
     "RngStream",
-    "read_bipartite",
-    "read_coloring",
     "read_graph",
-    "write_coloring",
-    "write_graph",
     "__version__",
 ]

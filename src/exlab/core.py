@@ -1,5 +1,5 @@
 """Shared substrate: bitset graphs, hypergraphs, edge colorings, seeded RNG
-streams, canonical generators and edge-list file I/O.
+streams, canonical generators and the edge-list graph reader.
 
 All graph types are immutable after construction.  Vertices are dense
 integer indices, and an id is the only name a vertex has; generators with a
@@ -20,6 +20,12 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 MAX_HYPERCUBE_DIM = 16
 MAX_GRID_CELLS = 10 ** 8
+# The most vertices a drawn (G(n, p), G(n1, n2, p)) or complete host may
+# have.  Its n rows of n bits take n^2/8 bytes, 32 MiB at 2^14.  A coloring
+# of K_n holds an n^2-byte matrix, 256 MiB, and draws 8 C(n, 2) < 2^30 bits
+# in one getrandbits call; at 2^15 that count would pass 2^31, past the C
+# int that CPython's getrandbits takes.
+MAX_VERTICES = 1 << 14
 
 
 class GuardError(ValueError):
@@ -107,10 +113,6 @@ class RngStream:
     def randrange(self, n: int) -> int:
         self.position += 1
         return self._rng.randrange(n)
-
-    def getrandbits(self, k: int) -> int:
-        self.position += 1
-        return self._rng.getrandbits(k)
 
     def randrange_bytes(self, n: int, count: int) -> bytes:
         """``count`` values uniform on [0, n), 1 <= n < 256, as a bytes object.
@@ -337,12 +339,6 @@ class BipartiteGraph:
                 rows[v] = row if cut == row else cut
         return cls._from_parts(rows, (0, mask1, mask2))
 
-    def part_of(self, v: int) -> int:
-        for part, mask in enumerate(self._parts):
-            if mask >> v & 1:
-                return part
-        raise ValueError(f"vertex {v} lies in no part")
-
     def mask(self, part: int) -> int:
         return self._parts[part]
 
@@ -486,9 +482,6 @@ class EdgeColoring:
                 return c
         return None
 
-    def mono_mask(self, c: int, v: int) -> int:
-        return self.rows[c][v]
-
     def class_size(self, c: int) -> int:
         return sum(row.bit_count() for row in self.rows[c]) // 2
 
@@ -496,23 +489,15 @@ class EdgeColoring:
 def random_coloring(graph, r: int, stream: RngStream) -> EdgeColoring:
     """Uniform random r-coloring of the host's edges.
 
-    Edge colors are drawn in ``graph.edges()`` order: for r < 256 by one
-    :meth:`RngStream.randrange_bytes` call, one byte per edge, scattered
-    into an n*n byte matrix (0xFF: no edge); for r >= 256 by one
-    ``stream.randrange(r)`` per edge.  Row u, read as the column above the
-    diagonal followed by the row's own upper part, turns into each color's
-    mask of u by one ``bytes.translate``.
+    Needs 1 <= r < 256.  Edge colors are drawn in ``graph.edges()`` order
+    by one :meth:`RngStream.randrange_bytes` call, one byte per edge,
+    scattered into an n*n byte matrix (0xFF: no edge).  Row u, read as the
+    column above the diagonal followed by the row's own upper part, turns
+    into each color's mask of u by one ``bytes.translate``.
     """
-    if r < 1:
-        raise ValueError("need at least one color")
+    if not 1 <= r < 256:
+        raise ValueError(f"random_coloring needs 1 <= r < 256, got {r}")
     n = graph.n
-    if r >= 256:
-        rows = [[0] * n for _ in range(r)]
-        for u, v in graph.edges():
-            c = stream.randrange(r)
-            rows[c][u] |= 1 << v
-            rows[c][v] |= 1 << u
-        return EdgeColoring.from_rows(graph, rows, r)
     uppers = [graph.adj[u] >> (u + 1) for u in range(n)]
     colors = stream.randrange_bytes(r, sum(up.bit_count() for up in uppers))
     M = bytearray(b"\xff") * (n * n)
@@ -542,7 +527,15 @@ def random_coloring(graph, r: int, stream: RngStream) -> EdgeColoring:
 # Generators
 
 
+def vertex_count_guard(n: int) -> None:
+    """GuardError unless n <= MAX_VERTICES, the hosts ``random_graph``,
+    ``random_bipartite`` and ``complete_graph`` build."""
+    if n > MAX_VERTICES:
+        raise GuardError(f"{n} vertices exceed guard {MAX_VERTICES}")
+
+
 def complete_graph(n: int) -> Graph:
+    vertex_count_guard(n)
     full = (1 << n) - 1
     rows = [full & ~(1 << u) for u in range(n)]
     return Graph._from_rows(n, rows)
@@ -676,6 +669,7 @@ def random_graph(n: int, p: float, stream: RngStream) -> Graph:
     row of length n - 1 - u, bit k standing for v = u + 1 + k, drawn in
     order u = 0, 1, ...  The rows' lower halves are the ``bit_columns`` of
     their upper halves."""
+    vertex_count_guard(n)
     upper = [row << (u + 1) for u, row in
              enumerate(_bernoulli_rows(stream, range(n - 1, -1, -1), p))]
     rows = [up | low for up, low in zip(upper, bit_columns(upper, n))]
@@ -688,6 +682,7 @@ def random_bipartite(n1: int, n2: int, p: float,
     (u, n1 + v) of u in V1 are one ``_bernoulli_rows`` row of length n2,
     bit v standing for n1 + v, drawn in order u = 0, 1, ...  The V2 rows
     are the V1 rows' columns."""
+    vertex_count_guard(n1 + n2)
     draws = _bernoulli_rows(stream, [n2] * n1, p)
     rows = [row << n1 for row in draws] + bit_columns(draws, n2)
     return BipartiteGraph._from_parts(rows, _contiguous_parts(0, n1, n2))
@@ -758,11 +753,10 @@ def try_bipartition(g: Graph):
 
 
 # ---------------------------------------------------------------------------
-# Edge-list file I/O
+# Edge-list graph file
 #
-# Format: first line "n"; bipartite files add a second header line "n1 n2"
-# (the overlay part size is n - n1 - n2); then one edge "u v" per line with
-# u < v, or "u v c" for colorings.  '#' starts a comment.
+# Format: first line "n", then one edge "u v" per line with 0 <= u < v < n.
+# '#' starts a comment.
 
 
 def _data_lines(path) -> Iterator[tuple[int, str]]:
@@ -771,6 +765,17 @@ def _data_lines(path) -> Iterator[tuple[int, str]]:
             line = raw.split("#", 1)[0].strip()
             if line:
                 yield no, line
+
+
+def _header(path) -> tuple:
+    """``((no, line), rest)``: a file's first data line with its line
+    number, and an iterator over the data lines after it; ParseError on a
+    file without data lines."""
+    lines = _data_lines(path)
+    try:
+        return next(lines), lines
+    except StopIteration:
+        raise ParseError("empty file", 1) from None
 
 
 def _parse_ints(line: str, no: int, want: int) -> list[int]:
@@ -783,81 +788,13 @@ def _parse_ints(line: str, no: int, want: int) -> list[int]:
         raise ParseError(f"non-integer field in {line!r}", no) from None
 
 
-def _write_header(fh, g) -> None:
-    fh.write(f"{g.n}\n")
-    if isinstance(g, BipartiteGraph):
-        layout = (g.n0 + g.n1 + g.n2, _contiguous_parts(g.n0, g.n1, g.n2))
-        if (g.n, g._parts) != layout:
-            raise ValueError("only the contiguous part layout can be written")
-        fh.write(f"{g.n1} {g.n2}\n")
-
-
-def write_graph(g, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_header(fh, g)
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
-
-
-def _read_edge_list(path, bipartite: bool, fields: int) -> tuple:
-    """Parse an edge-list file into (n, n1, n2, lines).
-
-    ``bipartite`` files carry the "n1 n2" header line (n1 = n2 = 0
-    otherwise); each edge line has ``fields`` integers, "u v" or "u v c",
-    with 0 <= u < v < n and a color c >= 0.
-    """
-    lines = _data_lines(path)
-    try:
-        no, head = next(lines)
-    except StopIteration:
-        raise ParseError("empty file", 1) from None
-    (n,) = _parse_ints(head, no, 1)
-    n1 = n2 = 0
-    if bipartite:
-        try:
-            no2, head2 = next(lines)
-        except StopIteration:
-            raise ParseError("missing part-size header", no + 1) from None
-        n1, n2 = _parse_ints(head2, no2, 2)
-        if n1 + n2 > n:
-            raise ParseError(f"part sizes {n1}+{n2} exceed n={n}", no2)
-    out = []
-    for no3, line in lines:
-        vals = _parse_ints(line, no3, fields)
-        u, v = vals[0], vals[1]
-        if not 0 <= u < v < n:
-            raise ParseError(f"edge ({u},{v}) violates 0 <= u < v < {n}", no3)
-        if fields == 3 and vals[2] < 0:
-            raise ParseError(f"negative color {vals[2]}", no3)
-        out.append(tuple(vals))
-    return n, n1, n2, out
-
-
 def read_graph(path) -> Graph:
-    n, _, _, edges = _read_edge_list(path, False, 2)
+    (no, head), lines = _header(path)
+    (n,) = _parse_ints(head, no, 1)
+    edges = []
+    for no, line in lines:
+        u, v = _parse_ints(line, no, 2)
+        if not 0 <= u < v < n:
+            raise ParseError(f"edge ({u},{v}) violates 0 <= u < v < {n}", no)
+        edges.append((u, v))
     return Graph(n, edges)
-
-
-def read_bipartite(path) -> BipartiteGraph:
-    n, n1, n2, edges = _read_edge_list(path, True, 2)
-    return BipartiteGraph(n1, n2, edges, n0=n - n1 - n2)
-
-
-def write_coloring(col: EdgeColoring, path) -> None:
-    g = col.graph
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_header(fh, g)
-        fh.write(f"# colors: {col.r}\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v} {col.color_of(u, v)}\n")
-
-
-def read_coloring(path, bipartite: bool = False, r: int | None = None) -> EdgeColoring:
-    n, n1, n2, lines = _read_edge_list(path, bipartite, 3)
-    edges = [(u, v) for u, v, _ in lines]
-    colors = {(u, v): c for u, v, c in lines}
-    host = (BipartiteGraph(n1, n2, edges, n0=n - n1 - n2) if bipartite
-            else Graph(n, edges))
-    if r is None:
-        r = max(colors.values(), default=0) + 1
-    return EdgeColoring(host, colors, r)

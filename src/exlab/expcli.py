@@ -49,6 +49,7 @@ from .core import (
     random_coloring,
     random_graph,
     read_graph,
+    vertex_count_guard,
 )
 
 SCHEMA_VERSION = 2
@@ -325,6 +326,11 @@ def _random_source(params: dict, file: str, names: tuple) -> bool:
     return params.get(file) is None
 
 
+def _graph_source_check(params: dict) -> None:
+    if _random_source(params, "input", ("n", "p")):
+        vertex_count_guard(params["n"])
+
+
 def _host_graph(params: dict, rng: RngStream) -> Graph:
     if params.get("input") is not None:
         return read_graph(params["input"])
@@ -390,7 +396,7 @@ def _run_setmap_oracle(params, rng):
 
 def _bipfree_check(params: dict) -> None:
     bipfree.K_rr(params["r"])
-    _random_source(params, "input", ("n", "p"))
+    _graph_source_check(params)
 
 
 def _run_bipfree_count(params, rng):
@@ -481,6 +487,11 @@ def _drc_params(params: dict) -> lll_embed.DrcParams:
                                params["n"])
 
 
+def _embed_drc_check(params: dict) -> None:
+    lll_embed.drc_subset_guard(params["N"], _drc_params(params))
+    vertex_count_guard(2 * params["N"])  # the host is G(N, N, p)
+
+
 def _run_embed_drc(params, rng):
     B = random_bipartite(params["N"], params["N"], params["p"],
                          rng.derive("host"))
@@ -491,6 +502,11 @@ def _run_embed_drc(params, rng):
     stats = {"u_size": len(res.U), "tries": res.tries,
              "bad_k_sets": res.bad_k_sets, "key": len(res.U)}
     return True, "subset", res, stats
+
+
+def _embed_pipeline_check(params: dict) -> None:
+    vertex_count_guard(params["N"])
+    hypercube_guard(params["d"])
 
 
 def _run_embed_pipeline(params, rng):
@@ -516,7 +532,7 @@ def _run_embed_cube(params, rng):
 
 
 def _weakseq_check(params: dict) -> None:
-    _random_source(params, "input", ("n", "p"))
+    _graph_source_check(params)
     # an unset t becomes the regime order of the drawn host, at least 1
     t = 1 if params["t"] is None else params["t"]
     weakseq.weak_sequence_pipeline_guard(params["r"], t, params["n"])
@@ -552,13 +568,13 @@ def _weakseq_minor_check(params: dict) -> None:
     if params["diameter_aware"] not in (0, 1):
         raise GuardError(f"parameter 'diameter_aware': must be 0 or 1, got "
                          f"{params['diameter_aware']}")
-    _random_source(params, "input", ("n", "p"))
+    _graph_source_check(params)
     weakseq.load_preset(params["preset"])
     weakseq.minor_pipeline_guard(params["r"], params["t"], params["n"])
 
 
 def _weakseq_oracle_check(params: dict) -> None:
-    _random_source(params, "input", ("n", "p"))
+    _graph_source_check(params)
     weakseq.max_weak_sequence_order_guard(params["r"], params["n"])
 
 
@@ -610,6 +626,7 @@ def _run_rsgraph_decompose(params, rng):
 
 
 def _rsgraph_decompose_check(params: dict) -> None:
+    vertex_count_guard(params["N"])
     rsgraph.greedy_decompose_guard(params["N"], params["n"], params["t"],
                                    params["budget"])
 
@@ -759,13 +776,12 @@ OPS = {
                              "eps": (_frac, Fraction(1, 2)),
                              "k": (_int, 2), "b": (_frac, Fraction(1, 1)),
                              "n": (_int, 2), "retry_cap": (_count, 200)},
-                            lambda p: lll_embed.drc_subset_guard(
-                                p["N"], _drc_params(p)), "u_size"),
+                            _embed_drc_check, "u_size"),
     ("embed", "pipeline"): OpDef(_run_embed_pipeline,
                                  {"N": (_count, 512), "d": (_int, 3),
                                   "drc_retry": (_count, 200),
                                   "round_cap": (_count, 10000)},
-                                 lambda p: hypercube_guard(p["d"]), "rounds"),
+                                 _embed_pipeline_check, "rounds"),
     ("embed", "cube"): OpDef(_run_embed_cube, {"d": (_int, 3)},
                              lambda p: hypercube_guard(p["d"]), "edges"),
     ("weakseq", "pipeline"): OpDef(_run_weakseq_pipeline,

@@ -115,13 +115,6 @@ class DownClosedHypergraph:
         return frozenset(_unrank_combination(r, self.N, self.k)
                          for r in self.deleted_ranks)
 
-    @property
-    def top_count(self) -> int:
-        return math.comb(self.N, self.k) - len(self.deleted_ranks)
-
-    def density(self) -> Fraction:
-        return Fraction(self.top_count, math.comb(self.N, self.k))
-
     def missing_fraction(self) -> Fraction:
         return Fraction(len(self.deleted_ranks), math.comb(self.N, self.k))
 

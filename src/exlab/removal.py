@@ -32,7 +32,7 @@ from .core import (
     GuardError,
     ParseError,
     RngStream,
-    _data_lines,
+    _header,
     _parse_ints,
     grid_lines,
     iter_bits,
@@ -280,9 +280,9 @@ def _apex_mono_count(col: EdgeColoring, v: int) -> int:
     m2 = g.mask(2)
     total = 0
     for ch in range(col.r):
-        row = col.mono_mask(ch, v)
+        row = col.rows[ch][v]
         for a in iter_bits(row & m1):
-            total += (col.mono_mask(ch, a) & row & m2).bit_count()
+            total += (col.rows[ch][a] & row & m2).bit_count()
     return total
 
 
@@ -345,7 +345,7 @@ def sparse_pair_step(cover: TriangleCover) -> SparsePair:
     k = min(len(s1), len(s2))
     s1, s2 = s1[:k], s2[:k]
     sel2 = mask_of(s2)
-    e_color = sum((col.mono_mask(color, a) & sel2).bit_count() for a in s1)
+    e_color = sum((col.rows[color][a] & sel2).bit_count() for a in s1)
     # each such edge closes a monochromatic triangle at the chosen apex
     if e_color > budget:
         raise AssertionError(f"{e_color} edges of color {color} exceed "
@@ -502,7 +502,7 @@ def diamond_find(arg) -> Optional[Diamond]:
     for a in g.v1:
         for b in iter_bits(g.adj[a] & m2):
             ch = col.color_of(a, b)
-            apexes = col.mono_mask(ch, a) & col.mono_mask(ch, b) & mask0
+            apexes = col.rows[ch][a] & col.rows[ch][b] & mask0
             if apexes.bit_count() >= 2:
                 bits = iter_bits(apexes)
                 return Diamond((a, b), (next(bits), next(bits)), ch)
@@ -642,11 +642,7 @@ def random_grid(N: int, r: int, stream: RngStream) -> GridColoring:
 
 def read_grid(path) -> GridColoring:
     """Parse a grid file: N (optionally with r), then N rows of colors."""
-    lines = _data_lines(path)
-    try:
-        no, head = next(lines)
-    except StopIteration:
-        raise ParseError("empty file", 1) from None
+    (no, head), lines = _header(path)
     parts = head.split()
     if len(parts) not in (1, 2):
         raise ParseError(f"expected 'N' or 'N r', got {head!r}", no)

@@ -93,6 +93,8 @@ INVOCATIONS = [
     "embed --op drc --eps 1e100000",
     "embed --op drc --N 40000004 --k 10000000 --eps 1/3",
     "embed --op cube --d 17",
+    "bipfree --op count --n 1000000000000000000000 --p 0.5",
+    "embed --op drc --N 1000000000000000000000 --k 1",
 ]
 
 # spec files for ``run SPEC --dry-run``: the README example, some specs of

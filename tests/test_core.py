@@ -20,8 +20,7 @@ from exlab.core import (BipartiteGraph, EdgeColoring, Failure, Graph,
                         hypercube, hypercube_guard, iter_bits, mask_of,
                         random_bipartite, random_coloring,
                         random_equitable_bipartition, random_graph,
-                        read_bipartite, read_coloring, read_graph,
-                        try_bipartition, write_coloring, write_graph)
+                        read_graph, try_bipartition)
 from exlab.core import _bernoulli_rows, _sample_setsize
 
 
@@ -33,8 +32,8 @@ def test_bit_helpers_round_trip():
 
 def test_rng_stream_reproducible():
     a, b = RngStream(42), RngStream(42)
-    seq_a = [a.random() for _ in range(5)] + [a.randrange(100), a.getrandbits(32)]
-    seq_b = [b.random() for _ in range(5)] + [b.randrange(100), b.getrandbits(32)]
+    seq_a = [a.random() for _ in range(5)] + [a.randrange(100), a.choice("xyz")]
+    seq_b = [b.random() for _ in range(5)] + [b.randrange(100), b.choice("xyz")]
     assert seq_a == seq_b
     assert a.position == b.position == 7
 
@@ -78,7 +77,7 @@ def test_complete_bipartite():
     assert (g.n1, g.n2, g.m) == (2, 3, 6)
     assert g.cross_m() == 6
     assert g.density() == Fraction(1)
-    assert g.part_of(0) == 1 and g.part_of(2) == 2
+    assert g.mask(1) == 0b00011 and g.mask(2) == 0b11100
     with pytest.raises(ValueError):
         BipartiteGraph(2, 2, [(0, 1)])  # edge inside part V1
 
@@ -151,6 +150,17 @@ def test_hypercube():
         hypercube(17)
 
 
+def test_hosts_past_the_vertex_cap_are_refused_before_any_draw():
+    big = core.MAX_VERTICES + 1
+    stream = RngStream(1)
+    for build in (lambda: complete_graph(big),
+                  lambda: random_graph(big, 0.5, stream),
+                  lambda: random_bipartite(big - 1, 1, 0.5, stream)):
+        with pytest.raises(GuardError, match="exceed guard"):
+            build()
+    assert stream.position == 0
+
+
 def test_grid_lines():
     g = grid_lines(2)
     assert (g.n0, g.n1, g.n2) == (3, 2, 2)
@@ -161,7 +171,7 @@ def test_grid_lines():
             assert g.has_edge(a, b)
     # the antidiagonal x+y=2 passes only through (1,1)
     s2 = 0
-    assert g.part_of(s2) == 0
+    assert g.mask(0) >> s2 & 1
     assert g.degree(s2) == 2
     # x+y=3 passes through (1,2) and (2,1)
     assert g.degree(1) == 4
@@ -470,14 +480,14 @@ def test_induced_keeps_host_ids():
     assert bip.n == 30
     assert (bip.v0, bip.v1, bip.v2) == ((), tuple(side1), tuple(side2))
     assert (bip.n0, bip.n1, bip.n2) == (0, 10, 10)
-    assert bip.part_of(3) == 1 and bip.part_of(4) == 2
-    with pytest.raises(ValueError):
-        bip.part_of(2)  # left out of both parts
+    part = {v: i for i in (0, 1, 2) for v in iter_bits(bip.mask(i))}
+    assert part[3] == 1 and part[4] == 2
+    assert 2 not in part  # left out of both parts
     brute = sum(host.has_edge(u, v) for u in side1 for v in side2)
     assert bip.cross_m() == bip.m == brute
     assert bip.density() == Fraction(brute, 100)
     for u, v in bip.edges():
-        assert host.has_edge(u, v) and bip.part_of(u) != bip.part_of(v)
+        assert host.has_edge(u, v) and part[u] != part[v]
     assert all(bip.adj[v] == 0 for v in range(2, 30, 3))
     # an induced view of a view keeps the same ids
     sub = BipartiteGraph.induced(bip, mask_of(side1[:4]), mask_of(side2))
@@ -498,22 +508,13 @@ def test_transpose_swaps_parts_and_keeps_ids():
     assert t.transpose() == bip
 
 
-def test_write_rejects_non_contiguous_layouts(tmp_path):
-    g = random_graph(10, 0.5, RngStream(2))
-    view = BipartiteGraph.induced(g, mask_of([0, 2, 4]), mask_of([1, 3, 5]))
-    with pytest.raises(ValueError):
-        write_graph(view, tmp_path / "view.edges")
-    with pytest.raises(ValueError):
-        write_graph(complete_bipartite(2, 3).transpose(), tmp_path / "t.edges")
-
-
 def test_edge_coloring_validation():
     g = Graph(3, [(0, 1), (1, 2)])
     col = EdgeColoring(g, {(0, 1): 0, (1, 2): 1}, r=2)
     assert col.color_of(0, 1) == 0 and col.color_of(2, 1) == 1
     assert col.color_of(0, 2) is None
     assert col.class_size(0) == col.class_size(1) == 1
-    assert col.mono_mask(0, 1) == 1 << 0
+    assert col.rows[0][1] == 1 << 0
     with pytest.raises(ValueError):
         EdgeColoring(g, {(0, 1): 0}, r=2)  # (1,2) left uncolored
     with pytest.raises(ValueError):
@@ -551,10 +552,9 @@ def randrange_bytes_per_value(stream, n, count):
 
 def coloring_rows_per_edge(graph, r, stream):
     """Reference coloring: edge colors in edges() order, one per-value byte
-    draw each for r < 256, else one stream.randrange(r) each."""
+    draw each."""
     edges = graph.edges()
-    colors = randrange_bytes_per_value(stream, r, len(edges)) if r < 256 \
-        else [stream.randrange(r) for _ in edges]
+    colors = randrange_bytes_per_value(stream, r, len(edges))
     rows = [[0] * graph.n for _ in range(r)]
     for (u, v), c in zip(edges, colors):
         rows[c][u] |= 1 << v
@@ -569,15 +569,16 @@ def test_random_coloring_matches_per_edge_draws():
              random_graph(25, 0.9, RngStream(9)), view, grid_lines(4),
              Graph(9), complete_graph(1), complete_graph(0)]
     for host in hosts:
-        for r in (1, 2, 3, 5, 7, 255, 256, 257):
+        for r in (1, 2, 3, 5, 7, 255):
             bulk, single = RngStream(1234), RngStream(1234)
             col = random_coloring(host, r, bulk)
             assert col.rows == coloring_rows_per_edge(host, r, single), \
                 (host, r)
             assert bulk.position == single.position
             assert bulk._rng.getstate() == single._rng.getstate()
-    with pytest.raises(ValueError):
-        random_coloring(complete_graph(3), 0, RngStream(1))
+    for bad in (0, 256):
+        with pytest.raises(ValueError):
+            random_coloring(complete_graph(3), bad, RngStream(1))
 
 
 def test_randrange_bytes_matches_per_value_draws():
@@ -607,31 +608,17 @@ def test_randrange_bytes_has_the_exact_law():
         assert len(stream._rng.calls) == (1 if kept == 256 else 2)
 
 
+def write_graph(g, path) -> None:
+    """Write g in the edge-list format that ``read_graph`` reads."""
+    lines = [f"{g.n}\n", *(f"{u} {v}\n" for u, v in g.edges())]
+    Path(path).write_text("".join(lines), encoding="utf-8")
+
+
 def test_graph_io_round_trip(tmp_path):
     g = random_graph(12, 0.4, RngStream(3))
     path = tmp_path / "g.edges"
     write_graph(g, path)
     assert read_graph(path) == g
-
-
-def test_bipartite_io_round_trip(tmp_path):
-    g = grid_lines(2)
-    path = tmp_path / "b.edges"
-    write_graph(g, path)
-    back = read_bipartite(path)
-    assert back == g
-    assert (back.n0, back.n1, back.n2) == (3, 2, 2)
-
-
-def test_coloring_io_round_trip(tmp_path):
-    g = complete_graph(5)
-    col = random_coloring(g, 3, RngStream(4))
-    path = tmp_path / "c.edges"
-    write_coloring(col, path)
-    back = read_coloring(path, r=3)
-    assert back.graph == g
-    for u, v in g.edges():
-        assert back.color_of(u, v) == col.color_of(u, v)
 
 
 def test_parse_errors(tmp_path):
@@ -658,38 +645,13 @@ def test_parse_errors(tmp_path):
     with pytest.raises(ParseError):
         read_graph(loop)
 
-    nohead = tmp_path / "nohead.edges"
-    nohead.write_text("4\n")
-    with pytest.raises(ParseError):
-        read_bipartite(nohead)
-
-    badparts = tmp_path / "parts.edges"
-    badparts.write_text("3\n2 2\n")
-    with pytest.raises(ParseError, match="exceed n=3") as ei:
-        read_bipartite(badparts)
-    assert ei.value.line_no == 2
-
-    negcol = tmp_path / "neg.edges"
-    negcol.write_text("3\n0 1 -1\n")
-    with pytest.raises(ParseError, match="negative color") as ei:
-        read_coloring(negcol)
-    assert ei.value.line_no == 2
-
     short = tmp_path / "short.edges"
-    short.write_text("3\n0 1 0\n\n1 2\n")
-    with pytest.raises(ParseError, match="expected 3 fields") as ei:
-        read_coloring(short)
+    short.write_text("3\n0 1\n\n1\n")
+    with pytest.raises(ParseError, match="expected 2 fields") as ei:
+        read_graph(short)
     assert ei.value.line_no == 4
 
     edgeless = tmp_path / "edgeless.edges"
     edgeless.write_text("3\n")
-    col = read_coloring(edgeless)
-    assert (col.r, col.graph.n, col.graph.m) == (1, 3, 0)
-
-
-def test_read_coloring_missing_part_header(tmp_path):
-    nohead = tmp_path / "nohead.edges"
-    nohead.write_text("4\n")
-    with pytest.raises(ParseError, match="missing part-size header") as ei:
-        read_coloring(nohead, bipartite=True)
-    assert ei.value.line_no == 2
+    g = read_graph(edgeless)
+    assert (g.n, g.m) == (3, 0)

@@ -23,9 +23,9 @@ from exlab.core import (
     RngStream,
     random_graph,
     read_graph,
-    write_graph,
 )
 from exlab.expcli import ExperimentSpec
+from test_core import write_graph
 from test_record_corpus import CORPUS, first_specs
 from test_removal import write_grid
 

@@ -46,14 +46,16 @@ REJECTED_AT_100000 = {
     ("setmap", "construct"): ("k", "n"),
     ("setmap", "violate"): ("k", "n"),
     ("setmap", "oracle"): ("n",),
+    ("bipfree", "count"): ("n",),
+    ("bipfree", "extract"): ("n",),
     ("bipfree", "tight"): ("r", "m"),
     ("bipfree", "kcheck"): ("k", "r", "n"),
     ("embed", "lemma"): ("N", "k", "d"),
-    ("embed", "drc"): ("k", "n"),
-    ("embed", "pipeline"): ("d",),
+    ("embed", "drc"): ("N", "k", "n"),
+    ("embed", "pipeline"): ("N", "d"),
     ("embed", "cube"): ("d",),
-    ("weakseq", "pipeline"): ("r", "t"),
-    ("weakseq", "minor"): ("t",),
+    ("weakseq", "pipeline"): ("n", "r", "t"),
+    ("weakseq", "minor"): ("n", "t"),
     ("weakseq", "oracle"): ("n",),
     ("rsgraph", "construct"): ("N",),
     ("rsgraph", "double"): ("N",),

@@ -103,9 +103,7 @@ def test_unrank_matches_linear_reference_at_sampled_ranks():
 def test_dch_construction_and_counts():
     kept = [(0, 1, 2), (1, 2, 3), (2, 3, 4)]
     d = from_top_edges(6, 3, kept)
-    assert d.top_count == 3
     assert len(d.deleted_ranks) == math.comb(6, 3) - 3
-    assert d.density() == Fraction(3, 20)
     assert d.member((2, 1, 0)) and not d.member((0, 1, 3))
     for bad in [(0, 1), (0, 1, 9), (0, 0, 1), (0, 1, 2, 3), (-1, 0, 1)]:
         with pytest.raises(ValueError):
@@ -163,8 +161,7 @@ def test_dch_level_nonmember_bound():
 def test_random_dense_dch_frozen_counts():
     d = random_dense_dch(20, 3, 0.01, RngStream(5))
     assert len(d.deleted_ranks) == 11
-    assert d.top_count == 1129
-    assert d.density() == Fraction(1129, 1140)
+    assert math.comb(20, 3) - len(d.deleted_ranks) == 1129
     full = random_dense_dch(20, 3, 0, RngStream(5))
     assert len(full.deleted_ranks) == 0
     assert all(full.member(S) for S in itertools.combinations(range(20), 2))
@@ -491,9 +488,10 @@ def test_build_aux_pair_bipartite_host():
     c6 = BipartiteGraph(3, 3, [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5)])
     h = BipartiteGraph(2, 2, [(0, 2), (0, 3), (1, 2), (1, 3)])
     aux1 = build_aux_pair(h, (0, 1, 2), c6, 1)
-    assert len(aux1.dch.deleted_ranks) == 0 and aux1.dch.top_count == 3
+    assert len(aux1.dch.deleted_ranks) == 0
+    assert math.comb(aux1.dch.N, aux1.dch.k) == 3
     aux2 = build_aux_pair(h, (0, 1, 2), c6, 2)
-    assert len(aux2.dch.deleted_ranks) == 3 and aux2.dch.top_count == 0
+    assert len(aux2.dch.deleted_ranks) == math.comb(aux2.dch.N, aux2.dch.k)
     assert [tuple(sorted(e)) for e in aux2.target.edges] == [(0, 1)]
 
 

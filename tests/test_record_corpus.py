@@ -8,17 +8,23 @@ mismatch.  The corpus reaches every operation, ``Failure`` trials of a
 round cap and of two retry caps (``*-cap-failure``), a
 ``FalsifyingColoring`` witness (``rsgraph-decompose-falsified``), and two
 G(2000, 1/2) hosts where ``find_ktt`` searches for a K_{t,t} with t = 4 and
-t = 12.  Pins are keyed by ``RngStream.ALGORITHM``: a new random algorithm
+t = 12, and a removal descent that deletes a sparse colour before its base
+case (``removal-iterate-corner-free``, read from a grid file).  Pins are keyed by ``RngStream.ALGORITHM``: a new random algorithm
 changes every random host, and it must add its own pins instead of passing.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from exlab.core import RngStream
 from exlab.expcli import OPS, ExperimentSpec, run
+
+# a 2-coloured 4 x 4 grid without a monochromatic corner: its removal
+# descent deletes a sparse colour once before the base case
+CORNER_FREE = Path(__file__).resolve().with_name("golden") / "corner_free_4.grid"
 
 CORPUS = {
     "weakseq-pipeline-n200-regime": ExperimentSpec(
@@ -105,6 +111,8 @@ CORPUS = {
         "removal", "step", {"N": 6, "r": 2}, seed=1, trials=2),
     "removal-iterate-n8": ExperimentSpec(
         "removal", "iterate", {"N": 8, "r": 2}, seed=1, trials=2),
+    "removal-iterate-corner-free": ExperimentSpec(
+        "removal", "iterate", {"grid_file": str(CORNER_FREE)}),
     "removal-diamond-n5": ExperimentSpec(
         "removal", "diamond", {"N": 5, "r": 2}, seed=1, trials=2),
     "removal-grid-n6-r3": ExperimentSpec(
@@ -143,6 +151,8 @@ PINS = {
             "1aa4ab60ccb7e5711fffa488ebcff53693b83485cdd938a974f7500ec8f1f18b",
         "removal-grid-n6-r3":
             "79a4cbab5659a70f60f44cbe46913a4198cbce1119843d8cc6d8757069461dc7",
+        "removal-iterate-corner-free":
+            "1e86ffa7eaf7f93ac0308d300acffa94d1b4e67c3e91b9a49581a152d2958649",
         "removal-iterate-n8":
             "46ed6c0f3ffd5da97822a2c4643a2033748f78ac876df4d6899c52cb20df0d4a",
         "removal-step-n6":

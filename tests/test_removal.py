@@ -174,7 +174,7 @@ def per_edge_census(col):
     for a in g.v1:
         for b in iter_bits(g.adj[a] & g.mask(2)):
             ch = col.color_of(a, b)
-            counts[ch] += (col.mono_mask(ch, a) & col.mono_mask(ch, b)
+            counts[ch] += (col.rows[ch][a] & col.rows[ch][b]
                            & mask0).bit_count()
     return tuple(counts), sum(counts)
 
@@ -204,7 +204,7 @@ def transposed_diamond_exists(col):
             if not g.has_edge(a, b):
                 continue
             ch = col.color_of(a, b)
-            apexes = col.mono_mask(ch, a) & col.mono_mask(ch, b) & mask0
+            apexes = col.rows[ch][a] & col.rows[ch][b] & mask0
             if apexes.bit_count() >= 2:
                 return True
     return False
@@ -595,7 +595,7 @@ def test_diamond_against_transposed_dual():
             w1, w2 = dia.apexes
             assert w1 != w2
             g = col.graph
-            assert g.part_of(a) == 1 and g.part_of(b) == 2
+            assert g.mask(1) >> a & 1 and g.mask(2) >> b & 1
             for u, v in ((a, b), (w1, a), (w1, b), (w2, a), (w2, b)):
                 assert col.color_of(min(u, v), max(u, v)) == dia.color
 

@@ -3,8 +3,8 @@ every public name it defines is used somewhere in the package.
 
 No linter ships with the package, so these AST checks stand in for the
 unused-import and unused-definition rules.  ``__init__.py`` is exempt from
-the first: its imports are the package's re-exports, and they count as uses
-for the second, so a re-exported name is public API.  A definition that
+the first: its imports are the package's re-exports.  They are not uses,
+so a name only re-exported is reported like any other.  A definition that
 only the tests call belongs in the tests; ``UNCALLED_API`` names the few
 that are kept for callers outside the package, each with its reason.
 """
@@ -17,10 +17,11 @@ import exlab
 
 PACKAGE = Path(exlab.__file__).parent
 
+_CHECKED = ("the checked constructor, for rows built outside the package; "
+            "its own builders use the unchecked one")
 UNCALLED_API = {
-    ("core.py", "from_adjacency"):
-        "the checked constructors of Graph and BipartiteGraph, for rows "
-        "built outside the package; its own builders use the unchecked ones",
+    ("core.py", "Graph.from_adjacency"): _CHECKED,
+    ("core.py", "BipartiteGraph.from_adjacency"): _CHECKED,
 }
 
 
@@ -46,19 +47,41 @@ def references(tree) -> Counter:
                    if isinstance(node, (ast.Name, ast.Attribute, ast.alias)))
 
 
+def attribute_reads(tree) -> Counter:
+    """Reads of each name in ``tree`` as an attribute, ``x.name``."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute))
+
+
 def unused_definitions(sources: dict) -> list:
-    """(module, name) of each public function, class, method or property
-    that no module reads outside the definition itself."""
+    """(module, qualified name) of each public function, class, method or
+    property that no module reads outside the definition itself.
+
+    Imports in ``__init__.py`` are not reads.  A function in a class body
+    is read only as an attribute, ``x.name``, so a local variable or a
+    function of the same name does not hide it.  What the check cannot
+    see is the type an attribute is read on: a method whose name is also
+    an attribute of another type, such as ``Graph.density`` beside
+    ``BipartiteGraph.density``, counts as read when either is.
+    """
     trees = {name: ast.parse(src) for name, src in sources.items()}
-    everywhere = sum(map(references, trees.values()), Counter())
+    readers = [tree for name, tree in trees.items() if name != "__init__.py"]
+    names = sum(map(references, readers), Counter())
+    attributes = sum(map(attribute_reads, readers), Counter())
     kinds = (ast.FunctionDef, ast.ClassDef)
-    defined = [(name, node) for name, tree in trees.items()
-               for top in tree.body if isinstance(top, kinds)
-               for node in [top, *(top.body if isinstance(top, ast.ClassDef)
-                                   else ())]
-               if isinstance(node, kinds) and not node.name.startswith("_")]
-    return [(name, node.name) for name, node in defined
-            if everywhere[node.name] == references(node)[node.name]]
+    defined = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, kinds):
+                defined.append((module, top.name, top, names, references))
+            if isinstance(top, ast.ClassDef):
+                defined += [(module, f"{top.name}.{node.name}", node,
+                             attributes, attribute_reads)
+                            for node in top.body
+                            if isinstance(node, ast.FunctionDef)]
+    return [(module, qual) for module, qual, node, reads, own in defined
+            if not node.name.startswith("_")
+            and reads[node.name] == own(node)[node.name]]
 
 
 def test_every_public_definition_is_used_in_the_package():
@@ -72,7 +95,18 @@ def test_unused_definition_check_sees_every_kind():
         "a.py": "class Box:\n    def size(self):\n        return self.size()\n"
                 "def make():\n    return Box()\n"
                 "def _private():\n    pass\n",
-        "b.py": "from .a import make as build\n"}) == [("a.py", "size")]
+        "b.py": "from .a import make as build\n"}) == [("a.py", "Box.size")]
+    # a re-export is not a use
+    assert unused_definitions({
+        "__init__.py": "from .a import helper\n",
+        "a.py": "def helper():\n    pass\n"}) == [("a.py", "helper")]
+    # nor is a local variable that shares a method's name
+    assert unused_definitions({
+        "a.py": "class Box:\n    def part_of(self, v):\n        return v\n",
+        "b.py": "from .a import Box\n"
+                "def _count(box: Box):\n"
+                "    part_of = {box: 0}\n"
+                "    return part_of[box]\n"}) == [("a.py", "Box.part_of")]
 
 
 def test_every_imported_name_is_used():
