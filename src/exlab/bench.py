@@ -3,18 +3,20 @@ command lines and the tier-1 suite, written as one JSON file.
 
 The gate workloads rebuild gates 5, 6 and 7 of ``tests/test_acceptance.py``
 at gate size with the gates' seeds, and time random generation apart from
-the stage that consumes it.  A fourth runs gate 7's weak sequences at
-t = 12, where the K_{t,t} search has real work, on three of its hosts, and
-a fifth splits the sparse K_{2,2}-free extraction of perfbench's cli-mix
-into its counts and its deletion round.  A sixth times cli-mix's N = 1000
-RS construction apart from a second check of its decomposition, and a
-seventh its exhaustive free-set oracle on eh_map(4, 2).  An eighth times
-perfbench's start-up code (``setup_s``) in a fresh interpreter.  The README
-examples run in process through ``expcli.main``, with file names moved
-into a temporary directory; ``main`` builds its parser on its first call
-only.  Each of these entries is the median of ``REPS`` repetitions.
-Tier-1 runs once, in a subprocess, when pytest is importable and the
-checkout's ``tests/`` is present; the entry is ``null`` otherwise.
+the stage that consumes it; gate 7 also times the ``bit_columns``
+transpose of each G(2000, 1/2) host's upper rows on its own.  A fourth
+runs gate 7's weak sequences at t = 12, where the K_{t,t} search has real
+work, on three of its hosts, and a fifth splits the sparse K_{2,2}-free
+extraction of perfbench's cli-mix into its counts and its deletion round.
+A sixth times cli-mix's N = 1000 RS construction apart from a second check
+of its decomposition, and a seventh its exhaustive free-set oracle on
+eh_map(4, 2).  An eighth times perfbench's start-up code (``setup_s``) in
+a fresh interpreter.  The README examples run in process through
+``expcli.main``, with file names moved into a temporary directory;
+``main`` builds its parser on its first call only.  Each of these entries
+is the median of ``REPS`` repetitions.  Tier-1 runs once, in a
+subprocess, when pytest is importable and the checkout's ``tests/`` is
+present; the entry is ``null`` otherwise.
 
 The file records the machine, the interpreter, the CPU count, the commit
 and ``RngStream.ALGORITHM``, and gives the ratio of each time to the same
@@ -48,8 +50,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bipfree, expcli, lll_embed, rsgraph, setmap, weakseq
-from .core import (Failure, RngStream, complete_graph, hypercube,
-                   random_coloring, random_graph)
+from .core import (Failure, RngStream, bit_columns, complete_graph,
+                   hypercube, random_coloring, random_graph)
 
 REPS = 5
 ROOT = Path(__file__).resolve().parents[2]
@@ -138,6 +140,13 @@ def gate7(timer: Timer) -> None:
         rng = RngStream(7000 + seed)
         g = timer("gate7.random_graph.n2000", random_graph, 2000, 0.5,
                   rng.derive("gen"))
+        upper = [row >> u + 1 << u + 1 for u, row in enumerate(g.adj)]
+        lower = timer("gate7.bit_columns.n2000", bit_columns, upper, 2000)
+        # g's own lower halves came from bit_columns too: check the shape
+        timer.check(sum(map(int.bit_count, lower))
+                    == sum(map(int.bit_count, upper))
+                    and not any(low >> v for v, low in enumerate(lower)),
+                    f"gate 7: bit columns {seed}")
         t = weakseq.regime2_order(2000, g.density(), 4)
         w = timer("gate7.weak_sequence_pipeline",
                   weakseq.weak_sequence_pipeline, g, 4, t, rng.derive("run"))

@@ -609,20 +609,46 @@ def grid_lines(N: int) -> BipartiteGraph:
     return BipartiteGraph._from_parts(rows, _contiguous_parts(n0, N, N))
 
 
-# _BIT_AS_DIGIT[j] maps a byte to b"1" when its bit j is set, else to b"0"
-_BIT_AS_DIGIT = tuple(bytes(0x31 if b >> j & 1 else 0x30 for b in range(256))
-                      for j in range(8))
+# byte columns that ``bit_columns`` transposes in one big int: each
+# temporary holds at most 32 bytes per (padded) row
+_BAND = 32
+# the (shift, mask) delta swaps that transpose an 8x8 bit block held in a
+# 64-bit word (Warren, Hacker's Delight, 2nd ed., section 7-3)
+_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+          (28, 0x00000000F0F0F0F0))
 
 
 def bit_columns(rows: Sequence[int], cols: int) -> list:
     """Columns 0..cols-1 of the bit matrix whose row i is ``rows[i]``, every
-    row below 2^cols: bit i of column c is bit c of ``rows[i]``.  The rows
-    are packed little-endian, last row first, so one ``bytes.translate`` of
-    byte c >> 3 of every row spells column c as a binary numeral."""
+    row below 2^cols: bit i of column c is bit c of ``rows[i]``.
+
+    The rows are packed little-endian, nb bytes each, and padded with zero
+    rows to a multiple m of 8.  The stride-nb slice from byte b lists byte
+    b of every row, so its 8-byte words are 8x8 bit blocks: row 8k + i,
+    columns 8b..8b+7.  Up to ``_BAND`` such slices form one big int, whose
+    blocks three masked delta swaps transpose at once; then byte j of word
+    k holds bits 8k..8k+7 of column 8b + j, so that column reads as every
+    8th byte of slice b from byte j."""
     nb = (cols + 7) >> 3
-    bits = b"".join([row.to_bytes(nb, "little") for row in reversed(rows)])
-    return [int(bits[c >> 3::nb].translate(_BIT_AS_DIGIT[c & 7]) or b"0", 2)
-            for c in range(cols)]
+    m = -(-len(rows) // 8) * 8
+    packed = b"".join([row.to_bytes(nb, "little") for row in rows]) \
+        + bytes((m - len(rows)) * nb)
+    size = m * min(nb, _BAND)
+    swaps = [(s, int.from_bytes(mask.to_bytes(8, "little") * (size // 8),
+                                "little")) for s, mask in _SWAPS]
+    out = []
+    for b0 in range(0, nb, _BAND):
+        band = range(b0, min(b0 + _BAND, nb))
+        x = int.from_bytes(b"".join([packed[b::nb] for b in band]), "little")
+        for s, mask in swaps:
+            t = (x ^ x >> s) & mask
+            x ^= t ^ t << s
+        d = x.to_bytes(size, "little")
+        for b in band:
+            at = (b - b0) * m
+            out += [int.from_bytes(d[at + j:at + m:8], "little")
+                    for j in range(min(8, cols - 8 * b))]
+    return out
 
 
 def _bernoulli_rows(stream: RngStream, counts: Sequence[int], p: float) -> list:
@@ -791,6 +817,8 @@ def _parse_ints(line: str, no: int, want: int) -> list[int]:
 def read_graph(path) -> Graph:
     (no, head), lines = _header(path)
     (n,) = _parse_ints(head, no, 1)
+    if not 0 <= n <= MAX_VERTICES:
+        raise ParseError(f"vertex count must lie in 0..{MAX_VERTICES}", no)
     edges = []
     for no, line in lines:
         u, v = _parse_ints(line, no, 2)

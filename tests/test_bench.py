@@ -99,6 +99,15 @@ def test_bench_times_the_rs_construction_and_its_check_apart(tmp_path):
             "rsgraph_construct.total"} <= set(doc["entries"])
 
 
+def test_bench_times_the_gate7_transpose_apart_from_the_draw(tmp_path):
+    doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.gate7,), reps=1,
+                          tier1=False)
+    assert doc["failures"] == []
+    assert {"gate7.random_graph.n2000", "gate7.bit_columns.n2000",
+            "gate7.total"} <= set(doc["entries"])
+    assert len(doc["entries"]["gate7.bit_columns.n2000"]["runs_s"]) == 1
+
+
 def test_bench_times_the_cli_mix_oracle(tmp_path):
     doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.setmap_oracle,),
                           reps=1, tier1=False)

@@ -338,16 +338,63 @@ def bit_columns_per_bit(rows, cols):
             for c in range(cols)]
 
 
+# _BIT_AS_DIGIT[j] maps a byte to b"1" when its bit j is set, else to b"0"
+_BIT_AS_DIGIT = tuple(bytes(0x31 if b >> j & 1 else 0x30 for b in range(256))
+                      for j in range(8))
+
+
+def bit_columns_by_translate(rows, cols):
+    """Reference transpose fast enough for full host sizes: the rows packed
+    little-endian, last row first, so one ``bytes.translate`` of byte
+    c >> 3 of every row spells column c as a binary numeral."""
+    nb = (cols + 7) >> 3
+    bits = b"".join([row.to_bytes(nb, "little") for row in reversed(rows)])
+    return [int(bits[c >> 3::nb].translate(_BIT_AS_DIGIT[c & 7]) or b"0", 2)
+            for c in range(cols)]
+
+
 def test_bit_columns_matches_per_bit_transpose():
     rng = random.Random(8)
-    cases = [([], 0), ([], 6), ([0, 0, 0], 0), ([0, 0, 0], 11), ([1], 1)]
-    for count, width in ((1, 1), (3, 7), (8, 8), (9, 13), (17, 64), (5, 70)):
+    cases = [([], 0), ([], 6), ([0, 0, 0], 0), ([0, 0, 0], 11), ([1], 1),
+             ([0] * 5, 0)]
+    # the last four widths cross the edge of a 32-byte band
+    for count, width in ((1, 1), (3, 7), (8, 8), (9, 13), (17, 64), (5, 70),
+                         (1, 255), (7, 256), (9, 257), (65, 520)):
         rows = [rng.getrandbits(width) for _ in range(count)]
         # the columns past the widest row read zero
         cases += [(rows, width), (rows, width + 11)]
     for rows, cols in cases:
         assert bit_columns(rows, cols) == bit_columns_per_bit(rows, cols), \
             (rows, cols)
+
+
+def test_bit_columns_matches_translate_at_host_sizes():
+    """2000 x 2000 is a G(2000, p) host's upper rows; 250 x 2250 the second
+    transpose of ``weakseq._incidence_graph``."""
+    rng = random.Random(24)
+    for count, cols in ((2000, 2000), (250, 2250), (2250, 250)):
+        rows = [rng.getrandbits(cols) for _ in range(count)]
+        assert bit_columns(rows, cols) == bit_columns_by_translate(rows, cols)
+    g = random_graph(2000, 0.5, RngStream(7))
+    upper = [row >> u + 1 << u + 1 for u, row in enumerate(g.adj)]
+    assert bit_columns(upper, 2000) == bit_columns_by_translate(upper, 2000)
+
+
+def test_symmetry_check_names_the_lowest_edge_across_bands():
+    """A 300-vertex matrix spans two 32-byte bands of ``bit_columns``; a bit
+    flipped past column 256 is found, and the lowest one-way edge named."""
+    rows = list(random_graph(300, 0.5, RngStream(3)).adj)
+    assert Graph.from_adjacency(300, rows).adj == tuple(rows)
+    for flips, edge in (([(270, 290)], "(270,290)"),
+                        ([(290, 270)], "(270,290)"),
+                        ([(299, 3)], "(3,299)"),
+                        ([(280, 296), (260, 257), (270, 264)], "(257,260)")):
+        bad = list(rows)
+        for u, v in flips:
+            bad[u] ^= 1 << v
+        with pytest.raises(ValueError,
+                           match=re.escape(f"asymmetric edge {edge}")):
+            Graph.from_adjacency(300, bad)
 
 
 def test_random_graph_settles_ties_both_ways():
@@ -655,3 +702,16 @@ def test_parse_errors(tmp_path):
     edgeless.write_text("3\n")
     g = read_graph(edgeless)
     assert (g.n, g.m) == (3, 0)
+
+
+def test_read_graph_bounds_the_vertex_count_on_its_header(tmp_path):
+    """The header is checked before any row list is allocated."""
+    path = tmp_path / "head.edges"
+    for head in (10 ** 20, 10 ** 9, core.MAX_VERTICES + 1, -4):
+        path.write_text(f"# host\n{head}\n0 1\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"line 2: vertex count must lie in 0..{core.MAX_VERTICES}")):
+            read_graph(path)
+    path.write_text(f"{core.MAX_VERTICES}\n0 {core.MAX_VERTICES - 1}\n")
+    g = read_graph(path)
+    assert (g.n, g.m) == (2 ** 14, 1)

@@ -610,6 +610,18 @@ def test_main_records_and_replays_the_outcome(line, code, outcome, tmp_path,
     assert json.loads(capsys.readouterr().out)["match"] is True
 
 
+def test_main_records_an_oversized_input_header_as_a_parse_error(tmp_path,
+                                                                 capsys):
+    host, out = tmp_path / "host.txt", tmp_path / "rec.json"
+    host.write_text("100000000000000000000\n")
+    argv = ["bipfree", "--op", "count", "--input", str(host), "--out",
+            str(out)]
+    assert expcli.main(argv) == 1
+    trial, = expcli.read_record(out)["trials"]
+    assert trial["outcome"] == "error:ParseError"
+    assert "Traceback" not in "".join(capsys.readouterr())
+
+
 def test_main_counts_a_host_graph_file(tmp_path, capsys):
     host = tmp_path / "host.txt"
     write_graph(random_graph(30, 0.5, RngStream(5)), host)
