@@ -6,11 +6,13 @@ at gate size with the gates' seeds, and time random generation apart from
 the stage that consumes it; gate 7 also times the ``bit_columns``
 transpose of each G(2000, 1/2) host's upper rows on its own.  A fourth
 runs gate 7's weak sequences at t = 12, where the K_{t,t} search has real
-work, on three of its hosts, and a fifth splits the sparse K_{2,2}-free
+work, on three of its hosts.  A fifth runs perfbench's weakseq-dense minor
+job, G(600, 0.7) with r = 2 and t = 4, on three hosts and times its
+``paths_drc`` calls apart.  A sixth splits the sparse K_{2,2}-free
 extraction of perfbench's cli-mix into its counts and its deletion round.
-A sixth times cli-mix's N = 1000 RS construction apart from a second check
-of its decomposition, and a seventh its exhaustive free-set oracle on
-eh_map(4, 2).  An eighth times perfbench's start-up code (``setup_s``) in
+A seventh times cli-mix's N = 1000 RS construction apart from a second
+check of its decomposition, and an eighth its exhaustive free-set oracle
+on eh_map(4, 2).  A ninth times perfbench's start-up code (``setup_s``) in
 a fresh interpreter.  The README examples run in process through
 ``expcli.main``, with file names moved into a temporary directory;
 ``main`` builds its parser on its first call only.  Each of these entries
@@ -80,6 +82,7 @@ class Timer:
 
     def __init__(self, failures: list, workdir: Path):
         self.times = {}
+        self.inner = set()  # entries timed inside another, left out of totals
         self.failures = failures
         self.workdir = workdir
 
@@ -180,6 +183,33 @@ def weakseq_t12(timer: Timer) -> None:
                     f"t = 12: sequence {seed}")
 
 
+MINOR_SEEDS = (7200, 7201, 7202)
+
+
+def weakseq_minor(timer: Timer) -> None:
+    """perfbench's weakseq-dense minor job at its size: K_4 minors of
+    G(600, 0.7) at r = 2 with the desk preset, on three hosts.  The two
+    ``paths_drc`` calls inside each pipeline are timed on their own too,
+    so the total counts them once."""
+    desk = weakseq.load_preset("desk")
+    paths_drc = weakseq.paths_drc
+    timer.inner.add("weakseq_minor.paths_drc")
+    weakseq.paths_drc = lambda *args: timer("weakseq_minor.paths_drc",
+                                            paths_drc, *args)
+    try:
+        for seed in MINOR_SEEDS:
+            rng = RngStream(seed)
+            g = timer("weakseq_minor.random_graph", random_graph, 600, 0.7,
+                      rng.derive("gen"))
+            m = timer("weakseq_minor.minor_pipeline", weakseq.minor_pipeline,
+                      g, 2, 4, rng.derive("run"), desk)
+            timer.check(not isinstance(m, Failure)
+                        and weakseq.verify_minor(g, m) == (True, None),
+                        f"weakseq minor: seed {seed}")
+    finally:
+        weakseq.paths_drc = paths_drc
+
+
 # perfbench's cli-mix runs its G(400, 0.05) extract job with these spec
 # seeds first at its default seed
 EXTRACT_SEEDS = (275193414, 1919547677, 1977139991)
@@ -268,8 +298,9 @@ def readme_examples(timer: Timer) -> None:
         timer.check(code == 0, f"exlab {line}: exit {code}")
 
 
-WORKLOADS = (gate5, gate6, gate7, weakseq_t12, bipfree_extract,
-             rsgraph_construct, setmap_oracle, cold_start, readme_examples)
+WORKLOADS = (gate5, gate6, gate7, weakseq_t12, weakseq_minor,
+             bipfree_extract, rsgraph_construct, setmap_oracle, cold_start,
+             readme_examples)
 
 
 def calibration_kernel() -> int:
@@ -304,7 +335,9 @@ def time_workloads(workloads, reps: int, failures: list) -> dict:
                 workload(timer)
                 times = dict(timer.times)
                 if len(times) > 1:
-                    times[f"{workload.__name__}.total"] = sum(times.values())
+                    times[f"{workload.__name__}.total"] = sum(
+                        s for name, s in times.items()
+                        if name not in timer.inner)
                 for name, s in times.items():
                     runs.setdefault(name, []).append(s)
                     calibrated.setdefault(name, []).append(s / cal)

@@ -535,55 +535,72 @@ def _first_short_pair(adj, X: list, middles: list, budget: int):
 
     A pair (x, y) walks the middles m in order and takes the path x-a-m-b-y
     that ``_pick_two``, inlined here, picks from the unused common
-    neighbours of (x, m) and of (y, m).  Row
-    ``rows[i][j] = adj[X[i]] & adj[middles[j]]`` is grown on demand and
-    shared by every pair that holds X[i].  Every path is re-checked as it
-    is taken, from ``adj`` and its own ``seen`` mask rather than the rows
-    and ``used``: four edges, internals outside X and disjoint from the
-    pair's earlier paths.
+    neighbours of (x, m) and of (y, m).  For each x, the greedy runs for
+    every later y at once: the ys that share one state (``used``, ``seen``,
+    ``count``) form a group, held as a vertex mask.  At a middle, a is the
+    same for the whole group, and the group splits by b: walking the
+    candidates b upward, ``rest & col[b]`` takes the ys whose lowest
+    candidate is b, where ``col`` holds the columns of X's rows; the ys
+    whose only candidate is a itself take b = a and the next a.  Every
+    path is re-checked once per group as it is taken, from ``adj`` and the
+    group's own ``seen`` mask rather than ``col`` and ``used``: four edges
+    (the b-y edge of every y in the group), internals outside X and
+    disjoint from the group's earlier paths.  The groups left below the
+    budget when the middles run out hold the short ys of x.
     """
     xmask = mask_of(X)
-    rows = [[] for _ in X]
+    col = bit_columns([adj[v] if xmask >> v & 1 else 0
+                       for v in range(len(adj))], len(adj))
+    later = xmask
     for i, x in enumerate(X):
-        ax, rx = adj[x], rows[i]
-        for k in range(i + 1, len(X)):
-            y, ry = X[k], rows[k]
-            ay = adj[y]
-            used = seen = count = 0
-            for j, m in enumerate(middles):
-                if j == len(rx):
-                    rx.append(ax & adj[m])
-                if j == len(ry):
-                    ry.append(ay & adj[m])
-                if used >> m & 1:
-                    continue
-                ca = rx[j] & ~used
-                cb = ry[j] & ~used
-                if not ca or not cb:
+        later ^= 1 << x
+        ax = adj[x]
+        groups = [(later, 0, 0, 0)] if later else []
+        for m in middles:
+            if not groups:
+                break
+            am, bm = adj[m], 1 << m
+            split = []
+            for group in groups:
+                ys, used, seen, count = group
+                ca = ax & am & ~used
+                if used & bm or not ca:
+                    split.append(group)
                     continue
                 a = ca & -ca
-                b = cb & ~a
-                if b:
-                    b &= -b
-                else:
-                    a = ca & ~cb
-                    if not a:
-                        continue
-                    a &= -a
-                    b = cb
-                used |= a | b | 1 << m
-                if not (ax & a and adj[a.bit_length() - 1] >> m & 1
-                        and adj[m] & b and adj[b.bit_length() - 1] >> y & 1):
-                    raise AssertionError("extracted path misses an edge")
-                inner = a | b | 1 << m
-                if inner & seen or inner & xmask:
-                    raise AssertionError("path internals collide")
-                seen |= inner
-                count += 1
-                if count == budget:
-                    break
-            else:  # the middles ran out below the budget
-                return (x, y), count
+                cands = am & ~used & ~a
+                rest = ys
+                picks = []
+                while cands and rest:
+                    b = cands & -cands
+                    cands ^= b
+                    hit = rest & col[b.bit_length() - 1]
+                    if hit:
+                        rest ^= hit
+                        picks.append((hit, a, b))
+                hit = rest & col[a.bit_length() - 1]
+                a2 = ca & ~a
+                if hit and a2:  # cb is {a}: a moves to its next candidate
+                    rest ^= hit
+                    picks.append((hit, a2 & -a2, a))
+                if rest:
+                    split.append((rest, used, seen, count))
+                for hit, a, b in picks:
+                    if not (ax & a and adj[a.bit_length() - 1] & bm
+                            and am & b and not hit & ~adj[b.bit_length() - 1]):
+                        raise AssertionError("extracted path misses an edge")
+                    inner = a | b | bm
+                    if inner & seen or inner & xmask:
+                        raise AssertionError("path internals collide")
+                    if count + 1 < budget:
+                        split.append((hit, used | inner, seen | inner,
+                                      count + 1))
+            groups = split
+        if groups:  # the ys still short: return the first in X's order
+            for y in X[i + 1:]:
+                for ys, _, _, count in groups:
+                    if ys >> y & 1:
+                        return (x, y), count
     return None
 
 

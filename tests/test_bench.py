@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from exlab import bench, expcli
+from exlab import bench, expcli, weakseq
 from exlab.core import Failure
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -106,6 +106,21 @@ def test_bench_times_the_gate7_transpose_apart_from_the_draw(tmp_path):
     assert {"gate7.random_graph.n2000", "gate7.bit_columns.n2000",
             "gate7.total"} <= set(doc["entries"])
     assert len(doc["entries"]["gate7.bit_columns.n2000"]["runs_s"]) == 1
+
+
+def test_bench_times_the_minor_path_search_inside_its_pipeline(tmp_path):
+    doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.weakseq_minor,),
+                          reps=1, tier1=False)
+    assert doc["failures"] == []
+    entries = {name: e["median_s"] for name, e in doc["entries"].items()}
+    assert 0 < entries["weakseq_minor.paths_drc"] \
+        < entries["weakseq_minor.minor_pipeline"]
+    # the path search is part of the pipeline's time, counted once
+    assert entries["weakseq_minor.total"] == pytest.approx(
+        entries["weakseq_minor.random_graph"]
+        + entries["weakseq_minor.minor_pipeline"], rel=1e-3)
+    # the workload puts the module's own paths_drc back
+    assert weakseq.paths_drc.__name__ == "paths_drc"
 
 
 def test_bench_times_the_cli_mix_oracle(tmp_path):

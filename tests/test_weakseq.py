@@ -508,9 +508,9 @@ def test_paths_guards():
         paths_drc(overlay, RngStream(0))
 
 
-# The per-pair extraction paths_drc used before its pairs shared common-
-# neighbour rows, kept as the oracle: a fresh scan of V1 \ X per pair, two
-# ANDs and a pick per middle, then a re-check of every path.
+# The per-pair extraction paths_drc used before it ran the greedy for every
+# y of one x at once, kept as the oracle: a fresh walk of the middles per
+# pair, two ANDs and a pick per middle, then a re-check of every path.
 
 
 def pick_two(a_cands, b_cands):
@@ -526,18 +526,20 @@ def pick_two(a_cands, b_cands):
     return None
 
 
-def greedy_paths(H, x, y, xmask, budget, middle_ranks):
-    mask1 = H.mask(1)
+def greedy_paths(adj, x, y, middles, budget, middle_ranks, fallbacks=None):
     used = 0
     paths = []
-    for rank, m in enumerate(iter_bits(mask1 & ~xmask)):
+    for rank, m in enumerate(middles):
         if used >> m & 1:
             continue
-        pick = pick_two(H.adj[x] & H.adj[m] & ~used,
-                        H.adj[y] & H.adj[m] & ~used)
+        a_cands = adj[x] & adj[m] & ~used
+        b_cands = adj[y] & adj[m] & ~used
+        pick = pick_two(a_cands, b_cands)
         if pick is None:
             continue
         a, b = pick
+        if fallbacks is not None and 1 << a != a_cands & -a_cands:
+            fallbacks.append((x, y, m))
         paths.append((x, a, m, b, y))
         middle_ranks.append(rank)
         used |= (1 << a) | (1 << m) | (1 << b)
@@ -567,9 +569,10 @@ def paths_drc_oracle(H, rng, c, retry_cap, middle_ranks):
             if len(X) == target:
                 break
         xmask = mask_of(X)
+        middles = list(iter_bits(H.mask(1) & ~xmask))
         shortfall = None
         for x, y in itertools.combinations(X, 2):
-            paths = greedy_paths(H, x, y, xmask, budget, middle_ranks)
+            paths = greedy_paths(H.adj, x, y, middles, budget, middle_ranks)
             if len(paths) < budget:
                 shortfall = {"pair": (x, y), "count": len(paths),
                              "budget": budget, "x_size": len(X)}
@@ -620,17 +623,73 @@ def test_paths_drc_matches_per_pair_oracle():
     assert max(middle_ranks) >= 10
 
 
+def short_pairs(adj, X, middles, budget, fallbacks):
+    """Every pair of X below the budget, in combinations order, with its
+    greedy path count."""
+    out = []
+    for x, y in itertools.combinations(X, 2):
+        paths = greedy_paths(adj, x, y, middles, budget, [], fallbacks)
+        if len(paths) < budget:
+            out.append(((x, y), len(paths)))
+    return out
+
+
+def test_first_short_pair_matches_per_pair_greedy():
+    # x = 0 shares {3, 4} with the middle 2 and y = 1 only 3, so the one
+    # path takes a = 4, b = 3; without the edge 0-4 the pair falls short
+    edges = [(0, 3), (0, 4), (1, 3), (2, 3), (2, 4)]
+    full, cut = bip(3, 3, edges), bip(3, 3, edges[:1] + edges[2:])
+    assert weakseq._first_short_pair(full.adj, [0, 1], [2], 1) is None
+    assert weakseq._first_short_pair(cut.adj, [0, 1], [2], 1) == ((0, 1), 0)
+    fallbacks, budgets, seen = [], set(), set()
+    for case in range(300):
+        gen = RngStream(2500 + case)
+        n1 = 6 + gen.randrange(19)
+        p = (0.05, 0.15, 0.3, 0.5, 0.7, 0.9)[case % 6]
+        H = random_bipartite(n1, 4 + gen.randrange(21), p, gen.derive("host"))
+        v1 = list(H.v1)
+        gen.shuffle(v1)
+        k = 2 + gen.randrange(n1 - 1)
+        X, middles = v1[:k], v1[k:]
+        adj = list(H.adj)
+        if case % 5 == 0:  # X's last vertex loses its edges
+            adj = [row & ~(1 << X[-1]) for row in adj]
+            adj[X[-1]] = 0
+        budget = 1 + case % 6
+        got = weakseq._first_short_pair(adj, X, middles, budget)
+        want = short_pairs(adj, X, middles, budget, fallbacks)
+        assert got == (want[0] if want else None), case
+        if got is None:
+            continue
+        budgets.add(budget)
+        (x, y), _ = got
+        later = X[X.index(x) + 1:]
+        short_ys = [pair[1] for pair, _ in want if pair[0] == x]
+        seen.add("x after y" if x > y else "x before y")
+        if y != later[0]:
+            seen.add("an earlier y passed")
+        if y != min(short_ys):
+            seen.add("a lower short y comes later in X")
+        if y == X[-1]:
+            seen.add("y is the last of X")
+    # the cb == {a} fallback took part of some pair's paths
+    assert fallbacks
+    assert budgets == set(range(1, 7))
+    assert seen == {"x after y", "x before y", "an earlier y passed",
+                    "a lower short y comes later in X", "y is the last of X"}
+
+
 _MALFORMED_PATH_HOSTS = """
 import sys
 from exlab.core import BipartiteGraph, RngStream
 from exlab.weakseq import PathsParams, paths_drc
 
-def host(pairs):
+def host(pairs, v1=0b000111, v2=0b111000):
     # _from_parts takes the rows as given; from_adjacency would refuse them
-    rows = [0] * 6
+    rows = [0] * (v1 | v2).bit_length()
     for u, v in pairs:
         rows[u] |= 1 << v
-    return BipartiteGraph._from_parts(rows, (0, 0b000111, 0b111000))
+    return BipartiteGraph._from_parts(rows, (0, v1, v2))
 
 full = [(u, v) for u in range(3) for v in range(3, 6)]
 full += [(v, u) for u, v in full]
@@ -638,7 +697,14 @@ full += [(v, u) for u, v in full]
 one_way = host([e for e in full if e != (3, 2)])
 # edges 0-1 and 1-2 inside V1 make X's vertex 1 a common neighbour of 0 and 2
 inside = host(full + [(0, 1), (1, 0), (1, 2), (2, 1)])
-for H, div in ((one_way, 3), (inside, 4)):
+# V1 = 0..3, V2 = 4..7 without the edge 1-4, and row 5 lacks vertex 2: X is
+# 0, 1, 2 and the pick, which reads rows 1 and 2, takes 0-4-3-5-y for both
+# ys at once; only the check of row 5 against every y of that group sees the
+# gap, as x = 1 takes 1-5-3-4-2
+wide = [(u, v) for u in range(4) for v in range(4, 8) if (u, v) != (1, 4)]
+wide += [(v, u) for u, v in wide]
+b_row = host([e for e in wide if e != (5, 2)], 0b1111, 0b11110000)
+for H, div in ((one_way, 3), (inside, 4), (b_row, 3)):
     try:
         paths_drc(H, RngStream(0), PathsParams(x_frac_div=div, min_p2n=0))
     except AssertionError as exc:
@@ -661,7 +727,8 @@ def test_paths_recheck_survives_optimize_flag():
                          timeout=60)
     assert out.stdout.splitlines() == [
         "1 raised extracted path misses an edge",
-        "1 raised path internals collide"], out.stdout + out.stderr
+        "1 raised path internals collide",
+        "1 raised extracted path misses an edge"], out.stdout + out.stderr
 
 
 # ---------------------------------------------------------------------------
