@@ -663,10 +663,9 @@ def test_first_short_pair_matches_per_pair_greedy():
             continue
         budgets.add(budget)
         (x, y), _ = got
-        later = X[X.index(x) + 1:]
         short_ys = [pair[1] for pair, _ in want if pair[0] == x]
         seen.add("x after y" if x > y else "x before y")
-        if y != later[0]:
+        if y != X[X.index(x) + 1]:
             seen.add("an earlier y passed")
         if y != min(short_ys):
             seen.add("a lower short y comes later in X")
