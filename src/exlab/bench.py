@@ -1,19 +1,12 @@
 """``exlab bench``: wall times of the acceptance-gate workloads, the README
 command lines and the tier-1 suite, written as one JSON file.
 
-The gate workloads rebuild gates 5, 6 and 7 of ``tests/test_acceptance.py``
-at gate size with the gates' seeds, and time random generation apart from
-the stage that consumes it; gate 7 also times the ``bit_columns``
-transpose of each G(2000, 1/2) host's upper rows on its own.  A fourth
-runs gate 7's weak sequences at t = 12, where the K_{t,t} search has real
-work, on three of its hosts.  A fifth runs perfbench's weakseq-dense minor
-job, G(600, 0.7) with r = 2 and t = 4, on three hosts and times its
-``paths_drc`` calls apart.  A sixth splits the sparse K_{2,2}-free
-extraction of perfbench's cli-mix into its counts and its deletion round.
-A seventh times cli-mix's N = 1000 RS construction apart from a second
-check of its decomposition, and an eighth its exhaustive free-set oracle
-on eh_map(4, 2).  A ninth times perfbench's start-up code (``setup_s``) in
-a fresh interpreter.  The README examples run in process through
+Each function of ``WORKLOADS`` runs one workload, and its docstring says
+what it times.  The gate workloads rebuild gates 5, 6 and 7 of
+``tests/test_acceptance.py`` at gate size with the gates' seeds, and time
+random generation apart from the stage that consumes it.  Most others
+split jobs of perfbench's workloads into their stages, and one times
+perfbench's start-up code.  The README examples run in process through
 ``expcli.main``, with file names moved into a temporary directory;
 ``main`` builds its parser on its first call only.  Each of these entries
 is the median of ``REPS`` repetitions.  Tier-1 runs once, in a
@@ -51,7 +44,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-from . import bipfree, expcli, lll_embed, rsgraph, setmap, weakseq
+from . import bipfree, expcli, lll_embed, removal, rsgraph, setmap, weakseq
 from .core import (Failure, RngStream, bit_columns, complete_graph,
                    hypercube, random_coloring, random_graph)
 
@@ -138,7 +131,8 @@ def gate6(timer: Timer) -> None:
 
 
 def gate7(timer: Timer) -> None:
-    """Weak sequences on 10 G(2000, 1/2) hosts, minors on 10 G(240, 0.7)."""
+    """Weak sequences on 10 G(2000, 1/2) hosts, each host's upper-row
+    ``bit_columns`` transpose timed alone, and minors on 10 G(240, 0.7)."""
     for seed in range(10):
         rng = RngStream(7000 + seed)
         g = timer("gate7.random_graph.n2000", random_graph, 2000, 0.5,
@@ -260,6 +254,31 @@ def setmap_oracle(timer: Timer) -> None:
                 "setmap oracle: k = 2, n = 4")
 
 
+# the spec seeds of perfbench cli-mix's first removal iterate jobs at its
+# default seed, and the corner-free grid of tests/golden/corner_free_4.grid
+ITERATE_SEEDS = (3819812997, 2220548214, 1294822595)
+CORNER_FREE_4 = ((0, 1, 0, 1), (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 0))
+
+
+def removal_iterate(timer: Timer) -> None:
+    """The cli-mix iterate trial on three random 2-colored 15 x 15 grids,
+    the cover (its check included) apart from the descent, which stops at
+    level 0 on each; then the descent on the corner-free 4 x 4 grid, which
+    takes one deletion step down to its single-color base case."""
+    for seed in ITERATE_SEEDS:
+        rng = RngStream(seed).derive("trial", 0).derive("grid")
+        cover = timer("removal_iterate.grid_cover", removal.grid_cover,
+                      removal.random_grid(15, 2, rng))
+        tr = timer("removal_iterate.removal_iterate", removal.removal_iterate,
+                   cover)
+        timer.check(tr.verdict == "diamond_found" and len(tr.levels) == 1,
+                    f"removal iterate: seed {seed}")
+    cover = removal.grid_cover(removal.GridColoring(4, 2, CORNER_FREE_4))
+    tr = timer("removal_iterate.corner_free", removal.removal_iterate, cover)
+    timer.check([lv["event"] for lv in tr.levels] == ["step", "base_case"],
+                "removal iterate: corner-free 4 x 4 grid")
+
+
 # perfbench's setup_s code: what every exlab command pays before its op runs
 COLD_START = """
 import sys, time
@@ -299,8 +318,8 @@ def readme_examples(timer: Timer) -> None:
 
 
 WORKLOADS = (gate5, gate6, gate7, weakseq_t12, weakseq_minor,
-             bipfree_extract, rsgraph_construct, setmap_oracle, cold_start,
-             readme_examples)
+             bipfree_extract, rsgraph_construct, setmap_oracle,
+             removal_iterate, cold_start, readme_examples)
 
 
 def calibration_kernel() -> int:

@@ -311,8 +311,7 @@ def _graph_round(G, r: int, stream: RngStream):
                 work[u] &= ~(1 << v)
                 work[v] &= ~(1 << u)
     if isinstance(G, BipartiteGraph):
-        parts = (G.mask(0), G.mask(1), G.mask(2))
-        return BipartiteGraph._from_parts(work, parts)
+        return BipartiteGraph._from_parts(work, (G.mask(1), G.mask(2)))
     return Graph._from_rows(n, work)
 
 
@@ -570,8 +569,6 @@ def _oracle_host(instance, r: Optional[int], s: Optional[int]) -> tuple:
         r, s = s, r
     if r < 2:
         raise GuardError("need r >= 2")
-    if host.n0:
-        raise GuardError("hosts with an overlay part are not supported")
     if host.n1 > host.n2:
         host = host.transpose()
     zarankiewicz_oracle_guard(host.n1, host.n2)

@@ -2,10 +2,10 @@
 streams, canonical generators and the edge-list graph reader.
 
 All graph types are immutable after construction.  Vertices are dense
-integer indices, and an id is the only name a vertex has; generators with a
-named ground set (hypercube, grid lines) document how their ids encode it.
-Bipartite parts are vertex masks, and an induced bipartite subgraph keeps
-its host's vertex ids, so a subgraph is never relabelled.
+integer indices, and an id is the only name a vertex has; the hypercube
+documents how its ids encode its points.  A bipartite graph's two parts V1
+and V2 are vertex masks, and an induced bipartite subgraph keeps its host's
+vertex ids, so a subgraph is never relabelled.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from math import ceil, comb, log
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 MAX_HYPERCUBE_DIM = 16
-MAX_GRID_CELLS = 10 ** 8
 # The most vertices a drawn (G(n, p), G(n1, n2, p)) or complete host may
 # have.  Its n rows of n bits take n^2/8 bytes, 32 MiB at 2^14.  A coloring
 # of K_n holds an n^2-byte matrix, 256 MiB, and draws 8 C(n, 2) < 2^30 bits
@@ -258,43 +257,30 @@ class Graph:
 
 
 class BipartiteGraph:
-    """Bipartite graph with an optional third overlay part for tripartite hosts.
+    """Bipartite graph between two vertex parts V1 and V2.
 
     Vertices are ids in ``[0, n)`` and each part is a vertex mask over that id
-    space; every edge joins two distinct parts.  The public constructors lay
-    the parts out contiguously, V0 = [0, n0), V1 = [n0, n0+n1),
-    V2 = [n0+n1, n).  :meth:`induced` keeps its host's ids instead, so a
-    subgraph names its vertices exactly as the host does and ids outside
-    every part are isolated.  Pure bipartite graphs have n0 = 0.
+    space; every edge joins the two parts.  The public constructors lay the
+    parts out contiguously, V1 = [0, n1), V2 = [n1, n).  :meth:`induced`
+    keeps its host's ids instead, so a subgraph names its vertices exactly
+    as the host does and ids outside both parts are isolated.
     """
 
-    __slots__ = ("n", "adj", "m", "_parts", "n0", "n1", "n2", "v0", "v1", "v2")
+    __slots__ = ("n", "adj", "m", "_parts", "n1", "n2", "v1", "v2")
 
-    def __init__(self, n1: int, n2: int, edges: Iterable = (), n0: int = 0):
-        if min(n0, n1, n2) < 0:
+    def __init__(self, n1: int, n2: int, edges: Iterable = ()):
+        if min(n1, n2) < 0:
             raise ValueError("part sizes must be nonnegative")
-        n = n0 + n1 + n2
-        rows = [0] * n
-        for e in edges:
-            u, v = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            pu, pv = _part_of(u, n0, n1), _part_of(v, n0, n1)
-            if pu == pv:
-                raise ValueError(f"edge ({u},{v}) joins part {pu} to itself")
-            if rows[u] >> v & 1:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        self._set(rows, _contiguous_parts(n0, n1, n2))
+        rows = Graph(n1 + n2, edges).adj
+        self._set(rows, _checked_parts(rows, n1, n2))
 
     def _set(self, rows: Sequence[int], parts: tuple) -> None:
         self.n = len(rows)
         self.adj = tuple(rows)
         self.m = sum(r.bit_count() for r in rows) // 2
         self._parts = parts
-        self.v0, self.v1, self.v2 = (tuple(iter_bits(m)) for m in parts)
-        self.n0, self.n1, self.n2 = len(self.v0), len(self.v1), len(self.v2)
+        self.v1, self.v2 = (tuple(iter_bits(m)) for m in parts)
+        self.n1, self.n2 = len(self.v1), len(self.v2)
 
     @classmethod
     def _from_parts(cls, rows: Sequence[int], parts: tuple) -> "BipartiteGraph":
@@ -303,28 +289,23 @@ class BipartiteGraph:
         return g
 
     @classmethod
-    def from_adjacency(cls, n1: int, n2: int, rows: Sequence[int],
-                       n0: int = 0) -> "BipartiteGraph":
+    def from_adjacency(cls, n1: int, n2: int,
+                       rows: Sequence[int]) -> "BipartiteGraph":
         """Build from rows over the contiguous parts, as the constructor
         lays them out.  Rejects a row with bits past n or inside its own
         part, and rows that are not symmetric; builders whose rows hold by
         construction call ``_from_parts``."""
-        if min(n0, n1, n2) < 0:
+        if min(n1, n2) < 0:
             raise ValueError("part sizes must be nonnegative")
-        _check_rows(rows, n0 + n1 + n2)
-        parts = _contiguous_parts(n0, n1, n2)
-        for part in parts:
-            for u in iter_bits(part):
-                if rows[u] & part:
-                    raise ValueError(f"row {u} has an edge inside its part")
-        return cls._from_parts(rows, parts)
+        _check_rows(rows, n1 + n2)
+        return cls._from_parts(rows, _checked_parts(rows, n1, n2))
 
     @classmethod
     def induced(cls, g, mask1: int, mask2: int) -> "BipartiteGraph":
         """Bipartite subgraph of g between two disjoint vertex masks.
 
         Keeps g's vertex ids; each part row is g's row restricted
-        to the other part, so edges inside a part (and to V0) are dropped.
+        to the other part, so edges inside a part are dropped.
         A row the restriction leaves unchanged is shared with g.
         """
         if mask1 & mask2:
@@ -337,10 +318,10 @@ class BipartiteGraph:
                 row = g.adj[v]
                 cut = row & other
                 rows[v] = row if cut == row else cut
-        return cls._from_parts(rows, (0, mask1, mask2))
+        return cls._from_parts(rows, (mask1, mask2))
 
     def mask(self, part: int) -> int:
-        return self._parts[part]
+        return self._parts[part - 1]
 
     # Graph's methods read only ``n`` and ``adj``, which both types share
     has_edge = Graph.has_edge
@@ -362,8 +343,8 @@ class BipartiteGraph:
 
     def transpose(self) -> "BipartiteGraph":
         """Swap the roles of V1 and V2; ids and rows are kept."""
-        m0, m1, m2 = self._parts
-        return BipartiteGraph._from_parts(self.adj, (m0, m2, m1))
+        m1, m2 = self._parts
+        return BipartiteGraph._from_parts(self.adj, (m2, m1))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BipartiteGraph)
@@ -372,9 +353,7 @@ class BipartiteGraph:
     __hash__ = None
 
     def __repr__(self) -> str:
-        parts = f"{self.n1}+{self.n2}" if not self.n0 else \
-            f"{self.n0}+{self.n1}+{self.n2}"
-        return f"BipartiteGraph({parts}, m={self.m})"
+        return f"BipartiteGraph({self.n1}+{self.n2}, m={self.m})"
 
 
 def _check_rows(rows: Sequence[int], n: int) -> None:
@@ -391,14 +370,18 @@ def _check_rows(rows: Sequence[int], n: int) -> None:
             raise ValueError(f"asymmetric edge ({u},{v})")
 
 
-def _part_of(v: int, n0: int, n1: int) -> int:
-    if v < n0:
-        return 0
-    return 1 if v < n0 + n1 else 2
+def _contiguous_parts(n1: int, n2: int) -> tuple:
+    return (1 << n1) - 1, ((1 << n2) - 1) << n1
 
 
-def _contiguous_parts(n0: int, n1: int, n2: int) -> tuple:
-    return ((1 << n0) - 1, ((1 << n1) - 1) << n0, ((1 << n2) - 1) << (n0 + n1))
+def _checked_parts(rows: Sequence[int], n1: int, n2: int) -> tuple:
+    """The contiguous parts of the rows; ValueError on an edge inside one."""
+    parts = _contiguous_parts(n1, n2)
+    for part in parts:
+        for u in iter_bits(part):
+            if rows[u] & part:
+                raise ValueError(f"row {u} has an edge inside its part")
+    return parts
 
 
 class KUniformHypergraph:
@@ -547,7 +530,7 @@ def complete_bipartite(a: int, b: int) -> BipartiteGraph:
     mask2 = ((1 << b) - 1) << a
     mask1 = (1 << a) - 1
     rows = [mask2] * a + [mask1] * b
-    return BipartiteGraph._from_parts(rows, _contiguous_parts(0, a, b))
+    return BipartiteGraph._from_parts(rows, _contiguous_parts(a, b))
 
 
 def hypercube_guard(d: int) -> None:
@@ -571,42 +554,6 @@ def hypercube(d: int) -> Graph:
             r |= 1 << (v ^ (1 << i))
         rows[v] = r
     return Graph._from_rows(n, rows)
-
-
-def grid_lines(N: int) -> BipartiteGraph:
-    """Tripartite line graph of the N x N grid.
-
-    V0 holds the 2N-1 slope -1 lines, V1 the N vertical lines and V2 the N
-    horizontal lines; two lines are adjacent iff they meet in a grid point,
-    so V1 is complete to V2.  With 1-based grid coordinates, antidiagonal
-    x + y = s is id s - 2, vertical x = a is id 2N - 2 + a and horizontal
-    y = b is id 3N - 2 + b.
-    """
-    if N < 1:
-        raise ValueError("grid side must be >= 1")
-    if N * N > MAX_GRID_CELLS:
-        raise GuardError(f"grid with {N * N} cells exceeds guard {MAX_GRID_CELLS}")
-    n0 = 2 * N - 1
-    n = n0 + 2 * N
-    rows = [0] * n
-    mask1 = ((1 << N) - 1) << n0
-    mask2 = ((1 << N) - 1) << (n0 + N)
-    for a in range(1, N + 1):
-        rows[n0 + a - 1] |= mask2
-    for b in range(1, N + 1):
-        rows[n0 + N + b - 1] |= mask1
-    for s in range(2, 2 * N + 1):
-        i = s - 2
-        for a in range(max(1, s - N), min(N, s - 1) + 1):
-            # line x+y=s meets vertical x=a at (a, s-a), in the grid
-            va = n0 + a - 1
-            rows[i] |= 1 << va
-            rows[va] |= 1 << i
-        for b in range(max(1, s - N), min(N, s - 1) + 1):
-            vb = n0 + N + b - 1
-            rows[i] |= 1 << vb
-            rows[vb] |= 1 << i
-    return BipartiteGraph._from_parts(rows, _contiguous_parts(n0, N, N))
 
 
 # byte columns that ``bit_columns`` transposes in one big int: each
@@ -711,7 +658,7 @@ def random_bipartite(n1: int, n2: int, p: float,
     vertex_count_guard(n1 + n2)
     draws = _bernoulli_rows(stream, [n2] * n1, p)
     rows = [row << n1 for row in draws] + bit_columns(draws, n2)
-    return BipartiteGraph._from_parts(rows, _contiguous_parts(0, n1, n2))
+    return BipartiteGraph._from_parts(rows, _contiguous_parts(n1, n2))
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,8 @@ def canonical(obj):
             out[key] = canonical(v)
         return dict(sorted(out.items()))
     if isinstance(obj, BipartiteGraph):
-        return {"type": "BipartiteGraph", "n0": obj.n0, "n1": obj.n1,
+        # "n0": 0 keeps every RS-decomposition digest byte-identical
+        return {"type": "BipartiteGraph", "n0": 0, "n1": obj.n1,
                 "n2": obj.n2, "edges": [list(e) for e in obj.edges()]}
     if isinstance(obj, Graph):
         return {"type": "Graph", "n": obj.n,
@@ -661,6 +662,7 @@ def _run_rsgraph_arrow(params, rng):
 def _removal_check(params: dict) -> None:
     if _random_source(params, "grid_file", ("N", "r")):
         removal.grid_cover_guard(params["N"])
+        removal.grid_coloring_guard(params["r"])
 
 
 def _removal_grid_check(params: dict) -> None:

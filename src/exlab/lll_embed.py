@@ -434,8 +434,6 @@ def drc_subset(B: BipartiteGraph, params: DrcParams, rng: RngStream,
     below 2^(k+1) b^(-k) C(|U|, k).  Both clauses are verified by direct
     counting on every attempt.
     """
-    if B.n0:
-        raise GuardError("overlay parts are not supported here")
     if B.n1 != B.n2:
         raise GuardError("parts must have equal size")
     N = B.n1
@@ -517,8 +515,6 @@ def _thin_k_set_ranks(rows: Sequence[int], start: int, left: int,
 def build_aux_pair(H: BipartiteGraph, U: Sequence[int], G, n: int) -> AuxPair:
     """Auxiliary pair: distinct V2 neighborhoods of H as target edges, and
     k-subsets of U with at least n common G-neighbors as host top edges."""
-    if H.n0:
-        raise GuardError("H must be purely bipartite")
     k = max(map(H.degree, H.v2), default=0)
     if k < 1:
         raise GuardError("the V2 side of H has no edges")
@@ -553,8 +549,6 @@ class PipelineResult:
 def _as_bipartite(H) -> BipartiteGraph:
     """A bipartite target as a BipartiteGraph on its own vertex ids."""
     if isinstance(H, BipartiteGraph):
-        if H.n0:
-            raise GuardError("H must be purely bipartite")
         return H
     sides = try_bipartition(H)
     if sides is None:
@@ -653,7 +647,7 @@ def bip_ramsey_pipeline(coloring: EdgeColoring, H, rng: RngStream,
                       "the host size", RuntimeWarning, stacklevel=2)
     bip_rows = [rows_maj[u] & mask_b for u in range(half)]
     bip_rows += [rows_maj[v] & mask_a for v in range(half, 2 * half)]
-    b_maj = BipartiteGraph._from_parts(bip_rows, (0, mask_a, mask_b))
+    b_maj = BipartiteGraph._from_parts(bip_rows, (mask_a, mask_b))
 
     params = DrcParams(eps, k, b, hn)
     drc = drc_subset(b_maj, params, rng, retry_cap=drc_retry)

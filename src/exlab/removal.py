@@ -1,13 +1,14 @@
 """Monochromatic triangle covers, sparse-pair deletion, and grid corners.
 
-A tripartite host carries an edge coloring together with a family of
-pairwise edge-disjoint monochromatic triangles whose V1-V2 edges exactly
-cover the V1-V2 edge set.  Averaging over apexes extracts a color and a
-pair of linear-size vertex subsets spanning provably few edges of that
-color; deleting those edges and restricting to the subsets drops one
-color from the cross part, and iterating descends to a single-color base
-case unless the triangle census already exceeds the cover size, in which
-case two monochromatic triangles share an edge (a diamond).
+A cover's host is a plain graph with three part masks beside it, the apexes
+V0 and the sides V1 and V2.  It carries an edge coloring together with a
+family of pairwise edge-disjoint monochromatic triangles whose V1-V2 edges
+exactly cover the V1-V2 edge set.  Averaging over apexes extracts a color
+and a pair of linear-size vertex subsets spanning provably few edges of that
+color; deleting those edges and restricting to the subsets drops one color
+from the cross part, and iterating descends to a single-color base case
+unless the triangle census already exceeds the cover size, in which case
+two monochromatic triangles share an edge (a diamond).
 
 The grid application colors the line graph of the N x N grid by the
 color of the intersection point.  The N^2 point triangles form an exact
@@ -27,14 +28,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    BipartiteGraph,
     EdgeColoring,
+    Graph,
     GuardError,
     ParseError,
     RngStream,
     _header,
     _parse_ints,
-    grid_lines,
     iter_bits,
     mask_of,
     verified,
@@ -50,6 +50,9 @@ PIPELINE_MAX_N = 100
 # 2^(r+3) factors, at most about 4000 digits at r = 7 for parts the census
 # admits and twice that at r = 8, past the interpreter's int-to-str limit.
 ITERATE_MAX_COLORS = 7
+# Color guard for a grid coloring: its cover holds r color rows of 4N - 1
+# ints each, and random_coloring takes at most as many colors.
+GRID_MAX_COLORS = 255
 
 
 # ---------------------------------------------------------------------------
@@ -60,29 +63,37 @@ ITERATE_MAX_COLORS = 7
 class TriangleCover:
     """Edge-disjoint monochromatic triangles covering the V1-V2 edges.
 
-    ``triangles`` holds (v0, v1, v2, color) quadruples in host vertex ids,
-    one triangle per V1-V2 edge.  Strict covers additionally require the
-    cross part to be complete, so exactly n^2 triangles; relaxed covers
-    arise during the deletion descent where cross edges have been removed.
-    Build through :func:`triangle_cover`, which checks every invariant.
+    ``parts`` holds the vertex masks (V0, V1, V2) of the host
+    ``coloring.graph``, and ``triangles`` holds (v0, v1, v2, color)
+    quadruples in host vertex ids, one triangle per V1-V2 edge.  Strict
+    covers additionally require the cross part to be complete, so exactly
+    n^2 triangles; relaxed covers arise during the deletion descent where
+    cross edges have been removed.  Build through :func:`triangle_cover`,
+    which checks every invariant.
     """
 
     coloring: EdgeColoring
+    parts: tuple
     triangles: tuple
     strict: bool = True
 
     @property
-    def graph(self) -> BipartiteGraph:
+    def graph(self) -> Graph:
         return self.coloring.graph
 
     @property
+    def q(self) -> int:
+        """Apex-part size |V0|."""
+        return self.parts[0].bit_count()
+
+    @property
     def n(self) -> int:
-        return self.graph.n1
+        return self.parts[1].bit_count()
 
     @property
     def c(self) -> Fraction:
         """Apex-part size ratio |V0| / n."""
-        return Fraction(self.graph.n0, self.graph.n1)
+        return Fraction(self.q, self.n)
 
     @property
     def r(self) -> int:
@@ -147,8 +158,7 @@ class GridColoring:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("grid side must be >= 1")
-        if self.r < 1:
-            raise ValueError("need at least one color")
+        grid_coloring_guard(self.r)
         rows = tuple(tuple(row) for row in self.cells)
         object.__setattr__(self, "cells", rows)
         if len(rows) != self.N or any(len(row) != self.N for row in rows):
@@ -177,11 +187,23 @@ class Corner:
 # Cover construction and validation
 
 
-def triangle_cover(coloring: EdgeColoring, triangles,
+def _part_sizes(n: int, parts) -> tuple:
+    """(|V0|, |V1|, |V2|); ValueError unless the masks are disjoint, < 2^n."""
+    m0, m1, m2 = parts
+    if m0 & m1 or m0 & m2 or m1 & m2:
+        raise ValueError("part masks overlap")
+    if (m0 | m1 | m2) >> n:
+        raise ValueError(f"part masks exceed the {n} host vertices")
+    return m0.bit_count(), m1.bit_count(), m2.bit_count()
+
+
+def triangle_cover(coloring: EdgeColoring, parts, triangles,
                    strict: bool = True) -> TriangleCover:
     """Validate and freeze a triangle cover; raises ValueError on any defect.
 
-    Checks part membership and color range per triangle, existence and
+    ``parts`` are the vertex masks (V0, V1, V2) of the host: disjoint,
+    within its vertices, with V0 nonempty and |V1| = |V2| >= 1.  Checks
+    part membership and color range per triangle, existence and
     monochromaticity of all three edges, pairwise edge-disjointness, and
     that the V1-V2 edges of the triangles exactly cover the cross edge
     set.  With ``strict`` the cross part must also be complete.  Each edge
@@ -190,26 +212,26 @@ def triangle_cover(coloring: EdgeColoring, triangles,
     names the edge's color in the monochromaticity error.
     """
     g = coloring.graph
-    if not isinstance(g, BipartiteGraph):
-        raise ValueError("cover host must be tripartite")
-    if g.n0 < 1:
+    parts = tuple(parts)
+    n0, n, n2 = _part_sizes(g.n, parts)
+    if n0 < 1:
         raise ValueError("cover host needs a nonempty apex part V0")
-    if g.n1 < 1 or g.n1 != g.n2:
+    if n < 1 or n != n2:
         raise ValueError(f"cover parts must satisfy |V1| = |V2| >= 1, "
-                         f"got {g.n1} and {g.n2}")
-    n = g.n1
-    if strict and g.cross_m() != n * n:
-        raise ValueError(f"strict cover needs a complete cross part: "
-                         f"{g.cross_m()} of {n * n} edges present")
-    tris = tuple(tuple(t) for t in triangles)
+                         f"got {n} and {n2}")
     adj = g.adj
+    cross = sum((adj[a] & parts[2]).bit_count() for a in iter_bits(parts[1]))
+    if strict and cross != n * n:
+        raise ValueError(f"strict cover needs a complete cross part: "
+                         f"{cross} of {n * n} edges present")
+    tris = tuple(tuple(t) for t in triangles)
     claimed = [0] * g.n
     for t in tris:
         if len(t) != 4:
             raise ValueError(f"triangle {t} is not (v0, v1, v2, color)")
         v0, v1, v2, ch = t
         for part, v in enumerate(t[:3]):
-            if not (isinstance(v, int) and v >= 0 and g.mask(part) >> v & 1):
+            if not (isinstance(v, int) and v >= 0 and parts[part] >> v & 1):
                 raise ValueError(f"{'vertex' if part else 'apex'} {v} "
                                  f"outside V{part}")
         if not (isinstance(ch, int) and 0 <= ch < coloring.r):
@@ -226,45 +248,44 @@ def triangle_cover(coloring: EdgeColoring, triangles,
                 raise ValueError(f"edge ({u},{v}) used by two triangles")
             claimed[u] |= 1 << v
     # distinct existing cross edges, one per triangle: count fixes coverage
-    if len(tris) != g.cross_m():
-        raise ValueError(f"triangles cover {len(tris)} of {g.cross_m()} "
+    if len(tris) != cross:
+        raise ValueError(f"triangles cover {len(tris)} of {cross} "
                          f"V1-V2 edges")
-    return TriangleCover(coloring, tris, strict)
+    return TriangleCover(coloring, parts, tris, strict)
 
 
 # ---------------------------------------------------------------------------
 # Census
 
 
-def _census_guard(g) -> None:
-    if not isinstance(g, BipartiteGraph):
-        raise GuardError("triangle scan needs a tripartite host")
-    if max(g.n0, g.n1, g.n2) > CENSUS_MAX_PART:
-        raise GuardError(f"part size {max(g.n0, g.n1, g.n2)} exceeds "
+def _scan_host(arg, parts) -> tuple:
+    """(coloring, parts) of a cover, or of a coloring and its part masks,
+    once the scans' size guard passes."""
+    if isinstance(arg, TriangleCover):
+        arg, parts = arg.coloring, arg.parts
+    if parts is None:
+        raise GuardError("triangle scan needs a tripartite host's parts")
+    size = max(_part_sizes(arg.graph.n, parts))
+    if size > CENSUS_MAX_PART:
+        raise GuardError(f"part size {size} exceeds "
                          f"enumeration guard {CENSUS_MAX_PART}")
+    return arg, tuple(parts)
 
 
-def _as_coloring(arg) -> EdgeColoring:
-    return arg.coloring if isinstance(arg, TriangleCover) else arg
-
-
-def triangle_census(arg) -> tuple[tuple, int]:
+def triangle_census(arg, parts=None) -> tuple[tuple, int]:
     """Count monochromatic triangles (one vertex per part) per color.
 
-    Accepts a tripartite EdgeColoring or a TriangleCover.  One color class
-    at a time, scans each V1-V2 edge of that color and counts apexes via
-    one AND of the two color rows, so the work is n^2 word operations.
-    Returns (per-color tuple, total).
+    Accepts a TriangleCover, or an EdgeColoring with its host's part masks
+    (V0, V1, V2).  One color class at a time, scans each V1-V2 edge of that
+    color and counts apexes via one AND of the two color rows, so the work
+    is n^2 word operations.  Returns (per-color tuple, total).
     """
-    col = _as_coloring(arg)
-    g = col.graph
-    _census_guard(g)
-    mask0 = g.mask(0)
-    m2 = g.mask(2)
+    col, (mask0, m1, m2) = _scan_host(arg, parts)
+    side1 = tuple(iter_bits(m1))
     counts = []
     for rows in col.rows:
         count = 0
-        for a in g.v1:
+        for a in side1:
             apexes = rows[a] & mask0
             if apexes:
                 for b in iter_bits(rows[a] & m2):
@@ -273,11 +294,10 @@ def triangle_census(arg) -> tuple[tuple, int]:
     return tuple(counts), sum(counts)
 
 
-def _apex_mono_count(col: EdgeColoring, v: int) -> int:
+def _apex_mono_count(cover: TriangleCover, v: int) -> int:
     """Monochromatic triangles through the V0 vertex v, all colors."""
-    g = col.graph
-    m1 = g.mask(1)
-    m2 = g.mask(2)
+    col = cover.coloring
+    _, m1, m2 = cover.parts
     total = 0
     for ch in range(col.r):
         row = col.rows[ch][v]
@@ -301,37 +321,35 @@ def sparse_pair_step(cover: TriangleCover) -> SparsePair:
     Every averaging guarantee is re-checked exactly and failure raises
     AssertionError; the returned edge count is measured directly.
     """
-    g = cover.graph
     col = cover.coloring
-    n, q, r = cover.n, g.n0, cover.r
+    n, q, r = cover.n, cover.q, cover.r
     m = cover.m
     if 2 * m < n * n:
         raise GuardError(f"cross-edge hypothesis failed: m = {m} < "
                          f"n^2/2 = {Fraction(n * n, 2)}")
-    per_color, total = triangle_census(col)
+    per_color, total = triangle_census(cover)
     delta = Fraction(total + 1, n ** 3)
     budget = 4 * delta * n * n
-    cnt = [0] * q
-    by_apex = [[] for _ in range(q)]
+    by_apex = {v: [] for v in iter_bits(cover.parts[0])}
     for t in cover.triangles:
-        cnt[t[0]] += 1
         by_apex[t[0]].append(t)
     thr = Fraction(m, 2 * q)
-    heavy = [v for v in range(q) if cnt[v] >= thr]
+    heavy = [v for v, tris in by_apex.items() if len(tris) >= thr]
     # light apexes carry < m/2 triangles in total, heavy ones <= n each
     if len(heavy) * 2 * n < m:
         raise AssertionError(f"heavy apex count {len(heavy)} below floor "
                              f"{Fraction(m, 2 * n)}")
     apex = mono_v = None
     for v in heavy:
-        mv = _apex_mono_count(col, v)
+        mv = _apex_mono_count(cover, v)
         if mv < budget:
             apex, mono_v = v, mv
             break
     if apex is None:
         raise AssertionError("every heavy apex exceeds the triangle budget")
+    mine = by_apex[apex]
     col_cnt: dict = {}
-    for t in by_apex[apex]:
+    for t in mine:
         col_cnt[t[3]] = col_cnt.get(t[3], 0) + 1
     best = max(col_cnt.values())
     color = min(ch for ch, k in col_cnt.items() if k == best)
@@ -339,7 +357,7 @@ def sparse_pair_step(cover: TriangleCover) -> SparsePair:
         raise AssertionError(f"popular color count {best} below m/(2|V0|r)")
     if best * 4 * q * r < n * n:
         raise AssertionError(f"popular color count {best} below n/(4cr)")
-    tri = [t for t in by_apex[apex] if t[3] == color]
+    tri = [t for t in mine if t[3] == color]
     s1 = sorted({t[1] for t in tri})
     s2 = sorted({t[2] for t in tri})
     k = min(len(s1), len(s2))
@@ -351,7 +369,7 @@ def sparse_pair_step(cover: TriangleCover) -> SparsePair:
         raise AssertionError(f"{e_color} edges of color {color} exceed "
                              f"4 delta n^2 = {budget}")
     stats = {"m": m, "census": total, "per_color": per_color, "delta": delta,
-             "apex": apex, "apex_cover": cnt[apex], "apex_mono": mono_v,
+             "apex": apex, "apex_cover": len(mine), "apex_mono": mono_v,
              "heavy": len(heavy), "heavy_floor": Fraction(m, 2 * n),
              "color_count": best, "color_floor": Fraction(n * n, 4 * q * r),
              "edge_bound": budget}
@@ -369,23 +387,23 @@ def _delete_sparse_color(cover: TriangleCover, step: SparsePair) -> TriangleCove
     """
     g = cover.graph
     col = cover.coloring
-    m0 = g.mask(0)
+    m0 = cover.parts[0]
     sel1, sel2 = mask_of(step.v1), mask_of(step.v2)
     sparse = col.rows[step.color]
     rows = [0] * g.n
-    for v in g.v0:
+    for v in iter_bits(m0):
         rows[v] = g.adj[v] & (sel1 | sel2)
     for part, other in ((sel1, sel2), (sel2, sel1)):
         for v in iter_bits(part):
             rows[v] = g.adj[v] & (m0 | (other & ~sparse[v]))
-    sub = BipartiteGraph._from_parts(rows, (m0, sel1, sel2))
+    sub = Graph._from_rows(g.n, rows)
     subcol = EdgeColoring.from_rows(
         sub, [[cr[v] & row for v, row in enumerate(rows)] for cr in col.rows],
         col.r)
     tris = tuple(t for t in cover.triangles
                  if sel1 >> t[1] & 1 and sel2 >> t[2] & 1
                  and t[3] != step.color)
-    return triangle_cover(subcol, tris, strict=False)
+    return triangle_cover(subcol, (m0, sel1, sel2), tris, strict=False)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +435,7 @@ def removal_iterate(cover: TriangleCover) -> RemovalTrace:
     measured values at every level.
     """
     removal_iterate_guard(cover.r)
-    g = cover.graph
-    n0_, r0, q = cover.n, cover.r, g.n0
+    n0_, r0, q = cover.n, cover.r, cover.q
     c = cover.c
     bound = Fraction(n0_ ** 3) / (4 * c * r0) ** (2 ** (r0 + 3))
     proof_n = [Fraction(n0_)]
@@ -432,14 +449,14 @@ def removal_iterate(cover: TriangleCover) -> RemovalTrace:
     verdict = None
     while True:
         ni, mi = current.n, current.m
-        per, tot = triangle_census(current.coloring)
+        per, tot = triangle_census(current)
         si = ni * ni - mi
         rec = {"level": level, "r_eff": r_eff, "n": ni, "m": mi, "s": si,
                "census": tot, "per_color": per,
                "delta": Fraction(tot + 1, ni ** 3)}
         if tot > mi:
             # more monochromatic triangles than edge-disjoint slots
-            diamond = diamond_find(current.coloring)
+            diamond = diamond_find(current)
             if diamond is None:
                 raise AssertionError("census exceeds cover size but no "
                                      "diamond found")
@@ -487,20 +504,18 @@ def removal_iterate(cover: TriangleCover) -> RemovalTrace:
 # Diamond scan
 
 
-def diamond_find(arg) -> Optional[Diamond]:
+def diamond_find(arg, parts=None) -> Optional[Diamond]:
     """First V1-V2 edge lying in two monochromatic triangles, or None.
 
-    Scans cross edges in canonical order; for each, the apexes closing a
-    monochromatic triangle are one AND of the two color rows.  A None
-    return certifies that no diamond exists.
+    Takes a cover, or a coloring with its parts, as ``triangle_census``
+    does.  Scans cross edges in canonical order; for each, the apexes
+    closing a monochromatic triangle are one AND of the two color rows.  A
+    None return certifies that no diamond exists.
     """
-    col = _as_coloring(arg)
-    g = col.graph
-    _census_guard(g)
-    mask0 = g.mask(0)
-    m2 = g.mask(2)
-    for a in g.v1:
-        for b in iter_bits(g.adj[a] & m2):
+    col, (mask0, m1, m2) = _scan_host(arg, parts)
+    adj = col.graph.adj
+    for a in iter_bits(m1):
+        for b in iter_bits(adj[a] & m2):
             ch = col.color_of(a, b)
             apexes = col.rows[ch][a] & col.rows[ch][b] & mask0
             if apexes.bit_count() >= 2:
@@ -522,6 +537,37 @@ def grid_cover_guard(N: int) -> None:
                          f"over the enumeration guard {CENSUS_MAX_PART}")
 
 
+def grid_coloring_guard(r: int) -> None:
+    """GuardError unless a grid coloring's 1 <= r <= GRID_MAX_COLORS."""
+    if not 1 <= r <= GRID_MAX_COLORS:
+        raise GuardError(f"grid color count {r} outside "
+                         f"1..{GRID_MAX_COLORS}")
+
+
+def grid_lines(N: int) -> tuple[Graph, tuple]:
+    """Line graph of the N x N grid and its part masks (V0, V1, V2).
+
+    V0 holds the 2N-1 slope -1 lines, V1 the N vertical lines and V2 the N
+    horizontal lines; two lines are adjacent iff they meet in a grid point,
+    so V1 is complete to V2.  With 1-based grid coordinates, antidiagonal
+    x + y = s is id s - 2, vertical x = a is id 2N - 2 + a and horizontal
+    y = b is id 3N - 2 + b.  N must pass ``grid_cover_guard``.
+    """
+    if N < 1:
+        raise ValueError("grid side must be >= 1")
+    grid_cover_guard(N)
+    q = 2 * N - 1
+    side = (1 << N) - 1
+    mask1, mask2 = side << q, side << (q + N)
+    # x = j + 1 and y = j + 1 meet antidiagonal i when j <= i < j + N
+    rows = [0] * q + [side << j | mask2 for j in range(N)] \
+        + [side << j | mask1 for j in range(N)]
+    for i in range(q):
+        seg = side << (i + 1) >> N & side
+        rows[i] = seg << q | seg << (q + N)
+    return Graph._from_rows(q + 2 * N, rows), ((1 << q) - 1, mask1, mask2)
+
+
 def grid_cover(gc: GridColoring) -> TriangleCover:
     """Strict triangle cover of the grid line host, colored by points.
 
@@ -532,8 +578,7 @@ def grid_cover(gc: GridColoring) -> TriangleCover:
     monochromatic by construction and edge-disjoint, one per V1-V2 edge.
     """
     N = gc.N
-    grid_cover_guard(N)
-    g = grid_lines(N)
+    g, parts = grid_lines(N)
     n0 = 2 * N - 1
     tris = tuple((x + y - 2, n0 + x - 1, n0 + N + y - 1, gc.color_at(x, y))
                  for x in range(1, N + 1) for y in range(1, N + 1))
@@ -543,7 +588,7 @@ def grid_cover(gc: GridColoring) -> TriangleCover:
         rows[c][a] |= 1 << s | 1 << b
         rows[c][b] |= 1 << s | 1 << a
     col = EdgeColoring.from_rows(g, rows, gc.r)
-    return triangle_cover(col, tris, strict=True)
+    return triangle_cover(col, parts, tris, strict=True)
 
 
 def corner_oracle(gc: GridColoring) -> tuple:
@@ -616,7 +661,7 @@ def grid_pipeline(gc: GridColoring) -> Optional[Corner]:
     """
     grid_pipeline_guard(gc.N)
     cover = grid_cover(gc)
-    dia = diamond_find(cover.coloring)
+    dia = diamond_find(cover)
     oracle = corner_oracle(gc)
     if dia is None:
         if oracle:
@@ -653,6 +698,11 @@ def read_grid(path) -> GridColoring:
     N = vals[0]
     if N < 1:
         raise ParseError(f"grid side must be >= 1, got {N}", no)
+    if len(vals) == 2:
+        try:
+            grid_coloring_guard(vals[1])
+        except GuardError as err:
+            raise ParseError(str(err), no) from None
     rows = []
     last = no
     for no2, line in lines:

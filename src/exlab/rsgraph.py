@@ -313,7 +313,7 @@ def rs_from_behrend(N: int, chunk: Optional[int] = None) -> RsDecomposition:
             rows[v] |= 1 << u
         mt.sort()
         mats.append(tuple(mt))
-    graph = BipartiteGraph._from_parts(rows, _contiguous_parts(0, n1, n2))
+    graph = BipartiteGraph._from_parts(rows, _contiguous_parts(n1, n2))
     spanning = True
     stats = {"n_prime": half, "s_max": ap.N, "ap_size": size,
              "max_element": top, "full_matchings": len(mats)}
@@ -350,11 +350,9 @@ def bipartite_double(g, dec: RsDecomposition) -> RsDecomposition:
     which inducedness forbids.  The lifted decomposition is re-verified.
     """
     _check_decomposition(g, dec)
-    if isinstance(g, BipartiteGraph) and g.n0:
-        raise GuardError("overlap part not supported")
     n = g.n
     rows = [g.adj[u] << n for u in range(n)] + [g.adj[u] for u in range(n)]
-    doubled = BipartiteGraph._from_parts(rows, _contiguous_parts(0, n, n))
+    doubled = BipartiteGraph._from_parts(rows, _contiguous_parts(n, n))
     mats = tuple(
         tuple(sorted([(u, n + v) for u, v in mt] + [(v, n + u) for u, v in mt]))
         for mt in dec.matchings)
@@ -583,7 +581,7 @@ def arrow_check(g, t: int, n: int, mode: str = "exhaustive",
         raise GuardError("theorem mode requires a decomposition")
     dec = decomposition
     _check_decomposition(g, dec)
-    if not isinstance(g, BipartiteGraph) or g.n0:
+    if not isinstance(g, BipartiteGraph):
         raise GuardError("theorem mode requires a bipartite host")
     if not dec.spanning:
         raise GuardError("theorem mode requires a spanning decomposition")

@@ -188,8 +188,6 @@ def degree_filter(B: BipartiteGraph, mode: str, value) -> tuple:
     p|V2|/2 vertices.  dense(q): needs density >= 1-q, keeps degrees >
     (1-2q)|V1|, returns at least |V2|/2 vertices.
     """
-    if B.n0:
-        raise GuardError("overlay parts are not supported here")
     value = Fraction(value)
     n1, n2 = B.n1, B.n2
     if n1 == 0 or n2 == 0:
@@ -233,8 +231,6 @@ def cover_partition(B: BipartiteGraph, r: int, rng: RngStream,
     p_min is the measured minimum V2-degree over |V1|.  When the cap runs
     out, the best partition is returned with met=False.
     """
-    if B.n0:
-        raise GuardError("overlay parts are not supported here")
     n1, n2 = B.n1, B.n2
     if n1 == 0 or n2 == 0:
         raise GuardError("both parts must be nonempty")
@@ -316,8 +312,6 @@ def find_ktt(T: BipartiteGraph, t: int):
     ``Failure("find_ktt", "search budget exhausted", ...)``.
     """
     find_ktt_guard(t)
-    if T.n0:
-        raise GuardError("overlay parts are not supported here")
     if T.n1 < t or T.n2 < t:
         return None
     order = sorted(T.v1, key=lambda v: (-T.degree(v), v))
@@ -393,7 +387,7 @@ def _incidence_graph(B: BipartiteGraph, blocks) -> BipartiteGraph:
     d = len(blocks)
     reach = _block_reach(B, blocks)
     rows = [col << B.n for col in bit_columns(reach, B.n)] + reach
-    parts = (0, B.mask(2), ((1 << d) - 1) << B.n)
+    parts = (B.mask(2), ((1 << d) - 1) << B.n)
     return BipartiteGraph._from_parts(rows, parts)
 
 
@@ -615,8 +609,6 @@ def paths_drc(H: BipartiteGraph, rng: RngStream,
     triggers a redraw.
     """
     c = constants or PathsParams()
-    if H.n0:
-        raise GuardError("overlay parts are not supported here")
     if H.n1 != H.n2:
         raise GuardError("parts must have equal size")
     n = H.n1 + H.n2

@@ -268,10 +268,9 @@ def _mutate_cover(kind: str, cover, rng):
     elif kind == "recolor":
         tris[i] = (w, a, b, (c + 1) % cover.r)
     elif kind == "move_apex":
-        tris[i] = ((w + 1) % cover.graph.n0, a, b, c)
+        tris[i] = ((w + 1) % cover.q, a, b, c)
     elif kind == "out_of_part":
-        tris[i] = (w, cover.graph.n0 + cover.graph.n1 + cover.graph.n2,
-                   b, c)
+        tris[i] = (w, cover.graph.n, b, c)
     else:
         raise AssertionError(kind)
     return tris
@@ -297,7 +296,7 @@ def test_gate_09_cover_census_and_corner_agreement():
         tris = _mutate_cover(kinds[i % len(kinds)], cover,
                              rng.derive("mutate", i))
         with pytest.raises(ValueError):
-            removal.triangle_cover(cover.coloring, tris)
+            removal.triangle_cover(cover.coloring, cover.parts, tris)
         rejected += 1
     assert rejected == 20
     # pair-step clauses recounted directly on 15x15 two-colored grids
@@ -306,11 +305,11 @@ def test_gate_09_cover_census_and_corner_agreement():
         cover = removal.grid_cover(gc)
         col = cover.coloring
         g = col.graph
-        n, q = 15, g.n0
+        n, q = 15, cover.q
         total = 0
         for w in range(q):
-            for a in range(g.n0, g.n0 + n):
-                for b in range(g.n0 + n, g.n0 + 2 * n):
+            for a in range(q, q + n):
+                for b in range(q + n, q + 2 * n):
                     if (g.has_edge(w, a) and g.has_edge(w, b)
                             and g.has_edge(a, b)
                             and col.color_of(w, a) == col.color_of(w, b)

@@ -13,6 +13,7 @@ import pytest
 
 from exlab import bench, expcli, weakseq
 from exlab.core import Failure
+from exlab.removal import read_grid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -129,6 +130,19 @@ def test_bench_times_the_cli_mix_oracle(tmp_path):
     assert doc["failures"] == []
     assert {"setmap_oracle.eh_map", "setmap_oracle.free_set_oracle",
             "setmap_oracle.total"} <= set(doc["entries"])
+
+
+def test_bench_times_the_removal_cover_apart_from_the_descent(tmp_path):
+    doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.removal_iterate,),
+                          reps=1, tier1=False)
+    assert doc["failures"] == []
+    entries = {name: e["median_s"] for name, e in doc["entries"].items()}
+    assert entries["removal_iterate.total"] == pytest.approx(
+        entries["removal_iterate.grid_cover"]
+        + entries["removal_iterate.removal_iterate"]
+        + entries["removal_iterate.corner_free"], rel=1e-3)
+    golden = Path(__file__).with_name("golden") / "corner_free_4.grid"
+    assert read_grid(golden).cells == bench.CORNER_FREE_4
 
 
 def test_bench_lists_an_extraction_that_exhausts_its_retry_cap(

@@ -8,7 +8,7 @@ import pytest
 from exlab import bipfree
 from exlab.core import (BipartiteGraph, Failure, Graph, GuardError,
                         KUniformHypergraph, RngStream, complete_bipartite,
-                        complete_graph, grid_lines, iter_bits, mask_of,
+                        complete_graph, iter_bits, mask_of,
                         random_bipartite, random_graph)
 from exlab.bipfree import (K_rr, Pattern, _count_hyper, _graph_round,
                            _pattern_free, _rsets, _sample_rows, count_pattern,
@@ -99,7 +99,6 @@ def walk_hosts():
         "n = 0": Graph(0),
         "K_{3,4}": complete_bipartite(3, 4),
         "G(8, 9, 0.5)": random_bipartite(8, 9, 0.5, rng.derive("bip")),
-        "grid lines, V0 overlay": grid_lines(4),
         "induced view": BipartiteGraph.induced(dense, odd, even),
         "transposed view": BipartiteGraph.induced(dense, even, odd)
                                           .transpose(),
@@ -163,7 +162,7 @@ def test_graph_round_matches_the_loop_round(r):
             assert walk._rng.getstate() == loop._rng.getstate()
             assert type(H) is type(G) and loop_count(H, r) == 0
             if isinstance(G, BipartiteGraph):
-                assert (H.v0, H.v1, H.v2) == (G.v0, G.v1, G.v2)
+                assert (H.v1, H.v2) == (G.v1, G.v2)
 
 
 @pytest.mark.parametrize("r", [2, 3])

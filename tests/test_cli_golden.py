@@ -95,6 +95,7 @@ INVOCATIONS = [
     "embed --op cube --d 17",
     "bipfree --op count --n 1000000000000000000000 --p 0.5",
     "embed --op drc --N 1000000000000000000000 --k 1",
+    "removal --op census --N 4 --r 100000",
 ]
 
 # spec files for ``run SPEC --dry-run``: the README example, some specs of

@@ -16,12 +16,13 @@ import pytest
 from exlab import core
 from exlab.core import (BipartiteGraph, EdgeColoring, Failure, Graph,
                         GuardError, ParseError, RngStream, bit_columns,
-                        complete_bipartite, complete_graph, grid_lines,
+                        complete_bipartite, complete_graph,
                         hypercube, hypercube_guard, iter_bits, mask_of,
                         random_bipartite, random_coloring,
                         random_equitable_bipartition, random_graph,
                         read_graph, try_bipartition)
 from exlab.core import _bernoulli_rows, _sample_setsize
+from exlab.removal import grid_lines
 
 
 def test_bit_helpers_round_trip():
@@ -97,14 +98,14 @@ def test_bipartite_from_adjacency_validates_rows():
     for rows, message in _MALFORMED_BIPARTITE_ROWS:
         with pytest.raises(ValueError, match=re.escape(message)):
             BipartiteGraph.from_adjacency(2, 2, rows)
-    with pytest.raises(ValueError, match="inside its part"):
-        BipartiteGraph.from_adjacency(2, 2, [0b10, 0b01, 0, 0, 0, 0], n0=2)
+    with pytest.raises(ValueError, match="row 2 has an edge inside its part"):
+        BipartiteGraph.from_adjacency(2, 2, [0, 0, 0b1000, 0b0100])
     with pytest.raises(ValueError, match="row count"):
         BipartiteGraph.from_adjacency(2, 2, [0, 0, 0])
     # the internal builders skip the check and still give valid rows
-    for b in (complete_bipartite(3, 4), grid_lines(4),
+    for b in (complete_bipartite(3, 4),
               random_bipartite(5, 7, 0.5, RngStream(3))):
-        assert BipartiteGraph.from_adjacency(b.n1, b.n2, b.adj, n0=b.n0) == b
+        assert BipartiteGraph.from_adjacency(b.n1, b.n2, b.adj) == b
 
 
 def test_bipartite_from_adjacency_validates_under_optimize_flag():
@@ -159,23 +160,6 @@ def test_hosts_past_the_vertex_cap_are_refused_before_any_draw():
         with pytest.raises(GuardError, match="exceed guard"):
             build()
     assert stream.position == 0
-
-
-def test_grid_lines():
-    g = grid_lines(2)
-    assert (g.n0, g.n1, g.n2) == (3, 2, 2)
-    assert g.m == 12  # 3 * N^2 lines-through-points incidences
-    # every vertical meets every horizontal
-    for a in g.v1:
-        for b in g.v2:
-            assert g.has_edge(a, b)
-    # the antidiagonal x+y=2 passes only through (1,1)
-    s2 = 0
-    assert g.mask(0) >> s2 & 1
-    assert g.degree(s2) == 2
-    # x+y=3 passes through (1,2) and (2,1)
-    assert g.degree(1) == 4
-    assert grid_lines(3).m == 27
 
 
 def test_random_graph():
@@ -525,9 +509,9 @@ def test_induced_keeps_host_ids():
     side2 = [v for v in range(30) if v % 3 == 1]
     bip = BipartiteGraph.induced(host, mask_of(side1), mask_of(side2))
     assert bip.n == 30
-    assert (bip.v0, bip.v1, bip.v2) == ((), tuple(side1), tuple(side2))
-    assert (bip.n0, bip.n1, bip.n2) == (0, 10, 10)
-    part = {v: i for i in (0, 1, 2) for v in iter_bits(bip.mask(i))}
+    assert (bip.v1, bip.v2) == (tuple(side1), tuple(side2))
+    assert (bip.n1, bip.n2) == (10, 10)
+    part = {v: i for i in (1, 2) for v in iter_bits(bip.mask(i))}
     assert part[3] == 1 and part[4] == 2
     assert 2 not in part  # left out of both parts
     brute = sum(host.has_edge(u, v) for u in side1 for v in side2)
@@ -613,7 +597,7 @@ def test_random_coloring_matches_per_edge_draws():
     view = BipartiteGraph.induced(complete_graph(14), 0b10100101001,
                                   0b1001001010010)
     hosts = [complete_graph(30), random_graph(40, 0.2, RngStream(8)),
-             random_graph(25, 0.9, RngStream(9)), view, grid_lines(4),
+             random_graph(25, 0.9, RngStream(9)), view, grid_lines(4)[0],
              Graph(9), complete_graph(1), complete_graph(0)]
     for host in hosts:
         for r in (1, 2, 3, 5, 7, 255):

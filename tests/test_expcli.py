@@ -322,9 +322,11 @@ def test_replay_restores_fraction_parameters(tmp_path):
     spec = ExperimentSpec("embed", "lemma",
                           {"N": 64, "k": 3, "delta": "1/100"},
                           seed=4, trials=2, out=str(path))
-    rec = expcli.run(spec)
+    # at N = 64 and delta = 1/100 the embedding runs outside its regime
+    with pytest.warns(RuntimeWarning, match="resample_embed outside"):
+        rec = expcli.run(spec)
+        match, _ = expcli.replay(path)
     assert rec.spec["params"]["delta"] == "1/100"
-    match, _ = expcli.replay(path)
     assert match
 
 

@@ -61,11 +61,11 @@ REJECTED_AT_100000 = {
     ("rsgraph", "double"): ("N",),
     ("rsgraph", "decompose"): ("N",),
     ("rsgraph", "arrow"): ("N",),
-    ("removal", "census"): ("N",),
-    ("removal", "step"): ("N",),
+    ("removal", "census"): ("N", "r"),
+    ("removal", "step"): ("N", "r"),
     ("removal", "iterate"): ("N", "r"),
-    ("removal", "diamond"): ("N",),
-    ("removal", "grid"): ("N",),
+    ("removal", "diamond"): ("N", "r"),
+    ("removal", "grid"): ("N", "r"),
 }
 
 
@@ -89,6 +89,11 @@ def _with(spec, name, value):
 ADMITTED_AT_13 = {("weakseq", "pipeline", "t"), ("weakseq", "minor", "t")}
 
 
+# 0, -1 and 13 drive these ops out of their regimes, where they warn
+@pytest.mark.filterwarnings(
+    "ignore:quality parameter b capped:RuntimeWarning",
+    "ignore:resample_embed outside the recommended regime:RuntimeWarning",
+    "ignore:parameters outside the theorem regimes:RuntimeWarning")
 def test_sweep_exits_two_or_records_clean_trials():
     first = first_specs()
     assert sum(len(_int_params(key)) for key in expcli.OPS) == SWEPT_PAIRS

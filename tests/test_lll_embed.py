@@ -393,9 +393,6 @@ def test_drc_guards():
     sparse = BipartiteGraph(32, 32, [(i, 32 + i) for i in range(32)])
     with pytest.raises(GuardError):
         drc_subset(sparse, params, RngStream(0))
-    overlay = BipartiteGraph(4, 4, [], n0=2)
-    with pytest.raises(GuardError):
-        drc_subset(overlay, params, RngStream(0))
     with pytest.raises(GuardError):
         DrcParams(Fraction(1, 2), 0, 1, 2)
 
@@ -520,9 +517,6 @@ def test_build_aux_pair_guards():
     matching = BipartiteGraph(2, 2, [(0, 2), (1, 3)])
     with pytest.raises(GuardError):
         build_aux_pair(matching, (), complete_graph(8), 1)
-    overlay = BipartiteGraph(2, 2, [], n0=1)
-    with pytest.raises(GuardError):
-        build_aux_pair(overlay, range(4), complete_graph(8), 1)
 
 
 def test_pipeline_single_edge_k3_exhaustive():

@@ -4,17 +4,16 @@ from fractions import Fraction
 import pytest
 
 from exlab.core import (
-    BipartiteGraph,
     EdgeColoring,
     Graph,
     GuardError,
     ParseError,
     RngStream,
-    grid_lines,
     iter_bits,
     mask_of,
 )
 from exlab.removal import (
+    GRID_MAX_COLORS,
     ITERATE_MAX_COLORS,
     Corner,
     Diamond,
@@ -24,7 +23,9 @@ from exlab.removal import (
     TriangleCover,
     corner_oracle,
     diamond_find,
+    grid_coloring_guard,
     grid_cover,
+    grid_lines,
     grid_pipeline,
     random_grid,
     read_grid,
@@ -66,7 +67,13 @@ def checkerboard(N):
                                     for x in range(1, N + 1)))
 
 
+def tri_parts(q, n):
+    """Contiguous part masks V0 = [0, q), V1 = [q, q+n), V2 = [q+n, q+2n)."""
+    return (1 << q) - 1, ((1 << n) - 1) << q, ((1 << n) - 1) << (q + n)
+
+
 def complete_tripartite_coloring(q, n, colorfn, r):
+    """A coloring of the complete K_{q,n,n} and its part masks."""
     edges = []
     for w in range(q):
         for v in range(q, q + 2 * n):
@@ -74,8 +81,7 @@ def complete_tripartite_coloring(q, n, colorfn, r):
     for a in range(q, q + n):
         for b in range(q + n, q + 2 * n):
             edges.append((a, b))
-    g = BipartiteGraph(n, n, edges, n0=q)
-    return EdgeColoring(g, colorfn, r)
+    return EdgeColoring(Graph(q + 2 * n, edges), colorfn, r), tri_parts(q, n)
 
 
 def single_apex_coloring():
@@ -83,9 +89,9 @@ def single_apex_coloring():
 
 
 def two_apex_cover():
-    col = complete_tripartite_coloring(2, 2, lambda u, v: 0, 1)
+    col, parts = complete_tripartite_coloring(2, 2, lambda u, v: 0, 1)
     tris = ((0, 2, 4, 0), (0, 3, 5, 0), (1, 2, 5, 0), (1, 3, 4, 0))
-    return triangle_cover(col, tris)
+    return triangle_cover(col, parts, tris)
 
 
 def latin_cover(ctab, r=2):
@@ -99,11 +105,10 @@ def latin_cover(ctab, r=2):
             colors[(w, q + a)] = ctab[w][a]
             colors[(w, q + n + b)] = ctab[w][a]
             colors[(q + a, q + n + b)] = ctab[w][a]
-    g = BipartiteGraph(n, n, sorted(colors), n0=q)
-    col = EdgeColoring(g, colors, r)
+    col = EdgeColoring(Graph(q + 2 * n, sorted(colors)), colors, r)
     tris = tuple((w, q + a, q + n + (a + w) % n, ctab[w][a])
                  for w in range(q) for a in range(n))
-    return triangle_cover(col, tris, strict=True)
+    return triangle_cover(col, tri_parts(q, n), tris, strict=True)
 
 
 def relabelled_delete(cover, step):
@@ -111,7 +116,7 @@ def relabelled_delete(cover, step):
     the oracle of the mask restriction."""
     g = cover.graph
     col = cover.coloring
-    q = g.n0
+    q = cover.q
     k = len(step.v1)
     idx1 = {a: q + i for i, a in enumerate(step.v1)}
     idx2 = {b: q + k + j for j, b in enumerate(step.v2)}
@@ -134,12 +139,11 @@ def relabelled_delete(cover, step):
                 if ch != step.color:
                     edges.append((na, nb))
                     colors[(na, nb)] = ch
-    sub = BipartiteGraph(k, k, edges, n0=q)
-    subcol = EdgeColoring(sub, colors, col.r)
+    subcol = EdgeColoring(Graph(q + 2 * k, edges), colors, col.r)
     tris = tuple((t[0], idx1[t[1]], idx2[t[2]], t[3])
                  for t in cover.triangles
                  if t[1] in idx1 and t[2] in idx2 and t[3] != step.color)
-    return triangle_cover(subcol, tris, strict=False)
+    return triangle_cover(subcol, tri_parts(q, k), tris, strict=False)
 
 
 def three_color_grid():
@@ -149,13 +153,14 @@ def three_color_grid():
     return GridColoring(4, 3, cells)
 
 
-def ref_census(col):
+def ref_census(col, parts):
     """Independent triple loop over the parts, no bitmask shortcuts."""
     g = col.graph
+    v0, v1, v2 = (list(iter_bits(m)) for m in parts)
     counts = [0] * col.r
-    for w in g.v0:
-        for a in g.v1:
-            for b in g.v2:
+    for w in v0:
+        for a in v1:
+            for b in v2:
                 if not (g.has_edge(w, a) and g.has_edge(w, b)
                         and g.has_edge(a, b)):
                     continue
@@ -165,14 +170,13 @@ def ref_census(col):
     return tuple(counts), sum(counts)
 
 
-def per_edge_census(col):
+def per_edge_census(col, parts):
     """The census by one color_of call per V1-V2 edge, the apexes of each
     edge counted in its own color's rows."""
-    g = col.graph
-    mask0 = g.mask(0)
+    mask0, mask1, mask2 = parts
     counts = [0] * col.r
-    for a in g.v1:
-        for b in iter_bits(g.adj[a] & g.mask(2)):
+    for a in iter_bits(mask1):
+        for b in iter_bits(col.graph.adj[a] & mask2):
             ch = col.color_of(a, b)
             counts[ch] += (col.rows[ch][a] & col.rows[ch][b]
                            & mask0).bit_count()
@@ -195,12 +199,12 @@ def ref_corners(gc):
     return found
 
 
-def transposed_diamond_exists(col):
+def transposed_diamond_exists(col, parts):
     """Diamond scan with the V2 loop outermost."""
     g = col.graph
-    mask0 = g.mask(0)
-    for b in g.v2:
-        for a in g.v1:
+    mask0, mask1, mask2 = parts
+    for b in iter_bits(mask2):
+        for a in iter_bits(mask1):
             if not g.has_edge(a, b):
                 continue
             ch = col.color_of(a, b)
@@ -215,8 +219,8 @@ def transposed_diamond_exists(col):
 
 
 def test_census_single_apex_complete_is_n_squared():
-    col = complete_tripartite_coloring(1, 2, lambda u, v: 0, 1)
-    assert triangle_census(col) == ((4,), 4)
+    col, parts = complete_tripartite_coloring(1, 2, lambda u, v: 0, 1)
+    assert triangle_census(col, parts) == ((4,), 4)
 
 
 def test_census_mono_grid_n2():
@@ -239,8 +243,9 @@ def test_census_matches_reference_on_random_grids():
     for seed in range(10):
         rng = RngStream(901).derive("census", seed)
         gc = random_grid(6, 2 + seed % 2, rng)
-        col = grid_cover(gc).coloring
-        assert triangle_census(col) == ref_census(col)
+        cov = grid_cover(gc)
+        assert triangle_census(cov.coloring, cov.parts) == \
+            ref_census(cov.coloring, cov.parts)
 
 
 def test_census_matches_reference_on_random_tripartite():
@@ -256,31 +261,33 @@ def test_census_matches_reference_on_random_tripartite():
             for b in range(q + n, q + 2 * n):
                 if rng.randrange(10) < 7:
                     edges.append((a, b))
-        g = BipartiteGraph(n, n, edges, n0=q)
+        g = Graph(q + 2 * n, edges)
         col = EdgeColoring(g, {e: rng.randrange(r) for e in edges}, r)
-        assert triangle_census(col) == ref_census(col)
+        parts = tri_parts(q, n)
+        assert triangle_census(col, parts) == ref_census(col, parts)
 
 
 def test_census_by_color_class_matches_per_edge_colors():
     for seed in range(10):
         rng = RngStream(904).derive("classes", seed)
-        col = grid_cover(random_grid(7, 2 + seed % 2, rng)).coloring
-        assert triangle_census(col) == per_edge_census(col)
+        cov = grid_cover(random_grid(7, 2 + seed % 2, rng))
+        assert triangle_census(cov) == per_edge_census(cov.coloring,
+                                                       cov.parts)
     cov = latin_cover(LATIN_CTAB)
     sub = _delete_sparse_color(cov, sparse_pair_step(cov))
-    assert triangle_census(sub) == per_edge_census(sub.coloring) \
-        == ref_census(sub.coloring)
+    assert triangle_census(sub) == per_edge_census(sub.coloring, sub.parts) \
+        == ref_census(sub.coloring, sub.parts)
 
 
 def test_census_accepts_cover_argument():
     cov = grid_cover(checkerboard(3))
-    assert triangle_census(cov) == triangle_census(cov.coloring)
+    assert triangle_census(cov) == triangle_census(cov.coloring, cov.parts)
 
 
 def test_census_guards():
-    big = BipartiteGraph(1, 1, [], n0=301)
+    big = EdgeColoring(Graph(303), {}, 1)
     with pytest.raises(GuardError, match="enumeration guard"):
-        triangle_census(EdgeColoring(big, {}, 1))
+        triangle_census(big, tri_parts(301, 1))
     with pytest.raises(GuardError, match="tripartite"):
         triangle_census(EdgeColoring(Graph(3, [(0, 1)]), {(0, 1): 0}, 1))
 
@@ -300,14 +307,14 @@ def test_cover_strict_grid_accepts():
 def test_cover_rejects_missing_triangle():
     cov = grid_cover(mono_grid(2))
     with pytest.raises(ValueError, match="cover 3 of 4"):
-        triangle_cover(cov.coloring, cov.triangles[:-1])
+        triangle_cover(cov.coloring, cov.parts, cov.triangles[:-1])
 
 
 def test_cover_rejects_edge_reuse():
     cov = grid_cover(mono_grid(2))
     tris = (cov.triangles[0],) + cov.triangles[:3]
     with pytest.raises(ValueError, match="used by two"):
-        triangle_cover(cov.coloring, tris)
+        triangle_cover(cov.coloring, cov.parts, tris)
 
 
 def test_cover_rejects_wrong_color():
@@ -315,7 +322,7 @@ def test_cover_rejects_wrong_color():
     t = cov.triangles[0]
     tris = ((t[0], t[1], t[2], 1 - t[3]),) + cov.triangles[1:]
     with pytest.raises(ValueError, match="not monochromatic"):
-        triangle_cover(cov.coloring, tris)
+        triangle_cover(cov.coloring, cov.parts, tris)
 
 
 def test_cover_rejects_out_of_part():
@@ -323,49 +330,48 @@ def test_cover_rejects_out_of_part():
     t = cov.triangles[0]
     bad = ((t[1], t[1], t[2], t[3]),) + cov.triangles[1:]
     with pytest.raises(ValueError, match="outside V0"):
-        triangle_cover(cov.coloring, bad)
+        triangle_cover(cov.coloring, cov.parts, bad)
     bad = ((t[0], t[0], t[2], t[3]),) + cov.triangles[1:]
     with pytest.raises(ValueError, match="outside V1"):
-        triangle_cover(cov.coloring, bad)
+        triangle_cover(cov.coloring, cov.parts, bad)
 
 
 def test_cover_checks_feet_against_non_contiguous_part_masks():
     # one descent level keeps host ids: V1 = {4, 7}, V2 = {8, 11} of 0..11
     cov = latin_cover(LATIN_CTAB)
     sub = _delete_sparse_color(cov, sparse_pair_step(cov))
-    g = sub.graph
-    assert (g.mask(1), g.mask(2)) == (1 << 4 | 1 << 7, 1 << 8 | 1 << 11)
-    assert triangle_cover(sub.coloring, sub.triangles, strict=False) == sub
+    assert sub.parts[1:] == (1 << 4 | 1 << 7, 1 << 8 | 1 << 11)
+    assert triangle_cover(sub.coloring, sub.parts, sub.triangles,
+                          strict=False) == sub
     t = sub.triangles[0]
     for foot, bad, part in ((1, 5, "V1"), (2, 10, "V2"), (1, 8, "V1"),
                             (2, -1, "V2"), (1, 10 ** 6, "V1"),
                             (1, "4", "V1"), (0, 4, "V0")):
         moved = t[:foot] + (bad,) + t[foot + 1:]
         with pytest.raises(ValueError, match=f"outside {part}"):
-            triangle_cover(sub.coloring, (moved,) + sub.triangles[1:],
-                           strict=False)
+            triangle_cover(sub.coloring, sub.parts,
+                           (moved,) + sub.triangles[1:], strict=False)
 
 
 def test_cover_rejects_missing_edge_and_bad_quadruple():
     edges = [(0, 1), (0, 3), (1, 3)]
-    g = BipartiteGraph(2, 2, edges, n0=1)
-    col = EdgeColoring(g, {e: 0 for e in edges}, 1)
+    col = EdgeColoring(Graph(5, edges), {e: 0 for e in edges}, 1)
+    parts = tri_parts(1, 2)
     with pytest.raises(ValueError, match="missing from host"):
-        triangle_cover(col, ((0, 2, 4, 0),), strict=False)
+        triangle_cover(col, parts, ((0, 2, 4, 0),), strict=False)
     with pytest.raises(ValueError, match="v0, v1, v2"):
-        triangle_cover(col, ((0, 1, 3),), strict=False)
+        triangle_cover(col, parts, ((0, 1, 3),), strict=False)
     with pytest.raises(ValueError, match="outside 0"):
-        triangle_cover(col, ((0, 1, 3, 5),), strict=False)
+        triangle_cover(col, parts, ((0, 1, 3, 5),), strict=False)
 
 
 def test_cover_checks_the_host_before_the_color_rows():
     # color 0's rows hold the complete K_{1,2,2}, the host lacks (0, 2)
     edges = [(0, 1), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]
-    g = BipartiteGraph(2, 2, edges, n0=1)
-    full = BipartiteGraph(2, 2, edges + [(0, 2)], n0=1)
-    col = EdgeColoring.from_rows(g, [full.adj], 1)
+    full = Graph(5, edges + [(0, 2)])
+    col = EdgeColoring.from_rows(Graph(5, edges), [full.adj], 1)
     with pytest.raises(ValueError, match=r"\(0,2\) missing from host"):
-        triangle_cover(col, ((0, 2, 4, 0),), strict=False)
+        triangle_cover(col, tri_parts(1, 2), ((0, 2, 4, 0),), strict=False)
 
 
 def test_cover_strictness_split():
@@ -374,24 +380,34 @@ def test_cover_strictness_split():
     for v in range(1, 5):
         edges.append((0, v))
     cross = [(1, 3), (2, 3), (2, 4)]
-    g = BipartiteGraph(2, 2, edges + cross, n0=1)
-    col = EdgeColoring(g, lambda u, v: 0, 1)
+    col = EdgeColoring(Graph(5, edges + cross), lambda u, v: 0, 1)
+    parts = tri_parts(1, 2)
     tris = ((0, 1, 3, 0), (0, 2, 4, 0))
     with pytest.raises(ValueError, match="complete cross part"):
-        triangle_cover(col, tris, strict=True)
+        triangle_cover(col, parts, tris, strict=True)
     with pytest.raises(ValueError, match="cover 2 of 3"):
-        triangle_cover(col, tris, strict=False)
+        triangle_cover(col, parts, tris, strict=False)
     full = tris + ((0, 2, 3, 0),)
     with pytest.raises(ValueError, match="used by two"):
         # apex edge (0,2) cannot serve two triangles
-        triangle_cover(col, full, strict=False)
+        triangle_cover(col, parts, full, strict=False)
 
 
 def test_cover_rejects_non_tripartite_host():
-    g = BipartiteGraph(2, 2, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    col = EdgeColoring(g, lambda u, v: 0, 1)
-    with pytest.raises(ValueError, match="apex part"):
-        triangle_cover(col, ())
+    # K_{2,2} on 0..3 with an apex 4 joined to all of it
+    edges = [(0, 2), (0, 3), (1, 2), (1, 3)] + [(v, 4) for v in range(4)]
+    col = EdgeColoring(Graph(5, edges), lambda u, v: 0, 1)
+    for parts, message in (((0, 0b11, 0b1100), "nonempty apex part"),
+                           ((0b10000, 0b1, 0b1110), "got 1 and 3"),
+                           ((0b10000, 0b11, 0b110), "overlap"),
+                           ((0b10001, 0b11, 0b1100), "overlap"),
+                           ((0b110000, 0b11, 0b1100), "exceed the 5"),
+                           ((-1 << 4, 0b11, 0b1100), "exceed the 5")):
+        with pytest.raises(ValueError, match=message):
+            triangle_cover(col, parts, (), strict=False)
+    tris = ((4, 0, 2, 0), (4, 1, 3, 0))
+    with pytest.raises(ValueError, match="used by two"):
+        triangle_cover(col, (0b10000, 0b11, 0b1100), tris + ((4, 0, 3, 0),))
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +427,8 @@ def test_step_mono_grid_n2_frozen():
 
 def test_step_guard_sparse_cross():
     edges = [(0, 1), (0, 3), (1, 3)]
-    g = BipartiteGraph(2, 2, edges, n0=1)
-    col = EdgeColoring(g, {e: 0 for e in edges}, 1)
-    cov = triangle_cover(col, ((0, 1, 3, 0),), strict=False)
+    col = EdgeColoring(Graph(5, edges), {e: 0 for e in edges}, 1)
+    cov = triangle_cover(col, tri_parts(1, 2), ((0, 1, 3, 0),), strict=False)
     with pytest.raises(GuardError, match="cross-edge"):
         sparse_pair_step(cov)
 
@@ -430,7 +445,7 @@ def test_step_clauses_on_random_grids():
         gc = random_grid(15, 2, rng)
         cov = grid_cover(gc)
         sp = sparse_pair_step(cov)
-        n, q, r = cov.n, cov.graph.n0, cov.r
+        n, q, r = cov.n, cov.q, cov.r
         col = cov.coloring
         # equal sizes at least n^2/(4qr)
         assert len(sp.v1) == len(sp.v2)
@@ -440,7 +455,7 @@ def test_step_clauses_on_random_grids():
                      if col.color_of(a, b) == sp.color)
         assert direct == sp.edges
         # sparse against the census-derived budget
-        _, total = ref_census(col)
+        _, total = ref_census(col, cov.parts)
         assert sp.edges * n <= 4 * (total + 1)
         assert all(a in g_range for a, g_range in
                    zip(sp.v1, [range(q, q + n)] * len(sp.v1)))
@@ -469,7 +484,7 @@ def test_iterate_pigeonhole_two_apexes():
     tr = removal_iterate(cov)
     assert tr.verdict == "diamond_found"
     assert tr.diamond == Diamond((2, 4), (0, 1), 0)
-    assert tr.diamond == diamond_find(cov.coloring)
+    assert tr.diamond == diamond_find(cov.coloring, cov.parts)
 
 
 def test_iterate_corner_free_witness():
@@ -535,10 +550,10 @@ def test_descent_restricts_in_host_ids_as_relabelling_did(cover):
         g = ours.graph
         assert g.n == root.n
         for part in range(3):
-            assert g.mask(part) & ~root.mask(part) == 0
-        assert (g.mask(1), g.mask(2)) == (mask_of(step.v1), mask_of(step.v2))
+            assert ours.parts[part] & ~cover.parts[part] == 0
+        assert ours.parts[1:] == (mask_of(step.v1), mask_of(step.v2))
         # the order-preserving map from host ids to the oracle's compact ids
-        kept = sorted(g.v0 + g.v1 + g.v2)
+        kept = list(iter_bits(ours.parts[0] | ours.parts[1] | ours.parts[2]))
         pos = {v: i for i, v in enumerate(kept)}
 
         def compact(row):
@@ -551,8 +566,8 @@ def test_descent_restricts_in_host_ids_as_relabelling_did(cover):
             [list(row) for row in oracle.coloring.rows]
         assert tuple((pos[w], pos[a], pos[b], ch)
                      for w, a, b, ch in ours.triangles) == oracle.triangles
-        assert (g.n0, g.n1, g.n2) == (oracle.graph.n0, oracle.graph.n1,
-                                      oracle.graph.n2)
+        assert [m.bit_count() for m in ours.parts] == \
+            [m.bit_count() for m in oracle.parts]
 
 
 def test_iterate_color_guard_boundary():
@@ -573,9 +588,9 @@ def test_iterate_color_guard_boundary():
 
 def test_diamond_single_apex_certified_none():
     # every cross edge closes exactly one triangle: no second apex exists
-    col = single_apex_coloring()
-    assert triangle_census(col) == ((4,), 4)
-    assert diamond_find(col) is None
+    col, parts = single_apex_coloring()
+    assert triangle_census(col, parts) == ((4,), 4)
+    assert diamond_find(col, parts) is None
 
 
 def test_diamond_two_apex_frozen():
@@ -587,15 +602,15 @@ def test_diamond_against_transposed_dual():
     for seed in range(20):
         rng = RngStream(905).derive("dia", seed)
         gc = random_grid(5, 2 + seed % 2, rng)
-        col = grid_cover(gc).coloring
-        dia = diamond_find(col)
-        assert (dia is not None) == transposed_diamond_exists(col)
+        cov = grid_cover(gc)
+        col = cov.coloring
+        dia = diamond_find(col, cov.parts)
+        assert (dia is not None) == transposed_diamond_exists(col, cov.parts)
         if dia is not None:
             a, b = dia.edge
             w1, w2 = dia.apexes
             assert w1 != w2
-            g = col.graph
-            assert g.mask(1) >> a & 1 and g.mask(2) >> b & 1
+            assert cov.parts[1] >> a & 1 and cov.parts[2] >> b & 1
             for u, v in ((a, b), (w1, a), (w1, b), (w2, a), (w2, b)):
                 assert col.color_of(min(u, v), max(u, v)) == dia.color
 
@@ -607,6 +622,26 @@ def test_diamond_guard_non_tripartite():
 
 # ---------------------------------------------------------------------------
 # Grid application
+
+
+def test_grid_lines():
+    g, (mask0, mask1, mask2) = grid_lines(2)
+    assert [m.bit_count() for m in (mask0, mask1, mask2)] == [3, 2, 2]
+    assert g.m == 12  # 3 * N^2 lines-through-points incidences
+    # every vertical meets every horizontal
+    for a in iter_bits(mask1):
+        for b in iter_bits(mask2):
+            assert g.has_edge(a, b)
+    # the antidiagonal x+y=2 passes only through (1,1)
+    s2 = 0
+    assert mask0 >> s2 & 1
+    assert g.degree(s2) == 2
+    # x+y=3 passes through (1,2) and (2,1)
+    assert g.degree(1) == 4
+    assert grid_lines(3)[0].m == 27
+    # built unchecked, the rows pass the checked constructor
+    g4, _ = grid_lines(4)
+    assert Graph.from_adjacency(g4.n, g4.adj) == g4
 
 
 def test_grid_cover_edge_colors_decode_points():
@@ -650,7 +685,7 @@ def point_color(gc: GridColoring):
 def test_grid_cover_rows_match_point_color_reference(N, r):
     gc = random_grid(N, r, RngStream(907).derive(N, r))
     col = grid_cover(gc).coloring
-    ref = EdgeColoring(grid_lines(N), point_color(gc), r)
+    ref = EdgeColoring(grid_lines(N)[0], point_color(gc), r)
     assert col.rows == ref.rows and col.graph == ref.graph
 
 
@@ -736,6 +771,12 @@ def test_grid_coloring_validation():
         GridColoring(2, 2, ((0, 1), (1, 2)))
     with pytest.raises(ValueError, match="side"):
         GridColoring(0, 1, ())
+    assert GRID_MAX_COLORS == 255
+    grid_coloring_guard(255)
+    assert GridColoring(1, 255, ((254,),)).r == 255
+    for bad in (0, 256):
+        with pytest.raises(GuardError, match=f"count {bad} outside 1..255"):
+            GridColoring(1, bad, ((0,),))
     gc = GridColoring(2, 2, [[0, 1], [1, 0]])
     assert gc.cells == ((0, 1), (1, 0))
     assert gc.color_at(1, 2) == 1
@@ -790,4 +831,13 @@ def test_read_grid_errors(tmp_path):
         read_grid(path)
     path.write_text("2 1\n0 1\n1 0\n")
     with pytest.raises(ParseError, match="outside"):
+        read_grid(path)
+    # a color count past the guard fails on the header, before any row
+    for head in ("2 256", "2 1000000000"):
+        path.write_text(f"{head}\n0 1\n")
+        with pytest.raises(ParseError, match="line 1: grid color count"):
+            read_grid(path)
+    # and a count inferred from the cells on the last row
+    path.write_text("2\n0 1\n1 255\n")
+    with pytest.raises(ParseError, match="line 3: grid color count 256"):
         read_grid(path)

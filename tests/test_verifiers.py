@@ -287,7 +287,7 @@ def mutate_rs(instance, dec):
     for row in (v2, v1):
         rows = list(g.adj)
         rows[row] ^= 1 << u1
-        host = BipartiteGraph._from_parts(rows, tuple(map(g.mask, range(3))))
+        host = BipartiteGraph._from_parts(rows, (g.mask(1), g.mask(2)))
         for spanning in (True, False):
             yield instance, dataclasses.replace(
                 dec, graph=host, spanning=spanning), ("one_way", 0)

@@ -83,9 +83,6 @@ def test_degree_filter_guards():
         degree_filter(c6_bipartite(), "dense", Fraction(1, 100))
     with pytest.raises(ValueError):
         degree_filter(b, "medium", Fraction(1, 2))
-    overlay = BipartiteGraph.from_adjacency(2, 2, [0] * 5, n0=1)
-    with pytest.raises(GuardError):
-        degree_filter(overlay, "sparse", Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +185,6 @@ def test_block_relation_matches_pair_loop():
 def test_cover_partition_guards():
     with pytest.raises(GuardError):
         cover_partition(complete_bipartite(5, 2), 2, RngStream(0))
-    overlay = BipartiteGraph.from_adjacency(2, 2, [0] * 5, n0=1)
-    with pytest.raises(GuardError):
-        cover_partition(overlay, 1, RngStream(0))
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +497,6 @@ def test_paths_guards():
         paths_drc(complete_bipartite(3, 4), RngStream(0))
     with pytest.raises(GuardError):
         paths_drc(bip(3, 3, []), RngStream(0))
-    overlay = BipartiteGraph.from_adjacency(2, 2, [0] * 5, n0=1)
-    with pytest.raises(GuardError):
-        paths_drc(overlay, RngStream(0))
 
 
 # The per-pair extraction paths_drc used before it ran the greedy for every
@@ -688,7 +679,7 @@ def host(pairs, v1=0b000111, v2=0b111000):
     rows = [0] * (v1 | v2).bit_length()
     for u, v in pairs:
         rows[u] |= 1 << v
-    return BipartiteGraph._from_parts(rows, (0, v1, v2))
+    return BipartiteGraph._from_parts(rows, (v1, v2))
 
 full = [(u, v) for u in range(3) for v in range(3, 6)]
 full += [(v, u) for u, v in full]
