@@ -254,6 +254,17 @@ def setmap_oracle(timer: Timer) -> None:
                 "setmap oracle: k = 2, n = 4")
 
 
+def bipfree_tight(timer: Timer) -> None:
+    """The cli-mix tight trial at m = 64: the complete host K_{4,16} apart
+    from the oracle, which verifies its rows before returning them."""
+    inst = timer("bipfree_tight.tight_instance", bipfree.tight_instance, 2, 2,
+                 64)
+    res = timer("bipfree_tight.zarankiewicz_oracle",
+                bipfree.zarankiewicz_oracle, inst)
+    timer.check(res.exact and (res.size, res.nodes) == (22, 52),
+                "bipfree tight: m = 64")
+
+
 # the spec seeds of perfbench cli-mix's first removal iterate jobs at its
 # default seed, and the corner-free grid of tests/golden/corner_free_4.grid
 ITERATE_SEEDS = (3819812997, 2220548214, 1294822595)
@@ -318,7 +329,7 @@ def readme_examples(timer: Timer) -> None:
 
 
 WORKLOADS = (gate5, gate6, gate7, weakseq_t12, weakseq_minor,
-             bipfree_extract, rsgraph_construct, setmap_oracle,
+             bipfree_extract, bipfree_tight, rsgraph_construct, setmap_oracle,
              removal_iterate, cold_start, readme_examples)
 
 

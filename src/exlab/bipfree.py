@@ -96,11 +96,11 @@ class KPartiteCheck:
 
 @dataclass(frozen=True)
 class ZarankiewiczResult:
-    """Bracket on the maximum pattern-free subgraph size of a bipartite host.
+    """Bracket on the maximum pattern-free subgraph size of a tight instance.
 
-    ``rows`` holds one neighborhood bitmask per V vertex for the best
-    subgraph found, with bit i standing for the i-th vertex of U in id order;
-    size == upper when the search completed.
+    ``rows`` holds one neighborhood bitmask per V = V2 vertex for the best
+    subgraph found, with bit i standing for vertex i of U = V1; size ==
+    upper when the search completed.
     """
 
     size: int
@@ -442,22 +442,21 @@ def zarankiewicz_oracle_guard(usize: int, vsize: int) -> None:
                          f"|V| <= {ORACLE_MAX_V}")
 
 
-def zarankiewicz_oracle(instance, r: Optional[int] = None,
-                        s: Optional[int] = None,
+def zarankiewicz_oracle(instance: TightInstance,
                         budget: Optional[int] = None) -> ZarankiewiczResult:
-    """Exact maximum edges of a K_{r,s}-free subgraph of a bipartite host.
+    """Exact maximum edges of a K_{r,s}-free subgraph of a tight instance.
 
     Both orientations of the pattern are forbidden.  Branch and bound assigns
-    each V vertex a neighborhood mask over U; complete hosts additionally fix
-    a nonincreasing mask order, which quotients out the V-permutation
-    symmetry.  The prune uses C(d, r) >= d - r + 1: a vertex of degree d
+    each V = V2 vertex a neighborhood mask over U = V1, in nonincreasing mask
+    order, which quotients out the V-permutation symmetry of the complete
+    host.  The prune uses C(d, r) >= d - r + 1: a vertex of degree d
     consumes at least d - (r-1) units of r-subset coverage capacity.  With a
     node budget the result may degrade to a certified bracket.
     """
-    host, r, s, nb = _oracle_host(instance, r, s)
-    usize, vsize = host.n1, host.n2
+    r, s = instance.r, instance.s
+    usize, vsize = instance.graph.n1, instance.graph.n2
+    zarankiewicz_oracle_guard(usize, vsize)
     full_u = (1 << usize) - 1
-    complete = all(row == full_u for row in nb)
 
     # One table per forbidden orientation: an a-subset of U may lie in at
     # most cap chosen V rows, for (a, cap) = (r, s - 1) and, unless that
@@ -476,17 +475,6 @@ def zarankiewicz_oracle(instance, r: Optional[int] = None,
     upper_cap = min([usize * vsize] + [vsize * f + c for f, c in zip(free, res)])
 
     desc = sorted(range(full_u + 1), key=lambda msk: (-msk.bit_count(), -msk))
-    if complete:
-        cands = None  # shared candidate list, monotone index sequence
-        shared = desc
-    else:
-        shared = None
-        cands = [[msk for msk in desc if msk & ~nb[i] == 0]
-                 for i in range(vsize)]
-        suffix_deg = [0] * (vsize + 1)
-        for i in range(vsize - 1, -1, -1):
-            suffix_deg[i] = suffix_deg[i + 1] + nb[i].bit_count()
-
     best = 0
     best_rows: list[int] = [0] * vsize
     assignment: list[int] = []
@@ -496,7 +484,7 @@ def zarankiewicz_oracle(instance, r: Optional[int] = None,
 
     def node_bound(pos: int, pc_cap: int) -> int:
         rem = vsize - pos
-        ub = rem * pc_cap if complete else suffix_deg[pos]
+        ub = rem * pc_cap
         for t in tables:
             ub = min(ub, rem * free[t] + res[t])
         return ub
@@ -532,9 +520,8 @@ def zarankiewicz_oracle(instance, r: Optional[int] = None,
             best_rows = assignment + [0] * (vsize - pos)
         if pos == vsize:
             return
-        row = shared if complete else cands[pos]
-        for idx in range(start if complete else 0, len(row)):
-            msk = row[idx]
+        for idx in range(start, len(desc)):
+            msk = desc[idx]
             if cur + node_bound(pos, msk.bit_count()) <= best:
                 break  # masks are in nonincreasing size order
             if not apply(msk):
@@ -551,51 +538,31 @@ def zarankiewicz_oracle(instance, r: Optional[int] = None,
     upper = max(upper_cap, best) if aborted else best
     result = ZarankiewiczResult(size=best, upper=upper, exact=not aborted,
                                 nodes=nodes, rows=tuple(best_rows))
-    verified(verify_zarankiewicz, instance, result, r, s)
+    verified(verify_zarankiewicz, instance, result)
     return result
 
 
-def _oracle_host(instance, r: Optional[int], s: Optional[int]) -> tuple:
-    """(host, r, s, nb) for the oracle's arguments: the host turned so that
-    U = V1 is its smaller part, r <= s, and nb[i] the neighbourhood of the
-    i-th V vertex as a mask over the ranks of U's vertices."""
-    if isinstance(instance, TightInstance):
-        host, r, s = instance.graph, instance.r, instance.s
-    else:
-        host = instance
-        if r is None or s is None:
-            raise GuardError("raw bipartite hosts need explicit r and s")
-    if r > s:
-        r, s = s, r
-    if r < 2:
-        raise GuardError("need r >= 2")
-    if host.n1 > host.n2:
-        host = host.transpose()
-    zarankiewicz_oracle_guard(host.n1, host.n2)
-    rank = {u: i for i, u in enumerate(host.v1)}
-    nb = [mask_of(rank[u] for u in iter_bits(host.adj[v])) for v in host.v2]
-    return host, r, s, nb
-
-
-def verify_zarankiewicz(instance, res: ZarankiewiczResult,
-                        r: Optional[int] = None, s: Optional[int] = None):
-    """(ok, reason) for the rows of ``zarankiewicz_oracle(instance, r, s)``:
+def verify_zarankiewicz(instance: TightInstance, res: ZarankiewiczResult):
+    """(ok, reason) for the rows of ``zarankiewicz_oracle(instance)``:
     reason is ("not_subgraph", i) for the first V vertex i off its host
-    row, ("size", e) for e != res.size edges, ("bound", res.size) above a
-    tight instance's s*m^(r/(r+1)), or ("pattern", first, second) for the
-    K_{r,s} copies by orientation."""
-    host, r, s, nb = _oracle_host(instance, r, s)
-    if len(res.rows) != len(nb):
-        raise ValueError(f"{len(res.rows)} rows for {len(nb)} V vertices")
-    for i, (row, allowed) in enumerate(zip(res.rows, nb)):
-        if row & ~allowed:
+    row, ("size", e) for e != res.size edges, ("bound", res.size) above
+    s*m^(r/(r+1)), or ("pattern", first, second) for the K_{r,s} copies by
+    orientation."""
+    host = instance.graph
+    zarankiewicz_oracle_guard(host.n1, host.n2)
+    if len(res.rows) != host.n2:
+        raise ValueError(f"{len(res.rows)} rows for {host.n2} V vertices")
+    # U = V1 holds ids [0, n1), so a V vertex's host row is its mask over U
+    for i, (row, v) in enumerate(zip(res.rows, host.v2)):
+        if row & ~host.adj[v]:
             return False, ("not_subgraph", i)
     edges = sum(row.bit_count() for row in res.rows)
     if edges != res.size:
         return False, ("size", edges)
-    if isinstance(instance, TightInstance) and res.size > instance.kst_bound():
+    if res.size > instance.kst_bound():
         return False, ("bound", res.size)
-    first, second = _count_krs_sides(res.rows, host.n1, r, s)
+    first, second = _count_krs_sides(res.rows, host.n1, instance.r,
+                                     instance.s)
     if first or second:
         return False, ("pattern", first, second)
     return True, None

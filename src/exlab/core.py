@@ -421,32 +421,29 @@ class EdgeColoring:
     """A host graph plus a total assignment of its edges to r color classes.
 
     Colors are kept as per-color bitmask adjacency rows so monochromatic
-    neighborhood queries are single AND operations.
+    neighborhood queries are single AND operations.  ``colors`` maps each
+    edge (u, v), u < v, of the host to its color.
     """
 
     __slots__ = ("graph", "r", "rows")
 
-    def __init__(self, graph, colors, r: int):
+    def __init__(self, graph, colors: Mapping, r: int):
         if r < 1:
             raise ValueError("need at least one color")
         n = graph.n
         rows = [[0] * n for _ in range(r)]
         seen = 0
-        is_map = isinstance(colors, Mapping)
         for u, v in graph.edges():
-            if is_map:
-                try:
-                    c = colors[(u, v)]
-                except KeyError:
-                    raise ValueError(f"edge ({u},{v}) has no color assigned") from None
-            else:
-                c = colors(u, v)
+            try:
+                c = colors[(u, v)]
+            except KeyError:
+                raise ValueError(f"edge ({u},{v}) has no color assigned") from None
             if not 0 <= c < r:
                 raise ValueError(f"edge ({u},{v}) has color {c} outside 0..{r - 1}")
             rows[c][u] |= 1 << v
             rows[c][v] |= 1 << u
             seen += 1
-        if is_map and len(colors) != seen:
+        if len(colors) != seen:
             raise ValueError("color map keys do not match the edge set")
         self.graph = graph
         self.r = r

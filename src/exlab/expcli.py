@@ -328,8 +328,12 @@ def _random_source(params: dict, file: str, names: tuple) -> bool:
 
 
 def _graph_source_check(params: dict) -> None:
+    """Guard the random host's size, or parse the input file once, so that
+    a missing or malformed file is invalid input; trials read it again."""
     if _random_source(params, "input", ("n", "p")):
         vertex_count_guard(params["n"])
+    else:
+        read_graph(params["input"])
 
 
 def _host_graph(params: dict, rng: RngStream) -> Graph:
@@ -660,9 +664,13 @@ def _run_rsgraph_arrow(params, rng):
 
 
 def _removal_check(params: dict) -> None:
+    """Guard the random grid, or parse the grid file once, as
+    ``_graph_source_check`` does for a host file."""
     if _random_source(params, "grid_file", ("N", "r")):
         removal.grid_cover_guard(params["N"])
         removal.grid_coloring_guard(params["r"])
+    else:
+        removal.read_grid(params["grid_file"])
 
 
 def _removal_grid_check(params: dict) -> None:
@@ -685,7 +693,8 @@ def _grid_input(params: dict, rng: RngStream) -> removal.GridColoring:
 
 def _run_removal_census(params, rng):
     gc = _grid_input(params, rng)
-    per, total = removal.triangle_census(removal.grid_cover(gc))
+    cover = removal.grid_cover(gc)
+    per, total = removal.triangle_census(cover.coloring, cover.parts)
     stats = {"N": gc.N, "r": gc.r, "per_color": list(per), "total": total,
              "key": total}
     return True, "census", None, stats
@@ -710,7 +719,8 @@ def _run_removal_iterate(params, rng):
 
 def _run_removal_diamond(params, rng):
     gc = _grid_input(params, rng)
-    dia = removal.diamond_find(removal.grid_cover(gc))
+    cover = removal.grid_cover(gc)
+    dia = removal.diamond_find(cover.coloring, cover.parts)
     stats = {"N": gc.N, "found": dia is not None,
              "key": int(dia is not None)}
     return True, "diamond" if dia else "none", dia, stats

@@ -481,16 +481,6 @@ class AuxPair:
     u_vertices: tuple
 
 
-def _common_neighbors_mask(G, vertices: Iterable[int]) -> int:
-    if isinstance(G, BipartiteGraph):
-        scope = G.mask(2)
-    else:
-        scope = (1 << G.n) - 1
-    for v in vertices:
-        scope &= G.adj[v]
-    return scope
-
-
 def _thin_k_set_ranks(rows: Sequence[int], start: int, left: int,
                       common: int, n: int, rank: int, out: list) -> int:
     """Append to ``out`` the lex ranks of the thin k-sets of row indices.
@@ -512,9 +502,11 @@ def _thin_k_set_ranks(rows: Sequence[int], start: int, left: int,
     return rank
 
 
-def build_aux_pair(H: BipartiteGraph, U: Sequence[int], G, n: int) -> AuxPair:
+def build_aux_pair(H: BipartiteGraph, U: Sequence[int], G: BipartiteGraph,
+                   n: int) -> AuxPair:
     """Auxiliary pair: distinct V2 neighborhoods of H as target edges, and
-    k-subsets of U with at least n common G-neighbors as host top edges."""
+    k-subsets of U with at least n common G-neighbors in G's V2 as host top
+    edges."""
     k = max(map(H.degree, H.v2), default=0)
     if k < 1:
         raise GuardError("the V2 side of H has no edges")
@@ -530,8 +522,7 @@ def build_aux_pair(H: BipartiteGraph, U: Sequence[int], G, n: int) -> AuxPair:
     if math.comb(len(u), k) > MAX_ENUMERATION:
         raise GuardError("U too large for top-level enumeration")
     deleted = []
-    _thin_k_set_ranks([G.adj[x] for x in u], 0, k,
-                      _common_neighbors_mask(G, ()), n, 0, deleted)
+    _thin_k_set_ranks([G.adj[x] for x in u], 0, k, G.mask(2), n, 0, deleted)
     return AuxPair(target, DownClosedHypergraph.from_ranks(len(u), k, deleted),
                    u)
 

@@ -258,32 +258,28 @@ def triangle_cover(coloring: EdgeColoring, parts, triangles,
 # Census
 
 
-def _scan_host(arg, parts) -> tuple:
-    """(coloring, parts) of a cover, or of a coloring and its part masks,
-    once the scans' size guard passes."""
-    if isinstance(arg, TriangleCover):
-        arg, parts = arg.coloring, arg.parts
-    if parts is None:
-        raise GuardError("triangle scan needs a tripartite host's parts")
-    size = max(_part_sizes(arg.graph.n, parts))
+def _scan_guard(coloring: EdgeColoring, parts) -> None:
+    """GuardError unless every part of the scanned host has at most
+    CENSUS_MAX_PART vertices."""
+    size = max(_part_sizes(coloring.graph.n, parts))
     if size > CENSUS_MAX_PART:
         raise GuardError(f"part size {size} exceeds "
                          f"enumeration guard {CENSUS_MAX_PART}")
-    return arg, tuple(parts)
 
 
-def triangle_census(arg, parts=None) -> tuple[tuple, int]:
+def triangle_census(coloring: EdgeColoring, parts) -> tuple[tuple, int]:
     """Count monochromatic triangles (one vertex per part) per color.
 
-    Accepts a TriangleCover, or an EdgeColoring with its host's part masks
-    (V0, V1, V2).  One color class at a time, scans each V1-V2 edge of that
-    color and counts apexes via one AND of the two color rows, so the work
-    is n^2 word operations.  Returns (per-color tuple, total).
+    ``parts`` are the host's part masks (V0, V1, V2).  One color class at a
+    time, scans each V1-V2 edge of that color and counts apexes via one AND
+    of the two color rows, so the work is n^2 word operations.  Returns
+    (per-color tuple, total).
     """
-    col, (mask0, m1, m2) = _scan_host(arg, parts)
+    _scan_guard(coloring, parts)
+    mask0, m1, m2 = parts
     side1 = tuple(iter_bits(m1))
     counts = []
-    for rows in col.rows:
+    for rows in coloring.rows:
         count = 0
         for a in side1:
             apexes = rows[a] & mask0
@@ -327,7 +323,7 @@ def sparse_pair_step(cover: TriangleCover) -> SparsePair:
     if 2 * m < n * n:
         raise GuardError(f"cross-edge hypothesis failed: m = {m} < "
                          f"n^2/2 = {Fraction(n * n, 2)}")
-    per_color, total = triangle_census(cover)
+    per_color, total = triangle_census(cover.coloring, cover.parts)
     delta = Fraction(total + 1, n ** 3)
     budget = 4 * delta * n * n
     by_apex = {v: [] for v in iter_bits(cover.parts[0])}
@@ -449,14 +445,14 @@ def removal_iterate(cover: TriangleCover) -> RemovalTrace:
     verdict = None
     while True:
         ni, mi = current.n, current.m
-        per, tot = triangle_census(current)
+        per, tot = triangle_census(current.coloring, current.parts)
         si = ni * ni - mi
         rec = {"level": level, "r_eff": r_eff, "n": ni, "m": mi, "s": si,
                "census": tot, "per_color": per,
                "delta": Fraction(tot + 1, ni ** 3)}
         if tot > mi:
             # more monochromatic triangles than edge-disjoint slots
-            diamond = diamond_find(current)
+            diamond = diamond_find(current.coloring, current.parts)
             if diamond is None:
                 raise AssertionError("census exceeds cover size but no "
                                      "diamond found")
@@ -504,20 +500,21 @@ def removal_iterate(cover: TriangleCover) -> RemovalTrace:
 # Diamond scan
 
 
-def diamond_find(arg, parts=None) -> Optional[Diamond]:
+def diamond_find(coloring: EdgeColoring, parts) -> Optional[Diamond]:
     """First V1-V2 edge lying in two monochromatic triangles, or None.
 
-    Takes a cover, or a coloring with its parts, as ``triangle_census``
-    does.  Scans cross edges in canonical order; for each, the apexes
-    closing a monochromatic triangle are one AND of the two color rows.  A
-    None return certifies that no diamond exists.
+    Takes a coloring with its part masks, as ``triangle_census`` does.
+    Scans cross edges in canonical order; for each, the apexes closing a
+    monochromatic triangle are one AND of the two color rows.  A None
+    return certifies that no diamond exists.
     """
-    col, (mask0, m1, m2) = _scan_host(arg, parts)
-    adj = col.graph.adj
+    _scan_guard(coloring, parts)
+    mask0, m1, m2 = parts
+    adj = coloring.graph.adj
     for a in iter_bits(m1):
         for b in iter_bits(adj[a] & m2):
-            ch = col.color_of(a, b)
-            apexes = col.rows[ch][a] & col.rows[ch][b] & mask0
+            ch = coloring.color_of(a, b)
+            apexes = coloring.rows[ch][a] & coloring.rows[ch][b] & mask0
             if apexes.bit_count() >= 2:
                 bits = iter_bits(apexes)
                 return Diamond((a, b), (next(bits), next(bits)), ch)
@@ -661,7 +658,7 @@ def grid_pipeline(gc: GridColoring) -> Optional[Corner]:
     """
     grid_pipeline_guard(gc.N)
     cover = grid_cover(gc)
-    dia = diamond_find(cover)
+    dia = diamond_find(cover.coloring, cover.parts)
     oracle = corner_oracle(gc)
     if dia is None:
         if oracle:

@@ -331,9 +331,10 @@ def test_gate_09_cover_census_and_corner_agreement():
                      for x in range(N)]
             gc = removal.GridColoring(N, 2, cells)
             cover = removal.grid_cover(gc)
-            _, total = removal.triangle_census(cover)
+            _, total = removal.triangle_census(cover.coloring, cover.parts)
             if total > N * N:
-                assert removal.diamond_find(cover) is not None
+                assert removal.diamond_find(cover.coloring,
+                                            cover.parts) is not None
             oracle = removal.corner_oracle(gc)
             corner = removal.grid_pipeline(gc)
             if corner is None:
@@ -348,9 +349,10 @@ def test_gate_09_cover_census_and_corner_agreement():
         r = 2 + rng.derive("big-colors", i).randrange(2)
         gc = removal.random_grid(N, r, rng.derive("big", i))
         cover = removal.grid_cover(gc)
-        _, total = removal.triangle_census(cover)
+        _, total = removal.triangle_census(cover.coloring, cover.parts)
         if total > N * N:
-            assert removal.diamond_find(cover) is not None
+            assert removal.diamond_find(cover.coloring,
+                                        cover.parts) is not None
         corner = removal.grid_pipeline(gc)
         oracle = removal.corner_oracle(gc)
         assert (corner is None and oracle == ()) or corner in oracle

@@ -132,6 +132,16 @@ def test_bench_times_the_cli_mix_oracle(tmp_path):
             "setmap_oracle.total"} <= set(doc["entries"])
 
 
+def test_bench_times_the_tight_instance_apart_from_the_oracle(tmp_path):
+    doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.bipfree_tight,),
+                          reps=1, tier1=False)
+    assert doc["failures"] == []
+    entries = {name: e["median_s"] for name, e in doc["entries"].items()}
+    assert entries["bipfree_tight.total"] == pytest.approx(
+        entries["bipfree_tight.tight_instance"]
+        + entries["bipfree_tight.zarankiewicz_oracle"], rel=1e-3)
+
+
 def test_bench_times_the_removal_cover_apart_from_the_descent(tmp_path):
     doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.removal_iterate,),
                           reps=1, tier1=False)

@@ -348,47 +348,121 @@ def test_zarankiewicz_k24_brute_force():
 
 
 def test_zarankiewicz_trivial_star():
-    z = zarankiewicz_oracle(complete_bipartite(1, 8), r=2, s=2)
-    assert z.exact and z.size == 8
+    # K_{1,1}: its one edge holds no K_{r,s} whatever r and s
+    for r, s in [(2, 2), (3, 5), (7, 7)]:
+        z = zarankiewicz_oracle(tight_instance(r, s, 1))
+        assert z.exact and z.size == 1 and z.rows == (1,)
 
 
 def test_zarankiewicz_r_not_equal_s_brute_force():
-    z = zarankiewicz_oracle(complete_bipartite(3, 5), r=2, s=3)
+    # K_{3,9}: the V rows are masks over U's 3 vertices, so an assignment
+    # is a multiset of 9 masks; no pair of U may lie in 3 rows (K_{2,3})
+    # and no 2 rows may be full (K_{3,2})
+    z = zarankiewicz_oracle(tight_instance(2, 3, 27))
     best = 0
     pairs = [(1 << a) | (1 << b) for a, b in itertools.combinations(range(3), 2)]
-    for rows in itertools.product(range(8), repeat=5):
+    for rows in itertools.combinations_with_replacement(range(8), 9):
         if any(sum(1 for r_ in rows if r_ & p == p) >= 3 for p in pairs):
             continue
-        if sum(1 for r_ in rows if r_ == 7) >= 2:
+        if rows.count(7) >= 2:
             continue
         best = max(best, sum(r_.bit_count() for r_ in rows))
-    assert z.exact and z.size == best == 10
+    assert z.exact and z.size == best == 15
 
 
 def test_zarankiewicz_relabel_invariance():
-    rng = RngStream(99)
-    edges = [(u, 4 + v) for u in range(4) for v in range(6)
-             if rng.random() < 0.7]
-    base = zarankiewicz_oracle(BipartiteGraph(4, 6, edges), r=2, s=2)
-    pu, pv = [2, 0, 3, 1], [5, 2, 0, 4, 1, 3]
-    relabeled = [(pu[u], 4 + pv[v - 4]) for u, v in edges]
-    redo = zarankiewicz_oracle(BipartiteGraph(4, 6, relabeled), r=2, s=2)
-    assert base.exact and redo.exact and base.size == redo.size
+    # the witness stays pattern-free under any relabelling of U and of V
+    inst = tight_instance(2, 2, 27)
+    base = zarankiewicz_oracle(inst)
+    pu, pv = [2, 0, 1], [5, 2, 0, 8, 4, 1, 3, 7, 6]
+    moved = [mask_of(pu[u] for u in iter_bits(row)) for row in base.rows]
+    rows = tuple(moved[pv[i]] for i in range(9))
+    assert bipfree.verify_zarankiewicz(
+        inst, bipfree.ZarankiewiczResult(base.size, base.upper, True,
+                                         base.nodes, rows)) == (True, None)
 
 
-def test_zarankiewicz_transposed_host_matches_twin():
-    # |V1| > |V2| sends the host through transpose(), whose U sits at the
-    # high ids; the answer must equal the twin with U laid out first
-    rng = RngStream(5)
-    edges = [(u, 6 + v) for u in range(6) for v in range(4)
-             if rng.random() < 0.6]
-    wide = BipartiteGraph(6, 4, edges)
-    twin = BipartiteGraph(4, 6, [(v - 6, 4 + u) for u, v in edges])
-    for r, s in [(2, 2), (2, 3)]:
-        a = zarankiewicz_oracle(wide, r=r, s=s)
-        b = zarankiewicz_oracle(twin, r=r, s=s)
-        assert (a.size, a.exact, a.rows) == (b.size, b.exact, b.rows)
-        assert a.exact and any(a.rows)
+# Every tight instance within the oracle guard at budgets None and 10:
+# (r, s, m, budget) -> (size, upper, exact, nodes, rows)
+ORACLE_FROZEN = {
+    (2, 2, 1, None): (1, 1, True, 2, (1,)),
+    (2, 2, 1, 10): (1, 1, True, 2, (1,)),
+    (2, 2, 8, None): (5, 5, True, 5, (3, 2, 2, 2)),
+    (2, 2, 8, 10): (5, 5, True, 5, (3, 2, 2, 2)),
+    (2, 2, 27, None): (12, 12, True, 19, (6, 5, 3, 4, 4, 4, 4, 4, 4)),
+    (2, 2, 27, 10): (11, 12, False, 11, (7, 4, 4, 4, 4, 4, 4, 4, 4)),
+    (2, 2, 64, None): (22, 22, True, 52,
+                       (12, 10, 9, 6, 5, 3, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8)),
+    (2, 2, 64, 10): (12, 22, False, 11,
+                     (15, 8, 8, 8, 8, 8, 8, 8, 8, 0, 0, 0, 0, 0, 0, 0)),
+    (2, 3, 1, None): (1, 1, True, 2, (1,)),
+    (2, 3, 1, 10): (1, 1, True, 2, (1,)),
+    (2, 3, 8, None): (6, 6, True, 5, (3, 3, 2, 2)),
+    (2, 3, 8, 10): (6, 6, True, 5, (3, 3, 2, 2)),
+    (2, 3, 27, None): (15, 15, True, 19, (6, 6, 5, 5, 3, 3, 4, 4, 4)),
+    (2, 3, 27, 10): (14, 15, False, 11, (7, 6, 5, 3, 4, 4, 4, 4, 4)),
+    (2, 3, 64, None): (28, 28, True, 71,
+                       (12, 12, 10, 10, 9, 9, 6, 6, 5, 5, 3, 3, 8, 8, 8, 8)),
+    (2, 3, 64, 10): (18, 28, False, 11,
+                     (15, 12, 10, 9, 6, 5, 3, 8, 8, 0, 0, 0, 0, 0, 0, 0)),
+    (2, 4, 1, None): (1, 1, True, 2, (1,)),
+    (2, 4, 1, 10): (1, 1, True, 2, (1,)),
+    (2, 4, 8, None): (7, 7, True, 5, (3, 3, 3, 2)),
+    (2, 4, 8, 10): (7, 7, True, 5, (3, 3, 3, 2)),
+    (2, 4, 27, None): (18, 18, True, 34, (6, 6, 6, 5, 5, 5, 3, 3, 3)),
+    (2, 4, 27, 10): (15, 18, False, 11, (7, 7, 7, 4, 4, 4, 4, 4, 4)),
+    (2, 4, 64, None): (33, 33, True, 93,
+                       (14, 12, 12, 10, 10, 9, 9, 9, 6, 6, 5, 5, 5, 3, 3, 3)),
+    (2, 4, 64, 10): (22, 34, False, 11,
+                     (15, 14, 14, 9, 9, 5, 5, 3, 3, 0, 0, 0, 0, 0, 0, 0)),
+    (3, 3, 1, None): (1, 1, True, 2, (1,)),
+    (3, 3, 1, 10): (1, 1, True, 2, (1,)),
+    (3, 3, 16, None): (16, 16, True, 9, (3, 3, 3, 3, 3, 3, 3, 3)),
+    (3, 3, 16, 10): (16, 16, True, 9, (3, 3, 3, 3, 3, 3, 3, 3)),
+    (3, 4, 1, None): (1, 1, True, 2, (1,)),
+    (3, 4, 1, 10): (1, 1, True, 2, (1,)),
+    (3, 4, 16, None): (16, 16, True, 9, (3, 3, 3, 3, 3, 3, 3, 3)),
+    (3, 4, 16, 10): (16, 16, True, 9, (3, 3, 3, 3, 3, 3, 3, 3)),
+    (3, 5, 1, None): (1, 1, True, 2, (1,)),
+    (3, 5, 1, 10): (1, 1, True, 2, (1,)),
+    (3, 5, 16, None): (16, 16, True, 9, (3, 3, 3, 3, 3, 3, 3, 3)),
+    (3, 5, 16, 10): (16, 16, True, 9, (3, 3, 3, 3, 3, 3, 3, 3)),
+    (4, 4, 1, None): (1, 1, True, 2, (1,)),
+    (4, 4, 1, 10): (1, 1, True, 2, (1,)),
+    (4, 4, 32, None): (32, 32, True, 17,
+                       (3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3)),
+    (4, 4, 32, 10): (18, 32, False, 11,
+                     (3, 3, 3, 3, 3, 3, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0)),
+    (4, 5, 1, None): (1, 1, True, 2, (1,)),
+    (4, 5, 1, 10): (1, 1, True, 2, (1,)),
+    (4, 5, 32, None): (32, 32, True, 17,
+                       (3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3)),
+    (4, 5, 32, 10): (18, 32, False, 11,
+                     (3, 3, 3, 3, 3, 3, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0)),
+    (4, 6, 1, None): (1, 1, True, 2, (1,)),
+    (4, 6, 1, 10): (1, 1, True, 2, (1,)),
+    (4, 6, 32, None): (32, 32, True, 17,
+                       (3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3)),
+    (4, 6, 32, 10): (18, 32, False, 11,
+                     (3, 3, 3, 3, 3, 3, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0)),
+}
+
+
+def test_zarankiewicz_frozen_on_every_tight_instance():
+    within = set()
+    for r in (2, 3, 4):
+        for s in range(r, r + 3):
+            for a in range(1, 7):
+                sides = tight_instance_guard(r, s, a ** (r + 1))
+                try:
+                    bipfree.zarankiewicz_oracle_guard(*sides)
+                except GuardError:
+                    continue
+                within |= {(r, s, a ** (r + 1), b) for b in (None, 10)}
+    assert set(ORACLE_FROZEN) == within
+    for (r, s, m, budget), want in ORACLE_FROZEN.items():
+        z = zarankiewicz_oracle(tight_instance(r, s, m), budget=budget)
+        assert (z.size, z.upper, z.exact, z.nodes, z.rows) == want
 
 
 def test_zarankiewicz_budget_bracket():
@@ -399,11 +473,11 @@ def test_zarankiewicz_budget_bracket():
 
 def test_zarankiewicz_guards():
     with pytest.raises(GuardError):
-        zarankiewicz_oracle(complete_bipartite(6, 10), r=2, s=2)  # |U| > 5
+        zarankiewicz_oracle(tight_instance(2, 2, 216))  # |U| = 6 > 5
     with pytest.raises(GuardError):
-        zarankiewicz_oracle(complete_bipartite(4, 21), r=2, s=2)  # |V| > 20
+        zarankiewicz_oracle(tight_instance(2, 2, 125))  # |V| = 25 > 20
     with pytest.raises(GuardError):
-        zarankiewicz_oracle(complete_bipartite(2, 3))  # missing r, s
+        zarankiewicz_oracle(tight_instance(3, 3, 81))  # |V| = 27 > 20
 
 
 def test_kpartite_instance_shapes():

@@ -6,6 +6,8 @@ appended, and its exit code and stdout must equal the entry stored in
 every example of the README's "Command line" section, some of the command
 lines that ``tests/test_expcli.py`` passes to ``main``, and rejected input,
 so a change to how flags become parameters shows up here byte for byte.
+They run in a temporary directory that holds the input files of ``FILES``;
+validation parses an input file, so a missing or malformed one exits 2.
 
 To rewrite the golden file after an intended change of output, run
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -21,6 +23,14 @@ from pathlib import Path
 from exlab import expcli
 
 GOLDEN = Path(__file__).with_name("golden") / "cli_dry_run.json"
+
+# the input files that the invocations name, by file name
+FILES = {
+    "host.txt": "3\n0 1\n1 2\n",
+    "grid.txt": "2\n0 1\n1 0\n",
+    "bad.txt": "2\n0 1\n1 x\n",
+    "huge.txt": "100000000000000000000\n",
+}
 
 INVOCATIONS = [
     # one per operation
@@ -96,6 +106,12 @@ INVOCATIONS = [
     "bipfree --op count --n 1000000000000000000000 --p 0.5",
     "embed --op drc --N 1000000000000000000000 --k 1",
     "removal --op census --N 4 --r 100000",
+    "bipfree --op count --input missing.txt",
+    "bipfree --op count --input bad.txt",
+    "bipfree --op count --input huge.txt",
+    "weakseq --op minor --input bad.txt --t 2",
+    "removal --op census --grid-file missing.txt",
+    "removal --op iterate --grid-file bad.txt",
 ]
 
 # spec files for ``run SPEC --dry-run``: the README example, some specs of
@@ -144,11 +160,14 @@ def _dry_run(argv) -> dict:
 
 
 def observed(tmp_path) -> dict:
-    got = {line: _dry_run(shlex.split(line)) for line in INVOCATIONS}
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     path = tmp_path / "spec.json"
-    for spec in SPEC_FILES:
-        path.write_text(json.dumps(spec), encoding="utf-8")
-        got[_spec_key(spec)] = _dry_run(["run", str(path)])
+    with contextlib.chdir(tmp_path):
+        got = {line: _dry_run(shlex.split(line)) for line in INVOCATIONS}
+        for spec in SPEC_FILES:
+            path.write_text(json.dumps(spec), encoding="utf-8")
+            got[_spec_key(spec)] = _dry_run(["run", str(path)])
     return got
 
 

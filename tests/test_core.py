@@ -556,8 +556,11 @@ def test_edge_coloring_validation():
 
 def test_edge_coloring_callable_and_random():
     g = complete_graph(6)
-    col = EdgeColoring(g, lambda u, v: (u + v) % 3, r=3)
+    with pytest.raises(TypeError):  # colors are a mapping, not a function
+        EdgeColoring(g, lambda u, v: (u + v) % 3, r=3)
+    col = EdgeColoring(g, {(u, v): (u + v) % 3 for u, v in g.edges()}, r=3)
     assert sum(col.class_size(c) for c in range(3)) == g.m
+    assert col.color_of(4, 1) == 2
     rnd = random_coloring(g, 2, RngStream(77))
     assert sum(rnd.class_size(c) for c in range(2)) == g.m
     for u, v in g.edges():

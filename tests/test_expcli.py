@@ -420,7 +420,8 @@ def test_removal_iterate_color_cap(tmp_path, capsys):
                                                  params={"N": 15, "r": 8}))
     _assert_input_error(["removal", "--op", "iterate", "--N", "15", "--r",
                          "8"], capsys)
-    # a grid file's colors are known only once it is read: a trial failure
+    # validation parses the grid file but checks its colors only in the
+    # trial: a trial failure
     grid = tmp_path / "grid.txt"
     write_grid(removal.GridColoring(
         3, 8, [[0, 1, 2], [3, 4, 5], [6, 7, 0]]), grid)
@@ -614,14 +615,43 @@ def test_main_records_and_replays_the_outcome(line, code, outcome, tmp_path,
 
 def test_main_records_an_oversized_input_header_as_a_parse_error(tmp_path,
                                                                  capsys):
+    # validation parses the file, so no trial runs and no record is written
     host, out = tmp_path / "host.txt", tmp_path / "rec.json"
     host.write_text("100000000000000000000\n")
     argv = ["bipfree", "--op", "count", "--input", str(host), "--out",
             str(out)]
-    assert expcli.main(argv) == 1
-    trial, = expcli.read_record(out)["trials"]
-    assert trial["outcome"] == "error:ParseError"
-    assert "Traceback" not in "".join(capsys.readouterr())
+    assert expcli.main(argv) == 2
+    assert capsys.readouterr().err == \
+        "error: line 1: vertex count must lie in 0..16384\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", [
+    "bipfree --op count --input {path}",
+    "bipfree --op extract --input {path}",
+    "weakseq --op pipeline --input {path} --r 2",
+    "weakseq --op minor --input {path} --t 2",
+    "weakseq --op oracle --input {path}",
+    "removal --op census --grid-file {path}",
+    "removal --op iterate --grid-file {path}",
+    "removal --op grid --grid-file {path}"])
+@pytest.mark.parametrize("text, message", [
+    (None, "No such file or directory"),  # missing
+    ("2\n0 1\n1 x\n", "line 3: non-integer field"),  # malformed line
+    ("# header\n100000000000000000000\n", "line 2: "),  # oversized header
+    ("", "line 1: empty file")])
+def test_main_rejects_a_bad_input_file_before_any_trial(line, text, message,
+                                                        tmp_path, capsys):
+    path, out = tmp_path / "input.txt", tmp_path / "rec.json"
+    if text is not None:
+        path.write_text(text)
+    argv = line.format(path=path).split() + ["--out", str(out)]
+    for args in (argv, argv + ["--dry-run"]):
+        assert expcli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and message in captured.err
+    assert not out.exists()
 
 
 def test_main_counts_a_host_graph_file(tmp_path, capsys):

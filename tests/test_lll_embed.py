@@ -1,7 +1,9 @@
 """Tests for down-closed hypergraphs, resampling embeddings, and the pipeline."""
 
+import functools
 import itertools
 import math
+import operator
 import time
 import warnings
 from fractions import Fraction
@@ -16,7 +18,7 @@ from exlab.core import (BipartiteGraph, EdgeColoring, Failure, Graph,
 from exlab.lll_embed import (MAX_ENUMERATION, AuxPair,
                              DownClosedHypergraph, DrcParams, DrcResult,
                              EmbeddingResult, TargetHypergraph,
-                             _common_neighbors_mask, _rank_combination,
+                             _rank_combination,
                              _unrank_combination, bip_ramsey_pipeline,
                              build_aux_pair, drc_subset,
                              drc_subset_guard,
@@ -458,7 +460,7 @@ def test_drc_retry_cap():
 
 def test_build_aux_pair_matching():
     matching = BipartiteGraph(4, 4, [(i, 4 + i) for i in range(4)])
-    aux = build_aux_pair(matching, range(10), complete_graph(12), 6)
+    aux = build_aux_pair(matching, range(10), complete_bipartite(10, 6), 6)
     assert sorted(tuple(sorted(e)) for e in aux.target.edges) == \
         [(0,), (1,), (2,), (3,)]
     assert aux.target.max_degree == 1
@@ -472,12 +474,12 @@ def test_build_aux_pair_q3():
     pos = {v: i for i, v in enumerate(side1 + side2)}
     edges = [tuple(sorted((pos[u], pos[v]))) for u, v in q3.edges()]
     hq = BipartiteGraph(4, 4, edges)
-    aux = build_aux_pair(hq, range(10), complete_graph(16), 8)
+    aux = build_aux_pair(hq, range(10), complete_bipartite(10, 8), 8)
     assert aux.target.n == 4
     assert sorted(tuple(sorted(e)) for e in aux.target.edges) == \
         list(itertools.combinations(range(4), 3))
     assert aux.target.max_degree == 3
-    assert not aux.dch.deleted_ranks  # complete host: 13 common neighbors
+    assert not aux.dch.deleted_ranks  # complete host: 8 common neighbors
 
 
 def test_build_aux_pair_bipartite_host():
@@ -496,27 +498,23 @@ def test_build_aux_pair_bipartite_host():
 def test_build_aux_pair_matches_mask_oracle(k, n):
     # V2 vertex 0 of H sees k V1 vertices, so the host uniformity is k
     h = BipartiteGraph(4, 2, [(i, 4) for i in range(k)] + [(3, 5)])
-    rng = RngStream(40 + k)
-    graph = Graph(20, [(u, v) for u, v in itertools.combinations(range(20), 2)
-                       if rng.random() < 0.5])
-    for G in (_random_bipartite(20, 0.5, 50 + k), graph):
-        U = sorted(range(0, 20, 2)) if isinstance(G, Graph) else range(20)
-        aux = build_aux_pair(h, U, G, n)
-        u = aux.u_vertices
-        want = {S for S in itertools.combinations(range(len(u)), k)
-                if _common_neighbors_mask(G, (u[i] for i in S)).bit_count()
-                < n}
-        assert aux.dch.k == k and aux.dch.deleted == want
-        assert 0 < len(want) < math.comb(len(u), k)
+    G = _random_bipartite(20, 0.5, 50 + k)
+    aux = build_aux_pair(h, range(20), G, n)
+    u = aux.u_vertices
+    want = {S for S in itertools.combinations(range(len(u)), k)
+            if functools.reduce(operator.and_, (G.adj[u[i]] for i in S),
+                                G.mask(2)).bit_count() < n}
+    assert aux.dch.k == k and aux.dch.deleted == want
+    assert 0 < len(want) < math.comb(len(u), k)
 
 
 def test_build_aux_pair_guards():
     empty = BipartiteGraph(2, 2, [])
     with pytest.raises(GuardError):
-        build_aux_pair(empty, range(4), complete_graph(8), 1)
+        build_aux_pair(empty, range(4), complete_bipartite(4, 4), 1)
     matching = BipartiteGraph(2, 2, [(0, 2), (1, 3)])
     with pytest.raises(GuardError):
-        build_aux_pair(matching, (), complete_graph(8), 1)
+        build_aux_pair(matching, (), complete_bipartite(4, 4), 1)
 
 
 def test_pipeline_single_edge_k3_exhaustive():
@@ -536,7 +534,8 @@ def test_pipeline_single_edge_k3_exhaustive():
 def test_pipeline_c4_adversarial():
     # one color is a clique on half the vertices; the other color dominates
     host = complete_graph(64)
-    col = EdgeColoring(host, lambda u, v: 0 if (u < 32 and v < 32) else 1, 2)
+    col = EdgeColoring(host, {(u, v): 0 if v < 32 else 1
+                              for u, v in host.edges()}, 2)
     with pytest.warns(RuntimeWarning):
         res = bip_ramsey_pipeline(col, C4, RngStream(4))
     assert res.color == 1
@@ -548,7 +547,8 @@ def test_pipeline_c4_adversarial():
 def test_pipeline_direct_search_failure():
     # majority color of this K4 coloring is a star, which contains no C4
     k4 = complete_graph(4)
-    col = EdgeColoring(k4, lambda u, v: 0 if u == 0 else 1, 2)
+    col = EdgeColoring(k4, {(u, v): 0 if u == 0 else 1
+                            for u, v in k4.edges()}, 2)
     res = bip_ramsey_pipeline(col, C4, RngStream(5))
     assert isinstance(res, Failure) and res.stage == "direct_embed"
 
@@ -582,7 +582,7 @@ def test_pipeline_guards_and_failures():
     col3 = random_coloring(k4, 3, RngStream(1))
     with pytest.raises(GuardError):
         bip_ramsey_pipeline(col3, C4, RngStream(1))
-    incomplete = EdgeColoring(Graph(4, [(0, 1)]), lambda u, v: 0, 2)
+    incomplete = EdgeColoring(Graph(4, [(0, 1)]), {(0, 1): 0}, 2)
     with pytest.raises(GuardError):
         bip_ramsey_pipeline(incomplete, C4, RngStream(1))
     col = random_coloring(k4, 2, RngStream(2))

@@ -72,8 +72,9 @@ def tri_parts(q, n):
     return (1 << q) - 1, ((1 << n) - 1) << q, ((1 << n) - 1) << (q + n)
 
 
-def complete_tripartite_coloring(q, n, colorfn, r):
-    """A coloring of the complete K_{q,n,n} and its part masks."""
+def complete_tripartite_coloring(q, n):
+    """The one-color coloring of the complete K_{q,n,n}, and its part
+    masks."""
     edges = []
     for w in range(q):
         for v in range(q, q + 2 * n):
@@ -81,15 +82,16 @@ def complete_tripartite_coloring(q, n, colorfn, r):
     for a in range(q, q + n):
         for b in range(q + n, q + 2 * n):
             edges.append((a, b))
-    return EdgeColoring(Graph(q + 2 * n, edges), colorfn, r), tri_parts(q, n)
+    return (EdgeColoring(Graph(q + 2 * n, edges), dict.fromkeys(edges, 0), 1),
+            tri_parts(q, n))
 
 
 def single_apex_coloring():
-    return complete_tripartite_coloring(1, 2, lambda u, v: 0, 1)
+    return complete_tripartite_coloring(1, 2)
 
 
 def two_apex_cover():
-    col, parts = complete_tripartite_coloring(2, 2, lambda u, v: 0, 1)
+    col, parts = complete_tripartite_coloring(2, 2)
     tris = ((0, 2, 4, 0), (0, 3, 5, 0), (1, 2, 5, 0), (1, 3, 4, 0))
     return triangle_cover(col, parts, tris)
 
@@ -219,22 +221,25 @@ def transposed_diamond_exists(col, parts):
 
 
 def test_census_single_apex_complete_is_n_squared():
-    col, parts = complete_tripartite_coloring(1, 2, lambda u, v: 0, 1)
+    col, parts = complete_tripartite_coloring(1, 2)
     assert triangle_census(col, parts) == ((4,), 4)
 
 
 def test_census_mono_grid_n2():
-    assert triangle_census(grid_cover(mono_grid(2))) == ((6,), 6)
+    cov = grid_cover(mono_grid(2))
+    assert triangle_census(cov.coloring, cov.parts) == ((6,), 6)
 
 
 def test_census_checkerboard_n3():
-    assert triangle_census(grid_cover(checkerboard(3))) == ((7, 4), 11)
+    cov = grid_cover(checkerboard(3))
+    assert triangle_census(cov.coloring, cov.parts) == ((7, 4), 11)
 
 
 def test_census_mono_grid_closed_form():
     # point triangles plus one corner triangle per corner, both offsets
     N = 10
-    per, total = triangle_census(grid_cover(mono_grid(N)))
+    cov = grid_cover(mono_grid(N))
+    per, total = triangle_census(cov.coloring, cov.parts)
     assert total == N * N + 2 * sum(k * k for k in range(1, N))
     assert per == (total,)
 
@@ -271,25 +276,19 @@ def test_census_by_color_class_matches_per_edge_colors():
     for seed in range(10):
         rng = RngStream(904).derive("classes", seed)
         cov = grid_cover(random_grid(7, 2 + seed % 2, rng))
-        assert triangle_census(cov) == per_edge_census(cov.coloring,
-                                                       cov.parts)
+        assert triangle_census(cov.coloring, cov.parts) == \
+            per_edge_census(cov.coloring, cov.parts)
     cov = latin_cover(LATIN_CTAB)
     sub = _delete_sparse_color(cov, sparse_pair_step(cov))
-    assert triangle_census(sub) == per_edge_census(sub.coloring, sub.parts) \
+    assert triangle_census(sub.coloring, sub.parts) \
+        == per_edge_census(sub.coloring, sub.parts) \
         == ref_census(sub.coloring, sub.parts)
-
-
-def test_census_accepts_cover_argument():
-    cov = grid_cover(checkerboard(3))
-    assert triangle_census(cov) == triangle_census(cov.coloring, cov.parts)
 
 
 def test_census_guards():
     big = EdgeColoring(Graph(303), {}, 1)
     with pytest.raises(GuardError, match="enumeration guard"):
         triangle_census(big, tri_parts(301, 1))
-    with pytest.raises(GuardError, match="tripartite"):
-        triangle_census(EdgeColoring(Graph(3, [(0, 1)]), {(0, 1): 0}, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +379,8 @@ def test_cover_strictness_split():
     for v in range(1, 5):
         edges.append((0, v))
     cross = [(1, 3), (2, 3), (2, 4)]
-    col = EdgeColoring(Graph(5, edges + cross), lambda u, v: 0, 1)
+    col = EdgeColoring(Graph(5, edges + cross),
+                       dict.fromkeys(edges + cross, 0), 1)
     parts = tri_parts(1, 2)
     tris = ((0, 1, 3, 0), (0, 2, 4, 0))
     with pytest.raises(ValueError, match="complete cross part"):
@@ -396,7 +396,7 @@ def test_cover_strictness_split():
 def test_cover_rejects_non_tripartite_host():
     # K_{2,2} on 0..3 with an apex 4 joined to all of it
     edges = [(0, 2), (0, 3), (1, 2), (1, 3)] + [(v, 4) for v in range(4)]
-    col = EdgeColoring(Graph(5, edges), lambda u, v: 0, 1)
+    col = EdgeColoring(Graph(5, edges), dict.fromkeys(edges, 0), 1)
     for parts, message in (((0, 0b11, 0b1100), "nonempty apex part"),
                            ((0b10000, 0b1, 0b1110), "got 1 and 3"),
                            ((0b10000, 0b11, 0b110), "overlap"),
@@ -480,7 +480,7 @@ def test_iterate_mono_grid_finds_diamond():
 
 def test_iterate_pigeonhole_two_apexes():
     cov = two_apex_cover()
-    assert triangle_census(cov) == ((8,), 8)
+    assert triangle_census(cov.coloring, cov.parts) == ((8,), 8)
     tr = removal_iterate(cov)
     assert tr.verdict == "diamond_found"
     assert tr.diamond == Diamond((2, 4), (0, 1), 0)
@@ -489,7 +489,7 @@ def test_iterate_pigeonhole_two_apexes():
 
 def test_iterate_corner_free_witness():
     cov = grid_cover(GridColoring(4, 2, WITNESS4))
-    assert triangle_census(cov) == ((10, 6), 16)
+    assert triangle_census(cov.coloring, cov.parts) == ((10, 6), 16)
     tr = removal_iterate(cov)
     assert tr.verdict == "bound_holds"
     assert tr.diamond is None
@@ -594,7 +594,8 @@ def test_diamond_single_apex_certified_none():
 
 
 def test_diamond_two_apex_frozen():
-    dia = diamond_find(two_apex_cover())
+    cov = two_apex_cover()
+    dia = diamond_find(cov.coloring, cov.parts)
     assert dia == Diamond((2, 4), (0, 1), 0)
 
 
@@ -616,8 +617,11 @@ def test_diamond_against_transposed_dual():
 
 
 def test_diamond_guard_non_tripartite():
-    with pytest.raises(GuardError, match="tripartite"):
-        diamond_find(EdgeColoring(Graph(3, [(0, 1)]), {(0, 1): 0}, 1))
+    col = EdgeColoring(Graph(3, [(0, 1)]), {(0, 1): 0}, 1)
+    with pytest.raises(ValueError, match="overlap"):
+        diamond_find(col, (0b1, 0b1, 0b10))
+    with pytest.raises(ValueError, match="exceed the 3"):
+        diamond_find(col, (0b1, 0b10, 0b1000))
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +689,9 @@ def point_color(gc: GridColoring):
 def test_grid_cover_rows_match_point_color_reference(N, r):
     gc = random_grid(N, r, RngStream(907).derive(N, r))
     col = grid_cover(gc).coloring
-    ref = EdgeColoring(grid_lines(N)[0], point_color(gc), r)
+    lines = grid_lines(N)[0]
+    color = point_color(gc)
+    ref = EdgeColoring(lines, {e: color(*e) for e in lines.edges()}, r)
     assert col.rows == ref.rows and col.graph == ref.graph
 
 

@@ -24,8 +24,7 @@ import pytest
 from exlab import bipfree, lll_embed, removal, rsgraph, setmap, weakseq
 from exlab.core import (BipartiteGraph, EdgeColoring, Graph,
                         KUniformHypergraph, RngStream, complete_graph,
-                        hypercube, random_bipartite, random_coloring,
-                        random_graph)
+                        hypercube, iter_bits, random_coloring, random_graph)
 
 # --- setmap: violations -----------------------------------------------------
 
@@ -366,7 +365,8 @@ def mutate_copy(instance, res):
     for u, v in H.edges():
         image = {res.mapping[u], res.mapping[v]}
         recolored = EdgeColoring(
-            col.graph, lambda a, b: col.color_of(a, b) ^ ({a, b} == image), 2)
+            col.graph, {(a, b): col.color_of(a, b) ^ ({a, b} == image)
+                        for a, b in col.graph.edges()}, 2)
         yield (recolored, H), res, ("color", (u, v))
     yield instance, dataclasses.replace(res, color=1 - res.color), \
         ("color", H.edges()[0])
@@ -412,10 +412,16 @@ def mutate_free_hyper(instance, H):
             yield instance, KUniformHypergraph(6, 3, [*H.edges, e]), reason
 
 
-def four_cycles(rows) -> int:
-    """K_{2,2} copies of the rows, counted over pairs of V vertices."""
-    return sum(comb((a & b).bit_count(), 2)
-               for a, b in itertools.combinations(rows, 2))
+def krs_copies(rows, a: int, b: int) -> int:
+    """Copies of K_{a,b} with the a-side in U and the b-side among the V
+    rows, counted over b-sets of rows."""
+    total = 0
+    for chosen in itertools.combinations(rows, b):
+        common = -1
+        for row in chosen:
+            common &= row
+        total += comb(common.bit_count(), a)
+    return total
 
 
 def build_zarankiewicz_tight():
@@ -424,30 +430,36 @@ def build_zarankiewicz_tight():
     return (inst,), bipfree.zarankiewicz_oracle(inst)
 
 
-def build_zarankiewicz_raw():
-    host = random_bipartite(4, 6, 0.6, RngStream(5))
-    return (host,), bipfree.zarankiewicz_oracle(host, 2, 2)
-
-
-def check_zarankiewicz(instance, res):
-    return bipfree.verify_zarankiewicz(instance, res, 2, 2)
+def build_zarankiewicz_r2_s3():
+    # K_{3,9}, where both orientations of K_{2,3} are forbidden
+    inst = bipfree.tight_instance(2, 3, 27)
+    return (inst,), bipfree.zarankiewicz_oracle(inst)
 
 
 def mutate_zarankiewicz(instance, res):
     (inst,) = instance
-    host = inst.graph if isinstance(inst, bipfree.TightInstance) else inst
-    # U = V1 holds ids 0..n1-1, so a host row restricted to U is a rank mask
-    allowed = [host.adj[v] & host.mask(1) for v in host.v2]
+    host = inst.graph
+    # the maximum grows by no edge: each added edge of U x V closes a copy
     for i, row in enumerate(res.rows):
         for u in range(host.n1):
             if row >> u & 1:
                 continue
             rows = res.rows[:i] + (row | 1 << u,) + res.rows[i + 1:]
             grown = dataclasses.replace(res, rows=rows, size=res.size + 1)
-            c = four_cycles(rows)
-            reason = ("pattern", c, c) if allowed[i] >> u & 1 \
-                else ("not_subgraph", i)
-            yield instance, grown, reason
+            yield instance, grown, ("pattern", krs_copies(rows, inst.r, inst.s),
+                                    krs_copies(rows, inst.s, inst.r))
+    # a row past U, and a host that lacks one edge of the witness
+    edges = [(u, v) for v in host.v2 for u in iter_bits(host.adj[v])]
+    for i, (row, v) in enumerate(zip(res.rows, host.v2)):
+        rows = res.rows[:i] + (row | 1 << host.n1,) + res.rows[i + 1:]
+        yield instance, dataclasses.replace(res, rows=rows), \
+            ("not_subgraph", i)
+        if row:
+            cut = (row & -row).bit_length() - 1
+            sparse = BipartiteGraph(host.n1, host.n2,
+                                    [e for e in edges if e != (cut, v)])
+            yield (dataclasses.replace(inst, graph=sparse),), res, \
+                ("not_subgraph", i)
     for size in (res.size - 1, res.size + 1):
         yield instance, dataclasses.replace(res, size=size), \
             ("size", res.size)
@@ -506,10 +518,10 @@ ROWS = {
                       mutate_free_graph),
     "free-hypergraph": (build_free_hyper, bipfree.verify_free_subgraph,
                         mutate_free_hyper),
-    "zarankiewicz-tight": (build_zarankiewicz_tight, check_zarankiewicz,
-                           mutate_zarankiewicz),
-    "zarankiewicz-raw": (build_zarankiewicz_raw, check_zarankiewicz,
-                         mutate_zarankiewicz),
+    "zarankiewicz-tight": (build_zarankiewicz_tight,
+                           bipfree.verify_zarankiewicz, mutate_zarankiewicz),
+    "zarankiewicz-r2-s3": (build_zarankiewicz_r2_s3,
+                           bipfree.verify_zarankiewicz, mutate_zarankiewicz),
     "corner": (build_corner, removal.verify_corner, mutate_corner),
 }
 
