@@ -45,8 +45,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bipfree, expcli, lll_embed, removal, rsgraph, setmap, weakseq
-from .core import (Failure, RngStream, bit_columns, complete_graph,
-                   hypercube, random_coloring, random_graph)
+from .core import (BipartiteGraph, Failure, RngStream, bit_columns,
+                   complete_graph, hypercube, mask_of, random_coloring,
+                   random_equitable_bipartition, random_graph)
 
 REPS = 5
 ROOT = Path(__file__).resolve().parents[2]
@@ -160,6 +161,30 @@ def gate7(timer: Timer) -> None:
         timer.check(not isinstance(m, Failure)
                     and weakseq.verify_minor(g, m) == (True, None),
                     f"gate 7: minor {seed}")
+
+
+def gate7_induced(timer: Timer) -> None:
+    """The restriction layer on gate 7's 10 G(2000, 1/2) hosts: ``induced``
+    on the equitable halves that each host's pipeline draws first, and
+    ``_incidence_graph`` of a cover of those halves by 4-blocks, V2
+    against 250 block vertices.  The entries are named under gate7, whose
+    hosts they take, and kept out of ``gate7.total``."""
+    for seed in range(10):
+        rng = RngStream(7000 + seed)
+        g = random_graph(2000, 0.5, rng.derive("gen"))
+        halves = random_equitable_bipartition(g, rng.derive("run")).bipartite
+        m1, m2 = halves.mask(1), halves.mask(2)
+        B = timer("gate7.induced", BipartiteGraph.induced, g, m1, m2)
+        timer.check(B == halves and B.n1 == B.n2 == 1000 and B.m == sum(
+            (g.adj[u] & m2).bit_count() for u in B.v1),
+            f"gate 7: induced halves {seed}")
+        blocks = weakseq.cover_partition(B, 4, rng.derive("cover")).blocks
+        X = timer("gate7.incidence_graph", weakseq._incidence_graph, B,
+                  blocks)
+        masks = [mask_of(blk) for blk in blocks]
+        timer.check((X.n1, X.n2) == (1000, 250) and X.m == sum(
+            1 for v in B.v2 for blk in masks if B.adj[v] & blk),
+            f"gate 7: incidence graph {seed}")
 
 
 def weakseq_t12(timer: Timer) -> None:
@@ -328,9 +353,9 @@ def readme_examples(timer: Timer) -> None:
         timer.check(code == 0, f"exlab {line}: exit {code}")
 
 
-WORKLOADS = (gate5, gate6, gate7, weakseq_t12, weakseq_minor,
-             bipfree_extract, bipfree_tight, rsgraph_construct, setmap_oracle,
-             removal_iterate, cold_start, readme_examples)
+WORKLOADS = (gate5, gate6, gate7, gate7_induced, weakseq_t12,
+             weakseq_minor, bipfree_extract, bipfree_tight, rsgraph_construct,
+             setmap_oracle, removal_iterate, cold_start, readme_examples)
 
 
 def calibration_kernel() -> int:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 from .core import (BipartiteGraph, Failure, Graph, GuardError,
                    KUniformHypergraph, RngStream, _bernoulli_rows,
-                   complete_bipartite, iter_bits, mask_of, verified)
+                   bits, complete_bipartite, mask_of, verified)
 
 MAX_COPY_BOUND = 10 ** 9
 MAX_INSTANCE_EDGES = 10 ** 6
@@ -176,8 +176,8 @@ def _extend_rsets(adj, r: int, prefix: tuple, common: int, cands):
 def _reach(adj, common: int, last: int):
     """The vertices past ``last`` adjacent to a vertex of ``common``."""
     reach = functools.reduce(operator.or_,
-                             map(adj.__getitem__, iter_bits(common)), 0)
-    return iter_bits(reach >> (last + 1) << (last + 1))
+                             map(adj.__getitem__, bits(common)), 0)
+    return bits(reach >> (last + 1) << (last + 1))
 
 
 def _count_graph(G, r: int) -> int:
@@ -282,7 +282,7 @@ def _sample_rows(G, p: float, stream: RngStream) -> list:
         upper = adj[u] >> (u + 1)
         d = upper.bit_count()
         if kept & ((1 << d) - 1):
-            for j, off in enumerate(iter_bits(upper)):
+            for j, off in enumerate(bits(upper)):
                 if kept >> j & 1:
                     v = u + 1 + off
                     rows[u] |= 1 << v
@@ -304,7 +304,7 @@ def _graph_round(G, r: int, stream: RngStream):
         later = common >> (A[0] + 1) << (A[0] + 1)
         if later.bit_count() < r:
             continue
-        for B in itertools.combinations(iter_bits(later), r):
+        for B in itertools.combinations(bits(later), r):
             side = mask_of(B)
             if all(work[a] & side == side for a in A):
                 u, v = A[0], B[0]
@@ -339,7 +339,7 @@ def verify_free_subgraph(G, pattern: Pattern, H):
         extra = sorted(map(_edge_key, H.edges - G.edges))
     else:
         extra = [(u, v) for u in range(G.n)
-                 for v in iter_bits(H.adj[u] & ~G.adj[u])]
+                 for v in bits(H.adj[u] & ~G.adj[u])]
     if extra:
         return False, ("not_subgraph", extra[0])
     count = count_pattern(H, pattern)

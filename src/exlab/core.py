@@ -15,6 +15,7 @@ import random
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import ceil, comb, log
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -60,16 +61,71 @@ def verified(verify, *args, **kwargs):
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the indices of set bits in increasing order."""
+    """Yield the indices of set bits in increasing order.  Each step copies
+    the mask, so a loop that may stop early takes this and one that lists
+    every bit takes :func:`bits`."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
 
 
+# sparse input goes one bit at a time: to ``bits``, a mask with at most 8
+# set bits, or at most one in 16 of its span and 256 in all; to
+# ``mask_of``, fewer than 64 ids, or ids as sparse in their span
+_FEW, _SPARSE_RATIO, _SPARSE_SPAN = 8, 16, 4096
+# binary digits to the 0/1 flags that ``itertools.compress`` reads
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bits(mask: int) -> list:
+    """The indices of the set bits of a nonnegative mask, in increasing
+    order: ``list(iter_bits(mask))``.
+
+    A dense mask is read in one pass: the binary digits of its span past
+    the trailing zeros, lowest first, are flags that ``itertools.compress``
+    lays over the span's indices.  A sparse mask is listed one lowest bit
+    at a time, as :func:`iter_bits` yields them.
+    """
+    if mask < 0:
+        raise ValueError("negative mask")
+    count = mask.bit_count()
+    if count > _FEW:
+        low = (mask & -mask).bit_length() - 1
+        span = mask.bit_length() - low
+        if count * _SPARSE_RATIO > min(span, _SPARSE_SPAN):
+            flags = bin(mask >> low)[:1:-1].encode().translate(_DIGIT_FLAGS)
+            return list(compress(range(low, low + span), flags))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def mask_of(indices: Iterable[int]) -> int:
+    """The mask with bit i set for each i in indices; ValueError on a
+    negative one, as ``1 << i`` raises.
+
+    Up to 63 ids, ids sparse in their span and ids past ``MAX_VERTICES``
+    are ORed in one at a time.  Otherwise each id sets one ASCII digit of
+    a bytearray, which ``int(digits[::-1], 2)`` reads in one pass, instead
+    of copying the mask once per id.
+    """
+    ids = indices if isinstance(indices, (list, tuple)) else list(indices)
+    if len(ids) >= 64:
+        top = max(ids)
+        if (top < MAX_VERTICES
+                and len(ids) * _SPARSE_RATIO > min(top, _SPARSE_SPAN)):
+            if min(ids) < 0:
+                raise ValueError("negative bit index")
+            digits = bytearray(b"0") * (top + 1)
+            for i in ids:
+                digits[i] = 49  # ord("1")
+            return int(digits[::-1], 2)
     m = 0
-    for i in indices:
+    for i in ids:
         m |= 1 << i
     return m
 
@@ -207,7 +263,7 @@ class Graph:
             rows[v] |= 1 << u
         self.n = n
         self.adj = tuple(rows)
-        self.m = sum(r.bit_count() for r in rows) // 2
+        self.m = sum(map(int.bit_count, rows)) // 2
 
     @classmethod
     def from_adjacency(cls, n: int, rows: Sequence[int]) -> "Graph":
@@ -225,7 +281,7 @@ class Graph:
         g = cls.__new__(cls)
         g.n = n
         g.adj = tuple(rows)
-        g.m = sum(r.bit_count() for r in rows) // 2
+        g.m = sum(map(int.bit_count, rows)) // 2
         return g
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -277,9 +333,9 @@ class BipartiteGraph:
     def _set(self, rows: Sequence[int], parts: tuple) -> None:
         self.n = len(rows)
         self.adj = tuple(rows)
-        self.m = sum(r.bit_count() for r in rows) // 2
+        self.m = sum(map(int.bit_count, rows)) // 2
         self._parts = parts
-        self.v1, self.v2 = (tuple(iter_bits(m)) for m in parts)
+        self.v1, self.v2 = (tuple(bits(m)) for m in parts)
         self.n1, self.n2 = len(self.v1), len(self.v2)
 
     @classmethod
@@ -314,7 +370,7 @@ class BipartiteGraph:
             raise ValueError(f"part masks exceed the {g.n} host vertices")
         rows = [0] * g.n
         for part, other in ((mask1, mask2), (mask2, mask1)):
-            for v in iter_bits(part):
+            for v in bits(part):
                 row = g.adj[v]
                 cut = row & other
                 rows[v] = row if cut == row else cut
@@ -328,18 +384,11 @@ class BipartiteGraph:
     degree = Graph.degree
     edges = Graph.edges
 
-    def degree_into(self, u: int, part_mask: int) -> int:
-        return (self.adj[u] & part_mask).bit_count()
-
-    def cross_m(self) -> int:
-        """Number of V1-V2 edges."""
-        m2 = self.mask(2)
-        return sum((self.adj[u] & m2).bit_count() for u in self.v1)
-
     def density(self) -> Fraction:
-        """V1-V2 cross density."""
+        """V1-V2 cross density: every edge joins V1 and V2, so m counts
+        the cross edges."""
         cells = self.n1 * self.n2
-        return Fraction(self.cross_m(), cells) if cells else Fraction(0)
+        return Fraction(self.m, cells) if cells else Fraction(0)
 
     def transpose(self) -> "BipartiteGraph":
         """Swap the roles of V1 and V2; ids and rows are kept."""
@@ -378,7 +427,7 @@ def _checked_parts(rows: Sequence[int], n1: int, n2: int) -> tuple:
     """The contiguous parts of the rows; ValueError on an edge inside one."""
     parts = _contiguous_parts(n1, n2)
     for part in parts:
-        for u in iter_bits(part):
+        for u in bits(part):
             if rows[u] & part:
                 raise ValueError(f"row {u} has an edge inside its part")
     return parts
@@ -491,7 +540,7 @@ def random_coloring(graph, r: int, stream: RngStream) -> EdgeColoring:
         if up >> lo == (1 << d) - 1:  # contiguous run, e.g. a complete host
             M[base + lo:base + lo + d] = colors[at:at + d]
         else:
-            for i, off in enumerate(iter_bits(up)):
+            for i, off in enumerate(bits(up)):
                 M[base + off] = colors[at + i]
         at += d
     masks = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(r)]

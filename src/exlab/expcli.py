@@ -327,13 +327,14 @@ def _random_source(params: dict, file: str, names: tuple) -> bool:
     return params.get(file) is None
 
 
-def _graph_source_check(params: dict) -> None:
-    """Guard the random host's size, or parse the input file once, so that
-    a missing or malformed file is invalid input; trials read it again."""
+def _graph_source_check(params: dict) -> int:
+    """The host's vertex count: guard the random host's size, or parse the
+    input file once, so that a missing or malformed file is invalid input
+    and the op's guards see the file's count; trials read it again."""
     if _random_source(params, "input", ("n", "p")):
         vertex_count_guard(params["n"])
-    else:
-        read_graph(params["input"])
+        return params["n"]
+    return read_graph(params["input"]).n
 
 
 def _host_graph(params: dict, rng: RngStream) -> Graph:
@@ -537,10 +538,10 @@ def _run_embed_cube(params, rng):
 
 
 def _weakseq_check(params: dict) -> None:
-    _graph_source_check(params)
+    n = _graph_source_check(params)
     # an unset t becomes the regime order of the drawn host, at least 1
     t = 1 if params["t"] is None else params["t"]
-    weakseq.weak_sequence_pipeline_guard(params["r"], t, params["n"])
+    weakseq.weak_sequence_pipeline_guard(params["r"], t, n)
 
 
 def _run_weakseq_pipeline(params, rng):
@@ -573,14 +574,14 @@ def _weakseq_minor_check(params: dict) -> None:
     if params["diameter_aware"] not in (0, 1):
         raise GuardError(f"parameter 'diameter_aware': must be 0 or 1, got "
                          f"{params['diameter_aware']}")
-    _graph_source_check(params)
+    n = _graph_source_check(params)
     weakseq.load_preset(params["preset"])
-    weakseq.minor_pipeline_guard(params["r"], params["t"], params["n"])
+    weakseq.minor_pipeline_guard(params["r"], params["t"], n)
 
 
 def _weakseq_oracle_check(params: dict) -> None:
-    _graph_source_check(params)
-    weakseq.max_weak_sequence_order_guard(params["r"], params["n"])
+    weakseq.max_weak_sequence_order_guard(params["r"],
+                                          _graph_source_check(params))
 
 
 def _run_weakseq_oracle(params, rng):
@@ -663,14 +664,14 @@ def _run_rsgraph_arrow(params, rng):
 # --- removal ---------------------------------------------------------------
 
 
-def _removal_check(params: dict) -> None:
-    """Guard the random grid, or parse the grid file once, as
-    ``_graph_source_check`` does for a host file."""
+def _removal_check(params: dict) -> int:
+    """The grid's colour count: guard the random grid, or parse the grid
+    file once, as ``_graph_source_check`` does for a host file."""
     if _random_source(params, "grid_file", ("N", "r")):
         removal.grid_cover_guard(params["N"])
         removal.grid_coloring_guard(params["r"])
-    else:
-        removal.read_grid(params["grid_file"])
+        return params["r"]
+    return removal.read_grid(params["grid_file"]).r
 
 
 def _removal_grid_check(params: dict) -> None:
@@ -680,9 +681,7 @@ def _removal_grid_check(params: dict) -> None:
 
 
 def _removal_iterate_check(params: dict) -> None:
-    _removal_check(params)
-    if params["r"] is not None:
-        removal.removal_iterate_guard(params["r"])
+    removal.removal_iterate_guard(_removal_check(params))
 
 
 def _grid_input(params: dict, rng: RngStream) -> removal.GridColoring:

@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import (BipartiteGraph, EdgeColoring, Failure, Graph, GuardError,
-                   RngStream, iter_bits, mask_of, verified, try_bipartition)
+                   RngStream, bits, iter_bits, mask_of, verified,
+                   try_bipartition)
 
 MAX_TOP_LEVEL = 10 ** 8
 MAX_ENUMERATION = 10 ** 6
@@ -213,7 +214,7 @@ class TargetHypergraph:
 
 def neighborhood_hypergraph(g: Graph) -> TargetHypergraph:
     """Distinct nonempty vertex neighborhoods of g as hyperedges over V(g)."""
-    return TargetHypergraph(g.n, {frozenset(iter_bits(g.adj[v]))
+    return TargetHypergraph(g.n, {frozenset(bits(g.adj[v]))
                                   for v in range(g.n) if g.adj[v]})
 
 
@@ -450,7 +451,7 @@ def drc_subset(B: BipartiteGraph, params: DrcParams, rng: RngStream,
         common = mask1
         for p in picks:
             common &= B.adj[p]
-        U = list(iter_bits(common))
+        U = bits(common)
         stats = {"size": len(U), "tries": t}
         if 2 * Fraction(len(U)) ** k < size_rhs:
             if best is None or stats["size"] > best["size"]:
@@ -512,7 +513,7 @@ def build_aux_pair(H: BipartiteGraph, U: Sequence[int], G: BipartiteGraph,
         raise GuardError("the V2 side of H has no edges")
     pos = {v: i for i, v in enumerate(H.v1)}
     mask1 = H.mask(1)
-    edges = {frozenset(pos[x] for x in iter_bits(H.adj[w] & mask1))
+    edges = {frozenset(pos[x] for x in bits(H.adj[w] & mask1))
              for w in H.v2}
     edges.discard(frozenset())
     target = TargetHypergraph(H.n1, edges)
@@ -558,7 +559,7 @@ def _direct_embed(rows_maj: Sequence[int], N: int, hadj: Sequence[int],
         if i == hn:
             return True
         v = order[i]
-        need = [w for w in iter_bits(hadj[v]) if mapping[w] >= 0]
+        need = [w for w in bits(hadj[v]) if mapping[w] >= 0]
         for cand in range(N):
             if cand in used:
                 continue
@@ -657,7 +658,7 @@ def bip_ramsey_pipeline(coloring: EdgeColoring, H, rng: RngStream,
         mapping[hv] = aux.u_vertices[emb.mapping[i]]
         used.add(mapping[hv])
     for hv in h_bip.v2:
-        nbrs = [mapping[w] for w in iter_bits(hadj[hv])]
+        nbrs = [mapping[w] for w in bits(hadj[hv])]
         if nbrs:
             cand = mask_b
             for img in nbrs:

@@ -35,6 +35,7 @@ from .core import (
     RngStream,
     _header,
     _parse_ints,
+    bits,
     iter_bits,
     mask_of,
     verified,
@@ -220,7 +221,7 @@ def triangle_cover(coloring: EdgeColoring, parts, triangles,
         raise ValueError(f"cover parts must satisfy |V1| = |V2| >= 1, "
                          f"got {n} and {n2}")
     adj = g.adj
-    cross = sum((adj[a] & parts[2]).bit_count() for a in iter_bits(parts[1]))
+    cross = sum((adj[a] & parts[2]).bit_count() for a in bits(parts[1]))
     if strict and cross != n * n:
         raise ValueError(f"strict cover needs a complete cross part: "
                          f"{cross} of {n * n} edges present")
@@ -277,14 +278,14 @@ def triangle_census(coloring: EdgeColoring, parts) -> tuple[tuple, int]:
     """
     _scan_guard(coloring, parts)
     mask0, m1, m2 = parts
-    side1 = tuple(iter_bits(m1))
+    side1 = bits(m1)
     counts = []
     for rows in coloring.rows:
         count = 0
         for a in side1:
             apexes = rows[a] & mask0
             if apexes:
-                for b in iter_bits(rows[a] & m2):
+                for b in bits(rows[a] & m2):
                     count += (apexes & rows[b]).bit_count()
         counts.append(count)
     return tuple(counts), sum(counts)
@@ -297,7 +298,7 @@ def _apex_mono_count(cover: TriangleCover, v: int) -> int:
     total = 0
     for ch in range(col.r):
         row = col.rows[ch][v]
-        for a in iter_bits(row & m1):
+        for a in bits(row & m1):
             total += (col.rows[ch][a] & row & m2).bit_count()
     return total
 
@@ -326,7 +327,7 @@ def sparse_pair_step(cover: TriangleCover) -> SparsePair:
     per_color, total = triangle_census(cover.coloring, cover.parts)
     delta = Fraction(total + 1, n ** 3)
     budget = 4 * delta * n * n
-    by_apex = {v: [] for v in iter_bits(cover.parts[0])}
+    by_apex = {v: [] for v in bits(cover.parts[0])}
     for t in cover.triangles:
         by_apex[t[0]].append(t)
     thr = Fraction(m, 2 * q)
@@ -387,10 +388,10 @@ def _delete_sparse_color(cover: TriangleCover, step: SparsePair) -> TriangleCove
     sel1, sel2 = mask_of(step.v1), mask_of(step.v2)
     sparse = col.rows[step.color]
     rows = [0] * g.n
-    for v in iter_bits(m0):
+    for v in bits(m0):
         rows[v] = g.adj[v] & (sel1 | sel2)
     for part, other in ((sel1, sel2), (sel2, sel1)):
-        for v in iter_bits(part):
+        for v in bits(part):
             rows[v] = g.adj[v] & (m0 | (other & ~sparse[v]))
     sub = Graph._from_rows(g.n, rows)
     subcol = EdgeColoring.from_rows(
@@ -516,8 +517,8 @@ def diamond_find(coloring: EdgeColoring, parts) -> Optional[Diamond]:
             ch = coloring.color_of(a, b)
             apexes = coloring.rows[ch][a] & coloring.rows[ch][b] & mask0
             if apexes.bit_count() >= 2:
-                bits = iter_bits(apexes)
-                return Diamond((a, b), (next(bits), next(bits)), ch)
+                pair = iter_bits(apexes)
+                return Diamond((a, b), (next(pair), next(pair)), ch)
     return None
 
 

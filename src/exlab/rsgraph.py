@@ -24,6 +24,7 @@ from .core import (
     Graph,
     GuardError,
     _contiguous_parts,
+    bits,
     iter_bits,
     verified,
 )
@@ -568,7 +569,7 @@ def arrow_check(g, t: int, n: int, mode: str = "exhaustive",
                     graph=g, t=t, n=n, verdict="unknown", red=None,
                     stats={"mode": "exhaustive", "colorings_scanned": cm,
                            "reason": "search budget exhausted"})
-            red = tuple(edges[i] for i in iter_bits(cm))
+            red = tuple([edges[i] for i in bits(cm)])
             verified(verify_falsifying, g, red, t, n)
             return ArrowInstance(graph=g, t=t, n=n, verdict="falsified",
                                  red=red,

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .core import (BipartiteGraph, Failure, Graph, GuardError, RngStream,
-                   bit_columns, iter_bits, mask_of,
+                   bit_columns, bits, iter_bits, mask_of,
                    random_equitable_bipartition, verified)
 
 ORACLE_MAX_N = 12
@@ -205,7 +205,9 @@ def degree_filter(B: BipartiteGraph, mode: str, value) -> tuple:
         floor = Fraction(n2, 2)
     else:
         raise ValueError(f"unknown filter mode {mode!r}")
-    kept = tuple(b for b in B.v2 if B.degree_into(b, mask1) > cut)
+    # an integer degree exceeds cut exactly when it exceeds floor(cut)
+    cut, adj = math.floor(cut), B.adj
+    kept = tuple([b for b in B.v2 if (adj[b] & mask1).bit_count() > cut])
     if len(kept) < floor:
         raise AssertionError("degree filter output below its size clause")
     return kept
@@ -236,8 +238,8 @@ def cover_partition(B: BipartiteGraph, r: int, rng: RngStream,
         raise GuardError("both parts must be nonempty")
     if n1 % r:
         raise GuardError(f"r = {r} does not divide |V1| = {n1}")
-    mask1 = B.mask(1)
-    p_min = Fraction(min(B.degree_into(b, mask1) for b in B.v2), n1)
+    mask1, adj = B.mask(1), B.adj
+    p_min = Fraction(min([(adj[b] & mask1).bit_count() for b in B.v2]), n1)
     threshold = (1 - p_min) ** r
     d = n1 // r
     order = list(B.v1)
@@ -246,7 +248,7 @@ def cover_partition(B: BipartiteGraph, r: int, rng: RngStream,
         rng.shuffle(order)
         blocks = tuple(tuple(sorted(order[i * r:(i + 1) * r]))
                        for i in range(d))
-        seen = sum(row.bit_count() for row in _block_reach(B, blocks))
+        seen = sum(map(int.bit_count, _block_reach(B, blocks)))
         fraction = Fraction(d * n2 - seen, d * n2)
         cand = CoverPartition(blocks, fraction, threshold, tries,
                               fraction <= threshold)
@@ -467,14 +469,13 @@ def _weakseq_stages(B0: BipartiteGraph, r: int, t: int, rng: RngStream,
     return WeakSequence("bicomplete", r, t, s_sets, t_sets, dict(stats))
 
 
-def weak_sequence_pipeline_guard(r: int, t: int,
-                                 n: Optional[int] = None) -> None:
-    """GuardError unless r >= 1, t passes ``find_ktt_guard`` and, when the
-    vertex count n is known, 2rt <= n."""
+def weak_sequence_pipeline_guard(r: int, t: int, n: int) -> None:
+    """GuardError unless r >= 1, t passes ``find_ktt_guard`` and 2rt <= n,
+    the host's vertex count."""
     if r < 1:
         raise GuardError(f"parameter 'r' must be >= 1, got {r}")
     find_ktt_guard(t)
-    if n is not None and 2 * r * t > n:
+    if 2 * r * t > n:
         raise GuardError(f"2rt exceeds the vertex count {n} for r={r}, t={t}")
 
 
@@ -635,8 +636,8 @@ def paths_drc(H: BipartiteGraph, rng: RngStream,
             X.append(u)
             if len(X) == target:
                 break
-        short = _first_short_pair(H.adj, X,
-                                  list(iter_bits(mask1 & ~mask_of(X))), budget)
+        short = _first_short_pair(H.adj, X, bits(mask1 & ~mask_of(X)),
+                                  budget)
         if short is None:
             return PathsResult(tuple(X), budget, tries)
         shortfall = {"pair": short[0], "count": short[1], "budget": budget,
@@ -654,6 +655,8 @@ def paths_drc(H: BipartiteGraph, rng: RngStream,
 
 def _cleanup(G: Graph, threshold: Fraction) -> list:
     """Repeatedly drop the lowest-index vertex of induced degree < threshold."""
+    # an integer degree is below threshold exactly when it is below its ceiling
+    threshold = math.ceil(threshold)
     alive = (1 << G.n) - 1
     changed = True
     while changed and alive:
@@ -663,12 +666,13 @@ def _cleanup(G: Graph, threshold: Fraction) -> list:
                 alive &= ~(1 << v)
                 changed = True
                 break
-    return list(iter_bits(alive))
+    return bits(alive)
 
 
 def _balanced_split(G: Graph, alive: list, threshold: Fraction,
                     edge_floor: Fraction, rng: RngStream, retry_cap: int):
     """Random half split pruned to cross-degree >= threshold, sides equal."""
+    threshold = math.ceil(threshold)  # as in ``_cleanup``
     order = list(alive)
     for _ in range(max(retry_cap, 1)):
         rng.shuffle(order)
@@ -731,13 +735,12 @@ def _connect_into(G: Graph, members: Sequence[int], anchor: int,
     return internals, used
 
 
-def minor_pipeline_guard(r: int, t: int, n: Optional[int] = None) -> None:
-    """GuardError unless r >= 1, t >= 2 and, when the vertex count n is
-    known, 2rt <= n: the final bicomplete sequence holds 2t disjoint
-    r-sets."""
+def minor_pipeline_guard(r: int, t: int, n: int) -> None:
+    """GuardError unless r >= 1, t >= 2 and 2rt <= n, the host's vertex
+    count: the final bicomplete sequence holds 2t disjoint r-sets."""
     if r < 1 or t < 2:
         raise GuardError(f"need r >= 1 and t >= 2, got r={r}, t={t}")
-    if n is not None and 2 * r * t > n:
+    if 2 * r * t > n:
         raise GuardError(f"2rt exceeds the vertex count {n} for r={r}, t={t}")
 
 
@@ -799,9 +802,9 @@ def minor_pipeline(G: Graph, r: int, t: int, rng: RngStream,
     xp_mask = mask_of(xprime)
 
     v_count = len(alive)
-    z_cut = (p * n / (SPLIT_MINDEG_DIV * v_count)) * xp
-    mask2 = H.mask(2)
-    z = [w for w in iter_bits(mask2) if (H.adj[w] & xp_mask).bit_count() >= z_cut]
+    # an integer degree reaches z_cut exactly when it reaches its ceiling
+    z_cut = math.ceil(p * n / (SPLIT_MINDEG_DIV * v_count) * xp)
+    z = [w for w in H.v2 if (H.adj[w] & xp_mask).bit_count() >= z_cut]
     stats["z_size"] = len(z)
     if len(z) < xp:
         return Failure("z_select", "Z smaller than X'",
@@ -874,7 +877,7 @@ def _induced_distances(g: Graph, members: frozenset) -> dict:
         while frontier:
             nxt = []
             for u in frontier:
-                for v in iter_bits(g.adj[u] & mask):
+                for v in bits(g.adj[u] & mask):
                     if v not in dist:
                         dist[v] = dist[u] + 1
                         nxt.append(v)
@@ -913,10 +916,10 @@ def verify_minor(g: Graph, model: MinorModel):
 # Brute-force oracle
 
 
-def max_weak_sequence_order_guard(r: int, n: Optional[int] = None) -> None:
-    """GuardError unless r >= 1 and, when the vertex count n is known,
-    n <= ORACLE_MAX_N."""
-    if n is not None and n > ORACLE_MAX_N:
+def max_weak_sequence_order_guard(r: int, n: int) -> None:
+    """GuardError unless r >= 1 and the host's vertex count n is at most
+    ORACLE_MAX_N."""
+    if n > ORACLE_MAX_N:
         raise GuardError(f"oracle limited to n <= {ORACLE_MAX_N}")
     if r < 1:
         raise GuardError("need r >= 1")

@@ -109,6 +109,16 @@ def test_bench_times_the_gate7_transpose_apart_from_the_draw(tmp_path):
     assert len(doc["entries"]["gate7.bit_columns.n2000"]["runs_s"]) == 1
 
 
+def test_bench_times_the_gate7_restrictions_apart(tmp_path):
+    doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.gate7_induced,),
+                          reps=1, tier1=False)
+    assert doc["failures"] == []
+    entries = {name: e["median_s"] for name, e in doc["entries"].items()}
+    assert entries["gate7_induced.total"] == pytest.approx(
+        entries["gate7.induced"] + entries["gate7.incidence_graph"],
+        rel=1e-3)
+
+
 def test_bench_times_the_minor_path_search_inside_its_pipeline(tmp_path):
     doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.weakseq_minor,),
                           reps=1, tier1=False)

@@ -30,6 +30,8 @@ FILES = {
     "grid.txt": "2\n0 1\n1 0\n",
     "bad.txt": "2\n0 1\n1 x\n",
     "huge.txt": "100000000000000000000\n",
+    "host30.txt": "30\n0 1\n",
+    "grid8.txt": "3 8\n0 1 2\n3 4 5\n6 7 0\n",
 }
 
 INVOCATIONS = [
@@ -112,6 +114,10 @@ INVOCATIONS = [
     "weakseq --op minor --input bad.txt --t 2",
     "removal --op census --grid-file missing.txt",
     "removal --op iterate --grid-file bad.txt",
+    # checks on the parsed file's n and colour count, as on the flags
+    "weakseq --op minor --input host30.txt --r 3 --t 2",
+    "weakseq --op pipeline --input host30.txt --r 4 --t 5",
+    "removal --op iterate --grid-file grid8.txt",
 ]
 
 # spec files for ``run SPEC --dry-run``: the README example, some specs of

@@ -17,7 +17,8 @@ from exlab import core
 from exlab.core import (BipartiteGraph, EdgeColoring, Failure, Graph,
                         GuardError, ParseError, RngStream, bit_columns,
                         complete_bipartite, complete_graph,
-                        hypercube, hypercube_guard, iter_bits, mask_of,
+                        MAX_VERTICES, bits, hypercube, hypercube_guard,
+                        iter_bits, mask_of,
                         random_bipartite, random_coloring,
                         random_equitable_bipartition, random_graph,
                         read_graph, try_bipartition)
@@ -29,6 +30,59 @@ def test_bit_helpers_round_trip():
     for mask in [0, 1, 0b1011, 1 << 70 | 5]:
         assert mask_of(iter_bits(mask)) == mask
     assert list(iter_bits(0b10110)) == [1, 2, 4]
+
+
+def _kernel_masks():
+    """The empty mask, single bits, 2^k - 1 on both sides of each sparse
+    cut, random masks of density 2^-j up to MAX_VERTICES bits, and a
+    250-bit block at offset 2000, an incidence graph's block part."""
+    rnd = random.Random(28)
+    yield 0
+    for i in (0, 63, 64, MAX_VERTICES - 1):
+        yield 1 << i
+    for k in (1, 2, 8, 9, 15, 16, 17, 64, 255, 256, 257, 1000,
+              MAX_VERTICES):
+        yield (1 << k) - 1
+    for length in (8, 100, 2000, 4097, MAX_VERTICES):
+        for j in range(1, 8):
+            mask = (1 << length) - 1
+            for _ in range(j):
+                mask &= rnd.getrandbits(length)
+            yield mask
+            yield mask << rnd.randrange(100)
+    yield ((1 << 250) - 1) << 2000
+
+
+def test_bits_lists_what_iter_bits_yields():
+    for mask in _kernel_masks():
+        listed = bits(mask)
+        assert type(listed) is list and listed == list(iter_bits(mask))
+        assert mask_of(listed) == mask
+    with pytest.raises(ValueError):
+        bits(-1)
+
+
+def test_mask_of_takes_any_iterable_of_ids():
+    ids = list(range(0, 3000, 3))
+    want = 0
+    for i in ids:
+        want |= 1 << i
+    assert mask_of(ids) == want
+    assert mask_of(tuple(ids)) == mask_of(iter(ids)) == want
+    assert mask_of(set(ids)) == mask_of(ids + ids[::-1]) == want
+    assert mask_of(i for i in (5, 1, 5)) == 0b100010
+    assert mask_of([]) == mask_of(iter(())) == 0
+    # sparse ids and ids past MAX_VERTICES are ORed one at a time
+    sparse = list(range(0, 64 * 64, 64))
+    assert mask_of(sparse) == sum(1 << i for i in sparse)
+    far = list(range(100)) + [MAX_VERTICES + 5]
+    assert mask_of(far) == (1 << MAX_VERTICES + 5) | (1 << 100) - 1
+
+
+def test_mask_of_rejects_a_negative_id_on_both_paths():
+    for ids in ([3, -1], list(range(200)) + [-1], [-1] + list(range(200))):
+        with pytest.raises(ValueError):
+            mask_of(ids)
 
 
 def test_rng_stream_reproducible():
@@ -76,7 +130,7 @@ def test_complete_graph():
 def test_complete_bipartite():
     g = complete_bipartite(2, 3)
     assert (g.n1, g.n2, g.m) == (2, 3, 6)
-    assert g.cross_m() == 6
+    assert sum(g.has_edge(u, v) for u in g.v1 for v in g.v2) == 6
     assert g.density() == Fraction(1)
     assert g.mask(1) == 0b00011 and g.mask(2) == 0b11100
     with pytest.raises(ValueError):
@@ -477,7 +531,7 @@ def test_random_equitable_bipartition():
     bip = part.bipartite
     assert bip.n1 == bip.n2 == 20
     assert part.cross_density >= g.density()
-    assert bip.cross_m() == part.cross_density * 400
+    assert bip.m == part.cross_density * 400
     # the parts are the host's own vertex ids
     assert sorted(bip.v1 + bip.v2) == list(range(40))
     assert all(bip.adj[v] == g.adj[v] & bip.mask(2) for v in bip.v1)
@@ -493,7 +547,8 @@ def test_try_bipartition_and_induced():
     side1, side2 = sides
     assert len(side1) == len(side2) == 4
     bip = BipartiteGraph.induced(q3, mask_of(side1), mask_of(side2))
-    assert bip.m == 12 and bip.cross_m() == 12
+    assert bip.m == 12 == sum(q3.has_edge(u, v)
+                              for u in side1 for v in side2)
     assert bip.v1 == tuple(side1) and bip.n == q3.n
     assert try_bipartition(complete_graph(3)) is None
     with pytest.raises(ValueError):
@@ -515,7 +570,7 @@ def test_induced_keeps_host_ids():
     assert part[3] == 1 and part[4] == 2
     assert 2 not in part  # left out of both parts
     brute = sum(host.has_edge(u, v) for u in side1 for v in side2)
-    assert bip.cross_m() == bip.m == brute
+    assert bip.m == brute
     assert bip.density() == Fraction(brute, 100)
     for u, v in bip.edges():
         assert host.has_edge(u, v) and part[u] != part[v]
@@ -534,7 +589,7 @@ def test_transpose_swaps_parts_and_keeps_ids():
     assert (t.n1, t.n2) == (8, 12)
     assert t.mask(1) == bip.mask(2) and t.mask(2) == bip.mask(1)
     assert t.adj == bip.adj and t.n == bip.n
-    assert t.cross_m() == bip.cross_m()
+    assert t.m == bip.m and t.density() == bip.density()
     assert t != bip
     assert t.transpose() == bip
 

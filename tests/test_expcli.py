@@ -420,18 +420,15 @@ def test_removal_iterate_color_cap(tmp_path, capsys):
                                                  params={"N": 15, "r": 8}))
     _assert_input_error(["removal", "--op", "iterate", "--N", "15", "--r",
                          "8"], capsys)
-    # validation parses the grid file but checks its colors only in the
-    # trial: a trial failure
+    # validation checks the colors of the grid file it parses: no trial
+    # runs and no record is written
     grid = tmp_path / "grid.txt"
     write_grid(removal.GridColoring(
         3, 8, [[0, 1, 2], [3, 4, 5], [6, 7, 0]]), grid)
     out = tmp_path / "rec.json"
-    assert expcli.main(["removal", "--op", "iterate", "--grid-file",
-                        str(grid), "--out", str(out)]) == 1
-    capsys.readouterr()
-    trial, = expcli.read_record(out)["trials"]
-    assert trial["outcome"] == "error:GuardError"
-    assert "descent guard 7" in trial["stats"]["error"]
+    _assert_input_error(["removal", "--op", "iterate", "--grid-file",
+                         str(grid), "--out", str(out)], capsys)
+    assert not out.exists()
 
 
 # prints which op modules ran their body, and which heavy stdlib modules
@@ -597,9 +594,7 @@ def test_main_ktt_search_past_its_budget_is_a_failed_trial(tmp_path, capsys):
     ("rsgraph --op arrow --N 1000 --t 3 --n 10 --mode theorem", 0, "arrows"),
     ("rsgraph --op decompose --N 8 --n 2 --budget 3", 1,
      "failure:greedy_decompose"),
-    # 2rt <= n is checked once the file is read: a trial failure
-    ("weakseq --op pipeline --input {host} --r 4 --t 5", 1,
-     "error:GuardError")])
+    ("bipfree --op count --input {host}", 0, "count")])
 def test_main_records_and_replays_the_outcome(line, code, outcome, tmp_path,
                                               capsys):
     host, out = tmp_path / "host.txt", tmp_path / "rec.json"
@@ -611,6 +606,20 @@ def test_main_records_and_replays_the_outcome(line, code, outcome, tmp_path,
     assert trial["outcome"] == outcome
     assert expcli.main(["replay", str(out)]) == code
     assert json.loads(capsys.readouterr().out)["match"] is True
+
+
+@pytest.mark.parametrize("line", [
+    "weakseq --op pipeline --input {host} --r 4 --t 5",
+    "weakseq --op minor --input {host} --r 4 --t 5",
+    "weakseq --op oracle --input {host}"])
+def test_main_checks_the_input_file_vertex_count(line, tmp_path, capsys):
+    # validation applies 2rt <= n, and the oracle's size cap, to the n of
+    # the file it parses: no trial runs and no record is written
+    host, out = tmp_path / "host.txt", tmp_path / "rec.json"
+    write_graph(random_graph(30, 0.5, RngStream(5)), host)
+    _assert_input_error(line.format(host=host).split() + ["--out", str(out)],
+                        capsys)
+    assert not out.exists()
 
 
 def test_main_records_an_oversized_input_header_as_a_parse_error(tmp_path,

@@ -6,6 +6,7 @@ import gc
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -85,6 +86,113 @@ def test_degree_filter_guards():
         degree_filter(b, "medium", Fraction(1, 2))
 
 
+# ---------------------------------------------------------------------------
+# Integer degree cuts against Fraction compares: thresholds on an integer
+# and 10^-9 to either side of one
+
+_EPS = Fraction(1, 10 ** 9)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the guard or clause error it raised."""
+    try:
+        return fn(*args)
+    except (GuardError, AssertionError) as err:
+        return type(err)
+
+
+def _spread_bipartite(n1, n2, seed):
+    """V2 vertices whose degrees spread over [0, n1], most of them high."""
+    rnd = random.Random(seed)
+    return bip(n1, n2, [(u, n1 + j) for j in range(n2) for u in rnd.sample(
+        range(n1), n1 - int(n1 * rnd.random() ** 3))])
+
+
+def _filter_reference(B, mode, value):
+    if mode == "sparse":
+        guard, cut, floor = value, value * B.n1 / 2, value * B.n2 / 2
+    else:
+        guard, cut, floor = 1 - value, (1 - 2 * value) * B.n1, B.n2 / 2
+    if B.density() < guard:
+        return GuardError
+    kept = tuple(b for b in B.v2 if (B.adj[b] & B.mask(1)).bit_count() > cut)
+    return AssertionError if len(kept) < floor else kept
+
+
+def test_degree_filter_matches_fraction_compares():
+    exact = 0
+    for seed in range(6):
+        B = _spread_bipartite(30, 40, seed)
+        degrees = {B.degree(b) for b in B.v2}
+        for d, off in itertools.product(range(B.n1 + 1), (0, _EPS, -_EPS)):
+            # both values put the cut at d, off by a multiple of off
+            for mode, value in (("sparse", Fraction(2 * d, B.n1) + off),
+                                ("dense", Fraction(B.n1 - d, 2 * B.n1) + off)):
+                want = _filter_reference(B, mode, value)
+                assert _outcome(degree_filter, B, mode, value) == want
+                exact += not off and d in degrees and type(want) is tuple
+    assert exact > 20
+
+
+def _cleanup_reference(G, threshold):
+    """The largest vertex set whose induced degrees all reach threshold."""
+    alive = set(range(G.n))
+    while low := {v for v in alive
+                  if sum(G.has_edge(v, w) for w in alive) < threshold}:
+        alive -= low
+    return sorted(alive)
+
+
+def test_cleanup_matches_fraction_compares():
+    partial = 0
+    for seed, p in itertools.product(range(3), (0.2, 0.4, 0.6)):
+        G = random_graph(30, p, RngStream(seed))
+        for d, off in itertools.product(range(20), (0, _EPS, -_EPS)):
+            got = weakseq._cleanup(G, d + off)
+            assert got == _cleanup_reference(G, d + off)
+            partial += 0 < len(got) < G.n
+    assert partial > 10
+
+
+def _split_reference(G, alive, threshold, edge_floor, rng, retry_cap):
+    """``_balanced_split`` with per-pair edge tests and Fraction compares."""
+    order = list(alive)
+    for _ in range(max(retry_cap, 1)):
+        rng.shuffle(order)
+        half = len(order) // 2
+        sides = [set(order[:half]), set(order[half:2 * half])]
+
+        def cross(v, i):
+            return sum(G.has_edge(v, w) for w in sides[1 - i])
+
+        while True:
+            low = [(i, v) for i in (0, 1) for v in sorted(sides[i])
+                   if cross(v, i) < threshold]
+            if low:
+                sides[low[0][0]].discard(low[0][1])
+            elif len(sides[0]) != len(sides[1]):
+                i = int(len(sides[1]) > len(sides[0]))
+                sides[i].discard(min(sides[i], key=lambda v: (cross(v, i), v)))
+            else:
+                break
+        if sides[0] and sum(cross(v, 0) for v in sides[0]) >= edge_floor:
+            return sorted(sides[0]), sorted(sides[1])
+    return None
+
+
+def test_balanced_split_matches_fraction_compares():
+    found = 0
+    for seed, p in itertools.product(range(2), (0.3, 0.5, 0.7)):
+        G = random_graph(28, p, RngStream(seed))
+        alive = list(range(1, G.n))
+        for d, off in itertools.product(range(2, 11, 2), (0, _EPS, -_EPS)):
+            floor = Fraction(p * G.n ** 2 / 16)
+            ours, theirs = RngStream(d), RngStream(d)
+            got = weakseq._balanced_split(G, alive, d + off, floor, ours, 3)
+            assert got == _split_reference(G, alive, d + off, floor, theirs, 3)
+            assert ours.position == theirs.position
+            found += got is not None
+    assert found > 5
 # ---------------------------------------------------------------------------
 # cover_partition
 
