@@ -27,6 +27,7 @@ makes the command exit 1.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -258,15 +259,45 @@ def bipfree_extract(timer: Timer) -> None:
                     f"bipfree extract: seed {seed}")
 
 
+# the witness digest of rs_from_behrend(1000)
+RS_1000_DIGEST = ("ed11428bf388b00100d93a2f14e6bd83"
+                  "e92c75494e64767350e0361c376ca7ab")
+
+
 def rsgraph_construct(timer: Timer) -> None:
     """The cli-mix construct trial at N = 1000: the construction, which
     verifies its decomposition before returning it, then ``verify_rs`` of
-    that decomposition alone, as replay runs it again."""
+    that decomposition alone, as replay runs it again, and the witness
+    digest of the decomposition that its record stores."""
     dec = timer("rsgraph_construct.rs_from_behrend", rsgraph.rs_from_behrend,
                 1000)
     ok = timer("rsgraph_construct.verify_rs", rsgraph.verify_rs, dec)
-    timer.check(ok == (True, None) and (dec.n, dec.t) == (10, 224),
-                "rsgraph construct: N = 1000")
+    hexdigest = timer("rsgraph_construct.digest", expcli.digest, dec)
+    timer.check(ok == (True, None) and (dec.n, dec.t) == (10, 224)
+                and hexdigest == RS_1000_DIGEST, "rsgraph construct: N = 1000")
+
+
+# the spec seed of perfbench cli-mix's first job, setmap violate, at its
+# default seed, and the SHA-256 of the 20 witness digests of that job
+VIOLATE_SEED = 1269379188
+VIOLATE_DIGESTS = ("04a7a098740212e4e5bdf9134a8526f8"
+                   "778ed1373b9e1c36498ffbda72be6ecc")
+
+
+def setmap_violate(timer: Timer) -> None:
+    """The witness digests of that cli-mix violate job (k = 2, n = 6, 20
+    trials): small ``Violation``s holding a frozenset, where the cost of
+    each digest call shows.  The trials run untimed."""
+    spec = expcli.ExperimentSpec("setmap", "violate", {"k": 2, "n": 6},
+                                 VIOLATE_SEED, 20)
+    params = expcli.validate_spec(spec)
+    runner = expcli.OPS[("setmap", "violate")].runner
+    witnesses = [runner(params, RngStream(spec.seed).derive("trial", i))[2]
+                 for i in range(spec.trials)]
+    digests = timer("setmap_violate.digest",
+                    lambda ws: [expcli.digest(w) for w in ws], witnesses)
+    timer.check(hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
+                == VIOLATE_DIGESTS, "setmap violate: witness digests")
 
 
 def setmap_oracle(timer: Timer) -> None:
@@ -355,7 +386,8 @@ def readme_examples(timer: Timer) -> None:
 
 WORKLOADS = (gate5, gate6, gate7, gate7_induced, weakseq_t12,
              weakseq_minor, bipfree_extract, bipfree_tight, rsgraph_construct,
-             setmap_oracle, removal_iterate, cold_start, readme_examples)
+             setmap_violate, setmap_oracle, removal_iterate, cold_start,
+             readme_examples)
 
 
 def calibration_kernel() -> int:

@@ -32,6 +32,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Optional
 
 from .core import (
@@ -81,36 +82,46 @@ bipfree, lll_embed, removal, rsgraph, setmap, weakseq = map(
 # exact types that canonical returns as they are; subclasses still recurse
 _PLAIN = frozenset({bool, int, float, str, type(None)})
 
+# json.dumps(x, sort_keys=True), without building an encoder per call
+_set_key = json.JSONEncoder(sort_keys=True).encode
+
 
 def canonical(obj):
     """JSON-safe, deterministic form of results, stats, and parameters.
 
     Fractions keep exact "p/q" form; sets are sorted by their serialized
-    form; dataclass fields appear by name with callables skipped.
+    form; dataclass fields appear by name with callables skipped.  Lists,
+    tuples and dicts are walked here, every other type through
+    ``_shallow``.
     """
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    # before Fraction, whose isinstance check goes through the numbers ABCs
     if isinstance(obj, (list, tuple)):
         return [x if type(x) in _PLAIN else canonical(x) for x in obj]
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, (set, frozenset)):
-        items = [canonical(x) for x in obj]
-        return sorted(items, key=lambda x: json.dumps(x, sort_keys=True))
     if isinstance(obj, dict):
         out = {}
         for k, v in obj.items():
             key = k if isinstance(k, str) else json.dumps(canonical(k))
             out[key] = canonical(v)
         return dict(sorted(out.items()))
+    return canonical(_shallow(obj))
+
+
+def _shallow(obj):
+    """One level of obj's canonical form, for a type that is not None, a
+    bool, int, float, str, list, tuple or dict: a dataclass's field values
+    and a graph's edge tuples are left for the caller to convert.  Every
+    dict it builds has str keys.  TypeError for a type without a form."""
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, (set, frozenset)):
+        return sorted(map(canonical, obj), key=_set_key)
     if isinstance(obj, BipartiteGraph):
         # "n0": 0 keeps every RS-decomposition digest byte-identical
         return {"type": "BipartiteGraph", "n0": 0, "n1": obj.n1,
-                "n2": obj.n2, "edges": [list(e) for e in obj.edges()]}
+                "n2": obj.n2, "edges": obj.edges()}
     if isinstance(obj, Graph):
-        return {"type": "Graph", "n": obj.n,
-                "edges": [list(e) for e in obj.edges()]}
+        return {"type": "Graph", "n": obj.n, "edges": obj.edges()}
     if isinstance(obj, KUniformHypergraph):
         return {"type": "KUniformHypergraph", "n": obj.n, "k": obj.k,
                 "edges": sorted(sorted(e) for e in obj.edges)}
@@ -122,9 +133,8 @@ def canonical(obj):
         out = {"type": type(obj).__name__}
         for f in dataclasses.fields(obj):
             value = getattr(obj, f.name)
-            if callable(value):
-                continue
-            out[f.name] = canonical(value)
+            if not callable(value):
+                out[f.name] = value
         return out
     # after the dataclass branch, so that only lll_embed's own (plain-class)
     # witnesses load lll_embed
@@ -137,8 +147,71 @@ def canonical(obj):
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
+# The digest runs json's C encoder over the witness itself, and the encoder
+# hands each type it cannot write to _shallow.  Where every dict in the
+# witness has str keys, that gives the bytes of canonical's path,
+# json.dumps(canonical(obj), sort_keys=True, separators=(",", ":")): the
+# encoder writes a tuple as a list, and int, float and str subclasses,
+# namedtuples and the items of dict subclasses reach the same C encoder
+# through canonical's output.  Other keys come out differently (the encoder
+# sorts int keys 2 before 10 where canonical sorts "10" before "2", and it
+# refuses tuple keys and mixed key types), so a witness that holds one
+# takes canonical's path.
+_encode = json.JSONEncoder(default=_shallow, sort_keys=True,
+                           separators=(",", ":"), check_circular=False).encode
+_SEQUENCES = frozenset({list, tuple})
+# exact types the key scan does not enter: scalars, and the types whose
+# _shallow form holds no dict with a key of another type
+_SCAN_LEAVES = _PLAIN | {Fraction, set, frozenset, Graph, BipartiteGraph,
+                         KUniformHypergraph, EdgeColoring}
+_SCAN_DEPTH = 64
+_SCAN_ITEMS = 1 << 20
+
+
+def _str_keys_only(obj) -> bool:
+    """Whether each dict the digest encoder meets in obj, outside the types
+    _shallow makes plain, has only keys of type str.  The scan reads obj
+    level by level; past _SCAN_DEPTH levels or _SCAN_ITEMS items (a cycle,
+    or parts shared many times over) it answers False."""
+    level, budget = [obj], _SCAN_ITEMS
+    for _ in range(_SCAN_DEPTH):
+        kinds = set(map(type, level))
+        if kinds <= _SCAN_LEAVES:  # an empty level too
+            return True
+        budget -= len(level)
+        if budget < 0:
+            return False
+        if kinds <= _SEQUENCES:
+            level = list(chain.from_iterable(level))
+            continue
+        nxt, dicts = [], []
+        for x in level:
+            if type(x) in _SCAN_LEAVES:
+                continue
+            if isinstance(x, (list, tuple)):
+                nxt.extend(x)
+            elif isinstance(x, dict):
+                dicts.append(x)
+                nxt.extend(x.values())
+            elif dataclasses.is_dataclass(x) and not isinstance(x, type):
+                nxt.extend([getattr(x, f.name) for f in dataclasses.fields(x)])
+        if dicts and not set(map(type, chain.from_iterable(dicts))) <= {str}:
+            return False
+        level = nxt
+    return False
+
+
 def digest(obj) -> str:
-    blob = json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
+    """SHA-256 of obj's canonical JSON, sorted keys and no spaces."""
+    try:
+        blob = _encode(obj) if _str_keys_only(obj) else None
+    except (TypeError, ValueError, RecursionError):
+        # an unknown type, a cycle, an int too long for text: canonical's
+        # path runs again, so a trial records the exception it raises
+        blob = None
+    if blob is None:
+        blob = json.dumps(canonical(obj), sort_keys=True,
+                          separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -97,7 +97,15 @@ def test_bench_times_the_rs_construction_and_its_check_apart(tmp_path):
                           (bench.rsgraph_construct,), reps=1, tier1=False)
     assert doc["failures"] == []
     assert {"rsgraph_construct.rs_from_behrend", "rsgraph_construct.verify_rs",
-            "rsgraph_construct.total"} <= set(doc["entries"])
+            "rsgraph_construct.digest", "rsgraph_construct.total"} \
+        <= set(doc["entries"])
+
+
+def test_bench_times_the_cli_mix_violate_digests(tmp_path):
+    doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.setmap_violate,),
+                          reps=1, tier1=False)
+    assert doc["failures"] == []
+    assert set(doc["entries"]) == {"calibration", "setmap_violate.digest"}
 
 
 def test_bench_times_the_gate7_transpose_apart_from_the_draw(tmp_path):

@@ -1,5 +1,6 @@
 """Orchestration tests: canonical forms, records, replay, reports, CLI."""
 
+import collections
 import dataclasses
 import json
 import os
@@ -125,6 +126,9 @@ class _Pair:
     right: object
 
 
+_Point = collections.namedtuple("_Point", "x y")
+
+
 def test_canonical_lists_match_element_by_element_recursion():
     values = [
         [True, False, None, 0, -3, 1.5, float("inf"), "", "a\"b\né"],
@@ -134,6 +138,9 @@ def test_canonical_lists_match_element_by_element_recursion():
         [_Pair(1, (True, None)), (_Pair([0.25, "s"], {2: [Fraction(1, 2)]}),)],
         [_Str("sub"), _Int(7), (_Str("x"), [_Int(0)]), True, 1, 1.0],
         {"k": [(0, 551), (18, 533)], (1, 2): ([None], (False,))},
+        {2: "two", 10: ["ten"], "a": 1, True: None, None: 0, 1.5: -1},
+        [_Pair(len, ({0: 1, 2: Fraction(1, 2), 10: (3,)}, {"census": 4}))],
+        [_Point(1, (2, _Str("y"))), float("nan"), float("-inf"), {}, set()],
     ]
     for value in values:
         assert expcli.canonical(value) == _recursive_canonical(value)
