@@ -129,7 +129,7 @@ def count_pattern(G, pattern: Pattern) -> int:
     return _count_graph(G, pattern.r)
 
 
-def _graph_copy_guard(m: int, r: int) -> None:
+def graph_copy_guard(m: int, r: int) -> None:
     """GuardError when 2*m^r, the copy bound of K_{r,r} in an m-edge graph,
     exceeds MAX_COPY_BOUND.
 
@@ -181,7 +181,7 @@ def _reach(adj, common: int, last: int):
 
 
 def _count_graph(G, r: int) -> int:
-    _graph_copy_guard(G.m, r)
+    graph_copy_guard(G.m, r)
     total = sum([math.comb(c.bit_count(), r) for _, c in _rsets(G.adj, G.n, r)])
     # every copy is counted once from each of its two sides
     if total % 2:
@@ -194,7 +194,7 @@ def _pattern_free(G, pattern: Pattern) -> bool:
     walk stops at the first r-set with r common neighbours."""
     if isinstance(G, KUniformHypergraph) or pattern.k != 2:
         return count_pattern(G, pattern) == 0
-    _graph_copy_guard(G.m, pattern.r)
+    graph_copy_guard(G.m, pattern.r)
     return next(_rsets(G.adj, G.n, pattern.r), None) is None
 
 

@@ -242,7 +242,8 @@ def _sample_setsize(k: int) -> int:
 class Graph:
     """Immutable simple graph on ``{0..n-1}`` with bitmask adjacency rows.
 
-    Constructors reject loops, duplicate edges and out-of-range endpoints.
+    The constructor rejects loops, duplicate edges and out-of-range
+    endpoints; builders whose rows hold by construction call ``_from_rows``.
     """
 
     __slots__ = ("n", "adj", "m")
@@ -264,17 +265,6 @@ class Graph:
         self.n = n
         self.adj = tuple(rows)
         self.m = sum(map(int.bit_count, rows)) // 2
-
-    @classmethod
-    def from_adjacency(cls, n: int, rows: Sequence[int]) -> "Graph":
-        """Build from adjacency rows.  Rejects a row count other than n,
-        loops, bits past n and rows that are not symmetric; builders whose
-        rows hold by construction call ``_from_rows``."""
-        _check_rows(rows, n)
-        for u, r in enumerate(rows):
-            if r >> u & 1:
-                raise ValueError(f"loop at vertex {u}")
-        return cls._from_rows(n, rows)
 
     @classmethod
     def _from_rows(cls, n: int, rows: Sequence[int]) -> "Graph":
@@ -316,8 +306,9 @@ class BipartiteGraph:
     """Bipartite graph between two vertex parts V1 and V2.
 
     Vertices are ids in ``[0, n)`` and each part is a vertex mask over that id
-    space; every edge joins the two parts.  The public constructors lay the
-    parts out contiguously, V1 = [0, n1), V2 = [n1, n).  :meth:`induced`
+    space; every edge joins the two parts.  The constructor, which checks its
+    edges, lays the parts out contiguously, V1 = [0, n1), V2 = [n1, n), and
+    so do the builders, which call ``_from_parts``.  :meth:`induced`
     keeps its host's ids instead, so a subgraph names its vertices exactly
     as the host does and ids outside both parts are isolated.
     """
@@ -328,7 +319,12 @@ class BipartiteGraph:
         if min(n1, n2) < 0:
             raise ValueError("part sizes must be nonnegative")
         rows = Graph(n1 + n2, edges).adj
-        self._set(rows, _checked_parts(rows, n1, n2))
+        parts = _contiguous_parts(n1, n2)
+        for part in parts:
+            for u in bits(part):
+                if rows[u] & part:
+                    raise ValueError(f"row {u} has an edge inside its part")
+        self._set(rows, parts)
 
     def _set(self, rows: Sequence[int], parts: tuple) -> None:
         self.n = len(rows)
@@ -343,18 +339,6 @@ class BipartiteGraph:
         g = cls.__new__(cls)
         g._set(rows, parts)
         return g
-
-    @classmethod
-    def from_adjacency(cls, n1: int, n2: int,
-                       rows: Sequence[int]) -> "BipartiteGraph":
-        """Build from rows over the contiguous parts, as the constructor
-        lays them out.  Rejects a row with bits past n or inside its own
-        part, and rows that are not symmetric; builders whose rows hold by
-        construction call ``_from_parts``."""
-        if min(n1, n2) < 0:
-            raise ValueError("part sizes must be nonnegative")
-        _check_rows(rows, n1 + n2)
-        return cls._from_parts(rows, _checked_parts(rows, n1, n2))
 
     @classmethod
     def induced(cls, g, mask1: int, mask2: int) -> "BipartiteGraph":
@@ -405,32 +389,8 @@ class BipartiteGraph:
         return f"BipartiteGraph({self.n1}+{self.n2}, m={self.m})"
 
 
-def _check_rows(rows: Sequence[int], n: int) -> None:
-    """ValueError unless there are n rows, each below 2^n, and they are
-    symmetric: symmetric rows are their own columns."""
-    if len(rows) != n:
-        raise ValueError("row count mismatch")
-    for u, row in enumerate(rows):
-        if row >> n:
-            raise ValueError(f"row {u} has out-of-range bits")
-    for u, (row, col) in enumerate(zip(rows, bit_columns(rows, n))):
-        if row != col:
-            v = ((row ^ col) & -(row ^ col)).bit_length() - 1
-            raise ValueError(f"asymmetric edge ({u},{v})")
-
-
 def _contiguous_parts(n1: int, n2: int) -> tuple:
     return (1 << n1) - 1, ((1 << n2) - 1) << n1
-
-
-def _checked_parts(rows: Sequence[int], n1: int, n2: int) -> tuple:
-    """The contiguous parts of the rows; ValueError on an edge inside one."""
-    parts = _contiguous_parts(n1, n2)
-    for part in parts:
-        for u in bits(part):
-            if rows[u] & part:
-                raise ValueError(f"row {u} has an edge inside its part")
-    return parts
 
 
 class KUniformHypergraph:

@@ -253,9 +253,9 @@ class ExperimentRecord:
 
 
 def write_record(record: ExperimentRecord, path) -> None:
+    text = json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_record(path) -> dict:
@@ -400,14 +400,23 @@ def _random_source(params: dict, file: str, names: tuple) -> bool:
     return params.get(file) is None
 
 
-def _graph_source_check(params: dict) -> int:
-    """The host's vertex count: guard the random host's size, or parse the
-    input file once, so that a missing or malformed file is invalid input
-    and the op's guards see the file's count; trials read it again."""
+def _graph_source_check(params: dict) -> tuple:
+    """The host's vertex and edge counts: guard the random host's size, or
+    parse the input file once, so that a missing or malformed file is
+    invalid input and the op's guards see the file's counts; trials read it
+    again.  A random host's edge count is None: it depends on the draw."""
     if _random_source(params, "input", ("n", "p")):
         vertex_count_guard(params["n"])
-        return params["n"]
-    return read_graph(params["input"]).n
+        return params["n"], None
+    G = read_graph(params["input"])
+    return G.n, G.m
+
+
+def _edges_check(m) -> None:
+    """GuardError on a host file without edges, which both weakseq
+    pipelines refuse; a random host (m None) is checked in the trial."""
+    if m == 0:
+        raise GuardError("G has no edges")
 
 
 def _host_graph(params: dict, rng: RngStream) -> Graph:
@@ -475,7 +484,9 @@ def _run_setmap_oracle(params, rng):
 
 def _bipfree_check(params: dict) -> None:
     bipfree.K_rr(params["r"])
-    _graph_source_check(params)
+    _, m = _graph_source_check(params)
+    if m is not None:
+        bipfree.graph_copy_guard(m, params["r"])
 
 
 def _run_bipfree_count(params, rng):
@@ -611,10 +622,11 @@ def _run_embed_cube(params, rng):
 
 
 def _weakseq_check(params: dict) -> None:
-    n = _graph_source_check(params)
+    n, m = _graph_source_check(params)
     # an unset t becomes the regime order of the drawn host, at least 1
     t = 1 if params["t"] is None else params["t"]
     weakseq.weak_sequence_pipeline_guard(params["r"], t, n)
+    _edges_check(m)
 
 
 def _run_weakseq_pipeline(params, rng):
@@ -647,14 +659,15 @@ def _weakseq_minor_check(params: dict) -> None:
     if params["diameter_aware"] not in (0, 1):
         raise GuardError(f"parameter 'diameter_aware': must be 0 or 1, got "
                          f"{params['diameter_aware']}")
-    n = _graph_source_check(params)
+    n, m = _graph_source_check(params)
     weakseq.load_preset(params["preset"])
     weakseq.minor_pipeline_guard(params["r"], params["t"], n)
+    _edges_check(m)
 
 
 def _weakseq_oracle_check(params: dict) -> None:
     weakseq.max_weak_sequence_order_guard(params["r"],
-                                          _graph_source_check(params))
+                                          _graph_source_check(params)[0])
 
 
 def _run_weakseq_oracle(params, rng):
@@ -737,24 +750,25 @@ def _run_rsgraph_arrow(params, rng):
 # --- removal ---------------------------------------------------------------
 
 
-def _removal_check(params: dict) -> int:
-    """The grid's colour count: guard the random grid, or parse the grid
-    file once, as ``_graph_source_check`` does for a host file."""
+def _removal_check(params: dict) -> tuple:
+    """The grid's side and colour count: guard the random grid, or parse the
+    grid file once, as ``_graph_source_check`` does for a host file; the
+    side guard applies to either."""
     if _random_source(params, "grid_file", ("N", "r")):
         removal.grid_cover_guard(params["N"])
         removal.grid_coloring_guard(params["r"])
-        return params["r"]
-    return removal.read_grid(params["grid_file"]).r
+        return params["N"], params["r"]
+    gc = removal.read_grid(params["grid_file"])
+    removal.grid_cover_guard(gc.N)
+    return gc.N, gc.r
 
 
 def _removal_grid_check(params: dict) -> None:
-    _removal_check(params)
-    if params["N"] is not None:
-        removal.grid_pipeline_guard(params["N"])
+    removal.grid_pipeline_guard(_removal_check(params)[0])
 
 
 def _removal_iterate_check(params: dict) -> None:
-    removal.removal_iterate_guard(_removal_check(params))
+    removal.removal_iterate_guard(_removal_check(params)[1])
 
 
 def _grid_input(params: dict, rng: RngStream) -> removal.GridColoring:

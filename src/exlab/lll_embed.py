@@ -80,35 +80,27 @@ class DownClosedHypergraph:
     """k-uniform top level minus a deleted set; lower levels by containment.
 
     An l-subset (l <= k) is a member iff it lies inside some surviving top
-    edge, which keeps the edge set down-closed by construction.  The deleted
-    top edges are stored as the frozenset ``deleted_ranks`` of their lex
-    ranks (the order of ``_unrank_combination``), so a top-level query looks
-    up one rank.  A lower-level query at level l reads a count, per l-set, of
-    the deleted top edges containing it; that index is built from the
-    deleted edges on the first query at level l.
+    edge, which keeps the edge set down-closed by construction.  The
+    constructor takes the deleted top edges as their lex ranks (the order of
+    ``_unrank_combination``), each in [0, C(N, k)), and stores them as the
+    frozenset ``deleted_ranks``, so a top-level query looks up one rank.  A
+    lower-level query at level l reads a count, per l-set, of the deleted
+    top edges containing it; that index is built from the deleted edges on
+    the first query at level l.
     """
 
     __slots__ = ("N", "k", "deleted_ranks", "_superset_counts")
 
-    def __init__(self, N: int, k: int, deleted: Iterable = ()):
+    def __init__(self, N: int, k: int, ranks: Iterable[int] = ()):
         if not 1 <= k <= N:
             raise GuardError("need 1 <= k <= N")
-        self.N = N
-        self.k = k
-        self.deleted_ranks = frozenset(
-            _rank_combination(self._k_set(item), N, k) for item in deleted)
-        self._superset_counts = {}
-
-    @classmethod
-    def from_ranks(cls, N: int, k: int,
-                   ranks: Iterable[int]) -> "DownClosedHypergraph":
-        """The host whose deleted top edges have these lex ranks."""
-        dch = cls(N, k)
         ranks = frozenset(ranks)
         if ranks and (min(ranks) < 0 or max(ranks) >= math.comb(N, k)):
             raise ValueError(f"deleted rank outside [0, C({N},{k}))")
-        dch.deleted_ranks = ranks
-        return dch
+        self.N = N
+        self.k = k
+        self.deleted_ranks = ranks
+        self._superset_counts = {}
 
     @property
     def deleted(self) -> frozenset:
@@ -118,14 +110,6 @@ class DownClosedHypergraph:
 
     def missing_fraction(self) -> Fraction:
         return Fraction(len(self.deleted_ranks), math.comb(self.N, self.k))
-
-    def _k_set(self, S: Iterable) -> tuple:
-        t = tuple(sorted(S))
-        if len(t) != self.k or len(set(t)) != self.k:
-            raise ValueError(f"{t} is not a {self.k}-set")
-        if not (0 <= t[0] and t[-1] < self.N):
-            raise ValueError(f"{t} out of range")
-        return t
 
     def member(self, S: Iterable) -> bool:
         t = tuple(sorted(S))
@@ -175,8 +159,7 @@ def random_dense_dch(N: int, k: int, delta, rng: RngStream) -> DownClosedHypergr
     """
     total = random_dense_dch_guard(N, k, delta)
     count = int(Fraction(delta) * total)
-    return DownClosedHypergraph.from_ranks(N, k,
-                                           rng.sample(range(total), count))
+    return DownClosedHypergraph(N, k, rng.sample(range(total), count))
 
 
 class TargetHypergraph:
@@ -524,8 +507,7 @@ def build_aux_pair(H: BipartiteGraph, U: Sequence[int], G: BipartiteGraph,
         raise GuardError("U too large for top-level enumeration")
     deleted = []
     _thin_k_set_ranks([G.adj[x] for x in u], 0, k, G.mask(2), n, 0, deleted)
-    return AuxPair(target, DownClosedHypergraph.from_ranks(len(u), k, deleted),
-                   u)
+    return AuxPair(target, DownClosedHypergraph(len(u), k, deleted), u)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,11 @@ FILES = {
     "huge.txt": "100000000000000000000\n",
     "host30.txt": "30\n0 1\n",
     "grid8.txt": "3 8\n0 1 2\n3 4 5\n6 7 0\n",
+    "edgeless.txt": "4\n",
+    "star6.txt": "6\n0 1\n0 2\n0 3\n0 4\n0 5\n",
+    # one-colour grids one past the pipeline and the census side guards
+    "grid101.txt": "101 1\n" + ("0 " * 100 + "0\n") * 101,
+    "grid151.txt": "151 1\n" + ("0 " * 150 + "0\n") * 151,
 }
 
 INVOCATIONS = [
@@ -118,6 +123,13 @@ INVOCATIONS = [
     "weakseq --op minor --input host30.txt --r 3 --t 2",
     "weakseq --op pipeline --input host30.txt --r 4 --t 5",
     "removal --op iterate --grid-file grid8.txt",
+    # and on its edge count m and grid side
+    "weakseq --op pipeline --input edgeless.txt --r 1 --t 2",
+    "weakseq --op minor --input edgeless.txt --r 1 --t 2",
+    "bipfree --op count --input star6.txt --r 13",
+    "bipfree --op extract --input star6.txt --r 13",
+    "removal --op grid --grid-file grid101.txt",
+    "removal --op census --grid-file grid151.txt",
 ]
 
 # spec files for ``run SPEC --dry-run``: the README example, some specs of

@@ -24,6 +24,7 @@ from exlab.core import (BipartiteGraph, EdgeColoring, Failure, Graph,
                         read_graph, try_bipartition)
 from exlab.core import _bernoulli_rows, _sample_setsize
 from exlab.removal import grid_lines
+from exlab.rsgraph import bipartite_double, rs_from_behrend
 
 
 def test_bit_helpers_round_trip():
@@ -117,8 +118,6 @@ def test_graph_validation():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 5)])
-    with pytest.raises(ValueError):
-        Graph.from_adjacency(2, [0b10, 0b00])  # asymmetric
 
 
 def test_complete_graph():
@@ -137,36 +136,80 @@ def test_complete_bipartite():
         BipartiteGraph(2, 2, [(0, 1)])  # edge inside part V1
 
 
-# V1 = {0, 1}, V2 = {2, 3}: each malformed row set with the error it gets
-_MALFORMED_BIPARTITE_ROWS = (
-    ([0b0100, 0, 0, 0], "asymmetric edge (0,2)"),     # one-way row
-    ([0b0010, 0b0001, 0, 0], "row 0 has an edge inside its part"),
-    ([0b10100, 0, 0b0001, 0], "row 0 has out-of-range bits"),
+def round_trips(g) -> bool:
+    """Whether the checked constructor, given g's edges, rebuilds g; a
+    bipartite g must have contiguous parts.  The round trip fails on a row
+    count other than n, bits past n, a one-way bit, a loop and an edge
+    inside a part."""
+    try:
+        if isinstance(g, BipartiteGraph):
+            return BipartiteGraph(g.n1, g.n2, g.edges()) == g
+        return Graph(g.n, g.edges()) == g
+    except (IndexError, ValueError):
+        return False
+
+
+def _doubled_behrend():
+    dec = rs_from_behrend(120)
+    return bipartite_double(dec.graph, dec).graph
+
+
+# every package builder of a graph, at sizes off byte and band boundaries
+_BUILDERS = {
+    "random_graph": lambda: random_graph(300, 0.5, RngStream(3)),
+    "complete_graph": lambda: complete_graph(9),
+    "hypercube": lambda: hypercube(5),
+    "grid_lines": lambda: grid_lines(4)[0],
+    "random_bipartite": lambda: random_bipartite(37, 45, 0.5, RngStream(3)),
+    "complete_bipartite": lambda: complete_bipartite(3, 4),
+    "rs_from_behrend": lambda: rs_from_behrend(309).graph,
+    "rs_from_behrend_chunk": lambda: rs_from_behrend(309, chunk=4).graph,
+    "bipartite_double": _doubled_behrend,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_builder_output_round_trips(name):
+    """The builders make their rows unchecked; the rows still pass."""
+    g = _BUILDERS[name]()
+    assert g.m > 0 and round_trips(g)
+
+
+def test_round_trip_rejects_malformed_rows():
+    path = Graph(3, [(0, 1), (1, 2)])
+    assert round_trips(path) and path.adj == (0b010, 0b101, 0b010)
+    for rows in ([0b010, 0b101],                 # too few rows
+                 [0b010, 0b101, 0b010, 0],       # too many
+                 [0b1010, 0b101, 0b010],         # a bit past n
+                 [0b010, 0b100, 0b010],          # one-way bit (0, 1)
+                 [0b011, 0b101, 0b010]):         # loop at 0
+        assert not round_trips(Graph._from_rows(3, rows)), rows
+    parts = core._contiguous_parts(2, 2)
+    assert round_trips(BipartiteGraph._from_parts([0b100, 0, 0b001, 0], parts))
+    for rows in ([0b100, 0, 0, 0],               # one-way bit (0, 2)
+                 [0b110, 0b001, 0b001, 0],       # edge (0, 1) inside V1
+                 [0b10100, 0, 0b001, 0]):        # a bit past n
+        assert not round_trips(BipartiteGraph._from_parts(rows, parts)), rows
+
+
+# each malformed constructor call with the error it gets
+_MALFORMED_CALLS = (
+    ("Graph(3, [(0, 0)])", "loop at vertex 0"),
+    ("Graph(3, [(0, 1), (1, 0)])", "duplicate edge (1,0)"),
+    ("Graph(3, [(0, 5)])", "edge (0,5) out of range for n=3"),
+    ("Graph(-1)", "vertex count must be nonnegative"),
+    ("BipartiteGraph(2, 2, [(0, 1)])", "row 0 has an edge inside its part"),
+    ("BipartiteGraph(2, 2, [(3, 2)])", "row 2 has an edge inside its part"),
+    ("BipartiteGraph(2, 2, [(0, 4)])", "edge (0,4) out of range for n=4"),
+    ("BipartiteGraph(2, -1)", "part sizes must be nonnegative"),
 )
 
 
-def test_bipartite_from_adjacency_validates_rows():
-    g = BipartiteGraph.from_adjacency(2, 2, [0b1100, 0b1000, 0b0001,
-                                             0b0011])
-    assert g == BipartiteGraph(2, 2, [(0, 2), (0, 3), (1, 3)])
-    for rows, message in _MALFORMED_BIPARTITE_ROWS:
-        with pytest.raises(ValueError, match=re.escape(message)):
-            BipartiteGraph.from_adjacency(2, 2, rows)
-    with pytest.raises(ValueError, match="row 2 has an edge inside its part"):
-        BipartiteGraph.from_adjacency(2, 2, [0, 0, 0b1000, 0b0100])
-    with pytest.raises(ValueError, match="row count"):
-        BipartiteGraph.from_adjacency(2, 2, [0, 0, 0])
-    # the internal builders skip the check and still give valid rows
-    for b in (complete_bipartite(3, 4),
-              random_bipartite(5, 7, 0.5, RngStream(3))):
-        assert BipartiteGraph.from_adjacency(b.n1, b.n2, b.adj) == b
-
-
-def test_bipartite_from_adjacency_validates_under_optimize_flag():
-    code = ("from exlab.core import BipartiteGraph\n"
-            f"for rows, _ in {_MALFORMED_BIPARTITE_ROWS!r}:\n"
+def test_edge_constructors_validate_under_optimize_flag():
+    code = ("from exlab.core import BipartiteGraph, Graph\n"
+            f"for call, _ in {_MALFORMED_CALLS!r}:\n"
             "    try:\n"
-            "        BipartiteGraph.from_adjacency(2, 2, rows)\n"
+            "        eval(call)\n"
             "    except ValueError as exc:\n"
             "        print(exc)\n")
     src = str(Path(core.__file__).resolve().parents[1])
@@ -176,7 +219,7 @@ def test_bipartite_from_adjacency_validates_under_optimize_flag():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True,
                          timeout=60)
-    assert out.stdout.splitlines() == [m for _, m in _MALFORMED_BIPARTITE_ROWS]
+    assert out.stdout.splitlines() == [m for _, m in _MALFORMED_CALLS]
 
 
 def test_bipartite_transpose():
@@ -418,23 +461,6 @@ def test_bit_columns_matches_translate_at_host_sizes():
     assert bit_columns(upper, 2000) == bit_columns_by_translate(upper, 2000)
 
 
-def test_symmetry_check_names_the_lowest_edge_across_bands():
-    """A 300-vertex matrix spans two 32-byte bands of ``bit_columns``; a bit
-    flipped past column 256 is found, and the lowest one-way edge named."""
-    rows = list(random_graph(300, 0.5, RngStream(3)).adj)
-    assert Graph.from_adjacency(300, rows).adj == tuple(rows)
-    for flips, edge in (([(270, 290)], "(270,290)"),
-                        ([(290, 270)], "(270,290)"),
-                        ([(299, 3)], "(3,299)"),
-                        ([(280, 296), (260, 257), (270, 264)], "(257,260)")):
-        bad = list(rows)
-        for u, v in flips:
-            bad[u] ^= 1 << v
-        with pytest.raises(ValueError,
-                           match=re.escape(f"asymmetric edge {edge}")):
-            Graph.from_adjacency(300, bad)
-
-
 def test_random_graph_settles_ties_both_ways():
     """Positions whose first bit equals T's first digit are settled in later
     rounds; at p = 1/3 such positions fall on both sides of p."""
@@ -558,8 +584,7 @@ def test_try_bipartition_and_induced():
 
 
 def test_induced_keeps_host_ids():
-    g = random_graph(30, 0.5, RngStream(21))
-    host = Graph.from_adjacency(g.n, g.adj)
+    host = random_graph(30, 0.5, RngStream(21))
     side1 = [v for v in range(30) if v % 3 == 0]
     side2 = [v for v in range(30) if v % 3 == 1]
     bip = BipartiteGraph.induced(host, mask_of(side1), mask_of(side2))

@@ -164,7 +164,8 @@ def _hosts() -> list:
             KUniformHypergraph(5, 3, [(0, 1, 2), (2, 3, 4)]),
             KUniformHypergraph(3, 2),
             lll_embed.TargetHypergraph(4, [(0, 1), (2,), (1, 2, 3)]),
-            lll_embed.DownClosedHypergraph(5, 2, [(0, 1), (3, 4)]),
+            # the 2-sets (0, 1) and (3, 4) are the first and last of C(5, 2)
+            lll_embed.DownClosedHypergraph(5, 2, [0, 9]),
             lll_embed.DownClosedHypergraph(3, 1),
             [], (), {}, set(), frozenset()]
 

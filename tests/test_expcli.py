@@ -629,6 +629,41 @@ def test_main_checks_the_input_file_vertex_count(line, tmp_path, capsys):
     assert not out.exists()
 
 
+_STAR6 = "6\n0 1\n0 2\n0 3\n0 4\n0 5\n"
+
+
+def _one_colour_grid(N: int) -> str:
+    return f"{N} 1\n" + ("0 " * (N - 1) + "0\n") * N
+
+
+@pytest.mark.parametrize("line, text, message", [
+    ("weakseq --op pipeline --input {path} --r 1 --t 2", "4\n",
+     "G has no edges"),
+    ("weakseq --op minor --input {path} --r 1 --t 2", "4\n",
+     "G has no edges"),
+    ("bipfree --op count --input {path} --r 13", _STAR6,
+     "copy bound 2*m^r for m=5, r=13"),
+    ("bipfree --op extract --input {path} --r 13", _STAR6,
+     "copy bound 2*m^r for m=5, r=13"),
+    ("removal --op grid --grid-file {path}", _one_colour_grid(101),
+     "grid side 101 exceeds pipeline guard"),
+    ("removal --op census --grid-file {path}", _one_colour_grid(151),
+     "grid side 151 gives 301 antidiagonals")])
+def test_main_checks_the_input_file_edges_and_grid_side(line, text, message,
+                                                        tmp_path, capsys):
+    # the guards a trial would hit on the file's edge count or grid side
+    # run at validation, which parses the file: no trial runs
+    path, out = tmp_path / "input.txt", tmp_path / "rec.json"
+    path.write_text(text)
+    argv = line.format(path=path).split() + ["--out", str(out)]
+    for args in (argv, argv + ["--dry-run"]):
+        assert expcli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_main_records_an_oversized_input_header_as_a_parse_error(tmp_path,
                                                                  capsys):
     # validation parses the file, so no trial runs and no record is written

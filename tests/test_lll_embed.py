@@ -30,9 +30,15 @@ def from_top_edges(N: int, k: int, top_edges) -> DownClosedHypergraph:
     if math.comb(N, k) > MAX_ENUMERATION:
         raise GuardError("explicit top-edge construction is desk-scale only")
     keep = {tuple(sorted(e)) for e in top_edges}
-    return DownClosedHypergraph.from_ranks(N, k, (
+    return DownClosedHypergraph(N, k, (
         r for r, t in enumerate(itertools.combinations(range(N), k))
         if t not in keep))
+
+
+def from_deleted(N: int, k: int, deleted) -> DownClosedHypergraph:
+    """The host whose deleted top edges are these k-sets."""
+    return DownClosedHypergraph(N, k, (
+        _rank_combination(sorted(e), N, k) for e in deleted))
 
 
 def iter_top_edges(dch):
@@ -107,27 +113,18 @@ def test_dch_construction_and_counts():
     d = from_top_edges(6, 3, kept)
     assert len(d.deleted_ranks) == math.comb(6, 3) - 3
     assert d.member((2, 1, 0)) and not d.member((0, 1, 3))
-    for bad in [(0, 1), (0, 1, 9), (0, 0, 1), (0, 1, 2, 3), (-1, 0, 1)]:
-        with pytest.raises(ValueError):
-            DownClosedHypergraph(6, 3, [bad])
     assert sorted(iter_top_edges(d)) == kept
-    with pytest.raises(GuardError):
-        DownClosedHypergraph(3, 4)
-
-
-def test_dch_from_ranks():
-    d = DownClosedHypergraph.from_ranks(6, 3, [0, 19, 7])
+    d = DownClosedHypergraph(6, 3, [0, 19, 7])
     assert d.deleted == {(0, 1, 2), (3, 4, 5), _unrank_combination(7, 6, 3)}
     assert d.deleted_ranks == {0, 7, 19}
-    assert DownClosedHypergraph(6, 3, d.deleted).deleted_ranks == {0, 7, 19}
-    assert not DownClosedHypergraph.from_ranks(6, 3, []).deleted_ranks
+    assert from_deleted(6, 3, d.deleted).deleted_ranks == {0, 7, 19}
+    assert not DownClosedHypergraph(6, 3).deleted_ranks
     for ranks in ([-1], [0, 20], [10 ** 30]):
         with pytest.raises(ValueError):
-            DownClosedHypergraph.from_ranks(6, 3, ranks)
-    with pytest.raises(GuardError):
-        DownClosedHypergraph.from_ranks(3, 4, [])
-    with pytest.raises(GuardError):
-        DownClosedHypergraph.from_ranks(3, 0, [])
+            DownClosedHypergraph(6, 3, ranks)
+    for N, k in ((3, 4), (3, 0)):
+        with pytest.raises(GuardError):
+            DownClosedHypergraph(N, k)
 
 
 def test_dch_membership_matches_bruteforce():
@@ -214,8 +211,7 @@ def test_dch_canonical_digests_are_pinned():
     h = BipartiteGraph(2, 2, [(0, 2), (0, 3), (1, 2), (1, 3)])
     hosts = {
         "empty": DownClosedHypergraph(8, 3),
-        "explicit": DownClosedHypergraph(6, 3, [(2, 1, 0), (5, 3, 4),
-                                                [0, 2, 5]]),
+        "explicit": from_deleted(6, 3, [(2, 1, 0), (5, 3, 4), [0, 2, 5]]),
         "top_edges": from_top_edges(6, 3, [(0, 1, 2), (1, 2, 3),
                                            (2, 3, 4)]),
         "random_20_3": random_dense_dch(20, 3, Fraction(1, 100),
@@ -325,7 +321,7 @@ def test_resample_regime_warnings():
         resample_embed(target, DownClosedHypergraph(8, 2), RngStream(2))
     # dense deletions: half the host is gone, far beyond the recommended delta
     deleted = [t for t in itertools.combinations(range(32), 2) if t[0] < 16]
-    sparse = DownClosedHypergraph(32, 2, deleted)
+    sparse = from_deleted(32, 2, deleted)
     with pytest.warns(RuntimeWarning):
         res = resample_embed(target, sparse, RngStream(3))
     assert isinstance(res, EmbeddingResult)

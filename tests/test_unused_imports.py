@@ -7,8 +7,9 @@ unused-import, unused-definition and unused-parameter rules.
 ``__init__.py`` is exempt from the first: its imports are the package's
 re-exports.  They are not uses, so a name only re-exported is reported
 like any other.  A definition or an optional parameter that only the tests
-use belongs in the tests; ``UNCALLED_API`` and ``UNSET_PARAMETERS`` name
-the few that are kept, each with its reason.
+use belongs in the tests.  ``UNSET_PARAMETERS`` names the few optional
+parameters that are kept, each with its reason; ``UNCALLED_API`` is empty,
+so every public definition must have a reader in the package.
 """
 
 import ast
@@ -19,12 +20,7 @@ import exlab
 
 PACKAGE = Path(exlab.__file__).parent
 
-_CHECKED = ("the checked constructor, for rows built outside the package; "
-            "its own builders use the unchecked one")
-UNCALLED_API = {
-    ("core.py", "Graph.from_adjacency"): _CHECKED,
-    ("core.py", "BipartiteGraph.from_adjacency"): _CHECKED,
-}
+UNCALLED_API = {}
 
 
 _SEAM = ("a test seam: the bench tests time one small workload, with few "

@@ -269,10 +269,7 @@ def mutate_rs(instance, dec):
     # a host edge between the first two edges of matching 0
     (a, _), (_, b) = mats[0][:2]
     g = dec.graph
-    rows = list(g.adj)
-    rows[a] |= 1 << b
-    rows[b] |= 1 << a
-    host = BipartiteGraph.from_adjacency(g.n1, g.n2, rows)
+    host = BipartiteGraph(g.n1, g.n2, [*g.edges(), (a, b)])
     yield instance, dataclasses.replace(dec, graph=host), \
         ("not_induced", 0, (a, b))
     # that host edge in place of the second edge: matching 0 shares vertex a
@@ -347,7 +344,8 @@ def mutate_embedding(instance, emb):
         yield instance, dataclasses.replace(emb, mapping=mapping), reason
     for e in H.edges:
         image = sorted(emb.mapping[v] for v in e)
-        host = lll_embed.DownClosedHypergraph(G.N, G.k, [*G.deleted, image])
+        host = lll_embed.DownClosedHypergraph(G.N, G.k, G.deleted_ranks | {
+            lll_embed._rank_combination(image, G.N, G.k)})
         yield (H, host), emb, ("non_member", tuple(sorted(e)))
 
 

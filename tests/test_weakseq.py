@@ -29,24 +29,9 @@ from exlab.weakseq import (CoverPartition, MinorConstants, MinorModel,
                            verify_minor, weak_sequence_pipeline)
 
 
-def bip(n1, n2, pairs):
-    rows = [0] * (n1 + n2)
-    for u, v in pairs:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return BipartiteGraph.from_adjacency(n1, n2, rows)
-
-
 def c6_bipartite():
-    return bip(3, 3, [(0, 3), (1, 3), (1, 4), (2, 4), (2, 5), (0, 5)])
-
-
-def graph(n, pairs):
-    rows = [0] * n
-    for u, v in pairs:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph.from_adjacency(n, rows)
+    return BipartiteGraph(3, 3, [(0, 3), (1, 3), (1, 4), (2, 4), (2, 5),
+                                 (0, 5)])
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +45,7 @@ def test_sparse_filter_complete():
 
 def test_sparse_filter_half_isolated():
     # V2 vertices 4..6 fully joined, 7..9 isolated: density exactly 1/2
-    b = bip(4, 6, [(i, 4 + j) for i in range(4) for j in range(3)])
+    b = BipartiteGraph(4, 6, [(i, 4 + j) for i in range(4) for j in range(3)])
     assert b.density() == Fraction(1, 2)
     kept = degree_filter(b, "sparse", Fraction(1, 2))
     assert kept == (4, 5, 6)
@@ -70,7 +55,7 @@ def test_sparse_filter_half_isolated():
 def test_dense_filter_uniform():
     # circulant rows: every V2 vertex sees 6 of 8, density exactly 1 - 1/4
     pairs = [((j + s) % 8, 8 + j) for j in range(6) for s in range(6)]
-    b = bip(8, 6, pairs)
+    b = BipartiteGraph(8, 6, pairs)
     assert b.density() == 1 - Fraction(1, 4)
     kept = degree_filter(b, "dense", Fraction(1, 4))
     assert kept == tuple(range(8, 14))
@@ -104,8 +89,9 @@ def _outcome(fn, *args):
 def _spread_bipartite(n1, n2, seed):
     """V2 vertices whose degrees spread over [0, n1], most of them high."""
     rnd = random.Random(seed)
-    return bip(n1, n2, [(u, n1 + j) for j in range(n2) for u in rnd.sample(
-        range(n1), n1 - int(n1 * rnd.random() ** 3))])
+    return BipartiteGraph(n1, n2, [
+        (u, n1 + j) for j in range(n2)
+        for u in rnd.sample(range(n1), n1 - int(n1 * rnd.random() ** 3))])
 
 
 def _filter_reference(B, mode, value):
@@ -209,7 +195,7 @@ def test_cover_partition_r1_is_density_complement():
     rng = RngStream(17)
     pairs = [(i, 8 + j) for i in range(8) for j in range(5)
              if rng.randrange(3) > 0]
-    b = bip(8, 5, pairs)
+    b = BipartiteGraph(8, 5, pairs)
     cp = cover_partition(b, 1, rng.derive("part"))
     # r=1: a (singleton, b) pair is uncovered exactly when it is a non-edge
     assert cp.fraction == 1 - b.density()
@@ -221,7 +207,7 @@ def test_cover_partition_exact_min_degree():
     rng = RngStream(64)
     pairs = [(i, 64 + j) for j in range(20)
              for i in rng.sample(range(64), 32)]
-    b = bip(64, 20, pairs)
+    b = BipartiteGraph(64, 20, pairs)
     cp = cover_partition(b, 4, rng.derive("part"))
     assert cp.threshold == Fraction(1, 16)
     assert cp.met and cp.tries == 2
@@ -233,7 +219,7 @@ def test_cover_partition_exact_min_degree():
 
 
 def test_cover_partition_cap_returns_best():
-    b = bip(4, 1, [(0, 4), (1, 4)])
+    b = BipartiteGraph(4, 1, [(0, 4), (1, 4)])
     cp = cover_partition(b, 2, RngStream(5), retry_cap=1)
     assert not cp.met and cp.tries == 1
     assert cp.blocks == ((0, 1), (2, 3))
@@ -270,9 +256,8 @@ def test_block_relation_matches_pair_loop():
         B = random_bipartite(n1, n2, 0.4, rng.derive("host", i))
         hosts.append((B, r))
         # V2 vertex n1 loses every V1 neighbour
-        rows = [row & ~(1 << n1) for row in B.adj[:n1]] + [0] + \
-            list(B.adj[n1 + 1:])
-        hosts.append((BipartiteGraph.from_adjacency(n1, n2, rows), r))
+        hosts.append((BipartiteGraph(n1, n2, [
+            e for e in B.edges() if n1 not in e]), r))
     # an induced subgraph keeps its host's scattered ids, as in the pipeline
     g = random_graph(60, 0.5, rng.derive("g"))
     ids = list(range(60))
@@ -324,7 +309,7 @@ def test_find_ktt_matches_exhaustive_scan():
         n2 = 1 + rng.randrange(6)
         pairs = [(i, n1 + j) for i in range(n1) for j in range(n2)
                  if rng.randrange(2)]
-        b = bip(n1, n2, pairs)
+        b = BipartiteGraph(n1, n2, pairs)
         for t in (1, 2, 3):
             wit = find_ktt(b, t)
             assert (wit is not None) == brute_ktt_exists(b, t)
@@ -348,7 +333,8 @@ def test_find_ktt_guards():
 def test_find_ktt_stops_at_its_work_budget(monkeypatch):
     # K_{3,3} minus a perfect matching has no K_{2,2}; proving it tries
     # vertex 0, then 1 and 2 after it, then vertex 1, then 2 after it
-    b = bip(3, 3, [(u, 3 + v) for u in range(3) for v in range(3) if u != v])
+    b = BipartiteGraph(3, 3, [(u, 3 + v) for u in range(3) for v in range(3)
+                              if u != v])
     assert find_ktt(b, 2) is None
     monkeypatch.setattr(weakseq, "KTT_BUDGET", 5)
     assert find_ktt(b, 2) is None
@@ -397,7 +383,7 @@ def test_verify_sequence_reasons():
 
 def test_verify_sequence_names_broken_pair():
     # vertex 8 is isolated; swapping it into a singleton kills the pair
-    g = graph(9, list(itertools.combinations(range(8), 2)))
+    g = Graph(9, list(itertools.combinations(range(8), 2)))
     good = WeakSequence("bicomplete", 1, 2,
                         (frozenset({0}), frozenset({1})),
                         (frozenset({2}), frozenset({3})))
@@ -493,7 +479,7 @@ def test_pipeline_guards():
     with pytest.raises(GuardError):
         weak_sequence_pipeline(g, 0, 1, RngStream(0))
     with pytest.raises(GuardError):
-        weak_sequence_pipeline(graph(6, []), 1, 1, RngStream(0))
+        weak_sequence_pipeline(Graph(6, []), 1, 1, RngStream(0))
 
 
 def test_pipeline_failure_carries_stage_stats():
@@ -563,7 +549,7 @@ def test_paths_random_instance():
     gen = rng.derive("rows")
     pairs = [(i, n1 + j) for i in range(n1) for j in range(n1)
              if gen.randrange(10) < 8]
-    h = bip(n1, n1, pairs)
+    h = BipartiteGraph(n1, n1, pairs)
     res = paths_drc(h, rng.derive("run"), PathsParams(min_p2n=200))
     assert isinstance(res, PathsResult)
     p = h.density()
@@ -604,7 +590,7 @@ def test_paths_guards():
     with pytest.raises(GuardError):
         paths_drc(complete_bipartite(3, 4), RngStream(0))
     with pytest.raises(GuardError):
-        paths_drc(bip(3, 3, []), RngStream(0))
+        paths_drc(BipartiteGraph(3, 3, []), RngStream(0))
 
 
 # The per-pair extraction paths_drc used before it ran the greedy for every
@@ -737,7 +723,8 @@ def test_first_short_pair_matches_per_pair_greedy():
     # x = 0 shares {3, 4} with the middle 2 and y = 1 only 3, so the one
     # path takes a = 4, b = 3; without the edge 0-4 the pair falls short
     edges = [(0, 3), (0, 4), (1, 3), (2, 3), (2, 4)]
-    full, cut = bip(3, 3, edges), bip(3, 3, edges[:1] + edges[2:])
+    full = BipartiteGraph(3, 3, edges)
+    cut = BipartiteGraph(3, 3, edges[:1] + edges[2:])
     assert weakseq._first_short_pair(full.adj, [0, 1], [2], 1) is None
     assert weakseq._first_short_pair(cut.adj, [0, 1], [2], 1) == ((0, 1), 0)
     fallbacks, budgets, seen = [], set(), set()
@@ -783,7 +770,7 @@ from exlab.core import BipartiteGraph, RngStream
 from exlab.weakseq import PathsParams, paths_drc
 
 def host(pairs, v1=0b000111, v2=0b111000):
-    # _from_parts takes the rows as given; from_adjacency would refuse them
+    # _from_parts takes the rows as given, one-way bits included
     rows = [0] * (v1 | v2).bit_length()
     for u, v in pairs:
         rows[u] |= 1 << v
@@ -883,7 +870,7 @@ def test_minor_failure_stages():
         warnings.simplefilter("ignore")
         res = minor_pipeline(g, 2, 3, rng.derive("run"))
     assert isinstance(res, Failure) and res.stage == "paths_drc[1]"
-    lone = graph(24, [(0, 1)])
+    lone = Graph(24, [(0, 1)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = minor_pipeline(lone, 1, 2, RngStream(1))
@@ -897,14 +884,14 @@ def test_minor_guards():
     with pytest.raises(GuardError):
         minor_pipeline(complete_graph(8), 1, 1, RngStream(0))
     with pytest.raises(GuardError):
-        minor_pipeline(graph(6, []), 1, 2, RngStream(0))
+        minor_pipeline(Graph(6, []), 1, 2, RngStream(0))
 
 
 def test_verify_minor_negatives():
     g = complete_graph(8)
     touching = MinorModel((frozenset({0, 1}), frozenset({1, 2})), 8, None)
     assert verify_minor(g, touching) == (False, ("overlap", 0, 1))
-    two_edges = graph(4, [(0, 1), (2, 3)])
+    two_edges = Graph(4, [(0, 1), (2, 3)])
     no_join = MinorModel((frozenset({0, 1}), frozenset({2, 3})), 8, None)
     assert verify_minor(two_edges, no_join) == (False, ("pair", 0, 1))
     split_set = MinorModel((frozenset({1, 2}),), 8, None)
@@ -918,7 +905,7 @@ def test_verify_minor_negatives():
 
 
 def test_verify_minor_diameter_cap():
-    path = graph(10, [(i, i + 1) for i in range(9)])
+    path = Graph(10, [(i, i + 1) for i in range(9)])
     whole = MinorModel((frozenset(range(10)),), 10, 9)
     assert verify_minor(path, whole) == (True, None)
     tight = MinorModel((frozenset(range(10)),), 10, 8)
@@ -996,7 +983,7 @@ def brute_sequence_order(g, r):
 
 def test_sequence_oracle_frozen_values():
     assert max_weak_sequence_order(complete_graph(5), 1) == 5
-    c5 = graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert max_weak_sequence_order(c5, 1) == 2
     assert max_weak_sequence_order(c5, 2) == 2
     q3 = hypercube(3)
