@@ -13,10 +13,12 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 from math import ceil, comb, log
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 MAX_HYPERCUBE_DIM = 16
@@ -141,9 +143,11 @@ class RngStream:
     call sequences give equal outputs.  Child streams are derived from
     ``(seed, *path)`` through SHA-256 so that per-trial streams are
     reproducible and decoupled from the parent's position.  The scalar
-    methods and :meth:`sample` are those of ``random.Random``; the bulk
-    draws ``randrange_bytes`` and ``_bernoulli_rows`` have rules of their
-    own, which ``ALGORITHM`` names: "digits" is the digit rule of
+    methods, :meth:`shuffle` and :meth:`sample` give what those of
+    ``random.Random`` give, down to the generator state, though the last
+    two draw CPython's 32-bit words in bulk; the bulk draws
+    ``randrange_bytes`` and ``_bernoulli_rows`` have rules of their own,
+    which ``ALGORITHM`` names: "digits" is the digit rule of
     ``_bernoulli_rows`` and the one-byte values of ``randrange_bytes``.
     """
 
@@ -195,8 +199,33 @@ class RngStream:
         return self._rng.choice(seq)
 
     def shuffle(self, seq: list) -> None:
+        """``random.Random.shuffle``, drawn in bulk, for fewer than 2^32
+        items.
+
+        CPython swaps position i, from the last down to 1, with the value
+        of ``_randbelow(i + 1)``: the top ``(i + 1).bit_length()`` bits of
+        one 32-bit word, drawn again while it exceeds i.  This draws the
+        words of the i positions still open with one getrandbits call, all
+        of which the per-position loop would read too, lets a rejected
+        word take nothing and draws exactly the shortfall again, so the
+        list, the generator state and ``position`` equal theirs.
+        """
         self.position += 1
-        self._rng.shuffle(seq)
+        i = len(seq) - 1
+        while i > 0:
+            words = struct.unpack(f"<{i}I", self._rng.getrandbits(
+                32 * i).to_bytes(4 * i, "little"))
+            shift = 32 - (i + 1).bit_length()
+            # the bit length of i + 1 drops once i falls below floor
+            floor = (1 << 31 - shift) - 1
+            for w in words:
+                j = w >> shift
+                if j <= i:
+                    seq[i], seq[j] = seq[j], seq[i]
+                    i -= 1
+                    if i < floor:
+                        shift += 1
+                        floor >>= 1
 
     def sample(self, population, k: int) -> list:
         """``random.Random.sample``, drawn in bulk for ``range(n)``.
@@ -482,7 +511,8 @@ def random_coloring(graph, r: int, stream: RngStream) -> EdgeColoring:
     by one :meth:`RngStream.randrange_bytes` call, one byte per edge,
     scattered into an n*n byte matrix (0xFF: no edge).  Row u, read as the
     column above the diagonal followed by the row's own upper part, turns
-    into each color's mask of u by one ``bytes.translate``.
+    into the mask of u of each color but the last by one
+    ``bytes.translate``; the last color's mask is the rest of ``adj[u]``.
     """
     if not 1 <= r < 256:
         raise ValueError(f"random_coloring needs 1 <= r < 256, got {r}")
@@ -503,12 +533,15 @@ def random_coloring(graph, r: int, stream: RngStream) -> EdgeColoring:
             for i, off in enumerate(bits(up)):
                 M[base + off] = colors[at + i]
         at += d
-    masks = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(r)]
+    masks = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(r - 1)]
     rows = [[0] * n for _ in range(r)]
     for u in range(n):
-        line = (M[u::n][:u] + M[u * n + u:(u + 1) * n])[::-1]
-        for c in range(r):
-            rows[c][u] = int(line.translate(masks[c]), 2)
+        line = (M[u:u * n:n] + M[u * n + u:(u + 1) * n])[::-1]
+        rest = graph.adj[u]
+        for c, mask in enumerate(masks):
+            rows[c][u] = row = int(line.translate(mask), 2)
+            rest ^= row
+        rows[r - 1][u] = rest
     return EdgeColoring.from_rows(graph, rows, r)
 
 
@@ -581,26 +614,46 @@ def bit_columns(rows: Sequence[int], cols: int) -> list:
     columns 8b..8b+7.  Up to ``_BAND`` such slices form one big int, whose
     blocks three masked delta swaps transpose at once; then byte j of word
     k holds bits 8k..8k+7 of column 8b + j, so that column reads as every
-    8th byte of slice b from byte j."""
+    8th byte of slice b from byte j.
+
+    What the rows cannot hold is not transposed.  The ORs of the rows'
+    suffixes show each band's last row with a bit in it, and the band's
+    slices stop at the multiple of 8 after that row.  A byte of the OR of
+    all rows that is zero drops its slice from the band, and only the
+    columns of that OR's set bits are read; the others stay 0."""
     nb = (cols + 7) >> 3
-    m = -(-len(rows) // 8) * 8
+    n = len(rows)
+    m = -(-n // 8) * 8
     packed = b"".join([row.to_bytes(nb, "little") for row in rows]) \
-        + bytes((m - len(rows)) * nb)
+        + bytes((m - n) * nb)
+    # tails[j] is the OR of the last j rows, so tails[n] is the OR of all
+    tails = list(accumulate(reversed(rows), or_, initial=0))
+    span = tails[n].to_bytes(nb, "little")
+    live = bits(tails[n])
+    # one mask each at the largest band's size: & with a positive int has
+    # the length of the shorter operand
     size = m * min(nb, _BAND)
     swaps = [(s, int.from_bytes(mask.to_bytes(8, "little") * (size // 8),
                                 "little")) for s, mask in _SWAPS]
-    out = []
+    from_bytes = int.from_bytes
+    out = [0] * cols
     for b0 in range(0, nb, _BAND):
-        band = range(b0, min(b0 + _BAND, nb))
-        x = int.from_bytes(b"".join([packed[b::nb] for b in band]), "little")
+        band = [b for b in range(b0, min(b0 + _BAND, nb)) if span[b]]
+        if not band:
+            continue
+        inside = ((1 << 8 * _BAND) - 1) << 8 * b0
+        h = n + 1 - bisect_left(tails, True, key=lambda t: t & inside > 0)
+        h = -(-h // 8) * 8
+        x = from_bytes(b"".join([packed[b:h * nb:nb] for b in band]), "little")
         for s, mask in swaps:
             t = (x ^ x >> s) & mask
             x ^= t ^ t << s
-        d = x.to_bytes(size, "little")
-        for b in band:
-            at = (b - b0) * m
-            out += [int.from_bytes(d[at + j:at + m:8], "little")
-                    for j in range(min(8, cols - 8 * b))]
+        d = x.to_bytes(h * len(band), "little")
+        at = {b: i * h for i, b in enumerate(band)}
+        for c in live[bisect_left(live, 8 * b0):
+                      bisect_left(live, 8 * (b0 + _BAND))]:
+            j = at[c >> 3] + (c & 7)
+            out[c] = from_bytes(d[j:j + h:8], "little")
     return out
 
 

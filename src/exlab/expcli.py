@@ -33,6 +33,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import comb
 from typing import Callable, Optional
 
 from .core import (
@@ -623,8 +624,12 @@ def _run_embed_cube(params, rng):
 
 def _weakseq_check(params: dict) -> None:
     n, m = _graph_source_check(params)
-    # an unset t becomes the regime order of the drawn host, at least 1
-    t = 1 if params["t"] is None else params["t"]
+    # an unset t becomes the regime order of the host, as in the trial: a
+    # file's is known here, and a random host's is at least 1
+    t = params["t"]
+    if t is None:
+        t = weakseq.regime2_order(n, Fraction(m, comb(n, 2)),
+                                  params["r"]) if m else 1
     weakseq.weak_sequence_pipeline_guard(params["r"], t, n)
     _edges_check(m)
 

@@ -34,6 +34,8 @@ FILES = {
     "grid8.txt": "3 8\n0 1 2\n3 4 5\n6 7 0\n",
     "edgeless.txt": "4\n",
     "star6.txt": "6\n0 1\n0 2\n0 3\n0 4\n0 5\n",
+    "k30.txt": "30\n" + "".join(f"{u} {v}\n" for u in range(30)
+                                 for v in range(u + 1, 30)),
     # one-colour grids one past the pipeline and the census side guards
     "grid101.txt": "101 1\n" + ("0 " * 100 + "0\n") * 101,
     "grid151.txt": "151 1\n" + ("0 " * 150 + "0\n") * 151,
@@ -126,6 +128,10 @@ INVOCATIONS = [
     # and on its edge count m and grid side
     "weakseq --op pipeline --input edgeless.txt --r 1 --t 2",
     "weakseq --op minor --input edgeless.txt --r 1 --t 2",
+    # an unset t is the regime order of the file's host: 1 at r = 2, 97
+    # at r = 7, past 2rt <= 30
+    "weakseq --op pipeline --input k30.txt --r 2",
+    "weakseq --op pipeline --input k30.txt --r 7",
     "bipfree --op count --input star6.txt --r 13",
     "bipfree --op extract --input star6.txt --r 13",
     "removal --op grid --grid-file grid101.txt",

@@ -461,6 +461,33 @@ def test_bit_columns_matches_translate_at_host_sizes():
     assert bit_columns(upper, 2000) == bit_columns_by_translate(upper, 2000)
 
 
+def test_bit_columns_skips_only_what_the_rows_cannot_hold():
+    """Shapes whose band prefixes, zero bands and zero columns the kernel
+    skips: strict upper rows, rows inside the last band as in the second
+    transpose of ``weakseq._incidence_graph``, rows on every other column,
+    and zero rows at either end."""
+    rng = random.Random(31)
+    cases = [([], 0), ([], 13), ([0] * 9, 13), ([0] * 300, 2000)]
+    for n in (1, 8, 255, 256, 257, 600, 2000):
+        cases.append(([rng.getrandbits(n) >> u + 1 << u + 1
+                       for u in range(n)], n))
+    for count, lo, cols in ((250, 2000, 2250), (9, 1020, 1029),
+                            (40, 250, 253)):
+        cases.append(([rng.getrandbits(cols - lo) << lo
+                       for _ in range(count)], cols))
+    every_other = sum(1 << c for c in range(0, 2005, 2))
+    cases.append(([rng.getrandbits(2005) & every_other
+                   for _ in range(300)], 2005))
+    rows = [rng.getrandbits(777) for _ in range(50)]
+    cases += [([0] * 17 + rows, 781), (rows + [0] * 17, 781),
+              ([0] * 7 + rows[:1] + [0] * 500, 781)]
+    for rows, cols in cases:
+        want = bit_columns_by_translate(rows, cols)
+        assert bit_columns(rows, cols) == want, (len(rows), cols)
+        if len(rows) * cols <= 257 * 257:
+            assert want == bit_columns_per_bit(rows, cols), (len(rows), cols)
+
+
 def test_random_graph_settles_ties_both_ways():
     """Positions whose first bit equals T's first digit are settled in later
     rounds; at p = 1/3 such positions fall on both sides of p."""
@@ -497,6 +524,29 @@ def test_sample_matches_random_sample():
             RngStream(1).sample(population, k)
 
 
+def test_shuffle_matches_random_shuffle():
+    for n in (0, 1, 2, 3, 16, 17, 1000, 2000, 5000):
+        for seed in range(20):
+            bulk, plain = RngStream(seed), random.Random(seed)
+            got, want = list(range(n)), list(range(n))
+            bulk.shuffle(got)
+            plain.shuffle(want)
+            assert got == want, (n, seed)
+            assert bulk._rng.getstate() == plain.getstate(), (n, seed)
+            assert bulk.position == 1
+    # items of any type, and a second shuffle that starts where the first
+    # left the generator
+    bulk, plain = RngStream(9), random.Random(9)
+    got, want = list("exlab-shuffle"), list("exlab-shuffle")
+    for _ in range(2):
+        bulk.shuffle(got)
+        plain.shuffle(want)
+        assert got == want
+        assert bulk._rng.getstate() == plain.getstate()
+    assert bulk.position == 2
+    assert bulk.randrange(1000) == plain.randrange(1000)
+
+
 def test_interpreter_keeps_the_draws_the_bulk_kernels_assume():
     """sample rebuilds CPython's draws from raw Mersenne Twister words; a
     change here would change its samples."""
@@ -523,6 +573,15 @@ def test_interpreter_keeps_the_draws_the_bulk_kernels_assume():
                     break
             else:
                 pytest.fail(f"no seed told the branches apart at n={n}")
+    rnd = random.Random(11)
+    want = list(range(300))
+    for i in range(299, 0, -1):
+        j = randbelow(rnd, i + 1)
+        want[i], want[j] = want[j], want[i]
+    got = list(range(300))
+    random.Random(11).shuffle(got)
+    assert got == want, "shuffle is no longer one randbelow(i + 1) per " \
+        "position, from the last down"
 
 
 def randbelow(rnd, n):
@@ -680,7 +739,8 @@ def test_random_coloring_matches_per_edge_draws():
     view = BipartiteGraph.induced(complete_graph(14), 0b10100101001,
                                   0b1001001010010)
     hosts = [complete_graph(30), random_graph(40, 0.2, RngStream(8)),
-             random_graph(25, 0.9, RngStream(9)), view, grid_lines(4)[0],
+             random_graph(25, 0.9, RngStream(9)),
+             random_graph(60, 0.3, RngStream(10)), view, grid_lines(4)[0],
              Graph(9), complete_graph(1), complete_graph(0)]
     for host in hosts:
         for r in (1, 2, 3, 5, 7, 255):

@@ -630,6 +630,8 @@ def test_main_checks_the_input_file_vertex_count(line, tmp_path, capsys):
 
 
 _STAR6 = "6\n0 1\n0 2\n0 3\n0 4\n0 5\n"
+_K30 = "30\n" + "".join(f"{u} {v}\n" for u in range(30)
+                         for v in range(u + 1, 30))
 
 
 def _one_colour_grid(N: int) -> str:
@@ -641,6 +643,8 @@ def _one_colour_grid(N: int) -> str:
      "G has no edges"),
     ("weakseq --op minor --input {path} --r 1 --t 2", "4\n",
      "G has no edges"),
+    ("weakseq --op pipeline --input {path} --r 7", _K30,
+     "2rt exceeds the vertex count 30 for r=7, t=97"),
     ("bipfree --op count --input {path} --r 13", _STAR6,
      "copy bound 2*m^r for m=5, r=13"),
     ("bipfree --op extract --input {path} --r 13", _STAR6,

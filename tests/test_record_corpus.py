@@ -11,14 +11,20 @@ G(2000, 1/2) hosts where ``find_ktt`` searches for a K_{t,t} with t = 4 and
 t = 12, and a removal descent that deletes a sparse colour before its base
 case (``removal-iterate-corner-free``, read from a grid file).  Pins are keyed by ``RngStream.ALGORITHM``: a new random algorithm
 changes every random host, and it must add its own pins instead of passing.
+The whole corpus also runs once under ``python -O``, which strips assert
+statements, and must give the same pins.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import exlab
 from exlab.core import RngStream
 from exlab.expcli import OPS, ExperimentSpec, run
 
@@ -230,6 +236,29 @@ def test_corpus_digest(name):
     pins = corpus_pins(RngStream.ALGORITHM)
     assert name in pins, f"corpus spec {name!r} has no pin"
     assert trials_digest(CORPUS[name]) == pins[name]
+
+
+# every corpus spec in one interpreter, printed as {name: digest}
+_CORPUS_DIGESTS = """
+import json
+from test_record_corpus import CORPUS, trials_digest
+print(json.dumps({name: trials_digest(spec) for name, spec in CORPUS.items()}))
+"""
+
+
+def test_corpus_digests_hold_under_optimize_flag():
+    # python -O strips assert statements, so no kernel or verifier on any
+    # operation's path may lean on one for what it returns
+    src = Path(exlab.__file__).resolve().parents[1]
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        str(p) for p in (src, here, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-W", "ignore::RuntimeWarning",
+                          "-c", _CORPUS_DIGESTS], capture_output=True,
+                         text=True, env=env, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == corpus_pins(RngStream.ALGORITHM)
 
 
 def test_corpus_pins_cover_the_corpus():
