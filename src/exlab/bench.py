@@ -290,9 +290,10 @@ def setmap_violate(timer: Timer) -> None:
     each digest call shows.  The trials run untimed."""
     spec = expcli.ExperimentSpec("setmap", "violate", {"k": 2, "n": 6},
                                  VIOLATE_SEED, 20)
-    params = expcli.validate_spec(spec)
+    params, _ = expcli.validate_spec(spec)
     runner = expcli.OPS[("setmap", "violate")].runner
-    witnesses = [runner(params, RngStream(spec.seed).derive("trial", i))[2]
+    witnesses = [runner(params, None,
+                        RngStream(spec.seed).derive("trial", i))[2]
                  for i in range(spec.trials)]
     digests = timer("setmap_violate.digest",
                     lambda ws: [expcli.digest(w) for w in ws], witnesses)

@@ -825,10 +825,13 @@ def read_graph(path) -> Graph:
     (n,) = _parse_ints(head, no, 1)
     if not 0 <= n <= MAX_VERTICES:
         raise ParseError(f"vertex count must lie in 0..{MAX_VERTICES}", no)
-    edges = []
+    rows = [0] * n
     for no, line in lines:
         u, v = _parse_ints(line, no, 2)
         if not 0 <= u < v < n:
             raise ParseError(f"edge ({u},{v}) violates 0 <= u < v < {n}", no)
-        edges.append((u, v))
-    return Graph(n, edges)
+        if rows[u] >> v & 1:
+            raise ParseError(f"duplicate edge ({u},{v})", no)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph._from_rows(n, rows)

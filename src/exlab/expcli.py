@@ -2,9 +2,10 @@
 
 An experiment names a module operation, a parameter map, a seed, and a
 trial count.  Parameters are validated against the operation's
-preconditions before anything runs; each trial then draws its own stream
-derived from (seed, trial index), so trials are order-independent and a
-record can be replayed bit-exactly.  Per-trial failures are recorded,
+preconditions before anything runs, and an input file is parsed there,
+once; each trial then takes that host and draws its own stream derived
+from (seed, trial index), so trials are order-independent and a record
+can be replayed bit-exactly.  Per-trial failures are recorded,
 never thrown; the process exit code is 0 exactly when every trial met
 its hard postcondition.
 
@@ -27,6 +28,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import sys
 import time
 import warnings
@@ -357,9 +359,11 @@ class OpDef:
     described by the help of the module's first operation that declares
     ``name``.  ``cast`` types a flag's text and a spec file's JSON value
     alike, and refuses a value it would truncate or, for ``_count`` and
-    ``_prob``, one out of range.  A runner returns
-    ``(ok, outcome, witness, stats)`` or a ``Failure``, which the trial
-    records as outcome ``failure:<stage>``.
+    ``_prob``, one out of range.  ``check`` guards the parameters and
+    returns the operation's source, which maps a trial's stream to its host
+    graph or grid, or None.  A runner takes ``(params, host, rng)``, host
+    being the source's value or None, and returns ``(ok, outcome, witness,
+    stats)`` or a ``Failure``, which the trial records as ``failure:<stage>``.
     """
 
     runner: Callable
@@ -368,7 +372,7 @@ class OpDef:
     key_name: str
 
 
-def _resolve_params(opdef: OpDef, params: dict) -> dict:
+def _resolve_params(opdef: OpDef, params: dict) -> tuple:
     out = {}
     for name, value in params.items():
         if name not in opdef.schema:
@@ -384,8 +388,7 @@ def _resolve_params(opdef: OpDef, params: dict) -> dict:
             raise GuardError(f"missing required parameter {name!r}")
         else:
             out[name] = default
-    opdef.check(out)
-    return out
+    return out, opdef.check(out)
 
 
 def _random_source(params: dict, file: str, names: tuple) -> bool:
@@ -402,15 +405,17 @@ def _random_source(params: dict, file: str, names: tuple) -> bool:
 
 
 def _graph_source_check(params: dict) -> tuple:
-    """The host's vertex and edge counts: guard the random host's size, or
-    parse the input file once, so that a missing or malformed file is
-    invalid input and the op's guards see the file's counts; trials read it
-    again.  A random host's edge count is None: it depends on the draw."""
+    """The host's vertex count n, edge count m and source: guard the random
+    host's size, or parse the input file, so that a missing or malformed
+    file is invalid input and the op's guards see the file's counts.  The
+    source gives every trial that one parsed graph, or a G(n, p) drawn from
+    the trial's stream, whose m is None here: it depends on the draw."""
     if _random_source(params, "input", ("n", "p")):
-        vertex_count_guard(params["n"])
-        return params["n"], None
+        n, p = params["n"], params["p"]
+        vertex_count_guard(n)
+        return n, None, lambda rng: random_graph(n, p, rng.derive("host"))
     G = read_graph(params["input"])
-    return G.n, G.m
+    return G.n, G.m, lambda rng: G
 
 
 def _edges_check(m) -> None:
@@ -418,12 +423,6 @@ def _edges_check(m) -> None:
     pipelines refuse; a random host (m None) is checked in the trial."""
     if m == 0:
         raise GuardError("G has no edges")
-
-
-def _host_graph(params: dict, rng: RngStream) -> Graph:
-    if params.get("input") is not None:
-        return read_graph(params["input"])
-    return random_graph(params["n"], params["p"], rng.derive("host"))
 
 
 # --- setmap ----------------------------------------------------------------
@@ -438,26 +437,30 @@ def _setmap_build(params: dict):
     return setmap.eh_map(params["n"], params["k"], variant)
 
 
-def _setmap_check(params: dict) -> int:
+def _setmap_ground(params: dict) -> int:
     """The ground-set size of the mapping the parameters build."""
     if params["variant"] in ("caro2", "caro3"):
         return setmap.caro_map_guard(params["n"], int(params["variant"][-1]))
     return setmap.eh_map_guard(params["n"], params["k"], params["variant"])
 
 
+def _setmap_check(params: dict) -> None:
+    _setmap_ground(params)
+
+
 def _setmap_oracle_check(params: dict) -> None:
-    setmap.free_set_oracle_guard(params["mode"], _setmap_check(params),
+    setmap.free_set_oracle_guard(params["mode"], _setmap_ground(params),
                                  params["budget"])
 
 
-def _run_setmap_construct(params, rng):
+def _run_setmap_construct(params, host, rng):
     f = _setmap_build(params)
     stats = {"kind": f.kind, "ground": len(f.points), "k": f.k, "l": f.l,
              "overlap": f.overlap, "side": f.side, "key": len(f.points)}
     return True, "mapping", f, stats
 
 
-def _run_setmap_violate(params, rng):
+def _run_setmap_violate(params, host, rng):
     f = _setmap_build(params)
     size = params["size"]
     if size is None:
@@ -472,7 +475,7 @@ def _run_setmap_violate(params, rng):
     return True, "violation" if vio else "none", vio, stats
 
 
-def _run_setmap_oracle(params, rng):
+def _run_setmap_oracle(params, host, rng):
     f = _setmap_build(params)
     res = setmap.free_set_oracle(f, params["mode"], params["budget"])
     stats = {"size": res.size, "upper": res.upper, "exact": res.exact,
@@ -483,23 +486,22 @@ def _run_setmap_oracle(params, rng):
 # --- bipfree ---------------------------------------------------------------
 
 
-def _bipfree_check(params: dict) -> None:
+def _bipfree_check(params: dict) -> Callable:
     bipfree.K_rr(params["r"])
-    _, m = _graph_source_check(params)
+    _, m, host = _graph_source_check(params)
     if m is not None:
         bipfree.graph_copy_guard(m, params["r"])
+    return host
 
 
-def _run_bipfree_count(params, rng):
-    G = _host_graph(params, rng)
+def _run_bipfree_count(params, G, rng):
     count = bipfree.count_pattern(G, bipfree.K_rr(params["r"]))
     ok = params["r"] != 2 or count <= 2 * G.m * G.m
     stats = {"n": G.n, "m": G.m, "count": count, "key": count}
     return ok, "count", None, stats
 
 
-def _run_bipfree_extract(params, rng):
-    G = _host_graph(params, rng)
+def _run_bipfree_extract(params, G, rng):
     res = bipfree.extract_free(G, bipfree.K_rr(params["r"]),
                                rng.derive("extract"), params["retry_cap"])
     if isinstance(res, Failure):
@@ -518,7 +520,7 @@ def _bipfree_tight_check(params: dict) -> None:
         params["r"], params["s"], params["m"]))
 
 
-def _run_bipfree_tight(params, rng):
+def _run_bipfree_tight(params, host, rng):
     inst = bipfree.tight_instance(params["r"], params["s"], params["m"])
     res = bipfree.zarankiewicz_oracle(inst, budget=params["budget"])
     stats = {"m": params["m"], "size": res.size, "upper": res.upper,
@@ -535,7 +537,7 @@ def _bipfree_kcheck_check(params: dict) -> None:
         bipfree.hyper_copy_guard(k, m, r)
 
 
-def _run_bipfree_kcheck(params, rng):
+def _run_bipfree_kcheck(params, host, rng):
     inst = bipfree.kpartite_instance(params["k"], params["r"], params["n"])
     H = inst.hypergraph
     if params["p"] < 1:
@@ -562,7 +564,7 @@ def _embed_lemma_check(params: dict) -> None:
     lll_embed.resample_embed_guard(params["d"], params["k"])
 
 
-def _run_embed_lemma(params, rng):
+def _run_embed_lemma(params, host, rng):
     H = lll_embed.neighborhood_hypergraph(hypercube(params["d"]))
     G = lll_embed.random_dense_dch(params["N"], params["k"], params["delta"],
                                    rng.derive("host"))
@@ -583,7 +585,7 @@ def _embed_drc_check(params: dict) -> None:
     vertex_count_guard(2 * params["N"])  # the host is G(N, N, p)
 
 
-def _run_embed_drc(params, rng):
+def _run_embed_drc(params, host, rng):
     B = random_bipartite(params["N"], params["N"], params["p"],
                          rng.derive("host"))
     res = lll_embed.drc_subset(B, _drc_params(params), rng.derive("drc"),
@@ -600,7 +602,7 @@ def _embed_pipeline_check(params: dict) -> None:
     hypercube_guard(params["d"])
 
 
-def _run_embed_pipeline(params, rng):
+def _run_embed_pipeline(params, host, rng):
     col = random_coloring(complete_graph(params["N"]), 2, rng.derive("color"))
     res = lll_embed.bip_ramsey_pipeline(col, hypercube(params["d"]),
                                         rng.derive("pipe"),
@@ -613,7 +615,7 @@ def _run_embed_pipeline(params, rng):
     return True, "embedded", res, stats
 
 
-def _run_embed_cube(params, rng):
+def _run_embed_cube(params, host, rng):
     H = lll_embed.neighborhood_hypergraph(hypercube(params["d"]))
     stats = {"n": H.n, "edges": len(H.edges), "key": len(H.edges)}
     return True, "target", H, stats
@@ -622,8 +624,8 @@ def _run_embed_cube(params, rng):
 # --- weakseq ---------------------------------------------------------------
 
 
-def _weakseq_check(params: dict) -> None:
-    n, m = _graph_source_check(params)
+def _weakseq_check(params: dict) -> Callable:
+    n, m, host = _graph_source_check(params)
     # an unset t becomes the regime order of the host, as in the trial: a
     # file's is known here, and a random host's is at least 1
     t = params["t"]
@@ -632,10 +634,10 @@ def _weakseq_check(params: dict) -> None:
                                   params["r"]) if m else 1
     weakseq.weak_sequence_pipeline_guard(params["r"], t, n)
     _edges_check(m)
+    return host
 
 
-def _run_weakseq_pipeline(params, rng):
-    G = _host_graph(params, rng)
+def _run_weakseq_pipeline(params, G, rng):
     t = params["t"] or weakseq.regime2_order(G.n, G.density(), params["r"])
     res = weakseq.weak_sequence_pipeline(G, params["r"], t, rng.derive("pipe"),
                                          params["retry_cap"])
@@ -644,8 +646,7 @@ def _run_weakseq_pipeline(params, rng):
     return True, "sequence", res, {"t": res.t, "r": res.r, "key": res.t}
 
 
-def _run_weakseq_minor(params, rng):
-    G = _host_graph(params, rng)
+def _run_weakseq_minor(params, G, rng):
     constants = weakseq.load_preset(params["preset"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -660,23 +661,24 @@ def _run_weakseq_minor(params, rng):
     return True, "minor", res, stats
 
 
-def _weakseq_minor_check(params: dict) -> None:
+def _weakseq_minor_check(params: dict) -> Callable:
     if params["diameter_aware"] not in (0, 1):
         raise GuardError(f"parameter 'diameter_aware': must be 0 or 1, got "
                          f"{params['diameter_aware']}")
-    n, m = _graph_source_check(params)
+    n, m, host = _graph_source_check(params)
     weakseq.load_preset(params["preset"])
     weakseq.minor_pipeline_guard(params["r"], params["t"], n)
     _edges_check(m)
+    return host
 
 
-def _weakseq_oracle_check(params: dict) -> None:
-    weakseq.max_weak_sequence_order_guard(params["r"],
-                                          _graph_source_check(params)[0])
+def _weakseq_oracle_check(params: dict) -> Callable:
+    n, _, host = _graph_source_check(params)
+    weakseq.max_weak_sequence_order_guard(params["r"], n)
+    return host
 
 
-def _run_weakseq_oracle(params, rng):
-    G = _host_graph(params, rng)
+def _run_weakseq_oracle(params, G, rng):
     best = weakseq.max_weak_sequence_order(G, params["r"])
     return True, "oracle", None, {"best": best, "key": best}
 
@@ -684,7 +686,7 @@ def _run_weakseq_oracle(params, rng):
 # --- rsgraph ---------------------------------------------------------------
 
 
-def _run_rsgraph_behrend(params, rng):
+def _run_rsgraph_behrend(params, host, rng):
     res = rsgraph.behrend_set(params["N"])
     stats = dict(res.stats or {})
     stats.update({"size": len(res.elements), "key": len(res.elements)})
@@ -695,21 +697,21 @@ def _rsgraph_construct_check(params: dict) -> None:
     rsgraph.rs_from_behrend_guard(params["N"], params["chunk"])
 
 
-def _run_rsgraph_construct(params, rng):
+def _run_rsgraph_construct(params, host, rng):
     dec = rsgraph.rs_from_behrend(params["N"], params.get("chunk"))
     stats = {"n": dec.n, "t": dec.t, "m": dec.graph.m,
              "spanning": dec.spanning, "key": dec.t}
     return True, "decomposition", dec, stats
 
 
-def _run_rsgraph_double(params, rng):
+def _run_rsgraph_double(params, host, rng):
     dec = rsgraph.rs_from_behrend(params["N"], params.get("chunk"))
     dd = rsgraph.bipartite_double(dec.graph, dec)
     stats = {"n": dd.n, "t": dd.t, "m": dd.graph.m, "key": dd.t}
     return True, "doubled", dd, stats
 
 
-def _run_rsgraph_decompose(params, rng):
+def _run_rsgraph_decompose(params, host, rng):
     g = complete_graph(params["N"])
     res = rsgraph.greedy_decompose(g, params["n"], params.get("t"),
                                    params.get("budget"))
@@ -737,7 +739,7 @@ def _rsgraph_arrow_check(params: dict) -> None:
         rsgraph.behrend_arrow_guard(N, params["t"], params["n"])
 
 
-def _run_rsgraph_arrow(params, rng):
+def _run_rsgraph_arrow(params, host, rng):
     if params["mode"] == "theorem":
         dec = rsgraph.rs_from_behrend(params["N"])
         dd = rsgraph.bipartite_double(dec.graph, dec)
@@ -756,34 +758,36 @@ def _run_rsgraph_arrow(params, rng):
 
 
 def _removal_check(params: dict) -> tuple:
-    """The grid's side and colour count: guard the random grid, or parse the
-    grid file once, as ``_graph_source_check`` does for a host file; the
-    side guard applies to either."""
+    """The grid's side N, colour count r and source, as
+    ``_graph_source_check`` gives a host's: guard the random grid, or parse
+    the grid file once for all trials; the side guard applies to either."""
     if _random_source(params, "grid_file", ("N", "r")):
-        removal.grid_cover_guard(params["N"])
-        removal.grid_coloring_guard(params["r"])
-        return params["N"], params["r"]
+        N, r = params["N"], params["r"]
+        removal.grid_cover_guard(N)
+        removal.grid_coloring_guard(r)
+        return N, r, lambda rng: removal.random_grid(N, r, rng.derive("grid"))
     gc = removal.read_grid(params["grid_file"])
     removal.grid_cover_guard(gc.N)
-    return gc.N, gc.r
+    return gc.N, gc.r, lambda rng: gc
 
 
-def _removal_grid_check(params: dict) -> None:
-    removal.grid_pipeline_guard(_removal_check(params)[0])
+def _removal_cover_check(params: dict) -> Callable:
+    return _removal_check(params)[2]
 
 
-def _removal_iterate_check(params: dict) -> None:
-    removal.removal_iterate_guard(_removal_check(params)[1])
+def _removal_grid_check(params: dict) -> Callable:
+    N, _, grid = _removal_check(params)
+    removal.grid_pipeline_guard(N)
+    return grid
 
 
-def _grid_input(params: dict, rng: RngStream) -> removal.GridColoring:
-    if params.get("grid_file") is not None:
-        return removal.read_grid(params["grid_file"])
-    return removal.random_grid(params["N"], params["r"], rng.derive("grid"))
+def _removal_iterate_check(params: dict) -> Callable:
+    _, r, grid = _removal_check(params)
+    removal.removal_iterate_guard(r)
+    return grid
 
 
-def _run_removal_census(params, rng):
-    gc = _grid_input(params, rng)
+def _run_removal_census(params, gc, rng):
     cover = removal.grid_cover(gc)
     per, total = removal.triangle_census(cover.coloring, cover.parts)
     stats = {"N": gc.N, "r": gc.r, "per_color": list(per), "total": total,
@@ -791,16 +795,14 @@ def _run_removal_census(params, rng):
     return True, "census", None, stats
 
 
-def _run_removal_step(params, rng):
-    gc = _grid_input(params, rng)
+def _run_removal_step(params, gc, rng):
     sp = removal.sparse_pair_step(removal.grid_cover(gc))
     stats = {"N": gc.N, "color": sp.color, "pair_size": len(sp.v1),
              "edges": sp.edges, "key": sp.edges}
     return True, "pair", sp, stats
 
 
-def _run_removal_iterate(params, rng):
-    gc = _grid_input(params, rng)
+def _run_removal_iterate(params, gc, rng):
     tr = removal.removal_iterate(removal.grid_cover(gc))
     stats = {"N": gc.N, "verdict": tr.verdict, "levels": len(tr.levels),
              "bound_met": tr.bound_met, "census": tr.stats["census"],
@@ -808,8 +810,7 @@ def _run_removal_iterate(params, rng):
     return True, tr.verdict, tr, stats
 
 
-def _run_removal_diamond(params, rng):
-    gc = _grid_input(params, rng)
+def _run_removal_diamond(params, gc, rng):
     cover = removal.grid_cover(gc)
     dia = removal.diamond_find(cover.coloring, cover.parts)
     stats = {"N": gc.N, "found": dia is not None,
@@ -817,8 +818,7 @@ def _run_removal_diamond(params, rng):
     return True, "diamond" if dia else "none", dia, stats
 
 
-def _run_removal_grid(params, rng):
-    gc = _grid_input(params, rng)
+def _run_removal_grid(params, gc, rng):
     corner = removal.grid_pipeline(gc)
     stats = {"N": gc.N, "found": corner is not None,
              "key": int(corner is not None)}
@@ -927,13 +927,13 @@ OPS = {
                                           "exhaustive or theorem")},
                                 _rsgraph_arrow_check, "arrows"),
     ("removal", "census"): OpDef(_run_removal_census, dict(_GRID_SRC),
-                                 _removal_check, "total"),
+                                 _removal_cover_check, "total"),
     ("removal", "step"): OpDef(_run_removal_step, dict(_GRID_SRC),
-                               _removal_check, "edges"),
+                               _removal_cover_check, "edges"),
     ("removal", "iterate"): OpDef(_run_removal_iterate, dict(_GRID_SRC),
                                   _removal_iterate_check, "levels"),
     ("removal", "diamond"): OpDef(_run_removal_diamond, dict(_GRID_SRC),
-                                  _removal_check, "found"),
+                                  _removal_cover_check, "found"),
     ("removal", "grid"): OpDef(_run_removal_grid, dict(_GRID_SRC),
                                _removal_grid_check, "found"),
 }
@@ -941,8 +941,11 @@ OPS = {
 MODULES = tuple(sorted({m for m, _ in OPS}))
 
 
-def validate_spec(spec: ExperimentSpec) -> dict:
-    """Resolve defaults and check preconditions; GuardError on any defect."""
+def validate_spec(spec: ExperimentSpec) -> tuple:
+    """The resolved parameters and the source that ``OpDef.check`` returns:
+    resolve defaults and check preconditions, and that the record can be
+    written, a writable file or a new one in a writable directory;
+    GuardError on any defect."""
     key = (spec.module, spec.operation)
     if key not in OPS:
         ops = sorted(op for m, op in OPS if m == spec.module)
@@ -953,6 +956,12 @@ def validate_spec(spec: ExperimentSpec) -> dict:
                          f"{list(MODULES)}")
     if spec.trials < 1:
         raise GuardError(f"trial count must be >= 1, got {spec.trials}")
+    if spec.out:
+        folder = os.path.dirname(os.path.abspath(spec.out))
+        target = spec.out if os.path.exists(spec.out) else folder
+        if os.path.isdir(spec.out) or not (os.path.isdir(folder)
+                                           and os.access(target, os.W_OK)):
+            raise GuardError(f"cannot write the record to {spec.out}")
     return _resolve_params(OPS[key], spec.params)
 
 
@@ -960,11 +969,11 @@ def validate_spec(spec: ExperimentSpec) -> dict:
 # Execution
 
 
-def _run_one_trial(runner: Callable, params: dict, seed: int,
-                   index: int) -> dict:
+def _run_one_trial(runner: Callable, params: dict, source: Optional[Callable],
+                   seed: int, index: int) -> dict:
     rng = RngStream(seed).derive("trial", index)
     try:
-        res = runner(params, rng)
+        res = runner(params, source and source(rng), rng)
         if isinstance(res, Failure):
             res = (False, f"failure:{res.stage}", res,
                    {"reason": res.reason, "key": 0})
@@ -981,10 +990,10 @@ def _run_one_trial(runner: Callable, params: dict, seed: int,
 
 def run(spec: ExperimentSpec) -> ExperimentRecord:
     """Validate, execute all trials, aggregate, and write the record."""
-    params = validate_spec(spec)
+    params, source = validate_spec(spec)
     opdef = OPS[(spec.module, spec.operation)]
     t0 = time.perf_counter()
-    trials = [_run_one_trial(opdef.runner, params, spec.seed, i)
+    trials = [_run_one_trial(opdef.runner, params, source, spec.seed, i)
               for i in range(spec.trials)]
     successes = sum(1 for t in trials if t["ok"])
     keys = [t["stats"]["key"] for t in trials
@@ -1217,7 +1226,7 @@ def _spec_from_file(path, out=None) -> ExperimentSpec:
 
 def _execute_spec(spec: ExperimentSpec, fmt: str, dry_run: bool) -> int:
     if dry_run:
-        resolved = validate_spec(spec)
+        resolved, _ = validate_spec(spec)
         print(json.dumps({"module": spec.module, "operation": spec.operation,
                           "params": canonical(resolved), "seed": spec.seed,
                           "trials": spec.trials},

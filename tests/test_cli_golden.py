@@ -92,6 +92,8 @@ INVOCATIONS = [
     "removal --op diamond --N 4 --r 2 --trials 2 --out rec.json",
     "removal --op census --grid-file grid.txt",
     "bipfree --op count --n 30 --p 0.5 --input somefile",
+    # a record path in a missing directory, refused before any trial
+    "weakseq --op pipeline --n 2000 --p 0.5 --trials 6 --out missing/rec.json",
     # rejected input keeps exit code 2
     "setmap --op construct --n 4 --size 3",
     "setmap --op construct --n 4 --variant bogus",

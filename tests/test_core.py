@@ -819,6 +819,12 @@ def test_parse_errors(tmp_path):
     with pytest.raises(ParseError):
         read_graph(loop)
 
+    twice = tmp_path / "twice.edges"
+    twice.write_text("3\n0 1\n0 1\n")
+    with pytest.raises(ParseError, match="duplicate edge") as ei:
+        read_graph(twice)
+    assert ei.value.line_no == 3
+
     short = tmp_path / "short.edges"
     short.write_text("3\n0 1\n\n1\n")
     with pytest.raises(ParseError, match="expected 2 fields") as ei:

@@ -202,7 +202,7 @@ def test_validation_error_runs_nothing(tmp_path):
 
 
 def test_validate_resolves_defaults_and_casts():
-    params = expcli.validate_spec(ExperimentSpec(
+    params, _ = expcli.validate_spec(ExperimentSpec(
         "embed", "lemma", {"delta": "9/1000", "N": "128"}))
     assert params["delta"] == Fraction(9, 1000)
     assert params["N"] == 128 and params["k"] == 3
@@ -211,7 +211,7 @@ def test_validate_resolves_defaults_and_casts():
 def test_casts_refuse_what_they_would_truncate():
     def resolve(**params):
         return expcli.validate_spec(ExperimentSpec(
-            "bipfree", "extract", {"n": 30, "p": 0.5, **params}))
+            "bipfree", "extract", {"n": 30, "p": 0.5, **params}))[0]
     assert resolve(n="30", p="1")["n"] == 30 == resolve(n=30)["n"]
     for params in ({"n": True}, {"n": 30.0}, {"n": "30.5"}, {"n": " 30"},
                    {"n": "1_000"}, {"r": False}, {"n": 0}, {"retry_cap": 0},
@@ -374,11 +374,11 @@ def test_failing_trial_of_any_type_is_recorded(tmp_path, monkeypatch):
     runner = expcli.OPS[key].runner
     calls = []
 
-    def flaky(params, rng):
+    def flaky(params, host, rng):
         calls.append(1)
         if len(calls) == 2:
             raise TypeError("runner bug")
-        return runner(params, rng)
+        return runner(params, host, rng)
 
     monkeypatch.setitem(expcli.OPS, key,
                         dataclasses.replace(expcli.OPS[key], runner=flaky))
@@ -400,8 +400,8 @@ def test_trial_that_cannot_be_serialized_is_recorded(tmp_path, capsys,
     key = ("removal", "iterate")
     runner = expcli.OPS[key].runner
 
-    def unprintable(params, rng):
-        ok, outcome, witness, stats = runner(params, rng)
+    def unprintable(params, host, rng):
+        ok, outcome, witness, stats = runner(params, host, rng)
         return ok, outcome, witness, {**stats,
                                       "bound": Fraction(1, 10 ** 5000)}
 
@@ -421,7 +421,7 @@ def test_trial_that_cannot_be_serialized_is_recorded(tmp_path, capsys,
 
 def test_removal_iterate_color_cap(tmp_path, capsys):
     spec = ExperimentSpec("removal", "iterate", {"N": 15, "r": 7})
-    assert expcli.validate_spec(spec)["r"] == 7
+    assert expcli.validate_spec(spec)[0]["r"] == 7
     with pytest.raises(GuardError, match="descent guard 7"):
         expcli.validate_spec(dataclasses.replace(spec,
                                                  params={"N": 15, "r": 8}))
@@ -575,8 +575,10 @@ def test_main_exhausted_retry_cap_is_a_failed_trial(name, stage, tmp_path):
     trial, = expcli.read_record(out)["trials"]
     assert trial["outcome"] == f"failure:{stage}"
     # the best attempt's stats reach the record through the witness digest
+    params, source = expcli.validate_spec(spec)
+    rng = RngStream(spec.seed).derive("trial", 0)
     failure = expcli.OPS[(spec.module, spec.operation)].runner(
-        expcli.validate_spec(spec), RngStream(spec.seed).derive("trial", 0))
+        params, source and source(rng), rng)
     assert failure.stats and trial["witness"] == expcli.digest(failure)
 
 
@@ -716,6 +718,58 @@ def test_main_counts_a_host_graph_file(tmp_path, capsys):
     row, = json.loads(capsys.readouterr().out)
     assert row["key_mean"] == bipfree.count_pattern(read_graph(host),
                                                     bipfree.K_rr(2))
+
+
+@pytest.mark.parametrize("module, reader, write, host, op, name", [
+    (expcli, "read_graph", write_graph, random_graph(30, 0.5, RngStream(5)),
+     ("bipfree", "extract"), "input"),
+    (removal, "read_grid", write_grid, removal.random_grid(6, 2, RngStream(5)),
+     ("removal", "census"), "grid_file")], ids=("graph", "grid"))
+def test_each_input_file_is_parsed_once_per_run(module, reader, write, host,
+                                                op, name, tmp_path,
+                                                monkeypatch):
+    # validation parses the file and every trial runs on that parse; a
+    # replay validates its spec, so it parses the file once again
+    path, out = tmp_path / "input.txt", tmp_path / "rec.json"
+    write(host, path)
+    calls = []
+    parse = getattr(module, reader)
+
+    def counting(source):
+        calls.append(source)
+        return parse(source)
+
+    monkeypatch.setattr(module, reader, counting)
+    rec = expcli.run(ExperimentSpec(*op, {name: str(path)}, seed=3,
+                                    trials=5, out=str(out)))
+    assert len(rec.trials) == 5 and all(t["ok"] for t in rec.trials)
+    assert calls == [str(path)]
+    match, _ = expcli.replay(out)
+    assert match and calls == [str(path)] * 2
+
+
+def test_unwritable_record_path_is_refused_before_any_trial(tmp_path, capsys,
+                                                            monkeypatch):
+    key = ("weakseq", "pipeline")
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+
+    monkeypatch.setitem(expcli.OPS, key,
+                        dataclasses.replace(expcli.OPS[key], runner=counting))
+    spec_path = tmp_path / "spec.json"
+    for out in (tmp_path / "missing" / "rec.json", tmp_path):
+        argv = ["weakseq", "--op", "pipeline", "--n", "200", "--p", "0.5",
+                "--trials", "6", "--out", str(out)]
+        for args in (argv, argv + ["--dry-run"]):
+            _assert_input_error(args, capsys)
+        _write_json(spec_path, {"module": "weakseq", "operation": "pipeline",
+                                "params": {"n": 200, "p": 0.5}, "trials": 6,
+                                "out": str(out)})
+        _assert_input_error(["run", str(spec_path)], capsys)
+        _assert_input_error(["run", str(spec_path), "--dry-run"], capsys)
+    assert calls == [] and not (tmp_path / "missing").exists()
 
 
 def test_main_validation_error_exit(capsys):
@@ -1014,7 +1068,7 @@ def _cli_argv(spec: ExperimentSpec) -> list:
 def test_every_schema_parameter_is_a_flag():
     parser = expcli.build_parser()
     for key, spec in first_specs().items():
-        resolved = expcli.validate_spec(spec)
+        resolved, _ = expcli.validate_spec(spec)
         for name, (cast, *_) in expcli.OPS[key].schema.items():
             # the flag carries the text; validation types it by the cast
             value = resolved[name]
@@ -1024,7 +1078,7 @@ def test_every_schema_parameter_is_a_flag():
                                                   name: text}))))
             assert from_flags.params[name] == text, (key, name)
             if value is not None:
-                assert expcli.validate_spec(from_flags)[name] \
+                assert expcli.validate_spec(from_flags)[0][name] \
                     == cast(text) == value, (key, name)
 
 

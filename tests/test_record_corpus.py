@@ -9,8 +9,11 @@ round cap and of two retry caps (``*-cap-failure``), a
 ``FalsifyingColoring`` witness (``rsgraph-decompose-falsified``), and two
 G(2000, 1/2) hosts where ``find_ktt`` searches for a K_{t,t} with t = 4 and
 t = 12, and a removal descent that deletes a sparse colour before its base
-case (``removal-iterate-corner-free``, read from a grid file).  Pins are keyed by ``RngStream.ALGORITHM``: a new random algorithm
-changes every random host, and it must add its own pins instead of passing.
+case (``removal-iterate-corner-free``, read from a grid file).  Two specs
+draw per trial on one host file (``*-file-host``), so every trial runs on
+the same parsed graph.  Pins are keyed by ``RngStream.ALGORITHM``: a new
+random algorithm changes every random host, and it must add its own pins
+instead of passing.
 The whole corpus also runs once under ``python -O``, which strips assert
 statements, and must give the same pins.
 """
@@ -31,6 +34,9 @@ from exlab.expcli import OPS, ExperimentSpec, run
 # a 2-coloured 4 x 4 grid without a monochromatic corner: its removal
 # descent deletes a sparse colour once before the base case
 CORNER_FREE = Path(__file__).resolve().with_name("golden") / "corner_free_4.grid"
+# a G(120, 0.7) edge list: the minor spec's first trial fails at
+# paths_drc[2] and its second finds a minor
+DENSE_120 = CORNER_FREE.with_name("dense_120.edges")
 
 CORPUS = {
     "weakseq-pipeline-n200-regime": ExperimentSpec(
@@ -78,6 +84,11 @@ CORPUS = {
         "bipfree", "count", {"n": 30, "p": 0.5}, seed=2, trials=2),
     "bipfree-extract-n40": ExperimentSpec(
         "bipfree", "extract", {"n": 40, "p": 0.5}, seed=3, trials=2),
+    "bipfree-extract-file-host": ExperimentSpec(
+        "bipfree", "extract", {"input": str(DENSE_120)}, seed=3, trials=3),
+    "weakseq-minor-file-host": ExperimentSpec(
+        "weakseq", "minor", {"input": str(DENSE_120), "t": 3},
+        seed=4, trials=2),
     "bipfree-extract-retry-cap-failure": ExperimentSpec(
         "bipfree", "extract", {"n": 5, "p": 1.0, "retry_cap": 1}),
     "bipfree-kcheck-k3-half": ExperimentSpec(
@@ -129,6 +140,8 @@ PINS = {
     "mt19937-digits/sha256-derive": {
         "bipfree-count-n30":
             "0880391cfe38482f9709187b39037e7d093411fda0d3faef1954b39e5bf82c0e",
+        "bipfree-extract-file-host":
+            "15c2547e3317c4a61d0a66030afb788288d6d34011a849931951591dcb7f0210",
         "bipfree-extract-n40":
             "23fb81fa3b65ee0af53e09e1ce4907c36c76a64118e77e5063121c094d718336",
         "bipfree-extract-retry-cap-failure":
@@ -181,6 +194,8 @@ PINS = {
             "b59a454b1c07051c4e2485d2c63667d1fe6a8120b3b4ae8b7bc58aebc08ceb06",
         "setmap-violate-k2-n6":
             "5a03769fbba7b62361ba2b876ad3999508f20952adb391522bcbb8b31118f931",
+        "weakseq-minor-file-host":
+            "502abf230c57e13198f2601fa088e7a06b39fa844dfd6aaa74c793ace9bd67eb",
         "weakseq-minor-n200-t3":
             "ee060012b943af0527d7e6e6767b9b92996a66e96190b00f930c218a95c5080b",
         "weakseq-minor-n200-t3-plain":
