@@ -1,17 +1,16 @@
 """``exlab bench``: wall times of the acceptance-gate workloads, the README
 command lines and the tier-1 suite, written as one JSON file.
 
-Each function of ``WORKLOADS`` runs one workload, and its docstring says
-what it times.  The gate workloads rebuild gates 5, 6 and 7 of
-``tests/test_acceptance.py`` at gate size with the gates' seeds, and time
-random generation apart from the stage that consumes it.  Most others
-split jobs of perfbench's workloads into their stages, and one times
-perfbench's start-up code.  The README examples run in process through
-``expcli.main``, with file names moved into a temporary directory;
-``main`` builds its parser on its first call only.  Each of these entries
-is the median of ``REPS`` repetitions.  Tier-1 runs once, in a
-subprocess, when pytest is importable and the checkout's ``tests/`` is
-present; the entry is ``null`` otherwise.
+Each entry of ``WORKLOADS`` runs one workload.  The gate workloads rebuild
+gates 5, 6 and 7 of ``tests/test_acceptance.py`` at gate size with the
+gates' seeds; their docstrings say what they time.  ``JOBS`` runs jobs of
+perfbench's workloads through ``expcli.run`` and times their stages inside
+the run.  ``cold_start`` times perfbench's start-up code, and the README
+examples run in process through ``expcli.main`` (which builds its parser
+on its first call only), with file names moved into a temporary
+directory.  Each entry is the median of ``REPS`` repetitions.  Tier-1
+runs once, in a subprocess, when pytest is importable and the checkout's
+``tests/`` is present; the entry is ``null`` otherwise.
 
 The file records the machine, the interpreter, the CPU count, the commit
 and ``RngStream.ALGORITHM``, and gives the ratio of each time to the same
@@ -27,7 +26,7 @@ makes the command exit 1.
 from __future__ import annotations
 
 import contextlib
-import hashlib
+import functools
 import importlib.util
 import io
 import json
@@ -42,10 +41,11 @@ import sys
 import tempfile
 import time
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import bipfree, expcli, lll_embed, removal, rsgraph, setmap, weakseq
+from . import bipfree, expcli, lll_embed, weakseq
 from .core import (BipartiteGraph, Failure, RngStream, bit_columns,
                    complete_graph, hypercube, mask_of, random_coloring,
                    random_equitable_bipartition, random_graph)
@@ -81,9 +81,9 @@ class Timer:
         self.failures = failures
         self.workdir = workdir
 
-    def __call__(self, name: str, fn, *args):
+    def __call__(self, name: str, fn, *args, **kwargs):
         t0 = time.perf_counter()
-        out = fn(*args)
+        out = fn(*args, **kwargs)
         self.add(name, time.perf_counter() - t0)
         return out
 
@@ -188,163 +188,92 @@ def gate7_induced(timer: Timer) -> None:
             f"gate 7: incidence graph {seed}")
 
 
-def weakseq_t12(timer: Timer) -> None:
-    """Weak sequences at t = 12 on the first 3 G(2000, 1/2) hosts of gate 7;
-    there ``regime2_order`` gives t = 1."""
-    for seed in range(3):
-        rng = RngStream(7000 + seed)
-        g = timer("weakseq_t12.random_graph.n2000", random_graph, 2000, 0.5,
-                  rng.derive("gen"))
-        w = timer("weakseq_t12.weak_sequence_pipeline",
-                  weakseq.weak_sequence_pipeline, g, 4, 12, rng.derive("run"))
-        timer.check(not isinstance(w, Failure)
-                    and timer("weakseq_t12.verify_sequence",
-                              weakseq.verify_sequence, g, w) == (True, None),
-                    f"t = 12: sequence {seed}")
+@dataclass(frozen=True)
+class Job:
+    """A perfbench job kind run through ``expcli.run`` at seed 1.  During
+    the run each ``"mod.fn"`` of ``stages``, the name ``fn`` of
+    ``exlab.mod``, is wrapped in the timer and timed as ``<name>.<fn>``;
+    the stages are inner, so ``<name>.total`` is the run's wall time.  The
+    entry fails unless the SHA-256 of the run's trials is ``pin`` and each
+    stage was called.  A ``grid_file`` parameter holds the grid's text,
+    which the run reads from a file in the timer's workdir."""
+
+    name: str
+    module: str
+    operation: str
+    params: dict
+    trials: int
+    stages: tuple
+    pin: str
+
+    @property
+    def __name__(self) -> str:
+        return self.name
+
+    def __call__(self, timer: Timer) -> None:
+        params = dict(self.params)
+        if "grid_file" in params:
+            path = timer.workdir / f"{self.name}.grid"
+            path.write_text(params["grid_file"], encoding="utf-8")
+            params["grid_file"] = str(path)
+        spec = expcli.ExperimentSpec(self.module, self.operation, params,
+                                     seed=1, trials=self.trials)
+        wrapped = {}  # entry: (module, name, original)
+        for stage in self.stages:
+            mod, fn = stage.split(".")
+            module = importlib.import_module(f"{__package__}.{mod}")
+            wrapped[f"{self.name}.{fn}"] = module, fn, getattr(module, fn)
+        timer.inner.update(wrapped)
+        try:
+            for entry, (module, fn, original) in wrapped.items():
+                setattr(module, fn, functools.partial(timer, entry, original))
+            record = timer(f"{self.name}.total", expcli.run, spec)
+        finally:
+            for module, fn, original in wrapped.values():
+                setattr(module, fn, original)
+        timer.check(expcli.digest(record.trials) == self.pin,
+                    f"{self.name}: trials differ from the pin")
+        for entry in wrapped:
+            timer.check(entry in timer.times, f"{entry} never called")
 
 
-MINOR_SEEDS = (7200, 7201, 7202)
-
-
-def weakseq_minor(timer: Timer) -> None:
-    """perfbench's weakseq-dense minor job at its size: K_4 minors of
-    G(600, 0.7) at r = 2 with the desk preset, on three hosts.  The two
-    ``paths_drc`` calls inside each pipeline are timed on their own too,
-    so the total counts them once."""
-    desk = weakseq.load_preset("desk")
-    paths_drc = weakseq.paths_drc
-    timer.inner.add("weakseq_minor.paths_drc")
-    weakseq.paths_drc = lambda *args: timer("weakseq_minor.paths_drc",
-                                            paths_drc, *args)
-    try:
-        for seed in MINOR_SEEDS:
-            rng = RngStream(seed)
-            g = timer("weakseq_minor.random_graph", random_graph, 600, 0.7,
-                      rng.derive("gen"))
-            m = timer("weakseq_minor.minor_pipeline", weakseq.minor_pipeline,
-                      g, 2, 4, rng.derive("run"), desk)
-            timer.check(not isinstance(m, Failure)
-                        and weakseq.verify_minor(g, m) == (True, None),
-                        f"weakseq minor: seed {seed}")
-    finally:
-        weakseq.paths_drc = paths_drc
-
-
-# perfbench's cli-mix runs its G(400, 0.05) extract job with these spec
-# seeds first at its default seed
-EXTRACT_SEEDS = (275193414, 1919547677, 1977139991)
-
-
-def bipfree_extract(timer: Timer) -> None:
-    """The cli-mix extract trial on three G(400, 0.05) hosts, each part
-    apart: the host's full count, its existence test, the deletion round
-    and the re-check count of the subgraph the round returns."""
-    pattern = bipfree.K_rr(2)
-    for seed in EXTRACT_SEEDS:
-        rng = RngStream(seed).derive("trial", 0)
-        g = timer("bipfree_extract.random_graph", random_graph, 400, 0.05,
-                  rng.derive("host"))
-        count = timer("bipfree_extract.host_count", bipfree.count_pattern,
-                      g, pattern)
-        free = timer("bipfree_extract.host_test", bipfree._pattern_free, g,
-                     pattern)
-        h = timer("bipfree_extract.graph_round", bipfree._graph_round, g, 2,
-                  rng.derive("extract").derive("extract", 1))
-        left = timer("bipfree_extract.recheck_count", bipfree.count_pattern,
-                     h, pattern)
-        res = bipfree.extract_free(g, pattern, rng.derive("extract"))
-        timer.check(count > 0 and not free and left == 0
-                    and not isinstance(res, Failure)
-                    and res.trials_used == 1 and res.subgraph == h,
-                    f"bipfree extract: seed {seed}")
-
-
-# the witness digest of rs_from_behrend(1000)
-RS_1000_DIGEST = ("ed11428bf388b00100d93a2f14e6bd83"
-                  "e92c75494e64767350e0361c376ca7ab")
-
-
-def rsgraph_construct(timer: Timer) -> None:
-    """The cli-mix construct trial at N = 1000: the construction, which
-    verifies its decomposition before returning it, then ``verify_rs`` of
-    that decomposition alone, as replay runs it again, and the witness
-    digest of the decomposition that its record stores."""
-    dec = timer("rsgraph_construct.rs_from_behrend", rsgraph.rs_from_behrend,
-                1000)
-    ok = timer("rsgraph_construct.verify_rs", rsgraph.verify_rs, dec)
-    hexdigest = timer("rsgraph_construct.digest", expcli.digest, dec)
-    timer.check(ok == (True, None) and (dec.n, dec.t) == (10, 224)
-                and hexdigest == RS_1000_DIGEST, "rsgraph construct: N = 1000")
-
-
-# the spec seed of perfbench cli-mix's first job, setmap violate, at its
-# default seed, and the SHA-256 of the 20 witness digests of that job
-VIOLATE_SEED = 1269379188
-VIOLATE_DIGESTS = ("04a7a098740212e4e5bdf9134a8526f8"
-                   "778ed1373b9e1c36498ffbda72be6ecc")
-
-
-def setmap_violate(timer: Timer) -> None:
-    """The witness digests of that cli-mix violate job (k = 2, n = 6, 20
-    trials): small ``Violation``s holding a frozenset, where the cost of
-    each digest call shows.  The trials run untimed."""
-    spec = expcli.ExperimentSpec("setmap", "violate", {"k": 2, "n": 6},
-                                 VIOLATE_SEED, 20)
-    params, _ = expcli.validate_spec(spec)
-    runner = expcli.OPS[("setmap", "violate")].runner
-    witnesses = [runner(params, None,
-                        RngStream(spec.seed).derive("trial", i))[2]
-                 for i in range(spec.trials)]
-    digests = timer("setmap_violate.digest",
-                    lambda ws: [expcli.digest(w) for w in ws], witnesses)
-    timer.check(hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
-                == VIOLATE_DIGESTS, "setmap violate: witness digests")
-
-
-def setmap_oracle(timer: Timer) -> None:
-    """The cli-mix oracle trial: the largest region of eh_map(4, 2) free of
-    disjoint-rule violations, by exhaustive branch and bound."""
-    f = timer("setmap_oracle.eh_map", setmap.eh_map, 4, 2)
-    res = timer("setmap_oracle.free_set_oracle", setmap.free_set_oracle, f,
-                "disjoint")
-    timer.check(res.exact and (res.size, res.nodes) == (6, 1741),
-                "setmap oracle: k = 2, n = 4")
-
-
-def bipfree_tight(timer: Timer) -> None:
-    """The cli-mix tight trial at m = 64: the complete host K_{4,16} apart
-    from the oracle, which verifies its rows before returning them."""
-    inst = timer("bipfree_tight.tight_instance", bipfree.tight_instance, 2, 2,
-                 64)
-    res = timer("bipfree_tight.zarankiewicz_oracle",
-                bipfree.zarankiewicz_oracle, inst)
-    timer.check(res.exact and (res.size, res.nodes) == (22, 52),
-                "bipfree tight: m = 64")
-
-
-# the spec seeds of perfbench cli-mix's first removal iterate jobs at its
-# default seed, and the corner-free grid of tests/golden/corner_free_4.grid
-ITERATE_SEEDS = (3819812997, 2220548214, 1294822595)
-CORNER_FREE_4 = ((0, 1, 0, 1), (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 0))
-
-
-def removal_iterate(timer: Timer) -> None:
-    """The cli-mix iterate trial on three random 2-colored 15 x 15 grids,
-    the cover (its check included) apart from the descent, which stops at
-    level 0 on each; then the descent on the corner-free 4 x 4 grid, which
-    takes one deletion step down to its single-color base case."""
-    for seed in ITERATE_SEEDS:
-        rng = RngStream(seed).derive("trial", 0).derive("grid")
-        cover = timer("removal_iterate.grid_cover", removal.grid_cover,
-                      removal.random_grid(15, 2, rng))
-        tr = timer("removal_iterate.removal_iterate", removal.removal_iterate,
-                   cover)
-        timer.check(tr.verdict == "diamond_found" and len(tr.levels) == 1,
-                    f"removal iterate: seed {seed}")
-    cover = removal.grid_cover(removal.GridColoring(4, 2, CORNER_FREE_4))
-    tr = timer("removal_iterate.corner_free", removal.removal_iterate, cover)
-    timer.check([lv["event"] for lv in tr.levels] == ["step", "base_case"],
-                "removal iterate: corner-free 4 x 4 grid")
+# perfbench's job sizes; weakseq_t12 asks weakseq-dense's G(2000, 1/2) for
+# t = 12, where regime2_order gives t = 1, and corner_free runs the grid of
+# tests/golden/corner_free_4.grid, which takes one deletion step
+CORNER_FREE_4 = "4 2\n0 1 0 1\n1 0 1 0\n1 0 0 1\n0 1 0 0\n"
+JOBS = (
+    Job("weakseq_t12", "weakseq", "pipeline",
+        {"n": 2000, "p": 0.5, "r": 4, "t": 12}, 3,
+        ("expcli.random_graph", "weakseq.weak_sequence_pipeline",
+         "weakseq.verify_sequence"),
+        "a1de33640866419c1778a137c6e1ff24b3dfc59561e745737678ba4d9b3bef18"),
+    Job("weakseq_minor", "weakseq", "minor",
+        {"n": 600, "p": 0.7, "r": 2, "t": 4}, 3,
+        ("expcli.random_graph", "weakseq.minor_pipeline", "weakseq.paths_drc"),
+        "ef152fb91d4d10a3e8993709820a9d5f64086ea2f4ad285d551221b3b092aaee"),
+    Job("bipfree_extract", "bipfree", "extract", {"n": 400, "p": 0.05}, 3,
+        ("expcli.random_graph", "bipfree._pattern_free",
+         "bipfree._graph_round", "bipfree.count_pattern"),
+        "a54489647b242724e1536a351ed077373e9d89f7e70b4269fcd84cd47b4303c4"),
+    Job("bipfree_tight", "bipfree", "tight", {"m": 64}, 1,
+        ("bipfree.tight_instance", "bipfree.zarankiewicz_oracle"),
+        "c81f6a1adac6842c0168e154b685417551d46082c7e0bff7ea2ea007a4c34b39"),
+    Job("rsgraph_construct", "rsgraph", "construct", {"N": 1000}, 1,
+        ("rsgraph.rs_from_behrend", "rsgraph.verify_rs", "expcli.digest"),
+        "9050ddb3a463d3342b2f069f906ed47fc2b65f259bdd768f3d9e48fe89a0d090"),
+    Job("setmap_violate", "setmap", "violate", {"k": 2, "n": 6}, 20,
+        ("expcli.digest",),
+        "e879ec5cc5f2b2e0ad9a0bf4a0aa0859d9f8d9272a38f4ad1fbdb63991b6d459"),
+    Job("setmap_oracle", "setmap", "oracle", {"k": 2, "n": 4}, 1,
+        ("setmap.eh_map", "setmap.free_set_oracle"),
+        "ae3f83dce64a13f3a77176f63d90c1f6553c251b58e21e98d2d02fb3766d208f"),
+    Job("removal_iterate", "removal", "iterate", {"N": 15, "r": 2}, 3,
+        ("removal.grid_cover", "removal.removal_iterate"),
+        "ceeaaca26846da7194c2d6aa3c3733be5fe717c53b273f10def057eefe0b5fdf"),
+    Job("corner_free", "removal", "iterate", {"grid_file": CORNER_FREE_4}, 1,
+        ("removal.removal_iterate",),
+        "1e86ffa7eaf7f93ac0308d300acffa94d1b4e67c3e91b9a49581a152d2958649"),
+)
 
 
 # perfbench's setup_s code: what every exlab command pays before its op runs
@@ -385,9 +314,7 @@ def readme_examples(timer: Timer) -> None:
         timer.check(code == 0, f"exlab {line}: exit {code}")
 
 
-WORKLOADS = (gate5, gate6, gate7, gate7_induced, weakseq_t12,
-             weakseq_minor, bipfree_extract, bipfree_tight, rsgraph_construct,
-             setmap_violate, setmap_oracle, removal_iterate, cold_start,
+WORKLOADS = (gate5, gate6, gate7, gate7_induced, *JOBS, cold_start,
              readme_examples)
 
 
@@ -495,6 +422,7 @@ def ratios(doc: dict, prev: dict) -> dict:
 def run_bench(out: Path, workloads=WORKLOADS, reps: int = REPS,
               tier1: bool = True) -> dict:
     t0 = time.perf_counter()
+    expcli.destination_guard(out, "the bench file")
     prev = previous_bench(out)
     if prev is not None:  # read first, so a bad file fails before the run
         prev_doc = json.loads(prev.read_text(encoding="utf-8"))

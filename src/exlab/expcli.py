@@ -941,11 +941,21 @@ OPS = {
 MODULES = tuple(sorted({m for m, _ in OPS}))
 
 
+def destination_guard(path, what: str) -> None:
+    """GuardError unless ``what`` can be written to ``path``: a writable
+    file, or a new one in a writable directory.  Each command that writes
+    a file checks it before any other work."""
+    folder = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else folder
+    if os.path.isdir(path) or not (os.path.isdir(folder)
+                                   and os.access(target, os.W_OK)):
+        raise GuardError(f"cannot write {what} to {path}")
+
+
 def validate_spec(spec: ExperimentSpec) -> tuple:
     """The resolved parameters and the source that ``OpDef.check`` returns:
     resolve defaults and check preconditions, and that the record can be
-    written, a writable file or a new one in a writable directory;
-    GuardError on any defect."""
+    written (``destination_guard``); GuardError on any defect."""
     key = (spec.module, spec.operation)
     if key not in OPS:
         ops = sorted(op for m, op in OPS if m == spec.module)
@@ -957,11 +967,7 @@ def validate_spec(spec: ExperimentSpec) -> tuple:
     if spec.trials < 1:
         raise GuardError(f"trial count must be >= 1, got {spec.trials}")
     if spec.out:
-        folder = os.path.dirname(os.path.abspath(spec.out))
-        target = spec.out if os.path.exists(spec.out) else folder
-        if os.path.isdir(spec.out) or not (os.path.isdir(folder)
-                                           and os.access(target, os.W_OK)):
-            raise GuardError(f"cannot write the record to {spec.out}")
+        destination_guard(spec.out, "the record")
     return _resolve_params(OPS[key], spec.params)
 
 
@@ -1259,6 +1265,8 @@ def main(argv=None) -> int:
                              sort_keys=True))
             return 0 if match and all(t["ok"] for t in fresh.trials) else 1
         if args.command == "report":
+            if args.out:
+                destination_guard(args.out, "the report")
             text = report(args.records, args.format)
             print(text, end="" if text.endswith("\n") else "\n")
             if args.out:

@@ -1,5 +1,5 @@
 """Tests for ``exlab bench``: the file it writes, the ratio to the previous
-file and the start-up cost it must not add to the other commands."""
+file, the pinned job table and the start-up cost it must not add."""
 
 import json
 import os
@@ -7,12 +7,14 @@ import re
 import statistics
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from exlab import bench, expcli, weakseq
-from exlab.core import Failure
+import exlab
+from exlab import bench, expcli
+from exlab.core import GuardError
 from exlab.removal import read_grid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -92,22 +94,6 @@ def test_bench_lists_failed_checks(tmp_path):
     assert len(doc["entries"]["calibration"]["runs_s"]) == 4
 
 
-def test_bench_times_the_rs_construction_and_its_check_apart(tmp_path):
-    doc = bench.run_bench(tmp_path / "BENCH_1.json",
-                          (bench.rsgraph_construct,), reps=1, tier1=False)
-    assert doc["failures"] == []
-    assert {"rsgraph_construct.rs_from_behrend", "rsgraph_construct.verify_rs",
-            "rsgraph_construct.digest", "rsgraph_construct.total"} \
-        <= set(doc["entries"])
-
-
-def test_bench_times_the_cli_mix_violate_digests(tmp_path):
-    doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.setmap_violate,),
-                          reps=1, tier1=False)
-    assert doc["failures"] == []
-    assert set(doc["entries"]) == {"calibration", "setmap_violate.digest"}
-
-
 def test_bench_times_the_gate7_transpose_apart_from_the_draw(tmp_path):
     doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.gate7,), reps=1,
                           tier1=False)
@@ -127,61 +113,67 @@ def test_bench_times_the_gate7_restrictions_apart(tmp_path):
         rel=1e-3)
 
 
-def test_bench_times_the_minor_path_search_inside_its_pipeline(tmp_path):
-    doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.weakseq_minor,),
-                          reps=1, tier1=False)
-    assert doc["failures"] == []
-    entries = {name: e["median_s"] for name, e in doc["entries"].items()}
-    assert 0 < entries["weakseq_minor.paths_drc"] \
-        < entries["weakseq_minor.minor_pipeline"]
-    # the path search is part of the pipeline's time, counted once
-    assert entries["weakseq_minor.total"] == pytest.approx(
-        entries["weakseq_minor.random_graph"]
-        + entries["weakseq_minor.minor_pipeline"], rel=1e-3)
-    # the workload puts the module's own paths_drc back
-    assert weakseq.paths_drc.__name__ == "paths_drc"
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as time_workloads
+@pytest.mark.parametrize("job", bench.JOBS, ids=lambda job: job.name)
+def test_bench_job_matches_its_pin_and_times_each_stage_inside_the_run(
+        tmp_path, job):
+    timer = bench.Timer([], tmp_path)
+    job(timer)
+    assert timer.failures == []
+    # the stages are inner: the total is the run's wall time alone
+    total = timer.times.pop(f"{job.name}.total")
+    assert timer.inner == set(timer.times) == {
+        f"{job.name}.{stage.split('.')[1]}" for stage in job.stages}
+    assert all(0 < s <= total for s in timer.times.values())
 
 
-def test_bench_times_the_cli_mix_oracle(tmp_path):
-    doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.setmap_oracle,),
-                          reps=1, tier1=False)
-    assert doc["failures"] == []
-    assert {"setmap_oracle.eh_map", "setmap_oracle.free_set_oracle",
-            "setmap_oracle.total"} <= set(doc["entries"])
-
-
-def test_bench_times_the_tight_instance_apart_from_the_oracle(tmp_path):
-    doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.bipfree_tight,),
-                          reps=1, tier1=False)
-    assert doc["failures"] == []
-    entries = {name: e["median_s"] for name, e in doc["entries"].items()}
-    assert entries["bipfree_tight.total"] == pytest.approx(
-        entries["bipfree_tight.tight_instance"]
-        + entries["bipfree_tight.zarankiewicz_oracle"], rel=1e-3)
-
-
-def test_bench_times_the_removal_cover_apart_from_the_descent(tmp_path):
-    doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.removal_iterate,),
-                          reps=1, tier1=False)
-    assert doc["failures"] == []
-    entries = {name: e["median_s"] for name, e in doc["entries"].items()}
-    assert entries["removal_iterate.total"] == pytest.approx(
-        entries["removal_iterate.grid_cover"]
-        + entries["removal_iterate.removal_iterate"]
-        + entries["removal_iterate.corner_free"], rel=1e-3)
-    golden = Path(__file__).with_name("golden") / "corner_free_4.grid"
-    assert read_grid(golden).cells == bench.CORNER_FREE_4
-
-
-def test_bench_lists_an_extraction_that_exhausts_its_retry_cap(
+def test_bench_lists_a_job_whose_trials_differ_from_its_pin(
         tmp_path, monkeypatch):
-    failure = Failure("extract_free", "retry cap exhausted", {"best": 1})
-    monkeypatch.setattr(bench.bipfree, "extract_free",
-                        lambda *args, **kwargs: failure)
-    doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.bipfree_extract,),
+    key = ("bipfree", "tight")
+    opdef = expcli.OPS[key]
+
+    def runner(params, host, rng):
+        ok, outcome, witness, stats = opdef.runner(params, host, rng)
+        return ok, outcome, witness, {**stats, "nodes": stats["nodes"] + 1}
+
+    monkeypatch.setitem(expcli.OPS, key, replace(opdef, runner=runner))
+    jobs = {job.name: job for job in bench.JOBS}
+    doc = bench.run_bench(tmp_path / "BENCH_1.json",
+                          (jobs["bipfree_tight"], jobs["corner_free"]),
                           reps=1, tier1=False)
-    assert doc["failures"] == [f"bipfree extract: seed {seed}"
-                               for seed in bench.EXTRACT_SEEDS]
+    assert doc["failures"] == ["bipfree_tight: trials differ from the pin"]
+    # a listed stage that the run never calls fails its entry too
+    job = replace(jobs["corner_free"], stages=("removal.diamond_find",))
+    doc = bench.run_bench(tmp_path / "BENCH_2.json", (job,), 1, tier1=False)
+    assert doc["failures"] == ["corner_free.diamond_find never called"]
+
+
+def test_bench_job_restores_every_wrapped_name_when_its_run_raises(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(expcli, "run", lambda spec: 1 / 0)
+    for job in bench.JOBS:
+        names = [stage.split(".") for stage in job.stages]
+        before = [getattr(getattr(exlab, mod), fn) for mod, fn in names]
+        with pytest.raises(ZeroDivisionError):
+            job(bench.Timer([], tmp_path))
+        assert before == [getattr(getattr(exlab, mod), fn)
+                          for mod, fn in names]
+
+
+def test_bench_corner_free_grid_is_the_golden_grid(tmp_path):
+    (tmp_path / "g.grid").write_text(bench.CORNER_FREE_4, encoding="utf-8")
+    assert read_grid(tmp_path / "g.grid") == read_grid(
+        Path(__file__).with_name("golden") / "corner_free_4.grid")
+
+
+def test_bench_refuses_an_unwritable_file_before_any_workload(
+        tmp_path, capsys):
+    out = tmp_path / "missing" / "BENCH_1.json"
+    with pytest.raises(GuardError, match="cannot write the bench file"):
+        bench.run_bench(out, (pytest.fail,), tier1=False)  # never reached
+    assert expcli.main(["bench", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot write the bench file to {out}\n")
 
 
 def test_bench_times_start_up_in_a_fresh_interpreter(tmp_path):
@@ -227,6 +219,13 @@ def test_bench_runs_the_readme_examples(tmp_path):
         "exlab " + line for line in bench.README_EXAMPLES]
     assert expcli.build_parser().parse_args(["bench", "B.json"]).out == \
         "B.json"
+
+
+def test_readme_bench_paragraph_names_every_workload():
+    text = README.read_text(encoding="utf-8").split("`exlab bench ", 1)[1]
+    text = text.split("The machine's speed drifts", 1)[0]
+    assert [w.__name__ for w in bench.WORKLOADS
+            if f"`{w.__name__}`" not in text] == []
 
 
 def test_bench_module_is_not_loaded_at_start_up():

@@ -829,6 +829,18 @@ def test_main_run_replay_report_commands(tmp_path, capsys):
     assert report_path.read_text().startswith("| module |")
 
 
+def test_report_refuses_an_unwritable_out_before_reading_a_record(
+        tmp_path, monkeypatch, capsys):
+    read = []
+    monkeypatch.setattr(expcli, "read_record", read.append)
+    out = tmp_path / "missing" / "report.md"
+    assert expcli.main(["report", str(tmp_path / "rec.json"), "--out",
+                        str(out)]) == 2
+    captured = capsys.readouterr()
+    assert read == [] and captured.out == ""
+    assert captured.err == f"error: cannot write the report to {out}\n"
+
+
 def test_main_builds_one_parser_for_every_call(tmp_path, monkeypatch,
                                               capsys):
     built = []

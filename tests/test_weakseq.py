@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from exlab import weakseq
-from exlab.core import (BipartiteGraph, Failure, Graph, GuardError, RngStream,
+from exlab.core import (MAX_VERTICES, BipartiteGraph, Failure, Graph,
+                        GuardError, RngStream,
                         complete_bipartite, complete_graph, hypercube,
                         iter_bits, mask_of, random_bipartite, random_graph)
 from exlab.weakseq import (CoverPartition, MinorConstants, MinorModel,
@@ -1027,3 +1028,19 @@ def test_load_preset():
             weakseq.W_DENSITY_DIV) == (8, 32, 32, 64, 32)
     with pytest.raises(GuardError, match="unknown preset 'closet'"):
         load_preset("closet")
+
+
+def test_paper_preset_cannot_pass_the_second_path_stage():
+    """``paths_drc[2]`` runs on Z' and X', 2 ceil(p n / xprime_div)
+    vertices, and needs p'^2 n' >= min_p2n with p' <= 1: no host of at most
+    MAX_VERTICES vertices has enough, at any p <= 1 (README)."""
+    paper = weakseq.PRESETS["paper"]
+
+    def second_stage(pn):  # vertices of paths_drc[2]'s host, at p n = pn
+        return 2 * _ceil_frac(Fraction(pn, paper.xprime_div))
+
+    need = paper.paths.min_p2n
+    assert (MAX_VERTICES, second_stage(MAX_VERTICES), need) == (16384, 82,
+                                                                1600)
+    # even at p = 1, the host needs more than 319,600 vertices
+    assert second_stage(319_600) < need <= second_stage(319_601)
