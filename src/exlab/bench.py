@@ -1,16 +1,17 @@
-"""``exlab bench``: wall times of the acceptance-gate workloads, the README
-command lines and the tier-1 suite, written as one JSON file.
+"""``exlab bench``: wall times of perfbench's job kinds and their stages,
+the README command lines, the tier-1 suite and each acceptance gate,
+written as one JSON file.
 
-Each entry of ``WORKLOADS`` runs one workload.  The gate workloads rebuild
-gates 5, 6 and 7 of ``tests/test_acceptance.py`` at gate size with the
-gates' seeds; their docstrings say what they time.  ``JOBS`` runs jobs of
+Each entry of ``WORKLOADS`` runs one workload.  ``JOBS`` runs jobs of
 perfbench's workloads through ``expcli.run`` and times their stages inside
 the run.  ``cold_start`` times perfbench's start-up code, and the README
 examples run in process through ``expcli.main`` (which builds its parser
 on its first call only), with file names moved into a temporary
-directory.  Each entry is the median of ``REPS`` repetitions.  Tier-1
-runs once, in a subprocess, when pytest is importable and the checkout's
-``tests/`` is present; the entry is ``null`` otherwise.
+directory.  Each of these entries is the median of ``REPS`` repetitions.
+Tier-1 runs once, in a subprocess, when pytest is importable and the
+checkout's ``tests/`` is present; the ``tier1`` entry is ``null``
+otherwise.  Its junit XML gives one more entry per ``test_gate_*`` test of
+``tests/test_acceptance.py``: the gate's time in that one run.
 
 The file records the machine, the interpreter, the CPU count, the commit
 and ``RngStream.ALGORITHM``, and gives the ratio of each time to the same
@@ -42,13 +43,10 @@ import tempfile
 import time
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
+from xml.etree import ElementTree
 
-from . import bipfree, expcli, lll_embed, weakseq
-from .core import (BipartiteGraph, Failure, RngStream, bit_columns,
-                   complete_graph, hypercube, mask_of, random_coloring,
-                   random_equitable_bipartition, random_graph)
+from . import expcli
 
 REPS = 5
 ROOT = Path(__file__).resolve().parents[2]
@@ -77,7 +75,6 @@ class Timer:
 
     def __init__(self, failures: list, workdir: Path):
         self.times = {}
-        self.inner = set()  # entries timed inside another, left out of totals
         self.failures = failures
         self.workdir = workdir
 
@@ -95,108 +92,16 @@ class Timer:
             self.failures.append(what)
 
 
-def gate5(timer: Timer) -> None:
-    """100 random sub-hypergraphs of the k-partite instances, k = 2 and 3."""
-    rng = RngStream(55)
-    for k in (2, 3):
-        inst = bipfree.kpartite_instance(k, 2, 2)
-        full = inst.hypergraph
-        edges = sorted(tuple(sorted(e)) for e in full.edges)
-        for i in range(50):
-            sub = rng.derive("sub", k, i)
-            keep = sub.random()
-            H = type(full)(full.n, full.k,
-                           [e for e in edges if sub.random() < keep])
-            chk = timer("gate5.kpartite_count_check",
-                        bipfree.kpartite_count_check, H, inst.parts, 2)
-            timer.check(chk.passed, f"gate 5: k={k} sub-hypergraph {i}")
-
-
-def gate6(timer: Timer) -> None:
-    """50 resampled cube embeddings and 20 two-colorings of K_512."""
-    target = lll_embed.neighborhood_hypergraph(hypercube(3))
-    for seed in range(50):
-        rng = RngStream(6000 + seed)
-        host = timer("gate6.random_dense_dch", lll_embed.random_dense_dch,
-                     128, 3, Fraction(9, 1000), rng.derive("host"))
-        res = timer("gate6.resample_embed", lll_embed.resample_embed,
-                    target, host, rng.derive("embed"))
-        timer.check(not isinstance(res, Failure), f"gate 6: embed {seed}")
-    q3 = hypercube(3)
-    for seed in range(20):
-        rng = RngStream(6100 + seed)
-        col = timer("gate6.random_coloring", random_coloring,
-                    complete_graph(512), 2, rng.derive("col"))
-        res = timer("gate6.bip_ramsey_pipeline", lll_embed.bip_ramsey_pipeline,
-                    col, q3, rng.derive("pipe"))
-        timer.check(not isinstance(res, Failure), f"gate 6: pipeline {seed}")
-
-
-def gate7(timer: Timer) -> None:
-    """Weak sequences on 10 G(2000, 1/2) hosts, each host's upper-row
-    ``bit_columns`` transpose timed alone, and minors on 10 G(240, 0.7)."""
-    for seed in range(10):
-        rng = RngStream(7000 + seed)
-        g = timer("gate7.random_graph.n2000", random_graph, 2000, 0.5,
-                  rng.derive("gen"))
-        upper = [row >> u + 1 << u + 1 for u, row in enumerate(g.adj)]
-        lower = timer("gate7.bit_columns.n2000", bit_columns, upper, 2000)
-        # g's own lower halves came from bit_columns too: check the shape
-        timer.check(sum(map(int.bit_count, lower))
-                    == sum(map(int.bit_count, upper))
-                    and not any(low >> v for v, low in enumerate(lower)),
-                    f"gate 7: bit columns {seed}")
-        t = weakseq.regime2_order(2000, g.density(), 4)
-        w = timer("gate7.weak_sequence_pipeline",
-                  weakseq.weak_sequence_pipeline, g, 4, t, rng.derive("run"))
-        if not isinstance(w, Failure):
-            ok = timer("gate7.verify_sequence", weakseq.verify_sequence, g, w)
-            timer.check(ok == (True, None), f"gate 7: sequence {seed}")
-    desk = weakseq.load_preset("desk")
-    for seed in range(10):
-        rng = RngStream(7100 + seed)
-        g = timer("gate7.random_graph.n240", random_graph, 240, 0.7,
-                  rng.derive("gen"))
-        m = timer("gate7.minor_pipeline", weakseq.minor_pipeline, g, 2, 4,
-                  rng.derive("run"), desk)
-        timer.check(not isinstance(m, Failure)
-                    and weakseq.verify_minor(g, m) == (True, None),
-                    f"gate 7: minor {seed}")
-
-
-def gate7_induced(timer: Timer) -> None:
-    """The restriction layer on gate 7's 10 G(2000, 1/2) hosts: ``induced``
-    on the equitable halves that each host's pipeline draws first, and
-    ``_incidence_graph`` of a cover of those halves by 4-blocks, V2
-    against 250 block vertices.  The entries are named under gate7, whose
-    hosts they take, and kept out of ``gate7.total``."""
-    for seed in range(10):
-        rng = RngStream(7000 + seed)
-        g = random_graph(2000, 0.5, rng.derive("gen"))
-        halves = random_equitable_bipartition(g, rng.derive("run")).bipartite
-        m1, m2 = halves.mask(1), halves.mask(2)
-        B = timer("gate7.induced", BipartiteGraph.induced, g, m1, m2)
-        timer.check(B == halves and B.n1 == B.n2 == 1000 and B.m == sum(
-            (g.adj[u] & m2).bit_count() for u in B.v1),
-            f"gate 7: induced halves {seed}")
-        blocks = weakseq.cover_partition(B, 4, rng.derive("cover")).blocks
-        X = timer("gate7.incidence_graph", weakseq._incidence_graph, B,
-                  blocks)
-        masks = [mask_of(blk) for blk in blocks]
-        timer.check((X.n1, X.n2) == (1000, 250) and X.m == sum(
-            1 for v in B.v2 for blk in masks if B.adj[v] & blk),
-            f"gate 7: incidence graph {seed}")
-
-
 @dataclass(frozen=True)
 class Job:
     """A perfbench job kind run through ``expcli.run`` at seed 1.  During
     the run each ``"mod.fn"`` of ``stages``, the name ``fn`` of
     ``exlab.mod``, is wrapped in the timer and timed as ``<name>.<fn>``;
-    the stages are inner, so ``<name>.total`` is the run's wall time.  The
-    entry fails unless the SHA-256 of the run's trials is ``pin`` and each
-    stage was called.  A ``grid_file`` parameter holds the grid's text,
-    which the run reads from a file in the timer's workdir."""
+    ``<name>.total`` is the run's wall time, with the stages inside it.  No
+    two stages may share ``fn``.  The entry fails unless the SHA-256 of
+    the run's trials is ``pin`` and each stage was called.  A
+    ``grid_file`` parameter holds the grid's text, which the run reads
+    from a file in the timer's workdir."""
 
     name: str
     module: str
@@ -205,6 +110,11 @@ class Job:
     trials: int
     stages: tuple
     pin: str
+
+    def __post_init__(self):
+        names = [stage.split(".")[1] for stage in self.stages]
+        if len(set(names)) < len(names):
+            raise ValueError(f"{self.name}: two stages share a function name")
 
     @property
     def __name__(self) -> str:
@@ -223,7 +133,6 @@ class Job:
             mod, fn = stage.split(".")
             module = importlib.import_module(f"{__package__}.{mod}")
             wrapped[f"{self.name}.{fn}"] = module, fn, getattr(module, fn)
-        timer.inner.update(wrapped)
         try:
             for entry, (module, fn, original) in wrapped.items():
                 setattr(module, fn, functools.partial(timer, entry, original))
@@ -238,13 +147,15 @@ class Job:
 
 
 # perfbench's job sizes; weakseq_t12 asks weakseq-dense's G(2000, 1/2) for
-# t = 12, where regime2_order gives t = 1, and corner_free runs the grid of
-# tests/golden/corner_free_4.grid, which takes one deletion step
+# t = 12 (regime2_order gives 1) and times the draw's core.bit_columns;
+# corner_free runs tests/golden/corner_free_4.grid, one deletion step
 CORNER_FREE_4 = "4 2\n0 1 0 1\n1 0 1 0\n1 0 0 1\n0 1 0 0\n"
 JOBS = (
     Job("weakseq_t12", "weakseq", "pipeline",
         {"n": 2000, "p": 0.5, "r": 4, "t": 12}, 3,
-        ("expcli.random_graph", "weakseq.weak_sequence_pipeline",
+        ("expcli.random_graph", "core.bit_columns",
+         "weakseq.weak_sequence_pipeline",
+         "weakseq.random_equitable_bipartition", "weakseq._incidence_graph",
          "weakseq.verify_sequence"),
         "a1de33640866419c1778a137c6e1ff24b3dfc59561e745737678ba4d9b3bef18"),
     Job("weakseq_minor", "weakseq", "minor",
@@ -273,6 +184,17 @@ JOBS = (
     Job("corner_free", "removal", "iterate", {"grid_file": CORNER_FREE_4}, 1,
         ("removal.removal_iterate",),
         "1e86ffa7eaf7f93ac0308d300acffa94d1b4e67c3e91b9a49581a152d2958649"),
+    Job("bipfree_kcheck", "bipfree", "kcheck",
+        {"k": 3, "r": 2, "n": 2, "p": 0.5}, 1,
+        ("bipfree.kpartite_count_check",),
+        "a1c96f673390df1de244bcbdd0fbaf26cc4b02a1c48061dde00f4eb9245d2e9b"),
+    Job("embed_lemma", "embed", "lemma",
+        {"N": 128, "k": 3, "delta": "9/1000", "d": 3}, 5,
+        ("lll_embed.random_dense_dch", "lll_embed.resample_embed"),
+        "60fd9eeb43237e3eb086cf0727df05846e460c1da2a595b12dcde6799cb73efd"),
+    Job("embed_pipeline", "embed", "pipeline", {"N": 512}, 1,
+        ("expcli.random_coloring", "lll_embed.bip_ramsey_pipeline"),
+        "b0746e0e8513ad1cc26cffd03f72f87ebf01e2faa8ce5393be01c9e187217c69"),
 )
 
 
@@ -314,8 +236,7 @@ def readme_examples(timer: Timer) -> None:
         timer.check(code == 0, f"exlab {line}: exit {code}")
 
 
-WORKLOADS = (gate5, gate6, gate7, gate7_induced, *JOBS, cold_start,
-             readme_examples)
+WORKLOADS = (*JOBS, cold_start, readme_examples)
 
 
 def calibration_kernel() -> int:
@@ -338,7 +259,7 @@ def time_workloads(workloads, reps: int, failures: list) -> dict:
     timed just before it, which cancels the machine's drift within a run."""
     runs, calibrated = {}, {}
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        # the gates run some stages outside their theorem regimes on purpose
+        # weakseq_t12 and embed_pipeline run outside their theorem regimes
         warnings.simplefilter("ignore")
         for _ in range(reps):
             for workload in workloads:
@@ -349,10 +270,9 @@ def time_workloads(workloads, reps: int, failures: list) -> dict:
                 timer = Timer(failures, Path(tmp))
                 workload(timer)
                 times = dict(timer.times)
-                if len(times) > 1:
-                    times[f"{workload.__name__}.total"] = sum(
-                        s for name, s in times.items()
-                        if name not in timer.inner)
+                if len(times) > 1:  # a job times its own total
+                    times.setdefault(f"{workload.__name__}.total",
+                                     sum(times.values()))
                 for name, s in times.items():
                     runs.setdefault(name, []).append(s)
                     calibrated.setdefault(name, []).append(s / cal)
@@ -366,20 +286,37 @@ def time_workloads(workloads, reps: int, failures: list) -> dict:
     return entries
 
 
-def time_tier1() -> dict | None:
+def time_tier1() -> tuple[dict | None, dict]:
+    """The tier-1 run's wall time, exit code and summary line, and its
+    ``gate_times``; ``(None, {})`` without pytest or ``tests/``."""
     if importlib.util.find_spec("pytest") is None \
             or not (ROOT / "tests").is_dir():
-        return None
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env,
-                          capture_output=True, text=True, check=False)
-    seconds = time.perf_counter() - t0
+        return None, {}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    with tempfile.TemporaryDirectory() as tmp:
+        junit = Path(tmp) / "tier1.xml"
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, *TIER1, f"--junitxml={junit}"],
+                              cwd=ROOT, env=env, capture_output=True,
+                              text=True, check=False)
+        seconds = time.perf_counter() - t0
+        gates = gate_times(junit) if junit.exists() else {}
     tail = proc.stdout.strip().splitlines()
     return {"seconds": _round(seconds), "exit_code": proc.returncode,
-            "summary": tail[-1] if tail else ""}
+            "summary": tail[-1] if tail else ""}, gates
+
+
+def gate_times(junit: Path) -> dict:
+    """One entry per ``test_gate_*`` case of a pytest junit XML file, named
+    as the test, with the case's time as its one run."""
+    entries = {}
+    for case in ElementTree.parse(junit).iter("testcase"):
+        name = case.get("name", "")
+        if name.startswith("test_gate_"):
+            seconds = _round(float(case.get("time", "0")))
+            entries[name] = {"median_s": seconds, "runs_s": [seconds]}
+    return entries
 
 
 def environment() -> dict:
@@ -388,7 +325,7 @@ def environment() -> dict:
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
             "optimize": sys.flags.optimize, "commit": _git_commit(),
-            "rng_algorithm": RngStream.ALGORITHM}
+            "rng_algorithm": expcli.RngStream.ALGORITHM}
 
 
 def previous_bench(out: Path) -> Path | None:
@@ -404,8 +341,7 @@ def previous_bench(out: Path) -> Path | None:
 def ratios(doc: dict, prev: dict) -> dict:
     """This run's times divided by ``prev``'s, entry by entry: the
     calibrated medians where both files hold them, else the raw ones."""
-    before = {name: e for name, e in (prev.get("entries") or {}).items()
-              if isinstance(e, dict)}
+    before = prev.get("entries", {})
     out = {}
     for name, e in doc["entries"].items():
         old = before.get(name, {})
@@ -419,6 +355,20 @@ def ratios(doc: dict, prev: dict) -> dict:
     return out
 
 
+def check_previous(doc, path: Path) -> None:
+    """ValueError unless ``doc`` has the shape that ``ratios`` reads: an
+    object of objects under ``entries``, an object or null under ``tier1``,
+    and numbers under their ``median_s``, ``median_cal`` and ``seconds``."""
+    doc = doc if isinstance(doc, dict) else {"entries": None}
+    entries, tier1 = doc.get("entries", {}), doc.get("tier1")
+    rows = [*entries.values(), {} if tier1 is None else tier1] \
+        if isinstance(entries, dict) else [None]
+    if not all(isinstance(row, dict) and all(
+            type(row.get(k, 0)) in (int, float)
+            for k in ("median_s", "median_cal", "seconds")) for row in rows):
+        raise ValueError(f"{path} is not an exlab bench file")
+
+
 def run_bench(out: Path, workloads=WORKLOADS, reps: int = REPS,
               tier1: bool = True) -> dict:
     t0 = time.perf_counter()
@@ -426,14 +376,14 @@ def run_bench(out: Path, workloads=WORKLOADS, reps: int = REPS,
     prev = previous_bench(out)
     if prev is not None:  # read first, so a bad file fails before the run
         prev_doc = json.loads(prev.read_text(encoding="utf-8"))
-        if not isinstance(prev_doc, dict):
-            raise ValueError(f"{prev} is not an exlab bench file")
+        check_previous(prev_doc, prev)
     failures = []
     entries = time_workloads(workloads, reps, failures)
+    summary, gates = time_tier1() if tier1 else (None, {})
     doc = {"environment": environment(), "repetitions": reps,
-           "entries": entries, "tier1": time_tier1() if tier1 else None}
-    if doc["tier1"] is not None and doc["tier1"]["exit_code"] != 0:
-        failures.append(f"tier-1: {doc['tier1']['summary']}")
+           "entries": {**entries, **gates}, "tier1": summary}
+    if summary is not None and summary["exit_code"] != 0:
+        failures.append(f"tier-1: {summary['summary']}")
     doc["ratio_to"] = None if prev is None else {
         "file": prev.name, "ratios": ratios(doc, prev_doc)}
     doc["failures"] = failures

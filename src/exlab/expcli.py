@@ -1026,7 +1026,8 @@ def run(spec: ExperimentSpec) -> ExperimentRecord:
 
 
 def replay(path) -> tuple[bool, ExperimentRecord]:
-    """Re-run a record's spec and compare per-trial outcomes byte-exactly."""
+    """Re-run a record's spec and compare per-trial outcomes byte-exactly.
+    The re-run writes no record, whatever ``out`` the record's spec holds."""
     rec = read_record(path)
     spec = _check_record(rec, path)
     rng = rec.get("rng")
@@ -1035,7 +1036,7 @@ def replay(path) -> tuple[bool, ExperimentRecord]:
         raise ValueError(f"record {path} was drawn with RNG algorithm "
                          f"{algorithm!r}; this build replays "
                          f"{RngStream.ALGORITHM!r}")
-    fresh = run(spec)
+    fresh = run(dataclasses.replace(spec, out=None))
     match = (json.dumps(fresh.trials, sort_keys=True)
              == json.dumps(rec["trials"], sort_keys=True))
     return match, fresh

@@ -78,13 +78,30 @@ def test_bench_calibrates_each_repetition_and_ratios_read_it(tmp_path):
         entry["median_s"], rel=1e-3)
 
 
-def test_bench_refuses_a_bad_previous_file_before_running(tmp_path):
-    (tmp_path / "BENCH_1.json").write_text("[1, 2]")
+@pytest.mark.parametrize("text", [
+    "[1, 2]", '{"entries": [1]}', '{"entries": {"a": 1}}',
+    '{"entries": {"a": {"median_s": "x"}}}',
+    '{"entries": {"a": {"median_s": 1, "median_cal": true}}}',
+    '{"entries": {}, "tier1": 3}', '{"tier1": {"seconds": "x"}}'])
+def test_bench_refuses_a_bad_previous_file_before_running(
+        tmp_path, capsys, text):
+    prev, out = tmp_path / "BENCH_1.json", tmp_path / "BENCH_2.json"
+    prev.write_text(text)
     with pytest.raises(ValueError, match="not an exlab bench file"):
-        bench.run_bench(tmp_path / "BENCH_2.json", (failing,), tier1=False)
-    (tmp_path / "BENCH_1.json").write_text("{not json")
-    assert expcli.main(["bench", str(tmp_path / "BENCH_2.json")]) == 2
-    assert not (tmp_path / "BENCH_2.json").exists()
+        bench.run_bench(out, (pytest.fail,), tier1=False)  # never reached
+    assert expcli.main(["bench", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {prev} is not an exlab bench file\n")
+    prev.write_text("{not json")
+    assert expcli.main(["bench", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_bench_reads_a_previous_file_without_entries_or_tier1(tmp_path):
+    (tmp_path / "BENCH_1.json").write_text('{"tier1": null}')
+    doc = bench.run_bench(tmp_path / "BENCH_2.json", (tiny,), reps=1,
+                          tier1=False)
+    assert doc["ratio_to"] == {"file": "BENCH_1.json", "ratios": {}}
 
 
 def test_bench_lists_failed_checks(tmp_path):
@@ -94,23 +111,29 @@ def test_bench_lists_failed_checks(tmp_path):
     assert len(doc["entries"]["calibration"]["runs_s"]) == 4
 
 
-def test_bench_times_the_gate7_transpose_apart_from_the_draw(tmp_path):
-    doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.gate7,), reps=1,
-                          tier1=False)
-    assert doc["failures"] == []
-    assert {"gate7.random_graph.n2000", "gate7.bit_columns.n2000",
-            "gate7.total"} <= set(doc["entries"])
-    assert len(doc["entries"]["gate7.bit_columns.n2000"]["runs_s"]) == 1
-
-
-def test_bench_times_the_gate7_restrictions_apart(tmp_path):
-    doc = bench.run_bench(tmp_path / "BENCH_1.json", (bench.gate7_induced,),
-                          reps=1, tier1=False)
-    assert doc["failures"] == []
-    entries = {name: e["median_s"] for name, e in doc["entries"].items()}
-    assert entries["gate7_induced.total"] == pytest.approx(
-        entries["gate7.induced"] + entries["gate7.incidence_graph"],
-        rel=1e-3)
+def test_bench_reads_each_gate_time_from_the_junit_file(tmp_path):
+    junit = tmp_path / "tier1.xml"
+    junit.write_text(
+        '<?xml version="1.0" encoding="utf-8"?><testsuites><testsuite>'
+        '<testcase classname="tests.test_acceptance" '
+        'name="test_gate_05_multipartite_count_bound" time="0.123456" />'
+        '<testcase classname="tests.test_core" name="test_parse_errors" '
+        'time="0.5" />'
+        '<testcase classname="tests.test_acceptance" '
+        'name="test_gate_10_record_replay_byte_exact" time="2.0">'
+        '<system-out>gate 10 PASS</system-out></testcase>'
+        '</testsuite></testsuites>')
+    assert bench.gate_times(junit) == {
+        "test_gate_05_multipartite_count_bound": {
+            "median_s": 0.1235, "runs_s": [0.1235]},
+        "test_gate_10_record_replay_byte_exact": {
+            "median_s": 2.0, "runs_s": [2.0]}}
+    # a gate entry has no calibrated median, so ratios compare it raw
+    doc = {"entries": bench.gate_times(junit), "tier1": None}
+    prev = {"entries": {"test_gate_10_record_replay_byte_exact": {
+        "median_s": 4.0, "median_cal": 9.0}}}
+    assert bench.ratios(doc, prev) == {
+        "test_gate_10_record_replay_byte_exact": 0.5}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as time_workloads
@@ -120,11 +143,36 @@ def test_bench_job_matches_its_pin_and_times_each_stage_inside_the_run(
     timer = bench.Timer([], tmp_path)
     job(timer)
     assert timer.failures == []
-    # the stages are inner: the total is the run's wall time alone
+    # the stages run inside the run, whose wall time is the total
     total = timer.times.pop(f"{job.name}.total")
-    assert timer.inner == set(timer.times) == {
+    assert set(timer.times) == {
         f"{job.name}.{stage.split('.')[1]}" for stage in job.stages}
     assert all(0 < s <= total for s in timer.times.values())
+
+
+def test_bench_job_refuses_two_stages_of_one_function_name():
+    job = {job.name: job for job in bench.JOBS}["weakseq_t12"]
+    with pytest.raises(ValueError, match="two stages share a function"):
+        replace(job, stages=("core.bit_columns", "weakseq.bit_columns"))
+
+
+def parts(timer):
+    timer.add("parts.a", 1.0)
+    timer.add("parts.b", 2.0)
+
+
+def own_total(timer):
+    timer.add("own_total.stage", 1.0)
+    timer.add("own_total.total", 5.0)
+
+
+def test_bench_workload_total_is_its_own_total_or_the_sum(tmp_path):
+    doc = bench.run_bench(tmp_path / "BENCH_1.json", (parts, own_total, tiny),
+                          reps=1, tier1=False)
+    entries = {name: e["median_s"] for name, e in doc["entries"].items()}
+    assert entries["parts.total"] == 3.0
+    assert entries["own_total.total"] == 5.0  # a job's stages are inside it
+    assert "tiny.total" not in entries  # one entry needs no total
 
 
 def test_bench_lists_a_job_whose_trials_differ_from_its_pin(
@@ -211,8 +259,9 @@ def test_bench_runs_the_readme_examples(tmp_path):
         assert f"exlab {line}" in readme
     spec = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
     assert json.loads(spec) == bench.README_SPEC
+    jobs = {job.name: job for job in bench.JOBS}
     doc = bench.run_bench(tmp_path / "BENCH_1.json",
-                          (bench.gate5, bench.readme_examples), reps=1,
+                          (jobs["bipfree_kcheck"], bench.readme_examples), reps=1,
                           tier1=False)
     assert doc["failures"] == []
     assert [e for e in doc["entries"] if e.startswith("exlab ")] == [

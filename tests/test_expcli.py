@@ -312,6 +312,19 @@ def test_replay_matches_and_detects_tampering(tmp_path):
     assert not match
 
 
+def test_replay_writes_no_file_whatever_out_the_record_names(tmp_path,
+                                                             capsys):
+    path, other = tmp_path / "rec.json", tmp_path / "other.json"
+    expcli.run(ExperimentSpec("setmap", "violate", {"k": 2, "n": 6},
+                              seed=7, trials=2, out=str(path)))
+    stored = expcli.read_record(path)
+    stored["spec"]["out"] = str(other)
+    _write_json(path, stored)
+    assert expcli.main(["replay", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["match"] is True
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_replay_rejects_schema_mismatch(tmp_path):
     path = tmp_path / "rec.json"
     spec = ExperimentSpec("rsgraph", "behrend", {"N": 100}, out=str(path))
