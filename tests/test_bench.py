@@ -18,6 +18,7 @@ from exlab.core import GuardError
 from exlab.removal import read_grid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+JOBS = {job.name: job for job in bench.JOBS}
 
 
 def tiny(timer):
@@ -151,9 +152,9 @@ def test_bench_job_matches_its_pin_and_times_each_stage_inside_the_run(
 
 
 def test_bench_job_refuses_two_stages_of_one_function_name():
-    job = {job.name: job for job in bench.JOBS}["weakseq_t12"]
     with pytest.raises(ValueError, match="two stages share a function"):
-        replace(job, stages=("core.bit_columns", "weakseq.bit_columns"))
+        replace(JOBS["weakseq_t12"],
+                stages=("core.bit_columns", "weakseq.bit_columns"))
 
 
 def parts(timer):
@@ -185,13 +186,12 @@ def test_bench_lists_a_job_whose_trials_differ_from_its_pin(
         return ok, outcome, witness, {**stats, "nodes": stats["nodes"] + 1}
 
     monkeypatch.setitem(expcli.OPS, key, replace(opdef, runner=runner))
-    jobs = {job.name: job for job in bench.JOBS}
     doc = bench.run_bench(tmp_path / "BENCH_1.json",
-                          (jobs["bipfree_tight"], jobs["corner_free"]),
+                          (JOBS["bipfree_tight"], JOBS["corner_free"]),
                           reps=1, tier1=False)
     assert doc["failures"] == ["bipfree_tight: trials differ from the pin"]
     # a listed stage that the run never calls fails its entry too
-    job = replace(jobs["corner_free"], stages=("removal.diamond_find",))
+    job = replace(JOBS["corner_free"], stages=("removal.diamond_find",))
     doc = bench.run_bench(tmp_path / "BENCH_2.json", (job,), 1, tier1=False)
     assert doc["failures"] == ["corner_free.diamond_find never called"]
 
@@ -259,10 +259,9 @@ def test_bench_runs_the_readme_examples(tmp_path):
         assert f"exlab {line}" in readme
     spec = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
     assert json.loads(spec) == bench.README_SPEC
-    jobs = {job.name: job for job in bench.JOBS}
     doc = bench.run_bench(tmp_path / "BENCH_1.json",
-                          (jobs["bipfree_kcheck"], bench.readme_examples), reps=1,
-                          tier1=False)
+                          (JOBS["bipfree_kcheck"], bench.readme_examples),
+                          reps=1, tier1=False)
     assert doc["failures"] == []
     assert [e for e in doc["entries"] if e.startswith("exlab ")] == [
         "exlab " + line for line in bench.README_EXAMPLES]
