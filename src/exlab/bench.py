@@ -164,7 +164,7 @@ JOBS = (
         "ef152fb91d4d10a3e8993709820a9d5f64086ea2f4ad285d551221b3b092aaee"),
     Job("bipfree_extract", "bipfree", "extract", {"n": 400, "p": 0.05}, 3,
         ("expcli.random_graph", "bipfree._pattern_free",
-         "bipfree._graph_round", "bipfree.count_pattern"),
+         "bipfree._graph_round", "bipfree.verify_free_subgraph"),
         "a54489647b242724e1536a351ed077373e9d89f7e70b4269fcd84cd47b4303c4"),
     Job("bipfree_tight", "bipfree", "tight", {"m": 64}, 1,
         ("bipfree.tight_instance", "bipfree.zarankiewicz_oracle"),

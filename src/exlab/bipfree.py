@@ -1,10 +1,11 @@
-"""Counting and extraction of complete-multipartite-pattern-free subgraphs.
+"""K_{r,r}-free subgraphs of graphs, and the k-partite count check.
 
-Counts copies of K_{r,r} in graphs and of the complete k-partite k-graph with
-parts of size r in hypergraphs, extracts pattern-free subgraphs by randomized
-sample-then-delete rounds with a hard size floor, builds the complete
-bipartite instances on which the floor is tight, and brackets exact maximum
-pattern-free subgraph sizes with desk-scale branch-and-bound oracles.
+Counts copies of K_{r,r} in a graph G, extracts K_{r,r}-free subgraphs of G
+by randomized sample-then-delete rounds with a hard size floor, builds the
+complete bipartite instances on which the floor is tight, and brackets
+exact maximum K_{r,r}-free subgraph sizes with a desk-scale branch-and-bound
+oracle.  The k-partite check counts the complete k-partite k-graph with
+parts of size r in a k-partite k-graph against binomial lower bounds.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -26,22 +28,6 @@ MAX_INSTANCE_EDGES = 10 ** 6
 MAX_KPARTITE_EDGES = 10 ** 5
 ORACLE_MAX_U = 5
 ORACLE_MAX_V = 20
-
-
-@dataclass(frozen=True)
-class Pattern:
-    """Complete k-partite pattern with all parts of size r (k=2: K_{r,r})."""
-
-    k: int
-    r: int
-
-    def __post_init__(self):
-        if self.k < 2 or self.r < 2:
-            raise GuardError("patterns need k >= 2 and r >= 2")
-
-
-def K_rr(r: int) -> Pattern:
-    return Pattern(2, r)
 
 
 @dataclass(frozen=True)
@@ -114,27 +100,25 @@ class ZarankiewiczResult:
 # Counting
 
 
-def count_pattern(G, pattern: Pattern) -> int:
-    """Exact number of unlabeled copies of the pattern in G.
-
-    Rejects inputs whose a-priori copy bound exceeds 10^9: 2*m^r for graphs,
-    (k!)^r * C(m, r) for k-graphs.
-    """
-    if isinstance(G, KUniformHypergraph):
-        if pattern.k != G.k:
-            raise GuardError(f"pattern arity {pattern.k} != hypergraph arity {G.k}")
-        return _count_hyper(G, pattern.r)
-    if pattern.k != 2:
-        raise GuardError("k-partite patterns with k > 2 need a k-uniform hypergraph")
-    return _count_graph(G, pattern.r)
+def count_pattern(G, r: int) -> int:
+    """Exact number of unlabeled copies of K_{r,r} in the graph G, by the
+    walk of ``_rsets``; ``graph_copy_guard`` rejects the input first."""
+    graph_copy_guard(G.m, r)
+    total = sum([math.comb(c.bit_count(), r) for _, c in _rsets(G.adj, G.n, r)])
+    # every copy is counted once from each of its two sides
+    if total % 2:
+        raise AssertionError("side-count parity broken")
+    return total // 2
 
 
 def graph_copy_guard(m: int, r: int) -> None:
-    """GuardError when 2*m^r, the copy bound of K_{r,r} in an m-edge graph,
-    exceeds MAX_COPY_BOUND.
+    """GuardError unless r >= 2, or when 2*m^r, the copy bound of K_{r,r}
+    in an m-edge graph, exceeds MAX_COPY_BOUND.
 
     m^r >= 2^r once m >= 2, so a large r is rejected before the power.
     """
+    if r < 2:
+        raise GuardError("K_{r,r} needs r >= 2")
     if m >= 2 and (r >= MAX_COPY_BOUND.bit_length()
                    or 2 * m ** r > MAX_COPY_BOUND):
         raise GuardError(f"copy bound 2*m^r for m={m}, r={r} exceeds "
@@ -180,71 +164,11 @@ def _reach(adj, common: int, last: int):
     return bits(reach >> (last + 1) << (last + 1))
 
 
-def _count_graph(G, r: int) -> int:
+def _pattern_free(G, r: int) -> bool:
+    """``count_pattern(G, r) == 0`` with the same guard; the walk stops at
+    the first r-set with r common neighbours."""
     graph_copy_guard(G.m, r)
-    total = sum([math.comb(c.bit_count(), r) for _, c in _rsets(G.adj, G.n, r)])
-    # every copy is counted once from each of its two sides
-    if total % 2:
-        raise AssertionError("side-count parity broken")
-    return total // 2
-
-
-def _pattern_free(G, pattern: Pattern) -> bool:
-    """``count_pattern(G, pattern) == 0`` with the same guards; a graph's
-    walk stops at the first r-set with r common neighbours."""
-    if isinstance(G, KUniformHypergraph) or pattern.k != 2:
-        return count_pattern(G, pattern) == 0
-    graph_copy_guard(G.m, pattern.r)
-    return next(_rsets(G.adj, G.n, pattern.r), None) is None
-
-
-def _edge_key(e) -> tuple:
-    return tuple(sorted(e))
-
-
-def _copies_of_matching(combo, k: int):
-    """All part structures assembling the r disjoint edges into a copy."""
-    orderings_per_edge = [list(itertools.permutations(sorted(e))) for e in combo]
-    for orderings in itertools.product(*orderings_per_edge):
-        yield tuple(frozenset(o[i] for o in orderings) for i in range(k))
-
-
-def hyper_copy_guard(k: int, m: int, r: int) -> None:
-    """GuardError when (k!)^r * C(m, r), the copy bound of the k-partite
-    pattern with parts of size r in an m-edge k-graph (k >= 2), exceeds
-    MAX_COPY_BOUND.
-
-    The bound is 0 below r edges and at least 2^r from r edges on, so a
-    large r is decided without the power.
-    """
-    if m >= r and (r >= MAX_COPY_BOUND.bit_length()
-                   or math.factorial(k) ** r * math.comb(m, r) > MAX_COPY_BOUND):
-        raise GuardError(f"copy bound (k!)^r * C(m,r) for k={k}, m={m}, r={r} "
-                         f"exceeds {MAX_COPY_BOUND}")
-
-
-def _count_hyper(G: KUniformHypergraph, r: int) -> int:
-    hyper_copy_guard(G.k, G.m, r)
-    return sum(all(frozenset(t) in G.edges for t in itertools.product(*parts))
-               for parts in _matching_copies(G.edges, G.k, r))
-
-
-def _matching_copies(edges, k: int, r: int):
-    """Each part structure that r pairwise-disjoint edges assemble, once,
-    in the order the combinations of the sorted edges first meet it."""
-    seen: set[frozenset] = set()
-    for combo in itertools.combinations(sorted(edges, key=_edge_key), r):
-        union = set()
-        for e in combo:
-            if union & e:
-                break
-            union |= e
-        else:
-            for parts in _copies_of_matching(combo, k):
-                key = frozenset(parts)
-                if key not in seen:
-                    seen.add(key)
-                    yield parts
+    return next(_rsets(G.adj, G.n, r), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +185,10 @@ def _ceil_power_ratio(m: int, num: int, den: int, divisor: int) -> int:
     return t
 
 
-def extraction_target(m: int, pattern: Pattern) -> int:
-    """Guaranteed pattern-free subgraph size for an m-edge input."""
-    if m < 1:
-        return 0
-    if pattern.k == 2:
-        return _ceil_power_ratio(m, pattern.r, pattern.r + 1, 4)
-    q = (pattern.r ** pattern.k - 1) // (pattern.r - 1)
-    return _ceil_power_ratio(m, q - 1, q, 2 * math.factorial(pattern.k))
+def extraction_target(m: int, r: int) -> int:
+    """Guaranteed K_{r,r}-free subgraph size ceil(m^(r/(r+1))/4) for an
+    m-edge input."""
+    return _ceil_power_ratio(m, r, r + 1, 4) if m >= 1 else 0
 
 
 def _sample_rows(G, p: float, stream: RngStream) -> list:
@@ -291,8 +211,8 @@ def _sample_rows(G, p: float, stream: RngStream) -> list:
     return rows
 
 
-def _graph_round(G, r: int, stream: RngStream):
-    """One sample-then-delete round; returns a pattern-free subgraph of G."""
+def _graph_round(G, r: int, stream: RngStream) -> Graph:
+    """One sample-then-delete round; returns a K_{r,r}-free subgraph of G."""
     p = 0.5 * G.m ** (-1.0 / (r + 1))
     n = G.n
     rows = _sample_rows(G, p, stream)
@@ -310,68 +230,56 @@ def _graph_round(G, r: int, stream: RngStream):
                 u, v = A[0], B[0]
                 work[u] &= ~(1 << v)
                 work[v] &= ~(1 << u)
-    if isinstance(G, BipartiteGraph):
-        return BipartiteGraph._from_parts(work, (G.mask(1), G.mask(2)))
     return Graph._from_rows(n, work)
 
 
-def _hyper_round(G: KUniformHypergraph, r: int, stream: RngStream):
-    k = G.k
-    q = (r ** k - 1) // (r - 1)
-    p = G.m ** (-1.0 / q) / math.factorial(k)
-    sampled = [e for e in sorted(G.edges, key=_edge_key) if stream.random() < p]
-    work = set(sampled)
-    # work only loses edges, so a copy intact in work was sampled whole
-    for parts in _matching_copies(sampled, k, r):
-        transversals = [frozenset(t) for t in itertools.product(*parts)]
-        if all(t in work for t in transversals):
-            work.discard(min(transversals, key=_edge_key))
-    return KUniformHypergraph(G.n, k, work)
+def verify_free_subgraph(G, r: int, H):
+    """(ok, reason) for H as a K_{r,r}-free subgraph of the graph G: reason
+    is ("not_subgraph", e) for the first edge e of H, sorted, that G lacks,
+    or ("copies", c) for H's c copies of K_{r,r}.
 
-
-def verify_free_subgraph(G, pattern: Pattern, H):
-    """(ok, reason) for H as a pattern-free subgraph of G: reason is
-    ("not_subgraph", e) for the first edge e of H, sorted, that G lacks, or
-    ("copies", c) for H's c pattern copies.  A graph's count walks the same
-    ``_rsets`` as the deletion round, so it does not check the walk: the
-    loop oracles of the tests pin that the walk misses no r-set."""
-    if isinstance(G, KUniformHypergraph):
-        extra = sorted(map(_edge_key, H.edges - G.edges))
-    else:
-        extra = [(u, v) for u in range(G.n)
-                 for v in bits(H.adj[u] & ~G.adj[u])]
+    The count does not walk ``_rsets``.  An r-set B is met once as an
+    r-subset of each of its c common neighbours' rows, and gives the
+    C(c, r) copies with B on one side, so the sum over B counts each copy
+    once from each side.  An r-set with a vertex of degree below r has
+    fewer than r common neighbours, so the rows leave such vertices out.
+    """
+    extra = [(u, v) for u in range(G.n) for v in bits(H.adj[u] & ~G.adj[u])]
     if extra:
         return False, ("not_subgraph", extra[0])
-    count = count_pattern(H, pattern)
-    if count:
-        return False, ("copies", count)
+    graph_copy_guard(H.m, r)
+    wide = mask_of(v for v, row in enumerate(H.adj) if row.bit_count() >= r)
+    met = Counter(itertools.chain.from_iterable(
+        itertools.combinations(bits(row & wide), r) for row in H.adj))
+    total = sum([math.comb(c, r) for c in met.values()])
+    if total % 2:
+        raise AssertionError("side-count parity broken")
+    if total:
+        return False, ("copies", total // 2)
     return True, None
 
 
-def extract_free(G, pattern: Pattern, rng: RngStream,
+def extract_free(G, r: int, rng: RngStream,
                  retry_cap: int = 400) -> Union[ExtractionResult, Failure]:
-    """Pattern-free subgraph with at least the guaranteed number of edges.
+    """K_{r,r}-free subgraph of the graph G with at least
+    ``extraction_target(G.m, r)`` edges.
 
-    Graphs keep each edge with probability (1/2)m^(-1/(r+1)) and must reach
-    ceil(m^(r/(r+1))/4) edges; k-graphs use (1/k!)m^(-1/q) with
-    q = (r^k-1)/(r-1) and floor ceil(m^((q-1)/q)/(2k!)).  Rounds repeat with
-    fresh derived streams until the floor is met (guaranteed in expectation);
-    a pattern-free input is returned unchanged.  Every round's subgraph is
+    Each round keeps every edge with probability (1/2)m^(-1/(r+1)) and
+    breaks the sample's copies.  Rounds repeat with fresh derived streams
+    until the floor ceil(m^(r/(r+1))/4) is met (guaranteed in expectation);
+    a K_{r,r}-free input is returned unchanged.  Every round's subgraph is
     re-verified by ``verify_free_subgraph``.
     """
     # the copy-bound guard runs before m^r is taken; the host needs only an
     # existence test, while every returned subgraph gets a full count
-    pattern_free = _pattern_free(G, pattern)
-    target = extraction_target(G.m, pattern)
+    pattern_free = _pattern_free(G, r)
+    target = extraction_target(G.m, r)
     if pattern_free:
         return ExtractionResult(G, 0, target)
-    is_hyper = isinstance(G, KUniformHypergraph)
     best = None
     for t in range(1, retry_cap + 1):
-        stream = rng.derive("extract", t)
-        H = _hyper_round(G, pattern.r, stream) if is_hyper else \
-            _graph_round(G, pattern.r, stream)
-        verified(verify_free_subgraph, G, pattern, H)
+        H = _graph_round(G, r, rng.derive("extract", t))
+        verified(verify_free_subgraph, G, r, H)
         if best is None or H.m > best.m:
             best = H
         if H.m >= target:
@@ -595,6 +503,20 @@ def kpartite_instance_guard(k: int, r: int, n: int) -> int:
     return n ** q
 
 
+def hyper_copy_guard(k: int, m: int, r: int) -> None:
+    """GuardError when (k!)^r * C(m, r), the copy bound of the k-partite
+    pattern with parts of size r in an m-edge k-graph (k >= 2), exceeds
+    MAX_COPY_BOUND.
+
+    The bound is 0 below r edges and at least 2^r from r edges on, so a
+    large r is decided without the power.
+    """
+    if m >= r and (r >= MAX_COPY_BOUND.bit_length()
+                   or math.factorial(k) ** r * math.comb(m, r) > MAX_COPY_BOUND):
+        raise GuardError(f"copy bound (k!)^r * C(m,r) for k={k}, m={m}, r={r} "
+                         f"exceeds {MAX_COPY_BOUND}")
+
+
 def kpartite_instance(k: int, r: int, n: int) -> KPartiteInstance:
     """Complete k-partite k-graph with |U_i| = n^(r^(i-1)); m = n^q edges."""
     kpartite_instance_guard(k, r, n)
@@ -653,8 +575,8 @@ def kpartite_count_check(H: KUniformHypergraph, parts: Sequence[Sequence[int]],
     part, each part of a copy lies in its own host part, so the count is
     the sum over r-subsets S_i of U_i (i <= k-1) of C(c, r), where c is the
     number of U_k vertices completing all r^(k-1) transversals; the
-    transversal masks are ANDed as bitsets.  Inputs over count_pattern's
-    copy bound are rejected as there.
+    transversal masks are ANDed as bitsets.  Inputs over
+    ``hyper_copy_guard``'s copy bound are rejected.
 
     a = m / prod(|U_i|, i >= 2).  The stated bound is
     C_ext(a-k+1, r) * prod(C(|U_i|, r), i <= k-1); the inductive base case
@@ -681,7 +603,8 @@ def kpartite_count_check(H: KUniformHypergraph, parts: Sequence[Sequence[int]],
     prod_binom = math.prod(math.comb(len(p), r) for p in parts[:-1])
     bound = _ext_binom(a - k + 1, r) * prod_binom
     proof_bound = _ext_binom(a - k + 2, r) * prod_binom
-    Pattern(k, r)  # the same rejections as count_pattern
+    if k < 2 or r < 2:
+        raise GuardError("the pattern needs k >= 2 and r >= 2")
     hyper_copy_guard(k, H.m, r)
     # every edge is transversal, so each part of a copy lies inside its own
     # host part: index edges by their (k-1)-prefix, one U_k mask per prefix

@@ -487,23 +487,22 @@ def _run_setmap_oracle(params, host, rng):
 
 
 def _bipfree_check(params: dict) -> Callable:
-    bipfree.K_rr(params["r"])
     _, m, host = _graph_source_check(params)
-    if m is not None:
-        bipfree.graph_copy_guard(m, params["r"])
+    # a random host's m is drawn in the trial, so only r is checked here
+    bipfree.graph_copy_guard(m or 0, params["r"])
     return host
 
 
 def _run_bipfree_count(params, G, rng):
-    count = bipfree.count_pattern(G, bipfree.K_rr(params["r"]))
+    count = bipfree.count_pattern(G, params["r"])
     ok = params["r"] != 2 or count <= 2 * G.m * G.m
     stats = {"n": G.n, "m": G.m, "count": count, "key": count}
     return ok, "count", None, stats
 
 
 def _run_bipfree_extract(params, G, rng):
-    res = bipfree.extract_free(G, bipfree.K_rr(params["r"]),
-                               rng.derive("extract"), params["retry_cap"])
+    res = bipfree.extract_free(G, params["r"], rng.derive("extract"),
+                               params["retry_cap"])
     if isinstance(res, Failure):
         return res
     size = res.subgraph.m
@@ -647,7 +646,7 @@ def _run_weakseq_pipeline(params, G, rng):
 
 
 def _run_weakseq_minor(params, G, rng):
-    constants = weakseq.load_preset(params["preset"])
+    constants = weakseq.load_preset("desk")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         res = weakseq.minor_pipeline(G, params["r"], params["t"],
@@ -666,7 +665,6 @@ def _weakseq_minor_check(params: dict) -> Callable:
         raise GuardError(f"parameter 'diameter_aware': must be 0 or 1, got "
                          f"{params['diameter_aware']}")
     n, m, host = _graph_source_check(params)
-    weakseq.load_preset(params["preset"])
     weakseq.minor_pipeline_guard(params["r"], params["t"], n)
     _edges_check(m)
     return host
@@ -896,8 +894,7 @@ OPS = {
                                 {**_GRAPH_SRC, "r": (_int, 2),
                                  "t": (_int, 4),
                                  "diameter_aware": (_int, 1),
-                                 "retry_cap": (_count, 50),
-                                 "preset": (str, "desk", "paper or desk")},
+                                 "retry_cap": (_count, 50)},
                                 _weakseq_minor_check, "t"),
     ("weakseq", "oracle"): OpDef(_run_weakseq_oracle,
                                  {**_GRAPH_SRC, "r": (_int, 2)},

@@ -8,11 +8,11 @@ asserts its own counted clause; witnesses are re-verified from scratch.
 
 The minor pipeline combines the same machinery with two rounds of
 dependent random choice for 4-edge path systems, then connects each r-set
-through fresh internal vertices.  The constants that every preset shares
-are module constants: CLEANUP_DIV, SPLIT_EDGE_DIV, SPLIT_MINDEG_DIV,
-Z_DENSITY_DIV and W_DENSITY_DIV.  A preset of ``PRESETS`` sets the rest,
-``xprime_div`` and the path-extraction ``PathsParams`` (x_frac_div,
-budget_coeff, min_p2n): "paper" holds the published constants, and "desk"
+through fresh internal vertices.  The fixed constants are module
+constants: CLEANUP_DIV, SPLIT_EDGE_DIV, SPLIT_MINDEG_DIV, Z_DENSITY_DIV and
+W_DENSITY_DIV.  ``MinorConstants`` holds the rest, ``xprime_div`` and the
+path-extraction ``PathsParams`` (x_frac_div, budget_coeff, min_p2n): its
+defaults are the published constants, and the "desk" preset of ``PRESETS``
 keeps the guarantees non-vacuous on small instances.
 """
 
@@ -106,8 +106,8 @@ class PathsResult:
 
 @dataclass(frozen=True)
 class MinorConstants:
-    """Preset-specific constants of the minor pipeline; defaults fit large
-    hosts."""
+    """Constants of the minor pipeline that a preset sets; the defaults are
+    the published constants, which fit large hosts."""
 
     xprime_div: int = 400
     paths: PathsParams = field(default_factory=PathsParams)
@@ -124,7 +124,6 @@ class MinorModel:
 
 
 PRESETS = {
-    "paper": MinorConstants(),
     "desk": MinorConstants(4, PathsParams(3, Fraction(1, 100), 30)),
 }
 

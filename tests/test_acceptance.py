@@ -71,7 +71,6 @@ def test_gate_02_sampled_regions_always_violate():
 def test_gate_03_four_cycle_free_extraction_floor():
     t0 = time.perf_counter()
     rng = RngStream(33)
-    pattern = bipfree.K_rr(2)
     hosts = []
     for i in range(50):
         n = 12 + rng.derive("size", i).randrange(49)
@@ -84,12 +83,12 @@ def test_gate_03_four_cycle_free_extraction_floor():
         floor = 1
         while (4 * floor) ** 3 < m * m:
             floor += 1
-        res = bipfree.extract_free(G, pattern, rng.derive("extract", i))
+        res = bipfree.extract_free(G, 2, rng.derive("extract", i))
         assert res.target_size == floor
         size = len(res.subgraph.edges())
         assert size >= floor
-        assert bipfree.count_pattern(res.subgraph, pattern) == 0
-        assert bipfree.count_pattern(G, pattern) <= 2 * m * m
+        assert bipfree.count_pattern(res.subgraph, 2) == 0
+        assert bipfree.count_pattern(G, 2) <= 2 * m * m
         ratio = size / floor
         worst = ratio if worst is None else min(worst, ratio)
     elapsed = time.perf_counter() - t0

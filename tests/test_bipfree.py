@@ -10,12 +10,12 @@ from exlab.core import (BipartiteGraph, Failure, Graph, GuardError,
                         KUniformHypergraph, RngStream, complete_bipartite,
                         complete_graph, iter_bits, mask_of,
                         random_bipartite, random_graph)
-from exlab.bipfree import (K_rr, Pattern, _count_hyper, _graph_round,
-                           _pattern_free, _rsets, _sample_rows, count_pattern,
-                           extract_free, extraction_target,
-                           kpartite_count_check, kpartite_instance,
-                           kpartite_instance_guard, tight_instance,
-                           tight_instance_guard, zarankiewicz_oracle)
+from exlab.bipfree import (_graph_round, _pattern_free, _rsets, _sample_rows,
+                           count_pattern, extract_free, extraction_target,
+                           hyper_copy_guard, kpartite_count_check,
+                           kpartite_instance, kpartite_instance_guard,
+                           tight_instance, tight_instance_guard,
+                           zarankiewicz_oracle)
 from test_core import bernoulli_row_per_position
 
 
@@ -110,13 +110,17 @@ def test_rset_walk_matches_the_loop_over_every_rset(r):
     for name, G in walk_hosts().items():
         walk = list(_rsets(G.adj, G.n, r))
         assert walk == loop_rsets(G.adj, G.n, r), (name, r)
-        assert count_pattern(G, K_rr(r)) == loop_count(G, r), (name, r)
-        assert _pattern_free(G, K_rr(r)) == (not walk), (name, r)
+        copies = loop_count(G, r)
+        assert count_pattern(G, r) == copies, (name, r)
+        assert _pattern_free(G, r) == (not walk), (name, r)
+        # the verifier counts without the walk
+        assert bipfree.verify_free_subgraph(G, r, G) == (
+            (False, ("copies", copies)) if copies else (True, None)), (name, r)
 
 
 def test_rset_walk_meets_pattern_free_and_saturated_hosts():
     path = Graph(6, [(i, i + 1) for i in range(5)])
-    assert count_pattern(path, K_rr(2)) == 0 and _pattern_free(path, K_rr(2))
+    assert count_pattern(path, 2) == 0 and _pattern_free(path, 2)
     # pairs of a path share at most one neighbour; single vertices share
     # their own rows
     assert list(_rsets(path.adj, path.n, 2)) == loop_rsets(path.adj, 6, 2) \
@@ -125,12 +129,12 @@ def test_rset_walk_meets_pattern_free_and_saturated_hosts():
         == [((v,), path.adj[v]) for v in range(6)]
     for n in (4, 6):
         k = complete_graph(n)
-        assert count_pattern(k, K_rr(2)) == loop_count(k, 2) == \
+        assert count_pattern(k, 2) == loop_count(k, 2) == \
             3 * math.comb(n, 4)
-        assert not _pattern_free(k, K_rr(2))
+        assert not _pattern_free(k, 2)
     # the existence test keeps the copy-bound guard of the count
     with pytest.raises(GuardError, match=r"2\*m\^r"):
-        _pattern_free(complete_graph(300), K_rr(2))
+        _pattern_free(complete_graph(300), 2)
     assert list(_rsets([0b10, 0b01], 2, 3)) == []
 
 
@@ -160,9 +164,7 @@ def test_graph_round_matches_the_loop_round(r):
             rows, work = loop_round(G, r, loop)
             assert list(H.adj) == work, (name, r, seed)
             assert walk._rng.getstate() == loop._rng.getstate()
-            assert type(H) is type(G) and loop_count(H, r) == 0
-            if isinstance(G, BipartiteGraph):
-                assert (H.v1, H.v2) == (G.v1, G.v2)
+            assert loop_count(H, r) == 0
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -184,22 +186,15 @@ def test_graph_round_breaks_copies_as_the_loop_round(r, monkeypatch):
 
 
 def test_count_small_complete_bipartite():
-    assert count_pattern(complete_bipartite(2, 2), K_rr(2)) == 1
-    assert count_pattern(complete_bipartite(3, 3), K_rr(2)) == 9
-    assert count_pattern(complete_bipartite(2, 4), K_rr(2)) == 6
+    assert count_pattern(complete_bipartite(2, 2), 2) == 1
+    assert count_pattern(complete_bipartite(3, 3), 2) == 9
+    assert count_pattern(complete_bipartite(2, 4), 2) == 6
 
 
 def test_count_agrees_with_brute_force():
     for seed in (8, 21, 34):
         g = random_graph(9, 0.6, RngStream(seed))
-        assert count_pattern(g, K_rr(2)) == brute_count_krr2(g)
-
-
-def test_count_dual_route_graph_vs_hypergraph():
-    for seed in (5, 13):
-        g = random_graph(12, 0.5, RngStream(seed))
-        h = KUniformHypergraph(12, 2, [frozenset(e) for e in g.edges()])
-        assert count_pattern(g, K_rr(2)) == count_pattern(h, Pattern(2, 2))
+        assert count_pattern(g, 2) == brute_count_krr2(g)
 
 
 def test_count_lemma_bound_on_corpus():
@@ -209,94 +204,68 @@ def test_count_lemma_bound_on_corpus():
         g = random_graph(n, 0.5, rng.derive("corpus", i))
         if g.m > 200 or g.m < 1:
             continue
-        assert count_pattern(g, K_rr(2)) <= 2 * g.m ** 2
-
-
-def test_count_complete_tripartite_hypergraph():
-    h = KUniformHypergraph(9, 3, [frozenset((a, 3 + b, 6 + c))
-                                  for a in range(3) for b in range(3)
-                                  for c in range(3)])
-    # one copy per choice of 2 vertices from each part
-    assert count_pattern(h, Pattern(3, 2)) == 27
+        assert count_pattern(g, 2) <= 2 * g.m ** 2
 
 
 def test_count_guard_names_estimate():
     with pytest.raises(GuardError, match=r"2\*m\^r"):
-        count_pattern(complete_graph(300), K_rr(2))
-    big = KUniformHypergraph(30, 3, [frozenset(e) for e in
-                                     itertools.combinations(range(30), 3)])
-    with pytest.raises(GuardError, match=r"\(k!\)\^r"):
-        count_pattern(big, Pattern(3, 3))
-    with pytest.raises(GuardError):
-        count_pattern(complete_graph(4), Pattern(3, 2))  # arity mismatch
+        count_pattern(complete_graph(300), 2)
     # bounds of more digits than int-to-str allows are never formatted
     with pytest.raises(GuardError, match=r"2\*m\^r"):
-        count_pattern(complete_graph(4), K_rr(100000))
-    matching = KUniformHypergraph(18000, 3, [(3 * i, 3 * i + 1, 3 * i + 2)
-                                            for i in range(6000)])
+        count_pattern(complete_graph(4), 100000)
     with pytest.raises(GuardError, match=r"\(k!\)\^r"):
-        count_pattern(matching, Pattern(3, 6000))
+        hyper_copy_guard(3, 6000, 6000)
+    # K_{1,1} is an edge, not a pattern: every entry point refuses r < 2
+    for call in (lambda: count_pattern(complete_graph(4), 1),
+                 lambda: _pattern_free(complete_graph(4), 1),
+                 lambda: extract_free(complete_graph(4), 1, RngStream(1)),
+                 lambda: bipfree.verify_free_subgraph(
+                     complete_graph(4), 1, Graph(4))):
+        with pytest.raises(GuardError, match="r >= 2"):
+            call()
 
 
 def test_extraction_target_arithmetic():
-    assert extraction_target(9, K_rr(2)) == 2   # ceil(9^(2/3)/4)
-    assert extraction_target(64, K_rr(2)) == 4  # 16/4 exactly
-    assert extraction_target(100, K_rr(2)) == 6
-    assert extraction_target(27, Pattern(3, 2)) == 2  # q=7, ceil(27^(6/7)/12)
+    assert extraction_target(9, 2) == 2   # ceil(9^(2/3)/4)
+    assert extraction_target(64, 2) == 4  # 16/4 exactly
+    assert extraction_target(100, 2) == 6
 
 
 def test_extract_single_edge_short_circuit():
     g = Graph(2, [(0, 1)])
-    res = extract_free(g, K_rr(2), RngStream(1))
+    res = extract_free(g, 2, RngStream(1))
     assert res.subgraph is g
     assert res.trials_used == 0 and res.target_size == 1
 
 
 def test_extract_pattern_free_input_returned_unchanged():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])  # a path has no K_{2,2}
-    res = extract_free(g, K_rr(2), RngStream(2))
+    res = extract_free(g, 2, RngStream(2))
     assert res.subgraph is g and res.trials_used == 0
 
 
 def test_extract_k33():
-    res = extract_free(complete_bipartite(3, 3), K_rr(2), RngStream(3))
+    res = extract_free(complete_bipartite(3, 3), 2, RngStream(3))
     assert res.target_size == 2
     assert res.subgraph.m >= 2
-    assert count_pattern(res.subgraph, K_rr(2)) == 0
+    assert count_pattern(res.subgraph, 2) == 0
     assert res.trials_used >= 1
-
-
-def test_extract_keeps_the_host_part_layout():
-    host = complete_bipartite(3, 4).transpose()  # V1 now sits at the high ids
-    res = extract_free(host, K_rr(2), RngStream(3))
-    assert (res.subgraph.v1, res.subgraph.v2) == (host.v1, host.v2)
-    assert count_pattern(res.subgraph, K_rr(2)) == 0
 
 
 def test_extract_random_graphs():
     rng = RngStream(40)
     for seed in range(5):
         g = random_graph(40 + 4 * seed, 0.5, rng.derive("g", seed))
-        res = extract_free(g, K_rr(2), rng.derive("x", seed))
-        assert res.subgraph.m >= res.target_size == extraction_target(g.m, K_rr(2))
-        assert count_pattern(res.subgraph, K_rr(2)) == 0
+        res = extract_free(g, 2, rng.derive("x", seed))
+        assert res.subgraph.m >= res.target_size == extraction_target(g.m, 2)
+        assert count_pattern(res.subgraph, 2) == 0
         # subgraph relation
         for u in range(g.n):
             assert res.subgraph.adj[u] & ~g.adj[u] == 0
 
 
-def test_extract_hypergraph():
-    h = KUniformHypergraph(9, 3, [frozenset((a, 3 + b, 6 + c))
-                                  for a in range(3) for b in range(3)
-                                  for c in range(3)])
-    res = extract_free(h, Pattern(3, 2), RngStream(6))
-    assert res.subgraph.m >= res.target_size == 2
-    assert count_pattern(res.subgraph, Pattern(3, 2)) == 0
-    assert res.subgraph.edges <= h.edges
-
-
 def test_extract_retry_cap_reports_best():
-    assert extract_free(complete_bipartite(3, 3), K_rr(2), RngStream(3),
+    assert extract_free(complete_bipartite(3, 3), 2, RngStream(3),
                         retry_cap=0) == \
         Failure("extract_free", "retry cap exhausted",
                 {"target": 2, "best_edges": 0, "best_subgraph": None})
@@ -525,6 +494,45 @@ def test_kpartite_check_random_subgraphs():
             assert chk.passed
 
 
+# The reference count of the k-partite pattern: every part structure that r
+# pairwise-disjoint edges assemble, tested transversal by transversal
+
+
+def edge_key(e) -> tuple:
+    return tuple(sorted(e))
+
+
+def copies_of_matching(combo, k: int):
+    """All part structures assembling the r disjoint edges into a copy."""
+    orderings_per_edge = [list(itertools.permutations(sorted(e))) for e in combo]
+    for orderings in itertools.product(*orderings_per_edge):
+        yield tuple(frozenset(o[i] for o in orderings) for i in range(k))
+
+
+def matching_copies(edges, k: int, r: int):
+    """Each part structure that r pairwise-disjoint edges assemble, once,
+    in the order the combinations of the sorted edges first meet it."""
+    seen: set[frozenset] = set()
+    for combo in itertools.combinations(sorted(edges, key=edge_key), r):
+        union = set()
+        for e in combo:
+            if union & e:
+                break
+            union |= e
+        else:
+            for parts in copies_of_matching(combo, k):
+                key = frozenset(parts)
+                if key not in seen:
+                    seen.add(key)
+                    yield parts
+
+
+def count_hyper(G: KUniformHypergraph, r: int) -> int:
+    hyper_copy_guard(G.k, G.m, r)
+    return sum(all(frozenset(t) in G.edges for t in itertools.product(*parts))
+               for parts in matching_copies(G.edges, G.k, r))
+
+
 def test_kpartite_check_part_aligned_count_matches_enumeration():
     for k in (2, 3):
         inst = kpartite_instance(k, 2, 2)
@@ -535,21 +543,21 @@ def test_kpartite_check_part_aligned_count_matches_enumeration():
             H = KUniformHypergraph(inst.hypergraph.n, k,
                                    [e for e in edges if s.random() < keep])
             chk = kpartite_count_check(H, inst.parts, 2)
-            assert chk.count == _count_hyper(H, 2), (k, seed)
+            assert chk.count == count_hyper(H, 2), (k, seed)
     inst = kpartite_instance(2, 3, 3)  # parts of sizes 3 and 27, r = 3
     s = RngStream(77)
     H = KUniformHypergraph(inst.hypergraph.n, 2,
                            [e for e in sorted(inst.hypergraph.edges, key=sorted)
                             if s.random() < 0.6])
     count = kpartite_count_check(H, inst.parts, 3).count
-    assert count == _count_hyper(H, 3) > 0
+    assert count == count_hyper(H, 3) > 0
     full = kpartite_instance(3, 2, 2)
     assert kpartite_count_check(full.hypergraph, full.parts, 2).count == 720
 
 
 def test_kpartite_check_keeps_the_copy_bound_guard():
     inst = kpartite_instance(2, 2, 29)  # m = 29^3 edges: 4*C(m,2) > 10^9
-    with pytest.raises(GuardError, match="copy bound"):
+    with pytest.raises(GuardError, match=r"copy bound \(k!\)\^r"):
         kpartite_count_check(inst.hypergraph, inst.parts, 2)
 
 
@@ -560,6 +568,9 @@ def test_kpartite_check_validation():
     with pytest.raises(GuardError):
         kpartite_count_check(inst.hypergraph,
                              [inst.parts[0][:1], (1,) + inst.parts[1]], 2)
+    with pytest.raises(GuardError, match="r >= 2"):
+        kpartite_count_check(KUniformHypergraph(4, 2, [(0, 2)]),
+                             [(0, 1), (2, 3)], 1)
     bad = KUniformHypergraph(6, 2, [frozenset((0, 1))])
     with pytest.raises(GuardError):
         # parts of sizes 2 and 4, but the edge stays inside part one

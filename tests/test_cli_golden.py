@@ -99,6 +99,9 @@ INVOCATIONS = [
     "setmap --op construct --n 4 --variant bogus",
     "bipfree --op tight",
     "bipfree --op count --n 30 --p 1.5",
+    # K_{1,1} is an edge, not a pattern: r >= 2, before any host is drawn
+    "bipfree --op count --n 30 --p 0.5 --r 1",
+    "bipfree --op extract --n 40 --p 0.5 --r 1",
     "embed --op lemma --delta 1",
     "rsgraph --op arrow --N 4 --t 2 --n 2 --mode guess",
     "rsgraph --op arrow --N 20 --t 2 --n 2 --mode theorem",

@@ -172,14 +172,12 @@ def test_validate_rejects_bad_counts_and_presets():
     spec = ExperimentSpec("setmap", "violate", {"n": 6}, trials=0)
     with pytest.raises(GuardError, match="trial count"):
         expcli.validate_spec(spec)
-    spec = ExperimentSpec("weakseq", "minor",
-                          {"n": 200, "p": 0.7, "preset": "lab"})
-    with pytest.raises(GuardError, match="unknown preset 'lab'"):
-        expcli.validate_spec(spec)
-    spec = ExperimentSpec("weakseq", "pipeline",
-                          {"n": 200, "p": 0.5, "preset": "paper"})
-    with pytest.raises(GuardError, match="unknown parameter 'preset'"):
-        expcli.validate_spec(spec)
+    for spec in (ExperimentSpec("weakseq", "minor",
+                                {"n": 200, "p": 0.7, "preset": "desk"}),
+                 ExperimentSpec("weakseq", "pipeline",
+                                {"n": 200, "p": 0.5, "preset": "paper"})):
+        with pytest.raises(GuardError, match="unknown parameter 'preset'"):
+            expcli.validate_spec(spec)
 
 
 def test_validate_rejects_unknown_and_missing_parameters():
@@ -729,8 +727,7 @@ def test_main_counts_a_host_graph_file(tmp_path, capsys):
     write_graph(random_graph(30, 0.5, RngStream(5)), host)
     assert expcli.main(["bipfree", "--op", "count", "--input", str(host)]) == 0
     row, = json.loads(capsys.readouterr().out)
-    assert row["key_mean"] == bipfree.count_pattern(read_graph(host),
-                                                    bipfree.K_rr(2))
+    assert row["key_mean"] == bipfree.count_pattern(read_graph(host), 2)
 
 
 @pytest.mark.parametrize("module, reader, write, host, op, name", [
@@ -963,28 +960,15 @@ def test_main_replay_and_report_reject_incomplete_records(tmp_path, capsys):
     _assert_input_error(["report", str(broken)], capsys)
 
 
-def test_preset_is_a_parameter_of_weakseq_minor_alone(capsys):
-    for key, spec in first_specs().items():
-        argv = _cli_argv(spec) + ["--preset", "paper", "--dry-run"]
-        try:
-            code = expcli.main(argv)
-        except SystemExit as exc:  # a module without the flag
-            code = exc.code
-        assert code == (0 if key == ("weakseq", "minor") else 2), key
-    assert json.loads(capsys.readouterr().out)["params"]["preset"] == "paper"
-
-
-def test_report_row_shows_the_preset(tmp_path, capsys):
-    rows = []
-    for preset in ("desk", "paper"):
-        out = tmp_path / f"{preset}.json"
-        expcli.main(["weakseq", "--op", "minor", "--n", "200", "--p", "0.7",
-                     "--t", "3", "--preset", preset, "--out", str(out)])
-        rows += expcli.report_rows([expcli.read_record(out)])
-    capsys.readouterr()
-    assert [r["params"] for r in rows] == [
-        f"diameter_aware=1 n=200 p=0.7 preset={preset} r=2 retry_cap=50 t=3"
-        for preset in ("desk", "paper")]
+def test_replay_refuses_a_record_whose_params_hold_a_preset(tmp_path, capsys):
+    path = tmp_path / "rec.json"
+    expcli.run(ExperimentSpec("weakseq", "minor", {"n": 200, "p": 0.7,
+                                                   "t": 3}, seed=5,
+                              out=str(path)))
+    rec = expcli.read_record(path)
+    rec["spec"]["params"]["preset"] = "desk"
+    _write_json(path, rec)
+    _assert_input_error(["replay", str(path)], capsys)
 
 
 def test_main_exclusive_graph_sources(capsys):

@@ -22,9 +22,9 @@ from pathlib import Path
 import pytest
 
 from exlab import bipfree, lll_embed, removal, rsgraph, setmap, weakseq
-from exlab.core import (BipartiteGraph, EdgeColoring, Graph,
-                        KUniformHypergraph, RngStream, complete_graph,
-                        hypercube, iter_bits, random_coloring, random_graph)
+from exlab.core import (BipartiteGraph, EdgeColoring, Graph, RngStream,
+                        complete_graph, hypercube, iter_bits, random_coloring,
+                        random_graph)
 
 # --- setmap: violations -----------------------------------------------------
 
@@ -379,7 +379,7 @@ C6_IN_K33 = [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]
 
 
 def build_free_graph():
-    return (K33, bipfree.K_rr(2)), Graph(6, C6_IN_K33)
+    return (K33, 2), Graph(6, C6_IN_K33)
 
 
 def mutate_free_graph(instance, H):
@@ -388,26 +388,6 @@ def mutate_free_graph(instance, H):
         if not H.has_edge(*e):
             reason = ("copies", 2) if G.has_edge(*e) else ("not_subgraph", e)
             yield instance, Graph(6, H.edges() + [e]), reason
-
-
-# the complete 3-partite 3-graph with parts of size 2 is one copy of the
-# pattern; without {1, 3, 5} it is pattern-free
-PARTS3 = ((0, 1), (2, 3), (4, 5))
-K222 = KUniformHypergraph(6, 3, itertools.product(*PARTS3))
-
-
-def build_free_hyper():
-    H = KUniformHypergraph(6, 3, K222.edges - {frozenset({1, 3, 5})})
-    return (K222, bipfree.Pattern(3, 2)), H
-
-
-def mutate_free_hyper(instance, H):
-    G, _ = instance
-    for e in itertools.combinations(range(6), 3):
-        if frozenset(e) not in H.edges:
-            reason = ("copies", 1) if frozenset(e) in G.edges \
-                else ("not_subgraph", e)
-            yield instance, KUniformHypergraph(6, 3, [*H.edges, e]), reason
 
 
 def krs_copies(rows, a: int, b: int) -> int:
@@ -514,8 +494,6 @@ ROWS = {
     "copy": (build_copy, lll_embed.verify_copy, mutate_copy),
     "free-subgraph": (build_free_graph, bipfree.verify_free_subgraph,
                       mutate_free_graph),
-    "free-hypergraph": (build_free_hyper, bipfree.verify_free_subgraph,
-                        mutate_free_hyper),
     "zarankiewicz-tight": (build_zarankiewicz_tight,
                            bipfree.verify_zarankiewicz, mutate_zarankiewicz),
     "zarankiewicz-r2-s3": (build_zarankiewicz_r2_s3,
@@ -566,8 +544,7 @@ cases = [
         random_coloring(complete_graph(8), 2, RngStream(3)), hypercube(2),
         RngStream(4))),
     (bipfree, "verify_free_subgraph", lambda: bipfree.extract_free(
-        random_graph(12, 0.7, RngStream(5)), bipfree.K_rr(2),
-        RngStream(6))),
+        random_graph(12, 0.7, RngStream(5)), 2, RngStream(6))),
     (bipfree, "verify_zarankiewicz", lambda: bipfree.zarankiewicz_oracle(
         bipfree.tight_instance(2, 2, 8))),
     (removal, "verify_corner", lambda: removal.grid_pipeline(grid)),

@@ -1015,7 +1015,8 @@ def test_sequence_oracle_guards():
 
 
 def test_load_preset():
-    assert load_preset("paper") == MinorConstants(
+    # the defaults are the published constants
+    assert MinorConstants() == MinorConstants(
         xprime_div=400,
         paths=PathsParams(x_frac_div=50, budget_coeff=Fraction(1, 10 ** 9),
                           min_p2n=1600))
@@ -1026,15 +1027,17 @@ def test_load_preset():
     assert (weakseq.CLEANUP_DIV, weakseq.SPLIT_EDGE_DIV,
             weakseq.SPLIT_MINDEG_DIV, weakseq.Z_DENSITY_DIV,
             weakseq.W_DENSITY_DIV) == (8, 32, 32, 64, 32)
-    with pytest.raises(GuardError, match="unknown preset 'closet'"):
-        load_preset("closet")
+    for name in ("closet", "paper"):
+        with pytest.raises(GuardError, match=f"unknown preset '{name}'"):
+            load_preset(name)
 
 
 def test_paper_preset_cannot_pass_the_second_path_stage():
-    """``paths_drc[2]`` runs on Z' and X', 2 ceil(p n / xprime_div)
-    vertices, and needs p'^2 n' >= min_p2n with p' <= 1: no host of at most
-    MAX_VERTICES vertices has enough, at any p <= 1 (README)."""
-    paper = weakseq.PRESETS["paper"]
+    """With the published constants, ``MinorConstants()``, ``paths_drc[2]``
+    runs on Z' and X', 2 ceil(p n / xprime_div) vertices, and needs
+    p'^2 n' >= min_p2n with p' <= 1: no host of at most MAX_VERTICES
+    vertices has enough, at any p <= 1 (README)."""
+    paper = MinorConstants()
 
     def second_stage(pn):  # vertices of paths_drc[2]'s host, at p n = pn
         return 2 * _ceil_frac(Fraction(pn, paper.xprime_div))
