@@ -197,6 +197,36 @@ def test_count_agrees_with_brute_force():
         assert count_pattern(g, 2) == brute_count_krr2(g)
 
 
+def test_count_dual_route_graph_vs_hypergraph():
+    # a graph on the parts of kpartite_instance(2, r, n) holds only
+    # part-aligned copies of K_{r,r}, so the graph count and the k-partite
+    # check's count are two routes to one number
+    for r, n, keep in ((2, 4, 0.5), (2, 5, 0.3), (3, 3, 0.6)):
+        inst = kpartite_instance(2, r, n)
+        s = RngStream(50 + n)
+        edges = [e for e in sorted(inst.hypergraph.edges, key=sorted)
+                 if s.random() < keep]
+        H = KUniformHypergraph(inst.hypergraph.n, 2, edges)
+        g = Graph(H.n, [tuple(e) for e in edges])
+        count = count_pattern(g, r)
+        assert count == kpartite_count_check(H, inst.parts, r).count > 0, \
+            (r, n)
+
+
+def test_verify_free_subgraph_counts_as_count_pattern():
+    # the verifier's count reads only the rows of H, never the r-set walk
+    rng = RngStream(71)
+    hosts = [random_graph(40, 0.5, RngStream(0)),
+             random_graph(60, 0.1, rng.derive("sparse")),
+             random_bipartite(9, 11, 0.6, rng.derive("bip")),
+             complete_graph(9)]
+    for r in (2, 3):
+        for G in hosts:
+            copies = count_pattern(G, r)
+            assert bipfree.verify_free_subgraph(G, r, G) == (
+                (False, ("copies", copies)) if copies else (True, None)), r
+
+
 def test_count_lemma_bound_on_corpus():
     rng = RngStream(300)
     for i in range(50):
@@ -250,6 +280,15 @@ def test_extract_k33():
     assert res.subgraph.m >= 2
     assert count_pattern(res.subgraph, 2) == 0
     assert res.trials_used >= 1
+
+
+def test_extract_from_a_bipartite_host_returns_a_graph_on_its_rows():
+    host = complete_bipartite(3, 4).transpose()  # V1 now sits at the high ids
+    res = extract_free(host, 2, RngStream(3))
+    assert type(res.subgraph) is Graph and res.subgraph.n == host.n
+    assert res.subgraph.m >= res.target_size == 2
+    assert all(res.subgraph.adj[u] & ~host.adj[u] == 0 for u in range(host.n))
+    assert bipfree.verify_free_subgraph(host, 2, res.subgraph) == (True, None)
 
 
 def test_extract_random_graphs():

@@ -971,6 +971,25 @@ def test_replay_refuses_a_record_whose_params_hold_a_preset(tmp_path, capsys):
     _assert_input_error(["replay", str(path)], capsys)
 
 
+def test_no_operation_takes_a_preset(capsys):
+    for key, spec in first_specs().items():
+        argv = _cli_argv(spec) + ["--preset", "desk", "--dry-run"]
+        with pytest.raises(SystemExit) as exc:
+            expcli.main(argv)
+        assert exc.value.code == 2, key
+    assert capsys.readouterr().out == ""
+
+
+def test_report_row_of_a_minor_record_lists_its_parameters(tmp_path, capsys):
+    out = tmp_path / "minor.json"
+    assert expcli.main(["weakseq", "--op", "minor", "--n", "200", "--p", "0.7",
+                        "--t", "3", "--out", str(out)]) == 0
+    row, = expcli.report_rows([expcli.read_record(out)])
+    capsys.readouterr()
+    assert row["params"] == \
+        "diameter_aware=1 n=200 p=0.7 r=2 retry_cap=50 t=3"
+
+
 def test_main_exclusive_graph_sources(capsys):
     code = expcli.main(["bipfree", "--op", "count", "--n", "30", "--p", "0.5",
                         "--input", "somefile"])

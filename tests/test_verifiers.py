@@ -390,6 +390,21 @@ def mutate_free_graph(instance, H):
             yield instance, Graph(6, H.edges() + [e]), reason
 
 
+# K_33 less the edge (0, 3) is K_{3,3}-free; putting it back makes the one
+# copy.  Vertices 0 and 3 fall below degree r = 3 in the witness, so the
+# verifier's count leaves their rows out until the edge returns.
+def build_free_graph_r3():
+    return (K33, 3), Graph(6, [e for e in K33.edges() if e != (0, 3)])
+
+
+def mutate_free_graph_r3(instance, H):
+    G, _ = instance
+    for e in itertools.combinations(range(6), 2):
+        if not H.has_edge(*e):
+            reason = ("copies", 1) if G.has_edge(*e) else ("not_subgraph", e)
+            yield instance, Graph(6, H.edges() + [e]), reason
+
+
 def krs_copies(rows, a: int, b: int) -> int:
     """Copies of K_{a,b} with the a-side in U and the b-side among the V
     rows, counted over b-sets of rows."""
@@ -494,6 +509,8 @@ ROWS = {
     "copy": (build_copy, lll_embed.verify_copy, mutate_copy),
     "free-subgraph": (build_free_graph, bipfree.verify_free_subgraph,
                       mutate_free_graph),
+    "free-subgraph-r3": (build_free_graph_r3, bipfree.verify_free_subgraph,
+                         mutate_free_graph_r3),
     "zarankiewicz-tight": (build_zarankiewicz_tight,
                            bipfree.verify_zarankiewicz, mutate_zarankiewicz),
     "zarankiewicz-r2-s3": (build_zarankiewicz_r2_s3,
