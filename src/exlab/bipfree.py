@@ -235,7 +235,8 @@ def _graph_round(G, r: int, stream: RngStream) -> Graph:
 
 def verify_free_subgraph(G, r: int, H):
     """(ok, reason) for H as a K_{r,r}-free subgraph of the graph G: reason
-    is ("not_subgraph", e) for the first edge e of H, sorted, that G lacks,
+    is ("vertices", H.n) when H has another vertex count than G,
+    ("not_subgraph", e) for the first edge e of H, sorted, that G lacks,
     or ("copies", c) for H's c copies of K_{r,r}.
 
     The count does not walk ``_rsets``.  An r-set B is met once as an
@@ -244,6 +245,8 @@ def verify_free_subgraph(G, r: int, H):
     once from each side.  An r-set with a vertex of degree below r has
     fewer than r common neighbours, so the rows leave such vertices out.
     """
+    if H.n != G.n:
+        return False, ("vertices", H.n)
     extra = [(u, v) for u in range(G.n) for v in bits(H.adj[u] & ~G.adj[u])]
     if extra:
         return False, ("not_subgraph", extra[0])

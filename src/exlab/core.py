@@ -748,16 +748,25 @@ def random_equitable_bipartition(g: Graph, stream: RngStream,
     cells = half * (n - half)
     perm = list(range(n))
     best = (Fraction(0), 0)
+    adj = g.adj
     for t in range(1, retry_cap + 1):
         stream.shuffle(perm)
-        side1 = perm[:half]
-        mask2 = mask_of(perm[half:])
-        cross = sum((g.adj[u] & mask2).bit_count() for u in side1)
+        side1, side2 = perm[:half], perm[half:]
+        mask2 = mask_of(side2)
+        cut1 = [adj[u] & mask2 for u in side1]
+        cross = sum(map(int.bit_count, cut1))
         dens = Fraction(cross, cells) if cells else Fraction(0)
         if dens > best[0]:
             best = (dens, t)
         if dens >= base:
-            bip = BipartiteGraph.induced(g, mask_of(side1), mask2)
+            # side 1's rows were cut for the count; only side 2's are cut
+            mask1 = mask_of(side1)
+            rows = [0] * n
+            for u, row in zip(side1, cut1):
+                rows[u] = row
+            for v in side2:
+                rows[v] = adj[v] & mask1
+            bip = BipartiteGraph._from_parts(rows, (mask1, mask2))
             return EquitablePartition(bip, dens, t)
     return Failure("random_equitable_bipartition", "retry cap exhausted",
                    {"best_density": float(best[0]), "target": float(base)})

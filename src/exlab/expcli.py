@@ -281,7 +281,8 @@ _AGGREGATE_FIELDS = ("trials", "successes", "success_rate")
 
 def _check_record(rec, source) -> "ExperimentSpec":
     """The spec a record echoes; ValueError unless the record has the
-    current schema and every field that replay and report read."""
+    current schema, every field that replay and report read, and one trial
+    count: ``spec.trials``, ``aggregate.trials`` and the listed trials'."""
     if not isinstance(rec, dict):
         raise ValueError(f"record {source} is not a JSON object")
     version = rec.get("schema_version")
@@ -298,7 +299,13 @@ def _check_record(rec, source) -> "ExperimentSpec":
                 if f not in rec["aggregate"]]
     if missing:
         raise ValueError(f"record {source} lacks {', '.join(missing)}")
-    return _spec_from_dict(rec["spec"], source)
+    spec = _spec_from_dict(rec["spec"], source)
+    counts = (rec["aggregate"]["trials"], len(rec["trials"]))
+    if any(type(c) is not int or c != spec.trials for c in counts):
+        raise ValueError(f"record {source} has spec.trials {spec.trials}, "
+                         f"aggregate.trials {counts[0]!r} and "
+                         f"{counts[1]} listed trials")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -949,6 +956,19 @@ def destination_guard(path, what: str) -> None:
         raise GuardError(f"cannot write {what} to {path}")
 
 
+MAX_TRIALS = 10 ** 5
+
+
+def trial_count_guard(trials: int) -> None:
+    """GuardError unless 1 <= trials <= MAX_TRIALS.  A run holds every
+    trial's outcome until it writes the record in one piece, about 2.5 KB
+    of peak memory and 300 bytes of record per trial, so the cap keeps a
+    run near 250 MB and its record near 30 MB."""
+    if not 1 <= trials <= MAX_TRIALS:
+        raise GuardError(f"trial count must lie in 1..{MAX_TRIALS}, "
+                         f"got {trials}")
+
+
 def validate_spec(spec: ExperimentSpec) -> tuple:
     """The resolved parameters and the source that ``OpDef.check`` returns:
     resolve defaults and check preconditions, and that the record can be
@@ -961,8 +981,7 @@ def validate_spec(spec: ExperimentSpec) -> tuple:
                              f"{spec.module}; choose from {ops}")
         raise GuardError(f"unknown module {spec.module!r}; choose from "
                          f"{list(MODULES)}")
-    if spec.trials < 1:
-        raise GuardError(f"trial count must be >= 1, got {spec.trials}")
+    trial_count_guard(spec.trials)
     if spec.out:
         destination_guard(spec.out, "the record")
     return _resolve_params(OPS[key], spec.params)

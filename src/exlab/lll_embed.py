@@ -410,13 +410,16 @@ def _less(m1: int, e1: int, m2: int, e2: int) -> bool:
 
 
 def drc_subset(B: BipartiteGraph, params: DrcParams, rng: RngStream,
-               retry_cap: int = 200) -> Union[DrcResult, Failure]:
+               retry_cap: int = 200, *,
+               thin: Optional[list] = None) -> Union[DrcResult, Failure]:
     """Common neighborhood of k random V2 vertices, retried until it verifies.
 
     Clause 1: 2|U|^k >= (eps^k N)^k, i.e. |U| >= 2^(-1/k) eps^k N.  Clause 2:
     the number of k-subsets of U with fewer than n common neighbors in V2 is
     below 2^(k+1) b^(-k) C(|U|, k).  Both clauses are verified by direct
-    counting on every attempt.
+    counting on every attempt.  A list passed as ``thin`` gets the accepted
+    U's counted k-subsets appended as lex ranks over U: the ``deleted`` of
+    ``build_aux_pair`` for that U, B and n.
     """
     if B.n1 != B.n2:
         raise GuardError("parts must have equal size")
@@ -440,12 +443,14 @@ def drc_subset(B: BipartiteGraph, params: DrcParams, rng: RngStream,
             if best is None or stats["size"] > best["size"]:
                 best = stats
             continue
-        thin = []
-        _thin_k_set_ranks([B.adj[u] for u in U], 0, k, mask2, n, 0, thin)
-        bad = len(thin)
+        ranks = []
+        _thin_k_set_ranks([B.adj[u] for u in U], 0, k, mask2, n, 0, ranks)
+        bad = len(ranks)
         bound = Fraction(2 ** (k + 1), 1) / b ** k * math.comb(len(U), k)
         stats["bad"] = bad
         if bad < bound:
+            if thin is not None:
+                thin.extend(ranks)
             return DrcResult(tuple(U), t, bad, bound)
         if best is None or stats["size"] > best["size"]:
             best = stats
@@ -487,10 +492,17 @@ def _thin_k_set_ranks(rows: Sequence[int], start: int, left: int,
 
 
 def build_aux_pair(H: BipartiteGraph, U: Sequence[int], G: BipartiteGraph,
-                   n: int) -> AuxPair:
+                   n: int, *,
+                   deleted: Optional[Iterable[int]] = None) -> AuxPair:
     """Auxiliary pair: distinct V2 neighborhoods of H as target edges, and
     k-subsets of U with at least n common G-neighbors in G's V2 as host top
-    edges."""
+    edges.
+
+    ``deleted``, when given, stands for the walk over U's k-subsets: the lex
+    ranks, over sorted U, of those with fewer than n common neighbors, as
+    ``drc_subset`` lists them in ``thin`` when it accepts U.  It is read
+    only once every guard has passed.
+    """
     k = max(map(H.degree, H.v2), default=0)
     if k < 1:
         raise GuardError("the V2 side of H has no edges")
@@ -505,8 +517,10 @@ def build_aux_pair(H: BipartiteGraph, U: Sequence[int], G: BipartiteGraph,
         raise GuardError("U smaller than the uniformity k")
     if math.comb(len(u), k) > MAX_ENUMERATION:
         raise GuardError("U too large for top-level enumeration")
-    deleted = []
-    _thin_k_set_ranks([G.adj[x] for x in u], 0, k, G.mask(2), n, 0, deleted)
+    if deleted is None:
+        deleted = []
+        _thin_k_set_ranks([G.adj[x] for x in u], 0, k, G.mask(2), n, 0,
+                          deleted)
     return AuxPair(target, DownClosedHypergraph(len(u), k, deleted), u)
 
 
@@ -624,11 +638,14 @@ def bip_ramsey_pipeline(coloring: EdgeColoring, H, rng: RngStream,
     b_maj = BipartiteGraph._from_parts(bip_rows, (mask_a, mask_b))
 
     params = DrcParams(eps, k, b, hn)
-    drc = drc_subset(b_maj, params, rng, retry_cap=drc_retry)
+    # U's thin k-sets are walked once: the accepted attempt's list is the
+    # auxiliary host's deleted set (same B, n and, past its guard, k)
+    thin = []
+    drc = drc_subset(b_maj, params, rng, retry_cap=drc_retry, thin=thin)
     if isinstance(drc, Failure):
         return drc
 
-    aux = build_aux_pair(h_bip, drc.U, b_maj, hn)
+    aux = build_aux_pair(h_bip, drc.U, b_maj, hn, deleted=thin)
 
     emb = resample_embed(aux.target, aux.dch, rng, round_cap=round_cap)
     if isinstance(emb, Failure):

@@ -117,6 +117,11 @@ INVOCATIONS = [
     "embed --op drc --eps 1e100000",
     "embed --op drc --N 40000004 --k 10000000 --eps 1/3",
     "embed --op cube --d 17",
+    # the trial cap, expcli.MAX_TRIALS = 10^5, also under --dry-run
+    "setmap --op violate --k 2 --n 6 --trials 100000",
+    "setmap --op violate --k 2 --n 6 --trials 100001",
+    "bipfree --op extract --n 40 --p 0.5 "
+    "--trials 1000000000000000000000000000000",
     "bipfree --op count --n 1000000000000000000000 --p 0.5",
     "embed --op drc --N 1000000000000000000000 --k 1",
     "removal --op census --N 4 --r 100000",

@@ -169,9 +169,12 @@ def test_validate_rejects_unknown_module_and_operation():
 
 
 def test_validate_rejects_bad_counts_and_presets():
-    spec = ExperimentSpec("setmap", "violate", {"n": 6}, trials=0)
-    with pytest.raises(GuardError, match="trial count"):
-        expcli.validate_spec(spec)
+    for trials in (0, expcli.MAX_TRIALS + 1, 10 ** 30):
+        spec = ExperimentSpec("setmap", "violate", {"n": 6}, trials=trials)
+        with pytest.raises(GuardError, match="trial count"):
+            expcli.validate_spec(spec)
+    expcli.validate_spec(ExperimentSpec("setmap", "violate", {"n": 6},
+                                        trials=expcli.MAX_TRIALS))
     for spec in (ExperimentSpec("weakseq", "minor",
                                 {"n": 200, "p": 0.7, "preset": "desk"}),
                  ExperimentSpec("weakseq", "pipeline",
@@ -958,6 +961,31 @@ def test_main_replay_and_report_reject_incomplete_records(tmp_path, capsys):
     _write_json(broken, rec)
     _assert_input_error(["replay", str(broken)], capsys)
     _assert_input_error(["report", str(broken)], capsys)
+
+
+def test_replay_and_report_refuse_disagreeing_trial_counts(tmp_path, capsys,
+                                                          monkeypatch):
+    path = tmp_path / "rec.json"
+    expcli.run(ExperimentSpec("setmap", "violate", {"k": 2, "n": 6},
+                              trials=2, out=str(path)))
+    good = expcli.read_record(path)
+
+    def no_run(spec):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(expcli, "run", no_run)
+    broken = tmp_path / "broken.json"
+    for mutate in (lambda r: r["spec"].update(trials=10 ** 30),
+                   lambda r: r["spec"].update(trials=3),
+                   lambda r: r["aggregate"].update(trials=3),
+                   lambda r: r["aggregate"].update(trials=2.0),
+                   lambda r: r["trials"].pop(),
+                   lambda r: r["trials"].append(r["trials"][0])):
+        rec = json.loads(json.dumps(good))
+        mutate(rec)
+        _write_json(broken, rec)
+        _assert_input_error(["replay", str(broken)], capsys)
+        _assert_input_error(["report", str(broken)], capsys)
 
 
 def test_replay_refuses_a_record_whose_params_hold_a_preset(tmp_path, capsys):

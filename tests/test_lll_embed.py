@@ -506,11 +506,53 @@ def test_build_aux_pair_matches_mask_oracle(k, n):
 
 def test_build_aux_pair_guards():
     empty = BipartiteGraph(2, 2, [])
-    with pytest.raises(GuardError):
-        build_aux_pair(empty, range(4), complete_bipartite(4, 4), 1)
+    for deleted in (None, [0]):  # a given list is read past the guards
+        with pytest.raises(GuardError, match="V2 side of H has no edges"):
+            build_aux_pair(empty, range(4), complete_bipartite(4, 4), 1,
+                           deleted=deleted)
     matching = BipartiteGraph(2, 2, [(0, 2), (1, 3)])
     with pytest.raises(GuardError):
         build_aux_pair(matching, (), complete_bipartite(4, 4), 1)
+    # the pipeline hands its DRC list over only through that guard
+    col = random_coloring(complete_graph(256), 2, RngStream(1))
+    with pytest.raises(GuardError, match="V2 side of H has no edges"):
+        bip_ramsey_pipeline(col, Graph(4, []), RngStream(2))
+
+
+def test_drc_thin_list_is_the_aux_hosts_deleted_set():
+    B = _random_bipartite(96, 0.55, 77)
+    params = DrcParams(Fraction(1, 2), 3, Fraction(3, 4), 16)
+    thin = []
+    res = drc_subset(B, params, RngStream(3), thin=thin)
+    assert res == drc_subset(B, params, RngStream(3))
+    assert len(thin) == res.bad_k_sets > 0
+    h = BipartiteGraph(3, 1, [(0, 3), (1, 3), (2, 3)])  # V2 degree k = 3
+    aux = build_aux_pair(h, res.U, B, 16)
+    assert frozenset(thin) == aux.dch.deleted_ranks
+
+
+@pytest.mark.parametrize("N, d", [(256, 3), (512, 3), (512, 4)])
+def test_pipeline_aux_host_matches_a_fresh_build(monkeypatch, N, d):
+    build = lll_embed.build_aux_pair
+    calls = []
+
+    def spy(H, U, G, n, **kwargs):
+        aux = build(H, U, G, n, **kwargs)
+        calls.append(((H, U, G, n), kwargs, aux))
+        return aux
+
+    monkeypatch.setattr(lll_embed, "build_aux_pair", spy)
+    for seed in range(3):
+        col = random_coloring(complete_graph(N), 2, RngStream(8000 + seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            bip_ramsey_pipeline(col, hypercube(d), RngStream(seed))
+    assert len(calls) == 3
+    for args, kwargs, aux in calls:
+        assert kwargs.keys() == {"deleted"}
+        assert aux.dch.deleted_ranks == build(*args).dch.deleted_ranks
+    # Q4 at N = 512 leaves thin 4-sets in every U; Q3 rarely does
+    assert (d == 4) <= all(aux.dch.deleted_ranks for *_, aux in calls)
 
 
 def test_pipeline_single_edge_k3_exhaustive():

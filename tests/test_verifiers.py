@@ -382,12 +382,22 @@ def build_free_graph():
     return (K33, 2), Graph(6, C6_IN_K33)
 
 
+def mutate_vertex_count(instance, H):
+    """H on two more vertices, joined by an edge outside G's vertex set,
+    and H on one vertex less."""
+    n = H.n
+    yield instance, Graph(n + 2, H.edges() + [(n, n + 1)]), ("vertices", n + 2)
+    yield instance, Graph(n - 1, [e for e in H.edges() if n - 1 not in e]), \
+        ("vertices", n - 1)
+
+
 def mutate_free_graph(instance, H):
     G, _ = instance
     for e in itertools.combinations(range(6), 2):
         if not H.has_edge(*e):
             reason = ("copies", 2) if G.has_edge(*e) else ("not_subgraph", e)
             yield instance, Graph(6, H.edges() + [e]), reason
+    yield from mutate_vertex_count(instance, H)
 
 
 # K_33 less the edge (0, 3) is K_{3,3}-free; putting it back makes the one
@@ -403,6 +413,7 @@ def mutate_free_graph_r3(instance, H):
         if not H.has_edge(*e):
             reason = ("copies", 1) if G.has_edge(*e) else ("not_subgraph", e)
             yield instance, Graph(6, H.edges() + [e]), reason
+    yield from mutate_vertex_count(instance, H)
 
 
 def krs_copies(rows, a: int, b: int) -> int:
