@@ -759,7 +759,7 @@ def random_equitable_bipartition(g: Graph, stream: RngStream,
         if dens > best[0]:
             best = (dens, t)
         if dens >= base:
-            # side 1's rows were cut for the count; only side 2's are cut
+            # the count already cut side 1's rows; side 2's are cut here
             mask1 = mask_of(side1)
             rows = [0] * n
             for u, row in zip(side1, cut1):
