@@ -158,7 +158,16 @@ class RngStream:
     def __init__(self, seed: int):
         self.seed = int(seed)
         self.position = 0
+
+    def __getattr__(self, name: str):
+        """Seed the generator on the first read of ``_rng``: a stream that
+        only derives children never pays for seeding.  Once the slot is
+        set, reads no longer come here."""
+        if name != "_rng":
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
         self._rng = random.Random(self.seed)
+        return self._rng
 
     def derive(self, *path: object) -> "RngStream":
         key = "\x1f".join([str(self.seed), *[str(p) for p in path]])

@@ -34,7 +34,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import comb
 from typing import Callable, Optional
 
@@ -84,9 +84,6 @@ bipfree, lll_embed, removal, rsgraph, setmap, weakseq = map(
 
 # exact types that canonical returns as they are; subclasses still recurse
 _PLAIN = frozenset({bool, int, float, str, type(None)})
-
-# json.dumps(x, sort_keys=True), without building an encoder per call
-_set_key = json.JSONEncoder(sort_keys=True).encode
 
 
 def canonical(obj):
@@ -150,72 +147,30 @@ def _shallow(obj):
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
-# The digest runs json's C encoder over the witness itself, and the encoder
-# hands each type it cannot write to _shallow.  Where every dict in the
-# witness has str keys, that gives the bytes of canonical's path,
-# json.dumps(canonical(obj), sort_keys=True, separators=(",", ":")): the
-# encoder writes a tuple as a list, and int, float and str subclasses,
-# namedtuples and the items of dict subclasses reach the same C encoder
-# through canonical's output.  Other keys come out differently (the encoder
-# sorts int keys 2 before 10 where canonical sorts "10" before "2", and it
-# refuses tuple keys and mixed key types), so a witness that holds one
-# takes canonical's path.
-_encode = json.JSONEncoder(default=_shallow, sort_keys=True,
-                           separators=(",", ":"), check_circular=False).encode
-_SEQUENCES = frozenset({list, tuple})
-# exact types the key scan does not enter: scalars, and the types whose
-# _shallow form holds no dict with a key of another type
-_SCAN_LEAVES = _PLAIN | {Fraction, set, frozenset, Graph, BipartiteGraph,
-                         KUniformHypergraph, EdgeColoring}
-_SCAN_DEPTH = 64
-_SCAN_ITEMS = 1 << 20
+def _c_encoder(item_separator: str, key_separator: str):
+    """obj -> its JSON text with sorted keys, from one C encoder built here
+    and reused: ``json.JSONEncoder.encode`` builds a new one on every call.
+    Each type the encoder cannot write goes to ``_shallow``.  No circular
+    check, whose marks a failed call would leave behind: a cycle raises
+    RecursionError."""
+    encoder = c_make_encoder(None, _shallow, encode_basestring_ascii, None,
+                             key_separator, item_separator, True, False, True)
+    return lambda obj: "".join(encoder(obj, 0))
 
 
-def _str_keys_only(obj) -> bool:
-    """Whether each dict the digest encoder meets in obj, outside the types
-    _shallow makes plain, has only keys of type str.  The scan reads obj
-    level by level; past _SCAN_DEPTH levels or _SCAN_ITEMS items (a cycle,
-    or parts shared many times over) it answers False."""
-    level, budget = [obj], _SCAN_ITEMS
-    for _ in range(_SCAN_DEPTH):
-        kinds = set(map(type, level))
-        if kinds <= _SCAN_LEAVES:  # an empty level too
-            return True
-        budget -= len(level)
-        if budget < 0:
-            return False
-        if kinds <= _SEQUENCES:
-            level = list(chain.from_iterable(level))
-            continue
-        nxt, dicts = [], []
-        for x in level:
-            if type(x) in _SCAN_LEAVES:
-                continue
-            if isinstance(x, (list, tuple)):
-                nxt.extend(x)
-            elif isinstance(x, dict):
-                dicts.append(x)
-                nxt.extend(x.values())
-            elif dataclasses.is_dataclass(x) and not isinstance(x, type):
-                nxt.extend([getattr(x, f.name) for f in dataclasses.fields(x)])
-        if dicts and not set(map(type, chain.from_iterable(dicts))) <= {str}:
-            return False
-        level = nxt
-    return False
+# json.dumps(x, sort_keys=True) of canonical's output, and the compact form
+# that digests and records are written in
+_set_key = _c_encoder(", ", ": ")
+_encode = _c_encoder(",", ":")
 
 
 def digest(obj) -> str:
-    """SHA-256 of obj's canonical JSON, sorted keys and no spaces."""
-    try:
-        blob = _encode(obj) if _str_keys_only(obj) else None
-    except (TypeError, ValueError, RecursionError):
-        # an unknown type, a cycle, an int too long for text: canonical's
-        # path runs again, so a trial records the exception it raises
-        blob = None
-    if blob is None:
-        blob = json.dumps(canonical(obj), sort_keys=True,
-                          separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """SHA-256 of obj's JSON from the compact C encoder: sorted keys, no
+    spaces, and ``_shallow``'s form for every other type.  TypeError,
+    ValueError or RecursionError for a witness the encoder refuses (a key
+    that is not a str, int, float, bool or None, keys of types that do not
+    sort together, an unknown type, a cycle, an int too long for text)."""
+    return hashlib.sha256(_encode(obj).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +211,16 @@ class ExperimentRecord:
 
 
 def write_record(record: ExperimentRecord, path) -> None:
-    text = json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n"
+    """One line per top-level field, in sorted order, and one compact line
+    per trial; the parsed value is that of ``json.dumps(record.to_dict())``."""
+    fields = []
+    for name, value in sorted(record.to_dict().items()):
+        if name == "trials":
+            value = "[\n    " + ",\n    ".join(map(_encode, value)) + "\n  ]"
+        else:
+            value = _encode(value)
+        fields.append(f'  "{name}": {value}')
+    text = "{\n" + ",\n".join(fields) + "\n}\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -962,8 +926,8 @@ MAX_TRIALS = 10 ** 5
 def trial_count_guard(trials: int) -> None:
     """GuardError unless 1 <= trials <= MAX_TRIALS.  A run holds every
     trial's outcome until it writes the record in one piece, about 2.5 KB
-    of peak memory and 300 bytes of record per trial, so the cap keeps a
-    run near 250 MB and its record near 30 MB."""
+    of peak memory and 200 bytes of record per trial, so the cap keeps a
+    run near 250 MB and its record near 20 MB."""
     if not 1 <= trials <= MAX_TRIALS:
         raise GuardError(f"trial count must lie in 1..{MAX_TRIALS}, "
                          f"got {trials}")
@@ -1053,8 +1017,7 @@ def replay(path) -> tuple[bool, ExperimentRecord]:
                          f"{algorithm!r}; this build replays "
                          f"{RngStream.ALGORITHM!r}")
     fresh = run(dataclasses.replace(spec, out=None))
-    match = (json.dumps(fresh.trials, sort_keys=True)
-             == json.dumps(rec["trials"], sort_keys=True))
+    match = _encode(fresh.trials) == _encode(rec["trials"])
     return match, fresh
 
 

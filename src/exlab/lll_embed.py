@@ -604,10 +604,12 @@ def bip_ramsey_pipeline(coloring: EdgeColoring, H, rng: RngStream,
     half = N // 2
     mask_a = (1 << half) - 1
     mask_b = ((1 << half) - 1) << half
-    counts = [sum((coloring.rows[c][u] & mask_b).bit_count()
-                  for u in range(half)) for c in range(2)]
-    majority = 0 if counts[0] >= counts[1] else 1
-    rows_maj = coloring.rows[majority]
+    # color 0's cross rows; the host is complete, so color 1 has the other
+    # half² - count0 cross edges, and its cut rows are mask_b ^ row
+    cut = [row & mask_b for row in coloring.rows[0][:half]]
+    majority = 0 if 2 * sum(map(int.bit_count, cut)) >= half * half else 1
+    if majority:
+        cut = [mask_b ^ row for row in cut]
 
     eps = Fraction(1, 2)
     cap_b = Fraction(half) * eps ** k / hn if hn else Fraction(0)
@@ -633,8 +635,8 @@ def bip_ramsey_pipeline(coloring: EdgeColoring, H, rng: RngStream,
     if b < paper_b:
         warnings.warn("quality parameter b capped below 16*Delta^(1/k) to fit "
                       "the host size", RuntimeWarning, stacklevel=2)
-    bip_rows = [rows_maj[u] & mask_b for u in range(half)]
-    bip_rows += [rows_maj[v] & mask_a for v in range(half, 2 * half)]
+    rows_maj = coloring.rows[majority]
+    bip_rows = cut + [rows_maj[v] & mask_a for v in range(half, 2 * half)]
     b_maj = BipartiteGraph._from_parts(bip_rows, (mask_a, mask_b))
 
     params = DrcParams(eps, k, b, hn)

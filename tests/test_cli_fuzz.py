@@ -1,21 +1,27 @@
 """Seeded fuzz of the command line's exit contract.
 
-Each case mutates one golden invocation (``tests/test_cli_golden.py``) or
-one record-corpus spec file (``tests/test_record_corpus.py``) with stdlib
-``random``: a token, flag, parameter or spec key is dropped, duplicated,
-swapped or set to a hostile value.  The result runs through
-``expcli.main`` with ``--dry-run``, so no trial runs.  Every case must exit
-0, 1 or 2 without a traceback and within ``CASE_SECONDS``, and an exit 2
-must print exactly one ``error:`` line.
+Each case mutates one golden invocation (``tests/test_cli_golden.py``), one
+record-corpus spec file (``tests/test_record_corpus.py``) or one record of
+a corpus spec with stdlib ``random``: a token, flag, parameter, spec key or
+record field is dropped, duplicated, swapped or set to a hostile value.
+Invocations and spec files run through ``expcli.main`` with
+``--dry-run``, so no trial runs; a mutated record, written as
+``expcli.write_record`` writes one, runs through ``replay`` and ``report``.
+Every case must exit 0, 1 or 2 without a traceback and within
+``CASE_SECONDS``, and an exit 2 must print exactly one ``error:`` line.
 """
 
 import contextlib
+import copy
+import dataclasses
 import io
 import json
 import random
 import shlex
+import signal
 import time
 import traceback
+import warnings
 
 from exlab import expcli
 from test_cli_golden import INVOCATIONS
@@ -23,6 +29,7 @@ from test_record_corpus import CORPUS
 
 SEED = 20261019
 CASES = 500  # per source: golden invocations, then corpus spec files
+RECORD_CASES = 300  # mutated records, each replayed and reported
 CASE_SECONDS = 2.0
 
 HOSTILE_TEXT = ["", "-1", "0", "1_000", "1e-10000000", "1e100000",
@@ -71,19 +78,68 @@ def _mutate_spec(rng: random.Random, spec) -> dict:
     return data
 
 
+def _paths(value, path=()):
+    """The paths to the values inside a record, four keys deep at most."""
+    if len(path) == 4:
+        return
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,)
+        yield from _paths(item, path + (key,))
+
+
+def _mutate_record(rng: random.Random, record: dict) -> dict:
+    data = copy.deepcopy(record)
+    *parents, last = rng.choice(list(_paths(data)))
+    holder = data
+    for key in parents:
+        holder = holder[key]
+    if rng.randrange(4) == 0:
+        del holder[last]
+    elif (holder is data and last == "trials") or rng.randrange(4) == 0:
+        # a list in place of a list, as write_record lays out the trials
+        holder[last] = [rng.choice(HOSTILE_JSON)] * rng.randrange(3)
+    else:
+        holder[last] = rng.choice(HOSTILE_JSON)
+    return data
+
+
+class _Record(dict):
+    """A record's fields as ``write_record`` reads them."""
+
+    def to_dict(self) -> dict:
+        return self
+
+
+class CaseTimeout(BaseException):
+    """A case past its time.  Not an Exception, which ``_run_one_trial``
+    would record as the trial's error and go on."""
+
+
+def _alarm(signum, frame):
+    raise CaseTimeout(f"over {CASE_SECONDS} s")
+
+
 def _run(argv) -> tuple:
-    """(exit code, stderr, seconds) of ``main(argv + ["--dry-run"])``; an
-    exception that escapes main is returned as its traceback text."""
+    """(exit code, stderr, seconds) of ``main(argv)``, stopped after
+    ``CASE_SECONDS``; an exception that escapes main is returned as its
+    traceback text."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = expcli.main(argv + ["--dry-run"])
+            code = expcli.main(argv)
         except SystemExit as exc:
             code = exc.code
-        except Exception:  # the defect this test looks for
+        except (Exception, CaseTimeout):  # the defects this test looks for
             code = "traceback"
             err.write(traceback.format_exc())
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
     return code, err.getvalue(), time.perf_counter() - start
 
 
@@ -91,19 +147,35 @@ def _cases(tmp_path):
     rng = random.Random(SEED)
     invocations = [shlex.split(line) for line in INVOCATIONS]
     for _ in range(CASES):
-        yield _mutate_argv(rng, rng.choice(invocations))
+        yield _mutate_argv(rng, rng.choice(invocations)) + ["--dry-run"]
     specs = [CORPUS[key] for key in sorted(CORPUS)]
     for n in range(CASES):
         path = tmp_path / f"spec{n}.json"
         path.write_text(json.dumps(_mutate_spec(rng, rng.choice(specs))),
                         encoding="utf-8")
-        yield ["run", str(path)]
+        yield ["run", str(path), "--dry-run"]
 
 
-def test_mutated_command_lines_and_specs_keep_the_exit_contract(tmp_path):
+def _record_cases(tmp_path):
+    rng = random.Random(SEED + 1)
+    records = []
+    for key in sorted(CORPUS):
+        path = tmp_path / f"{key}.json"
+        expcli.run(dataclasses.replace(CORPUS[key], out=str(path)))
+        records.append(expcli.read_record(path))
+    for n in range(RECORD_CASES):
+        path = tmp_path / f"record{n}.json"
+        expcli.write_record(
+            _Record(_mutate_record(rng, rng.choice(records))), path)
+        yield ["replay", str(path)]
+        yield ["report", str(path)]
+
+
+def _broken(cases) -> tuple:
+    """(number of cases, the cases that break the exit contract)."""
     broken = []
     count = 0
-    for argv in _cases(tmp_path):
+    for argv in cases:
         count += 1
         code, err, seconds = _run(argv)
         errors = [line for line in err.splitlines() if "error:" in line]
@@ -112,5 +184,18 @@ def test_mutated_command_lines_and_specs_keep_the_exit_contract(tmp_path):
                 or code == 2 and len(errors) != 1):
             broken.append((shlex.join(argv), code, round(seconds, 2),
                            err[-300:]))
+    return count, broken
+
+
+def test_mutated_command_lines_and_specs_keep_the_exit_contract(tmp_path):
+    count, broken = _broken(_cases(tmp_path))
     assert count == 1000  # so that a lowered CASES fails here
+    assert broken == []
+
+
+def test_mutated_records_keep_the_exit_contract(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        count, broken = _broken(_record_cases(tmp_path))
+    assert count == 2 * RECORD_CASES == 600
     assert broken == []

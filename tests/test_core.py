@@ -106,6 +106,37 @@ def test_rng_stream_derive():
     assert root.position == 0
 
 
+def _seeded(stream) -> bool:
+    """Whether the stream's generator is built, read past ``__getattr__``."""
+    try:
+        object.__getattribute__(stream, "_rng")
+    except AttributeError:
+        return False
+    return True
+
+
+def test_rng_stream_seeds_its_generator_on_first_draw():
+    root = RngStream(11)
+    child = root.derive("trial", 3).derive("source")
+    assert not _seeded(root) and not _seeded(child)
+    plain = random.Random(child.seed)
+    lazy = RngStream(child.seed)
+    assert not _seeded(lazy)
+    got = [lazy.random(), lazy.randrange(1000), lazy.choice("abcdef"),
+           lazy.sample(range(50), 5)]
+    want = [plain.random(), plain.randrange(1000), plain.choice("abcdef"),
+            plain.sample(range(50), 5)]
+    assert got == want and _seeded(lazy)
+    assert lazy._rng.getstate() == plain.getstate()
+    # a derived child draws the same whether or not its parent drew first
+    drawn = RngStream(11)
+    drawn.random()
+    assert drawn.derive("x").random() == root.derive("x").random()
+    assert not _seeded(root)
+    with pytest.raises(AttributeError, match="no attribute 'rng'"):
+        lazy.rng
+
+
 def test_graph_validation():
     g = Graph(4, [(0, 1), (2, 3), (1, 2)])
     assert g.m == 3

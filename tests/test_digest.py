@@ -1,11 +1,13 @@
-"""Witness digests: json's C encoder over the witness against canonical's path.
+"""Witness digests: json's C encoder over the witness.
 
-``expcli.digest`` encodes a witness with the C encoder, which hands every
-type it cannot write to ``expcli._shallow``, and takes canonical's path
-(``json.dumps`` of ``canonical``) when a dict in the witness has a key that
-is not a str.  ``reference`` below is canonical's path.  The two must give
-the same digest on every input, and where canonical's path raises, the
-digest must raise the same exception with the same message.
+``expcli.digest`` hashes the output of one compact C encoder, which hands
+every type it cannot write to ``expcli._shallow``.  Where every dict in a
+witness has str keys, that gives the bytes of canonical's path,
+``json.dumps`` of ``canonical`` (``reference`` below), which fixed the
+digests of earlier records; every witness of the record corpus and of the
+golden invocations is checked against it.  Other keys come out as the
+encoder writes them, and a witness the encoder refuses is recorded as its
+trial's ``error:<Type>``.
 """
 
 import collections
@@ -14,10 +16,14 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -39,14 +45,6 @@ def outcome(fn, obj):
         return fn(obj)
     except Exception as exc:
         return type(exc), str(exc)
-
-
-def fast_path(obj) -> bool:
-    """Whether digest(obj) is computed by the C encoder alone."""
-    try:
-        return expcli._str_keys_only(obj) and bool(expcli._encode(obj))
-    except Exception:
-        return False
 
 
 def spied_witnesses(monkeypatch, runs) -> list:
@@ -80,12 +78,6 @@ def test_digest_matches_canonical_path_on_corpus_witnesses(corpus_witnesses):
         assert expcli.digest(w) == reference(w), type(w).__name__
 
 
-def test_no_corpus_witness_takes_canonical_path(corpus_witnesses):
-    """The gain holds only while real witnesses reach the C encoder."""
-    slow = [type(w).__name__ for w in corpus_witnesses if not fast_path(w)]
-    assert slow == []
-
-
 def test_digest_matches_canonical_path_on_golden_invocations(
         tmp_path, monkeypatch):
     golden = json.loads(test_cli_golden.GOLDEN.read_text(encoding="utf-8"))
@@ -104,11 +96,10 @@ def test_digest_matches_canonical_path_on_golden_invocations(
     assert len(seen) > 20
     for w in seen:
         assert expcli.digest(w) == reference(w), type(w).__name__
-        assert fast_path(w), type(w).__name__
 
 
 # ---------------------------------------------------------------------------
-# Seeded type fuzz
+# Seeded type fuzz, str keys only
 
 
 class _Str(str):
@@ -134,8 +125,8 @@ class Leaf:
 
 @dataclasses.dataclass(frozen=True)
 class Trace:
-    """The shape of ``removal.RemovalTrace``: int keys inside a tuple of
-    dicts inside a dataclass field."""
+    """The shape of ``removal.RemovalTrace``: a tuple of dicts inside a
+    dataclass field."""
 
     verdict: str
     levels: tuple
@@ -152,8 +143,7 @@ NAN, INF = float("nan"), float("inf")
 SCALARS = [None, True, False, 0, -3, 2, 10, 1.5, -0.0, NAN, INF, -INF, "",
            "a\"b\né", "10", "2", _Str("s"), _Int(7), _Float(0.25),
            Fraction(1, 3), Fraction(-2, 7), Fraction(5)]
-KEYS = ["a", "b", "type", "10", "2", 2, 10, -1, True, False, None, 1.5, NAN,
-        (1, 2), (), _Str("k"), _Str("a"), Fraction(1, 2), frozenset({1})]
+KEYS = ["a", "b", "type", "10", "2", "", "é", "\x1f", _Str("k"), _Str("a")]
 
 
 def _hosts() -> list:
@@ -189,12 +179,7 @@ def _hashable(rng: random.Random, depth: int):
 
 
 def _dict(rng: random.Random, depth: int) -> dict:
-    size = rng.randrange(5)
-    if rng.random() < 0.5:  # str keys only: the fast path
-        keys = [rng.choice(["a", "b", "type", "10", "2", "", "é"])
-                for _ in range(size)]
-    else:
-        keys = [rng.choice(KEYS) for _ in range(size)]
+    keys = [rng.choice(KEYS) for _ in range(rng.randrange(5))]
     return {k: _value(rng, depth - 1) for k in keys}
 
 
@@ -213,46 +198,12 @@ def _value(rng: random.Random, depth: int):
             _hashable(rng, depth - 1) for _ in range(rng.randrange(4)))
     if r < 0.8:
         return Trace(rng.choice(["step", "base"]), tuple(
-            {rng.choice([0, 1, 2, 10, "census"]): _value(rng, depth - 2)
+            {rng.choice(["0", "1", "2", "10", "census"]): _value(rng, depth - 2)
              for _ in range(rng.randrange(1, 4))}
             for _ in range(rng.randrange(3))))
     if r < 0.9:
         return Box(_value(rng, depth - 1), rng.choice([None, len, Leaf]))
     return Pair(_value(rng, depth - 1), _value(rng, depth - 1))
-
-
-def test_digest_matches_canonical_path_on_seeded_fuzz():
-    rng = random.Random(20150702)
-    paths = collections.Counter()
-    for i in range(3000):
-        value = _value(rng, rng.randrange(1, 6))
-        want = outcome(reference, value)
-        assert outcome(expcli.digest, value) == want, (i, value)
-        paths[fast_path(value), isinstance(want, str)] += 1
-    # both paths run, and most values have a digest
-    assert paths[True, True] > 1000 and paths[False, True] > 300, paths
-
-
-def test_digest_matches_canonical_path_on_key_types():
-    values = [
-        {2: "two", 10: "ten"},
-        {"a": 1, 2: 3, "10": 4},
-        {(1, 2): "x", (): "y"},
-        {True: 1, None: 2, 1.5: 3, NAN: 4, -INF: 5},
-        {1: "int", "1": "str"},
-        {_Str("b"): 1, "a": 2, _Str("10"): 3},
-        {"outer": [{"inner": {3: None}}]},
-        Trace("step", ({0: 1, 2: 2, 10: 3}, {"census": 5})),
-        Leaf(Box((Trace("base", ({"k": {2: "x", 10: "y"}},)),))),
-        Box([{Fraction(1, 2): "half"}]),
-        frozenset({(2, 1), (1, 2), (10,)}),
-        Pair(_Int(3), _Str("x")),
-        [NAN, INF, -INF, _Float(1e300), 10 ** 30, -0.0],
-        HOSTS,
-    ]
-    for value in values:
-        assert expcli.digest(value) == reference(value), value
-    assert not any(map(expcli._str_keys_only, values[:10]))
 
 
 def _nested(depth: int, leaf) -> list:
@@ -262,35 +213,84 @@ def _nested(depth: int, leaf) -> list:
     return value
 
 
-def _doubled(depth: int, leaf) -> list:
-    value = leaf
-    for _ in range(depth):
-        value = [value, value]
-    return value
+def test_digest_matches_canonical_path_on_seeded_fuzz():
+    rng = random.Random(20150702)
+    for i in range(3000):
+        value = _value(rng, rng.randrange(1, 6))
+        assert expcli.digest(value) == reference(value), (i, value)
+    deep = _nested(100, {"a": [Fraction(1, 3), {"b": frozenset({2, 1})}]})
+    assert expcli.digest(deep) == reference(deep)
 
 
-def test_digest_raises_as_canonical_path_does():
-    loop, table, twice, box = [1], {}, [2], Box(None)
+# ---------------------------------------------------------------------------
+# Other keys, and witnesses the encoder refuses
+
+
+_INT_KEYS = """
+from exlab import expcli
+print(expcli.digest({10: {3: 1, 2: None}, 2: frozenset({"b", "a"})}))
+"""
+
+
+def test_int_keys_digest_deterministically():
+    # the encoder sorts int keys as numbers and writes them as text
+    value = {10: {3: 1, 2: None}, 2: frozenset({"b", "a"})}
+    blob = b'{"2":["a","b"],"10":{"2":null,"3":1}}'
+    assert expcli.digest(value) == hashlib.sha256(blob).hexdigest()
+    assert expcli.digest({2: frozenset({"a", "b"}), 10: {2: None, 3: 1}}) \
+        == expcli.digest(value)
+    # the same in a process with another str hash seed
+    src = str(Path(expcli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _INT_KEYS], check=True,
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src,
+                              "PYTHONHASHSEED": "7"})
+    assert out.stdout.strip() == expcli.digest(value)
+
+
+def _cycle() -> list:
+    loop = [1]
     loop.append(loop)
-    table["self"] = [table]
-    twice += [twice, twice]
-    box.items = (box,)
-    unknown = object()
-    values = [unknown, [1, unknown], {"a": unknown}, Leaf(unknown),
-              frozenset({unknown}), {(unknown,): 1}, Box({"x": [unknown]}),
-              loop, table, twice, box, _nested(5000, 0),
-              # shared parts: 2^40 paths to one bad leaf
-              _doubled(40, unknown),
-              10 ** 5000, Fraction(10 ** 5000, 3)]
-    for value in values:
-        want = outcome(reference, value)
-        assert isinstance(want, tuple), want
-        assert outcome(expcli.digest, value) == want
+    return loop
 
 
-def test_digest_scan_gives_up_on_deep_values():
-    # deeper than the scan reads: canonical's path, with its digest
-    value = _nested(100, {"a": 1})
-    assert not expcli._str_keys_only(value)
-    assert expcli.digest(value) == reference(value)
-    assert expcli._str_keys_only(_nested(10, {"a": 1}))
+REFUSED = {
+    "tuple-key": ({(1, 2): "x"}, TypeError),
+    "mixed-keys": ({1: "int", "1": "str"}, TypeError),
+    "unknown-type": ([1, object()], TypeError),
+    "unknown-in-set": (frozenset({object()}), TypeError),
+    "cycle": (_cycle(), RecursionError),
+    "deep": (_nested(5000, 0), RecursionError),
+    "long-int": ({"n": 10 ** 5000}, ValueError),
+    "long-fraction": (Fraction(10 ** 5000, 3), ValueError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refused_witness_is_a_recorded_error_trial(name, tmp_path, capsys,
+                                                   monkeypatch):
+    witness, kind = REFUSED[name]
+    if kind is ValueError and not getattr(sys, "get_int_max_str_digits",
+                                          lambda: 0)():
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    with pytest.raises(kind):
+        expcli.digest(witness)
+    key = ("setmap", "violate")
+    runner = expcli.OPS[key].runner
+
+    def refused(params, host, rng):
+        ok, outcome, _, stats = runner(params, host, rng)
+        return ok, outcome, witness, stats
+
+    monkeypatch.setitem(expcli.OPS, key,
+                        dataclasses.replace(expcli.OPS[key], runner=refused))
+    out = tmp_path / "rec.json"
+    argv = ["setmap", "--op", "violate", "--k", "2", "--n", "6", "--trials",
+            "2", "--out", str(out)]
+    assert expcli.main(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    trials = expcli.read_record(out)["trials"]
+    assert [t["outcome"] for t in trials] == [f"error:{kind.__name__}"] * 2
+    assert [t["witness"] for t in trials] == [None, None]
+    assert expcli.main(["replay", str(out)]) == 1
+    assert json.loads(capsys.readouterr().out)["match"] is True

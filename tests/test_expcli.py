@@ -286,6 +286,39 @@ def test_record_roundtrip_and_rng_field(tmp_path):
     assert stored["spec"]["params"]["N"] == 500
 
 
+def test_record_layout_has_one_line_per_field_and_per_trial(tmp_path):
+    path = tmp_path / "rec.json"
+    rec = expcli.run(ExperimentSpec("setmap", "violate", {"k": 2, "n": 6},
+                                    seed=7, trials=4, out=str(path)))
+    text = path.read_text(encoding="utf-8")
+    assert json.loads(text) == rec.to_dict()
+    lines = text.splitlines()
+    fields = [line for line in lines if line.startswith('  "')]
+    assert [f.split('"')[1] for f in fields] == sorted(rec.to_dict())
+    assert lines[0] == "{" and lines[-1] == "}" and text.endswith("}\n")
+    start = lines.index('  "trials": [') + 1
+    body = lines[start:start + len(rec.trials)]
+    assert lines[start + len(rec.trials)] == "  ],"
+    assert [line.removesuffix(",") for line in body] == [
+        "    " + json.dumps(t, sort_keys=True, separators=(",", ":"))
+        for t in rec.trials]
+    assert len(lines) == 9 + len(rec.trials)
+
+
+def test_record_written_with_indent_2_still_replays(tmp_path, capsys):
+    # the layout that json.dumps(..., indent=2) gave before records were
+    # written a line per trial
+    path = tmp_path / "rec.json"
+    rec = expcli.run(ExperimentSpec("setmap", "violate", {"k": 2, "n": 6},
+                                    seed=7, trials=3))
+    path.write_text(json.dumps(rec.to_dict(), indent=2, sort_keys=True)
+                    + "\n", encoding="utf-8")
+    assert expcli.main(["replay", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "match": True, "successes": 3, "trials": 3}
+    assert expcli.main(["report", str(path)]) == 0
+
+
 def test_aggregate_key_statistics():
     spec = ExperimentSpec("removal", "census", {"N": 4, "r": 2},
                           seed=2, trials=8)
