@@ -39,14 +39,6 @@ def reference(obj) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def outcome(fn, obj):
-    """fn(obj), or the type and message of the exception it raises."""
-    try:
-        return fn(obj)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
 def spied_witnesses(monkeypatch, runs) -> list:
     """Every object that ``expcli.digest`` receives while ``runs()`` runs."""
     seen = []
