@@ -99,9 +99,7 @@ class Job:
     ``exlab.mod``, is wrapped in the timer and timed as ``<name>.<fn>``;
     ``<name>.total`` is the run's wall time, with the stages inside it.  No
     two stages may share ``fn``.  The entry fails unless the SHA-256 of
-    the run's trials is ``pin`` and each stage was called.  A
-    ``grid_file`` parameter holds the grid's text, which the run reads
-    from a file in the timer's workdir."""
+    the run's trials is ``pin`` and each stage was called."""
 
     name: str
     module: str
@@ -121,12 +119,7 @@ class Job:
         return self.name
 
     def __call__(self, timer: Timer) -> None:
-        params = dict(self.params)
-        if "grid_file" in params:
-            path = timer.workdir / f"{self.name}.grid"
-            path.write_text(params["grid_file"], encoding="utf-8")
-            params["grid_file"] = str(path)
-        spec = expcli.ExperimentSpec(self.module, self.operation, params,
+        spec = expcli.ExperimentSpec(self.module, self.operation, self.params,
                                      seed=1, trials=self.trials)
         wrapped = {}  # entry: (module, name, original)
         for stage in self.stages:
@@ -148,8 +141,7 @@ class Job:
 
 # perfbench's job sizes; weakseq_t12 asks weakseq-dense's G(2000, 1/2) for
 # t = 12 (regime2_order gives 1) and times the draw's core.bit_columns;
-# corner_free runs tests/golden/corner_free_4.grid, one deletion step
-CORNER_FREE_4 = "4 2\n0 1 0 1\n1 0 1 0\n1 0 0 1\n0 1 0 0\n"
+# corner_free runs the golden 4 x 4 grid, one deletion step
 JOBS = (
     Job("weakseq_t12", "weakseq", "pipeline",
         {"n": 2000, "p": 0.5, "r": 4, "t": 12}, 3,
@@ -181,7 +173,8 @@ JOBS = (
     Job("removal_iterate", "removal", "iterate", {"N": 15, "r": 2}, 3,
         ("removal.grid_cover", "removal.removal_iterate"),
         "ceeaaca26846da7194c2d6aa3c3733be5fe717c53b273f10def057eefe0b5fdf"),
-    Job("corner_free", "removal", "iterate", {"grid_file": CORNER_FREE_4}, 1,
+    Job("corner_free", "removal", "iterate",
+        {"grid_file": str(ROOT / "tests/golden/corner_free_4.grid")}, 1,
         ("removal.removal_iterate",),
         "1e86ffa7eaf7f93ac0308d300acffa94d1b4e67c3e91b9a49581a152d2958649"),
     Job("bipfree_kcheck", "bipfree", "kcheck",

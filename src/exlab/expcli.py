@@ -9,13 +9,13 @@ can be replayed bit-exactly.  Per-trial failures are recorded,
 never thrown; the process exit code is 0 exactly when every trial met
 its hard postcondition.
 
-Records are JSON with an explicit schema version.  Witnesses are stored
-as SHA-256 digests of a canonical JSON form covering the package's
-result types, so replay comparisons are byte-exact without shipping
-full graphs.  The report command renders one row per record, sorted by
-module then operation, as JSON, CSV, or a markdown table.  The bench
-command times fixed workloads (see ``exlab.bench``).  A replayed record
-must carry this build's RNG algorithm name.
+Records are JSON with an explicit schema version.  One JSON encoder,
+covering the package's result types, writes records, forms stats and
+params, and digests witnesses, so replay comparisons are byte-exact
+without shipping full graphs.  The report command renders one row per
+record, sorted by module then operation, as JSON, CSV, or a markdown
+table.  The bench command times fixed workloads (see ``exlab.bench``).
+A replayed record must carry this build's RNG algorithm name.
 """
 
 from __future__ import annotations
@@ -82,40 +82,21 @@ bipfree, lll_embed, removal, rsgraph, setmap, weakseq = map(
 # ---------------------------------------------------------------------------
 # Canonical serialization and digests
 
-# exact types that canonical returns as they are; subclasses still recurse
-_PLAIN = frozenset({bool, int, float, str, type(None)})
-
 
 def canonical(obj):
-    """JSON-safe, deterministic form of results, stats, and parameters.
-
-    Fractions keep exact "p/q" form; sets are sorted by their serialized
-    form; dataclass fields appear by name with callables skipped.  Lists,
-    tuples and dicts are walked here, every other type through
-    ``_shallow``.
-    """
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [x if type(x) in _PLAIN else canonical(x) for x in obj]
-    if isinstance(obj, dict):
-        out = {}
-        for k, v in obj.items():
-            key = k if isinstance(k, str) else json.dumps(canonical(k))
-            out[key] = canonical(v)
-        return dict(sorted(out.items()))
-    return canonical(_shallow(obj))
+    """JSON-safe, deterministic form of results, stats, and parameters:
+    obj's encoder text read back.  Raises as ``digest`` does."""
+    return json.loads(_encode(obj))
 
 
 def _shallow(obj):
-    """One level of obj's canonical form, for a type that is not None, a
-    bool, int, float, str, list, tuple or dict: a dataclass's field values
-    and a graph's edge tuples are left for the caller to convert.  Every
+    """The encoder's ``default``: one level of obj's JSON form, for a type
+    that is not None, a bool, int, float, str, list, tuple or dict.  Every
     dict it builds has str keys.  TypeError for a type without a form."""
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, (set, frozenset)):
-        return sorted(map(canonical, obj), key=_set_key)
+        return sorted(obj, key=_encode)
     if isinstance(obj, BipartiteGraph):
         # "n0": 0 keeps every RS-decomposition digest byte-identical
         return {"type": "BipartiteGraph", "n0": 0, "n1": obj.n1,
@@ -126,7 +107,7 @@ def _shallow(obj):
         return {"type": "KUniformHypergraph", "n": obj.n, "k": obj.k,
                 "edges": sorted(sorted(e) for e in obj.edges)}
     if isinstance(obj, EdgeColoring):
-        return {"type": "EdgeColoring", "graph": canonical(obj.graph),
+        return {"type": "EdgeColoring", "graph": obj.graph,
                 "r": obj.r, "colors": [[u, v, obj.color_of(u, v)]
                                        for u, v in obj.graph.edges()]}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -147,21 +128,15 @@ def _shallow(obj):
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
-def _c_encoder(item_separator: str, key_separator: str):
-    """obj -> its JSON text with sorted keys, from one C encoder built here
-    and reused: ``json.JSONEncoder.encode`` builds a new one on every call.
-    Each type the encoder cannot write goes to ``_shallow``.  No circular
-    check, whose marks a failed call would leave behind: a cycle raises
-    RecursionError."""
-    encoder = c_make_encoder(None, _shallow, encode_basestring_ascii, None,
-                             key_separator, item_separator, True, False, True)
-    return lambda obj: "".join(encoder(obj, 0))
+# the one C encoder, built once (``json.JSONEncoder.encode`` builds one per
+# call): sorted keys, no spaces.  No circular check, whose marks a failed
+# call would leave behind: a cycle raises RecursionError.
+_encoder = c_make_encoder(None, _shallow, encode_basestring_ascii, None,
+                          ":", ",", True, False, True)
 
 
-# json.dumps(x, sort_keys=True) of canonical's output, and the compact form
-# that digests and records are written in
-_set_key = _c_encoder(", ", ": ")
-_encode = _c_encoder(",", ":")
+def _encode(obj) -> str:
+    return "".join(_encoder(obj, 0))
 
 
 def digest(obj) -> str:
@@ -516,10 +491,9 @@ def _run_bipfree_kcheck(params, host, rng):
                 if sub.random() < params["p"]]
         H = KUniformHypergraph(H.n, H.k, kept)
     chk = bipfree.kpartite_count_check(H, inst.parts, params["r"])
-    stats = {"count": chk.count, "bound": canonical(chk.bound),
-             "proof_bound": canonical(chk.proof_bound),
-             "passed": chk.passed, "proof_passed": chk.proof_passed,
-             "key": chk.count}
+    stats = {"count": chk.count, "bound": chk.bound,
+             "proof_bound": chk.proof_bound, "passed": chk.passed,
+             "proof_passed": chk.proof_passed, "key": chk.count}
     return chk.passed, "checked", chk, stats
 
 

@@ -530,17 +530,17 @@ def _first_short_pair(adj, X: list, middles: list, budget: int):
     A pair (x, y) walks the middles m in order and takes the path x-a-m-b-y
     that ``_pick_two``, inlined here, picks from the unused common
     neighbours of (x, m) and of (y, m).  For each x, the greedy runs for
-    every later y at once: the ys that share one state (``used``, ``seen``,
+    every later y at once: the ys that share one state (``used``,
     ``count``) form a group, held as a vertex mask.  At a middle, a is the
     same for the whole group, and the group splits by b: walking the
     candidates b upward, ``rest & col[b]`` takes the ys whose lowest
     candidate is b, where ``col`` holds the columns of X's rows; the ys
     whose only candidate is a itself take b = a and the next a.  Every
-    path is re-checked once per group as it is taken, from ``adj`` and the
-    group's own ``seen`` mask rather than ``col`` and ``used``: four edges
-    (the b-y edge of every y in the group), internals outside X and
-    disjoint from the group's earlier paths.  The groups left below the
-    budget when the middles run out hold the short ys of x.
+    path is re-checked once per group as it is taken, from ``adj`` rather
+    than ``col``: four edges (the b-y edge of every y in the group),
+    internals outside X and outside ``used``, the group's earlier paths.
+    The groups left below the budget when the middles run out hold the
+    short ys of x.
     """
     xmask = mask_of(X)
     col = bit_columns([adj[v] if xmask >> v & 1 else 0
@@ -549,14 +549,14 @@ def _first_short_pair(adj, X: list, middles: list, budget: int):
     for i, x in enumerate(X):
         later ^= 1 << x
         ax = adj[x]
-        groups = [(later, 0, 0, 0)] if later else []
+        groups = [(later, 0, 0)] if later else []
         for m in middles:
             if not groups:
                 break
             am, bm = adj[m], 1 << m
             split = []
             for group in groups:
-                ys, used, seen, count = group
+                ys, used, count = group
                 ca = ax & am & ~used
                 if used & bm or not ca:
                     split.append(group)
@@ -578,21 +578,20 @@ def _first_short_pair(adj, X: list, middles: list, budget: int):
                     rest ^= hit
                     picks.append((hit, a2 & -a2, a))
                 if rest:
-                    split.append((rest, used, seen, count))
+                    split.append((rest, used, count))
                 for hit, a, b in picks:
                     if not (ax & a and adj[a.bit_length() - 1] & bm
                             and am & b and not hit & ~adj[b.bit_length() - 1]):
                         raise AssertionError("extracted path misses an edge")
                     inner = a | b | bm
-                    if inner & seen or inner & xmask:
+                    if inner & used or inner & xmask:
                         raise AssertionError("path internals collide")
                     if count + 1 < budget:
-                        split.append((hit, used | inner, seen | inner,
-                                      count + 1))
+                        split.append((hit, used | inner, count + 1))
             groups = split
         if groups:  # the ys still short: return the first in X's order
             for y in X[i + 1:]:
-                for ys, _, _, count in groups:
+                for ys, _, count in groups:
                     if ys >> y & 1:
                         return (x, y), count
     return None

@@ -208,10 +208,14 @@ def test_bench_job_restores_every_wrapped_name_when_its_run_raises(
                           for mod, fn in names]
 
 
-def test_bench_corner_free_grid_is_the_golden_grid(tmp_path):
-    (tmp_path / "g.grid").write_text(bench.CORNER_FREE_4, encoding="utf-8")
-    assert read_grid(tmp_path / "g.grid") == read_grid(
-        Path(__file__).with_name("golden") / "corner_free_4.grid")
+def test_bench_corner_free_grid_is_the_golden_grid():
+    # the job reads the golden file of this checkout, not a copy of it
+    golden = Path(__file__).with_name("golden") / "corner_free_4.grid"
+    path = Path(JOBS["corner_free"].params["grid_file"])
+    assert path.is_absolute() and path.resolve() == golden.resolve()
+    grid = read_grid(path)
+    assert (grid.N, grid.r) == (4, 2)
+    assert grid.cells[0] == (0, 1, 0, 1)
 
 
 def test_bench_refuses_an_unwritable_file_before_any_workload(

@@ -1,13 +1,15 @@
 """Witness digests: json's C encoder over the witness.
 
 ``expcli.digest`` hashes the output of one compact C encoder, which hands
-every type it cannot write to ``expcli._shallow``.  Where every dict in a
-witness has str keys, that gives the bytes of canonical's path,
-``json.dumps`` of ``canonical`` (``reference`` below), which fixed the
-digests of earlier records; every witness of the record corpus and of the
-golden invocations is checked against it.  Other keys come out as the
-encoder writes them, and a witness the encoder refuses is recorded as its
-trial's ``error:<Type>``.
+every type it cannot write to ``expcli._shallow``; ``expcli.canonical``
+reads that output back.  ``walk`` below is the recursive walker that
+formed stats, params and set order before, kept here as a reference that
+does not use the encoder: where every dict in a witness has str keys, the
+digest is that of ``json.dumps`` of ``walk`` (``reference``), which fixed
+the digests of earlier records; every witness of the record corpus and of
+the golden invocations is checked against it.  Other keys come out as
+the encoder writes them, and a witness the encoder refuses is recorded
+as its trial's ``error:<Type>``.
 """
 
 import collections
@@ -33,9 +35,28 @@ from exlab.core import BipartiteGraph, EdgeColoring, Graph, KUniformHypergraph
 from test_record_corpus import CORPUS
 
 
+def walk(obj):
+    """obj's JSON-safe form, recursing over lists, tuples, dicts and sets
+    and handing every other type to ``expcli._shallow``; a non-str key
+    becomes its own form's JSON text, and set items sort by theirs."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [walk(x) for x in obj]
+    if isinstance(obj, dict):
+        out = {}
+        for k, v in obj.items():
+            key = k if isinstance(k, str) else json.dumps(walk(k))
+            out[key] = walk(v)
+        return dict(sorted(out.items()))
+    if isinstance(obj, (set, frozenset)):
+        return sorted(map(walk, obj),
+                      key=lambda x: json.dumps(x, sort_keys=True))
+    return walk(expcli._shallow(obj))
+
+
 def reference(obj) -> str:
-    blob = json.dumps(expcli.canonical(obj), sort_keys=True,
-                      separators=(",", ":"))
+    blob = json.dumps(walk(obj), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -261,28 +282,33 @@ REFUSED = {
 @pytest.mark.parametrize("name", sorted(REFUSED))
 def test_refused_witness_is_a_recorded_error_trial(name, tmp_path, capsys,
                                                    monkeypatch):
-    witness, kind = REFUSED[name]
+    # the same value is refused as a witness's digest and as stats
+    value, kind = REFUSED[name]
     if kind is ValueError and not getattr(sys, "get_int_max_str_digits",
                                           lambda: 0)():
         pytest.skip("this interpreter has no int-to-str digit limit")
     with pytest.raises(kind):
-        expcli.digest(witness)
+        expcli.digest(value)
+    with pytest.raises(kind):
+        expcli.canonical(value)
     key = ("setmap", "violate")
     runner = expcli.OPS[key].runner
-
-    def refused(params, host, rng):
-        ok, outcome, _, stats = runner(params, host, rng)
-        return ok, outcome, witness, stats
-
-    monkeypatch.setitem(expcli.OPS, key,
-                        dataclasses.replace(expcli.OPS[key], runner=refused))
     out = tmp_path / "rec.json"
     argv = ["setmap", "--op", "violate", "--k", "2", "--n", "6", "--trials",
             "2", "--out", str(out)]
-    assert expcli.main(argv) == 1
-    assert "Traceback" not in capsys.readouterr().err
-    trials = expcli.read_record(out)["trials"]
-    assert [t["outcome"] for t in trials] == [f"error:{kind.__name__}"] * 2
-    assert [t["witness"] for t in trials] == [None, None]
-    assert expcli.main(["replay", str(out)]) == 1
-    assert json.loads(capsys.readouterr().out)["match"] is True
+    for slot in (2, 3):  # the witness, then the stats
+
+        def refused(params, host, rng, slot=slot):
+            res = list(runner(params, host, rng))
+            res[slot] = value
+            return tuple(res)
+
+        monkeypatch.setitem(expcli.OPS, key, dataclasses.replace(
+            expcli.OPS[key], runner=refused))
+        assert expcli.main(argv) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        trials = expcli.read_record(out)["trials"]
+        assert [t["outcome"] for t in trials] == [f"error:{kind.__name__}"] * 2
+        assert [t["witness"] for t in trials] == [None, None]
+        assert expcli.main(["replay", str(out)]) == 1
+        assert json.loads(capsys.readouterr().out)["match"] is True
