@@ -152,7 +152,8 @@ JOBS = (
         "a1de33640866419c1778a137c6e1ff24b3dfc59561e745737678ba4d9b3bef18"),
     Job("weakseq_minor", "weakseq", "minor",
         {"n": 600, "p": 0.7, "r": 2, "t": 4}, 3,
-        ("expcli.random_graph", "weakseq.minor_pipeline", "weakseq.paths_drc"),
+        ("expcli.random_graph", "weakseq.minor_pipeline", "weakseq.paths_drc",
+         "weakseq.verify_minor"),
         "ef152fb91d4d10a3e8993709820a9d5f64086ea2f4ad285d551221b3b092aaee"),
     Job("bipfree_extract", "bipfree", "extract", {"n": 400, "p": 0.05}, 3,
         ("expcli.random_graph", "bipfree._pattern_free",

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import accumulate, compress
 from math import ceil, comb, log
 from operator import or_
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 MAX_HYPERCUBE_DIM = 16
 # The most vertices a drawn (G(n, p), G(n1, n2, p)) or complete host may
@@ -281,7 +281,8 @@ class Graph:
     """Immutable simple graph on ``{0..n-1}`` with bitmask adjacency rows.
 
     The constructor rejects loops, duplicate edges and out-of-range
-    endpoints; builders whose rows hold by construction call ``_from_rows``.
+    endpoints; builders whose rows hold by construction call ``_from_rows``,
+    with the edge count when they have already taken it.
     """
 
     __slots__ = ("n", "adj", "m")
@@ -305,11 +306,12 @@ class Graph:
         self.m = sum(map(int.bit_count, rows)) // 2
 
     @classmethod
-    def _from_rows(cls, n: int, rows: Sequence[int]) -> "Graph":
+    def _from_rows(cls, n: int, rows: Sequence[int],
+                   m: Optional[int] = None) -> "Graph":
         g = cls.__new__(cls)
         g.n = n
         g.adj = tuple(rows)
-        g.m = sum(map(int.bit_count, rows)) // 2
+        g.m = sum(map(int.bit_count, rows)) // 2 if m is None else m
         return g
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -364,18 +366,20 @@ class BipartiteGraph:
                     raise ValueError(f"row {u} has an edge inside its part")
         self._set(rows, parts)
 
-    def _set(self, rows: Sequence[int], parts: tuple) -> None:
+    def _set(self, rows: Sequence[int], parts: tuple,
+             m: Optional[int] = None) -> None:
         self.n = len(rows)
         self.adj = tuple(rows)
-        self.m = sum(map(int.bit_count, rows)) // 2
+        self.m = sum(map(int.bit_count, rows)) // 2 if m is None else m
         self._parts = parts
-        self.v1, self.v2 = (tuple(bits(m)) for m in parts)
+        self.v1, self.v2 = (tuple(bits(part)) for part in parts)
         self.n1, self.n2 = len(self.v1), len(self.v2)
 
     @classmethod
-    def _from_parts(cls, rows: Sequence[int], parts: tuple) -> "BipartiteGraph":
+    def _from_parts(cls, rows: Sequence[int], parts: tuple,
+                    m: Optional[int] = None) -> "BipartiteGraph":
         g = cls.__new__(cls)
-        g._set(rows, parts)
+        g._set(rows, parts, m)
         return g
 
     @classmethod
@@ -384,12 +388,16 @@ class BipartiteGraph:
 
         Keeps g's vertex ids; each part row is g's row restricted
         to the other part, so edges inside a part are dropped.
-        A row the restriction leaves unchanged is shared with g.
+        A row the restriction leaves unchanged is shared with g, and a
+        bipartite g restricted to its own parts is g itself: each of its
+        rows already lies in the other part.
         """
         if mask1 & mask2:
             raise ValueError("parts must be disjoint")
         if (mask1 | mask2) >> g.n:
             raise ValueError(f"part masks exceed the {g.n} host vertices")
+        if isinstance(g, BipartiteGraph) and (mask1, mask2) == g._parts:
+            return g
         rows = [0] * g.n
         for part, other in ((mask1, mask2), (mask2, mask1)):
             for v in bits(part):
@@ -415,7 +423,7 @@ class BipartiteGraph:
     def transpose(self) -> "BipartiteGraph":
         """Swap the roles of V1 and V2; ids and rows are kept."""
         m1, m2 = self._parts
-        return BipartiteGraph._from_parts(self.adj, (m2, m1))
+        return BipartiteGraph._from_parts(self.adj, (m2, m1), self.m)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BipartiteGraph)
@@ -711,10 +719,11 @@ def random_graph(n: int, p: float, stream: RngStream) -> Graph:
     order u = 0, 1, ...  The rows' lower halves are the ``bit_columns`` of
     their upper halves."""
     vertex_count_guard(n)
-    upper = [row << (u + 1) for u, row in
-             enumerate(_bernoulli_rows(stream, range(n - 1, -1, -1), p))]
+    draws = _bernoulli_rows(stream, range(n - 1, -1, -1), p)
+    upper = [row << (u + 1) for u, row in enumerate(draws)]
     rows = [up | low for up, low in zip(upper, bit_columns(upper, n))]
-    return Graph._from_rows(n, rows)
+    # each edge is one bit of the draws, which are half the rows' width
+    return Graph._from_rows(n, rows, sum(map(int.bit_count, draws)))
 
 
 def random_bipartite(n1: int, n2: int, p: float,
@@ -726,7 +735,8 @@ def random_bipartite(n1: int, n2: int, p: float,
     vertex_count_guard(n1 + n2)
     draws = _bernoulli_rows(stream, [n2] * n1, p)
     rows = [row << n1 for row in draws] + bit_columns(draws, n2)
-    return BipartiteGraph._from_parts(rows, _contiguous_parts(n1, n2))
+    return BipartiteGraph._from_parts(rows, _contiguous_parts(n1, n2),
+                                      sum(map(int.bit_count, draws)))
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +785,7 @@ def random_equitable_bipartition(g: Graph, stream: RngStream,
                 rows[u] = row
             for v in side2:
                 rows[v] = adj[v] & mask1
-            bip = BipartiteGraph._from_parts(rows, (mask1, mask2))
+            bip = BipartiteGraph._from_parts(rows, (mask1, mask2), cross)
             return EquitablePartition(bip, dens, t)
     return Failure("random_equitable_bipartition", "retry cap exhausted",
                    {"best_density": float(best[0]), "target": float(base)})

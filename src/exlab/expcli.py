@@ -995,6 +995,29 @@ def replay(path) -> tuple[bool, ExperimentRecord]:
     return match, fresh
 
 
+# the fields of a trial that a diverged replay names, in the order it checks
+_TRIAL_FIELDS = ("outcome", "witness", "stats")
+
+
+def first_difference(fresh: list, recorded: list) -> Optional[dict]:
+    """``{"trial": i, "field": f}`` for the first trial i whose encoding
+    differs between two trial lists, None when none does.  f is the first
+    of ``outcome``, ``witness``, ``stats`` and then any other key whose
+    value differs, or is absent on one side; None when the recorded trial
+    is not an object."""
+    for i, (new, old) in enumerate(zip(fresh, recorded)):
+        if _encode(new) == _encode(old):
+            continue
+        field = None
+        if isinstance(old, dict):
+            # sorted keys: two objects that encode apart differ in a key
+            field = next(k for k in (*_TRIAL_FIELDS, *new, *old)
+                         if (k in new, _encode(new.get(k)))
+                         != (k in old, _encode(old.get(k))))
+        return {"trial": i, "field": field}
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Reporting
 
@@ -1213,10 +1236,13 @@ def main(argv=None) -> int:
             return _execute_spec(spec, args.format, args.dry_run)
         if args.command == "replay":
             match, fresh = replay(args.record)
-            print(json.dumps({"match": match,
-                              "successes": fresh.aggregate["successes"],
-                              "trials": fresh.aggregate["trials"]},
-                             sort_keys=True))
+            line = {"match": match,
+                    "successes": fresh.aggregate["successes"],
+                    "trials": fresh.aggregate["trials"]}
+            if not match:  # the record is read again only on a mismatch
+                line["first_difference"] = first_difference(
+                    fresh.trials, read_record(args.record)["trials"])
+            print(json.dumps(line, sort_keys=True))
             return 0 if match and all(t["ok"] for t in fresh.trials) else 1
         if args.command == "report":
             if args.out:

@@ -865,23 +865,23 @@ def minor_pipeline(G: Graph, r: int, t: int, rng: RngStream,
         tuple(branch_sets), 8 * r, 9 if diameter_aware else None, dict(stats)))
 
 
-def _induced_distances(g: Graph, members: frozenset) -> dict:
-    """BFS distances within the induced subgraph, from every member."""
-    mask = mask_of(members)
-    out = {}
-    for s in members:
-        dist = {s: 0}
-        frontier = [s]
+def _layers(adj, mask: int, s: int) -> tuple:
+    """(reached, eccentricity): BFS from s inside the vertex set ``mask``,
+    one layer at a time, where the next layer is the OR of the frontier's
+    rows within the set less what was reached before."""
+    reached = frontier = 1 << s
+    depth = 0
+    while True:
+        layer = 0
         while frontier:
-            nxt = []
-            for u in frontier:
-                for v in bits(g.adj[u] & mask):
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        out[s] = dist
-    return out
+            low = frontier & -frontier
+            layer |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = layer & mask & ~reached
+        if not frontier:
+            return reached, depth
+        reached |= frontier
+        depth += 1
 
 
 def verify_minor(g: Graph, model: MinorModel):
@@ -899,14 +899,14 @@ def verify_minor(g: Graph, model: MinorModel):
             return False, ("overlap", i, j)
         if not _sets_joined(g, sets[i], sets[j]):
             return False, ("pair", i, j)
+    cap = model.diameter_cap
     for i, b in enumerate(sets):
-        dists = _induced_distances(g, b)
-        root = min(b)
-        if len(dists[root]) != len(b):
+        mask = mask_of(b)
+        if _layers(g.adj, mask, min(b))[0] != mask:
             return False, ("disconnected", i)
-        if model.diameter_cap is not None:
-            if any(max(d.values()) > model.diameter_cap for d in dists.values()):
-                return False, ("diameter", i)
+        if cap is not None and any(_layers(g.adj, mask, s)[1] > cap
+                                   for s in b):
+            return False, ("diameter", i)
     return True, None
 
 

@@ -25,6 +25,7 @@ from exlab.core import (BipartiteGraph, EdgeColoring, Failure, Graph,
 from exlab.core import _bernoulli_rows, _sample_setsize
 from exlab.removal import grid_lines
 from exlab.rsgraph import bipartite_double, rs_from_behrend
+from exlab.weakseq import _incidence_graph
 
 
 def test_bit_helpers_round_trip():
@@ -168,14 +169,18 @@ def test_complete_bipartite():
 
 
 def round_trips(g) -> bool:
-    """Whether the checked constructor, given g's edges, rebuilds g; a
-    bipartite g must have contiguous parts.  The round trip fails on a row
-    count other than n, bits past n, a one-way bit, a loop and an edge
-    inside a part."""
+    """Whether the checked constructor, given g's edges, rebuilds g and its
+    edge count; a bipartite g, on any two disjoint part masks, is rebuilt as
+    that graph's restriction to g's parts.  The round trip fails on a row
+    count other than n, bits past n, a one-way bit, a loop, a wrong count,
+    and in a bipartite g on an edge inside a part or a row of a vertex in
+    neither part: each row must lie in the other part, which is why
+    ``induced`` may return g for its own parts."""
     try:
+        rebuilt = Graph(g.n, g.edges())
         if isinstance(g, BipartiteGraph):
-            return BipartiteGraph(g.n1, g.n2, g.edges()) == g
-        return Graph(g.n, g.edges()) == g
+            rebuilt = BipartiteGraph.induced(rebuilt, *g._parts)
+        return rebuilt == g and rebuilt.m == g.m
     except (IndexError, ValueError):
         return False
 
@@ -183,6 +188,17 @@ def round_trips(g) -> bool:
 def _doubled_behrend():
     dec = rs_from_behrend(120)
     return bipartite_double(dec.graph, dec).graph
+
+
+def _strided_induced():
+    host = random_graph(301, 0.5, RngStream(3))
+    return BipartiteGraph.induced(host, mask_of(range(0, 301, 3)),
+                                  mask_of(range(1, 301, 3)))
+
+
+def _incidence():
+    B = _strided_induced()
+    return _incidence_graph(B, [B.v1[i:i + 3] for i in range(0, 99, 3)])
 
 
 # every package builder of a graph, at sizes off byte and band boundaries
@@ -196,6 +212,10 @@ _BUILDERS = {
     "rs_from_behrend": lambda: rs_from_behrend(309).graph,
     "rs_from_behrend_chunk": lambda: rs_from_behrend(309, chunk=4).graph,
     "bipartite_double": _doubled_behrend,
+    "random_equitable_bipartition": lambda: random_equitable_bipartition(
+        random_graph(301, 0.5, RngStream(3)), RngStream(4)).bipartite,
+    "induced": _strided_induced,
+    "incidence_graph": _incidence,
 }
 
 
@@ -221,6 +241,18 @@ def test_round_trip_rejects_malformed_rows():
                  [0b110, 0b001, 0b001, 0],       # edge (0, 1) inside V1
                  [0b10100, 0, 0b001, 0]):        # a bit past n
         assert not round_trips(BipartiteGraph._from_parts(rows, parts)), rows
+    # V1 = {0, 2}, V2 = {1}, vertex 3 in neither part
+    parts = (0b0101, 0b0010)
+    assert round_trips(BipartiteGraph._from_parts([0b10, 0b101, 0b10, 0],
+                                                  parts))
+    for rows in ([0b1010, 0b101, 0b10, 0b1],     # edge (0, 3) leaves V2
+                 [0b10, 0b1101, 0b10, 0b10],     # vertex 3 has a row
+                 [0b110, 0b101, 0b11, 0]):       # edge (0, 2) inside V1
+        assert not round_trips(BipartiteGraph._from_parts(rows, parts)), rows
+    # a count passed in must be the rows' own
+    assert not round_trips(Graph._from_rows(3, path.adj, 1))
+    assert not round_trips(BipartiteGraph._from_parts([0b10, 0b101, 0b10, 0],
+                                                      parts, 3))
 
 
 # each malformed constructor call with the error it gets
@@ -693,6 +725,28 @@ def test_induced_keeps_host_ids():
     # an induced view of a view keeps the same ids
     sub = BipartiteGraph.induced(bip, mask_of(side1[:4]), mask_of(side2))
     assert sub.v1 == tuple(side1[:4]) and sub.adj[side1[0]] == bip.adj[side1[0]]
+
+
+def test_induced_on_its_own_parts_is_the_graph():
+    host = random_graph(60, 0.5, RngStream(5))
+    m1, m2 = mask_of(range(0, 60, 3)), mask_of(range(1, 60, 3))
+    bip = BipartiteGraph.induced(host, m1, m2)
+    assert bip is not host and BipartiteGraph.induced(bip, m1, m2) is bip
+    # a proper sub-mask of either part, or the parts swapped, builds a new
+    # graph: the restriction of the host itself
+    low = m1 & -m1
+    for sub in ((m1 ^ low, m2), (m1, m2 ^ (m2 & -m2)), (m1 ^ low, 0),
+                (m2, m1)):
+        got = BipartiteGraph.induced(bip, *sub)
+        want = BipartiteGraph.induced(host, *sub)
+        assert got is not bip and got == want and got.m == want.m, sub
+    # a Graph host is never returned as it is, even one whose rows all
+    # cross between the two masks
+    cube = hypercube(4)
+    side1, side2 = try_bipartition(cube)
+    whole = BipartiteGraph.induced(cube, mask_of(side1), mask_of(side2))
+    assert type(whole) is BipartiteGraph and whole.adj == cube.adj
+    assert whole.m == cube.m and round_trips(whole)
 
 
 def test_transpose_swaps_parts_and_keeps_ids():

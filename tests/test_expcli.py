@@ -326,6 +326,39 @@ def test_replay_matches_and_detects_tampering(tmp_path):
     assert not match
 
 
+def test_replay_names_the_first_differing_trial_and_field(tmp_path,
+                                                          capsys):
+    path = tmp_path / "rec.json"
+    expcli.run(ExperimentSpec("setmap", "violate", {"k": 2, "n": 6},
+                              seed=7, trials=4, out=str(path)))
+    assert expcli.main(["replay", str(path)]) == 0
+    assert "first_difference" not in json.loads(capsys.readouterr().out)
+    stored = expcli.read_record(path)
+    stored["trials"][2]["witness"] = "0" * 64
+    stored["trials"][3]["outcome"] = "edited"
+    _write_json(path, stored)
+    assert expcli.main(["replay", str(path)]) == 1
+    line = json.loads(capsys.readouterr().out)
+    assert line == {"match": False, "successes": 4, "trials": 4,
+                    "first_difference": {"trial": 2, "field": "witness"}}
+    fresh = expcli.run(ExperimentSpec("setmap", "violate", {"k": 2, "n": 6},
+                                      seed=7, trials=4)).trials
+    trials = expcli.read_record(path)["trials"]
+    assert expcli.first_difference(fresh, fresh) is None
+    trials[2] = fresh[2]
+    assert expcli.first_difference(fresh, trials) == \
+        {"trial": 3, "field": "outcome"}
+    trials[3] = dict(fresh[3], stats={}, extra=1)
+    assert expcli.first_difference(fresh, trials) == \
+        {"trial": 3, "field": "stats"}
+    trials[3] = dict(fresh[3], extra=1)
+    assert expcli.first_difference(fresh, trials) == \
+        {"trial": 3, "field": "extra"}
+    trials[3] = [fresh[3]]
+    assert expcli.first_difference(fresh, trials) == \
+        {"trial": 3, "field": None}
+
+
 def test_replay_writes_no_file_whatever_out_the_record_names(tmp_path,
                                                              capsys):
     path, other = tmp_path / "rec.json", tmp_path / "other.json"

@@ -864,6 +864,70 @@ def test_minor_diameter_flag_and_determinism():
     assert verify_minor(g, c) == (True, None)
 
 
+def induced_distances(g: Graph, members: frozenset) -> dict:
+    """BFS distances within the induced subgraph, from every member: the
+    dict walk that ``verify_minor`` ran before its mask layers, kept as
+    their reference."""
+    mask = mask_of(members)
+    out = {}
+    for s in members:
+        dist = {s: 0}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in iter_bits(g.adj[u] & mask):
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        out[s] = dist
+    return out
+
+
+def test_mask_layers_match_the_dict_bfs():
+    """(reached, eccentricity) from every member of random vertex sets:
+    dense and sparse hosts, where many sets fall apart, and long paths
+    and cycles, whole and cut."""
+    rnd = random.Random(39)
+    hosts = [random_graph(n, p, RngStream(seed)) for seed, (n, p) in
+             enumerate([(40, 0.5), (60, 0.08), (90, 0.03), (130, 0.2)])]
+    hosts.append(Graph(150, [(i, i + 1) for i in range(149)]))
+    hosts.append(Graph(97, [(i, (i + 1) % 97) for i in range(97)]))
+    split = cut = 0
+    for g in hosts:
+        sets = [frozenset(range(g.n))]
+        sets += [frozenset(rnd.sample(range(g.n), rnd.randint(1, g.n)))
+                 for _ in range(12)]
+        for members in sets:
+            mask = mask_of(members)
+            dists = induced_distances(g, members)
+            for s in members:
+                reached, ecc = weakseq._layers(g.adj, mask, s)
+                assert reached == mask_of(dists[s])
+                assert ecc == max(dists[s].values())
+            cut += len(dists[min(members)]) < len(members)
+            split += 1
+    assert 0 < cut < split  # both connected and disconnected sets ran
+    path = Graph(150, [(i, i + 1) for i in range(149)])
+    assert weakseq._layers(path.adj, (1 << 150) - 1, 0) == \
+        ((1 << 150) - 1, 149)
+
+
+def test_verify_minor_reads_reach_and_diameter_from_the_layers():
+    # a path of five is one branch set of eccentricities 2..4; the other
+    # set is one vertex joined to its end
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    model = MinorModel((frozenset(range(5)), frozenset({5})), 5, 4)
+    assert verify_minor(g, model) == (True, None)
+    assert verify_minor(g, dataclasses.replace(model, diameter_cap=3)) == \
+        (False, ("diameter", 0))
+    assert verify_minor(g, dataclasses.replace(model, diameter_cap=None)) \
+        == (True, None)
+    holed = Graph(6, [(0, 1), (2, 3), (3, 4), (4, 5)])
+    assert verify_minor(holed, model) == (False, ("disconnected", 0))
+
+
 def test_minor_failure_stages():
     rng = RngStream(31)
     g = random_graph(24, 0.3, rng.derive("gen"))
