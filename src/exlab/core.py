@@ -239,31 +239,43 @@ class RngStream:
     def sample(self, population, k: int) -> list:
         """``random.Random.sample``, drawn in bulk for ``range(n)``.
 
-        Where CPython samples ``range(n)``, n < 2^32, with a set, each value
+        Where CPython samples ``range(n)``, n < 2^31, with a set, each value
         is the top ``n.bit_length()`` bits of one 32-bit word, and values
         >= n and repeats are drawn again.  This draws the words of the
         ``need`` values still missing with one getrandbits call, all of
         which the per-value loop would read too, keeps each new value in
         order and draws exactly the shortfall again, so the values, the
-        generator state and ``position`` equal theirs.  Every other
-        population goes to ``random.Random.sample``.
+        generator state and ``position`` equal theirs.
+
+        A batch runs no Python code per word.  One shift and a lane mask
+        built once per call put each word's top ``width`` bits in its own
+        32-bit lane; subtracting those values from ``2^width - 1 + n`` in
+        every lane sets bit ``width`` of a lane iff its value is below n,
+        with no carry out of the lane since n < 2^31.  ``struct`` reads the
+        values, ``itertools.compress`` keeps those whose bit is set, and
+        ``dict.fromkeys`` drops repeats in order.  Every other population
+        goes to ``random.Random.sample``.
         """
         self.position += 1
         if not (type(population) is range and population.start == 0
                 and population.step == 1
-                and 0 <= k <= population.stop < 1 << 32
+                and 0 <= k <= population.stop < 1 << 31
                 and population.stop > _sample_setsize(k)):
             return self._rng.sample(population, k)
         n = population.stop
-        shift = 32 - n.bit_length()
-        bound = n << shift
+        width = n.bit_length()
+        shift = 32 - width
+        ones = int.from_bytes(b"\1\0\0\0" * k, "little")
+        lanes = ones * ((1 << width) - 1)
+        below = ones * ((1 << width) - 1 + n)
         chosen = {}
         while len(chosen) < k:
             need = k - len(chosen)
-            words = struct.unpack(f"<{need}I", self._rng.getrandbits(
-                32 * need).to_bytes(4 * need, "little"))
-            chosen.update(dict.fromkeys([w >> shift for w in words
-                                         if w < bound]))
+            values = (self._rng.getrandbits(32 * need) >> shift) & lanes
+            keep = ((((below >> 32 * (k - need)) - values) >> width) & ones
+                    ).to_bytes(4 * need, "little")[::4]
+            chosen.update(dict.fromkeys(compress(struct.unpack(
+                f"<{need}I", values.to_bytes(4 * need, "little")), keep)))
         return list(chosen)
 
 

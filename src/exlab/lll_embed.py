@@ -82,11 +82,12 @@ class DownClosedHypergraph:
     An l-subset (l <= k) is a member iff it lies inside some surviving top
     edge, which keeps the edge set down-closed by construction.  The
     constructor takes the deleted top edges as their lex ranks (the order of
-    ``_unrank_combination``), each in [0, C(N, k)), and stores them as the
+    ``_unrank_combination``), ints in [0, C(N, k)), and stores them as the
     frozenset ``deleted_ranks``, so a top-level query looks up one rank.  A
     lower-level query at level l reads a count, per l-set, of the deleted
     top edges containing it; that index is built from the deleted edges on
-    the first query at level l.
+    the first query at level l.  Builders whose ranks are valid by
+    construction call ``_from_ranks``.
     """
 
     __slots__ = ("N", "k", "deleted_ranks", "_superset_counts")
@@ -94,6 +95,13 @@ class DownClosedHypergraph:
     def __init__(self, N: int, k: int, ranks: Iterable[int] = ()):
         if not 1 <= k <= N:
             raise GuardError("need 1 <= k <= N")
+        # types are read before the frozenset, where True or 1.0 would
+        # merge into an equal int rank
+        ranks = tuple(ranks)
+        for t in set(map(type, ranks)):
+            if not issubclass(t, int) or t is bool:
+                raise ValueError(f"deleted rank of type {t.__name__}, "
+                                 f"not int")
         ranks = frozenset(ranks)
         if ranks and (min(ranks) < 0 or max(ranks) >= math.comb(N, k)):
             raise ValueError(f"deleted rank outside [0, C({N},{k}))")
@@ -101,6 +109,16 @@ class DownClosedHypergraph:
         self.k = k
         self.deleted_ranks = ranks
         self._superset_counts = {}
+
+    @classmethod
+    def _from_ranks(cls, N: int, k: int,
+                    ranks: frozenset) -> "DownClosedHypergraph":
+        d = cls.__new__(cls)
+        d.N = N
+        d.k = k
+        d.deleted_ranks = ranks
+        d._superset_counts = {}
+        return d
 
     @property
     def deleted(self) -> frozenset:
@@ -155,11 +173,14 @@ def random_dense_dch_guard(N: int, k: int, delta) -> int:
 def random_dense_dch(N: int, k: int, delta, rng: RngStream) -> DownClosedHypergraph:
     """All k-subsets minus exactly floor(delta * C(N,k)) uniform deletions.
 
-    The deletions are drawn as lex ranks and stored as drawn, never unranked.
+    The deletions are drawn as lex ranks and stored as drawn, never unranked;
+    a sample of ``range(C(N, k))`` holds distinct ints in range, so the host
+    is built unchecked.
     """
     total = random_dense_dch_guard(N, k, delta)
     count = int(Fraction(delta) * total)
-    return DownClosedHypergraph(N, k, rng.sample(range(total), count))
+    return DownClosedHypergraph._from_ranks(
+        N, k, frozenset(rng.sample(range(total), count)))
 
 
 class TargetHypergraph:

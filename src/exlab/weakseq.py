@@ -384,12 +384,23 @@ def verify_sequence(g: Graph, w: WeakSequence):
 def _incidence_graph(B: BipartiteGraph, blocks) -> BipartiteGraph:
     """V2 of B against fresh block vertices B.n + j: v ~ block j iff some
     edge of v lands in blocks[j].  Block j's row is its reach row, and v's
-    row is column v of the reach rows.  V2 keeps B's vertex ids."""
+    row is column v of the reach rows, so the edges are the reach rows'
+    bits.  V2 keeps B's vertex ids."""
     d = len(blocks)
     reach = _block_reach(B, blocks)
     rows = [col << B.n for col in bit_columns(reach, B.n)] + reach
     parts = (B.mask(2), ((1 << d) - 1) << B.n)
-    return BipartiteGraph._from_parts(rows, parts)
+    return BipartiteGraph._from_parts(rows, parts,
+                                      sum(map(int.bit_count, reach)))
+
+
+def _restricted(B: BipartiteGraph, count: int, kept) -> BipartiteGraph:
+    """B between its first ``count`` V1 vertices and ``kept``, distinct V2
+    vertices: B itself when both are whole, told by counts alone, with no
+    part masks built."""
+    if count == B.n1 and len(kept) == B.n2:
+        return B
+    return BipartiteGraph.induced(B, mask_of(B.v1[:count]), mask_of(kept))
 
 
 def _weakseq_stages(B0: BipartiteGraph, r: int, t: int, rng: RngStream,
@@ -411,7 +422,7 @@ def _weakseq_stages(B0: BipartiteGraph, r: int, t: int, rng: RngStream,
     d = B0.n1 // r
     if d == 0:
         return Failure("cover_partition", "V1 smaller than r", dict(stats))
-    B1 = BipartiteGraph.induced(B0, mask_of(B0.v1[:d * r]), mask_of(kept))
+    B1 = _restricted(B0, d * r, kept)
     cp1 = cover_partition(B1, r, rng, retry_cap)
     stats["fraction1"] = cp1.fraction
     stats["threshold1"] = cp1.threshold
@@ -442,7 +453,7 @@ def _weakseq_stages(B0: BipartiteGraph, r: int, t: int, rng: RngStream,
     if h == 0:
         return Failure("cover_partition", "filtered side smaller than r",
                        dict(stats))
-    X2 = BipartiteGraph.induced(X1, mask_of(X1.v1[:h * r]), mask_of(s_ids))
+    X2 = _restricted(X1, h * r, s_ids)
     cp2 = cover_partition(X2, r, rng, retry_cap)
     stats["fraction2"] = cp2.fraction
     stats["threshold2"] = cp2.threshold

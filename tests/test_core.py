@@ -572,6 +572,11 @@ def test_sample_matches_random_sample():
     cases = [(range(n), k) for k in (0, 1, 6, 3072)
              for n in (k, _sample_setsize(k), _sample_setsize(k) + 1,
                        4 * _sample_setsize(k) + 1) if n >= k]
+    # the lane mask at its extremes: half of each batch rejected, a shift
+    # of 26, and the widest values the lanes hold
+    cases += [(range(2 ** 19 + 1), 3072), (range(33), 2),
+              (range(2 ** 31 - 1), 6), (range(2 ** 31 - 1), 3072),
+              (range(2 ** 31), 6)]
     cases += [(range(comb(128, 3)), 3072), (range(2 ** 32 - 1), 6),
               (range(2 ** 32), 6), (range(2 ** 40), 3072),
               (range(1, 1000), 50), (range(0, 2000, 2), 50),

@@ -119,12 +119,35 @@ def test_dch_construction_and_counts():
     assert d.deleted_ranks == {0, 7, 19}
     assert from_deleted(6, 3, d.deleted).deleted_ranks == {0, 7, 19}
     assert not DownClosedHypergraph(6, 3).deleted_ranks
-    for ranks in ([-1], [0, 20], [10 ** 30]):
+    # out of range, or not an int: a float, a str, a bool, None, also
+    # beside an equal int
+    for ranks in ([-1], [0, 20], [10 ** 30], [0.5, 3], [3.0], ["a"], [2, "a"],
+                  [True], [None], [1, True], [3, 3.0]):
         with pytest.raises(ValueError):
             DownClosedHypergraph(6, 3, ranks)
     for N, k in ((3, 4), (3, 0)):
         with pytest.raises(GuardError):
             DownClosedHypergraph(N, k)
+
+
+def test_random_host_round_trips_through_the_checked_constructor():
+    """random_dense_dch builds its host unchecked, from drawn ranks; the
+    checked constructor, given those ranks, rebuilds the same host."""
+    for N, k, delta, seed in ((128, 3, "9/1000", 1), (10, 4, 0.35, 9),
+                              (9, 4, Fraction(4, 5), 4), (40, 2, 0.5, 2),
+                              (7, 7, 0, 3), (30, 1, Fraction(1, 3), 5)):
+        host = random_dense_dch(N, k, delta, RngStream(seed))
+        rebuilt = DownClosedHypergraph(N, k, host.deleted_ranks)
+        assert (rebuilt.N, rebuilt.k) == (host.N, host.k) == (N, k)
+        assert type(host.deleted_ranks) is frozenset
+        assert rebuilt.deleted_ranks == host.deleted_ranks
+        assert rebuilt.missing_fraction() == host.missing_fraction()
+        draw = RngStream(seed).derive("sets")
+        for level in range(1, k + 1):
+            for _ in range(30):
+                S = draw.sample(range(N), level)
+                assert rebuilt.member(S) == host.member(S), (N, k, S)
+        assert expcli.digest(rebuilt) == expcli.digest(host)
 
 
 def test_dch_membership_matches_bruteforce():
